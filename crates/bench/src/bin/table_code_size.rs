@@ -10,6 +10,9 @@
 //! Counts the non-blank, non-comment, non-test lines of this workspace's
 //! modules and checks the same *shape*: the application (server + client)
 //! is small relative to the group-communication substrate it leans on.
+//! Then prints the same count for the whole workspace — per crate `src/`,
+//! `src/bin/` and `tests/` — so a PR that claims to delete code can put a
+//! before/after table in CHANGES.md.
 //!
 //! ```text
 //! cargo run -p ftvod-bench --bin table_code_size
@@ -58,6 +61,46 @@ fn tree_lines(dir: &Path) -> usize {
         }
     }
     total
+}
+
+/// Prints the effective lines of every workspace package (the crates in
+/// name order, then the root facade) under `src/` without `src/bin/`,
+/// `src/bin/` and `tests/`, plus a total row.
+fn workspace_table(repo: &Path) {
+    let mut packages: Vec<PathBuf> = fs::read_dir(repo.join("crates"))
+        .expect("crates/ is readable")
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.is_dir())
+        .collect();
+    packages.sort();
+    packages.push(repo.to_path_buf());
+    println!("\n=== whole workspace: effective lines (same counting rule) ===\n");
+    println!(
+        "{:<16} {:>8} {:>8} {:>8} {:>8}",
+        "package", "src", "src/bin", "tests", "total"
+    );
+    let row = |name: &str, r: [usize; 3]| {
+        let sum: usize = r.iter().sum();
+        println!("{name:<16} {:>8} {:>8} {:>8} {sum:>8}", r[0], r[1], r[2]);
+    };
+    let mut total = [0usize; 3];
+    for dir in &packages {
+        let bin = tree_lines(&dir.join("src/bin"));
+        let lines = [
+            tree_lines(&dir.join("src")) - bin,
+            bin,
+            tree_lines(&dir.join("tests")),
+        ];
+        match dir.strip_prefix(repo.join("crates")) {
+            Ok(name) => row(&name.to_string_lossy(), lines),
+            Err(_) => row("ftvod (root)", lines),
+        }
+        for (t, l) in total.iter_mut().zip(lines) {
+            *t += l;
+        }
+    }
+    row("total", total);
 }
 
 fn main() {
@@ -114,4 +157,5 @@ fn main() {
          because membership, reliable multicast and failure detection live in the\n\
          substrate — the very point §5.3 argues."
     );
+    workspace_table(&repo);
 }

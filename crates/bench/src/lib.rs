@@ -5,8 +5,11 @@
 //! of the paper's evaluation; see EXPERIMENTS.md at the repository root for
 //! the index and the recorded paper-vs-measured comparison.
 
-pub mod json;
 pub mod perf;
+
+/// The workspace JSON module lives in `ftvod_core`; re-exported so
+/// `ftvod_bench::json::Json` keeps resolving.
+pub use ftvod_core::json;
 
 use std::fs;
 use std::path::{Path, PathBuf};

@@ -27,22 +27,16 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use ftvod_core::chaos::{ChaosPlan, ChaosProfile};
-use ftvod_core::config::{PrefixCacheConfig, ReplicationConfig, VodConfig};
+use ftvod_core::campaign::{self, Campaign, Outcome, CHAOS_CLIENTS, CHAOS_FAULTS, CHAOS_SYNC};
+use ftvod_core::config::ReplicationConfig;
 use ftvod_core::forecast::PolicyKind;
-use ftvod_core::oracle::{OracleConfig, OracleReport};
+use ftvod_core::json::{escape, Json};
 use ftvod_core::profile::Subsystem;
-use ftvod_core::scenario::{presets, VodSim};
-use ftvod_core::trace::VodEvent;
-use ftvod_core::workload::{
-    fleet_builder, fleet_builder_with_config, fleet_config, FleetPlan, FleetProfile, FleetReport,
-};
-use media::MovieId;
-use simnet::{LinkProfile, SimTime};
-
-use crate::json::Json;
+use ftvod_core::scenario::{presets, ScenarioBuilder, VodSim};
+use ftvod_core::workload::{fleet_builder, FleetPlan, FleetProfile};
+use simnet::SimTime;
 
 /// Schema tag of `BENCH_ftvod.json`; bump on any layout change.
 pub const BENCH_SCHEMA: &str = "ftvod-bench/v1";
@@ -52,7 +46,7 @@ pub const BENCH_SCHEMA: &str = "ftvod-bench/v1";
 pub const DEFAULT_MAX_WALL_RATIO: f64 = 5.0;
 
 /// Measured costs of one suite scenario.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ScenarioBench {
     /// Stable scenario name.
     pub name: String,
@@ -165,6 +159,30 @@ fn peak_sessions(plan: &FleetPlan) -> u64 {
     peak.max(0) as u64
 }
 
+/// Builds and runs one profiled scenario to `end`, timing build + run.
+/// `peak` is its (known) peak of concurrently live sessions.
+fn run_single(
+    name: &str,
+    builder: &ScenarioBuilder,
+    end: SimTime,
+    peak: u64,
+) -> (ScenarioBench, VodSim) {
+    let started = Instant::now();
+    let mut sim = builder.build();
+    sim.run_until(end);
+    let wall_ns = started.elapsed().as_nanos() as u64;
+    let (mut counters, span_wall_ns) = harvest(&sim);
+    counters.insert("peak_sessions".to_owned(), peak);
+    let bench = ScenarioBench {
+        name: name.to_owned(),
+        sim_seconds: end.as_secs_f64() as u64,
+        counters,
+        wall_ns,
+        span_wall_ns,
+    };
+    (bench, sim)
+}
+
 fn run_preset_bench(
     name: &str,
     seed: u64,
@@ -180,23 +198,11 @@ fn run_preset_bench(
     } else {
         builder.profile_costs();
     }
-    let end = SimTime::from_secs(92);
-    let started = Instant::now();
-    let mut sim = builder.build();
-    sim.run_until(end);
-    let wall_ns = started.elapsed().as_nanos() as u64;
+    let (bench, sim) = run_single(name, &builder, SimTime::from_secs(92), 1);
     if flamechart_capacity > 0 {
         *flamechart = sim.profile().chrome_trace_json();
     }
-    let (mut counters, span_wall_ns) = harvest(&sim);
-    counters.insert("peak_sessions".to_owned(), 1);
-    ScenarioBench {
-        name: name.to_owned(),
-        sim_seconds: end.as_secs_f64() as u64,
-        counters,
-        wall_ns,
-        span_wall_ns,
-    }
+    bench
 }
 
 fn run_fleet_bench(seed: u64) -> ScenarioBench {
@@ -204,94 +210,59 @@ fn run_fleet_bench(seed: u64) -> ScenarioBench {
     let (mut builder, plan) =
         fleet_builder(&profile, seed, Some(ReplicationConfig::paper_default()));
     builder.profile_costs();
-    let end = profile.run_until();
-    let started = Instant::now();
-    let mut sim = builder.build();
-    sim.run_until(end);
-    let wall_ns = started.elapsed().as_nanos() as u64;
-    let (mut counters, span_wall_ns) = harvest(&sim);
-    counters.insert("peak_sessions".to_owned(), peak_sessions(&plan));
-    ScenarioBench {
-        name: "fleet_e3".to_owned(),
-        sim_seconds: end.as_secs_f64() as u64,
-        counters,
-        wall_ns,
-        span_wall_ns,
-    }
+    let peak = peak_sessions(&plan);
+    let (bench, _sim) = run_single("fleet_e3", &builder, profile.run_until(), peak);
+    bench
 }
 
-/// One chaos campaign, mirroring `ftvod-cli chaos` defaults (6 fault
-/// slots, 24 sessions, 500 ms sync), with the oracle replay profiled as
-/// its own subsystem span.
+/// Builds, runs and judges one campaign with cost profiling on and the
+/// oracle replay charged to its own subsystem span, folding the run into
+/// the multi-run scenario `bench`: wall-clock (build through oracle
+/// replay), simulated seconds and plain counters sum, depth high-water
+/// marks and the session peak take the max across runs.
+fn run_profiled(campaign: &mut Campaign, bench: &mut ScenarioBench) -> Outcome {
+    campaign.builder.profile_costs();
+    let started = Instant::now();
+    let mut sim = campaign.builder.build();
+    sim.run_until(campaign.end);
+    let handle = sim.profile().clone();
+    let oracle = handle.time(Subsystem::OracleReplay, || campaign::oracle(&sim));
+    bench.wall_ns += started.elapsed().as_nanos() as u64;
+    bench.sim_seconds += campaign.end.as_secs_f64() as u64;
+    let (mut run_counters, run_spans) = harvest(&sim);
+    run_counters.insert("peak_sessions".to_owned(), peak_sessions(&campaign.plan));
+    for (k, v) in run_counters {
+        let is_peak = k.contains("peak");
+        let slot = bench.counters.entry(k).or_insert(0);
+        *slot = if is_peak { (*slot).max(v) } else { *slot + v };
+    }
+    for (k, v) in run_spans {
+        *bench.span_wall_ns.entry(k).or_insert(0) += v;
+    }
+    campaign.judge_with(&sim, oracle)
+}
+
+/// Chaos campaigns at the `ftvod-cli chaos` defaults, one per seed.
 fn run_chaos_bench(first_seed: u64, seeds: u64) -> ScenarioBench {
-    let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-    let mut span_wall_ns: BTreeMap<String, u64> = BTreeMap::new();
-    let mut wall_ns = 0u64;
-    let mut sim_seconds = 0u64;
-    let mut peak = 0u64;
-    for seed in first_seed..first_seed + seeds {
-        let mut profile = FleetProfile::small_fleet();
-        profile.clients = 24;
-        profile.catalog_size = 4;
-        profile.initial_replicas = 2;
-        profile.arrival_window = Duration::from_secs(15);
-        let (mut builder, plan) =
-            fleet_builder(&profile, seed, Some(ReplicationConfig::paper_default()));
-        let mut cfg = VodConfig::paper_default()
-            .with_sync_interval(Duration::from_millis(500))
-            .with_dynamic_replication(ReplicationConfig::paper_default());
-        if let Some(cap) = profile.sessions_per_server {
-            cfg = cfg.with_session_cap(cap);
-        }
-        builder.config(cfg);
-        let mut chaos_profile = ChaosProfile::default_campaign();
-        chaos_profile.faults = 6;
-        let chaos = ChaosPlan::generate(&chaos_profile, &profile.server_nodes(), seed);
-        chaos.apply(&mut builder, &LinkProfile::lan());
-        builder.record_events(1 << 20);
-        builder.profile_costs();
-        let end = SimTime::from_secs_f64(profile.run_until().as_secs_f64().max(75.0));
-        let started = Instant::now();
-        let mut sim = builder.build();
-        sim.run_until(end);
-        let handle = sim.profile().clone();
-        let oracle = handle.time(Subsystem::OracleReplay, || {
-            sim.trace()
-                .with_recorder(|rec| OracleReport::check(rec, &OracleConfig::paper_default()))
-                .expect("recording was enabled")
-        });
-        wall_ns += started.elapsed().as_nanos() as u64;
-        let (seed_counters, seed_spans) = harvest(&sim);
-        for (k, v) in seed_counters {
-            // Depth high-water marks take the max across seeds; plain
-            // counts sum.
-            if k.contains("peak") {
-                let slot = counters.entry(k).or_insert(0);
-                *slot = (*slot).max(v);
-            } else {
-                *counters.entry(k).or_insert(0) += v;
-            }
-        }
-        for (k, v) in seed_spans {
-            *span_wall_ns.entry(k).or_insert(0) += v;
-        }
-        *counters.entry("oracle_passes".to_owned()).or_insert(0) += u64::from(oracle.pass());
-        sim_seconds += end.as_secs_f64() as u64;
-        peak = peak.max(peak_sessions(&plan));
-    }
-    counters.insert("peak_sessions".to_owned(), peak);
-    ScenarioBench {
+    let mut bench = ScenarioBench {
         name: "chaos_5seeds".to_owned(),
-        sim_seconds,
-        counters,
-        wall_ns,
-        span_wall_ns,
+        ..ScenarioBench::default()
+    };
+    for seed in first_seed..first_seed + seeds {
+        let (mut campaign, _faults) =
+            campaign::chaos(CHAOS_CLIENTS, CHAOS_FAULTS, CHAOS_SYNC, seed);
+        let outcome = run_profiled(&mut campaign, &mut bench);
+        *bench
+            .counters
+            .entry("oracle_passes".to_owned())
+            .or_insert(0) += u64::from(outcome.oracle.pass());
     }
+    bench
 }
 
 /// The flash-crowd duel (EXPERIMENTS.md E7): the same seeded plan —
-/// [`FleetProfile::flash_crowd`], a 10× popularity shock on the coldest
-/// movie at 12 s — run once under reactive hysteresis and once under
+/// [`campaign::flash`], a 10× popularity shock on the coldest movie at
+/// 12 s — run once under reactive hysteresis and once under
 /// the predictive placement policy with the prefix-cache tier. Profiled
 /// counters sum across the two runs (peaks take the max, like the chaos
 /// scenario); on top sit per-policy headline counters namespaced
@@ -301,95 +272,45 @@ fn run_chaos_bench(first_seed: u64, seeds: u64) -> ScenarioBench {
 /// all of them exactly, so a regression that costs predictive its win
 /// flips a pinned bit.
 fn run_flash_bench(seed: u64) -> ScenarioBench {
-    let profile = FleetProfile::flash_crowd();
-    let shock = profile.shock.expect("flash_crowd has a shock");
-    let shock_us = shock.at.as_micros() as u64;
-    let tail = MovieId(profile.catalog_size);
-    let end = profile.run_until();
-    let end_ms = (end.as_secs_f64() * 1e3).round() as u64;
-    let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-    let mut span_wall_ns: BTreeMap<String, u64> = BTreeMap::new();
-    let mut wall_ns = 0u64;
-    let mut peak = 0u64;
+    let mut bench = ScenarioBench {
+        name: "flash_crowd".to_owned(),
+        ..ScenarioBench::default()
+    };
     let mut unserved = BTreeMap::new();
     let mut first_bringup = BTreeMap::new();
     for (ns, policy, prefix) in [
         ("reactive", PolicyKind::Reactive, false),
         ("predictive", PolicyKind::Predictive, true),
     ] {
-        let mut cfg =
-            fleet_config(&profile, Some(ReplicationConfig::paper_default())).with_placement(policy);
-        if prefix {
-            cfg = cfg.with_prefix_cache(PrefixCacheConfig::paper_default());
-        }
-        let (mut builder, plan) = fleet_builder_with_config(&profile, seed, cfg);
-        builder.record_events(1 << 20);
-        builder.profile_costs();
-        let started = Instant::now();
-        let mut sim = builder.build();
-        sim.run_until(end);
-        let handle = sim.profile().clone();
-        let oracle = handle.time(Subsystem::OracleReplay, || {
-            sim.trace()
-                .with_recorder(|rec| OracleReport::check(rec, &OracleConfig::paper_default()))
-                .expect("recording was enabled")
-        });
-        wall_ns += started.elapsed().as_nanos() as u64;
-        let fleet = FleetReport::from_sim(&plan, &sim, end);
+        let mut campaign = campaign::flash(policy, prefix, seed);
+        let (shock_at, _) = campaign.shock.expect("the flash campaign has a shock");
+        let outcome = run_profiled(&mut campaign, &mut bench);
         // How long after the shock the first extra replica of the shocked
         // movie came up; a run that never reacts scores the full run.
-        let bringup_ms = sim
-            .trace()
-            .with_recorder(|rec| {
-                rec.events()
-                    .filter_map(|e| match e {
-                        VodEvent::ReplicaBringUp { at, movie, .. }
-                            if *movie == tail && at.as_micros() >= shock_us =>
-                        {
-                            Some((at.as_micros() - shock_us) / 1000)
-                        }
-                        _ => None,
-                    })
-                    .min()
-            })
-            .flatten()
-            .unwrap_or(end_ms);
-        let (run_counters, run_spans) = harvest(&sim);
-        for (k, v) in run_counters {
-            if k.contains("peak") {
-                let slot = counters.entry(k).or_insert(0);
-                *slot = (*slot).max(v);
-            } else {
-                *counters.entry(k).or_insert(0) += v;
-            }
-        }
-        for (k, v) in run_spans {
-            *span_wall_ns.entry(k).or_insert(0) += v;
-        }
+        let bringup_ms = outcome
+            .first_tail_bringup
+            .map_or((campaign.end.as_secs_f64() * 1e3).round() as u64, |at| {
+                (at.as_micros() - shock_at.as_micros()) / 1000
+            });
+        let (fleet, run) = (&outcome.fleet, &outcome.run);
         let unserved_ms = (fleet.unserved_seconds * 1e3).round() as u64;
-        counters.insert(format!("{ns}.unserved_ms"), unserved_ms);
-        counters.insert(format!("{ns}.never_served"), u64::from(fleet.never_served));
-        counters.insert(format!("{ns}.first_bringup_after_shock_ms"), bringup_ms);
-        counters.insert(format!("{ns}.oracle_pass"), u64::from(oracle.pass()));
-        let report = sim.trace().report().expect("recording was enabled");
-        counters.insert(format!("{ns}.bringups"), report.replica_bringups);
-        counters.insert(format!("{ns}.prefix_serves"), report.prefix_serves);
-        counters.insert(format!("{ns}.prefix_handoffs"), report.prefix_handoffs);
+        let mut headline = |key: &str, v: u64| bench.counters.insert(format!("{ns}.{key}"), v);
+        headline("unserved_ms", unserved_ms);
+        headline("never_served", u64::from(fleet.never_served));
+        headline("first_bringup_after_shock_ms", bringup_ms);
+        headline("oracle_pass", u64::from(outcome.oracle.pass()));
+        headline("bringups", run.replica_bringups);
+        headline("prefix_serves", run.prefix_serves);
+        headline("prefix_handoffs", run.prefix_handoffs);
         unserved.insert(ns, unserved_ms);
         first_bringup.insert(ns, bringup_ms);
-        peak = peak.max(peak_sessions(&plan));
     }
     let dominates = unserved["predictive"] < unserved["reactive"]
         && first_bringup["predictive"] < first_bringup["reactive"];
-    counters.insert("predictive_dominates".to_owned(), u64::from(dominates));
-    counters.insert("peak_sessions".to_owned(), peak);
-    ScenarioBench {
-        name: "flash_crowd".to_owned(),
-        sim_seconds: 2 * end.as_secs_f64() as u64,
-        counters,
-        wall_ns,
-        span_wall_ns,
-    }
+    bench
+        .counters
+        .insert("predictive_dominates".to_owned(), u64::from(dominates));
+    bench
 }
 
 impl BenchReport {
@@ -402,7 +323,9 @@ impl BenchReport {
         let _ = write!(
             out,
             "{{\n  \"schema\": \"{}\",\n  \"rev\": \"{}\",\n  \"date\": \"{}\",\n  \"scenarios\": [",
-            self.schema, self.rev, self.date
+            escape(&self.schema),
+            escape(&self.rev),
+            escape(&self.date)
         );
         for (i, s) in self.scenarios.iter().enumerate() {
             if i > 0 {
@@ -411,7 +334,8 @@ impl BenchReport {
             let _ = write!(
                 out,
                 "\n    {{\n      \"name\": \"{}\",\n      \"sim_seconds\": {}",
-                s.name, s.sim_seconds
+                escape(&s.name),
+                s.sim_seconds
             );
             if include_wall {
                 let _ = write!(
@@ -425,7 +349,7 @@ impl BenchReport {
                     if j > 0 {
                         out.push(',');
                     }
-                    let _ = write!(out, "\n        \"{k}\": {v}");
+                    let _ = write!(out, "\n        \"{}\": {v}", escape(k));
                 }
                 out.push_str("\n      }");
             }
@@ -434,7 +358,7 @@ impl BenchReport {
                 if j > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "\n        \"{k}\": {v}");
+                let _ = write!(out, "\n        \"{}\": {v}", escape(k));
             }
             out.push_str("\n      }\n    }");
         }
@@ -632,7 +556,11 @@ mod tests {
 
     #[test]
     fn json_round_trip_preserves_everything() {
-        let report = tiny_report(123, 456_789);
+        let mut report = tiny_report(123, 456_789);
+        let parsed = BenchReport::parse(&report.to_json(true)).unwrap();
+        assert_eq!(parsed, report);
+        // Whatever `--rev` was handed survives, JSON metacharacters included.
+        report.rev = "a\"b\\c\nd".to_owned();
         let parsed = BenchReport::parse(&report.to_json(true)).unwrap();
         assert_eq!(parsed, report);
     }

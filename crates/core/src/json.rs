@@ -1,12 +1,33 @@
-//! A minimal JSON reader for the perf regression gate.
+//! The workspace's JSON corner: the one string escape every hand-rolled
+//! writer uses, and a minimal reader.
 //!
-//! The workspace is hermetic (no serde); the only JSON this crate ever
-//! needs to *read back* is its own `BENCH_ftvod.json`, so a small
-//! recursive-descent parser over the full JSON grammar is enough. Writing
-//! stays hand-rolled at the call sites, matching the rest of the
-//! workspace.
+//! The workspace is hermetic (no serde). Writing stays hand-rolled at the
+//! call sites (trace JSONL, run reports, `BENCH_ftvod.json`), but every
+//! string they embed goes through [`escape`]; the only JSON ever *read
+//! back* is the perf gate's own `BENCH_ftvod.json`, so a small
+//! recursive-descent parser over the full JSON grammar is enough.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
+
+/// Escapes a string for embedding between the quotes of a JSON string.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]

@@ -12,6 +12,8 @@
 //!   control policy, VCR operations, statistics;
 //! * [`config`] — the paper's §6 operating point and ablation knobs;
 //! * [`metrics`] — time series/counters behind every reproduced figure;
+//! * [`json`] — the one JSON string escape every writer shares, and the
+//!   small reader the perf gate parses its baseline with;
 //! * [`trace`] — the cross-layer event stream, JSONL export and derived
 //!   run reports (takeover-latency breakdowns, latency percentiles);
 //! * [`profile`] — per-subsystem cost accounting (span wall-clock plus
@@ -26,6 +28,9 @@
 //!   partitions with heals, correlated loss bursts, and (on multi-site
 //!   deployments) site partitions, WAN brownouts and correlated site
 //!   crashes, all from one seed;
+//! * [`campaign`] — the one definition of the chaos, flash-crowd and
+//!   multi-datacenter campaigns: how each is wired and how a finished
+//!   run is judged, shared by the CLI, the perf suite and the tests;
 //! * [`oracle`] — the trace-driven safety oracle checking the paper's
 //!   invariants (exclusive service, bounded frame gaps, replica coverage,
 //!   repair within a bound, and the site-aware failover invariants)
@@ -34,10 +39,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod campaign;
 pub mod chaos;
 pub mod client;
 pub mod config;
 pub mod forecast;
+pub mod json;
 pub mod metrics;
 pub mod oracle;
 pub mod profile;

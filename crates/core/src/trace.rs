@@ -34,6 +34,7 @@ use media::{FrameNo, FrameType, MovieId};
 use simnet::{DropReason, Endpoint, NodeId, SimTime, TraceEvent};
 
 use crate::forecast::{BringUpTrigger, PolicyKind, PopState};
+use crate::json::escape;
 use crate::metrics::Histogram;
 use crate::protocol::{ClientId, VcrCmd};
 
@@ -808,7 +809,7 @@ impl VodEvent {
                 let _ = write!(
                     out,
                     ",\"ev\":\"site_defined\",\"site\":{site},\"name\":\"{}\",\"servers\":",
-                    json_escape(name)
+                    escape(name)
                 );
                 write_nodes(out, servers);
                 out.push_str(",\"clients\":");
@@ -1743,7 +1744,7 @@ impl RunReport {
                         None => out.push_str("null"),
                         Some(d) => {
                             out.push('"');
-                            out.push_str(&json_escape(d));
+                            out.push_str(&escape(d));
                             out.push('"');
                         }
                     }
@@ -1760,25 +1761,6 @@ impl RunReport {
 /// Seconds to integer microseconds, the JSON duration convention.
 fn secs_to_us(seconds: f64) -> u64 {
     (seconds * 1e6).round().max(0.0) as u64
-}
-
-/// Escapes a string for embedding in a JSON document.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Appends a histogram as `{"count":…,"min_us":…,…}` (or `null` when it

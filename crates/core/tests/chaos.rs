@@ -4,16 +4,13 @@
 
 use std::time::Duration;
 
-use ftvod_core::chaos::{ChaosPlan, ChaosProfile};
-use ftvod_core::config::{ReplicationConfig, VodConfig};
-use ftvod_core::oracle::{OracleConfig, OracleReport};
+use ftvod_core::campaign::{self, CHAOS_CLIENTS, CHAOS_FAULTS};
 use ftvod_core::protocol::ClientId;
 use ftvod_core::scenario::ScenarioBuilder;
 use ftvod_core::server::VodServer;
 use ftvod_core::trace::{VodEvent, DEFAULT_EVENT_CAPACITY};
-use ftvod_core::workload::{fleet_builder, FleetProfile};
 use media::{Movie, MovieId, MovieSpec};
-use simnet::{LinkProfile, NodeId, SimTime};
+use simnet::{NodeId, SimTime};
 
 fn two_hour_movie(id: u32) -> Movie {
     Movie::generate(
@@ -109,10 +106,7 @@ fn restarted_server_rejoins_groups_and_serves_redistributed_clients() {
     assert!(owned_by_1 > 0, "redistribution must hand clients back");
 
     // Safety held throughout: the oracle passes the whole trace.
-    let report = sim
-        .trace()
-        .with_recorder(|rec| OracleReport::check(rec, &OracleConfig::paper_default()))
-        .unwrap();
+    let report = campaign::oracle(&sim);
     assert!(report.pass(), "{report}");
 }
 
@@ -191,10 +185,7 @@ fn crash_during_partition_then_heal_reconverges_to_one_view() {
             "{c} must have exactly one server: {claims:?}"
         );
     }
-    let report = sim
-        .trace()
-        .with_recorder(|rec| OracleReport::check(rec, &OracleConfig::paper_default()))
-        .unwrap();
+    let report = campaign::oracle(&sim);
     assert!(report.pass(), "{report}");
 }
 
@@ -205,34 +196,10 @@ fn crash_during_partition_then_heal_reconverges_to_one_view() {
 #[test]
 fn oracle_flags_broken_sync_interval_and_passes_paper_default() {
     let run = |sync: Duration| {
-        let mut profile = FleetProfile::small_fleet();
-        profile.clients = 24;
-        profile.catalog_size = 4;
-        profile.initial_replicas = 2;
-        profile.arrival_window = Duration::from_secs(15);
-        let seed = 3;
-        let (mut builder, _plan) =
-            fleet_builder(&profile, seed, Some(ReplicationConfig::paper_default()));
-        let mut cfg = VodConfig::paper_default()
-            .with_sync_interval(sync)
-            .with_dynamic_replication(ReplicationConfig::paper_default());
-        if let Some(cap) = profile.sessions_per_server {
-            cfg = cfg.with_session_cap(cap);
-        }
-        builder.config(cfg);
-        let mut chaos_profile = ChaosProfile::default_campaign();
-        chaos_profile.faults = 6;
-        let chaos = ChaosPlan::generate(&chaos_profile, &profile.server_nodes(), seed);
-        chaos.apply(&mut builder, &LinkProfile::lan());
-        builder.record_events(1 << 20);
-        let mut sim = builder.build();
-        let end = SimTime::from_secs_f64(profile.run_until().as_secs_f64().max(75.0));
-        sim.run_until(end);
-        sim.trace()
-            .with_recorder(|rec| OracleReport::check(rec, &OracleConfig::paper_default()))
-            .expect("recording was enabled")
+        let (wired, _faults) = campaign::chaos(CHAOS_CLIENTS, CHAOS_FAULTS, sync, 3);
+        wired.run().oracle
     };
-    let healthy = run(Duration::from_millis(500));
+    let healthy = run(campaign::CHAOS_SYNC);
     assert!(
         healthy.pass(),
         "paper-default campaign must pass: {healthy}"
@@ -243,4 +210,27 @@ fn oracle_flags_broken_sync_interval_and_passes_paper_default() {
         "a 20s sync interval must break timely re-serve: {broken}"
     );
     assert!(!broken.pass());
+}
+
+/// The campaign module and the golden CLI output cannot drift apart
+/// silently: the CLI-default chaos campaign for seed 1, wired and judged
+/// through `ftvod_core::campaign`, renders exactly the verdict row and
+/// fault schedule that `tests/golden/chaos_seed1_plan.txt` pins for
+/// `ftvod-cli chaos --seeds 1 --plan`.
+#[test]
+fn default_chaos_campaign_matches_the_golden_cli_output() {
+    let golden = include_str!("../../../tests/golden/chaos_seed1_plan.txt");
+    let (wired, faults) = campaign::chaos(CHAOS_CLIENTS, CHAOS_FAULTS, campaign::CHAOS_SYNC, 1);
+    let outcome = wired.run();
+    let rendered = format!(
+        "seed 1: {}\n{}",
+        outcome.chaos_line(&faults),
+        faults.render()
+    );
+    let (header, rest) = golden.split_once('\n').expect("golden has a header line");
+    assert!(header.starts_with("chaos: 1 campaign(s) from seed 1"));
+    assert_eq!(
+        rest,
+        format!("{rendered}chaos: 1/1 campaign(s) passed the oracle\n")
+    );
 }

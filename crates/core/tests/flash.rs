@@ -4,74 +4,34 @@
 //! bring-up of the shocked movie, prefix transmissions actually
 //! happening and handing off, and every oracle invariant green.
 
+use ftvod_core::campaign::{self, Outcome};
 use ftvod_core::oracle::summary_token;
-use ftvod_core::{
-    fleet_builder_with_config, fleet_config, FleetProfile, FleetReport, OracleConfig, OracleReport,
-    PolicyKind, PrefixCacheConfig, ReplicationConfig, RunReport, VodEvent,
-};
-use media::MovieId;
+use ftvod_core::{PolicyKind, VodEvent};
 
 const SEED: u64 = 42;
 
 struct FlashRun {
-    fleet: FleetReport,
-    report: RunReport,
-    oracle: String,
-    first_bringup_us: Option<u64>,
+    outcome: Outcome,
     prefix_serve_events: usize,
     prefix_handoff_events: usize,
     render: String,
 }
 
 fn run_flash(policy: PolicyKind, prefix: bool) -> FlashRun {
-    let profile = FleetProfile::flash_crowd();
-    let shock = profile.shock.expect("flash_crowd has a shock");
-    let tail = MovieId(profile.catalog_size);
-    let end = profile.run_until();
-    let mut cfg =
-        fleet_config(&profile, Some(ReplicationConfig::paper_default())).with_placement(policy);
-    if prefix {
-        cfg = cfg.with_prefix_cache(PrefixCacheConfig::paper_default());
-    }
-    let (mut builder, plan) = fleet_builder_with_config(&profile, SEED, cfg);
-    builder.record_events(1 << 20);
-    let mut sim = builder.build();
-    sim.run_until(end);
-    let fleet = FleetReport::from_sim(&plan, &sim, end);
-    let report = sim.trace().report().expect("recording on");
-    let oracle = sim
-        .trace()
-        .with_recorder(|rec| OracleReport::check(rec, &OracleConfig::paper_default()))
-        .map(|r| summary_token(&r))
-        .expect("recording on");
-    let (first_bringup_us, serves, handoffs) = sim
-        .trace()
-        .with_recorder(|rec| {
-            let mut first = None;
-            let (mut serves, mut handoffs) = (0usize, 0usize);
-            for e in rec.events() {
-                match e {
-                    VodEvent::ReplicaBringUp { at, movie, .. }
-                        if *movie == tail && at.as_micros() >= shock.at.as_micros() as u64 =>
-                    {
-                        first = Some(first.map_or(at.as_micros(), |f: u64| f.min(at.as_micros())));
-                    }
-                    VodEvent::PrefixServe { .. } => serves += 1,
-                    VodEvent::PrefixHandoff { .. } => handoffs += 1,
-                    _ => {}
-                }
-            }
-            (first, serves, handoffs)
-        })
-        .expect("recording on");
-    let render = format!("{}\n{report}", fleet.render());
+    let wired = campaign::flash(policy, prefix, SEED);
+    let mut sim = wired.builder.build();
+    sim.run_until(wired.end);
+    let outcome = wired.judge_with(&sim, campaign::oracle(&sim));
+    let count = |wanted: fn(&VodEvent) -> bool| {
+        sim.trace()
+            .with_recorder(|rec| rec.events().filter(|e| wanted(e)).count())
+            .expect("recording on")
+    };
+    let render = format!("{}\n{}", outcome.fleet.render(), outcome.run);
     FlashRun {
-        fleet,
-        report,
-        oracle,
-        first_bringup_us,
-        prefix_serve_events: serves,
-        prefix_handoff_events: handoffs,
+        prefix_serve_events: count(|e| matches!(e, VodEvent::PrefixServe { .. })),
+        prefix_handoff_events: count(|e| matches!(e, VodEvent::PrefixHandoff { .. })),
+        outcome,
         render,
     }
 }
@@ -83,64 +43,57 @@ fn predictive_with_prefix_cache_dominates_reactive_on_the_flash_crowd() {
 
     // Safety first: every invariant, including prefix-handoff-complete,
     // holds for both runs.
-    assert_eq!(reactive.oracle, "PASS", "reactive run must be safe");
-    assert_eq!(predictive.oracle, "PASS", "predictive run must be safe");
+    let (r, p) = (&reactive.outcome, &predictive.outcome);
+    assert_eq!(summary_token(&r.oracle), "PASS", "reactive run unsafe");
+    assert_eq!(summary_token(&p.oracle), "PASS", "predictive run unsafe");
 
     // The headline: strictly fewer unserved client-seconds and a
     // strictly earlier first bring-up of the shocked movie.
     assert!(
-        predictive.fleet.unserved_seconds < reactive.fleet.unserved_seconds,
+        p.fleet.unserved_seconds < r.fleet.unserved_seconds,
         "predictive+prefix must cut unserved time: {:.3}s vs reactive {:.3}s",
-        predictive.fleet.unserved_seconds,
-        reactive.fleet.unserved_seconds
+        p.fleet.unserved_seconds,
+        r.fleet.unserved_seconds
     );
     let (p_first, r_first) = (
-        predictive.first_bringup_us.expect("predictive reacted"),
-        reactive.first_bringup_us.expect("reactive reacted"),
+        p.first_tail_bringup.expect("predictive reacted"),
+        r.first_tail_bringup.expect("reactive reacted"),
     );
     assert!(
         p_first < r_first,
-        "predictive must bring up the shocked movie earlier: {p_first}us vs {r_first}us"
+        "predictive must bring up the shocked movie earlier: {p_first} vs {r_first}"
     );
 
     // The prefix tier actually carried load: serve + handoff events in
     // the trace, mirrored in the run report's attribution.
     assert!(predictive.prefix_serve_events > 0, "no prefix serves");
     assert!(predictive.prefix_handoff_events > 0, "no prefix handoffs");
+    assert_eq!(p.run.prefix_serves, predictive.prefix_serve_events as u64);
     assert_eq!(
-        predictive.report.prefix_serves,
-        predictive.prefix_serve_events as u64
-    );
-    assert_eq!(
-        predictive.report.prefix_handoffs,
+        p.run.prefix_handoffs,
         predictive.prefix_handoff_events as u64
     );
     assert!(
-        predictive.report.prefix_seconds_avoided > 0.0,
+        p.run.prefix_seconds_avoided > 0.0,
         "prefix serving should be credited with avoided waiting time"
     );
 
     // The reactive baseline, with no prefix cache configured, must not
     // fabricate prefix activity.
     assert_eq!(reactive.prefix_serve_events, 0);
-    assert_eq!(reactive.report.prefix_serves, 0);
+    assert_eq!(r.run.prefix_serves, 0);
 
     // Both placement policies keep every client served eventually.
-    assert_eq!(predictive.fleet.never_served, 0);
-    assert_eq!(reactive.fleet.never_served, 0);
+    assert_eq!(p.fleet.never_served, 0);
+    assert_eq!(r.fleet.never_served, 0);
 
     // The report breaks down bring-ups by trigger: the predictive run's
     // bring-ups credit the forecast.
-    let forecast_bringups = predictive
-        .report
-        .bringup_triggers
-        .get("forecast")
-        .copied()
-        .unwrap_or(0);
+    let forecast_bringups = p.run.bringup_triggers.get("forecast").copied().unwrap_or(0);
     assert!(
         forecast_bringups > 0,
         "predictive bring-ups must be attributed to the forecast trigger: {:?}",
-        predictive.report.bringup_triggers
+        p.run.bringup_triggers
     );
 }
 
@@ -152,6 +105,6 @@ fn the_flash_crowd_run_is_byte_deterministic() {
         a.render, b.render,
         "double run must render byte-identically"
     );
-    assert_eq!(a.oracle, b.oracle);
+    assert_eq!(a.outcome.oracle, b.outcome.oracle);
     assert_eq!(a.prefix_serve_events, b.prefix_serve_events);
 }

@@ -5,35 +5,23 @@
 //! failover, the oracle's site-aware invariants must hold on the
 //! failover runs, and the whole pipeline must be byte-deterministic.
 
+use ftvod_core::campaign::{self, Outcome};
 use ftvod_core::oracle::summary_token;
-use ftvod_core::{
-    multidc_builder, multidc_profile, FailoverMode, FleetReport, OracleConfig, OracleReport,
-    RunReport, VodEvent,
-};
+use ftvod_core::{FailoverMode, VodEvent};
 
 const SEED: u64 = 42;
 
 struct MultiDcRun {
-    fleet: FleetReport,
-    report: RunReport,
-    oracle: String,
+    outcome: Outcome,
     degraded_serves: usize,
     render: String,
 }
 
 fn run_multidc(seed: u64, mode: FailoverMode) -> MultiDcRun {
-    let end = multidc_profile().run_until();
-    let (mut builder, plan) = multidc_builder(seed, mode);
-    builder.record_events(1 << 20);
-    let mut sim = builder.build();
-    sim.run_until(end);
-    let fleet = FleetReport::from_sim(&plan, &sim, end);
-    let report = sim.trace().report().expect("recording on");
-    let oracle = sim
-        .trace()
-        .with_recorder(|rec| OracleReport::check(rec, &OracleConfig::paper_default()))
-        .map(|r| summary_token(&r))
-        .expect("recording on");
+    let wired = campaign::multidc(mode, seed);
+    let mut sim = wired.builder.build();
+    sim.run_until(wired.end);
+    let outcome = wired.judge_with(&sim, campaign::oracle(&sim));
     let degraded_serves = sim
         .trace()
         .with_recorder(|rec| {
@@ -42,11 +30,9 @@ fn run_multidc(seed: u64, mode: FailoverMode) -> MultiDcRun {
                 .count()
         })
         .expect("recording on");
-    let render = format!("{}\n{report}", fleet.render());
+    let render = format!("{}\n{}", outcome.fleet.render(), outcome.run);
     MultiDcRun {
-        fleet,
-        report,
-        oracle,
+        outcome,
         degraded_serves,
         render,
     }
@@ -62,16 +48,16 @@ fn cross_dc_failover_strictly_beats_the_home_only_baseline() {
     // clients stall until their home site returns, while cross-DC rescue
     // bridges them within the repair bound.
     assert!(
-        home_only.fleet.total_unserved() > remote.fleet.total_unserved(),
+        home_only.outcome.fleet.total_unserved() > remote.outcome.fleet.total_unserved(),
         "failover must strictly reduce unserved time: home-only {:.3}s vs remote {:.3}s",
-        home_only.fleet.total_unserved(),
-        remote.fleet.total_unserved()
+        home_only.outcome.fleet.total_unserved(),
+        remote.outcome.fleet.total_unserved()
     );
     assert!(
-        remote.fleet.total_unserved() >= degraded.fleet.total_unserved(),
+        remote.outcome.fleet.total_unserved() >= degraded.outcome.fleet.total_unserved(),
         "shed headroom must not hurt: remote {:.3}s vs degraded {:.3}s",
-        remote.fleet.total_unserved(),
-        degraded.fleet.total_unserved()
+        remote.outcome.fleet.total_unserved(),
+        degraded.outcome.fleet.total_unserved()
     );
 
     // Degraded mode is the only one allowed to emit degraded serves, and
@@ -83,14 +69,14 @@ fn cross_dc_failover_strictly_beats_the_home_only_baseline() {
         "the east-site crash must force degraded rescues"
     );
     assert_eq!(
-        degraded.report.degraded_serves,
+        degraded.outcome.run.degraded_serves,
         degraded.degraded_serves as u64
     );
 
     // The failover runs hold every oracle invariant, including the three
     // site-aware ones.
-    assert_eq!(remote.oracle, "PASS");
-    assert_eq!(degraded.oracle, "PASS");
+    assert_eq!(summary_token(&remote.outcome.oracle), "PASS");
+    assert_eq!(summary_token(&degraded.outcome.oracle), "PASS");
 }
 
 #[test]
@@ -108,6 +94,6 @@ fn multidc_runs_are_byte_deterministic() {
             "mode {} must be byte-identical across runs",
             mode.as_str()
         );
-        assert_eq!(a.oracle, b.oracle);
+        assert_eq!(a.outcome.oracle, b.outcome.oracle);
     }
 }

@@ -3,47 +3,24 @@
 //! campaign trace, byte for byte — the replay guarantee every failing
 //! seed reported by `ftvod-cli chaos` rests on.
 
-use std::time::Duration;
-
 use proptest::prelude::*;
 
+use ftvod_core::campaign::{self, CHAOS_FAULTS, CHAOS_SYNC};
 use ftvod_core::chaos::{ChaosPlan, ChaosProfile};
-use ftvod_core::config::{ReplicationConfig, VodConfig};
-use ftvod_core::workload::{fleet_builder, FleetProfile};
-use simnet::{LinkProfile, NodeId, SimTime};
+use simnet::{NodeId, SimTime};
 
 fn server_nodes(n: u32) -> Vec<NodeId> {
     (1..=n).map(NodeId).collect()
 }
 
-/// Builds and runs a small chaos campaign, returning the rendered plan
-/// and the full event trace as JSON Lines.
-fn campaign(seed: u64) -> (String, String) {
-    let mut profile = FleetProfile::small_fleet();
-    profile.clients = 8;
-    profile.catalog_size = 2;
-    profile.initial_replicas = 2;
-    profile.arrival_window = Duration::from_secs(10);
-    let (mut builder, _plan) =
-        fleet_builder(&profile, seed, Some(ReplicationConfig::paper_default()));
-    let mut cfg = VodConfig::paper_default()
-        .with_sync_interval(Duration::from_millis(500))
-        .with_dynamic_replication(ReplicationConfig::paper_default());
-    if let Some(cap) = profile.sessions_per_server {
-        cfg = cfg.with_session_cap(cap);
-    }
-    builder.config(cfg);
-    let chaos = ChaosPlan::generate(
-        &ChaosProfile::default_campaign(),
-        &profile.server_nodes(),
-        seed,
-    );
-    chaos.apply(&mut builder, &LinkProfile::lan());
-    builder.record_events(1 << 20);
-    let mut sim = builder.build();
+/// Builds and runs a small chaos campaign (8 sessions, cut at 45 s),
+/// returning the rendered plan and the full event trace as JSON Lines.
+fn small_campaign(seed: u64) -> (String, String) {
+    let (wired, faults) = campaign::chaos(8, CHAOS_FAULTS, CHAOS_SYNC, seed);
+    let mut sim = wired.builder.build();
     sim.run_until(SimTime::from_secs(45));
     let jsonl = sim.events_jsonl().expect("recording was enabled");
-    (chaos.render(), jsonl)
+    (faults.render(), jsonl)
 }
 
 proptest! {
@@ -113,8 +90,8 @@ proptest! {
     /// complete JSONL event trace of two independent runs must match.
     #[test]
     fn chaos_campaigns_are_byte_deterministic(seed in 0u64..10_000) {
-        let (plan_a, trace_a) = campaign(seed);
-        let (plan_b, trace_b) = campaign(seed);
+        let (plan_a, trace_a) = small_campaign(seed);
+        let (plan_b, trace_b) = small_campaign(seed);
         prop_assert_eq!(plan_a, plan_b, "plan must be reproducible");
         prop_assert!(trace_a == trace_b, "trace must be byte-identical");
         prop_assert!(!trace_a.is_empty());

@@ -1,72 +1,32 @@
 //! Real-time execution of the same [`crate::Process`] state
 //! machines that run in the simulator.
 //!
-//! The discrete-event [`Simulation`](crate::Simulation) is the measurement
-//! substrate; [`RealTimeRunner`] is the *deployment* substrate: it drives
-//! identical process code on the wall clock, delivering datagrams through
-//! an in-process router that applies the same [`LinkProfile`] delay/loss
-//! model (with real elapsing time). A service developed and tested against
-//! the simulator therefore runs live without any code change — the VoD
-//! servers and clients of this workspace stream actual wall-clock seconds
-//! of video this way (see the `live_demo` example of the root crate).
+//! The discrete-event [`Simulation`] is the measurement substrate;
+//! [`RealTimeRunner`] is the *deployment* substrate: a wall-clock pacer
+//! over that very scheduler. It owns a `Simulation` and a start
+//! [`Instant`], sleeps until the next event's scheduled time has really
+//! elapsed, and then lets the simulation dispatch it — so the queue,
+//! timer table, router, loss model, partitions, topology and tracer are
+//! the simulator's own, not a second copy. A service developed and
+//! tested against the simulator therefore runs live without any code
+//! change — the VoD servers and clients of this workspace stream actual
+//! wall-clock seconds of video this way (see the `live_demo` example of
+//! the root crate).
 //!
-//! The runner is single-threaded and deterministic apart from the wall
-//! clock itself: given the same seed, the same random draws decide losses
-//! and jitter, but event interleaving follows real time.
+//! Handlers observe the *scheduled* time of the event they handle, not
+//! the (slightly later) instant the pacer woke up, so periodic timers do
+//! not accumulate wall-clock drift. The runner is single-threaded; given
+//! the same seed, the same random draws decide losses and jitter, but
+//! which events an external call ([`RealTimeRunner::invoke`],
+//! [`RealTimeRunner::stop_node`]) lands between follows real time.
 
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 use std::time::{Duration, Instant};
 
-use crate::net::{Endpoint, LinkProfile, NodeId, Payload};
-use crate::process::{AnyProcess, Context, Effect, Process, Timer, TimerId};
-use crate::rng::SimRng;
+use crate::net::{LinkProfile, NodeId, Payload};
+use crate::process::{Context, Process};
+use crate::sim::Simulation;
 use crate::stats::NetStats;
 use crate::time::SimTime;
-
-enum RtEvent<M: Payload> {
-    Deliver {
-        from: Endpoint,
-        to: Endpoint,
-        msg: M,
-        class: &'static str,
-    },
-    Timer {
-        node: NodeId,
-        id: TimerId,
-        tag: u64,
-    },
-}
-
-struct RtScheduled<M: Payload> {
-    at: Instant,
-    seq: u64,
-    event: RtEvent<M>,
-}
-
-impl<M: Payload> PartialEq for RtScheduled<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl<M: Payload> Eq for RtScheduled<M> {}
-
-impl<M: Payload> PartialOrd for RtScheduled<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<M: Payload> Ord for RtScheduled<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-struct RtSlot<M: Payload> {
-    process: Option<Box<dyn AnyProcess<M>>>,
-    alive: bool,
-}
 
 /// A wall-clock executor for [`Process`] state machines.
 ///
@@ -109,28 +69,10 @@ struct RtSlot<M: Payload> {
 /// let heard = rt.with_process(NodeId(2), |e: &Echo| e.heard).unwrap();
 /// assert_eq!(heard, 1);
 /// ```
+#[derive(Debug)]
 pub struct RealTimeRunner<M: Payload> {
     started: Instant,
-    seq: u64,
-    queue: BinaryHeap<RtScheduled<M>>,
-    nodes: BTreeMap<NodeId, RtSlot<M>>,
-    default_profile: LinkProfile,
-    overrides: HashMap<(NodeId, NodeId), LinkProfile>,
-    rng: SimRng,
-    cancelled: HashSet<u64>,
-    next_timer_id: u64,
-    stats: NetStats,
-    effects: Vec<Effect<M>>,
-}
-
-impl<M: Payload> std::fmt::Debug for RealTimeRunner<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RealTimeRunner")
-            .field("elapsed", &self.started.elapsed())
-            .field("nodes", &self.nodes.len())
-            .field("pending", &self.queue.len())
-            .finish()
-    }
+    sim: Simulation<M>,
 }
 
 impl<M: Payload> RealTimeRunner<M> {
@@ -138,16 +80,7 @@ impl<M: Payload> RealTimeRunner<M> {
     pub fn new(seed: u64) -> Self {
         RealTimeRunner {
             started: Instant::now(),
-            seq: 0,
-            queue: BinaryHeap::new(),
-            nodes: BTreeMap::new(),
-            default_profile: LinkProfile::ideal(),
-            overrides: HashMap::new(),
-            rng: SimRng::seed_from_u64(seed),
-            cancelled: HashSet::new(),
-            next_timer_id: 0,
-            stats: NetStats::new(),
-            effects: Vec::new(),
+            sim: Simulation::new(seed),
         }
     }
 
@@ -159,17 +92,24 @@ impl<M: Payload> RealTimeRunner<M> {
 
     /// Traffic counters accumulated so far.
     pub fn stats(&self) -> &NetStats {
-        &self.stats
+        self.sim.stats()
+    }
+
+    /// The paced simulation, for everything the runner does not wrap:
+    /// partitions, topology, tracer, profiling. Times passed to its
+    /// `*_at` methods are on the runner's clock ([`RealTimeRunner::now`]).
+    pub fn sim_mut(&mut self) -> &mut Simulation<M> {
+        &mut self.sim
     }
 
     /// Sets the profile applied to links without an override.
     pub fn set_default_profile(&mut self, profile: LinkProfile) {
-        self.default_profile = profile;
+        self.sim.set_default_profile(profile);
     }
 
     /// Overrides the directed link `from → to`.
     pub fn set_link_profile(&mut self, from: NodeId, to: NodeId, profile: LinkProfile) {
-        self.overrides.insert((from, to), profile);
+        self.sim.set_link_profile(from, to, profile);
     }
 
     /// Boots `process` on `node` immediately, running its `on_start`.
@@ -178,29 +118,21 @@ impl<M: Payload> RealTimeRunner<M> {
     ///
     /// Panics if a live process already occupies `node`.
     pub fn add_node(&mut self, node: NodeId, process: impl Process<M>) {
-        if let Some(slot) = self.nodes.get(&node) {
-            assert!(!slot.alive, "node {node} already has a live process");
-        }
-        self.nodes.insert(
-            node,
-            RtSlot {
-                process: Some(Box::new(process)),
-                alive: true,
-            },
-        );
-        self.run_handler(node, |process, ctx| process.on_start(ctx));
+        self.catch_up();
+        self.sim.add_node(node, process);
+        self.sim.run_until(self.sim.now());
     }
 
     /// Stops delivering events to `node` (its state stays inspectable).
     pub fn stop_node(&mut self, node: NodeId) {
-        if let Some(slot) = self.nodes.get_mut(&node) {
-            slot.alive = false;
-        }
+        self.catch_up();
+        self.sim.crash_at(self.sim.now(), node);
+        self.sim.run_until(self.sim.now());
     }
 
     /// Whether `node` hosts a live process.
     pub fn is_alive(&self, node: NodeId) -> bool {
-        self.nodes.get(&node).is_some_and(|s| s.alive)
+        self.sim.is_alive(node)
     }
 
     /// Runs the event loop for `duration` of real time, sleeping between
@@ -212,17 +144,18 @@ impl<M: Payload> RealTimeRunner<M> {
             if now >= deadline {
                 break;
             }
-            match self.queue.peek().map(|e| e.at) {
+            let due = self
+                .sim
+                .next_event_at()
+                .map(|at| self.started + Duration::from_micros(at.as_micros()));
+            match due {
+                // A cancelled timer still wakes the pacer; `step` squashes it.
                 Some(at) if at <= now => {
-                    let ev = self.queue.pop().expect("peeked event vanished");
-                    self.dispatch(ev.event);
+                    self.sim.step();
                 }
-                Some(at) => {
-                    let wake = at.min(deadline);
+                _ => {
+                    let wake = due.map_or(deadline, |at| at.min(deadline));
                     std::thread::sleep(wake.saturating_duration_since(now));
-                }
-                None => {
-                    std::thread::sleep((deadline - now).min(Duration::from_millis(5)));
                 }
             }
         }
@@ -230,189 +163,33 @@ impl<M: Payload> RealTimeRunner<M> {
 
     /// Borrows the process on `node` as `T` (post-mortem friendly).
     pub fn with_process<T: 'static, R>(&self, node: NodeId, f: impl FnOnce(&T) -> R) -> Option<R> {
-        self.nodes
-            .get(&node)?
-            .process
-            .as_ref()
-            .and_then(|p| p.as_any().downcast_ref::<T>())
-            .map(f)
+        self.sim.with_process(node, f)
     }
 
     /// Invokes `f` on the live process at `node` with a [`Context`],
     /// applying its side effects — the live-mode analogue of
-    /// [`Simulation::invoke`](crate::Simulation::invoke).
+    /// [`Simulation::invoke`].
     pub fn invoke<T: 'static, R>(
         &mut self,
         node: NodeId,
         f: impl FnOnce(&mut T, &mut Context<'_, M>) -> R,
     ) -> Option<R> {
-        let slot = self.nodes.get_mut(&node)?;
-        if !slot.alive {
-            return None;
-        }
-        let mut process = slot.process.take()?;
-        let now = self.now();
-        let mut effects = std::mem::take(&mut self.effects);
-        let result = {
-            let mut ctx = Context {
-                now,
-                node,
-                rng: &mut self.rng,
-                effects: &mut effects,
-                next_timer_id: &mut self.next_timer_id,
-            };
-            process
-                .as_any_mut()
-                .downcast_mut::<T>()
-                .map(|typed| f(typed, &mut ctx))
-        };
-        let exited = effects.iter().any(|e| matches!(e, Effect::Exit));
-        if let Some(slot) = self.nodes.get_mut(&node) {
-            slot.process = Some(process);
-            if exited && result.is_some() {
-                slot.alive = false;
-            }
-        }
-        if result.is_some() {
-            for effect in effects.drain(..) {
-                self.apply_effect(node, effect);
-            }
-        } else {
-            effects.clear();
-        }
-        self.effects = effects;
-        result
+        self.catch_up();
+        self.sim.invoke(node, f)
     }
 
-    fn dispatch(&mut self, event: RtEvent<M>) {
-        match event {
-            RtEvent::Deliver {
-                from,
-                to,
-                msg,
-                class,
-            } => {
-                if !self.nodes.get(&to.node).is_some_and(|s| s.alive) {
-                    self.stats.class_mut(class).dropped_dead += 1;
-                    return;
-                }
-                self.stats.class_mut(class).delivered_msgs += 1;
-                self.run_handler(to.node, |process, ctx| {
-                    process.on_datagram(ctx, from, to, msg);
-                });
-            }
-            RtEvent::Timer { node, id, tag } => {
-                if self.cancelled.remove(&id.0) {
-                    return;
-                }
-                if !self.nodes.get(&node).is_some_and(|s| s.alive) {
-                    return;
-                }
-                self.run_handler(node, |process, ctx| {
-                    process.on_timer(ctx, Timer { id, tag });
-                });
-            }
-        }
-    }
-
-    fn run_handler(
-        &mut self,
-        node: NodeId,
-        f: impl FnOnce(&mut dyn AnyProcess<M>, &mut Context<'_, M>),
-    ) {
-        let Some(slot) = self.nodes.get_mut(&node) else {
-            return;
-        };
-        let Some(mut process) = slot.process.take() else {
-            return;
-        };
-        let now = self.now();
-        let mut effects = std::mem::take(&mut self.effects);
-        {
-            let mut ctx = Context {
-                now,
-                node,
-                rng: &mut self.rng,
-                effects: &mut effects,
-                next_timer_id: &mut self.next_timer_id,
-            };
-            f(process.as_mut(), &mut ctx);
-        }
-        let exited = effects.iter().any(|e| matches!(e, Effect::Exit));
-        if let Some(slot) = self.nodes.get_mut(&node) {
-            slot.process = Some(process);
-            if exited {
-                slot.alive = false;
-            }
-        }
-        for effect in effects.drain(..) {
-            self.apply_effect(node, effect);
-        }
-        self.effects = effects;
-    }
-
-    fn apply_effect(&mut self, node: NodeId, effect: Effect<M>) {
-        match effect {
-            Effect::Send { from, to, msg } => self.route(from, to, msg),
-            Effect::SetTimer { id, at, tag } => {
-                // `at` is a SimTime relative to runner start; convert back
-                // to a wall-clock instant.
-                let instant = self.started + Duration::from_micros(at.as_micros());
-                self.schedule(instant, RtEvent::Timer { node, id, tag });
-            }
-            Effect::CancelTimer(id) => {
-                self.cancelled.insert(id.0);
-            }
-            Effect::Exit => {}
-        }
-    }
-
-    fn route(&mut self, from: Endpoint, to: Endpoint, msg: M) {
-        let class = msg.class();
-        {
-            let counters = self.stats.class_mut(class);
-            counters.sent_msgs += 1;
-            counters.sent_bytes += msg.size_bytes() as u64;
-        }
-        let profile = self
-            .overrides
-            .get(&(from.node, to.node))
-            .unwrap_or(&self.default_profile)
-            .clone();
-        if profile.loss > 0.0 && self.rng.gen_f64() < profile.loss {
-            self.stats.class_mut(class).dropped_loss += 1;
-            return;
-        }
-        let mut delay = profile.base_delay;
-        if !profile.jitter.is_zero() {
-            delay += profile.jitter.mul_f64(self.rng.gen_f64());
-        }
-        if profile.reorder > 0.0 && self.rng.gen_f64() < profile.reorder {
-            delay += profile.reorder_extra;
-        }
-        let at = Instant::now() + delay;
-        self.schedule(
-            at,
-            RtEvent::Deliver {
-                from,
-                to,
-                msg,
-                class,
-            },
-        );
-    }
-
-    fn schedule(&mut self, at: Instant, event: RtEvent<M>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(RtScheduled { at, seq, event });
+    /// Dispatches every event whose time has really elapsed and moves the
+    /// simulation clock to the wall clock, so an external call acts "now".
+    fn catch_up(&mut self) {
+        self.sim.run_until(self.now());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::Port;
+    use crate::net::{Endpoint, Port};
+    use crate::process::Timer;
 
     #[derive(Clone, Debug)]
     struct Num(u64);
@@ -538,5 +315,60 @@ mod tests {
             .unwrap();
         assert_eq!(got, 0);
         assert!(rt.stats().class("default").dropped_loss > 0);
+    }
+
+    /// The runner paces the simulator's own router, so everything the
+    /// simulator models applies live: a Gilbert–Elliott burst profile and
+    /// a partition both drop, and a tracer on the inner simulation sees
+    /// the traffic.
+    #[test]
+    fn burst_loss_partitions_and_tracing_apply_live() {
+        use crate::sim::TraceEvent;
+        use std::cell::Cell;
+        use std::rc::Rc;
+
+        // Burst loss: no i.i.d. loss at all, but the chain enters its bad
+        // state on the first datagram and drops everything there.
+        let mut rt = RealTimeRunner::new(5);
+        rt.set_default_profile(LinkProfile::ideal().with_burst_loss(1.0, 0.0, 1.0));
+        rt.add_node(
+            NodeId(1),
+            Ticker {
+                peer: NodeId(2),
+                sent: 0,
+            },
+        );
+        rt.add_node(NodeId(2), Collector::default());
+        rt.run_for(Duration::from_millis(60));
+        assert!(rt.stats().class("default").dropped_loss > 0);
+        assert_eq!(rt.stats().class("default").delivered_msgs, 0);
+
+        // Tracing, then a partition cutting the same pair.
+        let mut rt = RealTimeRunner::new(6);
+        let sent = Rc::new(Cell::new(0u32));
+        let delivered = Rc::new(Cell::new(0u32));
+        let (s, d) = (Rc::clone(&sent), Rc::clone(&delivered));
+        rt.sim_mut().set_tracer(move |e| match e {
+            TraceEvent::Sent { .. } => s.set(s.get() + 1),
+            TraceEvent::Delivered { .. } => d.set(d.get() + 1),
+            _ => {}
+        });
+        rt.add_node(
+            NodeId(1),
+            Ticker {
+                peer: NodeId(2),
+                sent: 0,
+            },
+        );
+        rt.add_node(NodeId(2), Collector::default());
+        rt.run_for(Duration::from_millis(50));
+        assert!(sent.get() > 0 && delivered.get() > 0);
+        let now = rt.now();
+        rt.sim_mut().partition_at(now, &[NodeId(1)], &[NodeId(2)]);
+        rt.run_for(Duration::from_millis(50));
+        let heard = delivered.get();
+        rt.run_for(Duration::from_millis(50));
+        assert_eq!(delivered.get(), heard, "the partition cut delivery");
+        assert!(rt.stats().class("default").dropped_partition > 0);
     }
 }

@@ -517,6 +517,13 @@ impl<M: Payload> Simulation<M> {
         self.run_until(self.now + d);
     }
 
+    /// The time of the event [`Simulation::step`] would dispatch next, or
+    /// `None` when the queue is empty. A cancelled timer still counts: it
+    /// stays queued until its time comes and is squashed on dispatch.
+    pub fn next_event_at(&self) -> Option<SimTime> {
+        self.queue.peek().map(|head| head.at)
+    }
+
     /// Executes a single pending event. Returns `false` when the queue is
     /// empty.
     pub fn step(&mut self) -> bool {

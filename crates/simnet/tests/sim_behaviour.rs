@@ -294,6 +294,50 @@ fn cancelled_timer_never_fires() {
     assert!(!fired);
 }
 
+/// `next_event_at` names the time `step` dispatches at — for every event
+/// of a streaming run, and for a cancelled timer too: it is reported (a
+/// pacer wakes for it) and `step` squashes it without firing.
+#[test]
+fn next_event_at_agrees_with_step() {
+    let mut sim = stream_sim(LinkProfile::lan(), 3, 20);
+    let mut steps = 0;
+    while let Some(at) = sim.next_event_at() {
+        assert!(sim.step());
+        assert_eq!(sim.now(), at, "step dispatched at the announced time");
+        steps += 1;
+    }
+    assert!(steps > 40, "20 timers + 20 deliveries at least: {steps}");
+    assert!(!sim.step(), "an empty queue announces nothing");
+
+    let mut sim: Simulation<Blob> = Simulation::new(9);
+    sim.add_node(
+        NodeId(1),
+        Canceller {
+            armed: None,
+            fired: false,
+        },
+    );
+    let mut announced = Vec::new();
+    while let Some(at) = sim.next_event_at() {
+        announced.push(at);
+        sim.step();
+        assert_eq!(sim.now(), at);
+    }
+    // Boot, the 100 ms canceller, and the squashed 1 s timer.
+    assert_eq!(
+        announced,
+        [
+            SimTime::ZERO,
+            SimTime::from_micros(100_000),
+            SimTime::from_secs(1)
+        ]
+    );
+    let fired = sim
+        .with_process(NodeId(1), |c: &Canceller| c.fired)
+        .unwrap();
+    assert!(!fired, "the squashed timer was announced but never fired");
+}
+
 /// A process that exits when told to.
 struct Quitter {
     heard_after_exit: bool,

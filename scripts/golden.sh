@@ -1,0 +1,47 @@
+#!/usr/bin/env sh
+# Golden-output gate: every deterministic CLI output must match the files
+# checked in under tests/golden/ byte for byte, so a refactor that shifts
+# behaviour *deterministically* (run A == run B, both != yesterday) fails.
+# Run from anywhere:
+#   sh scripts/golden.sh           verify against tests/golden/
+#   sh scripts/golden.sh --bless   regenerate tests/golden/ (say why in the PR)
+set -eu
+
+cd "$(dirname "$0")/.."
+
+cargo build --release --quiet
+cli="$PWD/target/release/ftvod-cli"
+golden=tests/golden
+out="$PWD/target/golden"
+rm -rf "$out"
+mkdir -p "$out"
+
+"$cli" chaos --seeds 25 >"$out/chaos_25seeds.txt"
+"$cli" chaos --seeds 1 --plan >"$out/chaos_seed1_plan.txt"
+"$cli" flash >"$out/flash.txt"
+"$cli" flash --seed 1 --compare >"$out/flash_compare.txt"
+"$cli" multidc --seeds 10 >"$out/multidc.txt"
+"$cli" multidc --seed 42 --compare >"$out/multidc_compare.txt"
+# perf's stdout carries wall-clock; the counters-only document does not.
+"$cli" perf --counters-only --out "$out/perf_counters.json" >/dev/null
+
+# The preset traces are ~2 MB each: pin their checksums, not their bytes.
+(
+    cd "$out"
+    "$cli" trace lan >trace_lan.jsonl
+    "$cli" trace wan >trace_wan.jsonl
+    "$cli" report lan --json >report_lan.json
+    "$cli" report wan --json >report_wan.json
+    sha256sum trace_lan.jsonl trace_wan.jsonl report_lan.json report_wan.json >SHA256SUMS
+    rm trace_lan.jsonl trace_wan.jsonl report_lan.json report_wan.json
+)
+
+if [ "${1:-}" = "--bless" ]; then
+    rm -rf "$golden"
+    mkdir -p "$golden"
+    cp "$out"/* "$golden"/
+    echo "blessed $golden"
+else
+    diff -r "$golden" "$out"
+    echo "golden outputs match"
+fi

@@ -90,11 +90,44 @@
 //! Every subcommand also accepts `--help`/`-h`.
 
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
 use ftvod::bench::perf::{run_suite, BenchReport, DEFAULT_MAX_WALL_RATIO};
 use ftvod::prelude::*;
+use ftvod::vod::campaign::{self, Outcome};
 use ftvod_mc::{explore, CheckConfig, ProtoConfig, Scenario};
+
+/// The one flag parser: a cursor over a subcommand's arguments. Callers
+/// loop over [`Flags::next`], `match` the flag names they know, pull
+/// typed values with [`Flags::value`] and send everything else to
+/// [`unknown`].
+struct Flags<'a>(std::slice::Iter<'a, String>);
+
+impl<'a> Flags<'a> {
+    fn new(args: &'a [String]) -> Self {
+        Flags(args.iter())
+    }
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.0.next().map(String::as_str)
+    }
+
+    /// The value following flag `name`, parsed as `T`.
+    fn value<T: FromStr>(&mut self, name: &str) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.next()
+            .ok_or_else(|| format!("{name} needs a value"))?
+            .parse()
+            .map_err(|e| format!("{name}: {e}"))
+    }
+}
+
+fn unknown<T>(flag: &str) -> Result<T, String> {
+    Err(format!("unknown flag {flag}"))
+}
 
 #[derive(Debug, Clone, PartialEq)]
 struct CustomOptions {
@@ -125,45 +158,18 @@ impl Default for CustomOptions {
 
 fn parse_custom(args: &[String]) -> Result<CustomOptions, String> {
     let mut opts = CustomOptions::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--servers" => {
-                opts.servers = value("--servers")?
-                    .parse()
-                    .map_err(|e| format!("--servers: {e}"))?
-            }
-            "--clients" => {
-                opts.clients = value("--clients")?
-                    .parse()
-                    .map_err(|e| format!("--clients: {e}"))?
-            }
-            "--seconds" => {
-                opts.seconds = value("--seconds")?
-                    .parse()
-                    .map_err(|e| format!("--seconds: {e}"))?
-            }
-            "--profile" => opts.profile = value("--profile")?.clone(),
-            "--crash" => opts.crashes.push(
-                value("--crash")?
-                    .parse()
-                    .map_err(|e| format!("--crash: {e}"))?,
-            ),
-            "--shutdown" => opts.shutdowns.push(
-                value("--shutdown")?
-                    .parse()
-                    .map_err(|e| format!("--shutdown: {e}"))?,
-            ),
-            "--seed" => {
-                opts.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--net-csv" => opts.net_csv = Some(value("--net-csv")?.clone()),
-            other => return Err(format!("unknown flag {other}")),
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--servers" => opts.servers = flags.value(flag)?,
+            "--clients" => opts.clients = flags.value(flag)?,
+            "--seconds" => opts.seconds = flags.value(flag)?,
+            "--profile" => opts.profile = flags.value(flag)?,
+            "--crash" => opts.crashes.push(flags.value(flag)?),
+            "--shutdown" => opts.shutdowns.push(flags.value(flag)?),
+            "--seed" => opts.seed = flags.value(flag)?,
+            "--net-csv" => opts.net_csv = Some(flags.value(flag)?),
+            other => return unknown(other),
         }
     }
     if opts.servers == 0 || opts.clients == 0 {
@@ -230,63 +236,22 @@ impl Default for FleetOptions {
 
 fn parse_fleet(args: &[String]) -> Result<FleetOptions, String> {
     let mut opts = FleetOptions::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--servers" => {
-                opts.servers = value("--servers")?
-                    .parse()
-                    .map_err(|e| format!("--servers: {e}"))?
-            }
-            "--clients" => {
-                opts.clients = value("--clients")?
-                    .parse()
-                    .map_err(|e| format!("--clients: {e}"))?
-            }
-            "--movies" => {
-                opts.movies = value("--movies")?
-                    .parse()
-                    .map_err(|e| format!("--movies: {e}"))?
-            }
-            "--zipf" => {
-                opts.zipf = value("--zipf")?
-                    .parse()
-                    .map_err(|e| format!("--zipf: {e}"))?
-            }
-            "--cap" => opts.cap = Some(value("--cap")?.parse().map_err(|e| format!("--cap: {e}"))?),
-            "--seconds" => {
-                opts.seconds = Some(
-                    value("--seconds")?
-                        .parse()
-                        .map_err(|e| format!("--seconds: {e}"))?,
-                )
-            }
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--servers" => opts.servers = flags.value(flag)?,
+            "--clients" => opts.clients = flags.value(flag)?,
+            "--movies" => opts.movies = flags.value(flag)?,
+            "--zipf" => opts.zipf = flags.value(flag)?,
+            "--cap" => opts.cap = Some(flags.value(flag)?),
+            "--seconds" => opts.seconds = Some(flags.value(flag)?),
             "--static" => opts.dynamic = false,
-            "--policy" => opts.policy = PolicyKind::parse(value("--policy")?)?,
-            "--prefix-secs" => {
-                opts.prefix_secs = Some(
-                    value("--prefix-secs")?
-                        .parse()
-                        .map_err(|e| format!("--prefix-secs: {e}"))?,
-                )
-            }
-            "--prefix-movies" => {
-                opts.prefix_movies = Some(
-                    value("--prefix-movies")?
-                        .parse()
-                        .map_err(|e| format!("--prefix-movies: {e}"))?,
-                )
-            }
-            "--seed" => {
-                opts.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--net-csv" => opts.net_csv = Some(value("--net-csv")?.clone()),
-            other => return Err(format!("unknown flag {other}")),
+            "--policy" => opts.policy = PolicyKind::parse(&flags.value::<String>(flag)?)?,
+            "--prefix-secs" => opts.prefix_secs = Some(flags.value(flag)?),
+            "--prefix-movies" => opts.prefix_movies = Some(flags.value(flag)?),
+            "--seed" => opts.seed = flags.value(flag)?,
+            "--net-csv" => opts.net_csv = Some(flags.value(flag)?),
+            other => return unknown(other),
         }
     }
     if opts.servers == 0 || opts.clients == 0 || opts.movies == 0 {
@@ -379,9 +344,9 @@ impl Default for ChaosOptions {
         ChaosOptions {
             seeds: 5,
             seed: 1,
-            faults: 6,
-            clients: 24,
-            sync_ms: 500,
+            faults: campaign::CHAOS_FAULTS,
+            clients: campaign::CHAOS_CLIENTS,
+            sync_ms: campaign::CHAOS_SYNC.as_millis() as u64,
             plan: false,
         }
     }
@@ -389,39 +354,16 @@ impl Default for ChaosOptions {
 
 fn parse_chaos(args: &[String]) -> Result<ChaosOptions, String> {
     let mut opts = ChaosOptions::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--seeds" => {
-                opts.seeds = value("--seeds")?
-                    .parse()
-                    .map_err(|e| format!("--seeds: {e}"))?
-            }
-            "--seed" => {
-                opts.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--faults" => {
-                opts.faults = value("--faults")?
-                    .parse()
-                    .map_err(|e| format!("--faults: {e}"))?
-            }
-            "--clients" => {
-                opts.clients = value("--clients")?
-                    .parse()
-                    .map_err(|e| format!("--clients: {e}"))?
-            }
-            "--sync-ms" => {
-                opts.sync_ms = value("--sync-ms")?
-                    .parse()
-                    .map_err(|e| format!("--sync-ms: {e}"))?
-            }
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--seeds" => opts.seeds = flags.value(flag)?,
+            "--seed" => opts.seed = flags.value(flag)?,
+            "--faults" => opts.faults = flags.value(flag)?,
+            "--clients" => opts.clients = flags.value(flag)?,
+            "--sync-ms" => opts.sync_ms = flags.value(flag)?,
             "--plan" => opts.plan = true,
-            other => return Err(format!("unknown flag {other}")),
+            other => return unknown(other),
         }
     }
     if opts.seeds == 0 {
@@ -436,46 +378,57 @@ fn parse_chaos(args: &[String]) -> Result<ChaosOptions, String> {
     Ok(opts)
 }
 
-/// The deployment every chaos campaign runs against: a four-server fleet
-/// with two initial copies of each movie, sized down so a multi-seed
-/// sweep stays fast.
-fn chaos_fleet(clients: u32) -> FleetProfile {
-    let mut profile = FleetProfile::small_fleet();
-    profile.clients = clients;
-    profile.catalog_size = 4;
-    profile.initial_replicas = 2;
-    profile.arrival_window = Duration::from_secs(15);
-    profile
+/// The sweep behind `chaos`, `flash` and `multidc`: runs `seeds`
+/// consecutive seeds through `run_seed` (which prints the seed's row and
+/// hands back what it was judged by), prints the oracle's detail for each
+/// failing seed, and ends with the tally — or the failing seeds and how to
+/// replay the first one.
+fn sweep(
+    cmd: &str,
+    noun: &str,
+    replay_flag: &str,
+    seeds: u32,
+    first_seed: u64,
+    mut run_seed: impl FnMut(u64) -> Outcome,
+) -> Result<(), String> {
+    let mut failing: Vec<u64> = Vec::new();
+    for seed in first_seed..first_seed + u64::from(seeds) {
+        let outcome = run_seed(seed);
+        if !outcome.oracle.pass() {
+            print!("{}", outcome.oracle);
+            failing.push(seed);
+        }
+    }
+    let Some(first) = failing.first() else {
+        println!("{cmd}: {seeds}/{seeds} {noun} passed the oracle");
+        return Ok(());
+    };
+    Err(format!(
+        "{} of {seeds} {noun} violated a safety invariant (seeds {failing:?}); replay with: ftvod-cli {cmd} --seeds 1 --seed {first} {replay_flag}",
+        failing.len(),
+    ))
 }
 
-/// Runs one seeded campaign end to end and returns the oracle's verdicts
-/// plus the plan it executed.
-fn chaos_campaign(opts: &ChaosOptions, seed: u64) -> (ChaosPlan, OracleReport) {
-    let profile = chaos_fleet(opts.clients);
-    let (mut builder, _plan) =
-        fleet_builder(&profile, seed, Some(ReplicationConfig::paper_default()));
-    let mut cfg = VodConfig::paper_default()
-        .with_sync_interval(Duration::from_millis(opts.sync_ms))
-        .with_dynamic_replication(ReplicationConfig::paper_default());
-    if let Some(cap) = profile.sessions_per_server {
-        cfg = cfg.with_session_cap(cap);
+/// The `--compare` table of `flash` and `multidc`: one labelled row per
+/// outcome, failing if a gated row's oracle does.
+fn compare_table(
+    width: usize,
+    what: &str,
+    rows: impl Iterator<Item = (&'static str, bool, Outcome, String)>,
+) -> Result<(), String> {
+    let mut any_fail = false;
+    for (label, gated, outcome, line) in rows {
+        println!("{label:<width$} {line}");
+        if gated && !outcome.oracle.pass() {
+            any_fail = true;
+            print!("{}", outcome.oracle);
+        }
     }
-    builder.config(cfg);
-    let mut chaos_profile = ChaosProfile::default_campaign();
-    chaos_profile.faults = opts.faults;
-    let chaos = ChaosPlan::generate(&chaos_profile, &profile.server_nodes(), seed);
-    chaos.apply(&mut builder, &LinkProfile::lan());
-    // Room for every event of the run: eviction would blind the oracle.
-    builder.record_events(1 << 20);
-    let mut sim = builder.build();
-    // Past the fault window, the longest restart and the repair bound.
-    let end = SimTime::from_secs_f64(profile.run_until().as_secs_f64().max(75.0));
-    sim.run_until(end);
-    let oracle = sim
-        .trace()
-        .with_recorder(|rec| OracleReport::check(rec, &OracleConfig::paper_default()))
-        .expect("recording was enabled");
-    (chaos, oracle)
+    if any_fail {
+        Err(format!("a {what} run violated a safety invariant"))
+    } else {
+        Ok(())
+    }
 }
 
 fn run_chaos(opts: &ChaosOptions) -> Result<(), String> {
@@ -483,38 +436,23 @@ fn run_chaos(opts: &ChaosOptions) -> Result<(), String> {
         "chaos: {} campaign(s) from seed {}, {} fault slot(s), {} session(s), sync {} ms",
         opts.seeds, opts.seed, opts.faults, opts.clients, opts.sync_ms
     );
-    let mut failing: Vec<u64> = Vec::new();
-    for i in 0..opts.seeds {
-        let seed = opts.seed + u64::from(i);
-        let (plan, oracle) = chaos_campaign(opts, seed);
-        let (crashes, partitions, bursts) = plan.kind_counts();
-        println!(
-            "seed {seed}: {}  [{crashes} crash/restart, {partitions} partition, {bursts} burst]",
-            ftvod_core::oracle::summary_token(&oracle)
-        );
-        if opts.plan {
-            print!("{}", plan.render());
-        }
-        if !oracle.pass() {
-            print!("{oracle}");
-            failing.push(seed);
-        }
-    }
-    if failing.is_empty() {
-        println!(
-            "chaos: {}/{} campaign(s) passed the oracle",
-            opts.seeds, opts.seeds
-        );
-        Ok(())
-    } else {
-        let first = failing[0];
-        Err(format!(
-            "{} of {} campaign(s) violated a safety invariant (seeds {:?}); replay with: ftvod-cli chaos --seeds 1 --seed {first} --plan",
-            failing.len(),
-            opts.seeds,
-            failing
-        ))
-    }
+    let sync = Duration::from_millis(opts.sync_ms);
+    sweep(
+        "chaos",
+        "campaign(s)",
+        "--plan",
+        opts.seeds,
+        opts.seed,
+        |seed| {
+            let (campaign, faults) = campaign::chaos(opts.clients, opts.faults, sync, seed);
+            let outcome = campaign.run();
+            println!("seed {seed}: {}", outcome.chaos_line(&faults));
+            if opts.plan {
+                print!("{}", faults.render());
+            }
+            outcome
+        },
+    )
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -536,110 +474,19 @@ impl Default for FlashOptions {
 
 fn parse_flash(args: &[String]) -> Result<FlashOptions, String> {
     let mut opts = FlashOptions::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--seeds" => {
-                opts.seeds = value("--seeds")?
-                    .parse()
-                    .map_err(|e| format!("--seeds: {e}"))?
-            }
-            "--seed" => {
-                opts.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--seeds" => opts.seeds = flags.value(flag)?,
+            "--seed" => opts.seed = flags.value(flag)?,
             "--compare" => opts.compare = true,
-            other => return Err(format!("unknown flag {other}")),
+            other => return unknown(other),
         }
     }
     if opts.seeds == 0 {
         return Err("--seeds must be at least 1".to_owned());
     }
     Ok(opts)
-}
-
-/// Outcome of one flash-crowd run, reduced to the comparison columns.
-struct FlashOutcome {
-    oracle: String,
-    /// The full per-invariant report, rendered (printed on failure).
-    oracle_detail: String,
-    pass: bool,
-    unserved_seconds: f64,
-    never_served: u32,
-    bringups: u64,
-    /// First bring-up of the shocked tail movie at or after the shock.
-    first_bringup: Option<SimTime>,
-    prefix_serves: u64,
-    prefix_handoffs: u64,
-}
-
-/// Runs the fixed flash-crowd profile under one placement policy and
-/// reads the headline numbers back out of the trace.
-fn flash_campaign(policy: PolicyKind, prefix: bool, seed: u64) -> FlashOutcome {
-    let profile = FleetProfile::flash_crowd();
-    let shock = profile.shock.expect("flash_crowd has a shock");
-    let tail = MovieId(profile.catalog_size);
-    let end = profile.run_until();
-    let mut cfg =
-        fleet_config(&profile, Some(ReplicationConfig::paper_default())).with_placement(policy);
-    if prefix {
-        cfg = cfg.with_prefix_cache(PrefixCacheConfig::paper_default());
-    }
-    let (mut builder, plan) = fleet_builder_with_config(&profile, seed, cfg);
-    // Room for every event of the run: eviction would blind the oracle.
-    builder.record_events(1 << 20);
-    let mut sim = builder.build();
-    sim.run_until(end);
-    let fleet = FleetReport::from_sim(&plan, &sim, end);
-    let run = sim.report().expect("recording was enabled");
-    let oracle = sim
-        .trace()
-        .with_recorder(|rec| OracleReport::check(rec, &OracleConfig::paper_default()))
-        .expect("recording was enabled");
-    let first_bringup = sim
-        .trace()
-        .with_recorder(|rec| {
-            rec.events()
-                .filter_map(|e| match e {
-                    VodEvent::ReplicaBringUp { at, movie, .. }
-                        if *movie == tail && at.as_micros() >= shock.at.as_micros() as u64 =>
-                    {
-                        Some(*at)
-                    }
-                    _ => None,
-                })
-                .min()
-        })
-        .expect("recording was enabled");
-    FlashOutcome {
-        oracle: ftvod_core::oracle::summary_token(&oracle),
-        oracle_detail: oracle.to_string(),
-        pass: oracle.pass(),
-        unserved_seconds: fleet.unserved_seconds,
-        never_served: fleet.never_served,
-        bringups: run.replica_bringups,
-        first_bringup,
-        prefix_serves: run.prefix_serves,
-        prefix_handoffs: run.prefix_handoffs,
-    }
-}
-
-fn flash_line(o: &FlashOutcome) -> String {
-    format!(
-        "{}  unserved {:.1}s, never served {}, {} bring-up(s), first tail bring-up {}, prefix {}/{}",
-        o.oracle,
-        o.unserved_seconds,
-        o.never_served,
-        o.bringups,
-        o.first_bringup
-            .map_or("never".to_owned(), |t| format!("{:.1}s", t.as_secs_f64())),
-        o.prefix_serves,
-        o.prefix_handoffs,
-    )
 }
 
 fn run_flash(opts: &FlashOptions) -> Result<(), String> {
@@ -656,24 +503,20 @@ fn run_flash(opts: &FlashOptions) -> Result<(), String> {
             shock.at.as_secs(),
             profile.catalog_size,
         );
-        let mut any_fail = false;
-        for (label, policy, prefix) in [
+        let rows = [
             ("reactive", PolicyKind::Reactive, false),
             ("predictive+prefix", PolicyKind::Predictive, true),
             ("hybrid+prefix", PolicyKind::Hybrid, true),
-        ] {
-            let outcome = flash_campaign(policy, prefix, opts.seed);
-            any_fail |= !outcome.pass;
-            println!("{label:<18} {}", flash_line(&outcome));
-            if !outcome.pass {
-                print!("{}", outcome.oracle_detail);
-            }
-        }
-        return if any_fail {
-            Err("a comparison run violated a safety invariant".to_owned())
-        } else {
-            Ok(())
-        };
+        ];
+        return compare_table(
+            18,
+            "comparison",
+            rows.into_iter().map(|(label, policy, prefix)| {
+                let outcome = campaign::flash(policy, prefix, opts.seed).run();
+                let line = outcome.flash_line();
+                (label, true, outcome, line)
+            }),
+        );
     }
     println!(
         "flash: {} run(s) from seed {}, predictive placement + prefix cache, {}x shock at {}s",
@@ -682,31 +525,18 @@ fn run_flash(opts: &FlashOptions) -> Result<(), String> {
         shock.factor,
         shock.at.as_secs(),
     );
-    let mut failing: Vec<u64> = Vec::new();
-    for i in 0..opts.seeds {
-        let seed = opts.seed + u64::from(i);
-        let outcome = flash_campaign(PolicyKind::Predictive, true, seed);
-        println!("seed {seed}: {}", flash_line(&outcome));
-        if !outcome.pass {
-            print!("{}", outcome.oracle_detail);
-            failing.push(seed);
-        }
-    }
-    if failing.is_empty() {
-        println!(
-            "flash: {}/{} run(s) passed the oracle",
-            opts.seeds, opts.seeds
-        );
-        Ok(())
-    } else {
-        let first = failing[0];
-        Err(format!(
-            "{} of {} run(s) violated a safety invariant (seeds {:?}); replay with: ftvod-cli flash --seeds 1 --seed {first} --compare",
-            failing.len(),
-            opts.seeds,
-            failing
-        ))
-    }
+    sweep(
+        "flash",
+        "run(s)",
+        "--compare",
+        opts.seeds,
+        opts.seed,
+        |seed| {
+            let outcome = campaign::flash(PolicyKind::Predictive, true, seed).run();
+            println!("seed {seed}: {}", outcome.flash_line());
+            outcome
+        },
+    )
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -728,86 +558,19 @@ impl Default for MultiDcOptions {
 
 fn parse_multidc(args: &[String]) -> Result<MultiDcOptions, String> {
     let mut opts = MultiDcOptions::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--seeds" => {
-                opts.seeds = value("--seeds")?
-                    .parse()
-                    .map_err(|e| format!("--seeds: {e}"))?
-            }
-            "--seed" => {
-                opts.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--seeds" => opts.seeds = flags.value(flag)?,
+            "--seed" => opts.seed = flags.value(flag)?,
             "--compare" => opts.compare = true,
-            other => return Err(format!("unknown flag {other}")),
+            other => return unknown(other),
         }
     }
     if opts.seeds == 0 {
         return Err("--seeds must be at least 1".to_owned());
     }
     Ok(opts)
-}
-
-/// Outcome of one multi-datacenter run, reduced to the comparison columns.
-struct MultiDcOutcome {
-    oracle: String,
-    /// The full per-invariant report, rendered (printed on failure).
-    oracle_detail: String,
-    pass: bool,
-    served: u32,
-    never_served: u32,
-    unserved_seconds: f64,
-    stalled_seconds: f64,
-    total_unserved: f64,
-    degraded_serves: u64,
-}
-
-/// Runs the fixed two-site scenario (correlated east-site crash at 18s,
-/// repair at 40s) under one failover mode and reads the headline numbers
-/// back out of the trace.
-fn multidc_campaign(mode: FailoverMode, seed: u64) -> MultiDcOutcome {
-    let end = multidc_profile().run_until();
-    let (mut builder, plan) = multidc_builder(seed, mode);
-    // Room for every event of the run: eviction would blind the oracle.
-    builder.record_events(1 << 20);
-    let mut sim = builder.build();
-    sim.run_until(end);
-    let fleet = FleetReport::from_sim(&plan, &sim, end);
-    let run = sim.trace().report().expect("recording was enabled");
-    let oracle = sim
-        .trace()
-        .with_recorder(|rec| OracleReport::check(rec, &OracleConfig::paper_default()))
-        .expect("recording was enabled");
-    MultiDcOutcome {
-        oracle: ftvod_core::oracle::summary_token(&oracle),
-        oracle_detail: oracle.to_string(),
-        pass: oracle.pass(),
-        served: fleet.served,
-        never_served: fleet.never_served,
-        unserved_seconds: fleet.unserved_seconds,
-        stalled_seconds: fleet.stalled_seconds,
-        total_unserved: fleet.total_unserved(),
-        degraded_serves: run.degraded_serves,
-    }
-}
-
-fn multidc_line(o: &MultiDcOutcome) -> String {
-    format!(
-        "{}  served {}, never served {}, waited {:.3}s, stalled {:.3}s, unserved total {:.3}s, {} degraded serve(s)",
-        o.oracle,
-        o.served,
-        o.never_served,
-        o.unserved_seconds,
-        o.stalled_seconds,
-        o.total_unserved,
-        o.degraded_serves,
-    )
 }
 
 fn run_multidc(opts: &MultiDcOptions) -> Result<(), String> {
@@ -822,24 +585,20 @@ fn run_multidc(opts: &MultiDcOptions) -> Result<(), String> {
             MULTIDC_FAULT_AT.as_secs(),
             MULTIDC_HEAL_AT.as_secs(),
         );
-        let mut any_fail = false;
-        for (label, mode, gated) in [
+        let rows = [
             ("home-only", FailoverMode::HomeOnly, false),
             ("remote", FailoverMode::Remote, true),
             ("remote-degraded", FailoverMode::RemoteDegraded, true),
-        ] {
-            let outcome = multidc_campaign(mode, opts.seed);
-            println!("{label:<16} {}", multidc_line(&outcome));
-            if gated && !outcome.pass {
-                any_fail = true;
-                print!("{}", outcome.oracle_detail);
-            }
-        }
-        return if any_fail {
-            Err("a failover run violated a safety invariant".to_owned())
-        } else {
-            Ok(())
-        };
+        ];
+        return compare_table(
+            16,
+            "failover",
+            rows.into_iter().map(|(label, mode, gated)| {
+                let outcome = campaign::multidc(mode, opts.seed).run();
+                let line = outcome.multidc_line();
+                (label, gated, outcome, line)
+            }),
+        );
     }
     println!(
         "multidc: {} run(s) from seed {}, remote-degraded failover, east site down {}s..{}s",
@@ -848,31 +607,18 @@ fn run_multidc(opts: &MultiDcOptions) -> Result<(), String> {
         MULTIDC_FAULT_AT.as_secs(),
         MULTIDC_HEAL_AT.as_secs(),
     );
-    let mut failing: Vec<u64> = Vec::new();
-    for i in 0..opts.seeds {
-        let seed = opts.seed + u64::from(i);
-        let outcome = multidc_campaign(FailoverMode::RemoteDegraded, seed);
-        println!("seed {seed}: {}", multidc_line(&outcome));
-        if !outcome.pass {
-            print!("{}", outcome.oracle_detail);
-            failing.push(seed);
-        }
-    }
-    if failing.is_empty() {
-        println!(
-            "multidc: {}/{} run(s) passed the oracle",
-            opts.seeds, opts.seeds
-        );
-        Ok(())
-    } else {
-        let first = failing[0];
-        Err(format!(
-            "{} of {} run(s) violated a safety invariant (seeds {:?}); replay with: ftvod-cli multidc --seeds 1 --seed {first} --compare",
-            failing.len(),
-            opts.seeds,
-            failing
-        ))
-    }
+    sweep(
+        "multidc",
+        "run(s)",
+        "--compare",
+        opts.seeds,
+        opts.seed,
+        |seed| {
+            let outcome = campaign::multidc(FailoverMode::RemoteDegraded, seed).run();
+            println!("seed {seed}: {}", outcome.multidc_line());
+            outcome
+        },
+    )
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -904,51 +650,18 @@ impl Default for CheckOptions {
 
 fn parse_check(args: &[String]) -> Result<CheckOptions, String> {
     let mut opts = CheckOptions::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--nodes" => {
-                opts.nodes = value("--nodes")?
-                    .parse()
-                    .map_err(|e| format!("--nodes: {e}"))?
-            }
-            "--joiners" => {
-                opts.joiners = value("--joiners")?
-                    .parse()
-                    .map_err(|e| format!("--joiners: {e}"))?
-            }
-            "--leaver" => {
-                opts.leaver = Some(
-                    value("--leaver")?
-                        .parse()
-                        .map_err(|e| format!("--leaver: {e}"))?,
-                )
-            }
-            "--drops" => {
-                opts.drops = value("--drops")?
-                    .parse()
-                    .map_err(|e| format!("--drops: {e}"))?
-            }
-            "--clients" => {
-                opts.clients = value("--clients")?
-                    .parse()
-                    .map_err(|e| format!("--clients: {e}"))?
-            }
-            "--depth" => {
-                opts.depth = value("--depth")?
-                    .parse()
-                    .map_err(|e| format!("--depth: {e}"))?
-            }
-            "--max-states" => {
-                opts.max_states = value("--max-states")?
-                    .parse()
-                    .map_err(|e| format!("--max-states: {e}"))?
-            }
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--nodes" => opts.nodes = flags.value(flag)?,
+            "--joiners" => opts.joiners = flags.value(flag)?,
+            "--leaver" => opts.leaver = Some(flags.value(flag)?),
+            "--drops" => opts.drops = flags.value(flag)?,
+            "--clients" => opts.clients = flags.value(flag)?,
+            "--depth" => opts.depth = flags.value(flag)?,
+            "--max-states" => opts.max_states = flags.value(flag)?,
             "--revert-pr4-fix" => opts.revert_pr4_fix = true,
-            other => return Err(format!("unknown flag {other}")),
+            other => return unknown(other),
         }
     }
     if opts.nodes < 2 {
@@ -1025,43 +738,6 @@ fn profile_by_name(name: &str) -> Result<LinkProfile, String> {
     }
 }
 
-fn seed_flag(args: &[String]) -> Result<u64, String> {
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--seed" {
-            let value = it.next().ok_or("--seed needs a value")?;
-            return value.parse().map_err(|e| format!("--seed: {e}"));
-        }
-    }
-    Ok(42)
-}
-
-fn out_flag(args: &[String]) -> Result<Option<String>, String> {
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--out" {
-            return match it.next() {
-                Some(path) => Ok(Some(path.clone())),
-                None => Err("--out needs a value".to_owned()),
-            };
-        }
-    }
-    Ok(None)
-}
-
-fn net_csv_flag(args: &[String]) -> Result<Option<String>, String> {
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--net-csv" {
-            return match it.next() {
-                Some(path) => Ok(Some(path.clone())),
-                None => Err("--net-csv needs a value".to_owned()),
-            };
-        }
-    }
-    Ok(None)
-}
-
 /// Exports the per-class network counters as CSV when a path was given.
 fn write_net_csv(sim: &VodSim, path: Option<&str>) -> Result<(), String> {
     let Some(path) = path else {
@@ -1100,7 +776,57 @@ fn summarize(sim: &VodSim, clients: &[ClientId]) {
     println!("\nnetwork traffic:\n{}", sim.net_stats());
 }
 
-fn run_preset(which: &str, seed: u64, net_csv: Option<&str>) -> Result<(), String> {
+/// What `lan`, `wan`, `trace` and `report` take: a preset, a seed and the
+/// one extra each of them knows.
+#[derive(Debug, Clone, PartialEq)]
+struct PresetArgs {
+    which: &'static str,
+    seed: u64,
+    net_csv: Option<String>,
+    out: Option<String>,
+    json: bool,
+}
+
+/// Parses the arguments after `cmd`: `lan`/`wan` name the preset
+/// themselves, `trace`/`report` take it as their first argument.
+fn parse_preset(cmd: &str, args: &[String]) -> Result<PresetArgs, String> {
+    let mut flags = Flags::new(args);
+    let named = if matches!(cmd, "lan" | "wan") {
+        Some(cmd)
+    } else {
+        flags.next()
+    };
+    let which = match named {
+        Some("lan") => "lan",
+        Some("wan") => "wan",
+        Some(other) => {
+            return Err(format!(
+                "expected a preset scenario (lan | wan), got \"{other}\""
+            ))
+        }
+        None => return Err("expected a preset scenario (lan | wan)".to_owned()),
+    };
+    let mut parsed = PresetArgs {
+        which,
+        seed: 42,
+        net_csv: None,
+        out: None,
+        json: false,
+    };
+    while let Some(flag) = flags.next() {
+        match (cmd, flag) {
+            (_, "--seed") => parsed.seed = flags.value(flag)?,
+            ("lan" | "wan", "--net-csv") => parsed.net_csv = Some(flags.value(flag)?),
+            ("trace", "--out") => parsed.out = Some(flags.value(flag)?),
+            ("report", "--json") => parsed.json = true,
+            (_, other) => return unknown(other),
+        }
+    }
+    Ok(parsed)
+}
+
+fn run_preset(args: &PresetArgs) -> Result<(), String> {
+    let (which, seed) = (args.which, args.seed);
     let (mut builder, a, b) = match which {
         "lan" => presets::fig4_lan(seed),
         _ => presets::fig5_wan(seed),
@@ -1119,7 +845,7 @@ fn run_preset(which: &str, seed: u64, net_csv: Option<&str>) -> Result<(), Strin
     if let Some(report) = sim.report() {
         println!("\n{}", report.summary_line());
     }
-    write_net_csv(&sim, net_csv)
+    write_net_csv(&sim, args.net_csv.as_deref())
 }
 
 /// Runs a preset with event recording and hands the finished sim back.
@@ -1134,10 +860,10 @@ fn traced_preset(which: &str, seed: u64) -> VodSim {
     sim
 }
 
-fn run_trace(which: &str, seed: u64, out: Option<&str>) -> Result<(), String> {
-    let sim = traced_preset(which, seed);
+fn run_trace(args: &PresetArgs) -> Result<(), String> {
+    let sim = traced_preset(args.which, args.seed);
     let jsonl = sim.events_jsonl().expect("recording was enabled");
-    match out {
+    match &args.out {
         Some(path) => {
             std::fs::write(path, &jsonl).map_err(|e| format!("writing {path}: {e}"))?;
             println!("wrote {} events to {path}", jsonl.lines().count());
@@ -1147,16 +873,14 @@ fn run_trace(which: &str, seed: u64, out: Option<&str>) -> Result<(), String> {
     Ok(())
 }
 
-fn run_report(which: &str, seed: u64, json: bool) -> Result<(), String> {
+fn run_report(args: &PresetArgs) -> Result<(), String> {
+    let (which, seed) = (args.which, args.seed);
     let sim = traced_preset(which, seed);
     let mut report = sim.report().expect("recording was enabled");
-    let oracle = sim
-        .trace()
-        .with_recorder(|rec| OracleReport::check(rec, &OracleConfig::paper_default()))
-        .expect("recording was enabled");
+    let oracle = campaign::oracle(&sim);
     let pass = oracle.pass();
     report.oracle = Some(oracle);
-    if json {
+    if args.json {
         print!("{}", report.to_json());
     } else {
         println!("{which} scenario, seed {seed}:\n");
@@ -1196,24 +920,17 @@ impl Default for PerfOptions {
 
 fn parse_perf(args: &[String]) -> Result<PerfOptions, String> {
     let mut opts = PerfOptions::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--out" => opts.out = value("--out")?.clone(),
-            "--baseline" => opts.baseline = Some(value("--baseline")?.clone()),
-            "--rev" => opts.rev = value("--rev")?.clone(),
-            "--date" => opts.date = value("--date")?.clone(),
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--out" => opts.out = flags.value(flag)?,
+            "--baseline" => opts.baseline = Some(flags.value(flag)?),
+            "--rev" => opts.rev = flags.value(flag)?,
+            "--date" => opts.date = flags.value(flag)?,
             "--counters-only" => opts.counters_only = true,
-            "--flamechart" => opts.flamechart = Some(value("--flamechart")?.clone()),
-            "--max-wall-ratio" => {
-                opts.max_wall_ratio = value("--max-wall-ratio")?
-                    .parse()
-                    .map_err(|e| format!("--max-wall-ratio: {e}"))?
-            }
-            other => return Err(format!("unknown flag {other}")),
+            "--flamechart" => opts.flamechart = Some(flags.value(flag)?),
+            "--max-wall-ratio" => opts.max_wall_ratio = flags.value(flag)?,
+            other => return unknown(other),
         }
     }
     if !opts.max_wall_ratio.is_finite() || opts.max_wall_ratio < 1.0 {
@@ -1313,17 +1030,6 @@ fn run_custom(opts: &CustomOptions) -> Result<(), String> {
         println!("\n{}", report.summary_line());
     }
     write_net_csv(&sim, opts.net_csv.as_deref())
-}
-
-fn preset_name(args: &[String]) -> Result<&'static str, String> {
-    match args.first().map(String::as_str) {
-        Some("lan") => Ok("lan"),
-        Some("wan") => Ok("wan"),
-        Some(other) => Err(format!(
-            "expected a preset scenario (lan | wan), got \"{other}\""
-        )),
-        None => Err("expected a preset scenario (lan | wan)".to_owned()),
-    }
 }
 
 fn exit_from(result: Result<(), String>) -> ExitCode {
@@ -1543,19 +1249,9 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     match cmd {
-        "lan" | "wan" => exit_from(seed_flag(&args).and_then(|seed| {
-            let net_csv = net_csv_flag(&args)?;
-            run_preset(cmd, seed, net_csv.as_deref())
-        })),
-        "trace" => exit_from(preset_name(&args[1..]).and_then(|which| {
-            let seed = seed_flag(&args)?;
-            let out = out_flag(&args)?;
-            run_trace(which, seed, out.as_deref())
-        })),
-        "report" => exit_from(preset_name(&args[1..]).and_then(|which| {
-            let json = args[1..].iter().any(|a| a == "--json");
-            run_report(which, seed_flag(&args)?, json)
-        })),
+        "lan" | "wan" => exit_from(parse_preset(cmd, &args[1..]).and_then(|p| run_preset(&p))),
+        "trace" => exit_from(parse_preset(cmd, &args[1..]).and_then(|p| run_trace(&p))),
+        "report" => exit_from(parse_preset(cmd, &args[1..]).and_then(|p| run_report(&p))),
         "custom" => exit_from(parse_custom(&args[1..]).and_then(|opts| run_custom(&opts))),
         "fleet" => exit_from(parse_fleet(&args[1..]).and_then(|opts| run_fleet(&opts))),
         "flash" => exit_from(parse_flash(&args[1..]).and_then(|opts| run_flash(&opts))),
@@ -1637,20 +1333,49 @@ mod tests {
 
     #[test]
     fn trace_and_report_args_parse() {
-        assert_eq!(preset_name(&strings(&["lan"])), Ok("lan"));
-        assert_eq!(preset_name(&strings(&["wan", "--seed", "7"])), Ok("wan"));
-        assert!(preset_name(&strings(&["atm"])).is_err());
-        assert!(preset_name(&[]).is_err());
+        let trace = |v: &[&str]| parse_preset("trace", &strings(v));
+        assert_eq!(trace(&["lan"]).unwrap().which, "lan");
+        assert_eq!(trace(&["wan", "--seed", "7"]).unwrap().which, "wan");
+        assert!(trace(&["atm"]).is_err());
+        assert!(trace(&[]).is_err());
         assert_eq!(
-            out_flag(&strings(&["trace", "lan", "--out", "e.jsonl"])),
-            Ok(Some("e.jsonl".to_owned()))
+            trace(&["lan", "--out", "e.jsonl"]).unwrap().out.as_deref(),
+            Some("e.jsonl")
         );
-        assert_eq!(out_flag(&strings(&["trace", "lan"])), Ok(None));
-        assert!(out_flag(&strings(&["trace", "lan", "--out"])).is_err());
-        assert_eq!(seed_flag(&strings(&["lan"])), Ok(42));
-        assert_eq!(seed_flag(&strings(&["lan", "--seed", "7"])), Ok(7));
-        assert!(seed_flag(&strings(&["lan", "--seed", "banana"])).is_err());
-        assert!(seed_flag(&strings(&["lan", "--seed"])).is_err());
+        assert_eq!(trace(&["lan"]).unwrap().out, None);
+        assert!(trace(&["lan", "--out"]).is_err());
+        let lan = |v: &[&str]| parse_preset("lan", &strings(v));
+        assert_eq!(lan(&[]).unwrap().seed, 42);
+        assert_eq!(lan(&["--seed", "7"]).unwrap().seed, 7);
+        assert!(lan(&["--seed", "banana"]).is_err());
+        assert!(lan(&["--seed"]).is_err());
+        let report = parse_preset("report", &strings(&["wan", "--json"])).unwrap();
+        assert_eq!((report.which, report.json), ("wan", true));
+    }
+
+    /// `lan`, `wan`, `trace` and `report` used to scan for the flags they
+    /// knew and ignore the rest, so `lan --sed 7` quietly ran seed 42.
+    #[test]
+    fn preset_commands_reject_unknown_flags_and_stray_positionals() {
+        for (cmd, preset) in [
+            ("lan", None),
+            ("wan", None),
+            ("trace", Some("lan")),
+            ("report", Some("wan")),
+        ] {
+            let parse = |extra: &[&str]| {
+                let args: Vec<&str> = preset.into_iter().chain(extra.iter().copied()).collect();
+                parse_preset(cmd, &strings(&args))
+            };
+            assert!(parse(&[]).is_ok(), "{cmd}");
+            assert!(parse(&["--bogus"]).is_err(), "{cmd} --bogus");
+            assert!(parse(&["--sed", "7"]).is_err(), "{cmd} --sed 7");
+            assert!(parse(&["wan"]).is_err(), "{cmd} with a second positional");
+        }
+        // Each command's extra flag is its own, not every preset command's.
+        assert!(parse_preset("lan", &strings(&["--out", "x"])).is_err());
+        assert!(parse_preset("trace", &strings(&["lan", "--json"])).is_err());
+        assert!(parse_preset("report", &strings(&["lan", "--net-csv", "x"])).is_err());
     }
 
     #[test]
@@ -1962,12 +1687,13 @@ mod tests {
 
     #[test]
     fn net_csv_flag_parses() {
+        let lan = |v: &[&str]| parse_preset("lan", &strings(v));
         assert_eq!(
-            net_csv_flag(&strings(&["lan", "--net-csv", "net.csv"])),
-            Ok(Some("net.csv".to_owned()))
+            lan(&["--net-csv", "net.csv"]).unwrap().net_csv.as_deref(),
+            Some("net.csv")
         );
-        assert_eq!(net_csv_flag(&strings(&["lan"])), Ok(None));
-        assert!(net_csv_flag(&strings(&["lan", "--net-csv"])).is_err());
+        assert_eq!(lan(&[]).unwrap().net_csv, None);
+        assert!(lan(&["--net-csv"]).is_err());
         let custom = parse_custom(&strings(&["--net-csv", "net.csv"])).unwrap();
         assert_eq!(custom.net_csv.as_deref(), Some("net.csv"));
         let fleet = parse_fleet(&strings(&["--net-csv", "net.csv"])).unwrap();
