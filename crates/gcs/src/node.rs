@@ -37,6 +37,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::error::Error;
 use std::fmt;
+use std::ops::Bound;
 
 use simnet::{Context, Endpoint, NodeId, Payload, Port, SimTime, Timer};
 
@@ -351,6 +352,9 @@ pub struct GcsNode<P: Payload> {
     /// points without a context (e.g. [`GcsNode::create_group`]) stamp
     /// trace events.
     trace_now: SimTime,
+    /// Buffer of [`GcsNode::take_peers`], kept so the two per-tick peer
+    /// walks allocate nothing once it has grown to the peer count.
+    peer_scratch: Vec<NodeId>,
 }
 
 impl<P: Payload> fmt::Debug for GcsNode<P> {
@@ -397,6 +401,7 @@ impl<P: Payload> GcsNode<P> {
             proto_cfg: ProtoConfig::default(),
             proto_probe: None,
             trace_now: SimTime::ZERO,
+            peer_scratch: Vec::new(),
         }
     }
 
@@ -1731,12 +1736,8 @@ impl<P: Payload> GcsNode<P> {
     fn tick_failure_detector<M: Payload>(&mut self, ctx: &mut Context<'_, M>) {
         let now = ctx.now();
         let timeout = self.config.suspect_timeout;
-        let mut peers: BTreeSet<NodeId> = BTreeSet::new();
-        for state in self.groups.values() {
-            peers.extend(state.mem.view.members.iter().copied());
-        }
-        peers.remove(&self.node);
-        for peer in peers {
+        let peers = self.take_peers(|_| true);
+        for &peer in &peers {
             let heard = self.last_heard.get(&peer).copied();
             match heard {
                 Some(at) if now.saturating_since(at) > timeout => {
@@ -1757,25 +1758,38 @@ impl<P: Payload> GcsNode<P> {
                 }
             }
         }
+        self.peer_scratch = peers;
+    }
+
+    /// The other members of every group whose status `include` accepts, in
+    /// ascending id order and without repeats — the order the failure
+    /// detector probes and heartbeats are sent in. The vector is
+    /// [`GcsNode::peer_scratch`]; hand it back when done.
+    fn take_peers(&mut self, include: impl Fn(GroupStatus) -> bool) -> Vec<NodeId> {
+        let node = self.node;
+        let mut peers = std::mem::take(&mut self.peer_scratch);
+        peers.clear();
+        for state in self.groups.values() {
+            if include(state.mem.status) {
+                let members = &state.mem.view.members;
+                peers.extend(members.iter().copied().filter(|&m| m != node));
+            }
+        }
+        peers.sort_unstable();
+        peers.dedup();
+        peers
     }
 
     fn tick_heartbeats<M>(&mut self, ctx: &mut Context<'_, M>)
     where
         M: Payload + From<GcsPacket<P>>,
     {
-        let mut peers: BTreeSet<NodeId> = BTreeSet::new();
-        for state in self.groups.values() {
-            if matches!(
-                state.mem.status,
-                GroupStatus::Member | GroupStatus::Flushing
-            ) {
-                peers.extend(state.mem.view.members.iter().copied());
-            }
-        }
-        peers.remove(&self.node);
-        for peer in peers {
+        let peers =
+            self.take_peers(|status| matches!(status, GroupStatus::Member | GroupStatus::Flushing));
+        for &peer in &peers {
             self.emit(ctx, peer, GcsPacket::Heartbeat);
         }
+        self.peer_scratch = peers;
     }
 
     fn tick_acks<M>(&mut self, ctx: &mut Context<'_, M>)
@@ -1783,24 +1797,12 @@ impl<P: Payload> GcsNode<P> {
         M: Payload + From<GcsPacket<P>>,
     {
         let node = self.node;
-        let groups: Vec<GroupId> = self
-            .groups
-            .iter()
-            .filter(|(_, s)| s.mem.status == GroupStatus::Member && s.mem.view.len() > 1)
-            .map(|(&g, _)| g)
-            .collect();
-        for group in groups {
-            let state = &self.groups[&group];
+        for (&group, state) in &self.groups {
+            if state.mem.status != GroupStatus::Member || state.mem.view.len() <= 1 {
+                continue;
+            }
             let delivered = state.floors(node);
-            let peers: Vec<NodeId> = state
-                .mem
-                .view
-                .members
-                .iter()
-                .copied()
-                .filter(|&m| m != node)
-                .collect();
-            for member in peers {
+            for &member in state.mem.view.members.iter().filter(|&&m| m != node) {
                 self.emit(
                     ctx,
                     member,
@@ -1831,13 +1833,10 @@ impl<P: Payload> GcsNode<P> {
                         let last = state.last_nak_tick.get(&sender).copied().unwrap_or(0);
                         if ticks.saturating_sub(last) >= 2 {
                             naks.push((group, sender, recv.next, first - 1));
+                            state.last_nak_tick.insert(sender, ticks.max(1));
                         }
                     }
                 }
-            }
-            for &(g, sender, _, _) in naks.iter().filter(|n| n.0 == group) {
-                debug_assert_eq!(g, group);
-                state.last_nak_tick.insert(sender, ticks.max(1));
             }
         }
         for (group, origin, from_seq, to_seq) in naks {
@@ -1864,7 +1863,15 @@ impl<P: Payload> GcsNode<P> {
     {
         let node = self.node;
         let ticks = self.ticks;
-        let groups: Vec<GroupId> = self.groups.keys().copied().collect();
+        // Only a group coordinating a flush or holding a fresh install has
+        // anything to retransmit; a pass emits packets and touches its own
+        // group only, so picking the groups up front changes nothing.
+        let groups: Vec<GroupId> = self
+            .groups
+            .iter()
+            .filter(|(_, s)| s.vc.is_some() || s.install_resend.is_some())
+            .map(|(&g, _)| g)
+            .collect();
         for group in groups {
             // Re-send pending Prepares.
             let prepare: Option<(ViewId, Vec<NodeId>, Vec<NodeId>)> = {
@@ -2007,6 +2014,14 @@ impl<P: Payload> GcsNode<P> {
         let join_retry_ticks = self.config.join_retry_ticks;
         let singleton_form_ticks = self.config.singleton_form_ticks;
         let mut events = Vec::new();
+        // All three passes below act only on groups being joined or left.
+        if !self
+            .groups
+            .values()
+            .any(|s| s.mem.status == GroupStatus::Joining || s.mem.leaving)
+        {
+            return events;
+        }
         let joining: Vec<GroupId> = self
             .groups
             .iter()
@@ -2111,21 +2126,41 @@ impl<P: Payload> GcsNode<P> {
         let node = self.node;
         let ticks = self.ticks;
         let flush_timeout_ticks = self.config.flush_timeout_ticks;
-        let groups: Vec<GroupId> = self.groups.keys().copied().collect();
-        for group in groups {
+        let abandoned = |state: &GroupState<P>| {
+            let stale = ticks.saturating_sub(state.promised_tick) > 2 * flush_timeout_ticks;
+            stale
+                && (state.mem.status == GroupStatus::Flushing
+                    || (state.mem.status == GroupStatus::Joining && state.mem.promised.is_some()))
+        };
+        let retry = |state: &GroupState<P>| {
+            state.mem.flush.is_some()
+                && matches!(&state.vc,
+                    Some(vc) if ticks.saturating_sub(vc.start_tick) > flush_timeout_ticks)
+        };
+        // Groups are visited in id order and each is judged on the state
+        // its predecessors left behind (a flush timeout in one group
+        // suspects a peer the next group's election then drops), so the
+        // walk resumes after every group that had work instead of listing
+        // the groups up front. A group none of the three conditions holds
+        // for is passed over without being touched.
+        let mut resume = Bound::Unbounded;
+        loop {
+            let suspected = &self.suspected;
+            let due = self
+                .groups
+                .range((resume, Bound::Unbounded))
+                .find(|(_, s)| {
+                    abandoned(s) || retry(s) || s.mem.election(node, suspected).is_some()
+                });
+            let Some((&group, _)) = due else {
+                break;
+            };
+            resume = Bound::Excluded(group);
             // Abandon flushes whose coordinator went quiet, releasing any
             // sends that were queued behind the promise. A joiner's stale
             // promise is abandoned too: it blocks singleton formation,
             // and no surviving coordinator will ever resolve it.
-            let abandoned = {
-                let state = self.group_mut(group);
-                let stale = ticks.saturating_sub(state.promised_tick) > 2 * flush_timeout_ticks;
-                stale
-                    && (state.mem.status == GroupStatus::Flushing
-                        || (state.mem.status == GroupStatus::Joining
-                            && state.mem.promised.is_some()))
-            };
-            if abandoned {
+            if abandoned(self.group_mut(group)) {
                 self.probe(Some(group), || ProtoEvent::AbandonFlush);
                 let pending: Vec<Carried<P>> = {
                     let state = self.group_mut(group);
@@ -2138,13 +2173,7 @@ impl<P: Payload> GcsNode<P> {
                 }
             }
             // Coordinator-side timeout: drop unresponsive candidates, retry.
-            let retry = {
-                let state = self.group_mut(group);
-                state.mem.flush.is_some()
-                    && matches!(&state.vc,
-                        Some(vc) if ticks.saturating_sub(vc.start_tick) > flush_timeout_ticks)
-            };
-            if retry {
+            if retry(self.group_mut(group)) {
                 let state = self.group_mut(group);
                 state.vc = None;
                 if let Some(fl) = state.mem.flush_timeout() {
@@ -2253,25 +2282,13 @@ impl<P: Payload> GcsNode<P> {
         M: Payload + From<GcsPacket<P>>,
     {
         let node = self.node;
-        let announces: Vec<(GroupId, ViewId, Vec<NodeId>)> = self
-            .groups
-            .iter()
-            .filter_map(|(&g, s)| {
-                s.mem
-                    .announce_payload(node)
-                    .map(|(vid, members)| (g, vid, members))
-            })
-            .collect();
-        for (group, vid, members) in announces {
+        for (&group, state) in &self.groups {
+            let Some((vid, members)) = state.mem.announce_payload(node) else {
+                continue;
+            };
             // Members receive announces too: one that never installed
             // the announced view detects its lost Install and re-syncs.
-            let targets: Vec<NodeId> = self
-                .bootstrap
-                .iter()
-                .copied()
-                .filter(|n| *n != node)
-                .collect();
-            for target in targets {
+            for &target in self.bootstrap.iter().filter(|&&n| n != node) {
                 self.emit(
                     ctx,
                     target,
@@ -2291,20 +2308,22 @@ impl<P: Payload> GcsNode<P> {
         self.nonmember_seen
             .retain(|_, &mut seen| ticks.saturating_sub(seen) <= horizon);
         let expiry = self.config.foreign_expiry_ticks;
-        let groups: Vec<GroupId> = self.groups.keys().copied().collect();
-        for group in groups {
-            let expired: Vec<NodeId> = self.groups[&group]
-                .foreign_seen
-                .iter()
-                .filter(|(_, &seen)| ticks.saturating_sub(seen) > expiry)
-                .map(|(&peer, _)| peer)
-                .collect();
-            for peer in expired {
-                self.probe(Some(group), || ProtoEvent::ExpireForeign(peer));
-                let state = self.groups.get_mut(&group).expect("group exists");
-                state.foreign_seen.remove(&peer);
-                state.mem.expire_foreign(peer);
-            }
+        let expired: Vec<(GroupId, NodeId)> = self
+            .groups
+            .iter()
+            .flat_map(|(&group, state)| {
+                state
+                    .foreign_seen
+                    .iter()
+                    .filter(|(_, &seen)| ticks.saturating_sub(seen) > expiry)
+                    .map(move |(&peer, _)| (group, peer))
+            })
+            .collect();
+        for (group, peer) in expired {
+            self.probe(Some(group), || ProtoEvent::ExpireForeign(peer));
+            let state = self.groups.get_mut(&group).expect("group exists");
+            state.foreign_seen.remove(&peer);
+            state.mem.expire_foreign(peer);
         }
     }
 
@@ -2401,6 +2420,41 @@ mod tests {
             !causally_ready(&delivered, &[(NodeId(3), 1)]),
             "unknown senders count as zero delivered"
         );
+    }
+
+    #[test]
+    fn peers_are_ascending_without_self_across_overlapping_views() {
+        #[derive(Clone, Debug)]
+        struct Nothing;
+        impl Payload for Nothing {
+            fn size_bytes(&self) -> usize {
+                0
+            }
+        }
+        let me = NodeId(4);
+        let mut gcs: GcsNode<Nothing> =
+            GcsNode::new(GcsConfig::new(), me, Port(7), 1, vec![NodeId(1), me]);
+        let views: [(u64, GroupStatus, &[u32]); 4] = [
+            (10, GroupStatus::Member, &[4, 9, 1000]),
+            (11, GroupStatus::Flushing, &[2, 4, 9]),
+            (12, GroupStatus::Member, &[1, 2, 4]),
+            (13, GroupStatus::Joining, &[4, 7]),
+        ];
+        for (group, status, members) in views {
+            let state = gcs.group_mut(GroupId(group));
+            state.mem.status = status;
+            let members = members.iter().copied().map(NodeId).collect();
+            state.mem.view = View::new(ViewId::default(), members);
+        }
+        let ids = |raw: &[u32]| raw.iter().copied().map(NodeId).collect::<Vec<_>>();
+        // The failure detector watches every group's view...
+        let watched = gcs.take_peers(|_| true);
+        assert_eq!(watched, ids(&[1, 2, 7, 9, 1000]));
+        gcs.peer_scratch = watched;
+        // ...heartbeats go to the groups this node is a member of.
+        let heartbeat =
+            gcs.take_peers(|s| matches!(s, GroupStatus::Member | GroupStatus::Flushing));
+        assert_eq!(heartbeat, ids(&[1, 2, 9, 1000]));
     }
 
     #[test]

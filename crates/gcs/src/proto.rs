@@ -520,6 +520,17 @@ impl Membership {
             // fallback.
             return None;
         }
+        // The common case, answered without building anything: nobody
+        // asked to join or leave, no foreign component is known and every
+        // member is trusted. The computation below would then propose the
+        // (sorted) member list the view already has — the view stands.
+        if self.pending_joiners.is_empty()
+            && self.pending_leavers.is_empty()
+            && self.foreign.is_empty()
+            && !self.view.members.iter().any(|m| suspected.contains(m))
+        {
+            return None;
+        }
         // A member that re-sent a `JoinReq` restarted stateless: it can
         // neither coordinate nor be waited on — it must be re-installed.
         let stateless = |m: &NodeId| self.pending_joiners.contains(m) && *m != node;

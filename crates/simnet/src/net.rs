@@ -22,6 +22,29 @@ use std::time::Duration;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u32);
 
+/// Largest id the dense per-node tables (the simulation's node table, a
+/// topology's site table) accept. Those tables are indexed by the raw id,
+/// so their size follows the largest id used, not the node count; the cap
+/// turns a stray huge id into a clear panic instead of a multi-gigabyte
+/// allocation.
+const MAX_NODE_ID: u32 = 1 << 20;
+
+impl NodeId {
+    /// This id as a row of a dense per-node table that is about to grow
+    /// to hold it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is above 2^20.
+    pub(crate) fn table_row(self) -> usize {
+        assert!(
+            self.0 <= MAX_NODE_ID,
+            "node id {self} is above the dense-id limit {MAX_NODE_ID}"
+        );
+        self.0 as usize
+    }
+}
+
 impl fmt::Debug for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "n{}", self.0)

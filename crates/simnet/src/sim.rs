@@ -6,8 +6,8 @@
 //! random draws and therefore identical results — the property that makes
 //! every figure in the experiment harness exactly reproducible.
 
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 use crate::net::{Endpoint, LinkProfile, NodeId, Payload};
@@ -185,37 +185,76 @@ enum EventKind<M: Payload> {
     },
 }
 
-struct Scheduled<M: Payload> {
-    at: SimTime,
+/// The pending-event queue: `(at, seq, slot)` keys in a binary heap, the
+/// event bodies in a slab beside it.
+///
+/// A sift moves 24-byte keys instead of whole `EventKind`s (a `Deliver`
+/// carries the application message inline), and a popped body's slot goes
+/// on the free list, so the slab never grows past the peak queue depth.
+/// `seq` is unique and assigned in push order, so `(at, seq)` is a total
+/// order: same-instant events pop in the order they were scheduled, which
+/// is the determinism contract every golden file rests on.
+struct EventQueue<M: Payload> {
+    /// Min-heap on `(at, seq)`; the slot index rides along and never
+    /// decides a comparison.
+    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    bodies: Vec<Option<EventKind<M>>>,
+    free: Vec<u32>,
     seq: u64,
-    kind: EventKind<M>,
 }
 
-impl<M: Payload> PartialEq for Scheduled<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+impl<M: Payload> EventQueue<M> {
+    fn new() -> Self {
+        EventQueue {
+            heap: BinaryHeap::new(),
+            bodies: Vec::new(),
+            free: Vec::new(),
+            seq: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    fn next_at(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse((at, _, _))| *at)
+    }
+
+    fn push(&mut self, at: SimTime, kind: EventKind<M>) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.bodies[slot as usize] = Some(kind);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.bodies.len()).expect("over 2^32 pending events");
+                self.bodies.push(Some(kind));
+                slot
+            }
+        };
+        self.heap.push(Reverse((at, self.seq, slot)));
+        self.seq += 1;
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, EventKind<M>)> {
+        let Reverse((at, _, slot)) = self.heap.pop()?;
+        let kind = self.bodies[slot as usize]
+            .take()
+            .expect("a queued key points at a filled slot");
+        self.free.push(slot);
+        Some((at, kind))
     }
 }
 
-impl<M: Payload> Eq for Scheduled<M> {}
-
-impl<M: Payload> PartialOrd for Scheduled<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<M: Payload> Ord for Scheduled<M> {
-    /// Reversed so that `BinaryHeap` (a max-heap) pops the earliest event;
-    /// ties broken by insertion order for determinism.
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
+/// One row of the node table. A row whose `process` is `None` is padding
+/// below a higher booted id, not a node.
 struct NodeSlot<M: Payload> {
     process: Option<Box<dyn AnyProcess<M>>>,
     alive: bool,
+    /// When this node's NIC finishes serializing what it already queued
+    /// (only advanced by links with a finite bandwidth).
+    egress_busy: SimTime,
 }
 
 /// A deterministic discrete-event simulation of a set of communicating
@@ -260,9 +299,12 @@ struct NodeSlot<M: Payload> {
 /// ```
 pub struct Simulation<M: Payload> {
     now: SimTime,
-    seq: u64,
-    queue: BinaryHeap<Scheduled<M>>,
-    nodes: BTreeMap<NodeId, NodeSlot<M>>,
+    queue: EventQueue<M>,
+    /// Node table indexed by the raw [`NodeId`]: ids are small and dense
+    /// (servers from 1, clients from 100 or 1000), so a lookup is one
+    /// bounds-checked index and the table costs 32 bytes per id up to the
+    /// largest one booted.
+    nodes: Vec<NodeSlot<M>>,
     default_profile: LinkProfile,
     topology: Option<SiteTopology>,
     overrides: HashMap<(NodeId, NodeId), LinkProfile>,
@@ -276,7 +318,6 @@ pub struct Simulation<M: Payload> {
     /// Gilbert–Elliott state per directed link: `true` while the link is in
     /// the bad (bursty) state. Only touched when a profile sets `burst`.
     burst_bad: HashMap<(NodeId, NodeId), bool>,
-    egress_busy: HashMap<NodeId, SimTime>,
     rng: SimRng,
     cancelled: HashSet<u64>,
     next_timer_id: u64,
@@ -296,16 +337,14 @@ impl<M: Payload> Simulation<M> {
     pub fn new(seed: u64) -> Self {
         Simulation {
             now: SimTime::ZERO,
-            seq: 0,
-            queue: BinaryHeap::new(),
-            nodes: BTreeMap::new(),
+            queue: EventQueue::new(),
+            nodes: Vec::new(),
             default_profile: LinkProfile::ideal(),
             topology: None,
             overrides: HashMap::new(),
             blocked: HashMap::new(),
             crashed: HashSet::new(),
             burst_bad: HashMap::new(),
-            egress_busy: HashMap::new(),
             rng: SimRng::seed_from_u64(seed),
             cancelled: HashSet::new(),
             next_timer_id: 0,
@@ -343,10 +382,21 @@ impl<M: Payload> Simulation<M> {
         self.tracer = None;
     }
 
-    fn trace(&mut self, event: TraceEvent) {
+    /// Hands the tracer the event `make` builds; without a tracer the
+    /// event is never built.
+    #[inline]
+    fn trace(&mut self, make: impl FnOnce() -> TraceEvent) {
         if let Some(tracer) = self.tracer.as_mut() {
-            tracer(&event);
+            tracer(&make());
         }
+    }
+
+    fn slot(&self, id: NodeId) -> Option<&NodeSlot<M>> {
+        self.nodes.get(id.0 as usize)
+    }
+
+    fn slot_mut(&mut self, id: NodeId) -> Option<&mut NodeSlot<M>> {
+        self.nodes.get_mut(id.0 as usize)
     }
 
     /// Current simulated time.
@@ -416,15 +466,19 @@ impl<M: Payload> Simulation<M> {
     ///
     /// Panics if a live process already occupies `id`.
     pub fn add_node(&mut self, id: NodeId, process: impl Process<M>) {
-        if let Some(slot) = self.nodes.get(&id) {
-            assert!(!slot.alive, "node {id} already has a live process");
-        }
+        assert!(!self.is_alive(id), "node {id} already has a live process");
         self.start_node_at(self.now, id, process);
     }
 
     /// Schedules `process` to boot on node `id` at time `at` (the paper's
     /// "a new server may be brought up on the fly").
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is above 2^20: the node table is indexed by the raw
+    /// id, so ids are expected to be small and dense.
     pub fn start_node_at(&mut self, at: SimTime, id: NodeId, process: impl Process<M>) {
+        id.table_row();
         let process: Box<dyn AnyProcess<M>> = Box::new(process);
         self.schedule(at, EventKind::Start { node: id, process });
     }
@@ -485,24 +539,30 @@ impl<M: Payload> Simulation<M> {
 
     /// Whether node `id` currently hosts a live process.
     pub fn is_alive(&self, id: NodeId) -> bool {
-        self.nodes.get(&id).is_some_and(|s| s.alive)
+        self.slot(id).is_some_and(|s| s.alive)
     }
 
     /// The ids of all nodes ever booted, in order.
     pub fn node_ids(&self) -> Vec<NodeId> {
-        self.nodes.keys().copied().collect()
+        self.booted().collect()
+    }
+
+    /// Booted nodes in ascending id order (padding rows skipped).
+    fn booted(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.nodes
+            .iter()
+            .enumerate()
+            .filter(|(_, slot)| slot.process.is_some())
+            .map(|(id, _)| NodeId(id as u32))
     }
 
     /// Runs every event scheduled at or before `until`, then advances the
     /// clock to exactly `until`.
     pub fn run_until(&mut self, until: SimTime) {
         let started = self.profile.as_ref().map(|_| Instant::now());
-        while let Some(head) = self.queue.peek() {
-            if head.at > until {
-                break;
-            }
-            let ev = self.queue.pop().expect("peeked event vanished");
-            self.dispatch(ev.at, ev.kind);
+        while self.queue.next_at().is_some_and(|at| at <= until) {
+            let (at, kind) = self.queue.pop().expect("peeked event vanished");
+            self.dispatch(at, kind);
         }
         if until > self.now {
             self.now = until;
@@ -521,16 +581,16 @@ impl<M: Payload> Simulation<M> {
     /// `None` when the queue is empty. A cancelled timer still counts: it
     /// stays queued until its time comes and is squashed on dispatch.
     pub fn next_event_at(&self) -> Option<SimTime> {
-        self.queue.peek().map(|head| head.at)
+        self.queue.next_at()
     }
 
     /// Executes a single pending event. Returns `false` when the queue is
     /// empty.
     pub fn step(&mut self) -> bool {
         match self.queue.pop() {
-            Some(ev) => {
+            Some((at, kind)) => {
                 let started = self.profile.as_ref().map(|_| Instant::now());
-                self.dispatch(ev.at, ev.kind);
+                self.dispatch(at, kind);
                 if let (Some(profile), Some(started)) = (self.profile.as_mut(), started) {
                     profile.dispatch_ns += started.elapsed().as_nanos() as u64;
                 }
@@ -545,8 +605,7 @@ impl<M: Payload> Simulation<M> {
     /// Returns `None` if the node does not exist or hosts a different type.
     /// Works on crashed nodes too (post-mortem inspection).
     pub fn with_process<T: 'static, R>(&self, node: NodeId, f: impl FnOnce(&T) -> R) -> Option<R> {
-        self.nodes
-            .get(&node)?
+        self.slot(node)?
             .process
             .as_ref()
             .and_then(|p| p.as_any().downcast_ref::<T>())
@@ -562,8 +621,7 @@ impl<M: Payload> Simulation<M> {
         node: NodeId,
         f: impl FnOnce(&mut T) -> R,
     ) -> Option<R> {
-        self.nodes
-            .get_mut(&node)?
+        self.slot_mut(node)?
             .process
             .as_mut()
             .and_then(|p| p.as_any_mut().downcast_mut::<T>())
@@ -581,7 +639,7 @@ impl<M: Payload> Simulation<M> {
         node: NodeId,
         f: impl FnOnce(&mut T, &mut Context<'_, M>) -> R,
     ) -> Option<R> {
-        let slot = self.nodes.get_mut(&node)?;
+        let slot = self.slot_mut(node)?;
         if !slot.alive {
             return None;
         }
@@ -601,7 +659,7 @@ impl<M: Payload> Simulation<M> {
                 .map(|typed| f(typed, &mut ctx))
         };
         let exited = effects.iter().any(|e| matches!(e, Effect::Exit));
-        if let Some(slot) = self.nodes.get_mut(&node) {
+        if let Some(slot) = self.slot_mut(node) {
             slot.process = Some(process);
             if exited && result.is_some() {
                 slot.alive = false;
@@ -619,9 +677,7 @@ impl<M: Payload> Simulation<M> {
     }
 
     fn schedule(&mut self, at: SimTime, kind: EventKind<M>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Scheduled { at, seq, kind });
+        self.queue.push(at, kind);
         if let Some(profile) = self.profile.as_mut() {
             profile.peak_queue_depth = profile.peak_queue_depth.max(self.queue.len() as u64);
         }
@@ -647,10 +703,9 @@ impl<M: Payload> Simulation<M> {
                 sent_at,
             } => {
                 self.count(|p| p.deliver_events += 1);
-                let alive = self.nodes.get(&to.node).is_some_and(|s| s.alive);
-                if !alive {
+                if !self.is_alive(to.node) {
                     self.stats.class_mut(class).dropped_dead += 1;
-                    self.trace(TraceEvent::Dropped {
+                    self.trace(|| TraceEvent::Dropped {
                         at,
                         from,
                         to,
@@ -660,7 +715,7 @@ impl<M: Payload> Simulation<M> {
                     return;
                 }
                 self.stats.class_mut(class).delivered_msgs += 1;
-                self.trace(TraceEvent::Delivered {
+                self.trace(|| TraceEvent::Delivered {
                     at,
                     sent_at,
                     from,
@@ -672,11 +727,12 @@ impl<M: Payload> Simulation<M> {
                 });
             }
             EventKind::Timer { node, id, tag } => {
-                if self.cancelled.remove(&id.0) {
+                // Most runs never cancel a timer: skip the hash then.
+                if !self.cancelled.is_empty() && self.cancelled.remove(&id.0) {
                     self.count(|p| p.timer_squashed += 1);
                     return;
                 }
-                if !self.nodes.get(&node).is_some_and(|s| s.alive) {
+                if !self.is_alive(node) {
                     self.count(|p| p.timer_dead += 1);
                     return;
                 }
@@ -687,26 +743,31 @@ impl<M: Payload> Simulation<M> {
             }
             EventKind::Start { node, process } => {
                 self.count(|p| p.start_events += 1);
-                let slot = self.nodes.entry(node).or_insert(NodeSlot {
-                    process: None,
-                    alive: false,
-                });
+                let index = node.0 as usize;
+                if index >= self.nodes.len() {
+                    self.nodes.resize_with(index + 1, || NodeSlot {
+                        process: None,
+                        alive: false,
+                        egress_busy: SimTime::ZERO,
+                    });
+                }
+                let slot = &mut self.nodes[index];
                 slot.process = Some(process);
                 slot.alive = true;
                 if self.crashed.remove(&node) {
-                    self.trace(TraceEvent::NodeRestarted { at, node });
+                    self.trace(|| TraceEvent::NodeRestarted { at, node });
                 } else {
-                    self.trace(TraceEvent::NodeStarted { at, node });
+                    self.trace(|| TraceEvent::NodeStarted { at, node });
                 }
                 self.run_handler(node, |process, ctx| process.on_start(ctx));
             }
             EventKind::Crash { node } => {
                 self.count(|p| p.crash_events += 1);
-                if let Some(slot) = self.nodes.get_mut(&node) {
+                if let Some(slot) = self.slot_mut(node) {
                     slot.alive = false;
                 }
                 self.crashed.insert(node);
-                self.trace(TraceEvent::NodeCrashed { at, node });
+                self.trace(|| TraceEvent::NodeCrashed { at, node });
             }
             EventKind::Partition { a, b } => {
                 self.count(|p| p.partition_events += 1);
@@ -716,9 +777,7 @@ impl<M: Payload> Simulation<M> {
                         *self.blocked.entry((y, x)).or_insert(0) += 1;
                     }
                 }
-                if self.tracer.is_some() {
-                    self.trace(TraceEvent::Partitioned { at, a, b });
-                }
+                self.trace(|| TraceEvent::Partitioned { at, a, b });
             }
             EventKind::Heal { a, b } => {
                 self.count(|p| p.heal_events += 1);
@@ -734,20 +793,16 @@ impl<M: Payload> Simulation<M> {
                         }
                     }
                 }
-                if self.tracer.is_some() {
-                    self.trace(TraceEvent::Healed { at, a, b });
-                }
+                self.trace(|| TraceEvent::Healed { at, a, b });
             }
             EventKind::HealAll => {
                 self.count(|p| p.heal_events += 1);
                 self.blocked.clear();
-                if self.tracer.is_some() {
-                    self.trace(TraceEvent::Healed {
-                        at,
-                        a: Vec::new(),
-                        b: Vec::new(),
-                    });
-                }
+                self.trace(|| TraceEvent::Healed {
+                    at,
+                    a: Vec::new(),
+                    b: Vec::new(),
+                });
             }
             EventKind::SetDefaultProfile { profile } => {
                 self.count(|p| p.profile_change_events += 1);
@@ -769,10 +824,8 @@ impl<M: Payload> Simulation<M> {
                         }
                     }
                 }
-                if self.tracer.is_some() {
-                    let degraded = profile.is_some();
-                    self.trace(TraceEvent::LinkOverride { at, a, b, degraded });
-                }
+                let degraded = profile.is_some();
+                self.trace(|| TraceEvent::LinkOverride { at, a, b, degraded });
             }
         }
     }
@@ -782,10 +835,7 @@ impl<M: Payload> Simulation<M> {
         node: NodeId,
         f: impl FnOnce(&mut dyn AnyProcess<M>, &mut Context<'_, M>),
     ) {
-        let Some(slot) = self.nodes.get_mut(&node) else {
-            return;
-        };
-        let Some(mut process) = slot.process.take() else {
+        let Some(mut process) = self.slot_mut(node).and_then(|slot| slot.process.take()) else {
             return;
         };
         let mut effects = std::mem::take(&mut self.effects);
@@ -800,11 +850,11 @@ impl<M: Payload> Simulation<M> {
             f(process.as_mut(), &mut ctx);
         }
         let exited = effects.iter().any(|e| matches!(e, Effect::Exit));
-        if let Some(slot) = self.nodes.get_mut(&node) {
-            slot.process = Some(process);
-            if exited {
-                slot.alive = false;
-            }
+        // The row exists: the process was just taken out of it.
+        let slot = &mut self.nodes[node.0 as usize];
+        slot.process = Some(process);
+        if exited {
+            slot.alive = false;
         }
         for effect in effects.drain(..) {
             self.apply_effect(node, effect);
@@ -837,16 +887,17 @@ impl<M: Payload> Simulation<M> {
             counters.sent_bytes += size as u64;
         }
         let at = self.now;
-        self.trace(TraceEvent::Sent {
+        self.trace(|| TraceEvent::Sent {
             at,
             from,
             to,
             class,
             bytes: size,
         });
-        if self.blocked.contains_key(&(from.node, to.node)) {
+        let link = (from.node, to.node);
+        if !self.blocked.is_empty() && self.blocked.contains_key(&link) {
             self.stats.class_mut(class).dropped_partition += 1;
-            self.trace(TraceEvent::Dropped {
+            self.trace(|| TraceEvent::Dropped {
                 at,
                 from,
                 to,
@@ -855,12 +906,18 @@ impl<M: Payload> Simulation<M> {
             });
             return;
         }
-        let profile = match self.overrides.get(&(from.node, to.node)) {
-            Some(p) => p.clone(),
-            None => match &self.topology {
-                Some(topo) => topo.profile_for(from.node, to.node).clone(),
-                None => self.default_profile.clone(),
-            },
+        // The profile stays borrowed up to the last delay draw, so nothing
+        // below may go through a `&mut self` method until then: the
+        // delivery times are drawn first and scheduled afterwards.
+        let overridden = if self.overrides.is_empty() {
+            None
+        } else {
+            self.overrides.get(&link)
+        };
+        let profile = match (overridden, &self.topology) {
+            (Some(profile), _) => profile,
+            (None, Some(topo)) => topo.profile_for(from.node, to.node),
+            (None, None) => &self.default_profile,
         };
         // Loss: plain i.i.d. by default; with `burst` set, a Gilbert–Elliott
         // two-state chain advanced once per datagram (one transition draw,
@@ -869,7 +926,7 @@ impl<M: Payload> Simulation<M> {
         let loss_now = match profile.burst {
             None => profile.loss,
             Some(burst) => {
-                let bad = self.burst_bad.entry((from.node, to.node)).or_insert(false);
+                let bad = self.burst_bad.entry(link).or_insert(false);
                 let transition = if *bad { burst.p_exit } else { burst.p_enter };
                 if self.rng.gen_f64() < transition {
                     *bad = !*bad;
@@ -883,7 +940,7 @@ impl<M: Payload> Simulation<M> {
         };
         if loss_now > 0.0 && self.rng.gen_f64() < loss_now {
             self.stats.class_mut(class).dropped_loss += 1;
-            self.trace(TraceEvent::Dropped {
+            self.trace(|| TraceEvent::Dropped {
                 at,
                 from,
                 to,
@@ -892,53 +949,44 @@ impl<M: Payload> Simulation<M> {
             });
             return;
         }
-        let mut depart = self.now;
+        let mut depart = at;
         if let Some(bandwidth) = profile.bandwidth {
             let serialization = Duration::from_secs_f64(size as f64 / bandwidth as f64);
-            let busy = self.egress_busy.entry(from.node).or_insert(self.now);
-            let start = (*busy).max(self.now);
-            *busy = start + serialization;
+            // A datagram is only ever routed for the node whose handler
+            // just ran, so the sender has a row.
+            let busy = &mut self.nodes[from.node.0 as usize].egress_busy;
+            *busy = (*busy).max(at) + serialization;
             depart = *busy;
         }
+        // Draw order is part of the determinism contract: duplicate
+        // decision, the copy's delay, then the original's delay.
         let duplicate = profile.duplicate > 0.0 && self.rng.gen_f64() < profile.duplicate;
-        if duplicate {
+        let copy_at = duplicate.then(|| depart + draw_delay(&mut self.rng, profile));
+        let deliver_at = depart + draw_delay(&mut self.rng, profile);
+        let deliver = |msg| EventKind::Deliver {
+            from,
+            to,
+            msg,
+            class,
+            sent_at: at,
+        };
+        if let Some(copy_at) = copy_at {
             self.stats.class_mut(class).duplicated += 1;
-            let delay = self.draw_delay(&profile);
-            let copy = msg.clone();
-            self.schedule(
-                depart + delay,
-                EventKind::Deliver {
-                    from,
-                    to,
-                    msg: copy,
-                    class,
-                    sent_at: at,
-                },
-            );
+            self.schedule(copy_at, deliver(msg.clone()));
         }
-        let delay = self.draw_delay(&profile);
-        self.schedule(
-            depart + delay,
-            EventKind::Deliver {
-                from,
-                to,
-                msg,
-                class,
-                sent_at: at,
-            },
-        );
+        self.schedule(deliver_at, deliver(msg));
     }
+}
 
-    fn draw_delay(&mut self, profile: &LinkProfile) -> Duration {
-        let mut delay = profile.base_delay;
-        if !profile.jitter.is_zero() {
-            delay += profile.jitter.mul_f64(self.rng.gen_f64());
-        }
-        if profile.reorder > 0.0 && self.rng.gen_f64() < profile.reorder {
-            delay += profile.reorder_extra;
-        }
-        delay
+fn draw_delay(rng: &mut SimRng, profile: &LinkProfile) -> Duration {
+    let mut delay = profile.base_delay;
+    if !profile.jitter.is_zero() {
+        delay += profile.jitter.mul_f64(rng.gen_f64());
     }
+    if profile.reorder > 0.0 && rng.gen_f64() < profile.reorder {
+        delay += profile.reorder_extra;
+    }
+    delay
 }
 
 impl<M: Payload> std::fmt::Debug for Simulation<M> {
@@ -946,7 +994,368 @@ impl<M: Payload> std::fmt::Debug for Simulation<M> {
         f.debug_struct("Simulation")
             .field("now", &self.now)
             .field("pending_events", &self.queue.len())
-            .field("nodes", &self.nodes.len())
+            .field("nodes", &self.booted().count())
             .finish()
+    }
+}
+
+/// Differential test of the event queue's ordering contract: a seeded
+/// random script of timers, cancels, sends, crashes and restarts — full
+/// of same-instant ties — runs through [`Simulation`] and through a
+/// reference model whose queue is a `Vec` stably sorted by time, and both
+/// must dispatch the same events in the same order.
+#[cfg(test)]
+mod tests {
+    use std::cell::RefCell;
+    use std::collections::{BTreeMap, HashSet};
+    use std::rc::Rc;
+
+    use super::*;
+    use crate::net::Port;
+
+    const NODES: u32 = 5;
+    const PORT: Port = Port(1);
+    /// The one link with a delay; every other send arrives in the instant it
+    /// was sent.
+    const SLOW_LINK: (u32, u32) = (1, 2);
+    const SLOW_DELAY: Duration = Duration::from_millis(2);
+
+    #[derive(Clone, Debug)]
+    struct Note;
+
+    impl Payload for Note {
+        fn size_bytes(&self) -> usize {
+            64
+        }
+    }
+
+    /// One dispatched handler call: `(time, node, what)`.
+    type Record = (SimTime, u32, Seen);
+
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    enum Seen {
+        Start,
+        Timer { id: u64, tag: u64 },
+        Datagram { from: u32 },
+    }
+
+    /// What a scripted process may do; implemented over a [`Context`] and
+    /// over the reference model.
+    trait Host {
+        fn now(&self) -> SimTime;
+        fn send(&mut self, to: u32);
+        fn set_timer_at(&mut self, at: SimTime, tag: u64) -> u64;
+        fn cancel(&mut self, id: u64);
+    }
+
+    /// The behaviour both sides run: on every handler call, a few random
+    /// actions drawn from the process's own generator.
+    struct Script {
+        rng: SimRng,
+        /// Every timer this incarnation armed, fired or not, cancelled or
+        /// not: cancelling a random one covers cancel-after-fire and double
+        /// cancel.
+        armed: Vec<u64>,
+        reactions_left: u32,
+    }
+
+    impl Script {
+        fn new(seed: u64, node: u32, incarnation: u64) -> Self {
+            Script {
+                rng: SimRng::seed_from_u64(seed ^ (u64::from(node) << 32) ^ (incarnation << 48)),
+                armed: Vec::new(),
+                reactions_left: 40,
+            }
+        }
+
+        fn react(&mut self, host: &mut impl Host) {
+            if self.reactions_left == 0 {
+                return;
+            }
+            self.reactions_left -= 1;
+            for _ in 0..1 + self.rng.gen_u64_below(3) {
+                let tag = self.rng.gen_u64_below(1000);
+                match self.rng.gen_u64_below(4) {
+                    0 => {
+                        let after = [0, 0, 1, 5][self.rng.gen_u64_below(4) as usize];
+                        let at = host.now() + Duration::from_millis(after);
+                        self.armed.push(host.set_timer_at(at, tag));
+                    }
+                    1 => {
+                        // The next 10 ms grid line: ties across nodes.
+                        let grid = (host.now().as_micros() / 10_000 + 1) * 10_000;
+                        self.armed
+                            .push(host.set_timer_at(SimTime::from_micros(grid), tag));
+                    }
+                    2 => host.send(1 + self.rng.gen_u64_below(u64::from(NODES)) as u32),
+                    _ => {
+                        if !self.armed.is_empty() {
+                            let pick = self.rng.gen_u64_below(self.armed.len() as u64) as usize;
+                            host.cancel(self.armed[pick]);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    struct Scripted {
+        script: Script,
+        log: Rc<RefCell<Vec<Record>>>,
+    }
+
+    struct CtxHost<'a, 'b>(&'a mut Context<'b, Note>);
+
+    impl Host for CtxHost<'_, '_> {
+        fn now(&self) -> SimTime {
+            self.0.now()
+        }
+        fn send(&mut self, to: u32) {
+            self.0.send(PORT, Endpoint::new(NodeId(to), PORT), Note);
+        }
+        fn set_timer_at(&mut self, at: SimTime, tag: u64) -> u64 {
+            self.0.set_timer_at(at, tag).0
+        }
+        fn cancel(&mut self, id: u64) {
+            self.0.cancel_timer(TimerId(id));
+        }
+    }
+
+    impl Scripted {
+        fn seen(&mut self, ctx: &mut Context<'_, Note>, what: Seen) {
+            self.log.borrow_mut().push((ctx.now(), ctx.node().0, what));
+            self.script.react(&mut CtxHost(ctx));
+        }
+    }
+
+    impl Process<Note> for Scripted {
+        fn on_start(&mut self, ctx: &mut Context<'_, Note>) {
+            self.seen(ctx, Seen::Start);
+        }
+        fn on_datagram(
+            &mut self,
+            ctx: &mut Context<'_, Note>,
+            from: Endpoint,
+            _: Endpoint,
+            _: Note,
+        ) {
+            self.seen(ctx, Seen::Datagram { from: from.node.0 });
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_, Note>, timer: Timer) {
+            let (id, tag) = (timer.id.0, timer.tag);
+            self.seen(ctx, Seen::Timer { id, tag });
+        }
+    }
+
+    enum ModelEvent {
+        Start { node: u32, script: Script },
+        Crash { node: u32 },
+        Timer { node: u32, id: u64, tag: u64 },
+        Deliver { from: u32, to: u32 },
+    }
+
+    /// The reference: pending events in a `Vec` that a *stable* sort keeps
+    /// ordered by time alone, so same-instant events stay in push order.
+    #[derive(Default)]
+    struct Model {
+        now: SimTime,
+        queue: Vec<(SimTime, ModelEvent)>,
+        /// `(script, alive)` per booted node.
+        nodes: BTreeMap<u32, (Option<Script>, bool)>,
+        cancelled: HashSet<u64>,
+        next_timer: u64,
+        log: Vec<Record>,
+    }
+
+    impl Model {
+        fn push(&mut self, at: SimTime, event: ModelEvent) {
+            self.queue.push((at, event));
+            self.queue.sort_by_key(|(at, _)| *at);
+        }
+
+        fn next_at(&self) -> Option<SimTime> {
+            self.queue.first().map(|(at, _)| *at)
+        }
+
+        fn step(&mut self) -> bool {
+            if self.queue.is_empty() {
+                return false;
+            }
+            let (at, event) = self.queue.remove(0);
+            self.now = at;
+            match event {
+                ModelEvent::Start { node, script } => {
+                    self.nodes.insert(node, (Some(script), true));
+                    self.handle(node, Seen::Start);
+                }
+                ModelEvent::Crash { node } => {
+                    if let Some((_, alive)) = self.nodes.get_mut(&node) {
+                        *alive = false;
+                    }
+                }
+                ModelEvent::Timer { node, id, tag } => {
+                    if !self.cancelled.remove(&id) {
+                        self.handle(node, Seen::Timer { id, tag });
+                    }
+                }
+                ModelEvent::Deliver { from, to } => self.handle(to, Seen::Datagram { from }),
+            }
+            true
+        }
+
+        fn handle(&mut self, node: u32, what: Seen) {
+            let Some((script, true)) = self.nodes.get_mut(&node) else {
+                return;
+            };
+            let mut script = script.take().expect("no handler is running");
+            self.log.push((self.now, node, what));
+            script.react(&mut ModelHost { model: self, node });
+            self.nodes.get_mut(&node).expect("still booted").0 = Some(script);
+        }
+    }
+
+    struct ModelHost<'a> {
+        model: &'a mut Model,
+        node: u32,
+    }
+
+    impl Host for ModelHost<'_> {
+        fn now(&self) -> SimTime {
+            self.model.now
+        }
+        fn send(&mut self, to: u32) {
+            let from = self.node;
+            let slow = (from, to) == SLOW_LINK || (to, from) == SLOW_LINK;
+            let delay = if slow { SLOW_DELAY } else { Duration::ZERO };
+            self.model
+                .push(self.model.now + delay, ModelEvent::Deliver { from, to });
+        }
+        fn set_timer_at(&mut self, at: SimTime, tag: u64) -> u64 {
+            let id = self.model.next_timer;
+            self.model.next_timer += 1;
+            let node = self.node;
+            self.model
+                .push(at.max(self.model.now), ModelEvent::Timer { node, id, tag });
+            id
+        }
+        fn cancel(&mut self, id: u64) {
+            self.model.cancelled.insert(id);
+        }
+    }
+
+    /// Runs one seed through both and returns how often it met
+    /// `[squashed timers, events for dead nodes, stale cancels, ties]`.
+    fn run_script(seed: u64) -> [u64; 4] {
+        let log: Rc<RefCell<Vec<Record>>> = Rc::default();
+        let scripted = |node: u32, incarnation: u64| Scripted {
+            script: Script::new(seed, node, incarnation),
+            log: Rc::clone(&log),
+        };
+        let mut sim: Simulation<Note> = Simulation::new(seed);
+        sim.enable_profiling();
+        sim.set_link_profile_sym(
+            NodeId(SLOW_LINK.0),
+            NodeId(SLOW_LINK.1),
+            LinkProfile::ideal().with_base_delay(SLOW_DELAY),
+        );
+        let mut model = Model::default();
+
+        for node in 1..=NODES {
+            sim.add_node(NodeId(node), scripted(node, 0));
+            let script = Script::new(seed, node, 0);
+            model.push(SimTime::ZERO, ModelEvent::Start { node, script });
+        }
+        // Faults on the timers' 10 ms grid, so they tie with timers too.
+        let mut driver = SimRng::seed_from_u64(seed ^ 0xD1FF);
+        for incarnation in 1..=6 {
+            let node = 1 + driver.gen_u64_below(u64::from(NODES)) as u32;
+            let crash = SimTime::from_millis(10 * (1 + driver.gen_u64_below(8)));
+            let restart = crash + Duration::from_millis(10 * driver.gen_u64_below(3));
+            sim.crash_at(crash, NodeId(node));
+            model.push(crash, ModelEvent::Crash { node });
+            sim.restart_at(restart, NodeId(node), scripted(node, incarnation));
+            let script = Script::new(seed, node, incarnation);
+            model.push(restart, ModelEvent::Start { node, script });
+        }
+
+        let mut steps = 0;
+        loop {
+            assert_eq!(
+                sim.next_event_at(),
+                model.next_at(),
+                "seed {seed}, step {steps}"
+            );
+            let (stepped, expected) = (sim.step(), model.step());
+            assert_eq!(stepped, expected, "seed {seed}, step {steps}");
+            assert_eq!(
+                log.borrow().last(),
+                model.log.last(),
+                "seed {seed}, step {steps}"
+            );
+            if !stepped {
+                break;
+            }
+            steps += 1;
+        }
+        assert_eq!(*log.borrow(), model.log, "seed {seed}");
+        assert!(model.log.len() > 200, "seed {seed}: the script barely ran");
+
+        // Popped slots are reused: the slab never outgrows the deepest queue.
+        let profile = sim.profile().expect("profiling is on");
+        assert!(
+            sim.queue.bodies.len() as u64 <= profile.peak_queue_depth,
+            "seed {seed}"
+        );
+        assert_eq!(sim.queue.free.len(), sim.queue.bodies.len(), "seed {seed}");
+
+        let tied = model.log.windows(2).filter(|w| w[0].0 == w[1].0).count();
+        let dead = profile.timer_dead + sim.stats().class("default").dropped_dead;
+        // Ids left in the set were cancelled after firing, or twice.
+        [
+            profile.timer_squashed,
+            dead,
+            sim.cancelled.len() as u64,
+            tied as u64,
+        ]
+    }
+
+    #[test]
+    fn dispatch_order_matches_a_stably_sorted_vec() {
+        let mut covered = [0; 4];
+        for seed in 0..40 {
+            for (total, seen) in covered.iter_mut().zip(run_script(seed)) {
+                *total += seen;
+            }
+        }
+        // Not vacuous: timers were squashed, timers and datagrams reached
+        // dead nodes, cancels hit fired timers, events shared an instant.
+        assert!(covered.iter().all(|&n| n > 0), "{covered:?}");
+    }
+
+    #[test]
+    fn node_ids_and_debug_report_booted_nodes_not_table_rows() {
+        let log: Rc<RefCell<Vec<Record>>> = Rc::default();
+        let mut sim: Simulation<Note> = Simulation::new(1);
+        for node in [7, 3] {
+            let script = Script::new(1, node, 0);
+            let log = Rc::clone(&log);
+            sim.add_node(NodeId(node), Scripted { script, log });
+        }
+        sim.start_node_at(
+            SimTime::from_secs(5),
+            NodeId(9),
+            Scripted {
+                script: Script::new(1, 9, 0),
+                log,
+            },
+        );
+        sim.run_until(SimTime::from_secs(1));
+        // The table has rows 0..=7; only 3 and 7 hold a node, 9 has not booted.
+        assert_eq!(sim.node_ids(), [NodeId(3), NodeId(7)]);
+        assert!(format!("{sim:?}").contains("nodes: 2"), "{sim:?}");
+        assert!(!sim.is_alive(NodeId(5)) && !sim.is_alive(NodeId(9)));
+        sim.crash_at(SimTime::from_secs(2), NodeId(3));
+        sim.run_until(SimTime::from_secs(6));
+        assert_eq!(sim.node_ids(), [NodeId(3), NodeId(7), NodeId(9)]);
     }
 }

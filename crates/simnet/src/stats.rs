@@ -5,7 +5,6 @@
 //! this to verify the paper's claim that group-communication control traffic
 //! consumes less than one thousandth of the bandwidth used for video.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Counters for one traffic class.
@@ -28,9 +27,15 @@ pub struct ClassStats {
 }
 
 /// Per-class traffic counters for a whole simulation run.
+///
+/// A run has a handful of classes, each named by one `&'static str`
+/// literal, so the table is a small vector kept in name order and a hot
+/// lookup is a scan comparing string *addresses*; contents are compared
+/// only when no address matches (a new class, a non-`'static` query, or
+/// the same name reaching us from two literals).
 #[derive(Clone, Debug, Default)]
 pub struct NetStats {
-    classes: BTreeMap<&'static str, ClassStats>,
+    classes: Vec<(&'static str, ClassStats)>,
 }
 
 impl NetStats {
@@ -40,12 +45,27 @@ impl NetStats {
     }
 
     pub(crate) fn class_mut(&mut self, class: &'static str) -> &mut ClassStats {
-        self.classes.entry(class).or_default()
+        let same_literal = |(name, _): &(&'static str, ClassStats)| {
+            std::ptr::eq(name.as_ptr(), class.as_ptr()) && name.len() == class.len()
+        };
+        let index = match self.classes.iter().position(same_literal) {
+            Some(index) => index,
+            None => match self.classes.binary_search_by(|(name, _)| name.cmp(&class)) {
+                Ok(index) => index,
+                Err(index) => {
+                    self.classes.insert(index, (class, ClassStats::default()));
+                    index
+                }
+            },
+        };
+        &mut self.classes[index].1
     }
 
     /// Counters for `class`, or zeroed counters if the class never sent.
     pub fn class(&self, class: &str) -> ClassStats {
-        self.classes.get(class).copied().unwrap_or_default()
+        self.classes
+            .binary_search_by(|(name, _)| (*name).cmp(class))
+            .map_or_else(|_| ClassStats::default(), |index| self.classes[index].1)
     }
 
     /// Iterates over `(class, counters)` pairs in class-name order.
@@ -55,12 +75,12 @@ impl NetStats {
 
     /// Total bytes submitted across all classes.
     pub fn total_sent_bytes(&self) -> u64 {
-        self.classes.values().map(|c| c.sent_bytes).sum()
+        self.classes.iter().map(|(_, c)| c.sent_bytes).sum()
     }
 
     /// Total datagrams submitted across all classes.
     pub fn total_sent_msgs(&self) -> u64 {
-        self.classes.values().map(|c| c.sent_msgs).sum()
+        self.classes.iter().map(|(_, c)| c.sent_msgs).sum()
     }
 
     /// Renders all counters as CSV, one row per class, with the drop count
@@ -158,9 +178,35 @@ mod tests {
         let mut stats = NetStats::new();
         stats.class_mut("video").sent_msgs = 1;
         stats.class_mut("gcs").sent_msgs = 1;
+        stats.class_mut("sync").sent_msgs = 1;
         let text = stats.to_string();
-        let gcs_pos = text.find("gcs").unwrap();
-        let video_pos = text.find("video").unwrap();
-        assert!(gcs_pos < video_pos, "classes should print sorted:\n{text}");
+        let pos = |class: &str| text.find(class).unwrap();
+        assert!(
+            pos("gcs") < pos("sync") && pos("sync") < pos("video"),
+            "classes should print sorted:\n{text}"
+        );
+        let csv = stats.to_csv();
+        let names: Vec<&str> = csv
+            .lines()
+            .skip(1)
+            .map(|row| row.split(',').next().unwrap())
+            .collect();
+        assert_eq!(names, ["gcs", "sync", "video"]);
+    }
+
+    #[test]
+    fn lookups_compare_contents_when_addresses_differ() {
+        let mut stats = NetStats::new();
+        stats.class_mut("video").sent_msgs = 3;
+        // A query string built at run time shares no address with the
+        // literal the class was interned under.
+        let query = String::from("vid") + "eo";
+        assert_eq!(stats.class(&query).sent_msgs, 3);
+        // The same name from a second `'static` string lands in the same
+        // row, not a duplicate.
+        let leaked: &'static str = Box::leak(query.into_boxed_str());
+        stats.class_mut(leaked).sent_msgs += 1;
+        assert_eq!(stats.class("video").sent_msgs, 4);
+        assert_eq!(stats.iter().count(), 1);
     }
 }

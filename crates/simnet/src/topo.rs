@@ -12,9 +12,10 @@
 //! profile — so chaos faults can still brown out an individual WAN link
 //! with [`crate::Simulation::set_link_overrides_at`].
 
-use std::collections::HashMap;
-
 use crate::net::{LinkProfile, NodeId};
+
+/// Marks a row of [`SiteTopology::site_of`] that belongs to no site.
+const NO_SITE: u32 = u32::MAX;
 
 /// One named site (datacenter) of a [`SiteTopology`].
 #[derive(Clone, Debug)]
@@ -44,7 +45,10 @@ pub struct SiteTopology {
     sites: Vec<Site>,
     lan: LinkProfile,
     wan: LinkProfile,
-    site_of: HashMap<NodeId, usize>,
+    /// Site index per raw node id (`NO_SITE` for unassigned ids): consulted
+    /// twice per routed datagram, so it is a table, not a hash map. Node
+    /// ids are small and dense (see `Simulation`'s node table).
+    site_of: Vec<u32>,
 }
 
 impl SiteTopology {
@@ -55,18 +59,31 @@ impl SiteTopology {
             sites: Vec::new(),
             lan,
             wan,
-            site_of: HashMap::new(),
+            site_of: Vec::new(),
         }
+    }
+
+    fn assign(&mut self, node: NodeId, site: usize) {
+        let index = node.table_row();
+        if index >= self.site_of.len() {
+            self.site_of.resize(index + 1, NO_SITE);
+        }
+        self.site_of[index] = u32::try_from(site).expect("site count fits u32");
     }
 
     /// Adds a named site containing `members` and returns its index.
     ///
     /// A node may belong to at most one site; re-adding a node moves it
     /// to the new site.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a member id is above 2^20 (ids are expected to be small
+    /// and dense).
     pub fn add_site(&mut self, name: &str, members: &[NodeId]) -> usize {
         let index = self.sites.len();
         for &node in members {
-            self.site_of.insert(node, index);
+            self.assign(node, index);
         }
         self.sites.push(Site {
             name: name.to_string(),
@@ -80,11 +97,11 @@ impl SiteTopology {
     ///
     /// # Panics
     ///
-    /// Panics if `site` is out of range.
+    /// Panics if `site` is out of range, or a member id is above 2^20.
     pub fn home_nodes(&mut self, site: usize, members: &[NodeId]) {
         assert!(site < self.sites.len(), "no such site {site}");
         for &node in members {
-            self.site_of.insert(node, site);
+            self.assign(node, site);
             self.sites[site].members.push(node);
         }
     }
@@ -107,7 +124,10 @@ impl SiteTopology {
 
     /// The site index `node` belongs to, or `None` for unassigned nodes.
     pub fn site_of(&self, node: NodeId) -> Option<usize> {
-        self.site_of.get(&node).copied()
+        match self.site_of.get(node.0 as usize) {
+            Some(&site) if site != NO_SITE => Some(site as usize),
+            _ => None,
+        }
     }
 
     /// The intra-site profile.
@@ -124,7 +144,7 @@ impl SiteTopology {
     /// two nodes belong to different sites, LAN otherwise (including when
     /// either node is unassigned).
     pub fn profile_for(&self, from: NodeId, to: NodeId) -> &LinkProfile {
-        match (self.site_of.get(&from), self.site_of.get(&to)) {
+        match (self.site_of(from), self.site_of(to)) {
             (Some(a), Some(b)) if a != b => &self.wan,
             _ => &self.lan,
         }
