@@ -42,9 +42,7 @@ impl App {
     fn record(&mut self, events: Vec<GcsEvent<Blob>>) {
         for event in events {
             match event {
-                GcsEvent::Deliver { .. }
-                | GcsEvent::DeliverAgreed { .. }
-                | GcsEvent::DeliverCausal { .. } => self.delivered += 1,
+                GcsEvent::Deliver { .. } => self.delivered += 1,
                 GcsEvent::View { view, .. } => self.views.push(view),
             }
         }
@@ -114,25 +112,6 @@ fn bench_multicast(c: &mut Criterion) {
     });
 }
 
-fn bench_agreed_multicast(c: &mut Criterion) {
-    c.bench_function("gcs: 100 agreed (total-order) multicasts, 3 members", |b| {
-        b.iter_batched(
-            || formed(3),
-            |mut sim| {
-                for v in 0..100u64 {
-                    sim.invoke(NodeId(2), |app: &mut App, ctx| {
-                        let events = app.gcs.multicast_agreed(ctx, G, Blob(v)).expect("member");
-                        app.record(events);
-                    });
-                }
-                sim.run_for(Duration::from_millis(800));
-                sim
-            },
-            BatchSize::PerIteration,
-        );
-    });
-}
-
 fn bench_view_change(c: &mut Criterion) {
     c.bench_function("gcs: crash detection + view change (3 members)", |b| {
         b.iter_batched(
@@ -158,6 +137,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_multicast, bench_agreed_multicast, bench_view_change
+    targets = bench_multicast, bench_view_change
 }
 criterion_main!(benches);

@@ -27,21 +27,40 @@ pub const VIDEO_PORT: Port = Port(2);
 /// without knowing any server identity (paper §5.1).
 pub const SERVER_GROUP: GroupId = GroupId(1);
 
+/// First movie-group id; movie groups run up to [`SESSION_GROUP_BASE`].
+const MOVIE_GROUP_BASE: u64 = 10;
+
+/// First session-group id.
+const SESSION_GROUP_BASE: u64 = 1_000_000;
+
 /// The movie group of `movie`: all servers holding a replica.
 pub fn movie_group(movie: MovieId) -> GroupId {
-    GroupId(10 + u64::from(movie.0))
+    GroupId(MOVIE_GROUP_BASE + u64::from(movie.0))
 }
 
 /// The session group of `client`: the client plus the server currently
 /// transmitting to it.
 pub fn session_group(client: ClientId) -> GroupId {
-    GroupId(1_000_000 + u64::from(client.0))
+    GroupId(SESSION_GROUP_BASE + u64::from(client.0))
 }
 
 /// Whether `group` is a movie group (as opposed to the server group or a
 /// session group) — used when classifying view changes in trace analysis.
 pub fn is_movie_group(group: GroupId) -> bool {
-    group.0 >= 10 && group.0 < 1_000_000
+    movie_of_group(group).is_some()
+}
+
+/// Inverse of [`movie_group`]: the movie whose replicas form `group`.
+pub fn movie_of_group(group: GroupId) -> Option<MovieId> {
+    (MOVIE_GROUP_BASE..SESSION_GROUP_BASE)
+        .contains(&group.0)
+        .then(|| MovieId((group.0 - MOVIE_GROUP_BASE) as u32))
+}
+
+/// Inverse of [`session_group`]: the client whose session `group` is.
+pub fn client_of_session_group(group: GroupId) -> Option<ClientId> {
+    let client = group.0.checked_sub(SESSION_GROUP_BASE)?;
+    u32::try_from(client).ok().map(ClientId)
 }
 
 /// Identifier of a VoD client (one session each).
@@ -372,6 +391,34 @@ mod tests {
     }
 
     #[test]
+    fn group_ids_map_back_to_what_they_name() {
+        let g = session_group(ClientId(17));
+        assert_eq!(client_of_session_group(g), Some(ClientId(17)));
+        assert_eq!(client_of_session_group(movie_group(MovieId(3))), None);
+        assert_eq!(movie_of_group(movie_group(MovieId(3))), Some(MovieId(3)));
+        assert_eq!(movie_of_group(g), None);
+        for group in [SERVER_GROUP, GroupId(0), GroupId(9)] {
+            assert_eq!(movie_of_group(group), None, "{group}");
+            assert_eq!(client_of_session_group(group), None, "{group}");
+            assert!(!is_movie_group(group), "{group}");
+        }
+        // Both ends of the movie range, and the first session id after it.
+        for movie in [MovieId(0), MovieId(999_989)] {
+            assert_eq!(movie_of_group(movie_group(movie)), Some(movie));
+            assert!(is_movie_group(movie_group(movie)));
+        }
+        assert_eq!(movie_group(MovieId(0)), GroupId(10));
+        assert_eq!(movie_group(MovieId(999_989)), GroupId(999_999));
+        assert_eq!(movie_of_group(GroupId(1_000_000)), None);
+        assert_eq!(session_group(ClientId(0)), GroupId(1_000_000));
+        for client in [ClientId(0), ClientId(u32::MAX)] {
+            assert_eq!(client_of_session_group(session_group(client)), Some(client));
+        }
+        let past_the_last_client = GroupId(session_group(ClientId(u32::MAX)).0 + 1);
+        assert_eq!(client_of_session_group(past_the_last_client), None);
+    }
+
+    #[test]
     fn sync_payload_size_is_a_few_dozen_bytes_per_client() {
         let record = ClientRecord {
             client: ClientId(1),
@@ -495,10 +542,10 @@ mod tests {
             group: session_group(ClientId(1)),
             origin: NodeId(100),
             seq: 1,
-            payload: gcs::Carried::Plain(ControlPayload::Flow {
+            payload: ControlPayload::Flow {
                 client: ClientId(1),
                 req: FlowRequest::Increase,
-            }),
+            },
         }
         .into();
         assert_eq!(flow.class(), "vod-flow");

@@ -11,11 +11,13 @@
 //! a fresh, higher id in our deployments) immediately attracts load — the
 //! paper's motivation for bringing servers up on the fly.
 
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
 use simnet::NodeId;
 
-use crate::protocol::ClientId;
+use crate::config::{FailoverMode, VodConfig};
+use crate::protocol::{ClientId, ClientRecord};
 
 /// Computes the owner for every client.
 ///
@@ -33,30 +35,12 @@ pub fn assign_clients_with_capacity(
     servers: &[NodeId],
     capacity: Option<usize>,
 ) -> (BTreeMap<ClientId, NodeId>, Vec<ClientId>) {
-    let mut assignment = BTreeMap::new();
-    let mut unassigned = Vec::new();
-    let mut sorted: Vec<ClientId> = clients.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    if servers.is_empty() {
-        return (assignment, sorted);
-    }
-    let mut load: BTreeMap<NodeId, usize> = servers.iter().map(|&s| (s, 0)).collect();
-    for client in sorted {
-        let winner = load
-            .iter()
-            .filter(|&(_, &count)| capacity.is_none_or(|cap| count < cap))
-            .min_by_key(|&(&server, &count)| (count, std::cmp::Reverse(server)))
-            .map(|(&server, _)| server);
-        match winner {
-            Some(winner) => {
-                *load.get_mut(&winner).expect("winner exists") += 1;
-                assignment.insert(client, winner);
-            }
-            None => unassigned.push(client),
-        }
-    }
-    (assignment, unassigned)
+    place(
+        servers.iter().map(|&s| (s, Seat::default())).collect(),
+        clients.iter().map(|&c| (c, None)).collect(),
+        capacity,
+        None,
+    )
 }
 
 /// Geo-affine, capacity-aware assignment for multi-datacenter
@@ -85,49 +69,143 @@ pub fn assign_clients_geo(
     allow_remote: bool,
     rescue_extra: usize,
 ) -> (BTreeMap<ClientId, NodeId>, Vec<ClientId>) {
-    let mut assignment = BTreeMap::new();
-    let mut unassigned = Vec::new();
-    let mut sorted: Vec<(ClientId, Option<usize>)> = clients.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup_by_key(|(c, _)| *c);
-    if servers.is_empty() {
-        return (assignment, sorted.into_iter().map(|(c, _)| c).collect());
-    }
-    let site_of: BTreeMap<NodeId, Option<usize>> = servers.iter().copied().collect();
-    let mut load: BTreeMap<NodeId, usize> = servers.iter().map(|&(s, _)| (s, 0)).collect();
-    let pick =
-        |load: &BTreeMap<NodeId, usize>, cap: Option<usize>, eligible: &dyn Fn(NodeId) -> bool| {
-            load.iter()
-                .filter(|&(&server, &count)| eligible(server) && cap.is_none_or(|cap| count < cap))
-                .min_by_key(|&(&server, &count)| (count, std::cmp::Reverse(server)))
-                .map(|(&server, _)| server)
-        };
-    let mut rescue: Vec<ClientId> = Vec::new();
-    for &(client, home) in &sorted {
-        let is_home = |server: NodeId| match home {
-            Some(home) => site_of.get(&server).copied().flatten() == Some(home),
-            None => true,
-        };
-        match pick(&load, capacity, &is_home) {
-            Some(winner) => {
-                *load.get_mut(&winner).expect("winner exists") += 1;
-                assignment.insert(client, winner);
-            }
-            None => rescue.push(client),
+    let seat = |&(s, site)| (s, Seat { site, sessions: 0 });
+    place(
+        servers.iter().map(seat).collect(),
+        clients.to_vec(),
+        capacity,
+        allow_remote.then_some(rescue_extra),
+    )
+}
+
+/// Redistribution after a movie-group membership change: every client
+/// with a record is placed afresh on the `members` of the new view. In a
+/// multi-datacenter deployment that returns clients to their home site
+/// the moment its servers are back in the view, and fails them over
+/// across the WAN (with shedding, if so configured) while they are not.
+pub fn redistribute_clients(
+    cfg: &VodConfig,
+    members: &[NodeId],
+    records: &BTreeMap<ClientId, ClientRecord>,
+) -> (BTreeMap<ClientId, NodeId>, Vec<ClientId>) {
+    let clients = records.values().map(|r| (r.client, r.client_node));
+    place_in_view(cfg, members, std::iter::empty(), clients)
+}
+
+/// Admission of one client (connection establishment, or the retry of a
+/// parked one): the same rule as [`redistribute_clients`], on top of the
+/// load the movie's `records` already put on the view. The client's own
+/// record — it has one while parked unserved — does not count as load.
+/// Returns `None` when no member may take the client.
+pub fn admit_client(
+    cfg: &VodConfig,
+    members: &[NodeId],
+    records: &BTreeMap<ClientId, ClientRecord>,
+    client: ClientId,
+    client_node: NodeId,
+) -> Option<NodeId> {
+    let busy = records
+        .values()
+        .filter(|r| r.client != client)
+        .map(|r| r.owner);
+    let clients = std::iter::once((client, client_node));
+    let (mut assignment, _) = place_in_view(cfg, members, busy, clients);
+    assignment.remove(&client)
+}
+
+/// The rule as `cfg` deploys it on one movie group: `members` of the view
+/// start with one session of load per entry of `busy` (owners outside the
+/// view count for nothing) and take the `(client, client node)` pairs of
+/// `clients`. Without [`VodConfig::multidc`] nobody has a home and no
+/// server a site, which is the single-datacenter rule; with it, homes and
+/// sites come from its map and the rescue pass from its
+/// [`FailoverMode`].
+fn place_in_view(
+    cfg: &VodConfig,
+    members: &[NodeId],
+    busy: impl Iterator<Item = NodeId>,
+    clients: impl Iterator<Item = (ClientId, NodeId)>,
+) -> (BTreeMap<ClientId, NodeId>, Vec<ClientId>) {
+    let mdc = cfg.multidc.as_ref();
+    let seat = |&m| {
+        let site = mdc.and_then(|mdc| mdc.map.site_of_server(m));
+        (m, Seat { site, sessions: 0 })
+    };
+    let mut seats: BTreeMap<NodeId, Seat> = members.iter().map(seat).collect();
+    for owner in busy {
+        if let Some(seat) = seats.get_mut(&owner) {
+            seat.sessions += 1;
         }
     }
-    let rescue_cap = capacity.map(|cap| cap + rescue_extra);
-    for client in rescue {
-        let winner = allow_remote
-            .then(|| pick(&load, rescue_cap, &|_| true))
-            .flatten();
-        match winner {
+    let rescue_extra = mdc.and_then(|mdc| match mdc.mode {
+        FailoverMode::HomeOnly => None,
+        FailoverMode::Remote => Some(0),
+        FailoverMode::RemoteDegraded => Some(mdc.shed_headroom as usize),
+    });
+    place(
+        seats,
+        clients
+            .map(|(c, node)| (c, mdc.and_then(|mdc| mdc.map.home_site_of_client(node))))
+            .collect(),
+        cfg.max_sessions_per_server.map(|cap| cap as usize),
+        rescue_extra,
+    )
+}
+
+/// A server as the placement rule sees it.
+#[derive(Default)]
+struct Seat {
+    /// Site index (`None` = siteless).
+    site: Option<usize>,
+    /// Sessions it already carries.
+    sessions: usize,
+}
+
+/// The one placement rule. Clients in id order (repeats dropped) each go
+/// to the least-loaded server of their home site with room under
+/// `capacity`, ties to the highest node id; a client without a home may
+/// use any server. With `rescue_extra`, those the home pass left over
+/// then go to the least-loaded server of any site with room under
+/// `capacity + rescue_extra`. `seats` names the servers; every placement
+/// adds a session to the winner's. Returns the owners and, in id order,
+/// the clients that fit nowhere.
+fn place(
+    mut seats: BTreeMap<NodeId, Seat>,
+    mut clients: Vec<(ClientId, Option<usize>)>,
+    capacity: Option<usize>,
+    rescue_extra: Option<usize>,
+) -> (BTreeMap<ClientId, NodeId>, Vec<ClientId>) {
+    clients.sort_unstable();
+    clients.dedup_by_key(|(c, _)| *c);
+    let mut elect = |cap: Option<usize>, home: Option<usize>| {
+        let (&winner, seat) = seats
+            .iter_mut()
+            .filter(|(_, seat)| {
+                (home.is_none() || seat.site == home) && cap.is_none_or(|cap| seat.sessions < cap)
+            })
+            .min_by_key(|(&server, seat)| (seat.sessions, Reverse(server)))?;
+        seat.sessions += 1;
+        Some(winner)
+    };
+    let mut assignment = BTreeMap::new();
+    let mut unassigned = Vec::new();
+    for (client, home) in clients {
+        match elect(capacity, home) {
             Some(winner) => {
-                *load.get_mut(&winner).expect("winner exists") += 1;
                 assignment.insert(client, winner);
             }
             None => unassigned.push(client),
         }
+    }
+    if let Some(extra) = rescue_extra {
+        let rescue_cap = capacity.map(|cap| cap + extra);
+        unassigned.retain(|&client| match elect(rescue_cap, None) {
+            Some(winner) => {
+                assignment.insert(client, winner);
+                false
+            }
+            None => true,
+        });
     }
     (assignment, unassigned)
 }

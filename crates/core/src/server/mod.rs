@@ -13,7 +13,10 @@
 mod assign;
 mod emergency;
 
-pub use assign::{assign_clients, assign_clients_geo, assign_clients_with_capacity};
+pub use assign::{
+    admit_client, assign_clients, assign_clients_geo, assign_clients_with_capacity,
+    redistribute_clients,
+};
 pub use emergency::Emergency;
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -24,7 +27,7 @@ use gcs::{GcsEvent, GcsNode, GroupId, View};
 use media::{FrameNo, Movie, MovieId, QualityFilter};
 use simnet::{Context, Endpoint, NodeId, Process, SimTime, Timer, TimerId};
 
-use crate::config::{FailoverMode, MultiDcConfig, ResumePolicy, TakeoverPolicy, VodConfig};
+use crate::config::{FailoverMode, ResumePolicy, TakeoverPolicy, VodConfig};
 use crate::forecast::{
     BringUpTrigger, ForecastBank, MovieObservation, PlacementAction, PlacementPolicy, PopState,
     FORECAST_STREAM,
@@ -32,8 +35,9 @@ use crate::forecast::{
 use crate::metrics::{Cumulative, TimeSeries};
 use crate::profile::{ProfileHandle, Subsystem};
 use crate::protocol::{
-    movie_group, ClientId, ClientRecord, ControlPayload, DemandEntry, FlowRequest, OpenRequest,
-    VcrCmd, VideoPacket, VodWire, GCS_PORT, SERVER_GROUP, VIDEO_PORT,
+    client_of_session_group, movie_group, movie_of_group, ClientId, ClientRecord, ControlPayload,
+    DemandEntry, FlowRequest, OpenRequest, VcrCmd, VideoPacket, VodWire, GCS_PORT, SERVER_GROUP,
+    VIDEO_PORT,
 };
 use crate::trace::{TraceHandle, VodEvent};
 
@@ -417,15 +421,7 @@ impl VodServer {
         for event in events {
             match event {
                 GcsEvent::View { group, view } => self.on_view(ctx, group, view),
-                // The VoD control plane only needs FIFO + view synchrony;
-                // agreed messages (unused here) are handled identically.
                 GcsEvent::Deliver {
-                    sender, payload, ..
-                }
-                | GcsEvent::DeliverAgreed {
-                    sender, payload, ..
-                }
-                | GcsEvent::DeliverCausal {
                     sender, payload, ..
                 } => self.on_control(ctx, sender, payload),
             }
@@ -610,11 +606,13 @@ impl VodServer {
             }
             // A waiting client retried: try to admit it now.
         }
-        let capacity = self.cfg.max_sessions_per_server.map(|c| c as usize);
-        let owner = match &self.cfg.multidc {
-            Some(mdc) => elect_owner_geo(state, open.client, capacity, mdc, open.client_node),
-            None => elect_owner(state, open.client, capacity),
-        }
+        let owner = admit_client(
+            &self.cfg,
+            &state.view.members,
+            &state.records,
+            open.client,
+            open.client_node,
+        )
         .unwrap_or(UNSERVED);
         if owner == UNSERVED {
             if waiting {
@@ -709,40 +707,8 @@ impl VodServer {
                 return;
             }
         }
-        let capacity = self.cfg.max_sessions_per_server.map(|c| c as usize);
-        let (assignment, unassigned) = match &self.cfg.multidc {
-            Some(mdc) => {
-                // Geo-affine redistribution: clients return to their home
-                // site the moment its servers are back in the view, and
-                // fail over across the WAN (with shedding) while not.
-                let clients: Vec<(ClientId, Option<usize>)> = state
-                    .records
-                    .values()
-                    .map(|r| (r.client, mdc.map.home_site_of_client(r.client_node)))
-                    .collect();
-                let servers: Vec<(NodeId, Option<usize>)> = state
-                    .view
-                    .members
-                    .iter()
-                    .map(|&n| (n, mdc.map.site_of_server(n)))
-                    .collect();
-                let rescue_extra = match mdc.mode {
-                    FailoverMode::RemoteDegraded => mdc.shed_headroom as usize,
-                    FailoverMode::HomeOnly | FailoverMode::Remote => 0,
-                };
-                assign_clients_geo(
-                    &clients,
-                    &servers,
-                    capacity,
-                    !matches!(mdc.mode, FailoverMode::HomeOnly),
-                    rescue_extra,
-                )
-            }
-            None => {
-                let clients: Vec<ClientId> = state.records.keys().copied().collect();
-                assign_clients_with_capacity(&clients, &state.view.members, capacity)
-            }
-        };
+        let (assignment, unassigned) =
+            redistribute_clients(&self.cfg, &state.view.members, &state.records);
         let epoch = state.view.id.epoch;
         for (client, owner) in &assignment {
             if let Some(record) = state.records.get_mut(client) {
@@ -1713,13 +1679,15 @@ impl VodServer {
         client: ClientId,
     ) -> Option<NodeId> {
         let node = self.node;
-        let capacity = self.cfg.max_sessions_per_server.map(|c| c as usize);
         let state = self.movies.get_mut(&movie)?;
         let client_node = state.records.get(&client)?.client_node;
-        let owner = match &self.cfg.multidc {
-            Some(mdc) => elect_owner_geo(state, client, capacity, mdc, client_node),
-            None => elect_owner(state, client, capacity),
-        }?;
+        let owner = admit_client(
+            &self.cfg,
+            &state.view.members,
+            &state.records,
+            client,
+            client_node,
+        )?;
         let epoch = state.view.id.epoch;
         let record = state.records.get_mut(&client)?;
         record.owner = owner;
@@ -1902,79 +1870,8 @@ impl VodServer {
     }
 
     fn movie_of_group(&self, group: GroupId) -> Option<MovieId> {
-        self.movies
-            .keys()
-            .copied()
-            .find(|&m| movie_group(m) == group)
+        movie_of_group(group).filter(|m| self.movies.contains_key(m))
     }
-}
-
-/// The admission election of [`VodServer::on_open`]: the least-loaded
-/// member of the movie view with room under the capacity cap, ties
-/// broken by highest node id (matching redistribution). `except` is the
-/// client being (re)admitted — its own parked record must not count as
-/// load. Returns `None` when no replica has room.
-fn elect_owner(state: &MovieState, except: ClientId, capacity: Option<usize>) -> Option<NodeId> {
-    let mut load: BTreeMap<NodeId, usize> = state.view.members.iter().map(|&m| (m, 0)).collect();
-    for record in state.records.values() {
-        if record.client == except {
-            continue;
-        }
-        if let Some(count) = load.get_mut(&record.owner) {
-            *count += 1;
-        }
-    }
-    load.iter()
-        .filter(|&(_, &count)| capacity.is_none_or(|cap| count < cap))
-        .min_by_key(|&(&server, &count)| (count, std::cmp::Reverse(server)))
-        .map(|(&server, _)| server)
-}
-
-/// Geo-affine admission election (multi-datacenter deployments): first
-/// the least-loaded member of the client's *home site* at full capacity;
-/// if no home-site member is in the view (site fault) or none has room,
-/// the least-loaded member of any site — within the normal cap under
-/// [`FailoverMode::Remote`], up to `capacity + shed_headroom` shed slots
-/// under [`FailoverMode::RemoteDegraded`], and not at all under
-/// [`FailoverMode::HomeOnly`]. Load counting and tie-breaks match
-/// [`elect_owner`].
-fn elect_owner_geo(
-    state: &MovieState,
-    except: ClientId,
-    capacity: Option<usize>,
-    mdc: &MultiDcConfig,
-    client_node: NodeId,
-) -> Option<NodeId> {
-    let mut load: BTreeMap<NodeId, usize> = state.view.members.iter().map(|&m| (m, 0)).collect();
-    for record in state.records.values() {
-        if record.client == except {
-            continue;
-        }
-        if let Some(count) = load.get_mut(&record.owner) {
-            *count += 1;
-        }
-    }
-    let home = mdc.map.home_site_of_client(client_node);
-    let pick = |cap: Option<usize>, eligible: &dyn Fn(NodeId) -> bool| {
-        load.iter()
-            .filter(|&(&server, &count)| eligible(server) && cap.is_none_or(|cap| count < cap))
-            .min_by_key(|&(&server, &count)| (count, std::cmp::Reverse(server)))
-            .map(|(&server, _)| server)
-    };
-    let is_home = |server: NodeId| match home {
-        Some(home) => mdc.map.site_of_server(server) == Some(home),
-        None => true,
-    };
-    if let Some(winner) = pick(capacity, &is_home) {
-        return Some(winner);
-    }
-    let extra = match mdc.mode {
-        FailoverMode::HomeOnly => return None,
-        FailoverMode::Remote => 0,
-        FailoverMode::RemoteDegraded => mdc.shed_headroom as usize,
-    };
-    let rescue_cap = capacity.map(|cap| cap + extra);
-    pick(rescue_cap, &|_| true)
 }
 
 /// Total order on records used to merge concurrent sync reports
@@ -1983,10 +1880,6 @@ fn elect_owner_geo(
 /// order.
 fn record_key(r: &ClientRecord) -> (u64, simnet::SimTime, u32, u64) {
     (r.assigned_epoch, r.updated_at, r.owner.0, r.next_frame.0)
-}
-
-fn client_of_session_group(group: GroupId) -> Option<ClientId> {
-    (group.0 >= 1_000_000).then(|| ClientId((group.0 - 1_000_000) as u32))
 }
 
 impl Process<VodWire> for VodServer {
@@ -2107,16 +2000,5 @@ mod tests {
         assert!(record_key(&newer) > record_key(&older));
         // Full ties resolve identically everywhere (deterministic merge).
         assert_eq!(record_key(&older), record_key(&record(5, 1_000, 3, 100)));
-    }
-
-    #[test]
-    fn session_group_ids_map_back_to_clients() {
-        let g = crate::protocol::session_group(ClientId(17));
-        assert_eq!(client_of_session_group(g), Some(ClientId(17)));
-        assert_eq!(client_of_session_group(crate::protocol::SERVER_GROUP), None);
-        assert_eq!(
-            client_of_session_group(crate::protocol::movie_group(MovieId(3))),
-            None
-        );
     }
 }

@@ -227,17 +227,6 @@ pub enum VodEvent {
         /// The group.
         group: GroupId,
     },
-    /// Agreed-delivery requests stalled waiting on the sequencer.
-    AgreedStalled {
-        /// When the stall was observed.
-        at: SimTime,
-        /// The observing node.
-        node: NodeId,
-        /// The group.
-        group: GroupId,
-        /// Requests still waiting for a sequence number.
-        pending: usize,
-    },
     // ---------------- server ----------------
     /// A server began (or resumed) transmitting to a client: fresh
     /// adoption, crash takeover or load-balance migration.
@@ -578,7 +567,6 @@ impl VodEvent {
             | VodEvent::ViewInstalled { at, .. }
             | VodEvent::JoinRequested { at, .. }
             | VodEvent::LeaveRequested { at, .. }
-            | VodEvent::AgreedStalled { at, .. }
             | VodEvent::SessionStarted { at, .. }
             | VodEvent::SessionStopped { at, .. }
             | VodEvent::SessionEnded { at, .. }
@@ -713,12 +701,6 @@ impl VodEvent {
                 node,
                 group: *group,
             },
-            GcsTrace::AgreedStalled { at, group, pending } => VodEvent::AgreedStalled {
-                at: *at,
-                node,
-                group: *group,
-                pending: *pending,
-            },
         }
     }
 
@@ -848,18 +830,6 @@ impl VodEvent {
                 let _ = write!(
                     out,
                     ",\"ev\":\"leave_requested\",\"node\":{},\"group\":{}",
-                    node.0, group.0
-                );
-            }
-            VodEvent::AgreedStalled {
-                node,
-                group,
-                pending,
-                ..
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"ev\":\"agreed_stalled\",\"node\":{},\"group\":{},\"pending\":{pending}",
                     node.0, group.0
                 );
             }

@@ -13,14 +13,6 @@
 //! * **reliable multicast** — FIFO-per-sender, gap-recovered multicast
 //!   within a view, with *view synchrony*: members that install two
 //!   consecutive views deliver the same messages in between;
-//! * **causal multicast** — happened-before-preserving delivery
-//!   ([`GcsNode::multicast_causal`]): a reply can never arrive before the
-//!   message it answers, via per-message dependency vectors;
-//! * **agreed multicast** — totally ordered delivery
-//!   ([`GcsNode::multicast_agreed`]): the view coordinator sequences
-//!   messages onto its own FIFO stream, so every member (sender included)
-//!   delivers all agreed messages in one global order, surviving
-//!   sequencer crashes exactly-once;
 //! * **failure detection** — heartbeat-based, with a configurable
 //!   suspicion timeout ([`GcsConfig::suspect_timeout`]) that dominates the
 //!   paper's ~0.5 s takeover time.
@@ -117,6 +109,6 @@ pub mod proto;
 mod types;
 
 pub use node::{GcsNode, GcsTrace, NotMemberError};
-pub use packet::{Carried, GcsPacket, HEADER_BYTES};
+pub use packet::{GcsPacket, HEADER_BYTES};
 pub use proto::GroupStatus;
 pub use types::{GcsConfig, GcsEvent, GroupId, View, ViewId};

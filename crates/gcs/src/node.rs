@@ -41,7 +41,7 @@ use std::ops::Bound;
 
 use simnet::{Context, Endpoint, NodeId, Payload, Port, SimTime, Timer};
 
-use crate::packet::{Carried, GcsPacket};
+use crate::packet::GcsPacket;
 use crate::proto::{
     AnnounceOutcome, FlushProgress, GroupStatus, InstallDecision, LeaveStart, Membership,
     ProtoConfig, ProtoEvent, ProtoMsg,
@@ -103,17 +103,6 @@ pub enum GcsTrace {
         /// The group being left.
         group: GroupId,
     },
-    /// Agreed-delivery (total-order) requests stalled waiting on the
-    /// sequencer and were re-sent — a persistent stream of these indicates
-    /// a wedged or partitioned sequencer.
-    AgreedStalled {
-        /// Simulated time of the re-send sweep.
-        at: SimTime,
-        /// The group whose total-order requests are stalled.
-        group: GroupId,
-        /// How many requests are still waiting for sequencing.
-        pending: usize,
-    },
 }
 
 type GcsTracer = Box<dyn FnMut(&GcsTrace)>;
@@ -129,7 +118,7 @@ struct RecvState<P> {
     /// Next sequence number to deliver from this sender.
     next: u64,
     /// Out-of-order buffer.
-    buf: BTreeMap<u64, Carried<P>>,
+    buf: BTreeMap<u64, P>,
 }
 
 impl<P> RecvState<P> {
@@ -147,8 +136,7 @@ impl<P> RecvState<P> {
 /// together.
 struct VcData<P> {
     delivered_max: BTreeMap<NodeId, u64>,
-    causal_max: BTreeMap<NodeId, u64>,
-    pool: BTreeMap<(NodeId, u64), Carried<P>>,
+    pool: BTreeMap<(NodeId, u64), P>,
     start_tick: u64,
     /// Tick of the most recent `Prepare` (re)transmission; lost prepares
     /// and flush-acks are re-solicited every couple of ticks.
@@ -159,7 +147,6 @@ impl<P> VcData<P> {
     fn new(ticks: u64) -> Self {
         VcData {
             delivered_max: BTreeMap::new(),
-            causal_max: BTreeMap::new(),
             pool: BTreeMap::new(),
             start_tick: ticks,
             last_prepare_tick: ticks,
@@ -167,12 +154,7 @@ impl<P> VcData<P> {
     }
 
     /// Folds one flush report (our own or a candidate's) into the round.
-    fn absorb(
-        &mut self,
-        delivered: Vec<(NodeId, u64)>,
-        held: Vec<(NodeId, u64, Carried<P>)>,
-        causal: Vec<(NodeId, u64)>,
-    ) {
+    fn absorb(&mut self, delivered: Vec<(NodeId, u64)>, held: Vec<(NodeId, u64, P)>) {
         for (sender, floor) in delivered {
             let entry = self.delivered_max.entry(sender).or_insert(0);
             *entry = (*entry).max(floor);
@@ -180,16 +162,8 @@ impl<P> VcData<P> {
         for (sender, seq, payload) in held {
             self.pool.insert((sender, seq), payload);
         }
-        for (sender, count) in causal {
-            let entry = self.causal_max.entry(sender).or_insert(0);
-            *entry = (*entry).max(count);
-        }
     }
 }
-
-/// A causal arrival waiting for its dependencies:
-/// `(sender, dependency vector, payload)`.
-type CausalPending<P> = (NodeId, Vec<(NodeId, u64)>, P);
 
 struct GroupState<P> {
     /// The membership plane: every who-is-in-the-view decision is
@@ -202,23 +176,11 @@ struct GroupState<P> {
     join_start_tick: u64,
     last_join_send_tick: u64,
     next_seq: u64,
-    send_buf: BTreeMap<u64, Carried<P>>,
+    send_buf: BTreeMap<u64, P>,
     recv: BTreeMap<NodeId, RecvState<P>>,
-    retained: BTreeMap<(NodeId, u64), Carried<P>>,
+    retained: BTreeMap<(NodeId, u64), P>,
     ack_floors: BTreeMap<NodeId, BTreeMap<NodeId, u64>>,
-    pending_sends: VecDeque<Carried<P>>,
-    /// Agreed-multicast origin state: my next origin_seq, unsequenced
-    /// payloads awaiting the sequencer, and the per-origin delivery floor
-    /// (sequencer dedupe across coordinator changes).
-    next_order_seq: u64,
-    pending_order: BTreeMap<u64, P>,
-    order_floor: BTreeMap<NodeId, u64>,
-    /// Sequencer-side inbox of order requests not yet contiguous.
-    order_inbox: BTreeMap<NodeId, BTreeMap<u64, P>>,
-    /// Causal multicast: messages delivered per sender, and arrivals whose
-    /// dependencies are not yet satisfied.
-    causal_delivered: BTreeMap<NodeId, u64>,
-    causal_waiting: Vec<CausalPending<P>>,
+    pending_sends: VecDeque<P>,
     /// Message-plane half of an in-progress view change; `Some` exactly
     /// when [`Membership::flush`] is.
     vc: Option<VcData<P>>,
@@ -235,8 +197,7 @@ struct GroupState<P> {
 struct InstallResend<P> {
     view: View,
     cut: Vec<(NodeId, u64)>,
-    fill: Vec<(NodeId, u64, Carried<P>)>,
-    causal: Vec<(NodeId, u64)>,
+    fill: Vec<(NodeId, u64, P)>,
     remaining: u8,
 }
 
@@ -265,25 +226,11 @@ impl<P> GroupState<P> {
             retained: BTreeMap::new(),
             ack_floors: BTreeMap::new(),
             pending_sends: VecDeque::new(),
-            next_order_seq: 1,
-            pending_order: BTreeMap::new(),
-            order_floor: BTreeMap::new(),
-            order_inbox: BTreeMap::new(),
-            causal_delivered: BTreeMap::new(),
-            causal_waiting: Vec::new(),
             vc: None,
             foreign_seen: BTreeMap::new(),
             last_nak_tick: BTreeMap::new(),
             install_resend: None,
         }
-    }
-
-    /// Snapshot of the causal delivery counts.
-    fn causal_snapshot(&self) -> Vec<(NodeId, u64)> {
-        self.causal_delivered
-            .iter()
-            .map(|(&n, &c)| (n, c))
-            .collect()
     }
 
     /// Highest contiguously delivered sequence per sender (self included).
@@ -299,11 +246,11 @@ impl<P> GroupState<P> {
 
     /// Everything this node holds that may be unstable: own sent messages
     /// plus retained (delivered) and buffered (undelivered) foreign ones.
-    fn held(&self, me: NodeId) -> Vec<(NodeId, u64, Carried<P>)>
+    fn held(&self, me: NodeId) -> Vec<(NodeId, u64, P)>
     where
         P: Clone,
     {
-        let mut held: Vec<(NodeId, u64, Carried<P>)> = self
+        let mut held: Vec<(NodeId, u64, P)> = self
             .send_buf
             .iter()
             .map(|(&seq, p)| (me, seq, p.clone()))
@@ -424,7 +371,7 @@ impl<P: Payload> GcsNode<P> {
     }
 
     /// Installs a tracer receiving a [`GcsTrace`] for every suspicion, view
-    /// install, join/leave request and agreed-delivery stall. Tracing is
+    /// install and join/leave request. Tracing is
     /// passive: events are constructed only while a tracer is installed and
     /// the tracer cannot influence the protocol.
     pub fn set_tracer(&mut self, tracer: impl FnMut(&GcsTrace) + 'static) {
@@ -624,184 +571,10 @@ impl<P: Payload> GcsNode<P> {
         match self.status(group) {
             GroupStatus::Idle => Err(NotMemberError { group }),
             GroupStatus::Joining | GroupStatus::Flushing => {
-                self.group_mut(group)
-                    .pending_sends
-                    .push_back(Carried::Plain(payload));
+                self.group_mut(group).pending_sends.push_back(payload);
                 Ok(Vec::new())
             }
-            GroupStatus::Member => Ok(self.do_multicast(ctx, group, Carried::Plain(payload))),
-        }
-    }
-
-    /// Reliably multicasts `payload` with *agreed* (total-order) delivery:
-    /// every member of the view — the sender included — delivers all
-    /// agreed messages of the group in the same order.
-    ///
-    /// Implementation: the group coordinator acts as the sequencer; agreed
-    /// messages ride its FIFO stream, so view synchrony and recovery apply
-    /// unchanged. Unlike [`GcsNode::multicast`] there is no immediate
-    /// self-delivery — the sender, too, waits for the sequenced copy.
-    /// Pending requests are re-sent across coordinator changes and deduped
-    /// by `(origin, origin_seq)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NotMemberError`] if the node is neither a member of
-    /// `group` nor in the process of joining it.
-    pub fn multicast_agreed<M>(
-        &mut self,
-        ctx: &mut Context<'_, M>,
-        group: GroupId,
-        payload: P,
-    ) -> Result<Vec<GcsEvent<P>>, NotMemberError>
-    where
-        M: Payload + From<GcsPacket<P>>,
-    {
-        if self.status(group) == GroupStatus::Idle {
-            return Err(NotMemberError { group });
-        }
-        let node = self.node;
-        let (origin_seq, sequencer) = {
-            let state = self.group_mut(group);
-            let seq = state.next_order_seq;
-            state.next_order_seq += 1;
-            state.pending_order.insert(seq, payload.clone());
-            (seq, state.mem.view.coordinator_candidate())
-        };
-        match sequencer {
-            Some(seq_node) if seq_node == node => {
-                Ok(self.on_order_req(ctx, group, node, origin_seq, payload))
-            }
-            Some(seq_node) => {
-                self.emit(
-                    ctx,
-                    seq_node,
-                    GcsPacket::OrderReq {
-                        group,
-                        origin: node,
-                        origin_seq,
-                        payload,
-                    },
-                );
-                Ok(Vec::new())
-            }
-            // Still joining: the pending queue re-sends once a view forms.
-            None => Ok(Vec::new()),
-        }
-    }
-
-    /// Sequencer side: buffer the request, then stamp and multicast every
-    /// contiguous pending request per origin.
-    fn on_order_req<M>(
-        &mut self,
-        ctx: &mut Context<'_, M>,
-        group: GroupId,
-        origin: NodeId,
-        origin_seq: u64,
-        payload: P,
-    ) -> Vec<GcsEvent<P>>
-    where
-        M: Payload + From<GcsPacket<P>>,
-    {
-        if self.status(group) != GroupStatus::Member {
-            return Vec::new();
-        }
-        let node = self.node;
-        {
-            let state = self.group_mut(group);
-            if state.mem.view.coordinator_candidate() != Some(node) {
-                return Vec::new(); // not the sequencer (stale request)
-            }
-            let floor = state.order_floor.get(&origin).copied().unwrap_or(0);
-            if origin_seq <= floor {
-                return Vec::new(); // already sequenced and delivered
-            }
-            state
-                .order_inbox
-                .entry(origin)
-                .or_default()
-                .insert(origin_seq, payload);
-        }
-        self.drain_order_inbox(ctx, group)
-    }
-
-    /// Multicasts every contiguously available order request. Also invoked
-    /// after installs, when a new sequencer may have inherited an inbox.
-    fn drain_order_inbox<M>(&mut self, ctx: &mut Context<'_, M>, group: GroupId) -> Vec<GcsEvent<P>>
-    where
-        M: Payload + From<GcsPacket<P>>,
-    {
-        let node = self.node;
-        let mut events = Vec::new();
-        loop {
-            let next: Option<(NodeId, u64, P)> = {
-                let state = self.group_mut(group);
-                if state.mem.view.coordinator_candidate() != Some(node) {
-                    return events;
-                }
-                let mut found = None;
-                for (&origin, inbox) in state.order_inbox.iter() {
-                    let floor = state.order_floor.get(&origin).copied().unwrap_or(0);
-                    if let Some(payload) = inbox.get(&(floor + 1)) {
-                        found = Some((origin, floor + 1, payload.clone()));
-                        break;
-                    }
-                }
-                found
-            };
-            let Some((origin, origin_seq, payload)) = next else {
-                return events;
-            };
-            events.extend(self.do_multicast(
-                ctx,
-                group,
-                Carried::Ordered {
-                    origin,
-                    origin_seq,
-                    payload,
-                },
-            ));
-        }
-    }
-
-    /// Reliably multicasts `payload` with *causal* delivery: any message
-    /// the sender had delivered before this multicast is delivered before
-    /// it at every member. Stronger than FIFO, weaker (and cheaper: no
-    /// sequencer round-trip) than [`GcsNode::multicast_agreed`].
-    ///
-    /// The returned events include the immediate self-delivery.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NotMemberError`] if the node is neither a member of
-    /// `group` nor in the process of joining it.
-    pub fn multicast_causal<M>(
-        &mut self,
-        ctx: &mut Context<'_, M>,
-        group: GroupId,
-        payload: P,
-    ) -> Result<Vec<GcsEvent<P>>, NotMemberError>
-    where
-        M: Payload + From<GcsPacket<P>>,
-    {
-        if self.status(group) == GroupStatus::Idle {
-            return Err(NotMemberError { group });
-        }
-        let deps: Vec<(NodeId, u64)> = {
-            let state = self.group_mut(group);
-            state
-                .causal_delivered
-                .iter()
-                .map(|(&n, &c)| (n, c))
-                .collect()
-        };
-        let carried = Carried::Causal { deps, payload };
-        match self.status(group) {
-            GroupStatus::Member => Ok(self.do_multicast(ctx, group, carried)),
-            _ => {
-                self.group_mut(group).pending_sends.push_back(carried);
-                Ok(Vec::new())
-            }
+            GroupStatus::Member => Ok(self.do_multicast(ctx, group, payload)),
         }
     }
 
@@ -874,12 +647,6 @@ impl<P: Payload> GcsNode<P> {
                 seq,
                 payload,
             } => self.on_app_msg(ctx, group, origin, seq, payload),
-            GcsPacket::OrderReq {
-                group,
-                origin,
-                origin_seq,
-                payload,
-            } => self.on_order_req(ctx, group, origin, origin_seq, payload),
             GcsPacket::Nak {
                 group,
                 origin,
@@ -906,15 +673,13 @@ impl<P: Payload> GcsNode<P> {
                 vid,
                 delivered,
                 held,
-                causal,
-            } => self.on_flush_ack(ctx, group, peer, vid, delivered, held, causal),
+            } => self.on_flush_ack(ctx, group, peer, vid, delivered, held),
             GcsPacket::Install {
                 group,
                 view,
                 cut,
                 fill,
-                causal,
-            } => self.on_install(ctx, group, view, cut, fill, causal),
+            } => self.on_install(ctx, group, view, cut, fill),
             GcsPacket::Announce {
                 group,
                 vid,
@@ -964,9 +729,6 @@ impl<P: Payload> GcsNode<P> {
         }
         self.tick_naks(ctx);
         self.tick_resends(ctx);
-        if self.ticks.is_multiple_of(4) {
-            self.tick_order_resends(ctx);
-        }
         events.extend(self.tick_joins(ctx));
         // Prune before the election: `Membership::election` treats every
         // remaining foreign entry as fresh, so stale ones must be expired
@@ -989,7 +751,7 @@ impl<P: Payload> GcsNode<P> {
         &mut self,
         ctx: &mut Context<'_, M>,
         group: GroupId,
-        payload: Carried<P>,
+        payload: P,
     ) -> Vec<GcsEvent<P>>
     where
         M: Payload + From<GcsPacket<P>>,
@@ -1019,97 +781,11 @@ impl<P: Payload> GcsNode<P> {
                 },
             );
         }
-        let mut events: Vec<GcsEvent<P>> = self
-            .deliver_carried(group, node, payload)
-            .into_iter()
-            .collect();
-        events.extend(self.drain_causal_waiting(group));
-        events
-    }
-
-    /// Unwraps a delivered envelope into the application upcall, doing the
-    /// agreed-delivery bookkeeping for ordered messages.
-    fn deliver_carried(
-        &mut self,
-        group: GroupId,
-        appmsg_sender: NodeId,
-        carried: Carried<P>,
-    ) -> Option<GcsEvent<P>> {
-        match carried {
-            Carried::Plain(payload) => Some(GcsEvent::Deliver {
-                group,
-                sender: appmsg_sender,
-                payload,
-            }),
-            Carried::Ordered {
-                origin,
-                origin_seq,
-                payload,
-            } => {
-                let node = self.node;
-                let state = self.group_mut(group);
-                let floor = state.order_floor.entry(origin).or_insert(0);
-                if origin_seq <= *floor {
-                    return None; // duplicate across a sequencer change
-                }
-                *floor = origin_seq;
-                if let Some(inbox) = state.order_inbox.get_mut(&origin) {
-                    inbox.retain(|&s, _| s > origin_seq);
-                }
-                if origin == node {
-                    state.pending_order.remove(&origin_seq);
-                }
-                Some(GcsEvent::DeliverAgreed {
-                    group,
-                    sender: origin,
-                    payload,
-                })
-            }
-            Carried::Causal { deps, payload } => {
-                let state = self.group_mut(group);
-                if causally_ready(&state.causal_delivered, &deps) {
-                    *state.causal_delivered.entry(appmsg_sender).or_insert(0) += 1;
-                    Some(GcsEvent::DeliverCausal {
-                        group,
-                        sender: appmsg_sender,
-                        payload,
-                    })
-                } else {
-                    state.causal_waiting.push((appmsg_sender, deps, payload));
-                    None
-                }
-            }
-        }
-    }
-
-    /// Delivers every waiting causal message whose dependencies became
-    /// satisfied (to a fixpoint). Called after causal deliveries and at
-    /// view installs.
-    fn drain_causal_waiting(&mut self, group: GroupId) -> Vec<GcsEvent<P>> {
-        let mut events = Vec::new();
-        loop {
-            let ready_idx = {
-                let state = self.group_mut(group);
-                state
-                    .causal_waiting
-                    .iter()
-                    .position(|(_, deps, _)| causally_ready(&state.causal_delivered, deps))
-            };
-            let Some(idx) = ready_idx else {
-                return events;
-            };
-            let (sender, _, payload) = {
-                let state = self.group_mut(group);
-                state.causal_waiting.remove(idx)
-            };
-            let state = self.group_mut(group);
-            *state.causal_delivered.entry(sender).or_insert(0) += 1;
-            events.push(GcsEvent::DeliverCausal {
-                group,
-                sender,
-                payload,
-            });
-        }
+        vec![GcsEvent::Deliver {
+            group,
+            sender: node,
+            payload,
+        }]
     }
 
     fn on_app_msg<M>(
@@ -1118,7 +794,7 @@ impl<P: Payload> GcsNode<P> {
         group: GroupId,
         origin: NodeId,
         seq: u64,
-        payload: Carried<P>,
+        payload: P,
     ) -> Vec<GcsEvent<P>>
     where
         M: Payload + From<GcsPacket<P>>,
@@ -1141,27 +817,21 @@ impl<P: Payload> GcsNode<P> {
             return Vec::new(); // duplicate / already delivered
         }
         recv.buf.insert(seq, payload);
-        let mut delivered: Vec<Carried<P>> = Vec::new();
+        let mut events = Vec::new();
         if status == GroupStatus::Member {
             // Deliver contiguously; flushing/joining nodes only buffer.
             while let Some(payload) = recv.buf.remove(&recv.next) {
                 state.retained.insert((origin, recv.next), payload.clone());
                 recv.next += 1;
-                delivered.push(payload);
+                events.push(GcsEvent::Deliver {
+                    group,
+                    sender: origin,
+                    payload,
+                });
             }
         }
-        let mut events = Vec::new();
-        for carried in delivered {
-            events.extend(self.deliver_carried(group, origin, carried));
-        }
-        // A causal delivery may unblock queued arrivals.
-        events.extend(self.drain_causal_waiting(group));
-        let state = self.group_mut(group);
         // NAK any remaining gap, rate-limited.
-        let gap = state
-            .recv
-            .get(&origin)
-            .and_then(|r| r.buf.keys().next().map(|&first| (r.next, first)));
+        let gap = recv.buf.keys().next().map(|&first| (recv.next, first));
         if let Some((next, first)) = gap {
             if first > next {
                 let last_nak = state.last_nak_tick.get(&origin).copied().unwrap_or(0);
@@ -1194,13 +864,14 @@ impl<P: Payload> GcsNode<P> {
     ) where
         M: Payload + From<GcsPacket<P>>,
     {
-        if origin != self.node {
+        // An inverted range names no message (and would panic `range`).
+        if origin != self.node || from_seq > to_seq {
             return;
         }
         let Some(state) = self.groups.get(&group) else {
             return;
         };
-        let resend: Vec<(u64, Carried<P>)> = state
+        let resend: Vec<(u64, P)> = state
             .send_buf
             .range(from_seq..=to_seq)
             .map(|(&s, p)| (s, p.clone()))
@@ -1365,7 +1036,6 @@ impl<P: Payload> GcsNode<P> {
         state.promised_tick = ticks;
         let delivered = state.floors(node);
         let held = state.held(node);
-        let causal = state.causal_snapshot();
         self.emit(
             ctx,
             vid.coordinator,
@@ -1374,12 +1044,10 @@ impl<P: Payload> GcsNode<P> {
                 vid,
                 delivered,
                 held,
-                causal,
             },
         );
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn on_flush_ack<M>(
         &mut self,
         ctx: &mut Context<'_, M>,
@@ -1387,8 +1055,7 @@ impl<P: Payload> GcsNode<P> {
         from: NodeId,
         vid: ViewId,
         delivered: Vec<(NodeId, u64)>,
-        held: Vec<(NodeId, u64, Carried<P>)>,
-        causal: Vec<(NodeId, u64)>,
+        held: Vec<(NodeId, u64, P)>,
     ) -> Vec<GcsEvent<P>>
     where
         M: Payload + From<GcsPacket<P>>,
@@ -1410,7 +1077,7 @@ impl<P: Payload> GcsNode<P> {
             .vc
             .as_mut()
             .expect("flush round has message-plane data")
-            .absorb(delivered, held, causal);
+            .absorb(delivered, held);
         match state.mem.on_flush_ack(from, vid) {
             FlushProgress::Complete { vid, candidates } => {
                 self.complete_view_change(ctx, group, vid, candidates)
@@ -1449,7 +1116,7 @@ impl<P: Payload> GcsNode<P> {
                 *horizon += 1;
             }
         }
-        let fill: Vec<(NodeId, u64, Carried<P>)> = vc
+        let fill: Vec<(NodeId, u64, P)> = vc
             .pool
             .iter()
             .filter(|((sender, seq), _)| *seq <= cut.get(sender).copied().unwrap_or(0))
@@ -1457,7 +1124,6 @@ impl<P: Payload> GcsNode<P> {
             .collect();
         let view = View::new(vid, candidates);
         let cut_vec: Vec<(NodeId, u64)> = cut.into_iter().collect();
-        let causal_vec: Vec<(NodeId, u64)> = vc.causal_max.iter().map(|(&n, &c)| (n, c)).collect();
         let peers: Vec<NodeId> = view
             .members
             .iter()
@@ -1473,7 +1139,6 @@ impl<P: Payload> GcsNode<P> {
                     view: view.clone(),
                     cut: cut_vec.clone(),
                     fill: fill.clone(),
-                    causal: causal_vec.clone(),
                 },
             );
         }
@@ -1483,10 +1148,9 @@ impl<P: Payload> GcsNode<P> {
             view: view.clone(),
             cut: cut_vec.clone(),
             fill: fill.clone(),
-            causal: causal_vec.clone(),
             remaining: 3,
         });
-        self.on_install(ctx, group, view, cut_vec, fill, causal_vec)
+        self.on_install(ctx, group, view, cut_vec, fill)
     }
 
     fn on_install<M>(
@@ -1495,15 +1159,13 @@ impl<P: Payload> GcsNode<P> {
         group: GroupId,
         view: View,
         cut: Vec<(NodeId, u64)>,
-        fill: Vec<(NodeId, u64, Carried<P>)>,
-        causal: Vec<(NodeId, u64)>,
+        fill: Vec<(NodeId, u64, P)>,
     ) -> Vec<GcsEvent<P>>
     where
         M: Payload + From<GcsPacket<P>>,
     {
         let node = self.node;
         let mut events = Vec::new();
-        let mut cut_deliveries: Vec<(NodeId, Carried<P>)> = Vec::new();
         let mut forced = 0u64;
         let decision = self
             .groups
@@ -1543,11 +1205,13 @@ impl<P: Payload> GcsNode<P> {
             }
             for (&sender, &horizon) in &cut {
                 if sender == node {
-                    // All our own messages are covered by the cut (we
-                    // deliver them on send), so the send buffer is stable.
-                    debug_assert!(state.next_seq - 1 <= horizon);
-                    state.next_seq = horizon + 1;
-                    state.send_buf.clear();
+                    // Our own messages up to the cut are stable. That is all
+                    // of them when we flushed for this view (we stop sending
+                    // once we promise); an install we never flushed for may
+                    // cut below what we have sent since, and that tail stays
+                    // ours to retransmit, its numbers taken.
+                    state.next_seq = state.next_seq.max(horizon + 1);
+                    state.send_buf.retain(|&seq, _| seq > horizon);
                     continue;
                 }
                 let recv = state
@@ -1561,7 +1225,11 @@ impl<P: Payload> GcsNode<P> {
                         match recv.buf.remove(&recv.next) {
                             Some(payload) => {
                                 recv.next += 1;
-                                cut_deliveries.push((sender, payload));
+                                events.push(GcsEvent::Deliver {
+                                    group,
+                                    sender,
+                                    payload,
+                                });
                             }
                             None => {
                                 forced += horizon + 1 - recv.next;
@@ -1592,61 +1260,21 @@ impl<P: Payload> GcsNode<P> {
         }
         self.forced_gaps += forced;
         self.views_installed += 1;
-        // Unwrap the deliveries that completed the old view (bookkeeping
-        // for agreed messages included).
-        for (sender, carried) in cut_deliveries {
-            events.extend(self.deliver_carried(group, sender, carried));
-        }
-        events.extend(self.drain_causal_waiting(group));
-        // Adopt the view's causal horizon (joiners start from it; old
-        // members only move forward) and force-deliver any causal message
-        // whose dependency became unrecoverable — deterministically, since
-        // post-flush every member holds the same leftovers.
-        {
-            let state = self.group_mut(group);
-            for (sender, count) in causal {
-                let entry = state.causal_delivered.entry(sender).or_insert(0);
-                *entry = (*entry).max(count);
-            }
-        }
         let install_at = ctx.now();
         self.trace(|| GcsTrace::ViewInstalled {
             at: install_at,
             group,
             view: view.clone(),
         });
-        events.extend(self.drain_causal_waiting(group));
-        let leftovers: Vec<CausalPending<P>> = {
-            let state = self.group_mut(group);
-            let mut left = std::mem::take(&mut state.causal_waiting);
-            left.sort_by(|a, b| {
-                (a.0, a.1.iter().map(|&(_, c)| c).sum::<u64>())
-                    .cmp(&(b.0, b.1.iter().map(|&(_, c)| c).sum::<u64>()))
-            });
-            left
-        };
-        for (sender, _, payload) in leftovers {
-            self.forced_gaps += 1;
-            let state = self.group_mut(group);
-            *state.causal_delivered.entry(sender).or_insert(0) += 1;
-            events.push(GcsEvent::DeliverCausal {
-                group,
-                sender,
-                payload,
-            });
-        }
         events.push(GcsEvent::View { group, view });
         // Flush sends queued during the change.
-        let pending: Vec<Carried<P>> = {
+        let pending: Vec<P> = {
             let state = self.group_mut(group);
             state.pending_sends.drain(..).collect()
         };
         for payload in pending {
             events.extend(self.do_multicast(ctx, group, payload));
         }
-        // If we are the new sequencer, drain any inherited order requests;
-        // origins also re-send pending requests on their next tick.
-        events.extend(self.drain_order_inbox(ctx, group));
         // Refresh liveness for all members so a freshly installed view is
         // not immediately re-torn: a stale timestamp may linger from an
         // earlier non-member contact (e.g. a connection-establishment
@@ -1904,23 +1532,13 @@ impl<P: Payload> GcsNode<P> {
                 }
             }
             // Re-send recent installs.
-            type InstallParts<P> = (
-                View,
-                Vec<(NodeId, u64)>,
-                Vec<(NodeId, u64, Carried<P>)>,
-                Vec<(NodeId, u64)>,
-            );
+            type InstallParts<P> = (View, Vec<(NodeId, u64)>, Vec<(NodeId, u64, P)>);
             let install: Option<InstallParts<P>> = {
                 let state = self.group_mut(group);
                 match state.install_resend.as_mut() {
                     Some(resend) if resend.remaining > 0 => {
                         resend.remaining -= 1;
-                        Some((
-                            resend.view.clone(),
-                            resend.cut.clone(),
-                            resend.fill.clone(),
-                            resend.causal.clone(),
-                        ))
+                        Some((resend.view.clone(), resend.cut.clone(), resend.fill.clone()))
                     }
                     Some(_) => {
                         state.install_resend = None;
@@ -1929,7 +1547,7 @@ impl<P: Payload> GcsNode<P> {
                     None => None,
                 }
             };
-            if let Some((view, cut, fill, causal)) = install {
+            if let Some((view, cut, fill)) = install {
                 let peers: Vec<NodeId> = view
                     .members
                     .iter()
@@ -1945,63 +1563,10 @@ impl<P: Payload> GcsNode<P> {
                             view: view.clone(),
                             cut: cut.clone(),
                             fill: fill.clone(),
-                            causal: causal.clone(),
                         },
                     );
                 }
             }
-        }
-    }
-
-    /// Re-sends unsequenced agreed-multicast requests to the current
-    /// sequencer (the original may have been lost, or the sequencer may
-    /// have changed).
-    fn tick_order_resends<M>(&mut self, ctx: &mut Context<'_, M>)
-    where
-        M: Payload + From<GcsPacket<P>>,
-    {
-        let node = self.node;
-        let mut resend: Vec<(GroupId, NodeId, u64, P)> = Vec::new();
-        let mut local: Vec<(GroupId, u64, P)> = Vec::new();
-        let mut stalled: Vec<(GroupId, usize)> = Vec::new();
-        for (&group, state) in &self.groups {
-            if state.mem.status != GroupStatus::Member || state.pending_order.is_empty() {
-                continue;
-            }
-            stalled.push((group, state.pending_order.len()));
-            match state.mem.view.coordinator_candidate() {
-                Some(seq_node) if seq_node == node => {
-                    for (&origin_seq, payload) in &state.pending_order {
-                        local.push((group, origin_seq, payload.clone()));
-                    }
-                }
-                Some(seq_node) => {
-                    for (&origin_seq, payload) in &state.pending_order {
-                        resend.push((group, seq_node, origin_seq, payload.clone()));
-                    }
-                }
-                None => {}
-            }
-        }
-        for (group, seq_node, origin_seq, payload) in resend {
-            self.emit(
-                ctx,
-                seq_node,
-                GcsPacket::OrderReq {
-                    group,
-                    origin: node,
-                    origin_seq,
-                    payload,
-                },
-            );
-        }
-        for (group, origin_seq, payload) in local {
-            let events = self.on_order_req(ctx, group, node, origin_seq, payload);
-            self.deferred_events.extend(events);
-        }
-        let at = self.trace_now;
-        for (group, pending) in stalled {
-            self.trace(|| GcsTrace::AgreedStalled { at, group, pending });
         }
     }
 
@@ -2050,7 +1615,7 @@ impl<P: Payload> GcsNode<P> {
                     view: view.clone(),
                 });
                 events.push(GcsEvent::View { group, view });
-                let pending: Vec<Carried<P>> = {
+                let pending: Vec<P> = {
                     let state = self.group_mut(group);
                     state.pending_sends.drain(..).collect()
                 };
@@ -2162,7 +1727,7 @@ impl<P: Payload> GcsNode<P> {
             // and no surviving coordinator will ever resolve it.
             if abandoned(self.group_mut(group)) {
                 self.probe(Some(group), || ProtoEvent::AbandonFlush);
-                let pending: Vec<Carried<P>> = {
+                let pending: Vec<P> = {
                     let state = self.group_mut(group);
                     state.mem.abandon_flush();
                     state.pending_sends.drain(..).collect()
@@ -2260,9 +1825,8 @@ impl<P: Payload> GcsNode<P> {
             let state = self.group_mut(group);
             let delivered = state.floors(node);
             let held = state.held(node);
-            let causal = state.causal_snapshot();
             if let Some(vc) = state.vc.as_mut() {
-                vc.absorb(delivered, held, causal);
+                vc.absorb(delivered, held);
             }
         }
         // Singleton proposals complete immediately; surface the install's
@@ -2393,34 +1957,9 @@ fn proto_msg_of<P: Payload>(pkt: &GcsPacket<P>) -> Option<(GroupId, ProtoMsg)> {
     }
 }
 
-/// Whether every causal dependency is satisfied by the local delivery
-/// counts.
-fn causally_ready(delivered: &BTreeMap<NodeId, u64>, deps: &[(NodeId, u64)]) -> bool {
-    deps.iter()
-        .all(|(n, need)| delivered.get(n).copied().unwrap_or(0) >= *need)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn causal_readiness_checks_every_dependency() {
-        let mut delivered = BTreeMap::new();
-        delivered.insert(NodeId(1), 3u64);
-        delivered.insert(NodeId(2), 1u64);
-        assert!(causally_ready(&delivered, &[]));
-        assert!(causally_ready(&delivered, &[(NodeId(1), 3)]));
-        assert!(causally_ready(
-            &delivered,
-            &[(NodeId(1), 2), (NodeId(2), 1)]
-        ));
-        assert!(!causally_ready(&delivered, &[(NodeId(1), 4)]));
-        assert!(
-            !causally_ready(&delivered, &[(NodeId(3), 1)]),
-            "unknown senders count as zero delivered"
-        );
-    }
 
     #[test]
     fn peers_are_ascending_without_self_across_overlapping_views() {

@@ -12,59 +12,6 @@ use crate::types::{GroupId, View, ViewId};
 /// Nominal UDP/IP header overhead added to every packet's size estimate.
 pub const HEADER_BYTES: usize = 28;
 
-/// What a reliable multicast carries: either a plain FIFO payload or a
-/// sequencer-stamped envelope implementing *agreed* (totally ordered)
-/// delivery — all ordered messages flow through the group coordinator's
-/// own FIFO stream, so every member delivers them in the same order.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Carried<P> {
-    /// Ordinary FIFO-per-sender payload.
-    Plain(P),
-    /// A payload sequenced by the coordinator on behalf of `origin`.
-    Ordered {
-        /// The member that asked for the message to be ordered.
-        origin: NodeId,
-        /// `origin`'s own counter for the message (dedupe across
-        /// sequencer changes).
-        origin_seq: u64,
-        /// The application payload.
-        payload: P,
-    },
-    /// A causally ordered payload: `deps` is the sender's vector of
-    /// causal-delivery counts at send time; receivers hold the message
-    /// until their own counts dominate it.
-    Causal {
-        /// `(member, causal messages delivered from that member)` at the
-        /// sender when the message was sent.
-        deps: Vec<(NodeId, u64)>,
-        /// The application payload.
-        payload: P,
-    },
-}
-
-impl<P: Payload> Carried<P> {
-    /// The application payload inside.
-    pub fn payload(&self) -> &P {
-        match self {
-            Carried::Plain(p)
-            | Carried::Ordered { payload: p, .. }
-            | Carried::Causal { payload: p, .. } => p,
-        }
-    }
-
-    pub(crate) fn size_bytes(&self) -> usize {
-        match self {
-            Carried::Plain(p) => p.size_bytes(),
-            Carried::Ordered { payload, .. } => 12 + payload.size_bytes(),
-            Carried::Causal { deps, payload } => 12 * deps.len() + payload.size_bytes(),
-        }
-    }
-
-    pub(crate) fn class(&self) -> &'static str {
-        self.payload().class()
-    }
-}
-
 /// A packet of the group communication protocol, generic over the
 /// application payload `P`.
 #[derive(Clone, Debug, PartialEq)]
@@ -86,8 +33,7 @@ pub enum GcsPacket<P> {
         /// The leaving node.
         leaver: NodeId,
     },
-    /// A reliable FIFO application multicast within a group (plain
-    /// payloads, or ordered envelopes riding the sequencer's stream).
+    /// A reliable FIFO application multicast within a group.
     AppMsg {
         /// Target group.
         group: GroupId,
@@ -95,18 +41,6 @@ pub enum GcsPacket<P> {
         origin: NodeId,
         /// Per-(group, origin) sequence number, starting at 1.
         seq: u64,
-        /// Carried data.
-        payload: Carried<P>,
-    },
-    /// Request to the group coordinator (the sequencer) to order a payload
-    /// for agreed delivery.
-    OrderReq {
-        /// Target group.
-        group: GroupId,
-        /// The requesting member.
-        origin: NodeId,
-        /// The origin's counter for this message.
-        origin_seq: u64,
         /// The application payload.
         payload: P,
     },
@@ -151,10 +85,7 @@ pub enum GcsPacket<P> {
         delivered: Vec<(NodeId, u64)>,
         /// Messages this candidate holds (sent-unstable, delivered-unstable
         /// and buffered-undelivered), for the coordinator to redistribute.
-        held: Vec<(NodeId, u64, Carried<P>)>,
-        /// Causal delivery counts at flush time (joiners adopt the view's
-        /// maximum so later causal dependencies stay satisfiable).
-        causal: Vec<(NodeId, u64)>,
+        held: Vec<(NodeId, u64, P)>,
     },
     /// Phase 2: install the new view. `cut` is the per-sender delivery
     /// horizon of the old view; `fill` supplies any messages a member may
@@ -167,9 +98,7 @@ pub enum GcsPacket<P> {
         /// `(sender, seq)` delivery horizon of the previous view.
         cut: Vec<(NodeId, u64)>,
         /// Messages below the cut that some member may lack.
-        fill: Vec<(NodeId, u64, Carried<P>)>,
-        /// Causal delivery horizon (maximum over the flush reports).
-        causal: Vec<(NodeId, u64)>,
+        fill: Vec<(NodeId, u64, P)>,
     },
     /// Periodic existence announcement by a group coordinator to non-member
     /// bootstrap nodes; drives partition merging.
@@ -201,33 +130,23 @@ impl<P: Payload> Payload for GcsPacket<P> {
             GcsPacket::Heartbeat => 8,
             GcsPacket::JoinReq { .. } | GcsPacket::LeaveReq { .. } => 16,
             GcsPacket::AppMsg { payload, .. } => 24 + payload.size_bytes(),
-            GcsPacket::OrderReq { payload, .. } => 28 + payload.size_bytes(),
             GcsPacket::Nak { .. } => 32,
             GcsPacket::Ack { delivered, .. } => 12 + 12 * delivered.len(),
             GcsPacket::Prepare { candidates, .. } => 24 + 4 * candidates.len(),
             GcsPacket::FlushAck {
-                delivered,
-                held,
-                causal,
-                ..
+                delivered, held, ..
             } => {
                 24 + 12 * delivered.len()
-                    + 12 * causal.len()
                     + held
                         .iter()
                         .map(|(_, _, p)| 16 + p.size_bytes())
                         .sum::<usize>()
             }
             GcsPacket::Install {
-                view,
-                cut,
-                fill,
-                causal,
-                ..
+                view, cut, fill, ..
             } => {
                 24 + 4 * view.members.len()
                     + 12 * cut.len()
-                    + 12 * causal.len()
                     + fill
                         .iter()
                         .map(|(_, _, p)| 16 + p.size_bytes())
@@ -242,8 +161,7 @@ impl<P: Payload> Payload for GcsPacket<P> {
     fn class(&self) -> &'static str {
         match self {
             GcsPacket::Heartbeat | GcsPacket::Ack { .. } | GcsPacket::Announce { .. } => "gcs-hb",
-            GcsPacket::AppMsg { payload, .. } => payload.class(),
-            GcsPacket::OrderReq { payload, .. } | GcsPacket::NonMemberSend { payload, .. } => {
+            GcsPacket::AppMsg { payload, .. } | GcsPacket::NonMemberSend { payload, .. } => {
                 payload.class()
             }
             _ => "gcs-ctl",
@@ -274,22 +192,10 @@ mod tests {
             group: GroupId(1),
             origin: NodeId(1),
             seq: 1,
-            payload: Carried::Plain(Word("hello")),
+            payload: Word("hello"),
         };
         assert_eq!(pkt.class(), "word");
         assert_eq!(pkt.size_bytes(), HEADER_BYTES + 24 + 5);
-        let ordered = GcsPacket::AppMsg {
-            group: GroupId(1),
-            origin: NodeId(1),
-            seq: 1,
-            payload: Carried::Ordered {
-                origin: NodeId(2),
-                origin_seq: 1,
-                payload: Word("hello"),
-            },
-        };
-        assert_eq!(ordered.class(), "word");
-        assert_eq!(ordered.size_bytes(), HEADER_BYTES + 24 + 12 + 5);
     }
 
     #[test]
@@ -309,9 +215,19 @@ mod tests {
             group: GroupId(1),
             vid: ViewId::default(),
             delivered: vec![(NodeId(1), 5)],
-            held: vec![(NodeId(1), 6, Carried::Plain(Word("abcd")))],
-            causal: vec![],
+            held: vec![(NodeId(1), 6, Word("abcd"))],
         };
         assert_eq!(pkt.size_bytes(), HEADER_BYTES + 24 + 12 + 16 + 4);
+    }
+
+    #[test]
+    fn install_size_includes_view_cut_and_fill() {
+        let pkt = GcsPacket::Install {
+            group: GroupId(1),
+            view: View::new(ViewId::default(), vec![NodeId(1), NodeId(2)]),
+            cut: vec![(NodeId(1), 6), (NodeId(2), 0)],
+            fill: vec![(NodeId(1), 6, Word("abcd"))],
+        };
+        assert_eq!(pkt.size_bytes(), HEADER_BYTES + 24 + 8 + 24 + 16 + 4);
     }
 }

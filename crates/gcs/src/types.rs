@@ -127,29 +127,6 @@ pub enum GcsEvent<P> {
         /// The application payload.
         payload: P,
     },
-    /// A *causally ordered* message was delivered: if the sender had
-    /// delivered message `a` before multicasting `b`, every member
-    /// delivers `a` before `b`
-    /// (see [`GcsNode::multicast_causal`](crate::GcsNode::multicast_causal)).
-    DeliverCausal {
-        /// The group the message was multicast in.
-        group: GroupId,
-        /// The original sender.
-        sender: NodeId,
-        /// The application payload.
-        payload: P,
-    },
-    /// An *agreed* (totally ordered) message was delivered: every member
-    /// of the view delivers all agreed messages of the group in the same
-    /// order (see [`GcsNode::multicast_agreed`](crate::GcsNode::multicast_agreed)).
-    DeliverAgreed {
-        /// The group the message was ordered in.
-        group: GroupId,
-        /// The member that requested the ordering.
-        sender: NodeId,
-        /// The application payload.
-        payload: P,
-    },
 }
 
 /// Tuning knobs of the group communication service.

@@ -30,8 +30,6 @@ pub struct App {
     pub gcs: GcsNode<Chat>,
     pub views: Vec<(GroupId, View)>,
     pub delivered: Vec<(GroupId, NodeId, u64)>,
-    pub agreed: Vec<(GroupId, NodeId, u64)>,
-    pub causal: Vec<(GroupId, NodeId, u64)>,
 }
 
 impl App {
@@ -40,8 +38,6 @@ impl App {
             gcs: GcsNode::new(GcsConfig::new(), node, GCS_PORT, GCS_TICK, bootstrap),
             views: Vec::new(),
             delivered: Vec::new(),
-            agreed: Vec::new(),
-            causal: Vec::new(),
         }
     }
 
@@ -54,16 +50,6 @@ impl App {
                     sender,
                     payload,
                 } => self.delivered.push((group, sender, payload.0)),
-                GcsEvent::DeliverAgreed {
-                    group,
-                    sender,
-                    payload,
-                } => self.agreed.push((group, sender, payload.0)),
-                GcsEvent::DeliverCausal {
-                    group,
-                    sender,
-                    payload,
-                } => self.causal.push((group, sender, payload.0)),
             }
         }
     }
@@ -145,56 +131,6 @@ pub fn say(sim: &mut Simulation<Wire>, node: NodeId, group: GroupId, value: u64)
         app.record(events);
     })
     .expect("say invoke");
-}
-
-/// Instructs `node` to multicast `value` with agreed (total-order)
-/// delivery in `group`.
-pub fn say_agreed(sim: &mut Simulation<Wire>, node: NodeId, group: GroupId, value: u64) {
-    sim.invoke(node, |app: &mut App, ctx| {
-        let events = app
-            .gcs
-            .multicast_agreed(ctx, group, Chat(value))
-            .expect("agreed multicast while member");
-        app.record(events);
-    })
-    .expect("say_agreed invoke");
-}
-
-/// Instructs `node` to multicast `value` with causal delivery in `group`.
-pub fn say_causal(sim: &mut Simulation<Wire>, node: NodeId, group: GroupId, value: u64) {
-    sim.invoke(node, |app: &mut App, ctx| {
-        let events = app
-            .gcs
-            .multicast_causal(ctx, group, Chat(value))
-            .expect("causal multicast while member");
-        app.record(events);
-    })
-    .expect("say_causal invoke");
-}
-
-/// The causal-delivery log of `group` at `node`.
-pub fn causal_log(sim: &Simulation<Wire>, node: NodeId, group: GroupId) -> Vec<(NodeId, u64)> {
-    sim.with_process(node, |app: &App| {
-        app.causal
-            .iter()
-            .filter(|(g, _, _)| *g == group)
-            .map(|&(_, s, v)| (s, v))
-            .collect()
-    })
-    .unwrap_or_default()
-}
-
-/// The agreed-delivery log of `group` at `node`: `(sender, value)` pairs in
-/// delivery order.
-pub fn agreed_log(sim: &Simulation<Wire>, node: NodeId, group: GroupId) -> Vec<(NodeId, u64)> {
-    sim.with_process(node, |app: &App| {
-        app.agreed
-            .iter()
-            .filter(|(g, _, _)| *g == group)
-            .map(|&(_, s, v)| (s, v))
-            .collect()
-    })
-    .unwrap_or_default()
 }
 
 /// Reads the latest view of `group` at `node`.

@@ -10,72 +10,8 @@ use common::*;
 use gcs::GroupId;
 use proptest::prelude::*;
 use simnet::{LinkProfile, NodeId, SimTime, Simulation};
-use std::collections::BTreeSet;
-use std::time::Duration as StdDuration;
 
 const G: GroupId = GroupId(77);
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Causal delivery preserves happened-before under random jittery
-    /// schedules: whenever a node delivered message `a` before sending
-    /// `b`, every member delivers `a` before `b`.
-    #[test]
-    fn causal_preserves_happened_before(
-        schedule in prop::collection::vec((0usize..3, 5u64..60), 5..40),
-        seed in 0u64..300,
-        jitter_ms in 0u64..40,
-    ) {
-        const G: GroupId = GroupId(91);
-        let mut sim = Simulation::new(seed);
-        sim.set_default_profile(
-            LinkProfile::lan().with_jitter(StdDuration::from_millis(jitter_ms)),
-        );
-        let ids: Vec<NodeId> = (1..=3).map(NodeId).collect();
-        for &id in &ids {
-            sim.add_node(id, App::new(id, ids.clone()));
-        }
-        sim.run_until(SimTime::from_millis(100));
-        create(&mut sim, ids[0], G);
-        for &id in &ids[1..] {
-            join(&mut sim, id, G, &[ids[0]]);
-        }
-        sim.run_for(StdDuration::from_secs(2));
-        // Record, per send, the set of values its sender had delivered
-        // beforehand (its causal past).
-        let mut pasts: Vec<(u64, BTreeSet<u64>)> = Vec::new();
-        for (i, (who, gap_ms)) in schedule.into_iter().enumerate() {
-            let sender = ids[who];
-            let value = 1000 + i as u64;
-            let past: BTreeSet<u64> = causal_log(&sim, sender, G)
-                .into_iter()
-                .map(|(_, v)| v)
-                .collect();
-            pasts.push((value, past));
-            say_causal(&mut sim, sender, G, value);
-            sim.run_for(StdDuration::from_millis(gap_ms));
-        }
-        sim.run_for(StdDuration::from_secs(2));
-        let total = pasts.len();
-        for &id in &ids {
-            let log: Vec<u64> = causal_log(&sim, id, G).into_iter().map(|(_, v)| v).collect();
-            prop_assert_eq!(log.len(), total, "missing deliveries at {}", id);
-            // Happened-before: each message appears after its whole past.
-            for (value, past) in &pasts {
-                let pos = log.iter().position(|v| v == value).expect("delivered");
-                for dep in past {
-                    let dep_pos = log.iter().position(|v| v == dep).expect("dep delivered");
-                    prop_assert!(
-                        dep_pos < pos,
-                        "at {}: {} delivered after {} which depends on it",
-                        id, dep, value
-                    );
-                }
-            }
-        }
-    }
-}
 
 #[derive(Clone, Debug)]
 struct Crash {

@@ -1,0 +1,190 @@
+//! Totality of the endpoint: no sequence of packets — stale, future or
+//! foreign view ids, origins outside the view, repeated or far-ahead
+//! sequence numbers, installs that cut below what the receiver itself has
+//! sent — may panic a [`gcs::GcsNode`] or talk it out of its own view.
+//!
+//! The packets are forged: handed to a member of a settled three-member
+//! group as if they had arrived from an arbitrary endpoint, with the
+//! housekeeping tick running in between so that whatever they queue
+//! (elections, flushes, NAKs, install re-sends) also executes. Two shapes
+//! are left out because they *legitimately* remove the target — an
+//! `Install` whose view omits it and a `LeaveReq` in its name — so that
+//! "still a member" is the right thing to ask at the end.
+
+mod common;
+
+use std::time::Duration;
+
+use common::*;
+use gcs::{GcsPacket, GroupId, GroupStatus, View, ViewId};
+use proptest::prelude::*;
+use simnet::{Endpoint, LinkProfile, NodeId, SimTime, Simulation};
+
+const G: GroupId = GroupId(40);
+/// A group nobody created: packets for it must fall on the floor.
+const STRANGE: GroupId = GroupId(41);
+
+/// Raw material of one forged packet; [`forge`] picks what it needs.
+#[derive(Clone, Copy, Debug)]
+struct Draw {
+    kind: u8,
+    from: u32,
+    who: u32,
+    epoch: u64,
+    seq: u64,
+    members: u8,
+    strange: bool,
+    pause_ms: u64,
+}
+
+/// Sequence numbers and epochs: zero, the neighbourhood of what a settled
+/// node holds, and far ahead of any window. (Values within a step of
+/// `u64::MAX` are out of scope: a counter cannot reach them, and `+ 1` on
+/// them overflows in the election and the install — ROADMAP item 4c.)
+const NUMBERS: [u64; 8] = [0, 1, 2, 3, 4, 7, 1_000, 1 << 40];
+
+fn draw() -> impl Strategy<Value = Draw> {
+    (
+        (0u8..9, 1u32..6, 1u32..6),
+        (0usize..NUMBERS.len(), 0usize..NUMBERS.len()),
+        (0u8..32, 0u8..8, 0u64..120),
+    )
+        .prop_map(
+            |((kind, from, who), (epoch, seq), (members, strange, pause_ms))| Draw {
+                kind,
+                from,
+                who,
+                epoch: NUMBERS[epoch],
+                seq: NUMBERS[seq],
+                members,
+                strange: strange == 0,
+                pause_ms,
+            },
+        )
+}
+
+/// The subset of nodes 1..=5 named by the low bits of `mask`, plus
+/// `always` (nodes 4 and 5 do not exist: foreigners).
+fn node_set(mask: u8, always: Option<NodeId>) -> Vec<NodeId> {
+    let mut nodes: Vec<NodeId> = (1..=5u32)
+        .filter(|id| mask & (1 << (id - 1)) != 0)
+        .map(NodeId)
+        .collect();
+    nodes.extend(always);
+    nodes
+}
+
+fn forge(d: Draw, target: NodeId) -> Wire {
+    let group = if d.strange { STRANGE } else { G };
+    let who = NodeId(d.who);
+    let vid = ViewId {
+        epoch: d.epoch,
+        coordinator: NodeId(d.from),
+    };
+    let floors = vec![(who, d.epoch), (target, d.seq)];
+    let held = vec![(who, d.seq, Chat(9_000 + d.seq))];
+    match d.kind {
+        0 => GcsPacket::Heartbeat,
+        1 => GcsPacket::JoinReq { group, joiner: who },
+        // Never in the target's own name (see the module docs).
+        2 if who == target => GcsPacket::Heartbeat,
+        2 => GcsPacket::LeaveReq { group, leaver: who },
+        3 => GcsPacket::AppMsg {
+            group,
+            origin: who,
+            seq: d.seq,
+            payload: Chat(8_000 + d.seq),
+        },
+        // Inverted ranges included.
+        4 => GcsPacket::Nak {
+            group,
+            origin: who,
+            from_seq: d.seq,
+            to_seq: d.epoch,
+        },
+        5 => GcsPacket::Ack {
+            group,
+            delivered: floors,
+        },
+        6 => GcsPacket::Prepare {
+            group,
+            vid,
+            candidates: node_set(d.members, None),
+        },
+        7 => GcsPacket::FlushAck {
+            group,
+            vid,
+            delivered: floors,
+            held,
+        },
+        // Always lists the target; the cut may sit below what the target
+        // itself has sent.
+        _ => GcsPacket::Install {
+            group,
+            view: View::new(vid, node_set(d.members, Some(target))),
+            cut: floors,
+            fill: held,
+        },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn forged_packets_neither_panic_nor_evict(
+        script in prop::collection::vec(draw(), 1..40),
+        setup in (0u64..1_000, 1u32..4),
+    ) {
+        let (seed, target) = setup;
+        let target = NodeId(target);
+        let mut sim = Simulation::new(seed);
+        sim.set_default_profile(LinkProfile::lan());
+        let ids = boot(&mut sim, 3);
+        sim.run_until(SimTime::from_millis(100));
+        create(&mut sim, ids[0], G);
+        for &id in &ids[1..] {
+            join(&mut sim, id, G, &[ids[0]]);
+        }
+        sim.run_for(Duration::from_secs(3));
+        // Everyone has sent something, so every own horizon is above zero.
+        for &id in &ids {
+            say(&mut sim, id, G, u64::from(id.0));
+            say(&mut sim, id, G, 10 + u64::from(id.0));
+        }
+        sim.run_for(Duration::from_millis(300));
+
+        for d in script {
+            let from = Endpoint::new(NodeId(d.from), GCS_PORT);
+            let pkt = forge(d, target);
+            sim.invoke(target, |app: &mut App, ctx| {
+                let events = app.gcs.on_packet(ctx, from, pkt);
+                app.record(events);
+            })
+            .expect("target is up");
+            let sane = sim
+                .with_process(target, |app: &App| {
+                    app.gcs.view(G).is_some_and(|v| v.contains(target))
+                        && app.gcs.status(STRANGE) == GroupStatus::Idle
+                })
+                .unwrap();
+            prop_assert!(sane, "after {:?}", d);
+            sim.run_for(Duration::from_millis(d.pause_ms));
+        }
+
+        // Long enough to abandon a forged flush, expel forged-in foreigners
+        // and finish the view changes that takes.
+        sim.run_for(Duration::from_secs(12));
+        let (member, status) = sim
+            .with_process(target, |app: &App| (app.gcs.is_member(G), app.gcs.status(G)))
+            .unwrap();
+        prop_assert!(member, "target left its own view");
+        prop_assert_eq!(status, GroupStatus::Member);
+        // And it still works: a fresh multicast loops back.
+        say(&mut sim, target, G, 7_777);
+        let echoed = sim
+            .with_process(target, |app: &App| app.delivered_from(G, target))
+            .unwrap();
+        prop_assert_eq!(echoed.last(), Some(&7_777));
+    }
+}
