@@ -1,5 +1,6 @@
 //! Criterion micro-benchmarks for the group communication substrate:
-//! multicast cost and view-change (takeover trigger) simulation cost.
+//! multicast cost, view-change (takeover trigger) simulation cost and the
+//! cost of an ack that carries no news.
 
 use std::time::Duration;
 
@@ -71,11 +72,11 @@ impl Process<Wire> for App {
     }
 }
 
-/// Builds a settled 3-member group.
-fn formed(seed: u64) -> Simulation<Wire> {
+/// Builds a settled group of nodes `1..=members`.
+fn formed(seed: u64, members: u32) -> Simulation<Wire> {
     let mut sim = Simulation::new(seed);
     sim.set_default_profile(LinkProfile::lan());
-    let ids: Vec<NodeId> = (1..=3).map(NodeId).collect();
+    let ids: Vec<NodeId> = (1..=members).map(NodeId).collect();
     for &id in &ids {
         sim.add_node(id, App::new(id, ids.clone()));
     }
@@ -96,7 +97,7 @@ fn formed(seed: u64) -> Simulation<Wire> {
 fn bench_multicast(c: &mut Criterion) {
     c.bench_function("gcs: 100 multicasts through a 3-member group", |b| {
         b.iter_batched(
-            || formed(1),
+            || formed(1, 3),
             |mut sim| {
                 for v in 0..100u64 {
                     sim.invoke(NodeId(1), |app: &mut App, ctx| {
@@ -115,11 +116,50 @@ fn bench_multicast(c: &mut Criterion) {
 fn bench_view_change(c: &mut Criterion) {
     c.bench_function("gcs: crash detection + view change (3 members)", |b| {
         b.iter_batched(
-            || formed(2),
+            || formed(2, 3),
             |mut sim| {
                 let at = sim.now();
                 sim.crash_at(at, NodeId(3));
                 sim.run_for(Duration::from_secs(2));
+                sim
+            },
+            BatchSize::PerIteration,
+        );
+    });
+}
+
+fn bench_quiet_acks(c: &mut Criterion) {
+    const ACKS: u64 = 10_000;
+    // A session group between its frames: client and server, nothing in
+    // flight, the peer's periodic ack repeating the floors it sent before.
+    let name = format!("gcs: {ACKS} acks without news at a settled 2-member group");
+    c.bench_function(&name, |b| {
+        b.iter_batched(
+            || {
+                let mut sim = formed(3, 2);
+                for node in [NodeId(1), NodeId(2)] {
+                    sim.invoke(node, |app: &mut App, ctx| {
+                        let events = app.gcs.multicast(ctx, G, Blob(0)).expect("member");
+                        app.record(events);
+                    });
+                }
+                // Long enough for both messages to become stable.
+                sim.run_for(Duration::from_secs(1));
+                sim
+            },
+            |mut sim| {
+                let from = Endpoint::new(NodeId(2), GCS_PORT);
+                let floors = vec![(NodeId(2), 1), (NodeId(1), 1)];
+                sim.invoke(NodeId(1), |app: &mut App, ctx| {
+                    for _ in 0..ACKS {
+                        let ack = GcsPacket::Ack {
+                            group: G,
+                            delivered: floors.clone(),
+                        };
+                        let events = app.gcs.on_packet(ctx, from, ack);
+                        app.record(events);
+                    }
+                });
                 sim
             },
             BatchSize::PerIteration,
@@ -137,6 +177,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_multicast, bench_view_change
+    targets = bench_multicast, bench_view_change, bench_quiet_acks
 }
 criterion_main!(benches);

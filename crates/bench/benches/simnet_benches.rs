@@ -6,7 +6,10 @@
 //!   bodies the queue moves are the size the service's are);
 //! * `route` on a flat LAN and through a `SiteTopology` with a link
 //!   override installed;
-//! * an idle `GcsNode::on_timer` over 2 and 64 groups.
+//! * an idle `GcsNode::on_timer` over 2 and 64 groups;
+//! * a *dormant fleet*: endpoints that left their only group hold no timer,
+//!   so ten simulated seconds of them dispatch nothing — asserted, not
+//!   only timed.
 //!
 //! Every benchmark reports the time for [`EVENTS`] events (or the stated
 //! number of ticks), so per-event cost is the printed time over that.
@@ -202,6 +205,47 @@ fn bench_idle_tick(c: &mut Criterion) {
     }
 }
 
+fn bench_dormant_fleet(c: &mut Criterion) {
+    const NODES: u32 = 1_000;
+    // What a fleet's clients are once their sessions have ended: each
+    // created its session group, left it, and saw one more tick.
+    let name = format!("gcs: 10 s of {NODES} endpoints that left their only group");
+    c.bench_function(&name, |b| {
+        b.iter_batched(
+            || {
+                let mut sim: Simulation<VodWire> = Simulation::new(5);
+                for node in 1..=NODES {
+                    let id = NodeId(node);
+                    let gcs = GcsNode::new(GcsConfig::new(), id, PORT, TICK, vec![id]);
+                    sim.add_node(id, Member { gcs });
+                }
+                sim.run_until(SimTime::from_millis(100));
+                for node in 1..=NODES {
+                    sim.invoke(NodeId(node), |m: &mut Member, ctx| {
+                        let session = GroupId(u64::from(node));
+                        m.gcs.create_group(session);
+                        m.gcs.leave(ctx, session);
+                    });
+                }
+                sim.run_for(GcsConfig::new().tick);
+                sim.enable_profiling();
+                sim
+            },
+            |mut sim| {
+                sim.run_for(Duration::from_secs(10));
+                let profile = sim.profile().expect("profiling enabled");
+                assert_eq!(
+                    (profile.timer_fired, profile.timers_set, sim.next_event_at()),
+                    (0, 0, None),
+                    "an endpoint in no group still ticks"
+                );
+                sim
+            },
+            BatchSize::PerIteration,
+        );
+    });
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(30)
@@ -212,6 +256,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_queue, bench_route, bench_idle_tick
+    targets = bench_queue, bench_route, bench_idle_tick, bench_dormant_fleet
 }
 criterion_main!(benches);

@@ -582,6 +582,9 @@ impl Process<VodWire> for VodClient {
                 ctx.set_timer_after(self.display_interval, tag::DISPLAY);
             }
             tag::SAMPLE => {
+                if self.stopped {
+                    return;
+                }
                 let now = ctx.now();
                 self.stats
                     .sw_occupancy

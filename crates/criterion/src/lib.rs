@@ -64,8 +64,12 @@ impl Bencher {
         self.collect(|| {
             let input = setup();
             let t = Instant::now();
-            black_box(routine(input));
-            t.elapsed()
+            let output = black_box(routine(input));
+            let elapsed = t.elapsed();
+            // As in criterion: what the routine hands back is dropped off
+            // the clock (a returned simulation is not part of the work).
+            drop(output);
+            elapsed
         });
     }
 }

@@ -18,7 +18,12 @@
 //!   paper's ~0.5 s takeover time.
 //!
 //! The endpoint type is [`GcsNode`]; it is embedded inside a
-//! [`simnet::Process`] rather than running as a separate daemon:
+//! [`simnet::Process`] rather than running as a separate daemon. Its one
+//! periodic timer (the housekeeping tick armed by [`GcsNode::start`])
+//! runs while the endpoint has work; an endpoint that has left its last
+//! group lets it lapse and is re-armed, on the same 50 ms grid and with
+//! the tick count it would have reached, by the next `join`, `multicast`,
+//! `on_packet` or `start` — so an idle endpoint schedules no events:
 //!
 //! ```
 //! use gcs::{GcsConfig, GcsEvent, GcsNode, GcsPacket, GroupId};

@@ -211,6 +211,18 @@ enum AnnounceReaction {
     Resync,
 }
 
+/// Where the housekeeping timer stands.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum TickState {
+    /// [`GcsNode::start`] has not run: nothing arms the timer.
+    Unstarted,
+    /// One tick timer is pending.
+    Armed,
+    /// The node ran out of work and let its timer lapse; the next entry
+    /// point that gives it work re-arms it on the same grid.
+    Asleep,
+}
+
 impl<P> GroupState<P> {
     fn new() -> Self {
         GroupState {
@@ -278,7 +290,13 @@ pub struct GcsNode<P: Payload> {
     config: GcsConfig,
     bootstrap: Vec<NodeId>,
     ticks: u64,
-    started: bool,
+    tick_state: TickState,
+    /// Instant of tick number `ticks`: the last one that fired, or that
+    /// would have fired had the node not been asleep.
+    last_tick: SimTime,
+    /// Whether this node has ever held group state. One that has not keeps
+    /// ticking: [`GcsNode::create_group`] has no context to wake it from.
+    had_group: bool,
     last_heard: BTreeMap<NodeId, SimTime>,
     suspected: BTreeSet<NodeId>,
     groups: BTreeMap<GroupId, GroupState<P>>,
@@ -335,7 +353,9 @@ impl<P: Payload> GcsNode<P> {
             config,
             bootstrap,
             ticks: 0,
-            started: false,
+            tick_state: TickState::Unstarted,
+            last_tick: SimTime::ZERO,
+            had_group: false,
             last_heard: BTreeMap::new(),
             suspected: BTreeSet::new(),
             groups: BTreeMap::new(),
@@ -441,22 +461,69 @@ impl<P: Payload> GcsNode<P> {
         self.views_installed
     }
 
-    /// Arms the housekeeping timer. Call once from
-    /// [`Process::on_start`](simnet::Process::on_start).
+    /// Makes sure the housekeeping timer is armed. Call it from
+    /// [`Process::on_start`](simnet::Process::on_start); calling it again
+    /// is harmless (an armed node is left alone, a sleeping one is woken).
+    ///
+    /// The tick runs every [`GcsConfig::tick`] from the first `start`
+    /// while the node has work. A node that has left its last group and
+    /// holds no deferred state lets the timer lapse; [`GcsNode::join`],
+    /// [`GcsNode::multicast`], [`GcsNode::on_packet`] and `start` re-arm
+    /// it for the next instant of the *same* grid with the tick count it
+    /// would have reached, so having slept is not observable.
     pub fn start<M>(&mut self, ctx: &mut Context<'_, M>)
     where
         M: Payload + From<GcsPacket<P>>,
     {
-        if !self.started {
-            self.started = true;
-            self.trace_now = ctx.now();
-            ctx.set_timer_after(self.config.tick, self.tick_tag);
+        self.trace_now = ctx.now();
+        match self.tick_state {
+            TickState::Unstarted => self.last_tick = ctx.now(),
+            TickState::Asleep => self.catch_up(ctx.now()),
+            TickState::Armed => return,
+        }
+        self.arm(ctx);
+    }
+
+    /// Whether every housekeeping pass of a tick would be a no-op, now and
+    /// until an entry point gives the node state again.
+    fn idle(&self) -> bool {
+        self.had_group
+            && self.groups.is_empty()
+            && self.nonmember_seen.is_empty()
+            && self.deferred_events.is_empty()
+    }
+
+    /// Advances a sleeping node's tick count over the grid instants that
+    /// passed, so tick stamps taken by the caller are the ones an awake
+    /// node would take.
+    fn catch_up(&mut self, now: SimTime) {
+        if self.tick_state == TickState::Asleep {
+            let tick = (self.config.tick.as_micros() as u64).max(1);
+            let slept = now.saturating_since(self.last_tick).as_micros() as u64 / tick;
+            self.ticks += slept;
+            self.last_tick = SimTime::from_micros(self.last_tick.as_micros() + slept * tick);
+        }
+    }
+
+    /// Arms the timer for the grid instant after `last_tick`.
+    fn arm<M: Payload>(&mut self, ctx: &mut Context<'_, M>) {
+        self.tick_state = TickState::Armed;
+        ctx.set_timer_at(self.last_tick + self.config.tick, self.tick_tag);
+    }
+
+    /// Re-arms a sleeping node (already caught up) that was given work.
+    fn wake_if_busy<M: Payload>(&mut self, ctx: &mut Context<'_, M>) {
+        if self.tick_state == TickState::Asleep && !self.idle() {
+            self.arm(ctx);
         }
     }
 
     /// Creates `group` with this node as its only member, effective
     /// immediately. Use when the caller owns the group's identity — e.g. a
     /// VoD client creating its own session group.
+    ///
+    /// There is no context here to arm the tick from: on a node that may
+    /// have gone to sleep, call [`GcsNode::start`] in the same handler.
     pub fn create_group(&mut self, group: GroupId) -> Vec<GcsEvent<P>> {
         let node = self.node;
         self.probe(Some(group), || ProtoEvent::Create);
@@ -482,15 +549,18 @@ impl<P: Payload> GcsNode<P> {
     where
         M: Payload + From<GcsPacket<P>>,
     {
+        self.catch_up(ctx.now());
         let node = self.node;
         let ticks = self.ticks;
         self.probe(Some(group), || ProtoEvent::RequestJoin {
             contacts: contacts.to_vec(),
         });
-        let state = self.group_mut(group);
-        if !state.mem.start_join(contacts) {
+        let joining = self.group_mut(group).mem.start_join(contacts);
+        self.wake_if_busy(ctx);
+        if !joining {
             return;
         }
+        let state = self.group_mut(group);
         state.join_start_tick = ticks;
         state.last_join_send_tick = ticks;
         let at = ctx.now();
@@ -568,6 +638,9 @@ impl<P: Payload> GcsNode<P> {
     where
         M: Payload + From<GcsPacket<P>>,
     {
+        // Sending creates no group, so whether there is work is known now.
+        self.catch_up(ctx.now());
+        self.wake_if_busy(ctx);
         match self.status(group) {
             GroupStatus::Idle => Err(NotMemberError { group }),
             GroupStatus::Joining | GroupStatus::Flushing => {
@@ -610,6 +683,21 @@ impl<P: Payload> GcsNode<P> {
 
     /// Handles an incoming GCS packet. Returns the upcalls it produced.
     pub fn on_packet<M>(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+        from: Endpoint,
+        pkt: GcsPacket<P>,
+    ) -> Vec<GcsEvent<P>>
+    where
+        M: Payload + From<GcsPacket<P>>,
+    {
+        self.catch_up(ctx.now());
+        let events = self.handle_packet(ctx, from, pkt);
+        self.wake_if_busy(ctx);
+        events
+    }
+
+    fn handle_packet<M>(
         &mut self,
         ctx: &mut Context<'_, M>,
         from: Endpoint,
@@ -710,15 +798,23 @@ impl<P: Payload> GcsNode<P> {
     }
 
     /// Handles the housekeeping timer. The application must forward timers
-    /// whose tag equals the `tick_tag` passed at construction.
+    /// whose tag equals the `tick_tag` passed at construction. The timer
+    /// re-arms itself while the node has work (see [`GcsNode::start`]).
     pub fn on_timer<M>(&mut self, ctx: &mut Context<'_, M>, timer: Timer) -> Vec<GcsEvent<P>>
     where
         M: Payload + From<GcsPacket<P>>,
     {
         debug_assert_eq!(timer.tag, self.tick_tag, "timer routed to wrong component");
         self.trace_now = ctx.now();
-        ctx.set_timer_after(self.config.tick, self.tick_tag);
+        self.last_tick = ctx.now();
         self.ticks += 1;
+        if self.idle() {
+            // No group, nothing deferred: each pass below would find
+            // nothing to do. Sleep until an entry point brings work.
+            self.tick_state = TickState::Asleep;
+            return Vec::new();
+        }
+        self.arm(ctx);
         let mut events = Vec::new();
         self.tick_failure_detector(ctx);
         if self.ticks.is_multiple_of(self.config.hb_every_ticks) {
@@ -759,7 +855,9 @@ impl<P: Payload> GcsNode<P> {
         let node = self.node;
         let state = self.group_mut(group);
         let seq = state.next_seq;
-        state.next_seq += 1;
+        // Saturating here and below: only a forged `u64::MAX` cut or
+        // sequence number gets a counter this far, and it must not panic.
+        state.next_seq = seq.saturating_add(1);
         state.send_buf.insert(seq, payload.clone());
         let peers: Vec<NodeId> = state
             .mem
@@ -822,7 +920,7 @@ impl<P: Payload> GcsNode<P> {
             // Deliver contiguously; flushing/joining nodes only buffer.
             while let Some(payload) = recv.buf.remove(&recv.next) {
                 state.retained.insert((origin, recv.next), payload.clone());
-                recv.next += 1;
+                recv.next = recv.next.saturating_add(1);
                 events.push(GcsEvent::Deliver {
                     group,
                     sender: origin,
@@ -944,9 +1042,22 @@ impl<P: Payload> GcsNode<P> {
         let Some(state) = self.groups.get_mut(&group) else {
             return;
         };
-        state
-            .ack_floors
-            .insert(member, delivered.into_iter().collect());
+        // Most acks repeat the previous report (liveness, no news): the
+        // map it would rebuild is the one already held.
+        let unchanged = state.ack_floors.get(&member).is_some_and(|known| {
+            known.len() == delivered.len()
+                && known.iter().all(|(&s, &f)| delivered.contains(&(s, f)))
+        });
+        if !unchanged {
+            state
+                .ack_floors
+                .insert(member, delivered.into_iter().collect());
+        }
+        // Stability only ever releases buffered messages; with none held
+        // there is nothing a floor could release.
+        if state.send_buf.is_empty() && state.retained.is_empty() {
+            return;
+        }
         // Stability: a message is stable once every current member has
         // delivered it; only then may retained copies be dropped.
         let members = state.mem.view.members.clone();
@@ -1112,8 +1223,11 @@ impl<P: Payload> GcsNode<P> {
         // Extend each sender's cut through the pooled messages: anything
         // contiguously available to the coordinator can be delivered by all.
         for (sender, horizon) in cut.iter_mut() {
-            while vc.pool.contains_key(&(*sender, *horizon + 1)) {
-                *horizon += 1;
+            while let Some(next) = horizon.checked_add(1) {
+                if !vc.pool.contains_key(&(*sender, next)) {
+                    break;
+                }
+                *horizon = next;
             }
         }
         let fill: Vec<(NodeId, u64, P)> = vc
@@ -1210,7 +1324,7 @@ impl<P: Payload> GcsNode<P> {
                     // once we promise); an install we never flushed for may
                     // cut below what we have sent since, and that tail stays
                     // ours to retransmit, its numbers taken.
-                    state.next_seq = state.next_seq.max(horizon + 1);
+                    state.next_seq = state.next_seq.max(horizon.saturating_add(1));
                     state.send_buf.retain(|&seq, _| seq > horizon);
                     continue;
                 }
@@ -1224,7 +1338,7 @@ impl<P: Payload> GcsNode<P> {
                     while recv.next <= horizon {
                         match recv.buf.remove(&recv.next) {
                             Some(payload) => {
-                                recv.next += 1;
+                                recv.next = recv.next.saturating_add(1);
                                 events.push(GcsEvent::Deliver {
                                     group,
                                     sender,
@@ -1232,8 +1346,8 @@ impl<P: Payload> GcsNode<P> {
                                 });
                             }
                             None => {
-                                forced += horizon + 1 - recv.next;
-                                recv.next = horizon + 1;
+                                forced = forced.saturating_add(horizon - recv.next + 1);
+                                recv.next = horizon.saturating_add(1);
                                 break;
                             }
                         }
@@ -1241,7 +1355,7 @@ impl<P: Payload> GcsNode<P> {
                 } else {
                     // Joiners start fresh at the cut.
                     recv.buf.retain(|&seq, _| seq > horizon);
-                    recv.next = recv.next.max(horizon + 1);
+                    recv.next = recv.next.max(horizon.saturating_add(1));
                 }
             }
             let state = self.group_mut(group);
@@ -1258,7 +1372,7 @@ impl<P: Payload> GcsNode<P> {
                 .foreign_seen
                 .retain(|n, _| state.mem.foreign.contains_key(n));
         }
-        self.forced_gaps += forced;
+        self.forced_gaps = self.forced_gaps.saturating_add(forced);
         self.views_installed += 1;
         let install_at = ctx.now();
         self.trace(|| GcsTrace::ViewInstalled {
@@ -1429,16 +1543,17 @@ impl<P: Payload> GcsNode<P> {
             if state.mem.status != GroupStatus::Member || state.mem.view.len() <= 1 {
                 continue;
             }
-            let delivered = state.floors(node);
-            for &member in state.mem.view.members.iter().filter(|&&m| m != node) {
-                self.emit(
-                    ctx,
-                    member,
-                    GcsPacket::Ack {
-                        group,
-                        delivered: delivered.clone(),
-                    },
-                );
+            let mut floors = state.floors(node);
+            let members = state.mem.view.members.iter();
+            let mut peers = members.filter(|&&m| m != node).peekable();
+            while let Some(&member) = peers.next() {
+                // The last ack takes the vector; a session group has one.
+                let delivered = if peers.peek().is_some() {
+                    floors.clone()
+                } else {
+                    std::mem::take(&mut floors)
+                };
+                self.emit(ctx, member, GcsPacket::Ack { group, delivered });
             }
         }
     }
@@ -1896,6 +2011,7 @@ impl<P: Payload> GcsNode<P> {
     // ------------------------------------------------------------------
 
     fn group_mut(&mut self, group: GroupId) -> &mut GroupState<P> {
+        self.had_group = true;
         self.groups.entry(group).or_insert_with(GroupState::new)
     }
 
@@ -1956,6 +2072,9 @@ fn proto_msg_of<P: Payload>(pkt: &GcsPacket<P>) -> Option<(GroupId, ProtoMsg)> {
         _ => None,
     }
 }
+
+#[cfg(test)]
+mod ack_differential;
 
 #[cfg(test)]
 mod tests {

@@ -1,0 +1,327 @@
+//! Differential test of [`GcsNode::on_ack`] against the body it replaced.
+//!
+//! The replacement keeps the stored floors when a report repeats them and
+//! skips the stability computation when nothing is buffered. Both are only
+//! sound if no observable state depends on the skipped work, so the old
+//! body stays here as the oracle: two endpoints with one identity are fed
+//! the same random interleaving of acks, multicasts, foreign messages,
+//! NAKs and clock steps; after every step their buffers and floors are
+//! equal, and at the end so is everything each of them put on the wire.
+
+use simnet::{LinkProfile, Process, SimRng, Simulation};
+
+use super::*;
+
+#[derive(Clone, Debug, PartialEq)]
+struct Num(u64);
+
+impl Payload for Num {
+    fn size_bytes(&self) -> usize {
+        8
+    }
+}
+
+type Wire = GcsPacket<Num>;
+
+const G: GroupId = GroupId(9);
+const ME: NodeId = NodeId(1);
+/// The endpoint under test sends from here, the oracle from [`OLD`]; the
+/// peers sort what arrives by the port it came from.
+const NEW: Port = Port(7);
+const OLD: Port = Port(8);
+
+impl GcsNode<Num> {
+    /// `on_ack` as of the parent commit, verbatim.
+    fn on_ack_parent(
+        &mut self,
+        ctx: &mut Context<'_, Wire>,
+        group: GroupId,
+        member: NodeId,
+        delivered: Vec<(NodeId, u64)>,
+    ) {
+        let node = self.node;
+        let ticks = self.ticks;
+        if self.status(group) == GroupStatus::Idle {
+            return;
+        }
+        let mut tail_naks: Vec<(NodeId, u64, u64)> = Vec::new();
+        {
+            let state = self.group_mut(group);
+            for &(sender, floor) in &delivered {
+                if sender == node {
+                    continue;
+                }
+                let recv = state
+                    .recv
+                    .entry(sender)
+                    .or_insert_with(|| RecvState::new(1));
+                let mine = recv.next - 1;
+                if floor > mine && !recv.buf.contains_key(&recv.next) {
+                    let last = state.last_nak_tick.get(&sender).copied().unwrap_or(0);
+                    if ticks.saturating_sub(last) >= 2 {
+                        state.last_nak_tick.insert(sender, ticks.max(1));
+                        tail_naks.push((sender, recv.next, floor));
+                    }
+                }
+            }
+        }
+        for (origin, from_seq, to_seq) in tail_naks {
+            self.emit(
+                ctx,
+                origin,
+                GcsPacket::Nak {
+                    group,
+                    origin,
+                    from_seq,
+                    to_seq,
+                },
+            );
+        }
+        let Some(state) = self.groups.get_mut(&group) else {
+            return;
+        };
+        state
+            .ack_floors
+            .insert(member, delivered.into_iter().collect());
+        let members = state.mem.view.members.clone();
+        if members.is_empty() {
+            return;
+        }
+        let mut stable: BTreeMap<NodeId, u64> = BTreeMap::new();
+        let senders: BTreeSet<NodeId> = state
+            .recv
+            .keys()
+            .copied()
+            .chain(std::iter::once(node))
+            .collect();
+        for sender in senders {
+            let mut min_floor = u64::MAX;
+            for &m in &members {
+                let floor = if m == node {
+                    if sender == node {
+                        state.next_seq - 1
+                    } else {
+                        state.recv.get(&sender).map_or(0, |r| r.next - 1)
+                    }
+                } else {
+                    state
+                        .ack_floors
+                        .get(&m)
+                        .and_then(|f| f.get(&sender).copied())
+                        .unwrap_or(0)
+                };
+                min_floor = min_floor.min(floor);
+            }
+            if min_floor > 0 && min_floor < u64::MAX {
+                stable.insert(sender, min_floor);
+            }
+        }
+        if let Some(&floor) = stable.get(&node) {
+            state.send_buf.retain(|&seq, _| seq > floor);
+        }
+        state
+            .retained
+            .retain(|&(sender, seq), _| seq > stable.get(&sender).copied().unwrap_or(0));
+    }
+}
+
+/// Both endpoints, on one simulated node.
+struct Pair {
+    new: GcsNode<Num>,
+    old: GcsNode<Num>,
+}
+
+impl Process<Wire> for Pair {
+    fn on_datagram(&mut self, _: &mut Context<'_, Wire>, _: Endpoint, _: Endpoint, _: Wire) {}
+    fn on_timer(&mut self, _: &mut Context<'_, Wire>, _: simnet::Timer) {}
+}
+
+/// A peer: keeps what each endpoint sent it, apart.
+#[derive(Default)]
+struct Sink {
+    from_new: Vec<Wire>,
+    from_old: Vec<Wire>,
+}
+
+impl Process<Wire> for Sink {
+    fn on_datagram(&mut self, _: &mut Context<'_, Wire>, from: Endpoint, _: Endpoint, msg: Wire) {
+        if from.port == NEW {
+            self.from_new.push(msg);
+        } else {
+            self.from_old.push(msg);
+        }
+    }
+    fn on_timer(&mut self, _: &mut Context<'_, Wire>, _: simnet::Timer) {}
+}
+
+/// An endpoint that is a settled member of `G` with `members`.
+fn member(port: Port, members: &[NodeId]) -> GcsNode<Num> {
+    let mut gcs = GcsNode::new(GcsConfig::new(), ME, port, 1, members.to_vec());
+    let state = gcs.group_mut(G);
+    state.mem.status = GroupStatus::Member;
+    state.mem.had_view = true;
+    state.mem.view = View::new(ViewId::default(), members.to_vec());
+    gcs
+}
+
+/// Everything `on_ack` reads or writes.
+type Books = (
+    BTreeMap<u64, Num>,
+    BTreeMap<(NodeId, u64), Num>,
+    BTreeMap<NodeId, BTreeMap<NodeId, u64>>,
+    Vec<(NodeId, u64, Vec<u64>)>,
+    BTreeMap<NodeId, u64>,
+);
+
+fn books(gcs: &GcsNode<Num>) -> Books {
+    let state = &gcs.groups[&G];
+    let recv = state
+        .recv
+        .iter()
+        .map(|(&n, r)| (n, r.next, r.buf.keys().copied().collect()))
+        .collect();
+    (
+        state.send_buf.clone(),
+        state.retained.clone(),
+        state.ack_floors.clone(),
+        recv,
+        state.last_nak_tick.clone(),
+    )
+}
+
+/// Runs `steps` random steps on a group of `size`; returns how many acks
+/// arrived while something was retained and how many released something.
+fn run(seed: u64, size: u32, steps: usize) -> (u64, u64) {
+    let members: Vec<NodeId> = (1..=size).map(NodeId).collect();
+    let peers = &members[1..];
+    let mut sim: Simulation<Wire> = Simulation::new(seed);
+    sim.set_default_profile(LinkProfile::ideal());
+    sim.add_node(
+        ME,
+        Pair {
+            new: member(NEW, &members),
+            old: member(OLD, &members),
+        },
+    );
+    for &peer in peers {
+        sim.add_node(peer, Sink::default());
+    }
+    sim.run_for(std::time::Duration::from_millis(1));
+    let mut rng = SimRng::seed_from_u64(seed);
+    let mut pick = |bound: u64| rng.gen_u64_below(bound);
+    let (mut with_retained, mut released) = (0, 0);
+    let mut last_report: Vec<(NodeId, u64)> = Vec::new();
+    for step in 0..steps {
+        let peer = peers[pick(peers.len() as u64) as usize];
+        let from = Endpoint::new(peer, NEW);
+        let kind = pick(10);
+        // The report of an ack step: fresh floors for some of the
+        // senders, the previous report again, or that report reordered or
+        // with an entry doubled (a forged shape the rebuild collapses).
+        let report: Vec<(NodeId, u64)> = match pick(4) {
+            0 => last_report.clone(),
+            1 => {
+                let mut again = last_report.clone();
+                again.reverse();
+                if let Some(&first) = again.first() {
+                    if pick(2) == 0 {
+                        again.push((first.0, pick(5)));
+                    }
+                }
+                again
+            }
+            _ => {
+                let mut fresh = Vec::new();
+                for &n in &members {
+                    if pick(4) != 0 {
+                        fresh.push((n, pick(5)));
+                    }
+                }
+                fresh
+            }
+        };
+        let seq = 1 + pick(5);
+        let hop = pick(3);
+        let (before, after) = sim
+            .invoke(ME, |pair: &mut Pair, ctx| {
+                let before = pair.old.groups[&G].retained.len();
+                match kind {
+                    0..=3 => {
+                        pair.new.on_ack(ctx, G, peer, report.clone());
+                        pair.old.on_ack_parent(ctx, G, peer, report.clone());
+                    }
+                    4 | 5 => {
+                        let payload = Num(step as u64);
+                        for gcs in [&mut pair.new, &mut pair.old] {
+                            gcs.multicast(ctx, G, payload.clone()).expect("member");
+                        }
+                    }
+                    6 | 7 => {
+                        let pkt = GcsPacket::AppMsg {
+                            group: G,
+                            origin: peer,
+                            seq,
+                            payload: Num(1_000 + seq),
+                        };
+                        for gcs in [&mut pair.new, &mut pair.old] {
+                            gcs.on_packet(ctx, from, pkt.clone());
+                        }
+                    }
+                    8 => {
+                        let pkt = GcsPacket::Nak {
+                            group: G,
+                            origin: ME,
+                            from_seq: seq,
+                            to_seq: seq + hop,
+                        };
+                        for gcs in [&mut pair.new, &mut pair.old] {
+                            gcs.on_packet(ctx, from, pkt.clone());
+                        }
+                    }
+                    // The NAK rate limit runs on the tick count.
+                    _ => {
+                        pair.new.ticks += hop;
+                        pair.old.ticks += hop;
+                    }
+                }
+                assert_eq!(
+                    books(&pair.new),
+                    books(&pair.old),
+                    "seed {seed}, {size} members, step {step} (kind {kind})"
+                );
+                (before, pair.old.groups[&G].retained.len())
+            })
+            .expect("host is up");
+        if kind <= 3 {
+            last_report = report;
+            with_retained += u64::from(before > 0);
+            released += u64::from(after < before);
+        }
+    }
+    sim.run_for(std::time::Duration::from_millis(1));
+    for &peer in peers {
+        let (new, old) = sim
+            .with_process(peer, |s: &Sink| (s.from_new.clone(), s.from_old.clone()))
+            .expect("peer is up");
+        assert_eq!(new, old, "seed {seed}: wire traffic to {peer} differs");
+    }
+    (with_retained, released)
+}
+
+#[test]
+fn on_ack_matches_the_body_it_replaced() {
+    // The session-group shape (a client and its server) and a small
+    // server group.
+    for size in [2, 4] {
+        let (mut with_retained, mut released) = (0, 0);
+        for seed in 0..200 {
+            let (w, r) = run(seed, size, 300);
+            with_retained += w;
+            released += r;
+        }
+        // The case the early return must not swallow is well covered:
+        // acks that arrive while messages are retained, and release some.
+        assert!(with_retained > 5_000, "{size} members: {with_retained}");
+        assert!(released > 500, "{size} members: {released}");
+    }
+}

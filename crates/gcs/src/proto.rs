@@ -236,7 +236,7 @@ impl Membership {
             return None;
         }
         let vid = ViewId {
-            epoch: self.max_epoch_seen + 1,
+            epoch: self.max_epoch_seen.checked_add(1)?,
             coordinator: node,
         };
         self.max_epoch_seen = vid.epoch;
@@ -473,10 +473,13 @@ impl Membership {
                         && self.flush.is_none()
                         && residual.first() == Some(&node)
                     {
-                        return AnnounceOutcome::Reform {
-                            epoch: self.max_epoch_seen + 1,
-                            candidates: residual,
-                        };
+                        // No epoch left above a forged `u64::MAX`: ignore.
+                        if let Some(epoch) = self.max_epoch_seen.checked_add(1) {
+                            return AnnounceOutcome::Reform {
+                                epoch,
+                                candidates: residual,
+                            };
+                        }
                     }
                     return AnnounceOutcome::Ignored;
                 }
@@ -587,8 +590,9 @@ impl Membership {
         if candidates == self.view.members && !needs_reinstall {
             return None;
         }
-        let epoch = self.max_epoch_seen.max(merge_epoch).max(self.view.id.epoch) + 1;
-        Some((epoch, candidates))
+        let seen = self.max_epoch_seen.max(merge_epoch).max(self.view.id.epoch);
+        // A forged `u64::MAX` epoch leaves none to propose: the view stands.
+        Some((seen.checked_add(1)?, candidates))
     }
 
     /// Starts coordinating a view change over `candidates` at `epoch`:

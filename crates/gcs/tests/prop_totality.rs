@@ -38,9 +38,10 @@ struct Draw {
 }
 
 /// Sequence numbers and epochs: zero, the neighbourhood of what a settled
-/// node holds, and far ahead of any window. (Values within a step of
-/// `u64::MAX` are out of scope: a counter cannot reach them, and `+ 1` on
-/// them overflows in the election and the install — ROADMAP item 4c.)
+/// node holds, and far ahead of any window. (`u64::MAX` is left to
+/// [`the_top_of_the_counters_neither_panics_nor_evicts`]: an install at
+/// the last epoch can never be superseded, so "recovers" is not a fair
+/// question after one.)
 const NUMBERS: [u64; 8] = [0, 1, 2, 3, 4, 7, 1_000, 1 << 40];
 
 fn draw() -> impl Strategy<Value = Draw> {
@@ -128,6 +129,134 @@ fn forge(d: Draw, target: NodeId) -> Wire {
     }
 }
 
+/// A settled three-member group, every member having sent twice.
+fn settled(seed: u64) -> (Simulation<Wire>, Vec<NodeId>) {
+    let mut sim = Simulation::new(seed);
+    sim.set_default_profile(LinkProfile::lan());
+    let ids = boot(&mut sim, 3);
+    sim.run_until(SimTime::from_millis(100));
+    create(&mut sim, ids[0], G);
+    for &id in &ids[1..] {
+        join(&mut sim, id, G, &[ids[0]]);
+    }
+    sim.run_for(Duration::from_secs(3));
+    // Everyone has sent something, so every own horizon is above zero.
+    for &id in &ids {
+        say(&mut sim, id, G, u64::from(id.0));
+        say(&mut sim, id, G, 10 + u64::from(id.0));
+    }
+    sim.run_for(Duration::from_millis(300));
+    (sim, ids)
+}
+
+/// Epochs and sequence numbers at `u64::MAX`: the `+ 1` of the election,
+/// the expulsion re-form, the install's cut and the next multicast must
+/// not overflow (a debug build panics on it), and the target stays in the
+/// view it is listed in.
+#[test]
+fn the_top_of_the_counters_neither_panics_nor_evicts() {
+    const TOP: u64 = u64::MAX;
+    for target in 1..=3u32 {
+        let target = NodeId(target);
+        let (mut sim, ids) = settled(u64::from(target.0));
+        let others: Vec<NodeId> = ids.iter().copied().filter(|&n| n != target).collect();
+        let vid = |coordinator| ViewId {
+            epoch: TOP,
+            coordinator,
+        };
+        let forged: Vec<(NodeId, Wire)> = vec![
+            // A foreign coordinator at the last epoch: the merge election
+            // has no epoch above it to propose.
+            (
+                NodeId(5),
+                GcsPacket::Announce {
+                    group: G,
+                    vid: vid(NodeId(5)),
+                    members: vec![NodeId(4), NodeId(5)],
+                },
+            ),
+            // A listed member announcing a view without the target: the
+            // expulsion re-form has none either.
+            (
+                others[0],
+                GcsPacket::Announce {
+                    group: G,
+                    vid: vid(others[0]),
+                    members: others.clone(),
+                },
+            ),
+            (
+                others[0],
+                GcsPacket::Prepare {
+                    group: G,
+                    vid: vid(others[0]),
+                    candidates: ids.clone(),
+                },
+            ),
+            (
+                others[0],
+                GcsPacket::FlushAck {
+                    group: G,
+                    vid: vid(target),
+                    delivered: vec![(others[0], TOP), (target, TOP)],
+                    held: vec![(others[0], TOP, Chat(1))],
+                },
+            ),
+            // The install itself: every cut at the top, one of them filled.
+            (
+                others[0],
+                GcsPacket::Install {
+                    group: G,
+                    view: View::new(vid(others[0]), ids.clone()),
+                    cut: ids.iter().map(|&n| (n, TOP)).collect(),
+                    fill: vec![(others[0], TOP, Chat(2))],
+                },
+            ),
+            (
+                others[1],
+                GcsPacket::AppMsg {
+                    group: G,
+                    origin: others[1],
+                    seq: TOP,
+                    payload: Chat(3),
+                },
+            ),
+            (
+                others[1],
+                GcsPacket::Ack {
+                    group: G,
+                    delivered: vec![(others[0], TOP), (others[1], TOP), (target, TOP)],
+                },
+            ),
+        ];
+        for (from, pkt) in forged {
+            sim.invoke(target, |app: &mut App, ctx| {
+                let events = app.gcs.on_packet(ctx, Endpoint::new(from, GCS_PORT), pkt);
+                app.record(events);
+            })
+            .expect("target is up");
+            // Let the ticks act on it: elections, flush timeouts, NAKs.
+            sim.run_for(Duration::from_millis(700));
+            let member = sim
+                .with_process(target, |app: &App| app.gcs.is_member(G))
+                .unwrap();
+            assert!(member, "n{} left its own view", target.0);
+        }
+        // Its own sequence counter sits at the top now; sending still
+        // loops back instead of overflowing.
+        say(&mut sim, target, G, 7_777);
+        say(&mut sim, target, G, 7_778);
+        sim.run_for(Duration::from_secs(5));
+        let (member, echoed) = sim
+            .with_process(target, |app: &App| {
+                (app.gcs.is_member(G), app.delivered_from(G, target))
+            })
+            .unwrap();
+        assert!(member, "n{} left its own view", target.0);
+        assert_eq!(echoed[echoed.len() - 2..], [7_777, 7_778]);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -138,21 +267,7 @@ proptest! {
     ) {
         let (seed, target) = setup;
         let target = NodeId(target);
-        let mut sim = Simulation::new(seed);
-        sim.set_default_profile(LinkProfile::lan());
-        let ids = boot(&mut sim, 3);
-        sim.run_until(SimTime::from_millis(100));
-        create(&mut sim, ids[0], G);
-        for &id in &ids[1..] {
-            join(&mut sim, id, G, &[ids[0]]);
-        }
-        sim.run_for(Duration::from_secs(3));
-        // Everyone has sent something, so every own horizon is above zero.
-        for &id in &ids {
-            say(&mut sim, id, G, u64::from(id.0));
-            say(&mut sim, id, G, 10 + u64::from(id.0));
-        }
-        sim.run_for(Duration::from_millis(300));
+        let (mut sim, _) = settled(seed);
 
         for d in script {
             let from = Endpoint::new(NodeId(d.from), GCS_PORT);
