@@ -21,7 +21,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use ftvod_bench::compare;
+use ftvod_core::experiments::Report;
 
 /// Counts effective source lines: skips blanks, `//` comments and
 /// everything from the first `#[cfg(test)]` onward (unit-test blocks sit
@@ -63,10 +63,10 @@ fn tree_lines(dir: &Path) -> usize {
     total
 }
 
-/// Prints the effective lines of every workspace package (the crates in
-/// name order, then the root facade) under `src/` without `src/bin/`,
+/// Tabulates the effective lines of every workspace package (the crates
+/// in name order, then the root facade) under `src/` without `src/bin/`,
 /// `src/bin/` and `tests/`, plus a total row.
-fn workspace_table(repo: &Path) {
+fn workspace_table(repo: &Path, report: &mut Report) {
     let mut packages: Vec<PathBuf> = fs::read_dir(repo.join("crates"))
         .expect("crates/ is readable")
         .flatten()
@@ -75,16 +75,12 @@ fn workspace_table(repo: &Path) {
         .collect();
     packages.sort();
     packages.push(repo.to_path_buf());
-    println!("\n=== whole workspace: effective lines (same counting rule) ===\n");
-    println!(
-        "{:<16} {:>8} {:>8} {:>8} {:>8}",
-        "package", "src", "src/bin", "tests", "total"
-    );
     let row = |name: &str, r: [usize; 3]| {
         let sum: usize = r.iter().sum();
-        println!("{name:<16} {:>8} {:>8} {:>8} {sum:>8}", r[0], r[1], r[2]);
+        format!("{name}\t{}\t{}\t{}\t{sum}", r[0], r[1], r[2])
     };
     let mut total = [0usize; 3];
+    let mut rows = Vec::new();
     for dir in &packages {
         let bin = tree_lines(&dir.join("src/bin"));
         let lines = [
@@ -93,14 +89,16 @@ fn workspace_table(repo: &Path) {
             tree_lines(&dir.join("tests")),
         ];
         match dir.strip_prefix(repo.join("crates")) {
-            Ok(name) => row(&name.to_string_lossy(), lines),
-            Err(_) => row("ftvod (root)", lines),
+            Ok(name) => rows.push(row(&name.to_string_lossy(), lines)),
+            Err(_) => rows.push(row("ftvod (root)", lines)),
         }
         for (t, l) in total.iter_mut().zip(lines) {
             *t += l;
         }
     }
-    row("total", total);
+    rows.push(row("total", total));
+    report.line("\n=== whole workspace: effective lines (same counting rule) ===\n");
+    report.table("package\tsrc\tsrc/bin\ttests\ttotal", rows);
 }
 
 fn main() {
@@ -114,48 +112,41 @@ fn main() {
     let gcs = tree_lines(&repo.join("crates/gcs/src"));
     let simnet = tree_lines(&repo.join("crates/simnet/src"));
 
-    println!("=== T6: code size — the application vs its substrates ===\n");
-    println!("{:<42} {:>10}   paper analogue", "module", "lines");
-    println!(
-        "{:<42} {:>10}   ~2500 lines of C++",
-        "VoD server (crates/core/src/server)", server
-    );
-    println!(
-        "{:<42} {:>10}   ~400 lines of C (excl. GUI/display)",
-        "VoD client (crates/core/src/client)", client
-    );
-    println!(
-        "{:<42} {:>10}   Transis (not counted by the paper)",
-        "group communication (crates/gcs)", gcs
-    );
-    println!(
-        "{:<42} {:>10}   the physical network",
-        "network substrate (crates/simnet)", simnet
+    let mut report = Report::default();
+    report.line("=== T6: code size — the application vs its substrates ===\n");
+    report.table(
+        "module\tlines\tpaper analogue",
+        [
+            format!("VoD server (crates/core/src/server)\t{server}\t~2500 lines of C++"),
+            format!("VoD client (crates/core/src/client)\t{client}\t~400 lines of C (excl. GUI/display)"),
+            format!("group communication (crates/gcs)\t{gcs}\tTransis (not counted by the paper)"),
+            format!("network substrate (crates/simnet)\t{simnet}\tthe physical network"),
+        ],
     );
 
-    println!();
-    compare(
+    report.check(
         "the server stays in the low thousands of lines",
         "≈ 2500",
-        &server.to_string(),
+        server,
         (500..4000).contains(&server),
     );
-    compare(
+    report.check(
         "the client is the smaller half of the application",
         "≈ 400 (client < server)",
-        &format!("{client} (vs {server})"),
+        format!("{client} (vs {server})"),
         client < server,
     );
-    compare(
+    report.check(
         "the substrate carries more code than the application",
         "\"far more complicated\" without it",
-        &format!("gcs {gcs} vs app {}", server + client),
+        format!("gcs {gcs} vs app {}", server + client),
         gcs > (server + client) / 2,
     );
-    println!(
+    report.line(
         "\nlike the paper's Transis-based prototype, the service logic stays small\n\
          because membership, reliable multicast and failure detection live in the\n\
-         substrate — the very point §5.3 argues."
+         substrate — the very point §5.3 argues.",
     );
-    workspace_table(&repo);
+    workspace_table(&repo, &mut report);
+    print!("{}", report.text());
 }

@@ -1,13 +1,11 @@
 //! The workspace's JSON corner: the one string escape every hand-rolled
-//! writer uses, and a minimal reader.
+//! writer uses.
 //!
 //! The workspace is hermetic (no serde). Writing stays hand-rolled at the
-//! call sites (trace JSONL, run reports, `BENCH_ftvod.json`), but every
-//! string they embed goes through [`escape`]; the only JSON ever *read
-//! back* is the perf gate's own `BENCH_ftvod.json`, so a small
-//! recursive-descent parser over the full JSON grammar is enough.
+//! call sites (trace JSONL, run reports, the perf counters document), but
+//! every string they embed goes through [`escape`]. Nothing in the
+//! workspace reads JSON back; the repo benchmark has its own reader.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Escapes a string for embedding between the quotes of a JSON string.
@@ -29,292 +27,14 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// A parsed JSON value.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number. `f64` is exact for every counter this crate emits
-    /// (all are far below 2^53).
-    Num(f64),
-    /// A string, unescaped.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in key order.
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    /// Parses a complete JSON document.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
-        }
-        Ok(value)
-    }
-
-    /// The value at `key`, for objects.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(map) => map.get(key),
-            _ => None,
-        }
-    }
-
-    /// This value as a string slice.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// This value as an unsigned integer (rejects negatives/fractions).
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    /// This value as an array slice.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// This value as an object map.
-    pub fn as_obj(&self) -> Option<&BTreeMap<String, Json>> {
-        match self {
-            Json::Obj(map) => Some(map),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            ))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii span");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|e| format!("bad number {text:?} at byte {start}: {e}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_owned()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "non-ascii \\u escape".to_owned())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|e| format!("bad \\u escape {hex:?}: {e}"))?;
-                            self.pos += 4;
-                            // Surrogate pairs never appear in our own
-                            // output; map lone surrogates to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("bad escape \\{}", other as char)),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8 in string".to_owned())?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => return Err(format!("expected ',' or ']' in array, found {other:?}")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(map));
-                }
-                other => return Err(format!("expected ',' or '}}' in object, found {other:?}")),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn parses_scalars() {
-        assert_eq!(Json::parse("null").unwrap(), Json::Null);
-        assert_eq!(Json::parse("true").unwrap(), Json::Bool(true));
-        assert_eq!(Json::parse(" 42 ").unwrap(), Json::Num(42.0));
-        assert_eq!(Json::parse("-1.5e2").unwrap(), Json::Num(-150.0));
-        assert_eq!(
-            Json::parse("\"a\\n\\\"b\\u0041\"").unwrap(),
-            Json::Str("a\n\"bA".to_owned())
-        );
-    }
-
-    #[test]
-    fn parses_nested_structures() {
-        let doc = Json::parse(r#"{"a":[1,2,{"b":null}],"c":{"d":"e"}}"#).unwrap();
-        assert_eq!(doc.get("a").unwrap().as_arr().unwrap().len(), 3);
-        assert_eq!(doc.get("c").unwrap().get("d").unwrap().as_str(), Some("e"));
-    }
-
-    #[test]
-    fn rejects_malformed_documents() {
-        assert!(Json::parse("{").is_err());
-        assert!(Json::parse("[1,]").is_err());
-        assert!(Json::parse("42 junk").is_err());
-        assert!(Json::parse("\"open").is_err());
-    }
-
-    #[test]
-    fn u64_round_trip() {
-        let doc = Json::parse("{\"n\":123456789}").unwrap();
-        assert_eq!(doc.get("n").unwrap().as_u64(), Some(123_456_789));
-        assert_eq!(Json::parse("-1").unwrap().as_u64(), None);
-        assert_eq!(Json::parse("1.5").unwrap().as_u64(), None);
+    fn escapes_every_json_metacharacter() {
+        assert_eq!(escape("plain ‰ text"), "plain ‰ text");
+        assert_eq!(escape("a\"b\\c\nd\re\tf"), "a\\\"b\\\\c\\nd\\re\\tf");
+        assert_eq!(escape("\u{1}\u{1f}"), "\\u0001\\u001f");
     }
 }

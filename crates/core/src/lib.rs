@@ -12,8 +12,7 @@
 //!   control policy, VCR operations, statistics;
 //! * [`config`] — the paper's §6 operating point and ablation knobs;
 //! * [`metrics`] — time series/counters behind every reproduced figure;
-//! * [`json`] — the one JSON string escape every writer shares, and the
-//!   small reader the perf gate parses its baseline with;
+//! * [`json`] — the one JSON string escape every writer shares;
 //! * [`trace`] — the cross-layer event stream, JSONL export and derived
 //!   run reports (takeover-latency breakdowns, latency percentiles);
 //! * [`profile`] — per-subsystem cost accounting (span wall-clock plus
@@ -31,6 +30,10 @@
 //! * [`campaign`] — the one definition of the chaos, flash-crowd and
 //!   multi-datacenter campaigns: how each is wired and how a finished
 //!   run is judged, shared by the CLI, the perf suite and the tests;
+//! * [`experiments`] — the paper's evaluation as one table: every
+//!   figure, table and quantitative sentence is a row that runs its
+//!   scenario and records each paper-vs-measured check with the verdict
+//!   it is expected to have (`ftvod-cli experiment <id>|all`);
 //! * [`oracle`] — the trace-driven safety oracle checking the paper's
 //!   invariants (exclusive service, bounded frame gaps, replica coverage,
 //!   repair within a bound, and the site-aware failover invariants)
@@ -43,6 +46,7 @@ pub mod campaign;
 pub mod chaos;
 pub mod client;
 pub mod config;
+pub mod experiments;
 pub mod forecast;
 pub mod json;
 pub mod metrics;

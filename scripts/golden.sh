@@ -22,8 +22,11 @@ mkdir -p "$out"
 "$cli" flash --seed 1 --compare >"$out/flash_compare.txt"
 "$cli" multidc --seeds 10 >"$out/multidc.txt"
 "$cli" multidc --seed 42 --compare >"$out/multidc_compare.txt"
-# perf's stdout carries wall-clock; the counters-only document does not.
-"$cli" perf --counters-only --out "$out/perf_counters.json" >/dev/null
+# perf's stdout carries wall-clock; the counters document does not.
+"$cli" perf --out "$out/perf_counters.json" >/dev/null
+# Every figure and table of the paper's evaluation, with its verdict
+# lines; exits nonzero when a verdict differs from its expectation.
+"$cli" experiment all >"$out/experiments.txt"
 
 # The preset traces are ~2 MB each: pin their checksums, not their bytes.
 (

@@ -73,15 +73,16 @@
 //!   --max-states S     distinct-state cap           (default 400000)
 //!   --revert-pr4-fix   disable the PR 4 expulsion fix (must fail)
 //! ftvod-cli perf [options]                  run the fixed perf suite and
-//!                                           emit BENCH_ftvod.json; with a
-//!                                           baseline, gate on regressions
-//!   --out FILE         where to write the BENCH file (default BENCH_ftvod.json)
-//!   --baseline FILE    compare against a previous BENCH file
-//!   --rev REV          git revision to record       (default "unknown")
-//!   --date DATE        date to record               (default "unknown")
-//!   --counters-only    omit wall-clock fields (byte-identical output)
+//!                                           write its deterministic
+//!                                           counters document
+//!   --out FILE         where to write the document (default perf_counters.json)
 //!   --flamechart FILE  export a Chrome-trace JSON of fig4_lan spans
-//!   --max-wall-ratio R wall-clock regression threshold (default 5.0)
+//! ftvod-cli experiment <id | all>           regenerate a figure or table of
+//!                                           the paper's evaluation (fig2 fig4
+//!                                           fig5 T1-T5 T7 A1-A4 FD E1-E3);
+//!                                           exits nonzero if any paper-vs-
+//!                                           measured verdict differs from
+//!                                           its recorded expectation
 //! ```
 //!
 //! `lan`, `wan`, `custom` and `fleet` also accept `--net-csv FILE` to
@@ -93,9 +94,10 @@ use std::process::ExitCode;
 use std::str::FromStr;
 use std::time::Duration;
 
-use ftvod::bench::perf::{run_suite, BenchReport, DEFAULT_MAX_WALL_RATIO};
+use ftvod::bench::perf;
 use ftvod::prelude::*;
 use ftvod::vod::campaign::{self, Outcome};
+use ftvod::vod::experiments;
 use ftvod_mc::{explore, CheckConfig, ProtoConfig, Scenario};
 
 /// The one flag parser: a cursor over a subcommand's arguments. Callers
@@ -896,24 +898,14 @@ fn run_report(args: &PresetArgs) -> Result<(), String> {
 #[derive(Debug, Clone, PartialEq)]
 struct PerfOptions {
     out: String,
-    baseline: Option<String>,
-    rev: String,
-    date: String,
-    counters_only: bool,
     flamechart: Option<String>,
-    max_wall_ratio: f64,
 }
 
 impl Default for PerfOptions {
     fn default() -> Self {
         PerfOptions {
-            out: "BENCH_ftvod.json".to_owned(),
-            baseline: None,
-            rev: "unknown".to_owned(),
-            date: "unknown".to_owned(),
-            counters_only: false,
+            out: "perf_counters.json".to_owned(),
             flamechart: None,
-            max_wall_ratio: DEFAULT_MAX_WALL_RATIO,
         }
     }
 }
@@ -924,67 +916,59 @@ fn parse_perf(args: &[String]) -> Result<PerfOptions, String> {
     while let Some(flag) = flags.next() {
         match flag {
             "--out" => opts.out = flags.value(flag)?,
-            "--baseline" => opts.baseline = Some(flags.value(flag)?),
-            "--rev" => opts.rev = flags.value(flag)?,
-            "--date" => opts.date = flags.value(flag)?,
-            "--counters-only" => opts.counters_only = true,
             "--flamechart" => opts.flamechart = Some(flags.value(flag)?),
-            "--max-wall-ratio" => opts.max_wall_ratio = flags.value(flag)?,
             other => return unknown(other),
         }
-    }
-    if !opts.max_wall_ratio.is_finite() || opts.max_wall_ratio < 1.0 {
-        return Err("--max-wall-ratio must be a finite ratio of at least 1".to_owned());
     }
     Ok(opts)
 }
 
 fn run_perf(opts: &PerfOptions) -> Result<(), String> {
-    // Load the baseline first so a malformed file fails before the
-    // minutes-long suite runs.
-    let baseline = match &opts.baseline {
-        Some(path) => {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            Some(BenchReport::parse(&text).map_err(|e| format!("parsing {path}: {e}"))?)
-        }
-        None => None,
-    };
     println!(
-        "perf: running the fixed suite (fig4_lan, fig5_wan, fleet_e3, chaos_5seeds, flash_crowd), rev {}",
-        opts.rev
+        "perf: running the fixed suite (fig4_lan, fig5_wan, fleet_e3, chaos_5seeds, flash_crowd)"
     );
     let capacity = if opts.flamechart.is_some() {
         1 << 18
     } else {
         0
     };
-    let (report, flamechart) = run_suite(&opts.rev, &opts.date, capacity);
-    print!("{}", report.render_table());
-    let json = report.to_json(!opts.counters_only);
-    std::fs::write(&opts.out, &json).map_err(|e| format!("writing {}: {e}", opts.out))?;
+    let (scenarios, flamechart) = perf::run_suite(capacity);
+    print!("{}", perf::render_table(&scenarios));
+    std::fs::write(&opts.out, perf::to_json(&scenarios))
+        .map_err(|e| format!("writing {}: {e}", opts.out))?;
     println!("wrote {}", opts.out);
     if let Some(path) = &opts.flamechart {
         let trace = flamechart.ok_or("the suite produced no flamechart spans")?;
         std::fs::write(path, &trace).map_err(|e| format!("writing {path}: {e}"))?;
         println!("wrote flamechart to {path} (open in a Chrome-trace viewer)");
     }
-    if let Some(baseline) = baseline {
-        let regressions = BenchReport::compare(&baseline, &report, opts.max_wall_ratio);
-        if regressions.is_empty() {
-            println!(
-                "perf gate: no regressions against {}",
-                opts.baseline.as_deref().unwrap_or("baseline")
-            );
-        } else {
-            let mut msg = format!("{} perf regression(s):", regressions.len());
-            for r in &regressions {
-                msg.push_str("\n  ");
-                msg.push_str(r);
-            }
-            return Err(msg);
-        }
-    }
     Ok(())
+}
+
+/// Where `experiment` puts its CSV artifacts, relative to the invoking
+/// directory.
+const EXPERIMENT_ARTIFACTS: &str = "target/experiments";
+
+/// `experiment` takes exactly one positional — an experiment id or
+/// `all` — and no flag: it always judges.
+fn parse_experiment(args: &[String]) -> Result<&'static [experiments::Experiment], String> {
+    if let Some(flag) = args.iter().find(|arg| arg.starts_with('-')) {
+        return unknown(flag);
+    }
+    match args {
+        [which] => experiments::select(which),
+        [] => Err("expected an experiment id or \"all\" (--help lists the ids)".to_owned()),
+        [_, stray, ..] => Err(format!("unexpected argument \"{stray}\"")),
+    }
+}
+
+fn run_experiment(rows: &[experiments::Experiment]) -> Result<(), String> {
+    let report = experiments::run(rows);
+    print!("{}", report.text());
+    report
+        .write_artifacts(std::path::Path::new(EXPERIMENT_ARTIFACTS))
+        .map_err(|e| format!("writing under {EXPERIMENT_ARTIFACTS}: {e}"))?;
+    report.gate()
 }
 
 fn run_custom(opts: &CustomOptions) -> Result<(), String> {
@@ -1189,22 +1173,34 @@ fn usage_for(topic: &str) -> &'static str {
         "perf" => {
             "usage: ftvod-cli perf [options]\n\n\
              Run the fixed perf suite (fig4_lan, fig5_wan, fleet_e3,\n\
-             chaos_5seeds, flash_crowd) with hot-path cost profiling on and write the\n\
-             schema-versioned BENCH_ftvod.json: per-scenario wall-clock,\n\
-             events/second, peak concurrent sessions and the deterministic\n\
-             counter table. With --baseline, compare against a previous\n\
-             BENCH file and exit nonzero on any regression: counters must\n\
-             match exactly, wall-clock must stay within the ratio\n\
-             threshold.\n\n\
+             chaos_5seeds, flash_crowd) with hot-path cost profiling on,\n\
+             print per-scenario events and peak concurrent sessions, and\n\
+             write the deterministic counter table as JSON (schema\n\
+             ftvod-bench/v1). The document is byte-identical across runs\n\
+             of one build; scripts/golden.sh compares it with\n\
+             tests/golden/perf_counters.json. Timing is the repo\n\
+             benchmark's job (benchmark/README.md).\n\n\
              options:\n\
-             \x20 --out FILE          BENCH output path      (default BENCH_ftvod.json)\n\
-             \x20 --baseline FILE     gate against a previous BENCH file\n\
-             \x20 --rev REV           git revision to record (default unknown)\n\
-             \x20 --date DATE         date to record         (default unknown)\n\
-             \x20 --counters-only     omit wall-clock fields; output is\n\
-             \x20                     byte-identical across runs\n\
-             \x20 --flamechart FILE   export fig4_lan spans as Chrome-trace JSON\n\
-             \x20 --max-wall-ratio R  wall-clock threshold   (default 5.0)"
+             \x20 --out FILE          counters document (default perf_counters.json)\n\
+             \x20 --flamechart FILE   export fig4_lan spans as Chrome-trace JSON"
+        }
+        "experiment" => {
+            "usage: ftvod-cli experiment <id | all>\n\n\
+             Regenerate one figure or table of the paper's evaluation, or\n\
+             all of them: run the row's seeded scenarios, print the measured\n\
+             table and one paper-vs-measured verdict line per check, and\n\
+             write the raw series as CSV under target/experiments/ of the\n\
+             current directory. Always judges: exits nonzero when a verdict\n\
+             differs from its recorded expectation, in either direction (a\n\
+             check that stopped holding, or a known deviation that holds\n\
+             again). Seeds and run counts are fixed, so the output is\n\
+             byte-identical across runs; `all` is pinned as\n\
+             tests/golden/experiments.txt and read by EXPERIMENTS.md.\n\n\
+             ids:\n\
+             \x20 fig2 fig4 fig5     the paper's figures\n\
+             \x20 T1 T2 T3 T4 T5 T7  its quantitative sentences\n\
+             \x20 A1 A2 A3 A4 FD     ablations of the knobs it fixed\n\
+             \x20 E1 E2 E3           extensions it only motivates"
         }
         _ => {
             "usage: ftvod-cli <command> [options]\n\n\
@@ -1220,8 +1216,9 @@ fn usage_for(topic: &str) -> &'static str {
              \x20 multidc     two-datacenter site-crash sweep: cross-DC rescue\n\
              \x20             and degraded-mode serving vs a home-only baseline\n\
              \x20 check       exhaustively model-check the membership protocol\n\
-             \x20 perf        run the perf suite, write BENCH_ftvod.json, gate\n\
-             \x20             against a baseline\n\n\
+             \x20 perf        run the perf suite, write its counters document\n\
+             \x20 experiment  regenerate the paper's figures and tables and\n\
+             \x20             judge them against their recorded verdicts\n\n\
              Run `ftvod-cli <command> --help` for the command's options."
         }
     }
@@ -1259,6 +1256,7 @@ fn main() -> ExitCode {
         "multidc" => exit_from(parse_multidc(&args[1..]).and_then(|opts| run_multidc(&opts))),
         "check" => exit_from(parse_check(&args[1..]).and_then(|opts| run_check(&opts))),
         "perf" => exit_from(parse_perf(&args[1..]).and_then(|opts| run_perf(&opts))),
+        "experiment" => exit_from(parse_experiment(&args[1..]).and_then(run_experiment)),
         other => {
             eprintln!("unknown command \"{other}\"\n\n{}", usage_for("overview"));
             ExitCode::FAILURE
@@ -1616,8 +1614,19 @@ mod tests {
     #[test]
     fn every_command_has_usage_text() {
         for cmd in [
-            "lan", "wan", "trace", "report", "custom", "fleet", "flash", "chaos", "multidc",
-            "check", "perf", "overview",
+            "lan",
+            "wan",
+            "trace",
+            "report",
+            "custom",
+            "fleet",
+            "flash",
+            "chaos",
+            "multidc",
+            "check",
+            "perf",
+            "experiment",
+            "overview",
         ] {
             let text = usage_for(cmd);
             assert!(text.starts_with("usage:"), "{cmd} usage malformed");
@@ -1636,7 +1645,11 @@ mod tests {
         assert!(usage_for("perf").contains("flash_crowd"));
         assert!(usage_for("check").contains("--revert-pr4-fix"));
         assert!(usage_for("check").contains("--depth"));
-        assert!(usage_for("perf").contains("--counters-only"));
+        assert!(usage_for("perf").contains("--flamechart"));
+        assert!(usage_for("overview").contains("experiment"));
+        for row in experiments::TABLE {
+            assert!(usage_for("experiment").contains(row.id), "{}", row.id);
+        }
         assert!(usage_for("report").contains("--json"));
         assert!(usage_for("fleet").contains("--net-csv"));
     }
@@ -1645,9 +1658,8 @@ mod tests {
     fn perf_defaults_parse() {
         let opts = parse_perf(&[]).unwrap();
         assert_eq!(opts, PerfOptions::default());
-        assert_eq!(opts.out, "BENCH_ftvod.json");
-        assert!(!opts.counters_only);
-        assert!((opts.max_wall_ratio - DEFAULT_MAX_WALL_RATIO).abs() < 1e-12);
+        assert_eq!(opts.out, "perf_counters.json");
+        assert_eq!(opts.flamechart, None);
     }
 
     #[test]
@@ -1655,34 +1667,46 @@ mod tests {
         let opts = parse_perf(&strings(&[
             "--out",
             "bench.json",
-            "--baseline",
-            "BENCH_ftvod.json",
-            "--rev",
-            "abc123",
-            "--date",
-            "2026-08-07",
-            "--counters-only",
             "--flamechart",
             "flame.json",
-            "--max-wall-ratio",
-            "3.5",
         ]))
         .unwrap();
         assert_eq!(opts.out, "bench.json");
-        assert_eq!(opts.baseline.as_deref(), Some("BENCH_ftvod.json"));
-        assert_eq!(opts.rev, "abc123");
-        assert_eq!(opts.date, "2026-08-07");
-        assert!(opts.counters_only);
         assert_eq!(opts.flamechart.as_deref(), Some("flame.json"));
-        assert!((opts.max_wall_ratio - 3.5).abs() < 1e-12);
     }
 
     #[test]
     fn perf_rejects_bad_inputs() {
         assert!(parse_perf(&strings(&["--bogus"])).is_err());
         assert!(parse_perf(&strings(&["--out"])).is_err());
-        assert!(parse_perf(&strings(&["--max-wall-ratio", "0.5"])).is_err());
-        assert!(parse_perf(&strings(&["--max-wall-ratio", "nan"])).is_err());
+        assert!(parse_perf(&strings(&["stray"])).is_err());
+        // The gate flags went with the second counters document.
+        for gone in ["--baseline", "--max-wall-ratio", "--rev", "--date"] {
+            assert!(parse_perf(&strings(&[gone, "x"])).is_err(), "{gone}");
+        }
+        assert!(parse_perf(&strings(&["--counters-only"])).is_err());
+    }
+
+    #[test]
+    fn experiment_takes_one_id_or_all() {
+        let parse = |v: &[&str]| parse_experiment(&strings(v));
+        assert_eq!(parse(&["all"]).unwrap().len(), experiments::TABLE.len());
+        let one = parse(&["T4"]).unwrap();
+        assert_eq!((one.len(), one[0].id), (1, "T4"));
+    }
+
+    #[test]
+    fn experiment_rejects_bad_inputs() {
+        let parse = |v: &[&str]| parse_experiment(&strings(v)).unwrap_err();
+        // An unknown id lists the known ones.
+        let err = parse(&["T6"]);
+        assert!(err.contains("fig2") && err.contains("E3"), "{err}");
+        assert!(parse(&[]).contains("expected an experiment id"));
+        assert!(parse(&["T4", "40"]).contains("\"40\""));
+        assert!(parse(&["T4", "T5"]).contains("\"T5\""));
+        assert!(parse(&["--check"]).contains("unknown flag --check"));
+        assert!(parse(&["all", "--check"]).contains("--check"));
+        assert!(parse(&["--seed", "7"]).contains("unknown flag --seed"));
     }
 
     #[test]

@@ -50,9 +50,10 @@
 //! assert_eq!(sim.owner_of(ClientId(1)), Some(NodeId(1)));
 //! ```
 //!
-//! See `examples/` for complete scenarios and `crates/bench` for the
-//! harness regenerating every figure and table of the paper's evaluation
-//! (documented in EXPERIMENTS.md).
+//! See `examples/` for complete scenarios and [`vod::experiments`] (run by
+//! `ftvod-cli experiment <id>|all`) for the table regenerating and judging
+//! every figure and table of the paper's evaluation (interpreted in
+//! EXPERIMENTS.md).
 
 #![warn(missing_docs)]
 
@@ -76,9 +77,8 @@ pub mod vod {
     pub use ftvod_core::*;
 }
 
-/// The experiment and benchmark harness (re-export of [`ftvod_bench`]):
-/// shared experiment utilities plus the fixed perf suite behind
-/// `ftvod-cli perf` and the CI regression gate.
+/// The measuring harness (re-export of [`ftvod_bench`]): the fixed perf
+/// suite behind `ftvod-cli perf` and the golden counters document.
 pub mod bench {
     pub use ftvod_bench::*;
 }
