@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for the group communication substrate:
-//! multicast cost, view-change (takeover trigger) simulation cost and the
-//! cost of an ack that carries no news.
+//! multicast cost, view-change (takeover trigger) simulation cost, the
+//! cost of an ack that carries no news and of one that arrives while
+//! messages are buffered.
 
 use std::time::Duration;
 
@@ -167,6 +168,62 @@ fn bench_quiet_acks(c: &mut Criterion) {
     });
 }
 
+fn bench_busy_acks(c: &mut Criterion) {
+    const ACKS: u64 = 10_000;
+    const HELD: u64 = 8;
+    // A group with traffic in flight: the node holds two unstable
+    // messages of its own and eight of a peer's, and that peer's acks —
+    // sent before it saw any of them, alternately before and after its own
+    // first — release nothing more. In the larger group the other members
+    // have not acked at all.
+    for members in [2u32, 8] {
+        let name = format!(
+            "gcs: {ACKS} acks at a {members}-member group holding {HELD} retained messages"
+        );
+        c.bench_function(&name, |b| {
+            b.iter_batched(
+                || {
+                    let mut sim = formed(4, members);
+                    let from = Endpoint::new(NodeId(2), GCS_PORT);
+                    sim.invoke(NodeId(1), |app: &mut App, ctx| {
+                        for v in 0..2 {
+                            let events = app.gcs.multicast(ctx, G, Blob(v)).expect("member");
+                            app.record(events);
+                        }
+                        for seq in 1..=HELD {
+                            let msg = GcsPacket::AppMsg {
+                                group: G,
+                                origin: NodeId(2),
+                                seq,
+                                payload: Blob(seq),
+                            };
+                            let events = app.gcs.on_packet(ctx, from, msg);
+                            app.record(events);
+                        }
+                    });
+                    sim
+                },
+                |mut sim| {
+                    let from = Endpoint::new(NodeId(2), GCS_PORT);
+                    sim.invoke(NodeId(1), |app: &mut App, ctx| {
+                        for i in 0..ACKS {
+                            let ack = GcsPacket::Ack {
+                                group: G,
+                                delivered: vec![(NodeId(2), i % 2), (NodeId(1), 0)],
+                            };
+                            let events = app.gcs.on_packet(ctx, from, ack);
+                            app.record(events);
+                        }
+                        assert_eq!(app.delivered, 2 + HELD);
+                    });
+                    sim
+                },
+                BatchSize::PerIteration,
+            );
+        });
+    }
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -177,6 +234,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_multicast, bench_view_change, bench_quiet_acks
+    targets = bench_multicast, bench_view_change, bench_quiet_acks, bench_busy_acks
 }
 criterion_main!(benches);

@@ -3,7 +3,10 @@
 //!
 //! * the event queue at a steady depth of 1 k and 4 k pending events,
 //!   with `VodWire`-sized slab entries (the real message type, so the
-//!   bodies the queue moves are the size the service's are);
+//!   bodies the queue moves are the size the service's are), and 10⁶
+//!   events at the depth `steady_fleet` runs at, 800 — the timers sit on
+//!   a 100 µs grid of 64 instants, so about a dozen share each one and
+//!   every pop has same-instant ties to order;
 //! * `route` on a flat LAN and through a `SiteTopology` with a link
 //!   override installed;
 //! * an idle `GcsNode::on_timer` over 2 and 64 groups;
@@ -11,8 +14,8 @@
 //!   so ten simulated seconds of them dispatch nothing — asserted, not
 //!   only timed.
 //!
-//! Every benchmark reports the time for [`EVENTS`] events (or the stated
-//! number of ticks), so per-event cost is the printed time over that.
+//! Every benchmark reports the time for the number of events (or ticks)
+//! its name states, so per-event cost is the printed time over that.
 
 use std::time::Duration;
 
@@ -60,8 +63,8 @@ impl Process<VodWire> for Juggler {
 }
 
 fn bench_queue(c: &mut Criterion) {
-    for depth in [1_000u32, 4_000] {
-        let name = format!("simnet: {EVENTS} timer events at queue depth {depth}");
+    for (events, depth) in [(EVENTS, 1_000u32), (EVENTS, 4_000), (1_000_000, 800)] {
+        let name = format!("simnet: {events} timer events at queue depth {depth}");
         c.bench_function(&name, |b| {
             b.iter_batched(
                 || {
@@ -73,7 +76,7 @@ fn bench_queue(c: &mut Criterion) {
                 |mut sim| {
                     // A timer lives 3.25 ms on average.
                     let per_ms = f64::from(depth) / 3.25;
-                    sim.run_for(Duration::from_secs_f64(EVENTS as f64 / per_ms / 1e3));
+                    sim.run_for(Duration::from_secs_f64(events as f64 / per_ms / 1e3));
                     sim
                 },
                 BatchSize::PerIteration,

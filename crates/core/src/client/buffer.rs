@@ -6,7 +6,7 @@
 //! duplicates count as late), and on overflow prefers discarding an
 //! incremental frame over an I frame.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 use media::{FrameMeta, FrameNo, HardwareDecoder};
 
@@ -39,7 +39,10 @@ pub struct FeedSummary {
 #[derive(Clone, Debug)]
 pub struct SoftwareBuffer {
     capacity: usize,
-    frames: BTreeMap<u64, FrameMeta>,
+    /// Ascending by frame number, no number twice. A few dozen frames
+    /// that almost always arrive in order: a queue, with the rare
+    /// straggler inserted at its place.
+    frames: VecDeque<FrameMeta>,
     next_feed: FrameNo,
     prefer_incremental: bool,
 }
@@ -66,7 +69,7 @@ impl SoftwareBuffer {
         assert!(capacity > 0, "software buffer capacity must be positive");
         SoftwareBuffer {
             capacity,
-            frames: BTreeMap::new(),
+            frames: VecDeque::new(),
             next_feed: FrameNo::ZERO,
             prefer_incremental,
         }
@@ -89,10 +92,18 @@ impl SoftwareBuffer {
 
     /// Offers a received frame.
     pub fn insert(&mut self, frame: FrameMeta) -> InsertOutcome {
-        if frame.no < self.next_feed || self.frames.contains_key(&frame.no.0) {
+        if frame.no < self.next_feed {
             return InsertOutcome::Late;
         }
-        self.frames.insert(frame.no.0, frame);
+        match self.frames.back() {
+            Some(newest) if frame.no <= newest.no => {
+                match self.frames.binary_search_by_key(&frame.no, |f| f.no) {
+                    Ok(_) => return InsertOutcome::Late,
+                    Err(at) => self.frames.insert(at, frame),
+                }
+            }
+            _ => self.frames.push_back(frame),
+        }
         let evicted = if self.frames.len() > self.capacity {
             self.evict()
         } else {
@@ -105,30 +116,33 @@ impl SoftwareBuffer {
     /// incremental frame, or the highest-numbered frame if only I frames
     /// remain (paper §3).
     fn evict(&mut self) -> Option<FrameMeta> {
-        let victim = if self.prefer_incremental {
-            self.frames
-                .iter()
-                .rev()
-                .find(|(_, f)| !f.ftype.is_intra())
-                .map(|(&no, _)| no)
-                .or_else(|| self.frames.keys().next_back().copied())?
+        let incremental = if self.prefer_incremental {
+            self.frames.iter().rposition(|f| !f.ftype.is_intra())
         } else {
-            self.frames.keys().next_back().copied()?
+            None
         };
-        self.frames.remove(&victim)
+        match incremental {
+            Some(at) => self.frames.remove(at),
+            None => self.frames.pop_back(),
+        }
     }
 
     /// Streams frames into `decoder` while it has space, passing over
     /// positions that never arrived.
+    ///
+    /// The feed point steps to one past each frame fed and never moves
+    /// backwards. Frame `u64::MAX` has no successor: after feeding it the
+    /// feed point stays at `u64::MAX`, so every lower number is late and
+    /// only that last number itself would be accepted (and fed) again.
     pub fn feed(&mut self, decoder: &mut HardwareDecoder) -> FeedSummary {
         let mut summary = FeedSummary::default();
-        while let Some((&no, frame)) = self.frames.iter().next() {
+        while let Some(frame) = self.frames.front() {
             if !decoder.fits(frame) {
                 break;
             }
-            let frame = self.frames.remove(&no).expect("peeked frame exists");
-            summary.passed_gaps += no - self.next_feed.0;
-            self.next_feed = FrameNo(no + 1);
+            let frame = self.frames.pop_front().expect("peeked frame exists");
+            summary.passed_gaps += frame.no.0 - self.next_feed.0;
+            self.next_feed = FrameNo(frame.no.0.saturating_add(1));
             decoder.push(frame).expect("checked fits() before pushing");
             summary.fed += 1;
         }
@@ -262,6 +276,146 @@ mod tests {
         dec.tick_display();
         let summary = buf.feed(&mut dec);
         assert_eq!(summary.fed, 1);
+    }
+
+    /// The `BTreeMap` buffer this one replaced, verbatim: the oracle of
+    /// [`every_script_matches_the_btreemap_buffer`].
+    struct TreeBuffer {
+        capacity: usize,
+        frames: std::collections::BTreeMap<u64, FrameMeta>,
+        next_feed: FrameNo,
+        prefer_incremental: bool,
+    }
+
+    impl TreeBuffer {
+        fn insert(&mut self, frame: FrameMeta) -> InsertOutcome {
+            if frame.no < self.next_feed || self.frames.contains_key(&frame.no.0) {
+                return InsertOutcome::Late;
+            }
+            self.frames.insert(frame.no.0, frame);
+            let evicted = if self.frames.len() > self.capacity {
+                self.evict()
+            } else {
+                None
+            };
+            InsertOutcome::Accepted { evicted }
+        }
+
+        fn evict(&mut self) -> Option<FrameMeta> {
+            let victim = if self.prefer_incremental {
+                self.frames
+                    .iter()
+                    .rev()
+                    .find(|(_, f)| !f.ftype.is_intra())
+                    .map(|(&no, _)| no)
+                    .or_else(|| self.frames.keys().next_back().copied())?
+            } else {
+                self.frames.keys().next_back().copied()?
+            };
+            self.frames.remove(&victim)
+        }
+
+        fn feed(&mut self, decoder: &mut HardwareDecoder) -> FeedSummary {
+            let mut summary = FeedSummary::default();
+            while let Some((&no, frame)) = self.frames.iter().next() {
+                if !decoder.fits(frame) {
+                    break;
+                }
+                let frame = self.frames.remove(&no).expect("peeked frame exists");
+                summary.passed_gaps += no - self.next_feed.0;
+                self.next_feed = FrameNo(no + 1);
+                decoder.push(frame).expect("checked fits() before pushing");
+                summary.fed += 1;
+            }
+            summary
+        }
+
+        fn reset_to(&mut self, position: FrameNo) {
+            self.frames.clear();
+            self.next_feed = position;
+        }
+    }
+
+    /// Random scripts of inserts (in order, reordered, duplicated, behind
+    /// the feed point, overflowing), feeds into a decoder that drains at a
+    /// random pace, and seeks: every outcome, summary, occupancy and feed
+    /// point equals the `BTreeMap` buffer's after every step.
+    #[test]
+    fn every_script_matches_the_btreemap_buffer() {
+        // [late, evicted, reordered accepts, gaps passed, seeks] met.
+        let mut covered = [0u64; 5];
+        for seed in 0..400u64 {
+            let mut rng = simnet::SimRng::seed_from_u64(seed);
+            let capacity = 1 + rng.gen_u64_below(12) as usize;
+            let prefer_incremental = seed % 2 == 0;
+            let mut new = SoftwareBuffer::with_policy(capacity, prefer_incremental);
+            let mut old = TreeBuffer {
+                capacity,
+                frames: std::collections::BTreeMap::new(),
+                next_feed: FrameNo::ZERO,
+                prefer_incremental,
+            };
+            // Room for a handful of frames, so feeds stop short and the
+            // buffer overflows behind a full decoder.
+            let mut new_dec = HardwareDecoder::new(100 * (1 + rng.gen_u64_below(6)));
+            let mut old_dec = new_dec.clone();
+            let mut head = 0u64;
+            for step in 0..400 {
+                let context = format!("seed {seed}, step {step}");
+                match rng.gen_u64_below(10) {
+                    0..=5 => {
+                        let no = match rng.gen_u64_below(8) {
+                            // The next number: the in-order arrival.
+                            0..=3 => head,
+                            // Ahead (a loss) or behind (reordered,
+                            // duplicated, late).
+                            4 => head + 1 + rng.gen_u64_below(4),
+                            _ => head.saturating_sub(rng.gen_u64_below(capacity as u64 + 3)),
+                        };
+                        head = head.max(no + 1);
+                        let ftype = [FrameType::I, FrameType::P, FrameType::B]
+                            [rng.gen_u64_below(3) as usize];
+                        let newest = new.frames.back().map(|f| f.no);
+                        let outcome = new.insert(frame(no, ftype));
+                        assert_eq!(outcome, old.insert(frame(no, ftype)), "{context}");
+                        match outcome {
+                            InsertOutcome::Late => covered[0] += 1,
+                            InsertOutcome::Accepted { evicted } => {
+                                covered[1] += u64::from(evicted.is_some());
+                                covered[2] += u64::from(newest.is_some_and(|n| no < n.0));
+                            }
+                        }
+                    }
+                    6 | 7 => {
+                        let summary = new.feed(&mut new_dec);
+                        assert_eq!(summary, old.feed(&mut old_dec), "{context}");
+                        covered[3] += summary.passed_gaps;
+                    }
+                    8 => {
+                        for _ in 0..rng.gen_u64_below(4) {
+                            assert_eq!(new_dec.tick_display(), old_dec.tick_display());
+                        }
+                    }
+                    _ => {
+                        if rng.gen_u64_below(8) == 0 {
+                            head = rng.gen_u64_below(head + 20);
+                            new.reset_to(FrameNo(head));
+                            old.reset_to(FrameNo(head));
+                            covered[4] += 1;
+                        }
+                    }
+                }
+                assert_eq!(new.next_feed(), old.next_feed, "{context}");
+                assert_eq!(new.occupancy(), old.frames.len(), "{context}");
+                assert!(
+                    new.frames.iter().eq(old.frames.values()),
+                    "{context}: {:?} vs {:?}",
+                    new.frames,
+                    old.frames
+                );
+            }
+        }
+        assert!(covered.iter().all(|&n| n > 100), "{covered:?}");
     }
 
     #[test]

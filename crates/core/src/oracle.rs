@@ -188,6 +188,12 @@ impl OracleReport {
     }
 
     /// Replays `recorder`'s event stream and judges every invariant.
+    ///
+    /// A ring that evicted events makes every verdict
+    /// [`Verdict::Inconclusive`]. Otherwise the stream is scanned in a
+    /// single pass, and the end of the trace — where open spans, cuts and
+    /// uncovered windows are closed and against which deadlines are
+    /// judged — is the latest `at` that pass saw.
     pub fn check(recorder: &TraceRecorder, cfg: &OracleConfig) -> Self {
         if recorder.dropped() > 0 {
             let detail = format!(
@@ -205,22 +211,7 @@ impl OracleReport {
                 degraded_only_when_home_down: Verdict::Inconclusive(detail),
             };
         }
-        let trace_end = recorder
-            .events()
-            .map(VodEvent::at)
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        let scan = Scan::run(recorder, trace_end);
-        OracleReport {
-            exclusive_service: scan.check_exclusive_service(cfg),
-            bounded_gaps: scan.check_bounded_gaps(cfg),
-            replica_coverage: scan.check_replica_coverage(cfg),
-            reserved_after_fault: scan.check_reserved_after_fault(cfg, trace_end),
-            prefix_handoff: scan.check_prefix_handoff(cfg, trace_end),
-            reserved_after_site_fault: scan.check_reserved_after_site_fault(cfg, trace_end),
-            geo_affinity_restored: scan.check_geo_affinity_restored(cfg, trace_end),
-            degraded_only_when_home_down: scan.check_degraded_only_when_home_down(cfg),
-        }
+        Scan::run(recorder, false).judge(cfg)
     }
 }
 
@@ -298,11 +289,29 @@ struct Scan {
     site_faults: BTreeMap<u32, Vec<(SimTime, SimTime)>>,
     /// Degraded (reduced-quality) rescue serves: `(at, client)`.
     degraded_serves: Vec<(SimTime, ClientId)>,
+    /// The latest `at` of any event: where everything still open closes.
+    trace_end: SimTime,
 }
 
 impl Scan {
+    fn judge(&self, cfg: &OracleConfig) -> OracleReport {
+        OracleReport {
+            exclusive_service: self.check_exclusive_service(cfg),
+            bounded_gaps: self.check_bounded_gaps(cfg),
+            replica_coverage: self.check_replica_coverage(cfg),
+            reserved_after_fault: self.check_reserved_after_fault(cfg),
+            prefix_handoff: self.check_prefix_handoff(cfg),
+            reserved_after_site_fault: self.check_reserved_after_site_fault(cfg),
+            geo_affinity_restored: self.check_geo_affinity_restored(cfg),
+            degraded_only_when_home_down: self.check_degraded_only_when_home_down(cfg),
+        }
+    }
+
+    /// One chronological pass. `sweep_every_event` re-judges coverage
+    /// after every event instead of only when it can have changed; the
+    /// result is the same, and only the differential test asks for it.
     #[allow(clippy::too_many_lines)]
-    fn run(recorder: &TraceRecorder, trace_end: SimTime) -> Self {
+    fn run(recorder: &TraceRecorder, sweep_every_event: bool) -> Self {
         let mut scan = Scan::default();
         // Live state threaded through the chronological sweep.
         let mut open_spans: BTreeMap<ClientId, BTreeMap<NodeId, SimTime>> = BTreeMap::new();
@@ -322,9 +331,15 @@ impl Scan {
         // "other sites" a faulted site must be cut from).
         let mut site_fault_since: BTreeMap<u32, SimTime> = BTreeMap::new();
         let mut all_site_servers: BTreeSet<NodeId> = BTreeSet::new();
+        // When coverage was last judged, and the earliest prefix run-out
+        // that still counted then: no later instant up to it can flip a
+        // movie's coverage by itself.
+        let mut swept_at = SimTime::ZERO;
+        let mut next_run_out: Option<SimTime> = None;
         let pair = |a: NodeId, b: NodeId| (a.min(b), a.max(b));
         for event in recorder.events() {
             let at = event.at();
+            scan.trace_end = scan.trace_end.max(at);
             // Only liveness and connectivity transitions can change a
             // site's fault status; skip the per-site sweep elsewhere.
             let site_relevant = matches!(
@@ -336,6 +351,20 @@ impl Scan {
                     | VodEvent::Healed { .. }
                     | VodEvent::SessionStarted { .. }
                     | VodEvent::SiteDefined { .. }
+            );
+            // The arms below that write `live`, `holders`, `viewers` or
+            // `prefix_cover`, which is all that coverage reads besides `at`.
+            let coverage_relevant = matches!(
+                event,
+                VodEvent::NodeStarted { .. }
+                    | VodEvent::NodeRestarted { .. }
+                    | VodEvent::NodeCrashed { .. }
+                    | VodEvent::SessionStarted { .. }
+                    | VodEvent::SessionEnded { .. }
+                    | VodEvent::ReplicaBringUp { .. }
+                    | VodEvent::ReplicaRetire { .. }
+                    | VodEvent::PrefixServe { .. }
+                    | VodEvent::PrefixHandoff { .. }
             );
             match event {
                 VodEvent::NodeStarted { node, .. } | VodEvent::NodeRestarted { node, .. } => {
@@ -566,26 +595,42 @@ impl Scan {
                     }
                 }
             }
-            // Coverage transitions are re-evaluated after every event. A
-            // live prefix source counts, but only until its advertised
-            // prefix runs out.
-            for (movie, watching) in &viewers {
-                let covered = watching.is_empty()
-                    || holders
-                        .get(movie)
-                        .is_some_and(|h| h.iter().any(|s| live.contains(s)))
-                    || prefix_cover
-                        .get(movie)
-                        .is_some_and(|sources| sources.values().any(|&runs_out| at <= runs_out));
-                if covered {
-                    if let Some(from) = uncovered_since.remove(movie) {
-                        scan.uncovered.push((*movie, from, at));
+            // Coverage transitions. A live prefix source counts, but only
+            // until its advertised prefix runs out, so besides the events
+            // above the first event past a run-out re-judges too (as does
+            // one that steps back before the last sweep: the ring takes
+            // any order). Anywhere else a sweep would change nothing.
+            if coverage_relevant
+                || sweep_every_event
+                || at < swept_at
+                || next_run_out.is_some_and(|runs_out| at > runs_out)
+            {
+                swept_at = at;
+                next_run_out = prefix_cover
+                    .values()
+                    .flat_map(BTreeMap::values)
+                    .copied()
+                    .filter(|&runs_out| at <= runs_out)
+                    .min();
+                for (movie, watching) in &viewers {
+                    let covered = watching.is_empty()
+                        || holders
+                            .get(movie)
+                            .is_some_and(|h| h.iter().any(|s| live.contains(s)))
+                        || prefix_cover.get(movie).is_some_and(|sources| {
+                            sources.values().any(|&runs_out| at <= runs_out)
+                        });
+                    if covered {
+                        if let Some(from) = uncovered_since.remove(movie) {
+                            scan.uncovered.push((*movie, from, at));
+                        }
+                    } else {
+                        uncovered_since.entry(*movie).or_insert(at);
                     }
-                } else {
-                    uncovered_since.entry(*movie).or_insert(at);
                 }
             }
         }
+        let trace_end = scan.trace_end;
         for (client, open) in open_spans {
             for (server, start) in open {
                 scan.spans.entry(client).or_default().push(ServeSpan {
@@ -744,7 +789,8 @@ impl Scan {
         deadline
     }
 
-    fn check_reserved_after_fault(&self, cfg: &OracleConfig, trace_end: SimTime) -> Verdict {
+    fn check_reserved_after_fault(&self, cfg: &OracleConfig) -> Verdict {
+        let trace_end = self.trace_end;
         for &(crash_at, node) in &self.crashes {
             let deadline = self.rebased_deadline(crash_at, cfg);
             for (client, spans) in &self.spans {
@@ -792,7 +838,8 @@ impl Scan {
     /// — no client keeps streaming from a prefix source after the owning
     /// replica is up. Spans whose client never got a session are judged
     /// by coverage (the prefix simply runs out), not here.
-    fn check_prefix_handoff(&self, cfg: &OracleConfig, trace_end: SimTime) -> Verdict {
+    fn check_prefix_handoff(&self, cfg: &OracleConfig) -> Verdict {
+        let trace_end = self.trace_end;
         for span in &self.prefix_spans {
             let started = self
                 .session_starts
@@ -835,7 +882,8 @@ impl Scan {
     /// stretches the deadline to heal + bound — the "site-level partition
     /// excuse". A correlated site *crash* gets no such excuse: a remote
     /// datacenter must rescue the clients within the plain bound.
-    fn check_reserved_after_site_fault(&self, cfg: &OracleConfig, trace_end: SimTime) -> Verdict {
+    fn check_reserved_after_site_fault(&self, cfg: &OracleConfig) -> Verdict {
+        let trace_end = self.trace_end;
         for (site, windows) in &self.site_faults {
             let Some((servers, _)) = self.sites.get(site) else {
                 continue;
@@ -883,7 +931,8 @@ impl Scan {
     /// Invariant 7: a client homed in a faulted site that was riding a
     /// remote rescue when the fault healed must be back on a home-site
     /// server within the re-based bound of the heal.
-    fn check_geo_affinity_restored(&self, cfg: &OracleConfig, trace_end: SimTime) -> Verdict {
+    fn check_geo_affinity_restored(&self, cfg: &OracleConfig) -> Verdict {
+        let trace_end = self.trace_end;
         for (site, windows) in &self.site_faults {
             let Some((servers, homed_nodes)) = self.sites.get(site) else {
                 continue;
@@ -1797,6 +1846,195 @@ mod tests {
         // Repair at 27 s: only valid under chained extension — fail.
         let report = OracleReport::check(&recorder(base(27.0)), &OracleConfig::paper_default());
         assert!(report.reserved_after_fault.is_fail(), "{report}");
+    }
+
+    /// A seeded trace over three servers, three movies and six clients:
+    /// the nine coverage-relevant kinds at random, each followed by a burst
+    /// of datagram events — the 95 % of a real trace a sweep must now skip
+    /// — that spans several seconds, so short prefixes run out between two
+    /// relevant events. Nodes crash (prefix sources included) more often
+    /// than they come back, so movies do lose their last live holder, with
+    /// and without viewers. Returns the trace and how many relevant events
+    /// it holds.
+    fn coverage_trace(seed: u64) -> (TraceRecorder, usize) {
+        use crate::forecast::{BringUpTrigger, PolicyKind, PopState};
+        let mut rng = simnet::SimRng::seed_from_u64(seed);
+        let mut rec = TraceRecorder::new(1 << 16);
+        let mut now = 0u64;
+        let mut relevant = 0;
+        let mut bridge = (NodeId(1), ClientId(1), MovieId(1));
+        for _ in 0..60 {
+            let mut pick = |bound: u64| rng.gen_u64_below(bound);
+            let at = SimTime::from_micros(now);
+            let kind = pick(14);
+            let (server, client, movie) = if kind == 13 {
+                // A hand-off names the bridge it ends.
+                bridge
+            } else {
+                let server = NodeId(1 + pick(3) as u32);
+                let client = ClientId(1 + pick(6) as u32);
+                (server, client, MovieId(1 + pick(3) as u32))
+            };
+            if matches!(kind, 11 | 12) {
+                bridge = (server, client, movie);
+            }
+            let client_node = NodeId(100 + client.0);
+            let (demand, replicas, policy, forecast) =
+                (1, 1, PolicyKind::Predictive, PopState::Hot);
+            rec.push(match kind {
+                0 => VodEvent::NodeStarted { at, node: server },
+                1 => VodEvent::NodeRestarted { at, node: server },
+                2..=4 => VodEvent::NodeCrashed { at, node: server },
+                5 | 6 => VodEvent::SessionStarted {
+                    at,
+                    server,
+                    client,
+                    client_node,
+                    movie,
+                    resume_frame: FrameNo(0),
+                },
+                7 => VodEvent::SessionEnded { at, server, client },
+                8 => VodEvent::ReplicaBringUp {
+                    at,
+                    server,
+                    movie,
+                    demand,
+                    replicas,
+                    policy,
+                    trigger: BringUpTrigger::Forecast,
+                    forecast,
+                },
+                9 | 10 => VodEvent::ReplicaRetire {
+                    at,
+                    server,
+                    movie,
+                    demand,
+                    replicas,
+                    policy,
+                    forecast,
+                },
+                11 | 12 => VodEvent::PrefixServe {
+                    at,
+                    server,
+                    client,
+                    client_node,
+                    movie,
+                    from_frame: FrameNo(0),
+                    // 0.1 s to 3 s of video.
+                    prefix_frames: 3 + pick(88),
+                    rate_fps: 30,
+                },
+                _ => VodEvent::PrefixHandoff {
+                    at,
+                    server,
+                    client,
+                    movie,
+                    frames_sent: 1,
+                    served_for: Duration::from_millis(1),
+                    to_owner: server,
+                },
+            });
+            relevant += 1;
+            for _ in 0..20 + pick(150) {
+                // Same-instant runs and steps of up to 50 ms.
+                now += pick(3) * pick(25_000);
+                let (at, sent_at) = (SimTime::from_micros(now), SimTime::from_micros(now));
+                let from = Endpoint::new(server, Port(1));
+                let to = Endpoint::new(client_node, Port(1));
+                let class = if pick(2) == 0 { "video" } else { "control" };
+                rec.push(if pick(2) == 0 {
+                    let bytes = 100;
+                    VodEvent::NetSent {
+                        at,
+                        from,
+                        to,
+                        class,
+                        bytes,
+                    }
+                } else {
+                    VodEvent::NetDelivered {
+                        at,
+                        sent_at,
+                        from,
+                        to,
+                        class,
+                    }
+                });
+            }
+        }
+        (rec, relevant)
+    }
+
+    /// Differential test of the coverage sweep that runs only when it can
+    /// change something against the sweep after every event it replaced.
+    #[test]
+    fn coverage_swept_on_demand_matches_a_sweep_after_every_event() {
+        let cfg = OracleConfig {
+            // Tight enough that the generated windows decide the verdict.
+            coverage_grace: Duration::from_secs(8),
+            ..OracleConfig::paper_default()
+        };
+        // [events, uncovered windows, ... opened by a run-out, failing
+        // coverage verdicts, passing ones] over all seeds.
+        let mut covered = [0usize; 5];
+        for seed in 0..300 {
+            let (rec, relevant) = coverage_trace(seed);
+            let on_demand = Scan::run(&rec, false);
+            let every_event = Scan::run(&rec, true);
+            assert_eq!(on_demand.uncovered, every_event.uncovered, "seed {seed}");
+            let report = on_demand.judge(&cfg);
+            assert_eq!(
+                report.to_string(),
+                every_event.judge(&cfg).to_string(),
+                "seed {seed}"
+            );
+            assert_eq!(report, OracleReport::check(&rec, &cfg), "seed {seed}");
+            let relevant_instants: BTreeSet<SimTime> = rec
+                .events()
+                .filter(|e| !matches!(e, VodEvent::NetSent { .. } | VodEvent::NetDelivered { .. }))
+                .map(VodEvent::at)
+                .collect();
+            covered[0] += rec.len() - relevant;
+            covered[1] += on_demand.uncovered.len();
+            covered[2] += on_demand
+                .uncovered
+                .iter()
+                .filter(|(_, from, _)| !relevant_instants.contains(from))
+                .count();
+            covered[3] += usize::from(report.replica_coverage.is_fail());
+            covered[4] += usize::from(!report.replica_coverage.is_fail());
+        }
+        let [skipped, windows, by_run_out, fail, pass] = covered;
+        assert!(skipped > 1_000_000, "{covered:?}");
+        assert!(windows > 500 && by_run_out > 50, "{covered:?}");
+        assert!(fail > 20 && pass > 20, "{covered:?}");
+    }
+
+    /// The ring takes events in any order: one that steps back in time to
+    /// where a prefix had not yet run out is judged there, as before.
+    #[test]
+    fn a_step_back_in_time_rejudges_coverage() {
+        let events = vec![
+            started(1.0, 1, 7),
+            crashed(2.0, 1),
+            prefix_serve(2.0, 2, 7), // runs out at 12 s
+            pad(13.0),               // past the run-out: uncovered from 13 s
+            pad(11.0),               // back before it: covered again
+            pad(14.0),
+            pad(40.0),
+        ];
+        let rec = recorder(events);
+        let on_demand = Scan::run(&rec, false);
+        assert_eq!(on_demand.uncovered, Scan::run(&rec, true).uncovered);
+        assert_eq!(
+            on_demand.uncovered,
+            [
+                // The crash opens a window that the bridge closes at once.
+                (MovieId(1), t(2.0), t(2.0)),
+                (MovieId(1), t(13.0), t(11.0)),
+                (MovieId(1), t(14.0), t(40.0))
+            ]
+        );
     }
 
     #[test]

@@ -62,6 +62,50 @@ proptest! {
         );
     }
 
+    /// Totality at the top of the numbering: frame numbers within a few
+    /// steps of `u64::MAX`, duplicates, seeks and buffers down to one frame
+    /// never panic, keep the accounting identity above (a seek discards
+    /// what was buffered), and the feed point only moves back by a seek.
+    #[test]
+    fn buffer_survives_the_last_frame_numbers(
+        script in prop::collection::vec((0u64..6, any::<bool>(), 0u8..10), 1..200),
+        capacity in 1usize..4,
+    ) {
+        let mut buffer = SoftwareBuffer::new(capacity);
+        let mut decoder = HardwareDecoder::new(1_000_000);
+        let (mut inserted, mut late, mut evicted, mut fed, mut sought_away) =
+            (0u64, 0u64, 0u64, 0u64, 0u64);
+        let mut last_feed_point = FrameNo::ZERO;
+        for (back, intra, action) in script {
+            let no = u64::MAX - back;
+            if action == 0 {
+                sought_away += buffer.occupancy() as u64;
+                buffer.reset_to(FrameNo(no));
+                last_feed_point = FrameNo(no);
+                continue;
+            }
+            inserted += 1;
+            match buffer.insert(frame(no, intra)) {
+                InsertOutcome::Late => late += 1,
+                InsertOutcome::Accepted { evicted: Some(_) } => evicted += 1,
+                InsertOutcome::Accepted { evicted: None } => {}
+            }
+            prop_assert!(buffer.occupancy() <= capacity);
+            // Not after every insert, so frames pile up and overflow.
+            if action % 2 == 0 {
+                fed += u64::from(buffer.feed(&mut decoder).fed);
+                prop_assert!(buffer.next_feed() >= last_feed_point, "feed point went back");
+                last_feed_point = buffer.next_feed();
+                let _ = decoder.tick_display();
+            }
+        }
+        prop_assert_eq!(
+            inserted,
+            late + evicted + fed + sought_away + buffer.occupancy() as u64,
+            "every frame must be accounted for exactly once"
+        );
+    }
+
     /// Under the paper's policy an I frame is evicted only when the buffer
     /// holds nothing but I frames.
     #[test]

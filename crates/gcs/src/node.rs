@@ -247,7 +247,8 @@ impl<P> GroupState<P> {
 
     /// Highest contiguously delivered sequence per sender (self included).
     fn floors(&self, me: NodeId) -> Vec<(NodeId, u64)> {
-        let mut floors = vec![(me, self.next_seq - 1)];
+        let mut floors = Vec::with_capacity(1 + self.recv.len());
+        floors.push((me, self.next_seq - 1));
         for (&sender, state) in &self.recv {
             if sender != me {
                 floors.push((sender, state.next - 1));
@@ -859,15 +860,10 @@ impl<P: Payload> GcsNode<P> {
         // sequence number gets a counter this far, and it must not panic.
         state.next_seq = seq.saturating_add(1);
         state.send_buf.insert(seq, payload.clone());
-        let peers: Vec<NodeId> = state
-            .mem
-            .view
-            .members
-            .iter()
-            .copied()
-            .filter(|&m| m != node)
-            .collect();
-        for member in peers {
+        for &member in &self.groups[&group].mem.view.members {
+            if member == node {
+                continue;
+            }
             self.emit(
                 ctx,
                 member,
@@ -1049,9 +1045,11 @@ impl<P: Payload> GcsNode<P> {
                 && known.iter().all(|(&s, &f)| delivered.contains(&(s, f)))
         });
         if !unchanged {
-            state
-                .ack_floors
-                .insert(member, delivered.into_iter().collect());
+            // In place: a changed report nearly always names the senders
+            // the last one did, so the map keeps its nodes.
+            let known = state.ack_floors.entry(member).or_default();
+            known.retain(|sender, _| delivered.iter().any(|(s, _)| s == sender));
+            known.extend(delivered);
         }
         // Stability only ever releases buffered messages; with none held
         // there is nothing a floor could release.
@@ -1060,45 +1058,41 @@ impl<P: Payload> GcsNode<P> {
         }
         // Stability: a message is stable once every current member has
         // delivered it; only then may retained copies be dropped.
-        let members = state.mem.view.members.clone();
+        let members = &state.mem.view.members;
         if members.is_empty() {
             return;
         }
-        let mut stable: BTreeMap<NodeId, u64> = BTreeMap::new();
-        let senders: BTreeSet<NodeId> = state
-            .recv
-            .keys()
-            .copied()
-            .chain(std::iter::once(node))
-            .collect();
-        for sender in senders {
-            let mut min_floor = u64::MAX;
-            for &m in &members {
-                let floor = if m == node {
-                    if sender == node {
-                        state.next_seq - 1
-                    } else {
-                        state.recv.get(&sender).map_or(0, |r| r.next - 1)
-                    }
-                } else {
-                    state
-                        .ack_floors
-                        .get(&m)
-                        .and_then(|f| f.get(&sender).copied())
-                        .unwrap_or(0)
-                };
-                min_floor = min_floor.min(floor);
+        let (recv, ack_floors, own_floor) = (&state.recv, &state.ack_floors, state.next_seq - 1);
+        // The highest sequence number of `sender` — this node, or one it
+        // has a receive state for, which everything in `retained` came
+        // through — that every member has delivered; 0 when none has.
+        let stable = |sender: NodeId| {
+            let floor_at = |m: NodeId| match (m == node, sender == node) {
+                (true, true) => own_floor,
+                (true, false) => recv.get(&sender).map_or(0, |r| r.next - 1),
+                (false, _) => ack_floors
+                    .get(&m)
+                    .and_then(|f| f.get(&sender).copied())
+                    .unwrap_or(0),
+            };
+            match members.iter().map(|&m| floor_at(m)).min() {
+                Some(floor) if floor < u64::MAX => floor,
+                _ => 0,
             }
-            if min_floor > 0 && min_floor < u64::MAX {
-                stable.insert(sender, min_floor);
-            }
+        };
+        let own = stable(node);
+        if own > 0 {
+            state.send_buf.retain(|&seq, _| seq > own);
         }
-        if let Some(&floor) = stable.get(&node) {
-            state.send_buf.retain(|&seq, _| seq > floor);
-        }
-        state
-            .retained
-            .retain(|&(sender, seq), _| seq > stable.get(&sender).copied().unwrap_or(0));
+        // `retained` is sorted by sender: one floor per run of keys.
+        let mut run: Option<(NodeId, u64)> = None;
+        state.retained.retain(|&(sender, seq), _| {
+            let floor = match run {
+                Some((of, floor)) if of == sender => floor,
+                _ => run.insert((sender, stable(sender))).1,
+            };
+            seq > floor
+        });
     }
 
     // ------------------------------------------------------------------

@@ -1,7 +1,9 @@
 //! Differential test of [`GcsNode::on_ack`] against the body it replaced.
 //!
-//! The replacement keeps the stored floors when a report repeats them and
-//! skips the stability computation when nothing is buffered. Both are only
+//! The replacement keeps the stored floors when a report repeats them,
+//! updates them in place when it does not, skips the stability computation
+//! when nothing is buffered and otherwise works each sender's stable floor
+//! out on demand instead of building a map of them. All of it is only
 //! sound if no observable state depends on the skipped work, so the old
 //! body stays here as the oracle: two endpoints with one identity are fed
 //! the same random interleaving of acks, multicasts, foreign messages,
@@ -31,7 +33,8 @@ const NEW: Port = Port(7);
 const OLD: Port = Port(8);
 
 impl GcsNode<Num> {
-    /// `on_ack` as of the parent commit, verbatim.
+    /// `on_ack` as of PR 15 — before PR 16's early returns and PR 19's
+    /// on-demand floors — verbatim.
     fn on_ack_parent(
         &mut self,
         ctx: &mut Context<'_, Wire>,
@@ -190,17 +193,24 @@ fn books(gcs: &GcsNode<Num>) -> Books {
 }
 
 /// Runs `steps` random steps on a group of `size`; returns how many acks
-/// arrived while something was retained and how many released something.
-fn run(seed: u64, size: u32, steps: usize) -> (u64, u64) {
+/// `[arrived while something was retained, released something, left both
+/// `send_buf` and `retained` holding messages]`. With `laggard` the last
+/// member never acks, so no floor of it is known, nothing is ever stable
+/// and both buffers only grow: every ack takes the path behind the
+/// nothing-buffered early return. With `outsider` the view does not list
+/// this node (a forged install could leave it so).
+fn run(seed: u64, size: u32, steps: usize, laggard: bool, outsider: bool) -> [u64; 3] {
     let members: Vec<NodeId> = (1..=size).map(NodeId).collect();
     let peers = &members[1..];
+    let ackers = &peers[..peers.len() - usize::from(laggard)];
+    let view = if outsider { peers } else { &members[..] };
     let mut sim: Simulation<Wire> = Simulation::new(seed);
     sim.set_default_profile(LinkProfile::ideal());
     sim.add_node(
         ME,
         Pair {
-            new: member(NEW, &members),
-            old: member(OLD, &members),
+            new: member(NEW, view),
+            old: member(OLD, view),
         },
     );
     for &peer in peers {
@@ -209,12 +219,13 @@ fn run(seed: u64, size: u32, steps: usize) -> (u64, u64) {
     sim.run_for(std::time::Duration::from_millis(1));
     let mut rng = SimRng::seed_from_u64(seed);
     let mut pick = |bound: u64| rng.gen_u64_below(bound);
-    let (mut with_retained, mut released) = (0, 0);
+    let mut covered = [0; 3];
     let mut last_report: Vec<(NodeId, u64)> = Vec::new();
     for step in 0..steps {
-        let peer = peers[pick(peers.len() as u64) as usize];
-        let from = Endpoint::new(peer, NEW);
         let kind = pick(10);
+        let from_whom = if kind <= 3 { ackers } else { peers };
+        let peer = from_whom[pick(from_whom.len() as u64) as usize];
+        let from = Endpoint::new(peer, NEW);
         // The report of an ack step: fresh floors for some of the
         // senders, the previous report again, or that report reordered or
         // with an entry doubled (a forged shape the rebuild collapses).
@@ -242,7 +253,7 @@ fn run(seed: u64, size: u32, steps: usize) -> (u64, u64) {
         };
         let seq = 1 + pick(5);
         let hop = pick(3);
-        let (before, after) = sim
+        let (before, after, both_held) = sim
             .invoke(ME, |pair: &mut Pair, ctx| {
                 let before = pair.old.groups[&G].retained.len();
                 match kind {
@@ -289,13 +300,16 @@ fn run(seed: u64, size: u32, steps: usize) -> (u64, u64) {
                     books(&pair.old),
                     "seed {seed}, {size} members, step {step} (kind {kind})"
                 );
-                (before, pair.old.groups[&G].retained.len())
+                let state = &pair.old.groups[&G];
+                let both_held = !state.send_buf.is_empty() && !state.retained.is_empty();
+                (before, state.retained.len(), both_held)
             })
             .expect("host is up");
         if kind <= 3 {
             last_report = report;
-            with_retained += u64::from(before > 0);
-            released += u64::from(after < before);
+            covered[0] += u64::from(before > 0);
+            covered[1] += u64::from(after < before);
+            covered[2] += u64::from(both_held);
         }
     }
     sim.run_for(std::time::Duration::from_millis(1));
@@ -305,23 +319,52 @@ fn run(seed: u64, size: u32, steps: usize) -> (u64, u64) {
             .expect("peer is up");
         assert_eq!(new, old, "seed {seed}: wire traffic to {peer} differs");
     }
-    (with_retained, released)
+    covered
+}
+
+/// Sums [`run`] over 200 seeds.
+fn sweep(size: u32, laggard: bool, outsider: bool) -> [u64; 3] {
+    let mut total = [0; 3];
+    for seed in 0..200 {
+        let covered = run(seed, size, 300, laggard, outsider);
+        for (sum, n) in total.iter_mut().zip(covered) {
+            *sum += n;
+        }
+    }
+    total
 }
 
 #[test]
 fn on_ack_matches_the_body_it_replaced() {
-    // The session-group shape (a client and its server) and a small
-    // server group.
-    for size in [2, 4] {
-        let (mut with_retained, mut released) = (0, 0);
-        for seed in 0..200 {
-            let (w, r) = run(seed, size, 300);
-            with_retained += w;
-            released += r;
-        }
+    // The session-group shape (a client and its server), a small server
+    // group and a fully replicated one.
+    for size in [2, 4, 8] {
+        let [with_retained, released, both_held] = sweep(size, false, false);
         // The case the early return must not swallow is well covered:
         // acks that arrive while messages are retained, and release some.
         assert!(with_retained > 5_000, "{size} members: {with_retained}");
         assert!(released > 500, "{size} members: {released}");
+        assert!(both_held > 5_000, "{size} members: {both_held}");
     }
+}
+
+#[test]
+fn on_ack_matches_it_while_both_buffers_stay_held() {
+    for size in [3, 8] {
+        let [with_retained, released, both_held] = sweep(size, true, false);
+        assert_eq!(released, 0, "{size} members: nothing can become stable");
+        assert!(
+            with_retained > 15_000 && both_held > 15_000,
+            "{size} members: {with_retained}, {both_held}"
+        );
+    }
+}
+
+#[test]
+fn on_ack_matches_it_when_the_view_does_not_list_this_node() {
+    let [with_retained, released, _] = sweep(4, false, true);
+    assert!(
+        with_retained > 5_000 && released > 500,
+        "{with_retained}, {released}"
+    );
 }

@@ -92,7 +92,6 @@ pub(crate) enum Effect<M> {
         tag: u64,
     },
     CancelTimer(TimerId),
-    Exit,
 }
 
 /// The interface a running [`Process`] uses to observe and affect the world.
@@ -106,6 +105,9 @@ pub struct Context<'a, M: Payload> {
     pub(crate) rng: &'a mut SimRng,
     pub(crate) effects: &'a mut Vec<Effect<M>>,
     pub(crate) next_timer_id: &'a mut u64,
+    /// Raised by [`Context::exit`]; the simulator reads it once the
+    /// handler has returned.
+    pub(crate) exited: bool,
 }
 
 impl<M: Payload> fmt::Debug for Context<'_, M> {
@@ -172,6 +174,6 @@ impl<M: Payload> Context<'_, M> {
     /// Terminates this process gracefully at the end of the current handler:
     /// no further events will be delivered to it.
     pub fn exit(&mut self) {
-        self.effects.push(Effect::Exit);
+        self.exited = true;
     }
 }

@@ -185,23 +185,29 @@ enum EventKind<M: Payload> {
     },
 }
 
-/// The pending-event queue: `(at, seq, slot)` keys in a binary heap, the
-/// event bodies in a slab beside it.
+/// The pending-event queue: one-integer keys in a binary heap, the event
+/// bodies in a slab beside it.
 ///
-/// A sift moves 24-byte keys instead of whole `EventKind`s (a `Deliver`
-/// carries the application message inline), and a popped body's slot goes
-/// on the free list, so the slab never grows past the peak queue depth.
-/// `seq` is unique and assigned in push order, so `(at, seq)` is a total
-/// order: same-instant events pop in the order they were scheduled, which
-/// is the determinism contract every golden file rests on.
+/// A sift moves and compares 16-byte keys instead of whole `EventKind`s
+/// (a `Deliver` carries the application message inline), and a popped
+/// body's slot goes on the free list, so the slab never grows past the
+/// peak queue depth. `seq` is unique and assigned in push order, so
+/// `(at, seq)` is a total order: same-instant events pop in the order
+/// they were scheduled, which is the determinism contract every golden
+/// file rests on.
 struct EventQueue<M: Payload> {
-    /// Min-heap on `(at, seq)`; the slot index rides along and never
-    /// decides a comparison.
-    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    /// Min-heap of [`EventQueue::key`]s.
+    heap: BinaryHeap<Reverse<u128>>,
     bodies: Vec<Option<EventKind<M>>>,
     free: Vec<u32>,
     seq: u64,
 }
+
+/// Bits of a key holding `at` in microseconds: 8.9 simulated years.
+const AT_BITS: u32 = 48;
+/// Bits of a key holding `seq`: 2.8 × 10¹⁴ events scheduled in one run.
+const SEQ_BITS: u32 = 48;
+const SLOT_BITS: u32 = u32::BITS;
 
 impl<M: Payload> EventQueue<M> {
     fn new() -> Self {
@@ -213,12 +219,36 @@ impl<M: Payload> EventQueue<M> {
         }
     }
 
+    /// Packs `at | seq | slot`, most significant first, so the numeric
+    /// order of keys *is* `(at, seq)` order and a sift step is one integer
+    /// compare; the slot rides along in the low bits and never decides a
+    /// comparison because `seq` is unique.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` or `seq` does not fit its field: a wrapped key would
+    /// silently reorder the run.
+    fn key(at: SimTime, seq: u64, slot: u32) -> u128 {
+        assert!(
+            at.as_micros() >> AT_BITS == 0,
+            "event scheduled past 2^48 us of simulated time"
+        );
+        assert!(seq >> SEQ_BITS == 0, "over 2^48 events scheduled");
+        (u128::from(at.as_micros()) << (SEQ_BITS + SLOT_BITS))
+            | (u128::from(seq) << SLOT_BITS)
+            | u128::from(slot)
+    }
+
     fn len(&self) -> usize {
         self.heap.len()
     }
 
+    fn at_of(key: u128) -> SimTime {
+        SimTime::from_micros((key >> (SEQ_BITS + SLOT_BITS)) as u64)
+    }
+
     fn next_at(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse((at, _, _))| *at)
+        self.heap.peek().map(|&Reverse(key)| Self::at_of(key))
     }
 
     fn push(&mut self, at: SimTime, kind: EventKind<M>) {
@@ -233,17 +263,19 @@ impl<M: Payload> EventQueue<M> {
                 slot
             }
         };
-        self.heap.push(Reverse((at, self.seq, slot)));
+        self.heap.push(Reverse(Self::key(at, self.seq, slot)));
         self.seq += 1;
     }
 
     fn pop(&mut self) -> Option<(SimTime, EventKind<M>)> {
-        let Reverse((at, _, slot)) = self.heap.pop()?;
+        let Reverse(key) = self.heap.pop()?;
+        // Truncation keeps exactly the slot field.
+        let slot = key as u32;
         let kind = self.bodies[slot as usize]
             .take()
             .expect("a queued key points at a filled slot");
         self.free.push(slot);
-        Some((at, kind))
+        Some((Self::at_of(key), kind))
     }
 }
 
@@ -259,6 +291,12 @@ struct NodeSlot<M: Payload> {
 
 /// A deterministic discrete-event simulation of a set of communicating
 /// processes.
+///
+/// # Panics
+///
+/// Scheduling anything — a timer, a delivery, a fault — later than 2⁴⁸ µs
+/// (8.9 years) of simulated time, or more than 2⁴⁸ events in one run,
+/// panics: the event queue orders on one integer with 48 bits for each.
 ///
 /// # Examples
 ///
@@ -645,20 +683,21 @@ impl<M: Payload> Simulation<M> {
         }
         let mut process = slot.process.take()?;
         let mut effects = std::mem::take(&mut self.effects);
-        let result = {
+        let (result, exited) = {
             let mut ctx = Context {
                 now: self.now,
                 node,
                 rng: &mut self.rng,
                 effects: &mut effects,
                 next_timer_id: &mut self.next_timer_id,
+                exited: false,
             };
-            process
+            let result = process
                 .as_any_mut()
                 .downcast_mut::<T>()
-                .map(|typed| f(typed, &mut ctx))
+                .map(|typed| f(typed, &mut ctx));
+            (result, ctx.exited)
         };
-        let exited = effects.iter().any(|e| matches!(e, Effect::Exit));
         if let Some(slot) = self.slot_mut(node) {
             slot.process = Some(process);
             if exited && result.is_some() {
@@ -839,17 +878,18 @@ impl<M: Payload> Simulation<M> {
             return;
         };
         let mut effects = std::mem::take(&mut self.effects);
-        {
+        let exited = {
             let mut ctx = Context {
                 now: self.now,
                 node,
                 rng: &mut self.rng,
                 effects: &mut effects,
                 next_timer_id: &mut self.next_timer_id,
+                exited: false,
             };
             f(process.as_mut(), &mut ctx);
-        }
-        let exited = effects.iter().any(|e| matches!(e, Effect::Exit));
+            ctx.exited
+        };
         // The row exists: the process was just taken out of it.
         let slot = &mut self.nodes[node.0 as usize];
         slot.process = Some(process);
@@ -873,7 +913,6 @@ impl<M: Payload> Simulation<M> {
                 self.count(|p| p.timers_cancelled += 1);
                 self.cancelled.insert(id.0);
             }
-            Effect::Exit => {}
         }
     }
 
@@ -1330,6 +1369,38 @@ mod tests {
         // Not vacuous: timers were squashed, timers and datagrams reached
         // dead nodes, cancels hit fired timers, events shared an instant.
         assert!(covered.iter().all(|&n| n > 0), "{covered:?}");
+    }
+
+    /// The key fields narrower than the values they hold refuse what does
+    /// not fit instead of wrapping into an earlier key.
+    #[test]
+    #[should_panic(expected = "past 2^48 us of simulated time")]
+    fn an_instant_beyond_the_key_field_panics() {
+        let mut sim: Simulation<Note> = Simulation::new(1);
+        sim.crash_at(SimTime::from_micros(1 << AT_BITS), NodeId(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "over 2^48 events scheduled")]
+    fn a_sequence_number_beyond_the_key_field_panics() {
+        let mut sim: Simulation<Note> = Simulation::new(1);
+        sim.queue.seq = (1 << SEQ_BITS) - 1;
+        // The last sequence number that fits, then the first that does not.
+        sim.crash_at(SimTime::ZERO, NodeId(1));
+        assert_eq!(sim.next_event_at(), Some(SimTime::ZERO));
+        sim.crash_at(SimTime::ZERO, NodeId(1));
+    }
+
+    #[test]
+    fn the_largest_key_fields_round_trip_in_order() {
+        let mut sim: Simulation<Note> = Simulation::new(1);
+        let last = SimTime::from_micros((1 << AT_BITS) - 1);
+        sim.queue.seq = (1 << SEQ_BITS) - 2;
+        sim.crash_at(last, NodeId(1));
+        sim.crash_at(SimTime::from_secs(1), NodeId(2));
+        assert_eq!(sim.next_event_at(), Some(SimTime::from_secs(1)));
+        assert!(sim.step());
+        assert_eq!(sim.next_event_at(), Some(last));
     }
 
     #[test]

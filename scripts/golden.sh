@@ -28,6 +28,15 @@ mkdir -p "$out"
 # lines; exits nonzero when a verdict differs from its expectation.
 "$cli" experiment all >"$out/experiments.txt"
 
+# The repo benchmark's digest of every counter, report and oracle verdict
+# of its four workloads (two passes each, ~20 s in all; the timings it
+# prints are not kept). benchmark/ is a package of its own: it is built
+# into benchmark/target/ and only invoked here.
+for workload in steady_fleet paper_figs chaos_oracle surge_failover; do
+    cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seconds 1 | sed -n "s/^counters_digest /$workload /p"
+done >"$out/benchmark_digests.txt"
+
 # The preset traces are ~2 MB each: pin their checksums, not their bytes.
 (
     cd "$out"
