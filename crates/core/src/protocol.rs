@@ -89,7 +89,7 @@ impl From<u32> for ClientId {
 /// movie group every sync interval (paper §5.2: "offsets of its clients in
 /// the movie and their current transmission rates: a total of a few dozens
 /// of bytes").
-#[derive(Clone, Copy, PartialEq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct ClientRecord {
     /// The client.
     pub client: ClientId,

@@ -152,6 +152,16 @@ fn place_in_view(
     )
 }
 
+/// The replica manager's and the prefix tier's election: the candidate
+/// carrying the least `load` (none recorded = idle), ties to the
+/// **lowest** node id (session placement breaks them the other way).
+pub(super) fn least_loaded(
+    candidates: impl Iterator<Item = NodeId>,
+    load: &BTreeMap<NodeId, u32>,
+) -> Option<NodeId> {
+    candidates.min_by_key(|n| (load.get(n).copied().unwrap_or(0), n.0))
+}
+
 /// A server as the placement rule sees it.
 #[derive(Default)]
 struct Seat {

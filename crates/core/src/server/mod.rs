@@ -9,15 +9,23 @@
 //! client's session group and resumes transmission from the last
 //! synchronized offset — conservatively, preferring duplicate frames over
 //! gaps (paper §6.1.1).
+//!
+//! Who serves whom is decided in [`takeover`], by a plain value per movie
+//! group that has no effects; this module owns the effects — timers, group
+//! membership, datagrams, trace events, counters — and the subsystems that
+//! sit beside the decision: the transmission loop, the replica manager and
+//! the prefix tier.
 
 mod assign;
 mod emergency;
+pub mod takeover;
 
 pub use assign::{
     admit_client, assign_clients, assign_clients_geo, assign_clients_with_capacity,
     redistribute_clients,
 };
 pub use emergency::Emergency;
+pub use takeover::TakeoverTable;
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -27,7 +35,7 @@ use gcs::{GcsEvent, GcsNode, GroupId, View};
 use media::{FrameNo, Movie, MovieId, QualityFilter};
 use simnet::{Context, Endpoint, NodeId, Process, SimTime, Timer, TimerId};
 
-use crate::config::{FailoverMode, ResumePolicy, TakeoverPolicy, VodConfig};
+use crate::config::VodConfig;
 use crate::forecast::{
     BringUpTrigger, ForecastBank, MovieObservation, PlacementAction, PlacementPolicy, PopState,
     FORECAST_STREAM,
@@ -36,10 +44,11 @@ use crate::metrics::{Cumulative, TimeSeries};
 use crate::profile::{ProfileHandle, Subsystem};
 use crate::protocol::{
     client_of_session_group, movie_group, movie_of_group, ClientId, ClientRecord, ControlPayload,
-    DemandEntry, FlowRequest, OpenRequest, VcrCmd, VideoPacket, VodWire, GCS_PORT, SERVER_GROUP,
-    VIDEO_PORT,
+    DemandEntry, FlowRequest, VcrCmd, VideoPacket, VodWire, GCS_PORT, SERVER_GROUP, VIDEO_PORT,
 };
 use crate::trace::{TraceHandle, VodEvent};
+use assign::least_loaded;
+use takeover::{Installed, Merged};
 
 /// Sentinel owner for clients admitted to no server (admission control):
 /// deterministic across replicas, never a real node id.
@@ -62,24 +71,9 @@ mod tag {
     pub const PREFIX: u64 = 7;
     pub const BRINGUP: u64 = 8;
 
-    pub fn send(client: u32) -> u64 {
-        SEND | (u64::from(client) << 8)
-    }
-
-    pub fn bringup(movie: u32) -> u64 {
-        BRINGUP | (u64::from(movie) << 8)
-    }
-
-    pub fn prefix(client: u32) -> u64 {
-        PREFIX | (u64::from(client) << 8)
-    }
-
-    pub fn decay(client: u32) -> u64 {
-        DECAY | (u64::from(client) << 8)
-    }
-
-    pub fn exchange(movie: u32) -> u64 {
-        EXCHANGE | (u64::from(movie) << 8)
+    /// The tag of the `kind` timer of client or movie `id`.
+    pub fn of(kind: u64, id: u32) -> u64 {
+        kind | (u64::from(id) << 8)
     }
 
     pub fn kind(tag: u64) -> u64 {
@@ -107,15 +101,17 @@ struct Session {
     filter: QualityFilter,
     send_timer: Option<TimerId>,
     decay_armed: bool,
-    /// Cross-DC rescue in reduced quality: the owner is outside the
-    /// client's home site and no home-site server is in the movie view,
-    /// so the stream is capped at [`MultiDcConfig::degraded_fps`].
+    /// See [`takeover::Resume::degraded`].
     degraded: bool,
 }
 
-struct Exchange {
-    epoch: u64,
-    reported: BTreeSet<NodeId>,
+/// Why a session closes: the client moved to another replica (its record
+/// lives on), or the session itself is over — announced to the other
+/// replicas unless the news came from one of them.
+#[derive(Clone, Copy)]
+enum Close {
+    Migrated,
+    Ended { announce: bool },
 }
 
 /// A local prefix transmission: this server feeds a waiting client the
@@ -130,18 +126,12 @@ struct PrefixSession {
     timer: Option<TimerId>,
 }
 
-struct MovieState {
+/// A movie this server holds: the data, the holders its group was
+/// bootstrapped from, and who serves whom in that group.
+struct Held {
     movie: Arc<Movie>,
     holders: Vec<NodeId>,
-    records: BTreeMap<ClientId, ClientRecord>,
-    /// Ended sessions: removal time per client, so an in-flight stale sync
-    /// cannot resurrect a removed record (a record updated *after* the
-    /// removal — e.g. by the owner on the other side of a healed
-    /// partition — is accepted and clears the tombstone).
-    tombstones: BTreeMap<ClientId, simnet::SimTime>,
-    view: View,
-    exchange: Option<Exchange>,
-    failures_seen: u32,
+    table: TakeoverTable,
 }
 
 /// Counters recorded by a server. `PartialEq` backs the determinism
@@ -189,7 +179,7 @@ pub struct VodServer {
     node: NodeId,
     servers: Vec<NodeId>,
     gcs: GcsNode<ControlPayload>,
-    movies: BTreeMap<MovieId, MovieState>,
+    movies: BTreeMap<MovieId, Held>,
     /// Movies this server *can* bring up on demand (the paper's servers
     /// sit on a shared disk farm, so any server can serve any movie).
     catalog: BTreeMap<MovieId, Arc<Movie>>,
@@ -260,33 +250,14 @@ impl VodServer {
             tag::GCS_TICK,
             servers.clone(),
         );
-        let mut catalog = BTreeMap::new();
-        let movies = replicas
-            .into_iter()
-            .map(|r| {
-                catalog.insert(r.movie.id(), Arc::clone(&r.movie));
-                (
-                    r.movie.id(),
-                    MovieState {
-                        movie: r.movie,
-                        holders: r.holders,
-                        records: BTreeMap::new(),
-                        tombstones: BTreeMap::new(),
-                        view: View::default(),
-                        exchange: None,
-                        failures_seen: 0,
-                    },
-                )
-            })
-            .collect();
         let policy = cfg.placement.build();
-        VodServer {
+        let mut server = VodServer {
             cfg,
             node,
             servers,
             gcs,
-            movies,
-            catalog,
+            movies: BTreeMap::new(),
+            catalog: BTreeMap::new(),
             sessions: BTreeMap::new(),
             stats: ServerStats::default(),
             trace: TraceHandle::disabled(),
@@ -303,7 +274,23 @@ impl VodServer {
             pending_bringups: BTreeMap::new(),
             orphan_opens: BTreeMap::new(),
             rejoin: false,
+        };
+        for replica in replicas {
+            server.hold(replica.movie, replica.holders);
         }
+        server
+    }
+
+    /// Becomes a holder of `movie`, with an empty takeover table.
+    fn hold(&mut self, movie: Arc<Movie>, holders: Vec<NodeId>) {
+        let (id, table) = (movie.id(), TakeoverTable::default());
+        self.catalog.insert(id, Arc::clone(&movie));
+        let held = Held {
+            movie,
+            holders,
+            table,
+        };
+        self.movies.insert(id, held);
     }
 
     /// Marks this process as a post-crash replacement (paper §5.2: a
@@ -382,7 +369,7 @@ impl VodServer {
         }
         let clients: Vec<ClientId> = self.sessions.keys().copied().collect();
         for client in clients {
-            self.stop_session(ctx, client);
+            self.close_session(ctx, client, Close::Migrated);
         }
         self.gcs.leave(ctx, SERVER_GROUP);
         // Give the leave protocol a moment to complete, then exit; the
@@ -400,7 +387,7 @@ impl VodServer {
     pub fn known_records(&self, movie: MovieId) -> Vec<ClientRecord> {
         self.movies
             .get(&movie)
-            .map(|m| m.records.values().copied().collect())
+            .map(|m| m.table.records().copied().collect())
             .unwrap_or_default()
     }
 
@@ -451,49 +438,23 @@ impl VodServer {
         let Some(state) = self.movies.get_mut(&movie_id) else {
             return;
         };
-        let lost = state
-            .view
-            .members
-            .iter()
-            .filter(|m| !view.contains(**m))
-            .count() as u32;
-        state.failures_seen += lost;
-        state.view = view.clone();
-        if !view.contains(node) {
-            // Excluded (e.g. graceful shutdown); drop coordination state.
-            state.exchange = None;
-            return;
-        }
-        if view.len() > 1 {
-            // State exchange: every member multicasts everything it knows,
-            // then all members redistribute over the common record set
-            // (paper §5.2: "the servers first exchange information about
-            // clients, and then use it to deduce which clients each of
-            // them will serve").
-            state.exchange = Some(Exchange {
-                epoch: view.id.epoch,
-                reported: BTreeSet::new(),
-            });
-            let (at, epoch, members) = (ctx.now(), view.id.epoch, view.len());
-            self.trace.emit(|| VodEvent::StateExchangeStarted {
-                at,
-                server: node,
-                movie: movie_id,
-                epoch,
-                members,
-            });
-            let state = self.movies.get_mut(&movie_id).expect("movie checked above");
-            let payload = ControlPayload::Sync {
-                server: node,
-                movie: movie_id,
-                view_epoch: view.id.epoch,
-                records: state.records.values().copied().collect(),
-            };
-            ctx.set_timer_after(self.cfg.exchange_timeout, tag::exchange(movie_id.0));
-            self.multicast(ctx, movie_group(movie_id), payload);
-        } else {
-            state.exchange = None;
-            self.redistribute(ctx, movie_id);
+        match state.table.install_view(node, view) {
+            Installed::Excluded => {}
+            Installed::Alone => self.redistribute(ctx, movie_id),
+            Installed::Exchange(report) => {
+                let view = state.table.view();
+                let (at, epoch, members) = (ctx.now(), view.id.epoch, view.len());
+                self.trace.emit(|| VodEvent::StateExchangeStarted {
+                    at,
+                    server: node,
+                    movie: movie_id,
+                    epoch,
+                    members,
+                });
+                let deadline = tag::of(tag::EXCHANGE, movie_id.0);
+                ctx.set_timer_after(self.cfg.exchange_timeout, deadline);
+                self.publish(ctx, movie_id, report);
+            }
         }
     }
 
@@ -504,7 +465,7 @@ impl VodServer {
         if view.contains(self.node) && !view.contains(session.record.client_node) {
             // The client itself is gone (crash, departure or partition):
             // close the session and tell the other replicas.
-            self.end_session(ctx, client, true);
+            self.close_session(ctx, client, Close::Ended { announce: true });
         }
     }
 
@@ -522,22 +483,29 @@ impl VodServer {
                         .or_default()
                         .insert(open.client, ctx.now());
                 }
-                self.on_open(ctx, open);
+                self.admit(ctx, takeover::candidate(&self.cfg, &open));
             }
             ControlPayload::Sync {
                 server,
                 movie,
                 view_epoch,
                 records,
-            } => self.on_sync(ctx, server, movie, view_epoch, records),
+            } => {
+                let Some(state) = self.movies.get_mut(&movie) else {
+                    return;
+                };
+                match state.table.merge_report(server, view_epoch, records) {
+                    Merged::Redistribute => self.redistribute(ctx, movie),
+                    Merged::Reconcile => self.reconcile_sessions(ctx, movie),
+                    Merged::Pending => {}
+                }
+            }
             ControlPayload::Remove { movie, client } => {
                 if let Some(state) = self.movies.get_mut(&movie) {
-                    if state.records.remove(&client).is_some() {
-                        state.tombstones.insert(client, ctx.now());
-                    }
+                    state.table.remove(client, ctx.now());
                 }
-                if sender != self.node && self.sessions.contains_key(&client) {
-                    self.end_session(ctx, client, false);
+                if sender != self.node {
+                    self.close_session(ctx, client, Close::Ended { announce: false });
                 }
             }
             ControlPayload::Flow { client, req } => self.on_flow(ctx, client, req),
@@ -576,155 +544,34 @@ impl VodServer {
         }
     }
 
-    /// Connection establishment: the coordinator of the movie group picks
-    /// the least-loaded replica (ties: highest id, same as redistribution)
-    /// and publishes the new client record.
-    fn on_open(&mut self, ctx: &mut Context<'_, VodWire>, open: OpenRequest) {
-        let node = self.node;
-        let Some(state) = self.movies.get_mut(&open.movie) else {
-            return;
-        };
-        if state.view.coordinator_candidate() != Some(node) {
-            return;
-        }
-        let waiting = state
-            .records
-            .get(&open.client)
-            .is_some_and(|r| r.owner == UNSERVED);
-        if let Some(existing) = state.records.get(&open.client) {
-            if !waiting {
-                // Duplicate request (client retry): republish the record
-                // so a lost assignment cannot strand the client.
-                let payload = ControlPayload::Sync {
-                    server: node,
-                    movie: open.movie,
-                    view_epoch: state.view.id.epoch,
-                    records: vec![*existing],
-                };
-                self.multicast(ctx, movie_group(open.movie), payload);
-                return;
-            }
-            // A waiting client retried: try to admit it now.
-        }
-        let owner = admit_client(
-            &self.cfg,
-            &state.view.members,
-            &state.records,
-            open.client,
-            open.client_node,
-        )
-        .unwrap_or(UNSERVED);
-        if owner == UNSERVED {
-            if waiting {
-                return; // still no room; the client keeps retrying
-            }
-            // First refusal: the record below parks the client as UNSERVED
-            // on every replica; count the rejection (coordinator only, so
-            // each refusal is counted once).
+    /// Connection establishment, and its retry for a parked client: what
+    /// the movie's coordinator decides ([`TakeoverTable::admit`]) is
+    /// published to the group. Returns the owner the client was given.
+    fn admit(&mut self, ctx: &mut Context<'_, VodWire>, candidate: ClientRecord) -> Option<NodeId> {
+        let state = self.movies.get_mut(&candidate.movie)?;
+        let record = state
+            .table
+            .admit(&self.cfg, self.node, candidate, ctx.now())?;
+        if record.owner == UNSERVED {
+            // First refusal: the record parks the client on every replica;
+            // count the rejection (coordinator only, so once).
             self.stats.admission_rejections.add(ctx.now(), 1);
         }
-        let record = ClientRecord {
-            client: open.client,
-            client_node: open.client_node,
-            session_group: open.session_group,
-            movie: open.movie,
-            next_frame: open.start_at,
-            rate_fps: self.cfg.default_rate_fps,
-            max_fps: open.max_fps,
-            owner,
-            assigned_epoch: state.view.id.epoch,
-            updated_at: ctx.now(),
-            paused: false,
-        };
-        state.records.insert(open.client, record);
-        let payload = ControlPayload::Sync {
-            server: node,
-            movie: open.movie,
-            view_epoch: state.view.id.epoch,
-            records: vec![record],
-        };
-        self.multicast(ctx, movie_group(open.movie), payload);
+        self.publish(ctx, record.movie, vec![record]);
+        (record.owner != UNSERVED).then_some(record.owner)
     }
 
-    fn on_sync(
-        &mut self,
-        ctx: &mut Context<'_, VodWire>,
-        server: NodeId,
-        movie_id: MovieId,
-        view_epoch: u64,
-        records: Vec<ClientRecord>,
-    ) {
-        let Some(state) = self.movies.get_mut(&movie_id) else {
-            return;
-        };
-        for record in records {
-            if let Some(&removed_at) = state.tombstones.get(&record.client) {
-                if record.updated_at <= removed_at {
-                    continue; // stale report of an ended session
-                }
-                state.tombstones.remove(&record.client);
-            }
-            match state.records.get(&record.client) {
-                Some(existing) if record_key(existing) >= record_key(&record) => {}
-                _ => {
-                    state.records.insert(record.client, record);
-                }
-            }
-        }
-        let mut complete = false;
-        if let Some(exchange) = state.exchange.as_mut() {
-            if view_epoch == exchange.epoch {
-                exchange.reported.insert(server);
-                complete = state
-                    .view
-                    .members
-                    .iter()
-                    .all(|m| exchange.reported.contains(m));
-            }
-        }
-        if complete {
-            state.exchange = None;
-            self.redistribute(ctx, movie_id);
-        } else if state.exchange.is_none() {
-            self.reconcile_sessions(ctx, movie_id);
-        }
-    }
-
-    /// Deterministic redistribution after a completed state exchange.
+    /// Redistribution after a completed (or expired) state exchange.
     fn redistribute(&mut self, ctx: &mut Context<'_, VodWire>, movie_id: MovieId) {
-        let policy = self.cfg.takeover;
         let Some(state) = self.movies.get_mut(&movie_id) else {
             return;
         };
         self.stats.redistributions += 1;
-        match policy {
-            TakeoverPolicy::Full => {}
-            TakeoverPolicy::SingleBackup if state.failures_seen <= 1 => {}
-            _ => {
-                // Baselines: no reassignment (orphans stay orphaned), but
-                // still reconcile our own sessions.
-                self.reconcile_sessions(ctx, movie_id);
-                return;
-            }
-        }
-        let (assignment, unassigned) =
-            redistribute_clients(&self.cfg, &state.view.members, &state.records);
-        let epoch = state.view.id.epoch;
-        for (client, owner) in &assignment {
-            if let Some(record) = state.records.get_mut(client) {
-                record.owner = *owner;
-                // The assignment is a product of this view: stamp it so it
-                // dominates periodic reports from before the change.
-                record.assigned_epoch = epoch;
-            }
-        }
-        for client in &unassigned {
-            if let Some(record) = state.records.get_mut(client) {
-                record.owner = UNSERVED;
-                record.assigned_epoch = epoch;
-            }
-        }
+        let reassigned = state.table.redistribute(&self.cfg);
         self.reconcile_sessions(ctx, movie_id);
+        let Some(epoch) = reassigned else {
+            return;
+        };
         let (at, server) = (ctx.now(), self.node);
         let owned = self
             .sessions
@@ -743,37 +590,23 @@ impl VodServer {
         self.sync_movie(ctx, movie_id, false);
     }
 
-    /// Starts sessions for records we own without a session, stops sessions
-    /// we no longer own.
+    /// Stops the sessions whose client the records give to another
+    /// replica, starts one for every record we own without a session.
     fn reconcile_sessions(&mut self, ctx: &mut Context<'_, VodWire>, movie_id: MovieId) {
-        let node = self.node;
         let Some(state) = self.movies.get(&movie_id) else {
             return;
         };
-        let to_start: Vec<ClientRecord> = state
-            .records
-            .values()
-            .filter(|r| r.owner == node && !self.sessions.contains_key(&r.client))
-            .copied()
-            .collect();
-        let to_stop: Vec<ClientId> = self
-            .sessions
-            .iter()
-            .filter(|(client, s)| {
-                s.record.movie == movie_id
-                    && state.records.get(client).is_some_and(|r| r.owner != node)
-            })
-            .map(|(&c, _)| c)
-            .collect();
-        for client in to_stop {
-            self.stop_session(ctx, client);
+        let here = |s: &Session| s.record.movie == movie_id;
+        let diff = state.table.session_diff(self.node, &self.sessions, here);
+        for client in diff.stop {
+            self.close_session(ctx, client, Close::Migrated);
         }
-        for record in to_start {
+        for record in diff.start {
             self.start_session(ctx, record);
         }
     }
 
-    fn start_session(&mut self, ctx: &mut Context<'_, VodWire>, mut record: ClientRecord) {
+    fn start_session(&mut self, ctx: &mut Context<'_, VodWire>, record: ClientRecord) {
         // A prefix source that became the client's real server (e.g. it
         // won the bring-up election and the redistribution handed it the
         // client): close the prefix transmission first — the session
@@ -784,63 +617,19 @@ impl VodServer {
         let Some(state) = self.movies.get(&record.movie) else {
             return;
         };
-        // Cross-DC rescue detection: this server is outside the client's
-        // home site and no home-site server is left in the movie view.
-        // Only then may the stream be degraded — while the home DC is
-        // healthy its own servers serve at full quality, and the oracle
-        // checks exactly that.
-        let degraded = self.cfg.multidc.as_ref().is_some_and(|mdc| {
-            matches!(mdc.mode, FailoverMode::RemoteDegraded)
-                && mdc
-                    .map
-                    .home_site_of_client(record.client_node)
-                    .is_some_and(|home| {
-                        mdc.map.site_of_server(self.node) != Some(home)
-                            && !state
-                                .view
-                                .members
-                                .iter()
-                                .any(|&n| mdc.map.site_of_server(n) == Some(home))
-                    })
-        });
-        record.owner = self.node;
-        if self.cfg.resume == ResumePolicy::SkipAhead && !record.paused {
-            // Optimistic resume: estimate how far the previous server got
-            // since the last sync and jump over it (ablation D5 — trades
-            // duplicates for possible holes).
-            let staleness = ctx.now().saturating_since(record.updated_at);
-            let estimated = (staleness.as_secs_f64() * f64::from(record.rate_fps)).ceil() as u64;
-            record.next_frame = record.next_frame.plus(estimated);
-        }
-        // Degraded rescues are thinned like a quality-capped client
-        // (paper §4.3), but the record's own max_fps is left untouched:
-        // the cap is a property of this rescue session, and full quality
-        // returns with the next redistribution onto a home server.
-        let fps_cap = match (degraded, &self.cfg.multidc) {
-            (true, Some(mdc)) => record
-                .max_fps
-                .min(mdc.degraded_fps.max(self.cfg.min_rate_fps)),
-            _ => record.max_fps,
-        };
-        let filter = QualityFilter::new(state.movie.gop(), state.movie.fps(), fps_cap);
-        // A thinned stream must not be pumped at the full-rate cadence:
-        // cap the transmission rate at the filter's effective output.
-        let effective_cap = filter.effective_fps(state.movie.fps()).ceil() as u32;
-        record.rate_fps = record
-            .rate_fps
-            .min(effective_cap.max(self.cfg.min_rate_fps));
-        let send_timer = if record.paused {
-            None
-        } else {
-            Some(ctx.set_timer_after(Duration::ZERO, tag::send(record.client.0)))
-        };
+        let (gop, fps, at) = (state.movie.gop(), state.movie.fps(), ctx.now());
+        let resumed = state
+            .table
+            .resume(&self.cfg, self.node, gop, fps, record, at);
+        let (record, degraded) = (resumed.record, resumed.degraded);
+        let send_timer = (!record.paused)
+            .then(|| ctx.set_timer_after(Duration::ZERO, tag::of(tag::SEND, record.client.0)));
         // Join the client's session group to receive its control messages
         // (paper §5.2: "to take over a client, a server simply joins the
         // client's session group and resumes the video transmission").
         self.gcs
             .join(ctx, record.session_group, &[record.client_node]);
-        self.stats.takeovers.add(ctx.now(), 1);
-        let at = ctx.now();
+        self.stats.takeovers.add(at, 1);
         let (server, client, client_node) = (self.node, record.client, record.client_node);
         let (movie, resume_frame) = (record.movie, record.next_frame);
         self.trace.emit(|| VodEvent::SessionStarted {
@@ -866,7 +655,7 @@ impl VodServer {
             Session {
                 record,
                 emergency: Emergency::new(self.cfg.emergency_decay),
-                filter,
+                filter: resumed.filter,
                 send_timer,
                 decay_armed: false,
                 degraded,
@@ -874,43 +663,28 @@ impl VodServer {
         );
     }
 
-    /// Stops serving a client that migrated to another replica.
-    fn stop_session(&mut self, ctx: &mut Context<'_, VodWire>, client: ClientId) {
-        if let Some(session) = self.sessions.remove(&client) {
-            if let Some(timer) = session.send_timer {
-                ctx.cancel_timer(timer);
-            }
-            let (at, server) = (ctx.now(), self.node);
-            self.trace
-                .emit(|| VodEvent::SessionStopped { at, server, client });
-            self.gcs.leave(ctx, session.record.session_group);
-        }
-    }
-
-    /// Ends a session entirely (client stop/crash or end of movie),
-    /// optionally announcing the removal to the other replicas.
-    fn end_session(&mut self, ctx: &mut Context<'_, VodWire>, client: ClientId, announce: bool) {
+    /// Stops transmitting to `client` and leaves its session group; an
+    /// ended session also takes its record with it.
+    fn close_session(&mut self, ctx: &mut Context<'_, VodWire>, client: ClientId, how: Close) {
         let Some(session) = self.sessions.remove(&client) else {
             return;
         };
         if let Some(timer) = session.send_timer {
             ctx.cancel_timer(timer);
         }
-        let (at, server) = (ctx.now(), self.node);
-        self.trace
-            .emit(|| VodEvent::SessionEnded { at, server, client });
-        let movie_id = session.record.movie;
-        if let Some(state) = self.movies.get_mut(&movie_id) {
-            if state.records.remove(&client).is_some() {
-                state.tombstones.insert(client, ctx.now());
+        let (at, server, movie) = (ctx.now(), self.node, session.record.movie);
+        self.trace.emit(|| match how {
+            Close::Migrated => VodEvent::SessionStopped { at, server, client },
+            Close::Ended { .. } => VodEvent::SessionEnded { at, server, client },
+        });
+        if let Close::Ended { announce } = how {
+            if let Some(state) = self.movies.get_mut(&movie) {
+                state.table.remove(client, at);
             }
-        }
-        if announce {
-            let payload = ControlPayload::Remove {
-                movie: movie_id,
-                client,
-            };
-            self.multicast(ctx, movie_group(movie_id), payload);
+            if announce {
+                let payload = ControlPayload::Remove { movie, client };
+                self.multicast(ctx, movie_group(movie), payload);
+            }
         }
         self.gcs.leave(ctx, session.record.session_group);
     }
@@ -959,7 +733,7 @@ impl VodServer {
                     });
                     if !session.decay_armed {
                         session.decay_armed = true;
-                        ctx.set_timer_after(Duration::from_secs(1), tag::decay(client.0));
+                        ctx.set_timer_after(Duration::from_secs(1), tag::of(tag::DECAY, client.0));
                     }
                 }
             }
@@ -981,7 +755,7 @@ impl VodServer {
                     if session.record.paused {
                         session.record.paused = false;
                         session.send_timer =
-                            Some(ctx.set_timer_after(Duration::ZERO, tag::send(client.0)));
+                            Some(ctx.set_timer_after(Duration::ZERO, tag::of(tag::SEND, client.0)));
                     }
                 }
             }
@@ -991,17 +765,13 @@ impl VodServer {
                 }
             }
             VcrCmd::SetQuality(max_fps) => {
-                let filter = self.sessions.get(&client).and_then(|s| {
-                    self.movies
-                        .get(&s.record.movie)
-                        .map(|m| QualityFilter::new(m.movie.gop(), m.movie.fps(), max_fps))
-                });
-                if let (Some(session), Some(filter)) = (self.sessions.get_mut(&client), filter) {
+                let Some(session) = self.sessions.get_mut(&client) else {
+                    return;
+                };
+                if let Some(m) = self.movies.get(&session.record.movie) {
+                    let (filter, cap) =
+                        takeover::quality(&self.cfg, m.movie.gop(), m.movie.fps(), max_fps);
                     session.record.max_fps = max_fps;
-                    let cap = filter
-                        .effective_fps(30)
-                        .ceil()
-                        .max(f64::from(self.cfg.min_rate_fps)) as u32;
                     session.record.rate_fps = session.record.rate_fps.min(cap);
                     session.filter = filter;
                 }
@@ -1019,9 +789,7 @@ impl VodServer {
                     session.record.rate_fps = hint.clamp(min_rate, max_rate);
                 }
             }
-            VcrCmd::Stop => {
-                self.end_session(ctx, client, true);
-            }
+            VcrCmd::Stop => self.close_session(ctx, client, Close::Ended { announce: true }),
         }
     }
 
@@ -1062,7 +830,7 @@ impl VodServer {
                 let group = session.record.session_group;
                 let payload = ControlPayload::EndOfMovie { client };
                 self.multicast(ctx, group, payload);
-                self.end_session(ctx, client, true);
+                self.close_session(ctx, client, Close::Ended { announce: true });
             }
             Some(frame) => {
                 let packet = VideoPacket {
@@ -1080,7 +848,8 @@ impl VodServer {
                 if !jitter.is_zero() {
                     interval += jitter.mul_f64(ctx.rng().gen_f64());
                 }
-                session.send_timer = Some(ctx.set_timer_after(interval, tag::send(client.0)));
+                session.send_timer =
+                    Some(ctx.set_timer_after(interval, tag::of(tag::SEND, client.0)));
             }
         }
     }
@@ -1090,7 +859,7 @@ impl VodServer {
             return;
         };
         if session.emergency.decay_step() > 0 {
-            ctx.set_timer_after(Duration::from_secs(1), tag::decay(client.0));
+            ctx.set_timer_after(Duration::from_secs(1), tag::of(tag::DECAY, client.0));
         } else {
             session.decay_armed = false;
             let (at, server) = (ctx.now(), self.node);
@@ -1107,18 +876,12 @@ impl VodServer {
         self.stats
             .owned_over_time
             .push(now, self.sessions.len() as f64);
-        let unserved = self
-            .movies
-            .values()
-            .flat_map(|s| s.records.values())
-            .filter(|r| r.owner == UNSERVED)
-            .count();
-        self.stats.unserved_over_time.push(now, unserved as f64);
+        let mut unserved = 0;
         for state in self.movies.values_mut() {
-            state
-                .tombstones
-                .retain(|_, &mut at| now.saturating_since(at) < Duration::from_secs(30));
+            unserved += state.table.owned_by(UNSERVED);
+            state.table.expire_tombstones(now);
         }
+        self.stats.unserved_over_time.push(now, unserved as f64);
         let movie_ids: Vec<MovieId> = self.movies.keys().copied().collect();
         for movie_id in movie_ids {
             self.sync_movie(ctx, movie_id, true);
@@ -1136,59 +899,26 @@ impl VodServer {
         ctx.set_timer_after(self.cfg.sync_interval, tag::SYNC);
     }
 
-    /// Multicasts this server's owned records for `movie_id`.
-    /// `periodic` distinguishes the half-second refresh from the immediate
-    /// post-redistribution publication.
+    /// Multicasts this server's report for `movie_id`
+    /// ([`TakeoverTable::report`]). `periodic` distinguishes the
+    /// half-second refresh from the immediate post-redistribution
+    /// publication.
     fn sync_movie(&mut self, ctx: &mut Context<'_, VodWire>, movie_id: MovieId, periodic: bool) {
-        let node = self.node;
-        let now = ctx.now();
         let Some(state) = self.movies.get_mut(&movie_id) else {
             return;
         };
-        if !state.view.contains(node) {
-            return;
+        let round = periodic.then_some(self.sync_round);
+        let live = |client| self.sessions.get(&client).map(|s| s.record);
+        if let Some(report) = state.table.report(self.node, ctx.now(), round, live) {
+            self.stats.syncs_sent += 1;
+            self.publish(ctx, movie_id, report);
         }
-        let mut report = Vec::new();
-        let mut owned_any = false;
-        // Non-owned records are re-broadcast only occasionally (they exist
-        // purely to repair replicas that missed an assignment); the steady
-        // traffic is the paper's "information about its clients".
-        let include_foreign = !periodic || self.sync_round.is_multiple_of(4);
-        for (client, record) in state.records.iter_mut() {
-            if record.owner == node {
-                if let Some(session) = self.sessions.get(client) {
-                    record.next_frame = session.record.next_frame;
-                    record.rate_fps = session.record.rate_fps;
-                    record.max_fps = session.record.max_fps;
-                    record.paused = session.record.paused;
-                }
-                record.updated_at = now;
-                owned_any = true;
-                report.push(*record);
-            } else if include_foreign {
-                report.push(*record);
-            }
-        }
-        // The post-redistribution publication (periodic = false) must go
-        // out even when this server now owns nothing: it is how the new
-        // owner learns about an assignment decided here.
-        let _ = owned_any;
-        let payload = ControlPayload::Sync {
-            server: node,
-            movie: movie_id,
-            view_epoch: state.view.id.epoch,
-            records: report,
-        };
-        self.stats.syncs_sent += 1;
-        self.multicast(ctx, movie_group(movie_id), payload);
     }
 
     fn on_exchange_timer(&mut self, ctx: &mut Context<'_, VodWire>, movie_id: MovieId) {
         let _span = self.profile.span(Subsystem::ServerTakeover);
-        let Some(state) = self.movies.get_mut(&movie_id) else {
-            return;
-        };
-        if state.exchange.take().is_some() {
+        let state = self.movies.get_mut(&movie_id);
+        if state.is_some_and(|s| s.table.exchange_expired()) {
             // Deadline passed: redistribute with whatever reports arrived.
             self.redistribute(ctx, movie_id);
         }
@@ -1208,12 +938,8 @@ impl VodServer {
             .iter()
             .map(|(&movie, state)| DemandEntry {
                 movie,
-                sessions: state.records.values().filter(|r| r.owner == node).count() as u32,
-                waiting: state
-                    .records
-                    .values()
-                    .filter(|r| r.owner == UNSERVED)
-                    .count() as u32,
+                sessions: state.table.owned_by(node) as u32,
+                waiting: state.table.owned_by(UNSERVED) as u32,
             })
             .collect();
         // A copy in flight counts as a (sessionless) holder: the demand
@@ -1295,12 +1021,8 @@ impl VodServer {
                 PlacementAction::BringUp(trigger) => {
                     // Bring-up election: the least-loaded live non-holder,
                     // ties broken by lowest node id.
-                    let candidate = live
-                        .iter()
-                        .filter(|n| !holders.contains(n))
-                        .min_by_key(|&&n| (load.get(&n).copied().unwrap_or(0), n.0))
-                        .copied();
-                    if candidate == Some(self.node) {
+                    let spare = live.iter().copied().filter(|n| !holders.contains(n));
+                    if least_loaded(spare, &load) == Some(self.node) {
                         let peers: Vec<NodeId> = holders.iter().copied().collect();
                         self.bring_up(
                             ctx,
@@ -1329,8 +1051,9 @@ impl VodServer {
                     let candidate = self
                         .movies
                         .get(&movie)
-                        .filter(|s| s.view.len() as u32 > policy_cfg.min_replicas)
-                        .and_then(|s| s.view.members.last().copied());
+                        .map(|s| s.table.view())
+                        .filter(|view| view.len() as u32 > policy_cfg.min_replicas)
+                        .and_then(|view| view.members.last().copied());
                     if candidate == Some(self.node) {
                         self.retire_replica(ctx, movie, sessions, replicas - 1);
                         self.policy.acted(movie, action, &policy_cfg);
@@ -1362,11 +1085,7 @@ impl VodServer {
         self.orphan_opens
             .retain(|&movie, _| rescues.iter().any(|&(m, _)| m == movie));
         for (movie, waiting) in rescues {
-            let candidate = live
-                .iter()
-                .min_by_key(|&&n| (load.get(&n).copied().unwrap_or(0), n.0))
-                .copied();
-            if candidate == Some(self.node) {
+            if least_loaded(live.iter().copied(), &load) == Some(self.node) {
                 self.bring_up(ctx, movie, waiting, 1, &[], BringUpTrigger::OrphanRescue);
                 self.orphan_opens.remove(&movie);
                 self.policy.acted(
@@ -1422,7 +1141,7 @@ impl VodServer {
             // advertise the pending copy so the rest of the fleet does
             // not elect yet another server for the same movie.
             self.pending_bringups.insert(movie_id, holders.to_vec());
-            ctx.set_timer_after(delay, tag::bringup(movie_id.0));
+            ctx.set_timer_after(delay, tag::of(tag::BRINGUP, movie_id.0));
         }
     }
 
@@ -1440,20 +1159,7 @@ impl VodServer {
         let Some(movie) = self.catalog.get(&movie_id).cloned() else {
             return;
         };
-        let mut all_holders = holders.to_vec();
-        all_holders.push(self.node);
-        self.movies.insert(
-            movie_id,
-            MovieState {
-                movie,
-                holders: all_holders,
-                records: BTreeMap::new(),
-                tombstones: BTreeMap::new(),
-                view: View::default(),
-                exchange: None,
-                failures_seen: 0,
-            },
-        );
+        self.hold(movie, [holders, &[self.node]].concat());
         self.gcs.join(ctx, movie_group(movie_id), holders);
     }
 
@@ -1488,7 +1194,7 @@ impl VodServer {
             .map(|(&c, _)| c)
             .collect();
         for client in clients {
-            self.stop_session(ctx, client);
+            self.close_session(ctx, client, Close::Migrated);
         }
         self.movies.remove(&movie_id);
         if let Some(entries) = self.demand.get_mut(&self.node) {
@@ -1574,18 +1280,19 @@ impl VodServer {
                 self.release_prefix(ctx, source, client, movie, UNSERVED);
                 continue;
             };
-            if state.view.coordinator_candidate() != Some(node) {
+            let record = state.table.get(client).copied();
+            if state.table.view().coordinator_candidate() != Some(node) {
                 // Coordinatorship moved (typically to the freshly joined
                 // replica). Assignments are coordinator-local state, so
                 // release the source rather than orphan a transmission
                 // nobody tracks any more; pass the owner along when the
                 // redistribution already placed the client.
-                let owner = state.records.get(&client).map_or(UNSERVED, |r| r.owner);
+                let owner = record.map_or(UNSERVED, |r| r.owner);
                 self.prefix_assignments.remove(&client);
                 self.release_prefix(ctx, source, client, movie, owner);
                 continue;
             }
-            match state.records.get(&client) {
+            match record {
                 None => {
                     // Session gone (stop, crash, end of movie).
                     self.prefix_assignments.remove(&client);
@@ -1597,11 +1304,11 @@ impl VodServer {
                     self.prefix_assignments.remove(&client);
                     self.release_prefix(ctx, source, client, movie, owner);
                 }
-                Some(_) => {
+                Some(parked) => {
                     // Still waiting. The client stopped re-OPENing once
                     // prefix frames arrived, so the coordinator retries
                     // the admission election on its behalf.
-                    if let Some(owner) = self.try_admit(ctx, movie, client) {
+                    if let Some(owner) = self.admit(ctx, parked) {
                         self.prefix_assignments.remove(&client);
                         self.release_prefix(ctx, source, client, movie, owner);
                     } else if !self
@@ -1632,13 +1339,14 @@ impl VodServer {
             let Some(state) = self.movies.get(&movie) else {
                 continue;
             };
-            if state.view.coordinator_candidate() != Some(node) {
+            let view = state.table.view();
+            if view.coordinator_candidate() != Some(node) {
                 continue;
             }
-            let holders: BTreeSet<NodeId> = state.view.members.iter().copied().collect();
+            let holders: BTreeSet<NodeId> = view.members.iter().copied().collect();
             let waiting: Vec<ClientRecord> = state
-                .records
-                .values()
+                .table
+                .records()
                 .filter(|r| r.owner == UNSERVED)
                 .copied()
                 .collect();
@@ -1646,15 +1354,10 @@ impl VodServer {
                 if self.prefix_assignments.contains_key(&record.client) {
                     continue;
                 }
-                let source = self
-                    .prefix_sources
-                    .iter()
-                    .filter(|(n, movies)| {
-                        live.contains(n) && !holders.contains(n) && movies.contains(&movie)
-                    })
-                    .map(|(&n, _)| n)
-                    .min_by_key(|&n| (load.get(&n).copied().unwrap_or(0), n.0));
-                let Some(source) = source else {
+                let sources = self.prefix_sources.iter().filter(|(n, movies)| {
+                    live.contains(n) && !holders.contains(n) && movies.contains(&movie)
+                });
+                let Some(source) = least_loaded(sources.map(|(&n, _)| n), &load) else {
                     continue;
                 };
                 *load.entry(source).or_insert(0) += 1;
@@ -1667,41 +1370,6 @@ impl VodServer {
                 self.multicast(ctx, SERVER_GROUP, payload);
             }
         }
-    }
-
-    /// Retries the admission election for a waiting client of `movie`
-    /// (same rule as [`on_open`](Self::on_open)); on success stamps and
-    /// publishes the updated record and returns the elected owner.
-    fn try_admit(
-        &mut self,
-        ctx: &mut Context<'_, VodWire>,
-        movie: MovieId,
-        client: ClientId,
-    ) -> Option<NodeId> {
-        let node = self.node;
-        let state = self.movies.get_mut(&movie)?;
-        let client_node = state.records.get(&client)?.client_node;
-        let owner = admit_client(
-            &self.cfg,
-            &state.view.members,
-            &state.records,
-            client,
-            client_node,
-        )?;
-        let epoch = state.view.id.epoch;
-        let record = state.records.get_mut(&client)?;
-        record.owner = owner;
-        record.assigned_epoch = epoch;
-        record.updated_at = ctx.now();
-        let published = *record;
-        let payload = ControlPayload::Sync {
-            server: node,
-            movie,
-            view_epoch: epoch,
-            records: vec![published],
-        };
-        self.multicast(ctx, movie_group(movie), payload);
-        Some(owner)
     }
 
     /// Multicasts a release for `client`'s prefix transmission on
@@ -1763,7 +1431,7 @@ impl VodServer {
             prefix_frames,
             rate_fps,
         });
-        let timer = ctx.set_timer_after(Duration::ZERO, tag::prefix(record.client.0));
+        let timer = ctx.set_timer_after(Duration::ZERO, tag::of(tag::PREFIX, record.client.0));
         self.prefix_sessions.insert(
             record.client,
             PrefixSession {
@@ -1842,7 +1510,7 @@ impl VodServer {
         ctx.send(VIDEO_PORT, dst, VodWire::Video(packet));
         let effective = rate_fps.clamp(1, 240);
         let interval = Duration::from_secs_f64(1.0 / f64::from(effective));
-        let timer = ctx.set_timer_after(interval, tag::prefix(client.0));
+        let timer = ctx.set_timer_after(interval, tag::of(tag::PREFIX, client.0));
         let session = self
             .prefix_sessions
             .get_mut(&client)
@@ -1856,6 +1524,28 @@ impl VodServer {
     // Helpers
     // ------------------------------------------------------------------
 
+    /// Multicasts `records` to `movie`'s group under its view's epoch.
+    fn publish(
+        &mut self,
+        ctx: &mut Context<'_, VodWire>,
+        movie: MovieId,
+        records: Vec<ClientRecord>,
+    ) {
+        let Some(state) = self.movies.get(&movie) else {
+            return;
+        };
+        let payload = ControlPayload::Sync {
+            server: self.node,
+            movie,
+            view_epoch: state.table.view().id.epoch,
+            records,
+        };
+        self.multicast(ctx, movie_group(movie), payload);
+    }
+
+    /// Multicasts `payload` to `group`. The sender is handed its own
+    /// message before this returns, so every publication is followed, in
+    /// the same handler, by this server's reaction to it.
     fn multicast(
         &mut self,
         ctx: &mut Context<'_, VodWire>,
@@ -1872,14 +1562,6 @@ impl VodServer {
     fn movie_of_group(&self, group: GroupId) -> Option<MovieId> {
         movie_of_group(group).filter(|m| self.movies.contains_key(m))
     }
-}
-
-/// Total order on records used to merge concurrent sync reports
-/// deterministically: freshest timestamp wins, ties broken by owner and
-/// progress so every replica resolves identically regardless of arrival
-/// order.
-fn record_key(r: &ClientRecord) -> (u64, simnet::SimTime, u32, u64) {
-    (r.assigned_epoch, r.updated_at, r.owner.0, r.next_frame.0)
 }
 
 impl Process<VodWire> for VodServer {
@@ -1951,54 +1633,21 @@ impl Process<VodWire> for VodServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use media::FrameNo;
 
     #[test]
     fn timer_tags_round_trip() {
-        for client in [0u32, 1, 77, u32::MAX] {
-            let t = tag::send(client);
-            assert_eq!(tag::kind(t), tag::SEND);
-            assert_eq!(tag::id(t), client);
-            let t = tag::decay(client);
-            assert_eq!(tag::kind(t), tag::DECAY);
-            assert_eq!(tag::id(t), client);
-            let t = tag::prefix(client);
-            assert_eq!(tag::kind(t), tag::PREFIX);
-            assert_eq!(tag::id(t), client);
+        for kind in [
+            tag::SEND,
+            tag::DECAY,
+            tag::EXCHANGE,
+            tag::PREFIX,
+            tag::BRINGUP,
+        ] {
+            for id in [0u32, 1, 42, 77, u32::MAX] {
+                let t = tag::of(kind, id);
+                assert_eq!(tag::kind(t), kind);
+                assert_eq!(tag::id(t), id);
+            }
         }
-        let t = tag::exchange(42);
-        assert_eq!(tag::kind(t), tag::EXCHANGE);
-        assert_eq!(tag::id(t), 42);
-    }
-
-    fn record(epoch: u64, at: u64, owner: u32, frame: u64) -> ClientRecord {
-        ClientRecord {
-            client: ClientId(1),
-            client_node: NodeId(100),
-            session_group: crate::protocol::session_group(ClientId(1)),
-            movie: MovieId(1),
-            next_frame: FrameNo(frame),
-            rate_fps: 30,
-            max_fps: 30,
-            owner: NodeId(owner),
-            assigned_epoch: epoch,
-            updated_at: simnet::SimTime::from_millis(at),
-            paused: false,
-        }
-    }
-
-    #[test]
-    fn record_merge_order_prefers_epoch_then_freshness() {
-        // A redistribution result (newer epoch, older timestamp) dominates
-        // a periodic report from before the view change.
-        let redistributed = record(5, 1_000, 3, 100);
-        let stale_periodic = record(4, 2_000, 1, 120);
-        assert!(record_key(&redistributed) > record_key(&stale_periodic));
-        // Within an epoch, the fresher report wins.
-        let older = record(5, 1_000, 3, 100);
-        let newer = record(5, 1_500, 3, 130);
-        assert!(record_key(&newer) > record_key(&older));
-        // Full ties resolve identically everywhere (deterministic merge).
-        assert_eq!(record_key(&older), record_key(&record(5, 1_000, 3, 100)));
     }
 }

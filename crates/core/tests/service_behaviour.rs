@@ -7,6 +7,7 @@ use std::time::Duration;
 use ftvod_core::config::{TakeoverPolicy, VodConfig};
 use ftvod_core::protocol::ClientId;
 use ftvod_core::scenario::{presets, ScenarioBuilder, VcrOp, VodSim};
+use ftvod_core::server::VodServer;
 use media::{FrameNo, Movie, MovieId, MovieSpec};
 use simnet::{LinkProfile, NodeId, SimTime};
 
@@ -376,6 +377,39 @@ fn quality_capped_client_gets_all_i_frames_at_reduced_rate() {
         stats.frames_received
     );
     assert_eq!(stats.stalls.total(), 0);
+}
+
+#[test]
+fn quality_change_caps_the_rate_by_the_movies_own_frame_rate() {
+    // Half quality of a 60 fps movie keeps 8 frames of every 15-frame GOP:
+    // 32 frames a second, which the transmission rate must be allowed to
+    // reach. (The cap was once computed as if every movie ran at 30 fps,
+    // which halved it again, to 16.) The viewer pauses first, so no
+    // flow-control request moves the rate after the cap is applied.
+    let spec = MovieSpec {
+        fps: 60,
+        ..MovieSpec::paper_default()
+    };
+    let mut builder = ScenarioBuilder::new(14);
+    builder
+        .network(LinkProfile::lan())
+        .movie(Movie::generate(MovieId(1), &spec), &[S1])
+        .server(S1)
+        .client(C1, CLIENT_NODE, MovieId(1), SimTime::from_secs(2))
+        .vcr_at(SimTime::from_secs(20), C1, VcrOp::Pause)
+        .vcr_at(SimTime::from_secs(21), C1, VcrOp::SetQuality(30));
+    let mut sim = builder.build();
+    let record = |sim: &mut VodSim| {
+        let records = sim
+            .sim_mut()
+            .with_process(S1, |s: &VodServer| s.known_records(MovieId(1)));
+        records.expect("server exists")[0]
+    };
+    sim.run_until(SimTime::from_secs(20));
+    assert!(record(&mut sim).rate_fps > 32, "a 60 fps stream by now");
+    sim.run_until(SimTime::from_secs(23));
+    let capped = record(&mut sim);
+    assert_eq!((capped.max_fps, capped.rate_fps), (30, 32));
 }
 
 #[test]

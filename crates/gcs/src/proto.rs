@@ -57,9 +57,7 @@ pub struct ProtoConfig {
 impl Default for ProtoConfig {
     fn default() -> Self {
         ProtoConfig {
-            // Test-only compile-time revert used by the gcs test suite to
-            // prove the live node inherits the fix from this module.
-            reform_on_expulsion: cfg!(not(feature = "revert-pr4-deadlock")),
+            reform_on_expulsion: true,
         }
     }
 }

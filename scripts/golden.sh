@@ -28,6 +28,17 @@ mkdir -p "$out"
 # lines; exits nonzero when a verdict differs from its expectation.
 "$cli" experiment all >"$out/experiments.txt"
 
+# The model checker's five CI scopes (~4 s): state and transition counts
+# of the exhaustive membership check. The CI `model-check` job compares
+# its own run with the same file.
+{
+    "$cli" check --nodes 3 --depth 8
+    "$cli" check --nodes 3 --joiners 1 --depth 7
+    "$cli" check --nodes 3 --leaver 1 --depth 8
+    "$cli" check --nodes 3 --drops 2 --depth 8
+    "$cli" check --nodes 4 --depth 6
+} >"$out/check_scopes.txt"
+
 # The repo benchmark's digest of every counter, report and oracle verdict
 # of its four workloads (two passes each, ~20 s in all; the timings it
 # prints are not kept). benchmark/ is a package of its own: it is built
