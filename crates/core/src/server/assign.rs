@@ -79,16 +79,17 @@ pub fn assign_clients_geo(
 }
 
 /// Redistribution after a movie-group membership change: every client
-/// with a record is placed afresh on the `members` of the new view. In a
-/// multi-datacenter deployment that returns clients to their home site
-/// the moment its servers are back in the view, and fails them over
-/// across the WAN (with shedding, if so configured) while they are not.
-pub fn redistribute_clients(
+/// with a record (`records`: a borrowed map of them by client) is placed
+/// afresh on the `members` of the new view. In a multi-datacenter
+/// deployment that returns clients to their home site the moment its
+/// servers are back in the view, and fails them over across the WAN (with
+/// shedding, if so configured) while they are not.
+pub fn redistribute_clients<'a>(
     cfg: &VodConfig,
     members: &[NodeId],
-    records: &BTreeMap<ClientId, ClientRecord>,
+    records: impl IntoIterator<Item = (&'a ClientId, &'a ClientRecord)>,
 ) -> (BTreeMap<ClientId, NodeId>, Vec<ClientId>) {
-    let clients = records.values().map(|r| (r.client, r.client_node));
+    let clients = records.into_iter().map(|(_, r)| (r.client, r.client_node));
     place_in_view(cfg, members, std::iter::empty(), clients)
 }
 
@@ -97,17 +98,17 @@ pub fn redistribute_clients(
 /// load the movie's `records` already put on the view. The client's own
 /// record — it has one while parked unserved — does not count as load.
 /// Returns `None` when no member may take the client.
-pub fn admit_client(
+pub fn admit_client<'a>(
     cfg: &VodConfig,
     members: &[NodeId],
-    records: &BTreeMap<ClientId, ClientRecord>,
+    records: impl IntoIterator<Item = (&'a ClientId, &'a ClientRecord)>,
     client: ClientId,
     client_node: NodeId,
 ) -> Option<NodeId> {
     let busy = records
-        .values()
-        .filter(|r| r.client != client)
-        .map(|r| r.owner);
+        .into_iter()
+        .filter(|(_, r)| r.client != client)
+        .map(|(_, r)| r.owner);
     let clients = std::iter::once((client, client_node));
     let (mut assignment, _) = place_in_view(cfg, members, busy, clients);
     assignment.remove(&client)

@@ -28,12 +28,12 @@ pub use emergency::Emergency;
 pub use takeover::TakeoverTable;
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use gcs::{GcsEvent, GcsNode, GroupId, View};
 use media::{FrameNo, Movie, MovieId, QualityFilter};
-use simnet::{Context, Endpoint, NodeId, Process, SimTime, Timer, TimerId};
+use simnet::{Context, Endpoint, NodeId, Process, SimTime, Timer, TimerId, VecMap};
 
 use crate::config::VodConfig;
 use crate::forecast::{
@@ -83,6 +83,17 @@ mod tag {
     pub fn id(tag: u64) -> u32 {
         (tag >> 8) as u32
     }
+}
+
+/// The pause between two frames of a stream sent at `fps`, which is held to
+/// 1..=240. The float conversion ran once per frame; the table holds the
+/// results of the same expression.
+fn frame_interval(fps: u32) -> Duration {
+    static INTERVALS: OnceLock<[Duration; 240]> = OnceLock::new();
+    let table = INTERVALS.get_or_init(|| {
+        std::array::from_fn(|i| Duration::from_secs_f64(1.0 / f64::from(i as u32 + 1)))
+    });
+    table[fps.clamp(1, 240) as usize - 1]
 }
 
 /// A movie replica this server holds, plus who else holds it (used to
@@ -183,7 +194,7 @@ pub struct VodServer {
     /// Movies this server *can* bring up on demand (the paper's servers
     /// sit on a shared disk farm, so any server can serve any movie).
     catalog: BTreeMap<MovieId, Arc<Movie>>,
-    sessions: BTreeMap<ClientId, Session>,
+    sessions: VecMap<ClientId, Session>,
     stats: ServerStats,
     trace: TraceHandle,
     profile: ProfileHandle,
@@ -207,7 +218,7 @@ pub struct VodServer {
     /// reports): which movies each peer can prefix-serve.
     prefix_sources: BTreeMap<NodeId, BTreeSet<MovieId>>,
     /// Prefix transmissions this server is currently running.
-    prefix_sessions: BTreeMap<ClientId, PrefixSession>,
+    prefix_sessions: VecMap<ClientId, PrefixSession>,
     /// Coordinator bookkeeping: waiting clients this server (as movie
     /// coordinator) has routed to a prefix source, and where.
     prefix_assignments: BTreeMap<ClientId, (NodeId, MovieId)>,
@@ -258,7 +269,7 @@ impl VodServer {
             gcs,
             movies: BTreeMap::new(),
             catalog: BTreeMap::new(),
-            sessions: BTreeMap::new(),
+            sessions: VecMap::new(),
             stats: ServerStats::default(),
             trace: TraceHandle::disabled(),
             profile: ProfileHandle::disabled(),
@@ -269,7 +280,7 @@ impl VodServer {
             forecasts: ForecastBank::new(FORECAST_STREAM),
             prefix_cache: BTreeSet::new(),
             prefix_sources: BTreeMap::new(),
-            prefix_sessions: BTreeMap::new(),
+            prefix_sessions: VecMap::new(),
             prefix_assignments: BTreeMap::new(),
             pending_bringups: BTreeMap::new(),
             orphan_opens: BTreeMap::new(),
@@ -842,9 +853,8 @@ impl VodServer {
                 self.stats.bytes_sent += u64::from(frame.size);
                 let dst = Endpoint::new(session.record.client_node, VIDEO_PORT);
                 ctx.send(VIDEO_PORT, dst, VodWire::Video(packet));
-                let effective =
-                    (session.record.rate_fps + session.emergency.current()).clamp(1, 240);
-                let mut interval = Duration::from_secs_f64(1.0 / f64::from(effective));
+                let mut interval =
+                    frame_interval(session.record.rate_fps + session.emergency.current());
                 if !jitter.is_zero() {
                     interval += jitter.mul_f64(ctx.rng().gen_f64());
                 }
@@ -1508,9 +1518,7 @@ impl VodServer {
         self.stats.prefix_frames_sent += 1;
         let dst = Endpoint::new(client_node, VIDEO_PORT);
         ctx.send(VIDEO_PORT, dst, VodWire::Video(packet));
-        let effective = rate_fps.clamp(1, 240);
-        let interval = Duration::from_secs_f64(1.0 / f64::from(effective));
-        let timer = ctx.set_timer_after(interval, tag::of(tag::PREFIX, client.0));
+        let timer = ctx.set_timer_after(frame_interval(rate_fps), tag::of(tag::PREFIX, client.0));
         let session = self
             .prefix_sessions
             .get_mut(&client)

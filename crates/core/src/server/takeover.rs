@@ -15,12 +15,12 @@
 //!
 //! [`VodServer`]: super::VodServer
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::time::Duration;
 
 use gcs::View;
 use media::{FrameNo, GopPattern, QualityFilter};
-use simnet::{NodeId, SimTime};
+use simnet::{NodeId, SimTime, VecMap};
 
 use super::assign::{admit_client, redistribute_clients};
 use super::UNSERVED;
@@ -102,12 +102,12 @@ pub struct Resume {
 /// sees them.
 #[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct TakeoverTable {
-    records: BTreeMap<ClientId, ClientRecord>,
+    records: VecMap<ClientId, ClientRecord>,
     /// Ended sessions: removal time per client, so an in-flight stale sync
     /// cannot resurrect a removed record (a record updated *after* the
     /// removal — e.g. by the owner on the other side of a healed
     /// partition — is accepted and clears the tombstone).
-    tombstones: BTreeMap<ClientId, SimTime>,
+    tombstones: VecMap<ClientId, SimTime>,
     view: View,
     exchange: Option<Exchange>,
     failures_seen: u32,
@@ -297,7 +297,7 @@ impl TakeoverTable {
     pub fn session_diff<S>(
         &self,
         me: NodeId,
-        sessions: &BTreeMap<ClientId, S>,
+        sessions: &VecMap<ClientId, S>,
         here: impl Fn(&S) -> bool,
     ) -> SessionDiff {
         let moved = |client| self.get(client).is_some_and(|r| r.owner != me);
@@ -729,7 +729,7 @@ mod tests {
         ];
         table.merge_report(PEER, 1, records);
         // client -> whether its session streams this table's movie
-        let sessions: BTreeMap<ClientId, bool> =
+        let sessions: VecMap<ClientId, bool> =
             [(1, true), (3, true), (6, true), (4, false), (5, false)]
                 .into_iter()
                 .map(|(client, here)| (ClientId(client), here))

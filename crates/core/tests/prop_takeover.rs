@@ -19,8 +19,6 @@
 //! * **Resume offsets** — the conservative resume never passes the
 //!   record, skip-ahead adds ⌈staleness × rate⌉ and nothing when paused.
 
-use std::collections::BTreeMap;
-
 use ftvod_core::config::{MultiDcConfig, ResumePolicy, SiteMap, TakeoverPolicy, VodConfig};
 use ftvod_core::protocol::{session_group, ClientId, ClientRecord, OpenRequest};
 use ftvod_core::server::takeover::{candidate, Installed, Merged};
@@ -28,7 +26,7 @@ use ftvod_core::server::{TakeoverTable, UNSERVED};
 use gcs::{View, ViewId};
 use media::{FrameNo, GopPattern, MovieId};
 use proptest::prelude::*;
-use simnet::{NodeId, SimTime};
+use simnet::{NodeId, SimTime, VecMap};
 
 /// This server. Nodes 1–5 may be members of a view; 6 never is.
 const ME: NodeId = NodeId(2);
@@ -197,7 +195,7 @@ fn step(
         }
         8 => {
             // client -> whether its session streams this table's movie
-            let sessions: BTreeMap<ClientId, bool> = (0..6)
+            let sessions: VecMap<ClientId, bool> = (0..6)
                 .filter(|c| a >> c & 1 == 1)
                 .map(|c| (ClientId(c), b >> c & 1 == 1))
                 .collect();

@@ -39,7 +39,7 @@ use std::error::Error;
 use std::fmt;
 use std::ops::Bound;
 
-use simnet::{Context, Endpoint, NodeId, Payload, Port, SimTime, Timer};
+use simnet::{Context, Endpoint, NodeId, Payload, Port, SimTime, Timer, VecMap};
 
 use crate::packet::GcsPacket;
 use crate::proto::{
@@ -118,14 +118,14 @@ struct RecvState<P> {
     /// Next sequence number to deliver from this sender.
     next: u64,
     /// Out-of-order buffer.
-    buf: BTreeMap<u64, P>,
+    buf: VecMap<u64, P>,
 }
 
 impl<P> RecvState<P> {
     fn new(next: u64) -> Self {
         RecvState {
             next,
-            buf: BTreeMap::new(),
+            buf: VecMap::new(),
         }
     }
 }
@@ -176,18 +176,18 @@ struct GroupState<P> {
     join_start_tick: u64,
     last_join_send_tick: u64,
     next_seq: u64,
-    send_buf: BTreeMap<u64, P>,
-    recv: BTreeMap<NodeId, RecvState<P>>,
-    retained: BTreeMap<(NodeId, u64), P>,
-    ack_floors: BTreeMap<NodeId, BTreeMap<NodeId, u64>>,
+    send_buf: VecMap<u64, P>,
+    recv: VecMap<NodeId, RecvState<P>>,
+    retained: VecMap<(NodeId, u64), P>,
+    ack_floors: VecMap<NodeId, VecMap<NodeId, u64>>,
     pending_sends: VecDeque<P>,
     /// Message-plane half of an in-progress view change; `Some` exactly
     /// when [`Membership::flush`] is.
     vc: Option<VcData<P>>,
     /// Freshness clocks for the foreign entries in [`Membership::foreign`]
     /// (time stays out of the pure machine).
-    foreign_seen: BTreeMap<NodeId, u64>,
-    last_nak_tick: BTreeMap<NodeId, u64>,
+    foreign_seen: VecMap<NodeId, u64>,
+    last_nak_tick: VecMap<NodeId, u64>,
     /// A freshly computed install, blindly retransmitted a few ticks in a
     /// row so that a single lost datagram cannot strand a member in the
     /// old view (installs are idempotent).
@@ -233,14 +233,14 @@ impl<P> GroupState<P> {
             join_start_tick: 0,
             last_join_send_tick: 0,
             next_seq: 1,
-            send_buf: BTreeMap::new(),
-            recv: BTreeMap::new(),
-            retained: BTreeMap::new(),
-            ack_floors: BTreeMap::new(),
+            send_buf: VecMap::new(),
+            recv: VecMap::new(),
+            retained: VecMap::new(),
+            ack_floors: VecMap::new(),
             pending_sends: VecDeque::new(),
             vc: None,
-            foreign_seen: BTreeMap::new(),
-            last_nak_tick: BTreeMap::new(),
+            foreign_seen: VecMap::new(),
+            last_nak_tick: VecMap::new(),
             install_resend: None,
         }
     }
@@ -298,11 +298,11 @@ pub struct GcsNode<P: Payload> {
     /// Whether this node has ever held group state. One that has not keeps
     /// ticking: [`GcsNode::create_group`] has no context to wake it from.
     had_group: bool,
-    last_heard: BTreeMap<NodeId, SimTime>,
+    last_heard: VecMap<NodeId, SimTime>,
     suspected: BTreeSet<NodeId>,
-    groups: BTreeMap<GroupId, GroupState<P>>,
+    groups: VecMap<GroupId, GroupState<P>>,
     next_nonmember_id: u64,
-    nonmember_seen: BTreeMap<(NodeId, u64), u64>,
+    nonmember_seen: VecMap<(NodeId, u64), u64>,
     forced_gaps: u64,
     views_installed: u64,
     /// Events produced in contexts that cannot return them directly
@@ -357,11 +357,11 @@ impl<P: Payload> GcsNode<P> {
             tick_state: TickState::Unstarted,
             last_tick: SimTime::ZERO,
             had_group: false,
-            last_heard: BTreeMap::new(),
+            last_heard: VecMap::new(),
             suspected: BTreeSet::new(),
-            groups: BTreeMap::new(),
+            groups: VecMap::new(),
             next_nonmember_id: 1,
-            nonmember_seen: BTreeMap::new(),
+            nonmember_seen: VecMap::new(),
             forced_gaps: 0,
             views_installed: 0,
             deferred_events: Vec::new(),
@@ -449,6 +449,13 @@ impl<P: Payload> GcsNode<P> {
     /// Nodes currently suspected by the local failure detector.
     pub fn suspected(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.suspected.iter().copied()
+    }
+
+    /// Number of peers the failure detector keeps a last-heard time for:
+    /// one per distinct peer heard from or sharing a view, whatever the
+    /// value of its id.
+    pub fn peers_tracked(&self) -> usize {
+        self.last_heard.len()
     }
 
     /// Number of messages skipped to close unrecoverable gaps (possible
@@ -893,20 +900,18 @@ impl<P: Payload> GcsNode<P> {
     where
         M: Payload + From<GcsPacket<P>>,
     {
-        let status = self.status(group);
-        if status == GroupStatus::Idle {
-            return Vec::new();
-        }
-        let node = self.node;
-        if origin == node {
+        if origin == self.node {
             return Vec::new();
         }
         let ticks = self.ticks;
-        let state = self.group_mut(group);
-        let recv = state
-            .recv
-            .entry(origin)
-            .or_insert_with(|| RecvState::new(1));
+        let Some(state) = self.groups.get_mut(&group) else {
+            return Vec::new();
+        };
+        let status = state.mem.status;
+        if status == GroupStatus::Idle {
+            return Vec::new();
+        }
+        let recv = state.recv.get_or_insert_with(origin, || RecvState::new(1));
         if seq < recv.next {
             return Vec::new(); // duplicate / already delivered
         }
@@ -995,49 +1000,37 @@ impl<P: Payload> GcsNode<P> {
     {
         let node = self.node;
         let ticks = self.ticks;
-        if self.status(group) == GroupStatus::Idle {
+        let port = self.port;
+        let Some(state) = self.groups.get_mut(&group) else {
+            return;
+        };
+        if state.mem.status == GroupStatus::Idle {
             return;
         }
         // Tail-gap detection: if any member (in particular the sender
         // itself, whose floor equals its send horizon) has delivered
         // further than we have, the missing suffix will never be revealed
         // by a successor packet — NAK it now.
-        let mut tail_naks: Vec<(NodeId, u64, u64)> = Vec::new();
-        {
-            let state = self.group_mut(group);
-            for &(sender, floor) in &delivered {
-                if sender == node {
-                    continue;
-                }
-                let recv = state
-                    .recv
-                    .entry(sender)
-                    .or_insert_with(|| RecvState::new(1));
-                let mine = recv.next - 1;
-                if floor > mine && !recv.buf.contains_key(&recv.next) {
-                    let last = state.last_nak_tick.get(&sender).copied().unwrap_or(0);
-                    if ticks.saturating_sub(last) >= 2 {
-                        state.last_nak_tick.insert(sender, ticks.max(1));
-                        tail_naks.push((sender, recv.next, floor));
-                    }
+        for &(sender, floor) in &delivered {
+            if sender == node {
+                continue;
+            }
+            let recv = state.recv.get_or_insert_with(sender, || RecvState::new(1));
+            let mine = recv.next - 1;
+            if floor > mine && !recv.buf.contains_key(&recv.next) {
+                let last = state.last_nak_tick.get(&sender).copied().unwrap_or(0);
+                if ticks.saturating_sub(last) >= 2 {
+                    state.last_nak_tick.insert(sender, ticks.max(1));
+                    let nak = GcsPacket::Nak {
+                        group,
+                        origin: sender,
+                        from_seq: recv.next,
+                        to_seq: floor,
+                    };
+                    ctx.send(port, Endpoint::new(sender, port), M::from(nak));
                 }
             }
         }
-        for (origin, from_seq, to_seq) in tail_naks {
-            self.emit(
-                ctx,
-                origin,
-                GcsPacket::Nak {
-                    group,
-                    origin,
-                    from_seq,
-                    to_seq,
-                },
-            );
-        }
-        let Some(state) = self.groups.get_mut(&group) else {
-            return;
-        };
         // Most acks repeat the previous report (liveness, no news): the
         // map it would rebuild is the one already held.
         let unchanged = state.ack_floors.get(&member).is_some_and(|known| {
@@ -1046,10 +1039,12 @@ impl<P: Payload> GcsNode<P> {
         });
         if !unchanged {
             // In place: a changed report nearly always names the senders
-            // the last one did, so the map keeps its nodes.
-            let known = state.ack_floors.entry(member).or_default();
+            // the last one did, so no entry moves.
+            let known = state.ack_floors.get_or_insert_with(member, VecMap::new);
             known.retain(|sender, _| delivered.iter().any(|(s, _)| s == sender));
-            known.extend(delivered);
+            for (sender, floor) in delivered {
+                known.insert(sender, floor);
+            }
         }
         // Stability only ever releases buffered messages; with none held
         // there is nothing a floor could release.
@@ -1303,12 +1298,9 @@ impl<P: Payload> GcsNode<P> {
                 if sender == node {
                     continue;
                 }
-                let recv = state
-                    .recv
-                    .entry(sender)
-                    .or_insert_with(|| RecvState::new(1));
+                let recv = state.recv.get_or_insert_with(sender, || RecvState::new(1));
                 if seq >= recv.next {
-                    recv.buf.entry(seq).or_insert(payload);
+                    recv.buf.get_or_insert_with(seq, || payload);
                 }
             }
             for (&sender, &horizon) in &cut {
@@ -1322,10 +1314,7 @@ impl<P: Payload> GcsNode<P> {
                     state.send_buf.retain(|&seq, _| seq > horizon);
                     continue;
                 }
-                let recv = state
-                    .recv
-                    .entry(sender)
-                    .or_insert_with(|| RecvState::new(1));
+                let recv = state.recv.get_or_insert_with(sender, || RecvState::new(1));
                 if was_member {
                     // Deliver up to the cut (the fill guarantees the
                     // messages exist except across lossy merges).
@@ -1412,14 +1401,15 @@ impl<P: Payload> GcsNode<P> {
         let ticks = self.ticks;
         let node = self.node;
         let cfg = self.proto_cfg;
-        if self.status(group) == GroupStatus::Idle {
+        let Some(state) = self.groups.get_mut(&group) else {
+            return AnnounceReaction::None;
+        };
+        if state.mem.status == GroupStatus::Idle {
             return AnnounceReaction::None;
         }
-        let suspected = self.suspected.clone();
-        let state = self.group_mut(group);
         match state
             .mem
-            .on_announce(&cfg, node, &suspected, from, vid, members)
+            .on_announce(&cfg, node, &self.suspected, from, vid, members)
         {
             AnnounceOutcome::Reform { epoch, candidates } => {
                 AnnounceReaction::Reform { epoch, candidates }
@@ -2006,7 +1996,7 @@ impl<P: Payload> GcsNode<P> {
 
     fn group_mut(&mut self, group: GroupId) -> &mut GroupState<P> {
         self.had_group = true;
-        self.groups.entry(group).or_insert_with(GroupState::new)
+        self.groups.get_or_insert_with(group, GroupState::new)
     }
 
     fn join_targets(&self, group: GroupId) -> Vec<NodeId> {

@@ -54,10 +54,7 @@ impl GcsNode<Num> {
                 if sender == node {
                     continue;
                 }
-                let recv = state
-                    .recv
-                    .entry(sender)
-                    .or_insert_with(|| RecvState::new(1));
+                let recv = state.recv.get_or_insert_with(sender, || RecvState::new(1));
                 let mine = recv.next - 1;
                 if floor > mine && !recv.buf.contains_key(&recv.next) {
                     let last = state.last_nak_tick.get(&sender).copied().unwrap_or(0);
@@ -169,11 +166,11 @@ fn member(port: Port, members: &[NodeId]) -> GcsNode<Num> {
 
 /// Everything `on_ack` reads or writes.
 type Books = (
-    BTreeMap<u64, Num>,
-    BTreeMap<(NodeId, u64), Num>,
-    BTreeMap<NodeId, BTreeMap<NodeId, u64>>,
+    VecMap<u64, Num>,
+    VecMap<(NodeId, u64), Num>,
+    VecMap<NodeId, VecMap<NodeId, u64>>,
     Vec<(NodeId, u64, Vec<u64>)>,
-    BTreeMap<NodeId, u64>,
+    VecMap<NodeId, u64>,
 );
 
 fn books(gcs: &GcsNode<Num>) -> Books {

@@ -1,7 +1,8 @@
 //! Totality of the endpoint: no sequence of packets — stale, future or
-//! foreign view ids, origins outside the view, repeated or far-ahead
-//! sequence numbers, installs that cut below what the receiver itself has
-//! sent — may panic a [`gcs::GcsNode`] or talk it out of its own view.
+//! foreign view ids, origins outside the view, sender ids at the top of
+//! the id space, repeated or far-ahead sequence numbers, installs that cut
+//! below what the receiver itself has sent — may panic a [`gcs::GcsNode`],
+//! talk it out of its own view or make it size a table by an id's value.
 //!
 //! The packets are forged: handed to a member of a settled three-member
 //! group as if they had arrived from an arbitrary endpoint, with the
@@ -13,6 +14,7 @@
 
 mod common;
 
+use std::collections::BTreeSet;
 use std::time::Duration;
 
 use common::*;
@@ -44,17 +46,21 @@ struct Draw {
 /// question after one.)
 const NUMBERS: [u64; 8] = [0, 1, 2, 3, 4, 7, 1_000, 1 << 40];
 
+/// Forged sender and subject ids: the members, two foreigners, and ids no
+/// table indexed by them would survive (`u32::MAX` × 8 bytes is 32 GiB).
+const IDS: [u32; 8] = [1, 2, 3, 4, 5, 1 << 20, u32::MAX - 1, u32::MAX];
+
 fn draw() -> impl Strategy<Value = Draw> {
     (
-        (0u8..9, 1u32..6, 1u32..6),
+        (0u8..9, 0usize..IDS.len(), 0usize..IDS.len()),
         (0usize..NUMBERS.len(), 0usize..NUMBERS.len()),
         (0u8..32, 0u8..8, 0u64..120),
     )
         .prop_map(
             |((kind, from, who), (epoch, seq), (members, strange, pause_ms))| Draw {
                 kind,
-                from,
-                who,
+                from: IDS[from],
+                who: IDS[who],
                 epoch: NUMBERS[epoch],
                 seq: NUMBERS[seq],
                 members,
@@ -267,9 +273,13 @@ proptest! {
     ) {
         let (seed, target) = setup;
         let target = NodeId(target);
-        let (mut sim, _) = settled(seed);
+        let (mut sim, ids) = settled(seed);
+        // Everyone the target can have heard of: the members, and whoever
+        // a forged packet came from, named or listed in a view (1..=5).
+        let mut named: BTreeSet<u32> = ids.iter().map(|n| n.0).chain(1..=5).collect();
 
         for d in script {
+            named.extend([d.from, d.who]);
             let from = Endpoint::new(NodeId(d.from), GCS_PORT);
             let pkt = forge(d, target);
             sim.invoke(target, |app: &mut App, ctx| {
@@ -295,6 +305,11 @@ proptest! {
             .unwrap();
         prop_assert!(member, "target left its own view");
         prop_assert_eq!(status, GroupStatus::Member);
+        // One liveness entry per peer it heard of, however large the id.
+        let tracked = sim
+            .with_process(target, |app: &App| app.gcs.peers_tracked())
+            .unwrap();
+        prop_assert!(tracked <= named.len(), "{tracked} peers tracked, {} named", named.len());
         // And it still works: a fresh multicast loops back.
         say(&mut sim, target, G, 7_777);
         let echoed = sim

@@ -90,6 +90,7 @@ mod sim;
 mod stats;
 mod time;
 mod topo;
+mod vecmap;
 
 pub use net::{BurstLoss, Endpoint, LinkProfile, NodeId, Payload, Port};
 pub use process::{Context, Process, Timer, TimerId};
@@ -99,3 +100,4 @@ pub use sim::{DropReason, Simulation, TraceEvent};
 pub use stats::{ClassStats, NetStats};
 pub use time::SimTime;
 pub use topo::SiteTopology;
+pub use vecmap::VecMap;

@@ -17,4 +17,13 @@ cargo test --workspace -q
 echo "==> cargo doc (no deps)"
 cargo doc --workspace --no-deps --quiet
 
+# The sampler (scripts/profile.sh) is not part of the gate; keep it parsing
+# and its shim compiling.
+echo "==> profile.sh parses, its shim compiles"
+sh -n scripts/profile.sh
+if command -v gcc >/dev/null; then
+    mkdir -p target/profile
+    gcc -O2 -Wall -shared -fPIC -o target/profile/sigprof_shim.so scripts/sigprof_shim.c
+fi
+
 echo "all checks passed"

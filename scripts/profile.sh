@@ -1,0 +1,140 @@
+#!/usr/bin/env sh
+# Sampled CPU profile of one repo-benchmark workload (perf and valgrind are
+# not on the box): a SIGPROF shim (scripts/sigprof_shim.c, LD_PRELOADed)
+# writes the interrupted stack every millisecond of CPU time (or every
+# kernel timer tick, where that is longer); addr2line
+# resolves it, inlined frames included. Prints self time by first in-repo
+# frame, by crate directory and by file:line, self time by source directory
+# of the innermost frame (where std's `collections/btree` or `binary_heap`
+# show), and inclusive time by symbol.
+#
+#   sh scripts/profile.sh <workload> [--seed N] [--seconds S]
+#
+# Builds benchmark/ with frame pointers and line tables into
+# target/profile/ (its own target dir; nothing under benchmark/ is edited)
+# and leaves the raw samples in target/profile/samples.txt. Needs gcc,
+# addr2line and setarch. Not part of tier-1.
+set -eu
+
+cd "$(dirname "$0")/.."
+
+workload=${1:?usage: profile.sh <workload> [--seed N] [--seconds S]}
+shift
+seed=0
+seconds=6
+while [ $# -gt 0 ]; do
+    case $1 in
+    --seed) seed=${2:?--seed needs a value} ;;
+    --seconds) seconds=${2:?--seconds needs a value} ;;
+    *)
+        echo "profile.sh: unknown argument $1" >&2
+        exit 2
+        ;;
+    esac
+    shift 2
+done
+
+dir=$PWD/target/profile
+mkdir -p "$dir"
+gcc -O2 -shared -fPIC -o "$dir/sigprof_shim.so" scripts/sigprof_shim.c
+RUSTFLAGS="-C force-frame-pointers=yes" CARGO_PROFILE_RELEASE_DEBUG=line-tables-only \
+    CARGO_TARGET_DIR=$dir cargo build --release --quiet --offline \
+    --manifest-path benchmark/Cargo.toml
+bin=$dir/release/ftvod-benchmark
+
+# -R: no address-space randomisation, so two profiles of one build compare
+# address by address. `env` keeps the shim out of setarch itself.
+setarch "$(uname -m)" -R env PROFILE_OUT="$dir/samples.txt" \
+    LD_PRELOAD="$dir/sigprof_shim.so" \
+    "$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" >"$dir/run.txt"
+sed -n 's/^counters_digest /counters_digest /p; s/^wall_s  */wall_s /p' "$dir/run.txt"
+
+# Every distinct frame once through addr2line: `-a` heads each answer with
+# the address, `-i` follows it with one (function, file:line) pair per
+# inlined level, innermost first.
+tr ' ' '\n' <"$dir/samples.txt" | grep -v '^0*$' | sort -u |
+    addr2line -a -f -C -i -e "$bin" >"$dir/frames.txt"
+
+awk -v root="$PWD/" '
+function shorten(sym) {
+    sub(/::h[0-9a-f]+$/, "", sym)
+    return sym
+}
+# First pass (frames.txt): frames[addr, level] = function / where.
+FNR == NR {
+    if ($0 ~ /^0x/) {
+        addr = $0
+        sub(/^0x0*/, "", addr)
+        levels[addr] = 0
+        want = "fn"
+    } else if (want == "fn") {
+        fn = shorten($0)
+        want = "at"
+    } else {
+        at = $1
+        in_repo = index(at, root) == 1
+        if (in_repo)
+            at = substr(at, length(root) + 1)
+        n = ++levels[addr]
+        func_of[addr, n] = fn
+        if (n == 1) {
+            dir = at
+            sub(/^\/rustc\/[0-9a-f]*\//, "", dir)
+            sub(/\/[^\/]*$/, "", dir)
+            leaf_dir[addr] = dir
+        }
+        if (in_repo) {
+            split(at, part, "/")
+            crate_of[addr, n] = part[1] == "crates" ? part[1] "/" part[2] : part[1]
+            line_of[addr, n] = at
+        }
+        want = "fn"
+    }
+    next
+}
+# Second pass (samples.txt): one stack per line, leaf first.
+{
+    samples++
+    by_leaf_dir[$1 in leaf_dir ? leaf_dir[$1] : "(outside the executable)"]++
+    owner = ""
+    split("", seen)
+    for (i = 1; i <= NF; i++) {
+        for (n = 1; n <= levels[$i]; n++) {
+            fn = func_of[$i, n]
+            if (!(fn in seen)) {
+                seen[fn] = 1
+                inclusive[fn]++
+            }
+            if (owner == "" && (($i, n) in crate_of)) {
+                owner = fn
+                by_frame[fn]++
+                by_crate[crate_of[$i, n]]++
+                by_line[line_of[$i, n]]++
+            }
+        }
+    }
+    if (owner == "")
+        by_crate["(no in-repo frame)"]++
+}
+function table(title, count, limit,    key, cmd) {
+    printf "\n%s\n", title
+    fflush()
+    cmd = "sort -rn | head -n " limit
+    for (key in count)
+        if (count[key] < samples) # on every stack: says nothing
+            printf "%6.2f %%  %6d  %s\n", 100 * count[key] / samples, count[key], key | cmd
+    close(cmd)
+}
+END {
+    if (samples == 0) {
+        print "profile.sh: no samples" > "/dev/stderr"
+        exit 1
+    }
+    printf "%d samples (one per timer tick of CPU time; 1 ms requested)\n", samples
+    table("self time by crate directory of the first in-repo frame", by_crate, 20)
+    table("self time by first in-repo frame", by_frame, 40)
+    table("self time by file:line of the first in-repo frame", by_line, 40)
+    table("self time by source directory of the innermost frame", by_leaf_dir, 20)
+    table("inclusive time by symbol", inclusive, 60)
+}
+' "$dir/frames.txt" "$dir/samples.txt"
