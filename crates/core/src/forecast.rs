@@ -8,15 +8,15 @@
 //! ([`MovieForecast`]: cold → warming → hot → cooling) fed by the demand
 //! shares that already flow over the half-second sync, plus an online
 //! estimate of its own transition frequencies seeded deterministically
-//! per movie. Placement decisions go through the [`PlacementPolicy`]
-//! trait with three implementations:
+//! per movie. Placement decisions are one struct, [`PlacementPolicy`],
+//! that holds the shared streak/cooldown bookkeeping and one of three
+//! [`PolicyKind`]s:
 //!
-//! * [`Reactive`] — the original hot/cold hysteresis, bit-for-bit;
-//! * [`Predictive`] — forecast-driven: bring a replica up as soon as the
+//! * `Reactive` — the original hot/cold hysteresis, bit-for-bit;
+//! * `Predictive` — forecast-driven: bring a replica up as soon as the
 //!   machine says *hot* (or *warming* with an overload projection and a
 //!   warming→hot transition estimate above ½), retire on *cold*;
-//! * [`Hybrid`] — predictive bring-up with the reactive streak as a
-//!   fallback, reactive retire.
+//! * `Hybrid` — predictive bring-up, reactive retire.
 //!
 //! Everything here is integer arithmetic over the shared demand reports,
 //! so every server's forecast bank and policy state stay in lockstep —
@@ -238,7 +238,7 @@ impl MovieForecast {
 
 /// The per-movie forecast machines of one server, all derived from one
 /// seed so identical demand streams produce identical banks fleet-wide.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ForecastBank {
     seed: u64,
     movies: BTreeMap<MovieId, MovieForecast>,
@@ -291,7 +291,7 @@ pub enum PolicyKind {
     Reactive,
     /// Forecast-driven pre-emptive bring-up.
     Predictive,
-    /// Predictive bring-up with the reactive streak as fallback.
+    /// Predictive bring-up, reactive retire.
     Hybrid,
 }
 
@@ -314,15 +314,6 @@ impl PolicyKind {
             other => Err(format!(
                 "unknown policy {other} (reactive | predictive | hybrid)"
             )),
-        }
-    }
-
-    /// Instantiates the policy this kind names.
-    pub fn build(self) -> Box<dyn PlacementPolicy> {
-        match self {
-            PolicyKind::Reactive => Box::new(Reactive::default()),
-            PolicyKind::Predictive => Box::new(Predictive::default()),
-            PolicyKind::Hybrid => Box::new(Hybrid::default()),
         }
     }
 }
@@ -378,54 +369,83 @@ pub struct MovieObservation {
 
 impl MovieObservation {
     fn demand(&self) -> u32 {
-        self.sessions + self.waiting
+        self.sessions.saturating_add(self.waiting)
     }
 
     /// Room to add a replica under `cfg` and the live set.
     fn can_grow(&self, cfg: &ReplicationConfig) -> bool {
         self.replicas < cfg.max_replicas && self.replicas < self.live
     }
+
+    /// The reactive bring-up signal: demand over the per-replica hot
+    /// threshold, and room to grow.
+    fn hot(&self, cfg: &ReplicationConfig) -> bool {
+        self.demand() > cfg.hot_sessions_per_replica.saturating_mul(self.replicas)
+            && self.can_grow(cfg)
+    }
+
+    /// The reactive retire signal: a replica above the floor, nobody
+    /// waiting, and the sessions fit on one replica fewer.
+    fn spare(&self, cfg: &ReplicationConfig) -> bool {
+        self.replicas > cfg.min_replicas
+            && self.waiting == 0
+            && self.sessions
+                <= cfg
+                    .cold_sessions_per_replica
+                    .saturating_mul(self.replicas - 1)
+    }
 }
 
-/// A replica-placement policy: one [`decide`](PlacementPolicy::decide)
-/// per aggregated movie per sync tick. The server keeps the elections
-/// (who acts) — the policy only says *whether* the replica set should
-/// move, which keeps every implementation deterministic over the shared
-/// demand stream.
-pub trait PlacementPolicy {
-    /// Which kind this is (trace annotation).
-    fn kind(&self) -> PolicyKind;
-
-    /// Called once per sync tick before any decisions (cooldowns age
-    /// here, exactly like the pre-refactor manager).
-    fn begin_tick(&mut self);
-
-    /// The verdict for one movie. `forecast` is the shared bank's
-    /// machine for the movie (already fed this tick's demand).
-    fn decide(
-        &mut self,
-        obs: &MovieObservation,
-        forecast: Option<&MovieForecast>,
-        cfg: &ReplicationConfig,
-    ) -> PlacementAction;
-
-    /// Called when this server won the election and performed `action`
-    /// on `movie`: reset the relevant streak and start the cooldown.
-    fn acted(&mut self, movie: MovieId, action: PlacementAction, cfg: &ReplicationConfig);
+/// Whether the forecast machine justifies an immediate bring-up.
+fn forecast_surge(f: &MovieForecast, obs: &MovieObservation, cfg: &ReplicationConfig) -> bool {
+    match f.state() {
+        PopState::Hot => true,
+        PopState::Warming => f.predicts_overload(obs.replicas, cfg) && f.hot_affinity(),
+        PopState::Cold | PopState::Cooling => false,
+    }
 }
 
-/// Shared hysteresis bookkeeping: streaks, cooldowns and replica-set
-/// change detection, preserved bit-for-bit from the pre-trait manager.
-#[derive(Clone, Debug, Default)]
-struct Hysteresis {
+/// The replica-placement policy: one [`decide`](PlacementPolicy::decide)
+/// per aggregated movie per sync tick, under one of three rules
+/// ([`PolicyKind`]) over shared hysteresis bookkeeping — streaks,
+/// cooldowns and replica-set change detection. The replica manager keeps
+/// the elections (who acts); the policy only says *whether* the replica
+/// set should move, which keeps it deterministic over the shared demand
+/// stream.
+///
+/// | kind | bring-up | retire |
+/// |---|---|---|
+/// | `Reactive` | a full hot streak | a full cold streak |
+/// | `Predictive` | the forecast surges (no streak: the machine's own dynamics are the damping) | a full cold streak *and* a cold forecast |
+/// | `Hybrid` | as `Predictive` | as `Reactive` |
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PlacementPolicy {
+    kind: PolicyKind,
     hot_streak: BTreeMap<MovieId, u32>,
     cold_streak: BTreeMap<MovieId, u32>,
     cooldown: BTreeMap<MovieId, u32>,
     last_replicas: BTreeMap<MovieId, u32>,
 }
 
-impl Hysteresis {
-    fn begin_tick(&mut self) {
+impl PlacementPolicy {
+    /// A policy of `kind` that has seen nothing yet.
+    pub fn new(kind: PolicyKind) -> Self {
+        PlacementPolicy {
+            kind,
+            hot_streak: BTreeMap::new(),
+            cold_streak: BTreeMap::new(),
+            cooldown: BTreeMap::new(),
+            last_replicas: BTreeMap::new(),
+        }
+    }
+
+    /// Which kind this is (trace annotation).
+    pub fn kind(&self) -> PolicyKind {
+        self.kind
+    }
+
+    /// Called once per sync tick before any decisions: cooldowns age.
+    pub fn begin_tick(&mut self) {
         for ticks in self.cooldown.values_mut() {
             *ticks = ticks.saturating_sub(1);
         }
@@ -446,194 +466,55 @@ impl Hysteresis {
         self.cooldown.get(&movie).copied().unwrap_or(0) > 0
     }
 
-    /// Advances both streaks for the tick and returns the new runs.
-    fn advance(&mut self, movie: MovieId, hot: bool, cold: bool) -> (u32, u32) {
-        let hot_run = {
-            let s = self.hot_streak.entry(movie).or_insert(0);
-            *s = if hot { *s + 1 } else { 0 };
+    /// The verdict for one movie. `forecast` is the shared bank's machine
+    /// for the movie, already fed this tick's demand.
+    pub fn decide(
+        &mut self,
+        obs: &MovieObservation,
+        forecast: &MovieForecast,
+        cfg: &ReplicationConfig,
+    ) -> PlacementAction {
+        if self.settling(obs.movie, obs.replicas, cfg) {
+            return PlacementAction::Hold;
+        }
+        let surge = || forecast_surge(forecast, obs, cfg) && obs.can_grow(cfg);
+        let (up, trigger, cold) = match self.kind {
+            PolicyKind::Reactive => (obs.hot(cfg), BringUpTrigger::ReactiveStreak, obs.spare(cfg)),
+            PolicyKind::Predictive => (
+                surge(),
+                BringUpTrigger::Forecast,
+                obs.spare(cfg) && forecast.state() == PopState::Cold,
+            ),
+            PolicyKind::Hybrid => (surge(), BringUpTrigger::Forecast, obs.spare(cfg)),
+        };
+        let run = |streak: &mut BTreeMap<MovieId, u32>, on: bool| {
+            let s = streak.entry(obs.movie).or_insert(0);
+            *s = if on { *s + 1 } else { 0 };
             *s
         };
-        let cold_run = {
-            let s = self.cold_streak.entry(movie).or_insert(0);
-            *s = if cold { *s + 1 } else { 0 };
-            *s
-        };
-        (hot_run, cold_run)
+        let (hot_run, cold_run) = (
+            run(&mut self.hot_streak, up),
+            run(&mut self.cold_streak, cold),
+        );
+        let streak_ok = self.kind != PolicyKind::Reactive || hot_run >= cfg.hysteresis_ticks;
+        if up && streak_ok {
+            PlacementAction::BringUp(trigger)
+        } else if cold && cold_run >= cfg.hysteresis_ticks {
+            PlacementAction::Retire
+        } else {
+            PlacementAction::Hold
+        }
     }
 
-    fn acted(&mut self, movie: MovieId, action: PlacementAction, cfg: &ReplicationConfig) {
+    /// Called when this server won the election and performed `action`
+    /// on `movie`: reset the relevant streak and start the cooldown.
+    pub fn acted(&mut self, movie: MovieId, action: PlacementAction, cfg: &ReplicationConfig) {
         match action {
-            PlacementAction::BringUp(_) => {
-                self.hot_streak.insert(movie, 0);
-            }
-            PlacementAction::Retire => {
-                self.cold_streak.insert(movie, 0);
-            }
-            PlacementAction::Hold => {}
-        }
+            PlacementAction::BringUp(_) => self.hot_streak.insert(movie, 0),
+            PlacementAction::Retire => self.cold_streak.insert(movie, 0),
+            PlacementAction::Hold => None,
+        };
         self.cooldown.insert(movie, cfg.cooldown_ticks);
-    }
-}
-
-/// The reactive hot/cold rule over the shared observation.
-fn reactive_signals(obs: &MovieObservation, cfg: &ReplicationConfig) -> (bool, bool) {
-    let hot = obs.demand() > cfg.hot_sessions_per_replica * obs.replicas && obs.can_grow(cfg);
-    let cold = obs.replicas > cfg.min_replicas
-        && obs.waiting == 0
-        && obs.sessions <= cfg.cold_sessions_per_replica * (obs.replicas - 1);
-    (hot, cold)
-}
-
-/// Whether the forecast machine justifies an immediate bring-up.
-fn forecast_surge(
-    forecast: Option<&MovieForecast>,
-    obs: &MovieObservation,
-    cfg: &ReplicationConfig,
-) -> bool {
-    let Some(f) = forecast else {
-        return false;
-    };
-    match f.state() {
-        PopState::Hot => true,
-        PopState::Warming => f.predicts_overload(obs.replicas, cfg) && f.hot_affinity(),
-        PopState::Cold | PopState::Cooling => false,
-    }
-}
-
-/// The PR 2 hysteresis policy, moved behind the trait unchanged.
-#[derive(Clone, Debug, Default)]
-pub struct Reactive {
-    hys: Hysteresis,
-}
-
-impl PlacementPolicy for Reactive {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Reactive
-    }
-
-    fn begin_tick(&mut self) {
-        self.hys.begin_tick();
-    }
-
-    fn decide(
-        &mut self,
-        obs: &MovieObservation,
-        _forecast: Option<&MovieForecast>,
-        cfg: &ReplicationConfig,
-    ) -> PlacementAction {
-        if self.hys.settling(obs.movie, obs.replicas, cfg) {
-            return PlacementAction::Hold;
-        }
-        let (hot, cold) = reactive_signals(obs, cfg);
-        let (hot_run, cold_run) = self.hys.advance(obs.movie, hot, cold);
-        if hot && hot_run >= cfg.hysteresis_ticks {
-            PlacementAction::BringUp(BringUpTrigger::ReactiveStreak)
-        } else if cold && cold_run >= cfg.hysteresis_ticks {
-            PlacementAction::Retire
-        } else {
-            PlacementAction::Hold
-        }
-    }
-
-    fn acted(&mut self, movie: MovieId, action: PlacementAction, cfg: &ReplicationConfig) {
-        self.hys.acted(movie, action, cfg);
-    }
-}
-
-/// Forecast-driven placement: act on the popularity machine instead of
-/// demand streaks. Bring-up fires without any streak (the machine's own
-/// dynamics are the damping); retire still demands a full cold streak so
-/// a momentary dip cannot shed a replica the crowd still needs.
-#[derive(Clone, Debug, Default)]
-pub struct Predictive {
-    hys: Hysteresis,
-}
-
-impl PlacementPolicy for Predictive {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Predictive
-    }
-
-    fn begin_tick(&mut self) {
-        self.hys.begin_tick();
-    }
-
-    fn decide(
-        &mut self,
-        obs: &MovieObservation,
-        forecast: Option<&MovieForecast>,
-        cfg: &ReplicationConfig,
-    ) -> PlacementAction {
-        if self.hys.settling(obs.movie, obs.replicas, cfg) {
-            return PlacementAction::Hold;
-        }
-        let surge = forecast_surge(forecast, obs, cfg) && obs.can_grow(cfg);
-        let cold = obs.replicas > cfg.min_replicas
-            && obs.waiting == 0
-            && forecast.is_some_and(|f| f.state() == PopState::Cold)
-            && obs.sessions <= cfg.cold_sessions_per_replica * (obs.replicas - 1);
-        let (_, cold_run) = self.hys.advance(obs.movie, surge, cold);
-        if surge {
-            PlacementAction::BringUp(BringUpTrigger::Forecast)
-        } else if cold && cold_run >= cfg.hysteresis_ticks {
-            PlacementAction::Retire
-        } else {
-            PlacementAction::Hold
-        }
-    }
-
-    fn acted(&mut self, movie: MovieId, action: PlacementAction, cfg: &ReplicationConfig) {
-        self.hys.acted(movie, action, cfg);
-    }
-}
-
-/// Predictive bring-up, reactive everything else: the forecast gets the
-/// first shot at a surge, the streak rule remains as a safety net for
-/// demand patterns the machine misjudges.
-#[derive(Clone, Debug, Default)]
-pub struct Hybrid {
-    hys: Hysteresis,
-}
-
-impl PlacementPolicy for Hybrid {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Hybrid
-    }
-
-    fn begin_tick(&mut self) {
-        self.hys.begin_tick();
-    }
-
-    fn decide(
-        &mut self,
-        obs: &MovieObservation,
-        forecast: Option<&MovieForecast>,
-        cfg: &ReplicationConfig,
-    ) -> PlacementAction {
-        if self.hys.settling(obs.movie, obs.replicas, cfg) {
-            return PlacementAction::Hold;
-        }
-        let (hot, cold) = reactive_signals(obs, cfg);
-        let (hot_run, cold_run) = self.hys.advance(obs.movie, hot, cold);
-        if forecast_surge(forecast, obs, cfg) && obs.can_grow(cfg) {
-            PlacementAction::BringUp(BringUpTrigger::Forecast)
-        } else if hot && hot_run >= cfg.hysteresis_ticks {
-            PlacementAction::BringUp(BringUpTrigger::ReactiveStreak)
-        } else if cold && cold_run >= cfg.hysteresis_ticks {
-            PlacementAction::Retire
-        } else {
-            PlacementAction::Hold
-        }
-    }
-
-    fn acted(&mut self, movie: MovieId, action: PlacementAction, cfg: &ReplicationConfig) {
-        self.hys.acted(movie, action, cfg);
-    }
-}
-
-impl std::fmt::Debug for dyn PlacementPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "PlacementPolicy({})", self.kind().as_str())
     }
 }
 
@@ -709,16 +590,21 @@ mod tests {
         assert!(bank.get(MovieId(9)).is_none());
     }
 
+    /// A machine no reactive decision reads.
+    fn unread() -> MovieForecast {
+        MovieForecast::seeded(FORECAST_STREAM, MovieId(1))
+    }
+
     #[test]
     fn reactive_needs_the_full_streak_and_respects_cooldown() {
-        let c = cfg();
-        let mut p = Reactive::default();
+        let (c, f) = (cfg(), unread());
+        let mut p = PlacementPolicy::new(PolicyKind::Reactive);
         let movie = MovieId(1);
         // First observation: replica-set change detection swallows it and
         // arms the cooldown, exactly like the pre-trait manager.
         p.begin_tick();
         assert_eq!(
-            p.decide(&obs(1, 12, 0, 1, 4), None, &c),
+            p.decide(&obs(1, 12, 0, 1, 4), &f, &c),
             PlacementAction::Hold
         );
         // Cooldown gates the next cooldown_ticks - 1 ticks (the streak
@@ -726,7 +612,7 @@ mod tests {
         for _ in 0..c.cooldown_ticks - 1 {
             p.begin_tick();
             assert_eq!(
-                p.decide(&obs(1, 12, 0, 1, 4), None, &c),
+                p.decide(&obs(1, 12, 0, 1, 4), &f, &c),
                 PlacementAction::Hold
             );
         }
@@ -734,38 +620,32 @@ mod tests {
         for _ in 0..c.hysteresis_ticks - 1 {
             p.begin_tick();
             assert_eq!(
-                p.decide(&obs(1, 12, 0, 1, 4), None, &c),
+                p.decide(&obs(1, 12, 0, 1, 4), &f, &c),
                 PlacementAction::Hold
             );
         }
         // ...the next one fires.
         p.begin_tick();
-        assert_eq!(
-            p.decide(&obs(1, 12, 0, 1, 4), None, &c),
-            PlacementAction::BringUp(BringUpTrigger::ReactiveStreak)
-        );
-        p.acted(
-            movie,
-            PlacementAction::BringUp(BringUpTrigger::ReactiveStreak),
-            &c,
-        );
+        let fired = PlacementAction::BringUp(BringUpTrigger::ReactiveStreak);
+        assert_eq!(p.decide(&obs(1, 12, 0, 1, 4), &f, &c), fired);
+        p.acted(movie, fired, &c);
         // Immediately after acting the cooldown gates the movie again.
         p.begin_tick();
         assert_eq!(
-            p.decide(&obs(1, 12, 0, 1, 4), None, &c),
+            p.decide(&obs(1, 12, 0, 1, 4), &f, &c),
             PlacementAction::Hold
         );
     }
 
     #[test]
     fn reactive_boundary_conditions_match_the_thresholds() {
-        let c = cfg();
-        let mut p = Reactive::default();
+        let (c, f) = (cfg(), unread());
+        let mut p = PlacementPolicy::new(PolicyKind::Reactive);
         // Warm the change-detection/cooldown up on a quiet movie,
         // stopping one tick short so no streak has accrued yet.
         for _ in 0..c.cooldown_ticks {
             p.begin_tick();
-            p.decide(&obs(1, 1, 0, 2, 4), None, &c);
+            p.decide(&obs(1, 1, 0, 2, 4), &f, &c);
         }
         // Exactly at the hot threshold (demand == hot * replicas) is NOT
         // hot; one above is.
@@ -773,115 +653,109 @@ mod tests {
         for _ in 0..c.hysteresis_ticks + 2 {
             p.begin_tick();
             assert_eq!(
-                p.decide(&obs(1, at, 0, 2, 4), None, &c),
+                p.decide(&obs(1, at, 0, 2, 4), &f, &c),
                 PlacementAction::Hold
             );
         }
         // Exactly at the cold threshold (sessions == cold * (replicas-1),
         // nobody waiting) IS cold.
         let cold_at = c.cold_sessions_per_replica;
-        let mut q = Reactive::default();
+        let mut q = PlacementPolicy::new(PolicyKind::Reactive);
         for _ in 0..c.cooldown_ticks {
             q.begin_tick();
-            q.decide(&obs(1, cold_at, 0, 2, 4), None, &c);
+            q.decide(&obs(1, cold_at, 0, 2, 4), &f, &c);
         }
         for _ in 0..c.hysteresis_ticks - 1 {
             q.begin_tick();
             assert_eq!(
-                q.decide(&obs(1, cold_at, 0, 2, 4), None, &c),
+                q.decide(&obs(1, cold_at, 0, 2, 4), &f, &c),
                 PlacementAction::Hold
             );
         }
         q.begin_tick();
         assert_eq!(
-            q.decide(&obs(1, cold_at, 0, 2, 4), None, &c),
+            q.decide(&obs(1, cold_at, 0, 2, 4), &f, &c),
             PlacementAction::Retire
         );
         // A single waiting client vetoes retirement.
-        let mut r = Reactive::default();
+        let mut r = PlacementPolicy::new(PolicyKind::Reactive);
         for _ in 0..c.cooldown_ticks {
             r.begin_tick();
-            r.decide(&obs(1, cold_at, 1, 2, 4), None, &c);
+            r.decide(&obs(1, cold_at, 1, 2, 4), &f, &c);
         }
         for _ in 0..c.hysteresis_ticks + 2 {
             r.begin_tick();
             assert_eq!(
-                r.decide(&obs(1, cold_at, 1, 2, 4), None, &c),
+                r.decide(&obs(1, cold_at, 1, 2, 4), &f, &c),
                 PlacementAction::Hold
             );
         }
     }
 
-    #[test]
-    fn predictive_fires_without_a_streak_once_the_machine_says_hot() {
-        let c = cfg();
+    /// Settles change detection and the cooldown of `kind` on a quiet
+    /// movie 1, then feeds one tick of `demand`: the bank and the verdict.
+    fn verdict_after_quiet(kind: PolicyKind, sessions: u32, waiting: u32) -> PlacementAction {
+        let (c, movie) = (cfg(), MovieId(1));
         let mut bank = ForecastBank::new(FORECAST_STREAM);
-        let mut p = Predictive::default();
-        let movie = MovieId(1);
-        // Settle change-detection + cooldown on a quiet movie first.
+        let mut p = PlacementPolicy::new(kind);
         for _ in 0..=c.cooldown_ticks {
             p.begin_tick();
             bank.observe(movie, 0, 1, &c);
-            p.decide(&obs(1, 0, 0, 1, 4), bank.get(movie), &c);
+            p.decide(&obs(1, 0, 0, 1, 4), &bank.movies[&movie], &c);
         }
-        // Tick 1 of the flash crowd: demand jumps over the threshold; the
-        // machine goes hot and the policy fires on the SAME tick (the
-        // reactive policy would still be building its streak).
         p.begin_tick();
-        bank.observe(movie, 12, 1, &c);
+        bank.observe(movie, sessions + waiting, 1, &c);
+        p.decide(&obs(1, sessions, waiting, 1, 4), &bank.movies[&movie], &c)
+    }
+
+    /// Tick 1 of a flash crowd: demand jumps over the threshold, the
+    /// machine goes hot and both forecast-driven kinds fire on the SAME
+    /// tick, where the reactive policy is still building its streak.
+    #[test]
+    fn forecast_kinds_fire_without_a_streak_once_the_machine_says_hot() {
+        let fired = PlacementAction::BringUp(BringUpTrigger::Forecast);
+        assert_eq!(verdict_after_quiet(PolicyKind::Predictive, 4, 8), fired);
+        assert_eq!(verdict_after_quiet(PolicyKind::Hybrid, 12, 0), fired);
         assert_eq!(
-            p.decide(&obs(1, 4, 8, 1, 4), bank.get(movie), &c),
-            PlacementAction::BringUp(BringUpTrigger::Forecast)
+            verdict_after_quiet(PolicyKind::Reactive, 12, 0),
+            PlacementAction::Hold
         );
     }
 
+    /// Where `Hybrid` is not `Predictive`: a movie whose two replicas sit
+    /// idle while its forecast is still cooling retires on the plain cold
+    /// streak under `Hybrid` and `Reactive`, and waits for the machine to
+    /// say *cold* under `Predictive`.
     #[test]
-    fn hybrid_prefers_the_forecast_trigger_but_keeps_the_streak() {
-        let c = cfg();
-        let mut p = Hybrid::default();
-        let movie = MovieId(1);
-        let mut bank = ForecastBank::new(FORECAST_STREAM);
-        for _ in 0..=c.cooldown_ticks {
-            p.begin_tick();
-            bank.observe(movie, 0, 1, &c);
-            p.decide(&obs(1, 0, 0, 1, 4), bank.get(movie), &c);
-        }
-        p.begin_tick();
-        bank.observe(movie, 12, 1, &c);
-        // Forecast says hot → forecast trigger wins.
-        assert_eq!(
-            p.decide(&obs(1, 12, 0, 1, 4), bank.get(movie), &c),
-            PlacementAction::BringUp(BringUpTrigger::Forecast)
-        );
-        // Without a forecast the hybrid still fires on the plain streak.
-        let mut q = Hybrid::default();
-        for _ in 0..=c.cooldown_ticks {
-            q.begin_tick();
-            q.decide(&obs(2, 0, 0, 1, 4), None, &c);
-        }
-        for _ in 0..c.hysteresis_ticks - 1 {
-            q.begin_tick();
-            assert_eq!(
-                q.decide(&obs(2, 12, 0, 1, 4), None, &c),
-                PlacementAction::Hold
-            );
-        }
-        q.begin_tick();
-        assert_eq!(
-            q.decide(&obs(2, 12, 0, 1, 4), None, &c),
-            PlacementAction::BringUp(BringUpTrigger::ReactiveStreak)
-        );
+    fn hybrid_retires_by_the_reactive_rule() {
+        let (c, movie) = (cfg(), MovieId(1));
+        let mut f = MovieForecast::seeded(FORECAST_STREAM, movie);
+        f.observe(40, 2, &c);
+        f.observe(1, 2, &c);
+        assert_eq!(f.state(), PopState::Cooling);
+        let verdict = |kind| {
+            let mut p = PlacementPolicy::new(kind);
+            let mut last = PlacementAction::Hold;
+            for _ in 0..c.cooldown_ticks + c.hysteresis_ticks {
+                p.begin_tick();
+                last = p.decide(&obs(1, 1, 0, 2, 4), &f, &c);
+            }
+            last
+        };
+        assert_eq!(verdict(PolicyKind::Reactive), PlacementAction::Retire);
+        assert_eq!(verdict(PolicyKind::Hybrid), PlacementAction::Retire);
+        assert_eq!(verdict(PolicyKind::Predictive), PlacementAction::Hold);
     }
 
     #[test]
-    fn policy_kind_round_trips_and_builds() {
+    fn policy_kind_round_trips() {
         for kind in [
             PolicyKind::Reactive,
             PolicyKind::Predictive,
             PolicyKind::Hybrid,
         ] {
             assert_eq!(PolicyKind::parse(kind.as_str()), Ok(kind));
-            assert_eq!(kind.build().kind(), kind);
+            assert_eq!(PlacementPolicy::new(kind).kind(), kind);
         }
         assert!(PolicyKind::parse("oracle").is_err());
     }

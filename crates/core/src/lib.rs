@@ -7,7 +7,10 @@
 //!
 //! * [`protocol`] — wire messages of the data and control planes;
 //! * [`server`] — replica servers: sessions, rate control, emergency
-//!   bursts, half-second state sync, takeover and load balancing;
+//!   bursts, half-second state sync, takeover and load balancing
+//!   ([`server::TakeoverTable`]: who serves whom) and dynamic replica
+//!   management with its prefix tier ([`server::Placement`]: who holds
+//!   what);
 //! * [`client`] — clients: software/hardware buffering, the Figure 2 flow
 //!   control policy, VCR operations, statistics;
 //! * [`config`] — the paper's §6 operating point and ablation knobs;
@@ -20,9 +23,9 @@
 //! * [`workload`] — the fleet workload engine: Zipf popularity, Poisson
 //!   arrivals, VCR mixes and churn, all from one seed;
 //! * [`forecast`] — per-movie popularity state machines (Markov
-//!   cold/warming/hot/cooling with seeded transition estimation) and the
-//!   [`forecast::PlacementPolicy`] trait with reactive,
-//!   predictive and hybrid replica-placement implementations;
+//!   cold/warming/hot/cooling with seeded transition estimation) and
+//!   [`forecast::PlacementPolicy`], one struct deciding by the reactive,
+//!   predictive or hybrid replica-placement rule;
 //! * [`chaos`] — seeded fault campaigns: crash/restart cycles, pairwise
 //!   partitions with heals, correlated loss bursts, and (on multi-site
 //!   deployments) site partitions, WAN brownouts and correlated site

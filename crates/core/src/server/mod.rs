@@ -11,13 +11,14 @@
 //! gaps (paper §6.1.1).
 //!
 //! Who serves whom is decided in [`takeover`], by a plain value per movie
-//! group that has no effects; this module owns the effects — timers, group
-//! membership, datagrams, trace events, counters — and the subsystems that
-//! sit beside the decision: the transmission loop, the replica manager and
-//! the prefix tier.
+//! group, and who holds what in [`replicas`], by a plain value per server;
+//! neither has effects. This module owns the effects — timers, group
+//! membership, datagrams, trace events, counters — and the transmission
+//! loops of sessions and prefix sessions.
 
 mod assign;
 mod emergency;
+pub mod replicas;
 pub mod takeover;
 
 pub use assign::{
@@ -25,9 +26,10 @@ pub use assign::{
     redistribute_clients,
 };
 pub use emergency::Emergency;
+pub use replicas::Placement;
 pub use takeover::TakeoverTable;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -36,29 +38,20 @@ use media::{FrameNo, Movie, MovieId, QualityFilter};
 use simnet::{Context, Endpoint, NodeId, Process, SimTime, Timer, TimerId, VecMap};
 
 use crate::config::VodConfig;
-use crate::forecast::{
-    BringUpTrigger, ForecastBank, MovieObservation, PlacementAction, PlacementPolicy, PopState,
-    FORECAST_STREAM,
-};
+use crate::forecast::BringUpTrigger;
 use crate::metrics::{Cumulative, TimeSeries};
 use crate::profile::{ProfileHandle, Subsystem};
 use crate::protocol::{
     client_of_session_group, movie_group, movie_of_group, ClientId, ClientRecord, ControlPayload,
-    DemandEntry, FlowRequest, VcrCmd, VideoPacket, VodWire, GCS_PORT, SERVER_GROUP, VIDEO_PORT,
+    FlowRequest, VcrCmd, VideoPacket, VodWire, GCS_PORT, SERVER_GROUP, VIDEO_PORT,
 };
 use crate::trace::{TraceHandle, VodEvent};
-use assign::least_loaded;
+use replicas::{Decision, Holdings, Note, PrefixVerdict};
 use takeover::{Installed, Merged};
 
 /// Sentinel owner for clients admitted to no server (admission control):
 /// deterministic across replicas, never a real node id.
 pub const UNSERVED: NodeId = NodeId(u32::MAX);
-
-/// How long an unanswered OPEN for an un-held movie counts as live
-/// demand in the orphan-rescue election. Clients retry every two
-/// seconds, so a healthy waiting client refreshes its entry well within
-/// this window; anything older is a viewer that gave up or got served.
-const ORPHAN_OPEN_TTL: Duration = Duration::from_secs(5);
 
 /// Timer tags (low byte = kind, high bits = client/movie id).
 mod tag {
@@ -145,6 +138,11 @@ struct Held {
     table: TakeoverTable,
 }
 
+/// The read-only look at `movies` the placement rule takes.
+fn tables(movies: &BTreeMap<MovieId, Held>) -> Holdings<'_> {
+    movies.iter().map(|(&id, s)| (id, &s.table)).collect()
+}
+
 /// Counters recorded by a server. `PartialEq` backs the determinism
 /// contract: tests compare full stats between traced and untraced runs.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -201,39 +199,12 @@ pub struct VodServer {
     sync_round: u64,
     /// Latest SERVER_GROUP view, for demand aggregation and elections.
     server_view: View,
-    /// Latest demand report per live server: movie -> (sessions, waiting).
-    demand: BTreeMap<NodeId, BTreeMap<MovieId, (u32, u32)>>,
-    /// The replica-placement policy (reactive hysteresis, predictive
-    /// forecast, or hybrid — [`VodConfig::placement`]). Owns the streak
-    /// and cooldown bookkeeping; the server keeps the elections.
-    policy: Box<dyn PlacementPolicy>,
-    /// Shared per-movie popularity machines, fed from the aggregated
-    /// demand every sync tick. Seeded identically on every server so the
-    /// deterministic elections stay in lockstep.
-    forecasts: ForecastBank,
-    /// Movies whose prefix this server currently caches (DESIGN.md §5h);
-    /// refreshed every sync tick from the forecast bank, hottest first.
-    prefix_cache: BTreeSet<MovieId>,
-    /// Latest prefix advertisements per live server (from their Demand
-    /// reports): which movies each peer can prefix-serve.
-    prefix_sources: BTreeMap<NodeId, BTreeSet<MovieId>>,
+    /// Who holds what: the demand reports, the placement policy and its
+    /// forecasts, copies in flight, orphan OPENs and the prefix tier's
+    /// cache and routing.
+    placement: Placement,
     /// Prefix transmissions this server is currently running.
     prefix_sessions: VecMap<ClientId, PrefixSession>,
-    /// Coordinator bookkeeping: waiting clients this server (as movie
-    /// coordinator) has routed to a prefix source, and where.
-    prefix_assignments: BTreeMap<ClientId, (NodeId, MovieId)>,
-    /// Replicas this server is currently copying onto its disk farm
-    /// ([`ReplicationConfig::bringup_delay`]): the movie group join — and
-    /// with it the first served session — happens when the copy timer
-    /// fires. Advertised in the demand reports so the fleet-wide election
-    /// does not pile further bring-ups onto the same movie meanwhile.
-    pending_bringups: BTreeMap<MovieId, Vec<NodeId>>,
-    /// Recent client OPENs for movies this server does not hold, keyed
-    /// by movie then client. Feeds the orphan-rescue path of the replica
-    /// manager: a movie with waiting viewers but no live holder is
-    /// re-created from the catalog instead of waiting out the crashed
-    /// holder's restart.
-    orphan_opens: BTreeMap<MovieId, BTreeMap<ClientId, SimTime>>,
     /// True when this process replaces a crashed instance: on start it
     /// always *joins* existing groups rather than creating them.
     rejoin: bool,
@@ -261,7 +232,7 @@ impl VodServer {
             tag::GCS_TICK,
             servers.clone(),
         );
-        let policy = cfg.placement.build();
+        let placement = Placement::new(cfg.placement);
         let mut server = VodServer {
             cfg,
             node,
@@ -275,15 +246,8 @@ impl VodServer {
             profile: ProfileHandle::disabled(),
             sync_round: 0,
             server_view: View::default(),
-            demand: BTreeMap::new(),
-            policy,
-            forecasts: ForecastBank::new(FORECAST_STREAM),
-            prefix_cache: BTreeSet::new(),
-            prefix_sources: BTreeMap::new(),
+            placement,
             prefix_sessions: VecMap::new(),
-            prefix_assignments: BTreeMap::new(),
-            pending_bringups: BTreeMap::new(),
-            orphan_opens: BTreeMap::new(),
             rejoin: false,
         };
         for replica in replicas {
@@ -429,11 +393,7 @@ impl VodServer {
     fn on_view(&mut self, ctx: &mut Context<'_, VodWire>, group: GroupId, view: View) {
         let _span = self.profile.span(Subsystem::GcsViewChange);
         if group == SERVER_GROUP {
-            // Track the server universe for demand aggregation; drop the
-            // reports of departed servers so they cannot skew decisions.
-            self.demand.retain(|server, _| view.contains(*server));
-            self.prefix_sources
-                .retain(|server, _| view.contains(*server));
+            self.placement.install_server_view(&view);
             self.server_view = view;
             return;
         }
@@ -489,10 +449,8 @@ impl VodServer {
         match payload {
             ControlPayload::Open(open) => {
                 if self.cfg.replication.is_some() && !self.movies.contains_key(&open.movie) {
-                    self.orphan_opens
-                        .entry(open.movie)
-                        .or_default()
-                        .insert(open.client, ctx.now());
+                    self.placement
+                        .note_orphan_open(open.movie, open.client, ctx.now());
                 }
                 self.admit(ctx, takeover::candidate(&self.cfg, &open));
             }
@@ -526,17 +484,7 @@ impl VodServer {
                 server,
                 entries,
                 prefixes,
-            } => {
-                self.demand.insert(
-                    server,
-                    entries
-                        .into_iter()
-                        .map(|e| (e.movie, (e.sessions, e.waiting)))
-                        .collect(),
-                );
-                self.prefix_sources
-                    .insert(server, prefixes.into_iter().collect());
-            }
+            } => self.placement.file_report(server, &entries, &prefixes),
             ControlPayload::PrefixAssign { target, record } => {
                 if target == self.node {
                     self.start_prefix(ctx, record);
@@ -897,14 +845,7 @@ impl VodServer {
             self.sync_movie(ctx, movie_id, true);
         }
         if self.cfg.replication.is_some() {
-            self.report_demand(ctx);
             self.replica_manager(ctx);
-            if self.cfg.prefix_cache.is_some() {
-                // Recompute the cache from the forecasts the manager just
-                // refreshed, then run the coordinator's routing pass.
-                self.refresh_prefix_cache();
-                self.prefix_coordinator(ctx);
-            }
         }
         ctx.set_timer_after(self.cfg.sync_interval, tag::SYNC);
     }
@@ -938,263 +879,114 @@ impl VodServer {
     // Dynamic replica management (opt-in via VodConfig::replication)
     // ------------------------------------------------------------------
 
-    /// Multicasts this server's per-movie demand observations to the
-    /// server group: sessions it owns plus clients parked as [`UNSERVED`].
-    /// Rides the sync tick, so demand data is at most one interval stale.
-    fn report_demand(&mut self, ctx: &mut Context<'_, VodWire>) {
-        let node = self.node;
-        let mut entries: Vec<DemandEntry> = self
-            .movies
-            .iter()
-            .map(|(&movie, state)| DemandEntry {
-                movie,
-                sessions: state.table.owned_by(node) as u32,
-                waiting: state.table.owned_by(UNSERVED) as u32,
-            })
-            .collect();
-        // A copy in flight counts as a (sessionless) holder: the demand
-        // aggregation sees the replica-to-be and the fleet-wide election
-        // does not keep piling bring-ups onto the movie while it lands.
-        for &movie in self.pending_bringups.keys() {
-            if !self.movies.contains_key(&movie) {
-                entries.push(DemandEntry {
-                    movie,
-                    sessions: 0,
-                    waiting: 0,
-                });
-            }
-        }
-        // The multicast self-delivers, which files our own entries into
-        // `demand` through the regular control path.
-        let payload = ControlPayload::Demand {
-            server: node,
-            entries,
-            prefixes: self.prefix_cache.iter().copied().collect(),
-        };
-        self.multicast(ctx, SERVER_GROUP, payload);
-    }
-
-    /// Demand-driven replica management: aggregate the latest per-server
-    /// demand reports, feed the shared forecast bank, ask the configured
-    /// [`PlacementPolicy`] for a verdict per movie, and — when this
-    /// server is the deterministically elected candidate — bring up or
-    /// retire its *own* replica. Every server runs the same policy and
-    /// election over (eventually) the same reports, so at most one acts
-    /// per movie.
+    /// The sync tick of the replica manager and the prefix tier: what to
+    /// report, who moves which replica and where waiting clients are fed
+    /// from meanwhile is [`Placement`]'s; the multicasts, the group
+    /// membership and the order they happen in are here.
     fn replica_manager(&mut self, ctx: &mut Context<'_, VodWire>) {
-        let Some(policy_cfg) = self.cfg.replication else {
+        // The multicast self-delivers, which files our own entries through
+        // the regular control path; demand data is at most one sync
+        // interval stale.
+        let report = self.placement.report(self.node, &tables(&self.movies));
+        self.multicast(ctx, SERVER_GROUP, report);
+        let (node, now) = (self.node, ctx.now());
+        let held = tables(&self.movies);
+        let (decisions, fleet) = self.placement.tick(
+            node,
+            now,
+            &self.cfg,
+            &self.server_view,
+            &held,
+            &self.catalog,
+        );
+        for decision in decisions {
+            match decision {
+                Decision::BringUp(note, trigger) => self.bring_up(ctx, note, trigger),
+                Decision::Retire(note) => self.retire_replica(ctx, note),
+            }
+        }
+        let Some(pc) = self.cfg.prefix_cache else {
             return;
         };
-        self.policy.begin_tick();
-        let live: BTreeSet<NodeId> = self.server_view.members.iter().copied().collect();
-        if live.len() <= 1 || !live.contains(&self.node) {
-            return; // nowhere to replicate to, or not a member yet
-        }
-        // Aggregate: sessions sum across holders; the waiting backlog is
-        // shared record state (every replica sees the same UNSERVED
-        // records), so take the max rather than double-count.
-        let mut agg: BTreeMap<MovieId, (u32, u32, BTreeSet<NodeId>)> = BTreeMap::new();
-        let mut load: BTreeMap<NodeId, u32> = live.iter().map(|&n| (n, 0)).collect();
-        for (&server, entries) in &self.demand {
-            if !live.contains(&server) {
-                continue;
-            }
-            for (&movie, &(sessions, waiting)) in entries {
-                let entry = agg.entry(movie).or_insert((0, 0, BTreeSet::new()));
-                entry.0 += sessions;
-                entry.1 = entry.1.max(waiting);
-                entry.2.insert(server);
-                *load.entry(server).or_insert(0) += sessions;
-            }
-        }
-        // Feed the forecast bank before any decision: all policies see
-        // this tick's states, and the trace annotation on bring-up/retire
-        // reflects them even under the reactive policy.
-        for (&movie, &(sessions, waiting, ref holders)) in &agg {
-            self.forecasts
-                .observe(movie, sessions + waiting, holders.len() as u32, &policy_cfg);
-        }
-        for (&movie, &(sessions, waiting, ref holders)) in &agg {
-            let replicas = holders.len() as u32;
-            let obs = MovieObservation {
-                movie,
-                sessions,
-                waiting,
-                replicas,
-                live: live.len() as u32,
+        // The cache follows the forecasts the tick just refreshed and the
+        // replicas it just moved.
+        let held = tables(&self.movies);
+        self.placement
+            .refresh_prefix_cache(pc.budget, &held, &self.catalog);
+        // One assignment at a time: a retried admission publishes, and
+        // what it changes the next verdict must see.
+        for (client, movie) in self.placement.prefix_assignments() {
+            let table = self.movies.get(&movie).map(|s| &s.table);
+            let owner = match self.placement.prefix_verdict(node, client, table) {
+                PrefixVerdict::Keep => None,
+                PrefixVerdict::Release(owner) => Some(owner),
+                PrefixVerdict::Retry { parked, otherwise } => self.admit(ctx, parked).or(otherwise),
             };
-            let action = self
-                .policy
-                .decide(&obs, self.forecasts.get(movie), &policy_cfg);
-            match action {
-                PlacementAction::Hold => {}
-                PlacementAction::BringUp(trigger) => {
-                    // Bring-up election: the least-loaded live non-holder,
-                    // ties broken by lowest node id.
-                    let spare = live.iter().copied().filter(|n| !holders.contains(n));
-                    if least_loaded(spare, &load) == Some(self.node) {
-                        let peers: Vec<NodeId> = holders.iter().copied().collect();
-                        self.bring_up(
-                            ctx,
-                            movie,
-                            sessions + waiting,
-                            replicas + 1,
-                            &peers,
-                            trigger,
-                        );
-                        self.policy.acted(movie, action, &policy_cfg);
-                    }
-                }
-                PlacementAction::Retire => {
-                    // Retire election. Demand maps are only eventually
-                    // consistent, so an election over them can transiently
-                    // crown two candidates in the same tick — enough to
-                    // cascade a cooling movie's holders down to zero while
-                    // viewers still wait (seen on the flash-crowd profile
-                    // during the post-shock wind-down). The movie-group
-                    // view is view-synchronous — every member agrees on
-                    // its member set — so elect the highest-id member of
-                    // the current view (matching the redistribution
-                    // tie-break) and gate on the view still having a spare
-                    // replica: at most one member leaves per view, and the
-                    // group never shrinks below the floor.
-                    let candidate = self
-                        .movies
-                        .get(&movie)
-                        .map(|s| s.table.view())
-                        .filter(|view| view.len() as u32 > policy_cfg.min_replicas)
-                        .and_then(|view| view.members.last().copied());
-                    if candidate == Some(self.node) {
-                        self.retire_replica(ctx, movie, sessions, replicas - 1);
-                        self.policy.acted(movie, action, &policy_cfg);
-                    }
-                }
+            if let Some(release) = owner.and_then(|o| self.placement.release_prefix(client, o)) {
+                self.multicast(ctx, SERVER_GROUP, release);
             }
         }
-        // Orphan rescue: a movie with waiting viewers but no live holder
-        // cannot wait out the hot/cold hysteresis — nobody is left to
-        // report demand for it. Every OPEN is multicast to the whole
-        // server group, so all live servers observe the same orphans and
-        // run the same election (least-loaded, ties to lowest id); the
-        // winner re-creates the replica from the catalog immediately.
-        let now = ctx.now();
-        let rescues: Vec<(MovieId, u32)> = self
-            .orphan_opens
-            .iter()
-            .map(|(&movie, clients)| {
-                let waiting = clients
-                    .values()
-                    .filter(|&&at| now.saturating_since(at) < ORPHAN_OPEN_TTL)
-                    .count() as u32;
-                (movie, waiting)
-            })
-            .filter(|&(movie, waiting)| {
-                waiting > 0 && !agg.contains_key(&movie) && !self.movies.contains_key(&movie)
-            })
-            .collect();
-        self.orphan_opens
-            .retain(|&movie, _| rescues.iter().any(|&(m, _)| m == movie));
-        for (movie, waiting) in rescues {
-            if least_loaded(live.iter().copied(), &load) == Some(self.node) {
-                self.bring_up(ctx, movie, waiting, 1, &[], BringUpTrigger::OrphanRescue);
-                self.orphan_opens.remove(&movie);
-                self.policy.acted(
-                    movie,
-                    PlacementAction::BringUp(BringUpTrigger::OrphanRescue),
-                    &policy_cfg,
-                );
-            }
+        let held = tables(&self.movies);
+        for assign in self.placement.route_prefixes(node, fleet, &held) {
+            self.multicast(ctx, SERVER_GROUP, assign);
         }
     }
 
-    /// Joins `movie`'s group as a fresh replica. The resulting view change
-    /// triggers the regular state exchange, and the paper's deterministic
-    /// redistribution hands this server its share of the sessions — no
-    /// replication-specific handoff protocol is needed.
-    fn bring_up(
-        &mut self,
-        ctx: &mut Context<'_, VodWire>,
-        movie_id: MovieId,
-        demand: u32,
-        replicas: u32,
-        holders: &[NodeId],
-        trigger: BringUpTrigger,
-    ) {
-        if self.movies.contains_key(&movie_id) || self.pending_bringups.contains_key(&movie_id) {
-            return;
-        }
-        if !self.catalog.contains_key(&movie_id) {
-            return; // not on our disk farm; the election misfired
-        }
-        self.stats.replica_bringups.add(ctx.now(), 1);
+    /// Starts copying `note.movie` onto this server's disk farm
+    /// ([`ReplicationConfig::bringup_delay`]). Once the copy is there the
+    /// server joins the movie's group as a fresh replica: the resulting
+    /// view change triggers the regular state exchange, and the paper's
+    /// deterministic redistribution hands it its share of the sessions —
+    /// no replication-specific handoff protocol is needed.
+    ///
+    /// [`ReplicationConfig::bringup_delay`]: crate::config::ReplicationConfig::bringup_delay
+    fn bring_up(&mut self, ctx: &mut Context<'_, VodWire>, note: Note, trigger: BringUpTrigger) {
         let (at, server) = (ctx.now(), self.node);
-        let (policy, forecast) = (self.policy.kind(), self.forecasts.state(movie_id));
+        self.stats.replica_bringups.add(at, 1);
         self.trace.emit(|| VodEvent::ReplicaBringUp {
             at,
             server,
-            movie: movie_id,
-            demand,
-            replicas,
-            policy,
+            movie: note.movie,
+            demand: note.demand,
+            replicas: note.replicas,
+            policy: note.policy,
             trigger,
-            forecast,
+            forecast: note.forecast,
         });
-        let delay = self
+        let copy = self
             .cfg
             .replication
             .map_or(Duration::ZERO, |r| r.bringup_delay);
-        if delay.is_zero() {
-            self.complete_bringup(ctx, movie_id, holders);
+        if copy.is_zero() {
+            self.complete_bringup(ctx, note.movie);
         } else {
-            // The content copy takes a while; join the movie group (and
-            // start serving) only when it lands. The demand reports
-            // advertise the pending copy so the rest of the fleet does
-            // not elect yet another server for the same movie.
-            self.pending_bringups.insert(movie_id, holders.to_vec());
-            ctx.set_timer_after(delay, tag::of(tag::BRINGUP, movie_id.0));
+            ctx.set_timer_after(copy, tag::of(tag::BRINGUP, note.movie.0));
         }
     }
 
-    /// Finishes a bring-up: installs the replica and joins the movie
-    /// group, triggering the state exchange and redistribution.
-    fn complete_bringup(
-        &mut self,
-        ctx: &mut Context<'_, VodWire>,
-        movie_id: MovieId,
-        holders: &[NodeId],
-    ) {
+    /// The copy is there (at once, or when the `BRINGUP` timer fires):
+    /// install the replica and join the movie group through the peers the
+    /// election saw.
+    fn complete_bringup(&mut self, ctx: &mut Context<'_, VodWire>, movie_id: MovieId) {
+        let Some(peers) = self.placement.copy_landed(movie_id) else {
+            return;
+        };
         if self.movies.contains_key(&movie_id) {
             return;
         }
         let Some(movie) = self.catalog.get(&movie_id).cloned() else {
             return;
         };
-        self.hold(movie, [holders, &[self.node]].concat());
-        self.gcs.join(ctx, movie_group(movie_id), holders);
-    }
-
-    /// The copy of [`ReplicationConfig::bringup_delay`] finished: become
-    /// a real replica.
-    fn on_bringup_timer(&mut self, ctx: &mut Context<'_, VodWire>, movie_id: MovieId) {
-        if let Some(holders) = self.pending_bringups.remove(&movie_id) {
-            self.complete_bringup(ctx, movie_id, &holders);
-        }
+        self.hold(movie, [&peers[..], &[self.node]].concat());
+        self.gcs.join(ctx, movie_group(movie_id), &peers);
     }
 
     /// Gracefully retires this server's replica of a cold movie: publish
     /// the freshest offsets, leave the movie group (the survivors' view
     /// change redistributes our sessions), and stop local transmission —
     /// the single-movie version of [`VodServer::shutdown`].
-    fn retire_replica(
-        &mut self,
-        ctx: &mut Context<'_, VodWire>,
-        movie_id: MovieId,
-        demand: u32,
-        replicas: u32,
-    ) {
-        if !self.movies.contains_key(&movie_id) {
-            return;
-        }
+    fn retire_replica(&mut self, ctx: &mut Context<'_, VodWire>, note: Note) {
+        let movie_id = note.movie;
         self.sync_movie(ctx, movie_id, false);
         self.gcs.leave(ctx, movie_group(movie_id));
         let clients: Vec<ClientId> = self
@@ -1207,20 +999,16 @@ impl VodServer {
             self.close_session(ctx, client, Close::Migrated);
         }
         self.movies.remove(&movie_id);
-        if let Some(entries) = self.demand.get_mut(&self.node) {
-            entries.remove(&movie_id);
-        }
-        self.stats.replica_retires.add(ctx.now(), 1);
         let (at, server) = (ctx.now(), self.node);
-        let (policy, forecast) = (self.policy.kind(), self.forecasts.state(movie_id));
+        self.stats.replica_retires.add(at, 1);
         self.trace.emit(|| VodEvent::ReplicaRetire {
             at,
             server,
             movie: movie_id,
-            demand,
-            replicas,
-            policy,
-            forecast,
+            demand: note.demand,
+            replicas: note.replicas,
+            policy: note.policy,
+            forecast: note.forecast,
         });
     }
 
@@ -1231,175 +1019,12 @@ impl VodServer {
 
     /// Movies whose prefix this server currently caches, in id order.
     pub fn prefixes_cached(&self) -> Vec<MovieId> {
-        self.prefix_cache.iter().copied().collect()
+        self.placement.prefix_cache().iter().copied().collect()
     }
 
     // ------------------------------------------------------------------
     // Prefix-cache tier (opt-in via VodConfig::prefix_cache)
     // ------------------------------------------------------------------
-
-    /// Recomputes the prefix cache from the forecast bank: the hottest
-    /// warming/hot movies this server does *not* replicate, up to the
-    /// configured budget. Cooling movies fall out of the ranking, so
-    /// eviction is LRU-by-forecast rather than by access time.
-    fn refresh_prefix_cache(&mut self) {
-        let Some(pc) = self.cfg.prefix_cache else {
-            return;
-        };
-        let mut ranked: Vec<(std::cmp::Reverse<u64>, MovieId)> = self
-            .catalog
-            .keys()
-            .filter(|m| !self.movies.contains_key(m))
-            .filter_map(|&m| {
-                self.forecasts.get(m).and_then(|f| {
-                    matches!(f.state(), PopState::Warming | PopState::Hot)
-                        .then(|| (std::cmp::Reverse(f.heat()), m))
-                })
-            })
-            .collect();
-        // Hottest first; ties resolve to the lower movie id on every
-        // server identically.
-        ranked.sort();
-        self.prefix_cache = ranked
-            .into_iter()
-            .take(pc.budget as usize)
-            .map(|(_, m)| m)
-            .collect();
-    }
-
-    /// The movie coordinator's routing pass, once per sync tick:
-    /// (1) resolve existing prefix assignments — release the source when
-    /// the client's replica is up or its session is gone, and retry the
-    /// admission election for clients still waiting (a prefix-fed client
-    /// received frames, so it no longer re-OPENs on its own); (2) route
-    /// still-unserved waiting clients to the least-loaded live server
-    /// advertising a prefix of their movie.
-    fn prefix_coordinator(&mut self, ctx: &mut Context<'_, VodWire>) {
-        let node = self.node;
-        let assignments: Vec<(ClientId, NodeId, MovieId)> = self
-            .prefix_assignments
-            .iter()
-            .map(|(&c, &(s, m))| (c, s, m))
-            .collect();
-        for (client, source, movie) in assignments {
-            let Some(state) = self.movies.get(&movie) else {
-                // We retired the movie: no longer its coordinator. Stop
-                // the source — whoever coordinates now re-routes the
-                // client if it is still waiting.
-                self.prefix_assignments.remove(&client);
-                self.release_prefix(ctx, source, client, movie, UNSERVED);
-                continue;
-            };
-            let record = state.table.get(client).copied();
-            if state.table.view().coordinator_candidate() != Some(node) {
-                // Coordinatorship moved (typically to the freshly joined
-                // replica). Assignments are coordinator-local state, so
-                // release the source rather than orphan a transmission
-                // nobody tracks any more; pass the owner along when the
-                // redistribution already placed the client.
-                let owner = record.map_or(UNSERVED, |r| r.owner);
-                self.prefix_assignments.remove(&client);
-                self.release_prefix(ctx, source, client, movie, owner);
-                continue;
-            }
-            match record {
-                None => {
-                    // Session gone (stop, crash, end of movie).
-                    self.prefix_assignments.remove(&client);
-                    self.release_prefix(ctx, source, client, movie, UNSERVED);
-                }
-                Some(r) if r.owner != UNSERVED => {
-                    // The replica is up and owns the client: hand off.
-                    let owner = r.owner;
-                    self.prefix_assignments.remove(&client);
-                    self.release_prefix(ctx, source, client, movie, owner);
-                }
-                Some(parked) => {
-                    // Still waiting. The client stopped re-OPENing once
-                    // prefix frames arrived, so the coordinator retries
-                    // the admission election on its behalf.
-                    if let Some(owner) = self.admit(ctx, parked) {
-                        self.prefix_assignments.remove(&client);
-                        self.release_prefix(ctx, source, client, movie, owner);
-                    } else if !self
-                        .prefix_sources
-                        .get(&source)
-                        .is_some_and(|movies| movies.contains(&movie))
-                    {
-                        // The source evicted the prefix (or retired): stop
-                        // any transmission it still runs and drop the
-                        // assignment so the client can be re-routed.
-                        self.prefix_assignments.remove(&client);
-                        self.release_prefix(ctx, source, client, movie, UNSERVED);
-                    }
-                }
-            }
-        }
-        // Pass 2: route fresh waiting clients to prefix sources.
-        let live: BTreeSet<NodeId> = self.server_view.members.iter().copied().collect();
-        let mut load: BTreeMap<NodeId, u32> = BTreeMap::new();
-        for (&server, entries) in &self.demand {
-            load.insert(server, entries.values().map(|&(s, _)| s).sum());
-        }
-        for &(source, _) in self.prefix_assignments.values() {
-            *load.entry(source).or_insert(0) += 1;
-        }
-        let movie_ids: Vec<MovieId> = self.movies.keys().copied().collect();
-        for movie in movie_ids {
-            let Some(state) = self.movies.get(&movie) else {
-                continue;
-            };
-            let view = state.table.view();
-            if view.coordinator_candidate() != Some(node) {
-                continue;
-            }
-            let holders: BTreeSet<NodeId> = view.members.iter().copied().collect();
-            let waiting: Vec<ClientRecord> = state
-                .table
-                .records()
-                .filter(|r| r.owner == UNSERVED)
-                .copied()
-                .collect();
-            for record in waiting {
-                if self.prefix_assignments.contains_key(&record.client) {
-                    continue;
-                }
-                let sources = self.prefix_sources.iter().filter(|(n, movies)| {
-                    live.contains(n) && !holders.contains(n) && movies.contains(&movie)
-                });
-                let Some(source) = least_loaded(sources.map(|(&n, _)| n), &load) else {
-                    continue;
-                };
-                *load.entry(source).or_insert(0) += 1;
-                self.prefix_assignments
-                    .insert(record.client, (source, movie));
-                let payload = ControlPayload::PrefixAssign {
-                    target: source,
-                    record,
-                };
-                self.multicast(ctx, SERVER_GROUP, payload);
-            }
-        }
-    }
-
-    /// Multicasts a release for `client`'s prefix transmission on
-    /// `source` (only the target acts).
-    fn release_prefix(
-        &mut self,
-        ctx: &mut Context<'_, VodWire>,
-        source: NodeId,
-        client: ClientId,
-        movie: MovieId,
-        owner: NodeId,
-    ) {
-        let payload = ControlPayload::PrefixRelease {
-            target: source,
-            client,
-            movie,
-            owner,
-        };
-        self.multicast(ctx, SERVER_GROUP, payload);
-    }
 
     /// Starts serving `record`'s client from the prefix cache, if this
     /// server still can (cache hit, no conflicting session, room under
@@ -1409,7 +1034,7 @@ impl VodServer {
             return;
         };
         if self.movies.contains_key(&record.movie)
-            || !self.prefix_cache.contains(&record.movie)
+            || !self.placement.prefix_cache().contains(&record.movie)
             || self.sessions.contains_key(&record.client)
             || self.prefix_sessions.contains_key(&record.client)
         {
@@ -1631,7 +1256,7 @@ impl Process<VodWire> for VodServer {
             tag::DECAY => self.on_decay_timer(ctx, ClientId(tag::id(timer.tag))),
             tag::EXCHANGE => self.on_exchange_timer(ctx, MovieId(tag::id(timer.tag))),
             tag::PREFIX => self.on_prefix_timer(ctx, ClientId(tag::id(timer.tag))),
-            tag::BRINGUP => self.on_bringup_timer(ctx, MovieId(tag::id(timer.tag))),
+            tag::BRINGUP => self.complete_bringup(ctx, MovieId(tag::id(timer.tag))),
             tag::SHUTDOWN => ctx.exit(),
             _ => debug_assert!(false, "unknown timer tag {}", timer.tag),
         }

@@ -4,10 +4,11 @@
 
 use std::time::Duration;
 
-use ftvod_core::protocol::ClientId;
+use ftvod_core::protocol::{ClientId, ControlPayload, VodWire};
 use ftvod_core::scenario::{ScenarioBuilder, VcrOp, VodSim};
+use gcs::{GcsConfig, GcsNode, GroupId};
 use media::{Movie, MovieId, MovieSpec};
-use simnet::{LinkProfile, NodeId, SimTime};
+use simnet::{Context, Endpoint, LinkProfile, NodeId, Port, Process, SimTime, Simulation, Timer};
 
 const SERVERS: [NodeId; 2] = [NodeId(1), NodeId(2)];
 const CLIENTS: u32 = 3;
@@ -101,4 +102,60 @@ fn a_running_client_keeps_sampling_its_buffers() {
     sim.run_until(QUIET);
     let stopped = sim.client_stats(ClientId(1)).unwrap().sw_occupancy.len();
     assert_eq!(stopped, 90, "sampling ends at the Stop of 10 s");
+}
+
+/// A process that is nothing but a GCS endpoint.
+struct Member {
+    gcs: GcsNode<ControlPayload>,
+}
+
+impl Process<VodWire> for Member {
+    fn on_start(&mut self, ctx: &mut Context<'_, VodWire>) {
+        self.gcs.start(ctx);
+    }
+    fn on_datagram(
+        &mut self,
+        ctx: &mut Context<'_, VodWire>,
+        from: Endpoint,
+        _: Endpoint,
+        msg: VodWire,
+    ) {
+        if let VodWire::Gcs(pkt) = msg {
+            self.gcs.on_packet(ctx, from, pkt);
+        }
+    }
+    fn on_timer(&mut self, ctx: &mut Context<'_, VodWire>, timer: Timer) {
+        self.gcs.on_timer(ctx, timer);
+    }
+}
+
+/// What a fleet's clients are once their sessions have ended: each
+/// created its session group, left it, and saw one more tick. A thousand
+/// of them fire and set no timer in ten seconds and leave the queue empty.
+#[test]
+fn a_fleet_of_endpoints_that_left_their_only_group_schedules_nothing() {
+    const NODES: u32 = 1_000;
+    let mut sim: Simulation<VodWire> = Simulation::new(5);
+    for node in 1..=NODES {
+        let id = NodeId(node);
+        let gcs = GcsNode::new(GcsConfig::new(), id, Port(7), 1, vec![id]);
+        sim.add_node(id, Member { gcs });
+    }
+    sim.run_until(SimTime::from_millis(100));
+    for node in 1..=NODES {
+        sim.invoke(NodeId(node), |m: &mut Member, ctx| {
+            let session = GroupId(u64::from(node));
+            m.gcs.create_group(session);
+            m.gcs.leave(ctx, session);
+        });
+    }
+    sim.run_for(GcsConfig::new().tick);
+    sim.enable_profiling();
+    sim.run_for(Duration::from_secs(10));
+    let profile = sim.profile().expect("profiling enabled");
+    assert_eq!(
+        (profile.timer_fired, profile.timers_set, sim.next_event_at()),
+        (0, 0, None),
+        "an endpoint in no group still ticks"
+    );
 }

@@ -3,11 +3,21 @@
 //! byte-identical transition sequence and byte-identical placement
 //! decisions) that keeps every server's election in lockstep.
 
+use std::collections::BTreeMap;
+use std::time::Duration;
+
 use proptest::prelude::*;
 
 use ftvod_core::forecast::FORECAST_STREAM;
-use ftvod_core::{ForecastBank, MovieObservation, PlacementAction, PolicyKind, ReplicationConfig};
+use ftvod_core::server::replicas::Holdings;
+use ftvod_core::server::{Placement, TakeoverTable};
+use ftvod_core::{
+    BringUpTrigger, DemandEntry, ForecastBank, MovieForecast, MovieObservation, PlacementAction,
+    PlacementPolicy, PolicyKind, PopState, ReplicationConfig, VodConfig,
+};
+use gcs::{View, ViewId};
 use media::MovieId;
+use simnet::{NodeId, SimTime};
 
 /// One synthetic sync tick of fleet-wide demand for a small catalog.
 #[derive(Clone, Debug)]
@@ -21,43 +31,62 @@ fn tick_strategy(movies: usize) -> impl Strategy<Value = Tick> {
         .prop_map(|demand| Tick { demand })
 }
 
-/// Replays `ticks` through a fresh forecast bank and policy, recording
-/// every transition and decision as one rendered line per movie-tick.
-fn replay(seed: u64, kind: PolicyKind, ticks: &[Tick], live: u32) -> Vec<String> {
-    let cfg = ReplicationConfig::paper_default();
-    let mut bank = ForecastBank::new(seed);
-    let mut policy = kind.build();
+fn view(members: impl Iterator<Item = u32>) -> View {
+    let id = ViewId {
+        epoch: 1,
+        coordinator: NodeId(1),
+    };
+    View::new(id, members.map(NodeId).collect())
+}
+
+/// Replays `ticks` through the replica manager's real tick
+/// ([`Placement::tick`]) on every one of `live` servers — movie `m` of a
+/// tick is held by servers `1..=replicas`, the first of which carries its
+/// sessions — recording every transition and every decision any server
+/// was elected for as rendered lines.
+fn replay(kind: PolicyKind, ticks: &[Tick], live: u32) -> Vec<String> {
+    let cfg = VodConfig::paper_default()
+        .with_dynamic_replication(ReplicationConfig::paper_default())
+        .with_placement(kind);
+    let servers = view(1..=live);
+    let mut fleet: Vec<Placement> = (1..=live).map(|_| Placement::new(kind)).collect();
     let mut log = Vec::new();
-    for tick in ticks {
-        policy.begin_tick();
-        // Feed phase first, exactly like the server's replica manager.
-        for (i, &(sessions, waiting, replicas)) in tick.demand.iter().enumerate() {
-            let movie = MovieId(1 + i as u32);
-            bank.observe(movie, sessions + waiting, replicas, &cfg);
-        }
-        for (i, &(sessions, waiting, replicas)) in tick.demand.iter().enumerate() {
-            let movie = MovieId(1 + i as u32);
-            let obs = MovieObservation {
-                movie,
-                sessions,
-                waiting,
-                replicas,
-                live,
-            };
-            let action = policy.decide(&obs, bank.get(movie), &cfg);
-            let forecast = bank.get(movie).expect("observed this tick");
-            log.push(format!(
-                "m{} {} heat={} {:?}",
-                movie.0,
-                forecast.state().as_str(),
-                forecast.heat(),
-                action
-            ));
-            // Pretend this server always wins the election, so cooldown
-            // bookkeeping is exercised deterministically too.
-            if action != PlacementAction::Hold {
-                policy.acted(movie, action, &cfg);
+    for (t, tick) in ticks.iter().enumerate() {
+        let movies = || (1u32..).zip(&tick.demand);
+        let catalog: BTreeMap<MovieId, ()> = movies().map(|(m, _)| (MovieId(m), ())).collect();
+        let tables: Vec<TakeoverTable> = movies()
+            .map(|(_, &(_, _, replicas))| {
+                let mut table = TakeoverTable::default();
+                table.install_view(NodeId(1), view(1..=replicas.min(live)));
+                table
+            })
+            .collect();
+        for (me, value) in (1u32..).zip(&mut fleet) {
+            for server in 1..=live {
+                let held = movies().filter(|(_, d)| server <= d.2);
+                let entries: Vec<DemandEntry> = held
+                    .map(|(m, &(sessions, waiting, _))| DemandEntry {
+                        movie: MovieId(m),
+                        sessions: if server == 1 { sessions } else { 0 },
+                        waiting,
+                    })
+                    .collect();
+                value.file_report(NodeId(server), &entries, &[]);
             }
+            let held: Holdings<'_> = movies()
+                .zip(&tables)
+                .filter(|((_, d), _)| me <= d.2)
+                .map(|((m, _), table)| (MovieId(m), table))
+                .collect();
+            let now = SimTime::ZERO + Duration::from_millis(500) * t as u32;
+            let (decisions, _) = value.tick(NodeId(me), now, &cfg, &servers, &held, &catalog);
+            log.extend(decisions.iter().map(|d| format!("n{me} {d:?}")));
+        }
+        for (m, _) in movies() {
+            let forecast = fleet[0].forecasts().get(MovieId(m));
+            let forecast = forecast.expect("observed this tick");
+            let (state, heat) = (forecast.state().as_str(), forecast.heat());
+            log.push(format!("m{m} {state} heat={heat}"));
         }
     }
     log
@@ -73,13 +102,12 @@ proptest! {
     /// same aggregated demand and must reach the same verdicts.
     #[test]
     fn forecast_and_decisions_are_replay_deterministic(
-        seed in 0u64..1_000_000,
         ticks in proptest::collection::vec(tick_strategy(3), 1..60),
         live in 2u32..8,
     ) {
         for kind in [PolicyKind::Reactive, PolicyKind::Predictive, PolicyKind::Hybrid] {
-            let a = replay(seed, kind, &ticks, live);
-            let b = replay(seed, kind, &ticks, live);
+            let a = replay(kind, &ticks, live);
+            let b = replay(kind, &ticks, live);
             prop_assert_eq!(
                 a.join("\n"),
                 b.join("\n"),
@@ -117,6 +145,43 @@ proptest! {
             full.get(target).map(|f| f.heat()),
             solo.get(target).map(|f| f.heat())
         );
+    }
+
+    /// Why `Hybrid` has no reactive-streak fallback: the reactive *hot*
+    /// signal (`demand > hot_sessions_per_replica × replicas`) is the
+    /// machine's own `over_now`, which sends every state to `Hot` on the
+    /// tick that feeds it — so whenever the streak rule would count a hot
+    /// tick the forecast already surges, and a `Hybrid` (or `Predictive`)
+    /// policy that is free to act answers with the forecast trigger.
+    #[test]
+    fn a_reactive_hot_tick_is_always_a_forecast_surge(
+        seed in 0u64..1_000_000,
+        stream in proptest::collection::vec((0u32..120, 1u32..=8), 1..80),
+        kind in 1usize..3,
+    ) {
+        let cfg = ReplicationConfig::paper_default();
+        let kind = [PolicyKind::Reactive, PolicyKind::Predictive, PolicyKind::Hybrid][kind];
+        let mut forecast = MovieForecast::seeded(seed, MovieId(1));
+        for (demand, replicas) in stream {
+            forecast.observe(demand, replicas, &cfg);
+            if demand <= cfg.hot_sessions_per_replica * replicas {
+                continue;
+            }
+            prop_assert_eq!(forecast.state(), PopState::Hot);
+            // Past change detection and cooldown, with room to grow:
+            let mut policy = PlacementPolicy::new(kind);
+            let obs = MovieObservation { movie: MovieId(1), sessions: demand, waiting: 0, replicas, live: 9 };
+            let mut verdict = PlacementAction::Hold;
+            for _ in 0..=cfg.cooldown_ticks {
+                policy.begin_tick();
+                verdict = policy.decide(&obs, &forecast, &cfg);
+            }
+            let expected = match replicas < cfg.max_replicas {
+                true => PlacementAction::BringUp(BringUpTrigger::Forecast),
+                false => PlacementAction::Hold,
+            };
+            prop_assert_eq!(verdict, expected);
+        }
     }
 }
 

@@ -365,3 +365,51 @@ fn on_ack_matches_it_when_the_view_does_not_list_this_node() {
         "{with_retained}, {released}"
     );
 }
+
+/// A group with traffic in flight: the node holds two unstable messages of
+/// its own and eight of a peer's, and that peer's acks — sent before it saw
+/// any of them, alternately before and after its own first — deliver
+/// nothing again. In the larger group the other members have not acked at
+/// all.
+#[test]
+fn stale_acks_at_a_group_holding_messages_deliver_nothing_more() {
+    const ACKS: u64 = 10_000;
+    const HELD: u64 = 8;
+    for size in [2, 8] {
+        let members: Vec<NodeId> = (1..=size).map(NodeId).collect();
+        let (peer, mut gcs) = (members[1], member(NEW, &members));
+        let mut sim: Simulation<Wire> = Simulation::new(4);
+        sim.set_default_profile(LinkProfile::ideal());
+        sim.add_node(ME, Sink::default());
+        sim.run_for(std::time::Duration::from_millis(1));
+        let from = Endpoint::new(peer, NEW);
+        let delivered = sim.invoke(ME, |_: &mut Sink, ctx| {
+            let mut events = Vec::new();
+            for v in 0..2 {
+                events.extend(gcs.multicast(ctx, G, Num(v)).expect("member"));
+            }
+            for seq in 1..=HELD {
+                let (group, origin, payload) = (G, peer, Num(seq));
+                let msg = GcsPacket::AppMsg {
+                    group,
+                    origin,
+                    seq,
+                    payload,
+                };
+                events.extend(gcs.on_packet(ctx, from, msg));
+            }
+            for i in 0..ACKS {
+                let (group, delivered) = (G, vec![(peer, i % 2), (ME, 0)]);
+                events.extend(gcs.on_packet(ctx, from, GcsPacket::Ack { group, delivered }));
+            }
+            events.retain(|e| matches!(e, GcsEvent::Deliver { .. }));
+            events.len() as u64
+        });
+        assert_eq!(delivered, Some(2 + HELD), "{size} members");
+        let state = &gcs.groups[&G];
+        // Nothing of its own is stable, and of the peer's at most the
+        // first, which the two-member group's only other member acked.
+        let held = (state.send_buf.len(), state.retained.len() as u64);
+        assert_eq!(held, (2, HELD - u64::from(size == 2)), "{size} members");
+    }
+}

@@ -22,6 +22,12 @@ mkdir -p "$out"
 "$cli" flash --seed 1 --compare >"$out/flash_compare.txt"
 "$cli" multidc --seeds 10 >"$out/multidc.txt"
 "$cli" multidc --seed 42 --compare >"$out/multidc_compare.txt"
+# The three placement policies at fleet size: the only golden where
+# `hybrid` differs from `predictive` (the retire rule) and where
+# `reactive` retires.
+for policy in reactive predictive hybrid; do
+    "$cli" fleet --servers 8 --clients 320 --movies 12 --seed 1 --policy "$policy"
+done >"$out/fleet_policies.txt"
 # perf's stdout carries wall-clock; the counters document does not.
 "$cli" perf --out "$out/perf_counters.json" >/dev/null
 # Every figure and table of the paper's evaluation, with its verdict
