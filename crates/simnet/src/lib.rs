@@ -13,7 +13,9 @@
 //!   reordering, egress bandwidth). [`LinkProfile::lan`] and
 //!   [`LinkProfile::wan`] model the paper's two evaluation environments.
 //! * Processes arm **timers** through their [`Context`]; all side effects
-//!   are applied deterministically in order.
+//!   are applied deterministically in order. A sent datagram is stored at
+//!   once, in the slot it will be delivered from, and routed — lost,
+//!   delayed, duplicated — after the handler returns.
 //! * The harness injects **faults**: crashes ([`Simulation::crash_at`]),
 //!   post-crash repair ([`Simulation::restart_at`]), delayed server
 //!   bring-up ([`Simulation::start_node_at`]), network partitions

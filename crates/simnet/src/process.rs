@@ -7,7 +7,12 @@
 //! fired). Handlers receive a [`Context`] that buffers side effects — sends,
 //! timer operations — which the simulator applies after the handler returns.
 //! This keeps handlers free of borrow gymnastics while preserving
-//! deterministic effect ordering.
+//! deterministic effect ordering. A sent message is stored at once, in the
+//! cell of the simulator's event slab it will be delivered from, and the
+//! buffered effect is that cell's index; the network's verdict on it (loss,
+//! delay, duplication) is still drawn after the handler returns, in effect
+//! order, because a handler may draw from the shared [`SimRng`] after
+//! sending.
 
 use std::any::Any;
 use std::fmt;
@@ -15,6 +20,7 @@ use std::time::Duration;
 
 use crate::net::{Endpoint, NodeId, Payload, Port};
 use crate::rng::SimRng;
+use crate::sim::{EventKind, Slab};
 use crate::time::SimTime;
 
 /// Handle to a pending timer, returned by [`Context::set_timer_after`] and
@@ -80,12 +86,9 @@ impl<M: Payload, T: Process<M>> AnyProcess<M> for T {
 /// A side effect requested by a handler, applied by the simulator after the
 /// handler returns.
 #[derive(Debug)]
-pub(crate) enum Effect<M> {
-    Send {
-        from: Endpoint,
-        to: Endpoint,
-        msg: M,
-    },
+pub(crate) enum Effect {
+    /// Route the delivery [`Context::send`] built in this slab cell.
+    Send(u32),
     SetTimer {
         id: TimerId,
         at: SimTime,
@@ -103,7 +106,8 @@ pub struct Context<'a, M: Payload> {
     pub(crate) now: SimTime,
     pub(crate) node: NodeId,
     pub(crate) rng: &'a mut SimRng,
-    pub(crate) effects: &'a mut Vec<Effect<M>>,
+    pub(crate) effects: &'a mut Vec<Effect>,
+    pub(crate) bodies: &'a mut Slab<M>,
     pub(crate) next_timer_id: &'a mut u64,
     /// Raised by [`Context::exit`]; the simulator reads it once the
     /// handler has returned.
@@ -143,8 +147,16 @@ impl<M: Payload> Context<'_, M> {
     /// Delivery (or loss) is governed by the link profile between the two
     /// nodes; see [`LinkProfile`](crate::LinkProfile).
     pub fn send(&mut self, from_port: Port, to: Endpoint, msg: M) {
-        let from = Endpoint::new(self.node, from_port);
-        self.effects.push(Effect::Send { from, to, msg });
+        let class = msg.class();
+        let (cell, vacant) = self.bodies.vacant();
+        *vacant = Some(EventKind::Deliver {
+            from: Endpoint::new(self.node, from_port),
+            to,
+            msg,
+            class,
+            sent_at: self.now,
+        });
+        self.effects.push(Effect::Send(cell));
     }
 
     /// Arms a one-shot timer that fires `after` from now, carrying `tag`.

@@ -7,7 +7,7 @@
 //! every figure in the experiment harness exactly reproducible.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::time::{Duration, Instant};
 
 use crate::net::{Endpoint, LinkProfile, NodeId, Payload};
@@ -146,7 +146,7 @@ pub enum TraceEvent {
 
 type Tracer = Box<dyn FnMut(&TraceEvent)>;
 
-enum EventKind<M: Payload> {
+pub(crate) enum EventKind<M: Payload> {
     Deliver {
         from: Endpoint,
         to: Endpoint,
@@ -185,97 +185,212 @@ enum EventKind<M: Payload> {
     },
 }
 
-/// The pending-event queue: one-integer keys in a binary heap, the event
-/// bodies in a slab beside it.
+/// The bodies of pending events, out of line from the queue's keys.
+///
+/// A body is written once, where it is created — [`Context::send`] builds
+/// a delivery here while the handler runs — and from then on only its
+/// cell index moves: through the effects list, through `route`, into the
+/// queue's key. Whoever ends an event's life takes the body out and the
+/// cell goes on the free list, so the slab stays within a handler's sends
+/// of the peak queue depth.
+pub(crate) struct Slab<M: Payload> {
+    cells: Vec<Option<EventKind<M>>>,
+    free: Vec<u32>,
+}
+
+impl<M: Payload> Slab<M> {
+    fn new() -> Self {
+        Slab {
+            cells: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// A cell holding nothing, and its index. Handing the cell out before
+    /// the body exists is what lets the caller build the body in it — `*cell
+    /// = Some(EventKind::..)` with nothing between that can fail — instead
+    /// of on its stack and then copy it here.
+    pub(crate) fn vacant(&mut self) -> (u32, &mut Option<EventKind<M>>) {
+        let cell = self.free.pop().unwrap_or_else(|| {
+            let cell = u32::try_from(self.cells.len()).expect("over 2^32 pending events");
+            self.cells.push(None);
+            cell
+        });
+        (cell, &mut self.cells[cell as usize])
+    }
+
+    fn insert(&mut self, kind: EventKind<M>) -> u32 {
+        let (cell, vacant) = self.vacant();
+        *vacant = Some(kind);
+        cell
+    }
+
+    fn take(&mut self, cell: u32) -> EventKind<M> {
+        let kind = self.cells[cell as usize]
+            .take()
+            .expect("a cell index points at a filled cell");
+        self.free.push(cell);
+        kind
+    }
+}
+
+/// The pending-event queue: one-integer keys, most of them in a binary
+/// heap, the constant-delay timers in FIFO lanes beside it. The bodies
+/// live in the [`Slab`].
 ///
 /// A sift moves and compares 16-byte keys instead of whole `EventKind`s
-/// (a `Deliver` carries the application message inline), and a popped
-/// body's slot goes on the free list, so the slab never grows past the
-/// peak queue depth. `seq` is unique and assigned in push order, so
-/// `(at, seq)` is a total order: same-instant events pop in the order
-/// they were scheduled, which is the determinism contract every golden
-/// file rests on.
-struct EventQueue<M: Payload> {
+/// (a `Deliver` carries the application message inline). `seq` is unique
+/// and assigned in push order, so `(at, seq)` is a total order:
+/// same-instant events pop in the order they were scheduled, which is the
+/// determinism contract every golden file rests on.
+///
+/// A lane holds the timers armed with one delay `at - now`. `now` never
+/// decreases and `seq` grows, so each such key is above the one before
+/// it: a lane is sorted by construction and needs no sift. `pop` takes
+/// the smaller of the heap's top and the least lane head, so what comes
+/// out is the same `(at, seq)` order whichever delays have a lane — the
+/// binding rule decides speed, never order.
+struct EventQueue {
     /// Min-heap of [`EventQueue::key`]s.
     heap: BinaryHeap<Reverse<u128>>,
-    bodies: Vec<Option<EventKind<M>>>,
-    free: Vec<u32>,
+    lanes: [VecDeque<u128>; LANES],
+    /// The delay in microseconds each lane is bound to; [`UNBOUND`] from
+    /// `bound` on.
+    delays: [u64; LANES],
+    bound: usize,
+    /// The last delay that found no lane: asked for again at once, it is
+    /// periodic enough to have one. (First-come binding spent the lanes
+    /// on one-off start phases.)
+    unmatched: u64,
+    /// The least lane head and its lane, [`NO_KEY`] when every lane is
+    /// empty. Cached because `next_at` and `pop` both want it for every
+    /// event, and it only changes when a lane's head does.
+    least: u128,
+    least_lane: usize,
     seq: u64,
 }
+
+/// FIFO lanes beside the heap. A run arms its periodic timers with a
+/// handful of delays (frame period, tick, heartbeat, sync, ...).
+const LANES: usize = 8;
+/// No timer is armed this far ahead: it would not fit a key's `at` field.
+const UNBOUND: u64 = u64::MAX;
+/// Above every key: that one would need 2^32 - 1 events pending.
+const NO_KEY: u128 = u128::MAX;
 
 /// Bits of a key holding `at` in microseconds: 8.9 simulated years.
 const AT_BITS: u32 = 48;
 /// Bits of a key holding `seq`: 2.8 × 10¹⁴ events scheduled in one run.
 const SEQ_BITS: u32 = 48;
-const SLOT_BITS: u32 = u32::BITS;
+const CELL_BITS: u32 = u32::BITS;
 
-impl<M: Payload> EventQueue<M> {
+impl EventQueue {
     fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            bodies: Vec::new(),
-            free: Vec::new(),
+            lanes: Default::default(),
+            delays: [UNBOUND; LANES],
+            bound: 0,
+            unmatched: UNBOUND,
+            least: NO_KEY,
+            least_lane: 0,
             seq: 0,
         }
     }
 
-    /// Packs `at | seq | slot`, most significant first, so the numeric
+    /// Packs `at | seq | cell`, most significant first, so the numeric
     /// order of keys *is* `(at, seq)` order and a sift step is one integer
-    /// compare; the slot rides along in the low bits and never decides a
+    /// compare; the cell rides along in the low bits and never decides a
     /// comparison because `seq` is unique.
     ///
     /// # Panics
     ///
     /// Panics if `at` or `seq` does not fit its field: a wrapped key would
     /// silently reorder the run.
-    fn key(at: SimTime, seq: u64, slot: u32) -> u128 {
+    fn key(at: SimTime, seq: u64, cell: u32) -> u128 {
         assert!(
             at.as_micros() >> AT_BITS == 0,
             "event scheduled past 2^48 us of simulated time"
         );
         assert!(seq >> SEQ_BITS == 0, "over 2^48 events scheduled");
-        (u128::from(at.as_micros()) << (SEQ_BITS + SLOT_BITS))
-            | (u128::from(seq) << SLOT_BITS)
-            | u128::from(slot)
+        (u128::from(at.as_micros()) << (SEQ_BITS + CELL_BITS))
+            | (u128::from(seq) << CELL_BITS)
+            | u128::from(cell)
+    }
+
+    fn next_key(&mut self, at: SimTime, cell: u32) -> u128 {
+        let key = Self::key(at, self.seq, cell);
+        self.seq += 1;
+        key
     }
 
     fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lanes.iter().map(VecDeque::len).sum::<usize>()
     }
 
     fn at_of(key: u128) -> SimTime {
-        SimTime::from_micros((key >> (SEQ_BITS + SLOT_BITS)) as u64)
+        SimTime::from_micros((key >> (SEQ_BITS + CELL_BITS)) as u64)
     }
 
+    #[inline]
+    fn heap_top(&self) -> u128 {
+        self.heap.peek().map_or(NO_KEY, |&Reverse(key)| key)
+    }
+
+    #[inline]
     fn next_at(&self) -> Option<SimTime> {
-        self.heap.peek().map(|&Reverse(key)| Self::at_of(key))
+        let key = self.least.min(self.heap_top());
+        (key != NO_KEY).then(|| Self::at_of(key))
     }
 
-    fn push(&mut self, at: SimTime, kind: EventKind<M>) {
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.bodies[slot as usize] = Some(kind);
-                slot
+    #[inline]
+    fn push(&mut self, at: SimTime, cell: u32) {
+        let key = self.next_key(at, cell);
+        self.heap.push(Reverse(key));
+    }
+
+    /// Pushes a timer armed at `now` for `at`, on the lane of its delay if
+    /// there is one. `now` must not be below that of an earlier call.
+    fn push_timer(&mut self, now: SimTime, at: SimTime, cell: u32) {
+        let key = self.next_key(at, cell);
+        let delay = at.as_micros() - now.as_micros();
+        let lane = match self.delays.iter().position(|&bound| bound == delay) {
+            Some(lane) => lane,
+            None if delay == self.unmatched && self.bound < LANES => {
+                self.delays[self.bound] = delay;
+                self.bound += 1;
+                self.bound - 1
             }
             None => {
-                let slot = u32::try_from(self.bodies.len()).expect("over 2^32 pending events");
-                self.bodies.push(Some(kind));
-                slot
+                self.unmatched = delay;
+                self.heap.push(Reverse(key));
+                return;
             }
         };
-        self.heap.push(Reverse(Self::key(at, self.seq, slot)));
-        self.seq += 1;
+        let keys = &mut self.lanes[lane];
+        debug_assert!(keys.back().is_none_or(|&tail| tail < key));
+        if keys.is_empty() && key < self.least {
+            (self.least, self.least_lane) = (key, lane);
+        }
+        keys.push_back(key);
     }
 
-    fn pop(&mut self) -> Option<(SimTime, EventKind<M>)> {
-        let Reverse(key) = self.heap.pop()?;
-        // Truncation keeps exactly the slot field.
-        let slot = key as u32;
-        let kind = self.bodies[slot as usize]
-            .take()
-            .expect("a queued key points at a filled slot");
-        self.free.push(slot);
-        Some((Self::at_of(key), kind))
+    /// The next event's time and cell, in `(at, seq)` order.
+    fn pop(&mut self) -> Option<(SimTime, u32)> {
+        let key = if self.least < self.heap_top() {
+            let key = self.lanes[self.least_lane].pop_front();
+            (self.least, self.least_lane) = (NO_KEY, 0);
+            for (lane, keys) in self.lanes.iter().enumerate() {
+                if let Some(&head) = keys.front().filter(|&&head| head < self.least) {
+                    (self.least, self.least_lane) = (head, lane);
+                }
+            }
+            key.expect("the cached head is queued")
+        } else {
+            self.heap.pop()?.0
+        };
+        // Truncation keeps exactly the cell field.
+        Some((Self::at_of(key), key as u32))
     }
 }
 
@@ -337,7 +452,8 @@ struct NodeSlot<M: Payload> {
 /// ```
 pub struct Simulation<M: Payload> {
     now: SimTime,
-    queue: EventQueue<M>,
+    queue: EventQueue,
+    bodies: Slab<M>,
     /// Node table indexed by the raw [`NodeId`]: ids are small and dense
     /// (servers from 1, clients from 100 or 1000), so a lookup is one
     /// bounds-checked index and the table costs 32 bytes per id up to the
@@ -360,7 +476,7 @@ pub struct Simulation<M: Payload> {
     cancelled: HashSet<u64>,
     next_timer_id: u64,
     stats: NetStats,
-    effects: Vec<Effect<M>>,
+    effects: Vec<Effect>,
     tracer: Option<Tracer>,
     /// Hot-path cost accounting; `None` (the default) means every
     /// profiling update in the engine is skipped entirely.
@@ -376,6 +492,7 @@ impl<M: Payload> Simulation<M> {
         Simulation {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
+            bodies: Slab::new(),
             nodes: Vec::new(),
             default_profile: LinkProfile::ideal(),
             topology: None,
@@ -480,7 +597,8 @@ impl<M: Payload> Simulation<M> {
     /// in `a` and every node in `b` at time `at`. `Some(profile)` installs
     /// the override (e.g. a WAN brownout profile); `None` removes the
     /// overrides, restoring whatever the topology or default profile
-    /// dictates. The tracer sees [`TraceEvent::LinkOverride`].
+    /// dictates. The tracer sees [`TraceEvent::LinkOverride`]. An `at` already
+    /// past means now.
     pub fn set_link_overrides_at(
         &mut self,
         at: SimTime,
@@ -509,7 +627,8 @@ impl<M: Payload> Simulation<M> {
     }
 
     /// Schedules `process` to boot on node `id` at time `at` (the paper's
-    /// "a new server may be brought up on the fly").
+    /// "a new server may be brought up on the fly"). An `at` already past
+    /// means now.
     ///
     /// # Panics
     ///
@@ -524,7 +643,8 @@ impl<M: Payload> Simulation<M> {
     /// Schedules a crash of node `id` at time `at`: the process stops
     /// receiving events, but its final state remains inspectable through
     /// [`Simulation::with_process`]. Messages already in flight *from* the
-    /// node are still delivered (they left the NIC before the crash).
+    /// node are still delivered (they left the NIC before the crash). An `at`
+    /// already past means now.
     pub fn crash_at(&mut self, at: SimTime, id: NodeId) {
         self.schedule(at, EventKind::Crash { node: id });
     }
@@ -534,7 +654,7 @@ impl<M: Payload> Simulation<M> {
     /// replacement process starts from its initial state (a real machine
     /// reboot loses volatile memory); the tracer sees
     /// [`TraceEvent::NodeRestarted`] instead of `NodeStarted` when the node
-    /// had crashed before.
+    /// had crashed before. An `at` already past means now.
     pub fn restart_at(&mut self, at: SimTime, id: NodeId, process: impl Process<M>) {
         self.start_node_at(at, id, process);
     }
@@ -542,13 +662,13 @@ impl<M: Payload> Simulation<M> {
     /// Schedules a replacement of the default link profile at time `at`
     /// (link overrides are untouched). Chaos campaigns use a pair of these
     /// to model a transient network degradation: degrade at `t`, restore
-    /// the base profile at `t + duration`.
+    /// the base profile at `t + duration`. An `at` already past means now.
     pub fn set_default_profile_at(&mut self, at: SimTime, profile: LinkProfile) {
         self.schedule(at, EventKind::SetDefaultProfile { profile });
     }
 
     /// Schedules a network partition separating every node in `a` from every
-    /// node in `b` (both directions) at time `at`.
+    /// node in `b` (both directions) at time `at`, or now if that is past.
     pub fn partition_at(&mut self, at: SimTime, a: &[NodeId], b: &[NodeId]) {
         self.schedule(
             at,
@@ -559,7 +679,8 @@ impl<M: Payload> Simulation<M> {
         );
     }
 
-    /// Schedules the removal of the partition between `a` and `b` at `at`.
+    /// Schedules the removal of the partition between `a` and `b` at `at`, or
+    /// now if that is past.
     pub fn heal_at(&mut self, at: SimTime, a: &[NodeId], b: &[NodeId]) {
         self.schedule(
             at,
@@ -570,7 +691,8 @@ impl<M: Payload> Simulation<M> {
         );
     }
 
-    /// Schedules the removal of *all* partitions at `at`.
+    /// Schedules the removal of *all* partitions at `at`, or now if that is
+    /// past.
     pub fn heal_all_at(&mut self, at: SimTime) {
         self.schedule(at, EventKind::HealAll);
     }
@@ -599,7 +721,8 @@ impl<M: Payload> Simulation<M> {
     pub fn run_until(&mut self, until: SimTime) {
         let started = self.profile.as_ref().map(|_| Instant::now());
         while self.queue.next_at().is_some_and(|at| at <= until) {
-            let (at, kind) = self.queue.pop().expect("peeked event vanished");
+            let (at, cell) = self.queue.pop().expect("peeked event vanished");
+            let kind = self.bodies.take(cell);
             self.dispatch(at, kind);
         }
         if until > self.now {
@@ -626,8 +749,9 @@ impl<M: Payload> Simulation<M> {
     /// empty.
     pub fn step(&mut self) -> bool {
         match self.queue.pop() {
-            Some((at, kind)) => {
+            Some((at, cell)) => {
                 let started = self.profile.as_ref().map(|_| Instant::now());
+                let kind = self.bodies.take(cell);
                 self.dispatch(at, kind);
                 if let (Some(profile), Some(started)) = (self.profile.as_mut(), started) {
                     profile.dispatch_ns += started.elapsed().as_nanos() as u64;
@@ -689,6 +813,7 @@ impl<M: Payload> Simulation<M> {
                 node,
                 rng: &mut self.rng,
                 effects: &mut effects,
+                bodies: &mut self.bodies,
                 next_timer_id: &mut self.next_timer_id,
                 exited: false,
             };
@@ -700,23 +825,28 @@ impl<M: Payload> Simulation<M> {
         };
         if let Some(slot) = self.slot_mut(node) {
             slot.process = Some(process);
-            if exited && result.is_some() {
+            // Only `f` can exit, and a process of another type never ran it.
+            if exited {
                 slot.alive = false;
             }
         }
-        if result.is_some() {
-            for effect in effects.drain(..) {
-                self.apply_effect(node, effect);
-            }
-        } else {
-            effects.clear();
+        // Nor did it leave effects.
+        for effect in effects.drain(..) {
+            self.apply_effect(node, effect);
         }
         self.effects = effects;
         result
     }
 
+    /// Queues a fault or boot, no earlier than now: the clock never runs
+    /// backwards, which the queue's lanes rely on.
     fn schedule(&mut self, at: SimTime, kind: EventKind<M>) {
-        self.queue.push(at, kind);
+        let cell = self.bodies.insert(kind);
+        self.queue.push(at.max(self.now), cell);
+        self.note_depth();
+    }
+
+    fn note_depth(&mut self) {
         if let Some(profile) = self.profile.as_mut() {
             profile.peak_queue_depth = profile.peak_queue_depth.max(self.queue.len() as u64);
         }
@@ -884,6 +1014,7 @@ impl<M: Payload> Simulation<M> {
                 node,
                 rng: &mut self.rng,
                 effects: &mut effects,
+                bodies: &mut self.bodies,
                 next_timer_id: &mut self.next_timer_id,
                 exited: false,
             };
@@ -902,12 +1033,15 @@ impl<M: Payload> Simulation<M> {
         self.effects = effects;
     }
 
-    fn apply_effect(&mut self, node: NodeId, effect: Effect<M>) {
+    fn apply_effect(&mut self, node: NodeId, effect: Effect) {
         match effect {
-            Effect::Send { from, to, msg } => self.route(from, to, msg),
+            Effect::Send(cell) => self.route(cell),
             Effect::SetTimer { id, at, tag } => {
                 self.count(|p| p.timers_set += 1);
-                self.schedule(at, EventKind::Timer { node, id, tag });
+                let (cell, vacant) = self.bodies.vacant();
+                *vacant = Some(EventKind::Timer { node, id, tag });
+                self.queue.push_timer(self.now, at, cell);
+                self.note_depth();
             }
             Effect::CancelTimer(id) => {
                 self.count(|p| p.timers_cancelled += 1);
@@ -916,9 +1050,21 @@ impl<M: Payload> Simulation<M> {
         }
     }
 
-    fn route(&mut self, from: Endpoint, to: Endpoint, msg: M) {
+    /// Decides the fate of the delivery [`Context::send`] left in `cell`:
+    /// a drop frees the cell, a duplicate is cloned into a second one, and
+    /// otherwise only the cell's index is queued.
+    fn route(&mut self, cell: u32) {
         self.count(|p| p.msgs_routed += 1);
-        let class = msg.class();
+        let Some(EventKind::Deliver {
+            from,
+            to,
+            ref msg,
+            class,
+            ..
+        }) = self.bodies.cells[cell as usize]
+        else {
+            unreachable!("a send effect names the delivery it built");
+        };
         let size = msg.size_bytes();
         {
             let counters = self.stats.class_mut(class);
@@ -943,6 +1089,7 @@ impl<M: Payload> Simulation<M> {
                 class,
                 reason: DropReason::Partition,
             });
+            self.bodies.take(cell);
             return;
         }
         // The profile stays borrowed up to the last delay draw, so nothing
@@ -986,6 +1133,7 @@ impl<M: Payload> Simulation<M> {
                 class,
                 reason: DropReason::Loss,
             });
+            self.bodies.take(cell);
             return;
         }
         let mut depart = at;
@@ -1002,18 +1150,22 @@ impl<M: Payload> Simulation<M> {
         let duplicate = profile.duplicate > 0.0 && self.rng.gen_f64() < profile.duplicate;
         let copy_at = duplicate.then(|| depart + draw_delay(&mut self.rng, profile));
         let deliver_at = depart + draw_delay(&mut self.rng, profile);
-        let deliver = |msg| EventKind::Deliver {
-            from,
-            to,
-            msg,
-            class,
-            sent_at: at,
-        };
         if let Some(copy_at) = copy_at {
             self.stats.class_mut(class).duplicated += 1;
-            self.schedule(copy_at, deliver(msg.clone()));
+            let Some(EventKind::Deliver { msg, .. }) = &self.bodies.cells[cell as usize] else {
+                unreachable!("matched above");
+            };
+            let copy = self.bodies.insert(EventKind::Deliver {
+                from,
+                to,
+                msg: msg.clone(),
+                class,
+                sent_at: at,
+            });
+            self.queue.push(copy_at, copy);
         }
-        self.schedule(deliver_at, deliver(msg));
+        self.queue.push(deliver_at, cell);
+        self.note_depth();
     }
 }
 
@@ -1039,15 +1191,20 @@ impl<M: Payload> std::fmt::Debug for Simulation<M> {
 }
 
 /// Differential test of the event queue's ordering contract: a seeded
-/// random script of timers, cancels, sends, crashes and restarts — full
-/// of same-instant ties — runs through [`Simulation`] and through a
-/// reference model whose queue is a `Vec` stably sorted by time, and both
-/// must dispatch the same events in the same order.
+/// random script of one-off and periodic timers, cancels, sends over
+/// instant, slow, lossy-and-duplicating and partitioned links, exits,
+/// crashes, restarts and outside invocations — full of same-instant ties —
+/// runs through [`Simulation`] and through a reference model whose queue
+/// is a `Vec` stably sorted by time, and both must dispatch the same
+/// events in the same order. A property then holds the queue alone to a
+/// sorted list of its keys.
 #[cfg(test)]
 mod tests {
     use std::cell::RefCell;
     use std::collections::{BTreeMap, HashSet};
     use std::rc::Rc;
+
+    use proptest::prelude::*;
 
     use super::*;
     use crate::net::Port;
@@ -1058,9 +1215,37 @@ mod tests {
     /// was sent.
     const SLOW_LINK: (u32, u32) = (1, 2);
     const SLOW_DELAY: Duration = Duration::from_millis(2);
+    /// The one link that loses and duplicates.
+    const LOSSY_LINK: (u32, u32) = (3, 4);
+    const LOSS: f64 = 0.3;
+    const DUPLICATE: f64 = 0.3;
+    /// The two sides of the one partition, and when it holds.
+    const CUT: ([u32; 2], [u32; 2]) = ([1, 2], [4, 5]);
+    const CUT_FROM: SimTime = SimTime::from_millis(20);
+    const CUT_UNTIL: SimTime = SimTime::from_millis(50);
+    /// Delays in microseconds that scripts arm again and again: more of them
+    /// than the queue has lanes, so some are bound and the rest refused, and
+    /// all on one 500 µs grid, so lanes tie with each other and with the heap.
+    const PERIODS: [u64; 12] = [
+        500, 1_000, 1_500, 2_000, 2_500, 3_000, 4_000, 5_000, 6_000, 7_500, 8_000, 10_000,
+    ];
+    /// Tag `PERIODIC + i` marks a timer that re-arms itself `PERIODS[i]` on.
+    const PERIODIC: u64 = 1000;
+    /// Most actions, so most sends, of one handler call.
+    const MAX_ACTIONS: u64 = 3;
 
-    #[derive(Clone, Debug)]
-    struct Note;
+    /// `clone` is what the network calls to duplicate a datagram, and nobody
+    /// else: a copy can be told from its original.
+    #[derive(Debug)]
+    struct Note {
+        copy: bool,
+    }
+
+    impl Clone for Note {
+        fn clone(&self) -> Self {
+            Note { copy: true }
+        }
+    }
 
     impl Payload for Note {
         fn size_bytes(&self) -> usize {
@@ -1074,8 +1259,16 @@ mod tests {
     #[derive(Clone, Copy, PartialEq, Eq, Debug)]
     enum Seen {
         Start,
-        Timer { id: u64, tag: u64 },
-        Datagram { from: u32 },
+        Timer {
+            id: u64,
+            tag: u64,
+        },
+        Datagram {
+            from: u32,
+            copy: bool,
+        },
+        /// Called from outside, between events.
+        Invoked,
     }
 
     /// What a scripted process may do; implemented over a [`Context`] and
@@ -1085,6 +1278,7 @@ mod tests {
         fn send(&mut self, to: u32);
         fn set_timer_at(&mut self, at: SimTime, tag: u64) -> u64;
         fn cancel(&mut self, id: u64);
+        fn exit(&mut self);
     }
 
     /// The behaviour both sides run: on every handler call, a few random
@@ -1107,14 +1301,24 @@ mod tests {
             }
         }
 
-        fn react(&mut self, host: &mut impl Host) {
+        fn arm_periodic(&mut self, host: &mut impl Host, tag: u64) {
+            let period = Duration::from_micros(PERIODS[(tag - PERIODIC) as usize]);
+            self.armed.push(host.set_timer_at(host.now() + period, tag));
+        }
+
+        fn react(&mut self, host: &mut impl Host, what: Seen) {
             if self.reactions_left == 0 {
                 return;
             }
             self.reactions_left -= 1;
-            for _ in 0..1 + self.rng.gen_u64_below(3) {
-                let tag = self.rng.gen_u64_below(1000);
-                match self.rng.gen_u64_below(4) {
+            if let Seen::Timer { tag, .. } = what {
+                if tag >= PERIODIC {
+                    self.arm_periodic(host, tag);
+                }
+            }
+            for _ in 0..1 + self.rng.gen_u64_below(MAX_ACTIONS) {
+                let tag = self.rng.gen_u64_below(PERIODIC);
+                match self.rng.gen_u64_below(6) {
                     0 => {
                         let after = [0, 0, 1, 5][self.rng.gen_u64_below(4) as usize];
                         let at = host.now() + Duration::from_millis(after);
@@ -1127,10 +1331,19 @@ mod tests {
                             .push(host.set_timer_at(SimTime::from_micros(grid), tag));
                     }
                     2 => host.send(1 + self.rng.gen_u64_below(u64::from(NODES)) as u32),
-                    _ => {
+                    3 => {
                         if !self.armed.is_empty() {
                             let pick = self.rng.gen_u64_below(self.armed.len() as u64) as usize;
                             host.cancel(self.armed[pick]);
+                        }
+                    }
+                    4 => {
+                        let period = self.rng.gen_u64_below(PERIODS.len() as u64);
+                        self.arm_periodic(host, PERIODIC + period);
+                    }
+                    _ => {
+                        if self.rng.gen_u64_below(48) == 0 {
+                            host.exit();
                         }
                     }
                 }
@@ -1150,7 +1363,8 @@ mod tests {
             self.0.now()
         }
         fn send(&mut self, to: u32) {
-            self.0.send(PORT, Endpoint::new(NodeId(to), PORT), Note);
+            self.0
+                .send(PORT, Endpoint::new(NodeId(to), PORT), Note { copy: false });
         }
         fn set_timer_at(&mut self, at: SimTime, tag: u64) -> u64 {
             self.0.set_timer_at(at, tag).0
@@ -1158,12 +1372,15 @@ mod tests {
         fn cancel(&mut self, id: u64) {
             self.0.cancel_timer(TimerId(id));
         }
+        fn exit(&mut self) {
+            self.0.exit();
+        }
     }
 
     impl Scripted {
         fn seen(&mut self, ctx: &mut Context<'_, Note>, what: Seen) {
             self.log.borrow_mut().push((ctx.now(), ctx.node().0, what));
-            self.script.react(&mut CtxHost(ctx));
+            self.script.react(&mut CtxHost(ctx), what);
         }
     }
 
@@ -1176,9 +1393,10 @@ mod tests {
             ctx: &mut Context<'_, Note>,
             from: Endpoint,
             _: Endpoint,
-            _: Note,
+            msg: Note,
         ) {
-            self.seen(ctx, Seen::Datagram { from: from.node.0 });
+            let (from, copy) = (from.node.0, msg.copy);
+            self.seen(ctx, Seen::Datagram { from, copy });
         }
         fn on_timer(&mut self, ctx: &mut Context<'_, Note>, timer: Timer) {
             let (id, tag) = (timer.id.0, timer.tag);
@@ -1189,24 +1407,46 @@ mod tests {
     enum ModelEvent {
         Start { node: u32, script: Script },
         Crash { node: u32 },
+        Cut(bool),
         Timer { node: u32, id: u64, tag: u64 },
-        Deliver { from: u32, to: u32 },
+        Deliver { from: u32, to: u32, copy: bool },
     }
 
     /// The reference: pending events in a `Vec` that a *stable* sort keeps
     /// ordered by time alone, so same-instant events stay in push order.
-    #[derive(Default)]
     struct Model {
         now: SimTime,
         queue: Vec<(SimTime, ModelEvent)>,
         /// `(script, alive)` per booted node.
         nodes: BTreeMap<u32, (Option<Script>, bool)>,
+        cut: bool,
+        /// The network's generator: seeded like the simulation's and drawn
+        /// from for the same datagrams in the same order.
+        rng: SimRng,
         cancelled: HashSet<u64>,
         next_timer: u64,
+        /// Raised by the running handler's `exit`.
+        exiting: bool,
+        exits: u64,
         log: Vec<Record>,
     }
 
     impl Model {
+        fn new(seed: u64) -> Self {
+            Model {
+                now: SimTime::ZERO,
+                queue: Vec::new(),
+                nodes: BTreeMap::new(),
+                cut: false,
+                rng: SimRng::seed_from_u64(seed),
+                cancelled: HashSet::new(),
+                next_timer: 0,
+                exiting: false,
+                exits: 0,
+                log: Vec::new(),
+            }
+        }
+
         fn push(&mut self, at: SimTime, event: ModelEvent) {
             self.queue.push((at, event));
             self.queue.sort_by_key(|(at, _)| *at);
@@ -1232,24 +1472,32 @@ mod tests {
                         *alive = false;
                     }
                 }
+                ModelEvent::Cut(cut) => self.cut = cut,
                 ModelEvent::Timer { node, id, tag } => {
                     if !self.cancelled.remove(&id) {
                         self.handle(node, Seen::Timer { id, tag });
                     }
                 }
-                ModelEvent::Deliver { from, to } => self.handle(to, Seen::Datagram { from }),
+                ModelEvent::Deliver { from, to, copy } => {
+                    self.handle(to, Seen::Datagram { from, copy });
+                }
             }
             true
         }
 
-        fn handle(&mut self, node: u32, what: Seen) {
+        /// Whether `node` was alive to see it.
+        fn handle(&mut self, node: u32, what: Seen) -> bool {
             let Some((script, true)) = self.nodes.get_mut(&node) else {
-                return;
+                return false;
             };
             let mut script = script.take().expect("no handler is running");
             self.log.push((self.now, node, what));
-            script.react(&mut ModelHost { model: self, node });
-            self.nodes.get_mut(&node).expect("still booted").0 = Some(script);
+            script.react(&mut ModelHost { model: self, node }, what);
+            let exited = std::mem::take(&mut self.exiting);
+            self.exits += u64::from(exited);
+            let row = self.nodes.get_mut(&node).expect("still booted");
+            *row = (Some(script), !exited);
+            true
         }
     }
 
@@ -1264,10 +1512,33 @@ mod tests {
         }
         fn send(&mut self, to: u32) {
             let from = self.node;
-            let slow = (from, to) == SLOW_LINK || (to, from) == SLOW_LINK;
-            let delay = if slow { SLOW_DELAY } else { Duration::ZERO };
-            self.model
-                .push(self.model.now + delay, ModelEvent::Deliver { from, to });
+            let on = |link: (u32, u32)| (from, to) == link || (to, from) == link;
+            let (a, b) = CUT;
+            let severed =
+                a.contains(&from) && b.contains(&to) || b.contains(&from) && a.contains(&to);
+            if self.model.cut && severed {
+                return;
+            }
+            let mut duplicated = false;
+            if on(LOSSY_LINK) {
+                if self.model.rng.gen_f64() < LOSS {
+                    return;
+                }
+                duplicated = self.model.rng.gen_f64() < DUPLICATE;
+            }
+            let delay = if on(SLOW_LINK) {
+                SLOW_DELAY
+            } else {
+                Duration::ZERO
+            };
+            let at = self.model.now + delay;
+            // The copy is queued ahead of its original.
+            if duplicated {
+                let copy = true;
+                self.model.push(at, ModelEvent::Deliver { from, to, copy });
+            }
+            let copy = false;
+            self.model.push(at, ModelEvent::Deliver { from, to, copy });
         }
         fn set_timer_at(&mut self, at: SimTime, tag: u64) -> u64 {
             let id = self.model.next_timer;
@@ -1280,16 +1551,34 @@ mod tests {
         fn cancel(&mut self, id: u64) {
             self.model.cancelled.insert(id);
         }
+        fn exit(&mut self) {
+            self.model.exiting = true;
+        }
     }
 
-    /// Runs one seed through both and returns how often it met
-    /// `[squashed timers, events for dead nodes, stale cancels, ties]`.
-    fn run_script(seed: u64) -> [u64; 4] {
+    /// What the next `step` will pop: whether from a lane, the id of the
+    /// timer it is if it is one, and whether the heap's top and the least
+    /// lane head share its instant.
+    fn upcoming(sim: &Simulation<Note>) -> Option<(bool, Option<u64>, bool)> {
+        let (lane, heap) = (sim.queue.least, sim.queue.heap_top());
+        let key = lane.min(heap);
+        let timer = match sim.bodies.cells.get(key as u32 as usize)? {
+            Some(EventKind::Timer { id, .. }) => Some(id.0),
+            _ => None,
+        };
+        let tied = lane.max(heap) != NO_KEY && EventQueue::at_of(lane) == EventQueue::at_of(heap);
+        Some((lane < heap, timer, tied))
+    }
+
+    /// Runs one seed through both and returns how often it met each of
+    /// [`COVERED`].
+    fn run_script(seed: u64) -> [u64; COVERED.len()] {
         let log: Rc<RefCell<Vec<Record>>> = Rc::default();
         let scripted = |node: u32, incarnation: u64| Scripted {
             script: Script::new(seed, node, incarnation),
             log: Rc::clone(&log),
         };
+        let ids = |nodes: [u32; 2]| nodes.map(NodeId);
         let mut sim: Simulation<Note> = Simulation::new(seed);
         sim.enable_profiling();
         sim.set_link_profile_sym(
@@ -1297,7 +1586,10 @@ mod tests {
             NodeId(SLOW_LINK.1),
             LinkProfile::ideal().with_base_delay(SLOW_DELAY),
         );
-        let mut model = Model::default();
+        let mut lossy = LinkProfile::ideal().with_loss(LOSS);
+        lossy.duplicate = DUPLICATE;
+        sim.set_link_profile_sym(NodeId(LOSSY_LINK.0), NodeId(LOSSY_LINK.1), lossy);
+        let mut model = Model::new(seed);
 
         for node in 1..=NODES {
             sim.add_node(NodeId(node), scripted(node, 0));
@@ -1316,14 +1608,42 @@ mod tests {
             let script = Script::new(seed, node, incarnation);
             model.push(restart, ModelEvent::Start { node, script });
         }
+        sim.partition_at(CUT_FROM, &ids(CUT.0), &ids(CUT.1));
+        model.push(CUT_FROM, ModelEvent::Cut(true));
+        sim.heal_at(CUT_UNTIL, &ids(CUT.0), &ids(CUT.1));
+        model.push(CUT_UNTIL, ModelEvent::Cut(false));
 
+        let (mut laned, mut refused, mut lane_squashed, mut lane_ties) = (0, 0, 0, 0);
+        let mut strangers = 0;
         let mut steps = 0;
         loop {
+            if steps % 5 == 0 {
+                let node = 1 + (steps / 5) % NODES;
+                // A process of another type is not run and leaves nothing
+                // behind, a dead one neither.
+                let stranger = sim.invoke(NodeId(node), |_: &mut Script, ctx| {
+                    ctx.send(PORT, Endpoint::new(NodeId(1), PORT), Note { copy: false });
+                });
+                assert!(stranger.is_none(), "seed {seed}, step {steps}");
+                strangers += 1;
+                let invoked = sim.invoke(NodeId(node), |process: &mut Scripted, ctx| {
+                    process.seen(ctx, Seen::Invoked);
+                });
+                let expected = model.handle(node, Seen::Invoked);
+                assert_eq!(invoked.is_some(), expected, "seed {seed}, step {steps}");
+            }
             assert_eq!(
                 sim.next_event_at(),
                 model.next_at(),
                 "seed {seed}, step {steps}"
             );
+            if let Some((from_lane, timer, tied)) = upcoming(&sim) {
+                laned += u64::from(from_lane);
+                refused += u64::from(!from_lane && timer.is_some());
+                lane_squashed +=
+                    u64::from(from_lane && timer.is_some_and(|id| sim.cancelled.contains(&id)));
+                lane_ties += u64::from(tied);
+            }
             let (stepped, expected) = (sim.step(), model.step());
             assert_eq!(stepped, expected, "seed {seed}, step {steps}");
             assert_eq!(
@@ -1339,36 +1659,133 @@ mod tests {
         assert_eq!(*log.borrow(), model.log, "seed {seed}");
         assert!(model.log.len() > 200, "seed {seed}: the script barely ran");
 
-        // Popped slots are reused: the slab never outgrows the deepest queue.
+        // Every cell was given back, by whoever ended its event — a pop, a
+        // loss, a partition — and cells are reused: the slab never outgrows
+        // the deepest queue plus the sends of the handler then running.
         let profile = sim.profile().expect("profiling is on");
+        assert_eq!(sim.bodies.free.len(), sim.bodies.cells.len(), "seed {seed}");
         assert!(
-            sim.queue.bodies.len() as u64 <= profile.peak_queue_depth,
+            sim.bodies.cells.len() as u64 <= profile.peak_queue_depth + MAX_ACTIONS,
             "seed {seed}"
         );
-        assert_eq!(sim.queue.free.len(), sim.queue.bodies.len(), "seed {seed}");
+        assert_eq!(sim.queue.len(), 0, "seed {seed}");
 
         let tied = model.log.windows(2).filter(|w| w[0].0 == w[1].0).count();
-        let dead = profile.timer_dead + sim.stats().class("default").dropped_dead;
-        // Ids left in the set were cancelled after firing, or twice.
+        let net = sim.stats().class("default");
+        let copies = model
+            .log
+            .iter()
+            .filter(|(_, _, what)| matches!(what, Seen::Datagram { copy: true, .. }));
         [
             profile.timer_squashed,
-            dead,
+            profile.timer_dead + net.dropped_dead,
+            // Ids left in the set were cancelled after firing, or twice.
             sim.cancelled.len() as u64,
             tied as u64,
+            laned,
+            refused,
+            u64::from(sim.queue.bound == LANES),
+            lane_squashed,
+            lane_ties,
+            net.dropped_loss,
+            copies.count() as u64,
+            net.dropped_partition,
+            model.exits,
+            strangers,
         ]
     }
 
+    /// What [`run_script`] counts, so that the test can show it met each.
+    const COVERED: [&str; 14] = [
+        "timers squashed",
+        "timers and datagrams for dead nodes",
+        "stale cancels",
+        "events sharing an instant",
+        "keys popped from a lane",
+        "timers refused a lane",
+        "runs that bound every lane",
+        "lane timers squashed",
+        "lane head and heap top at one instant",
+        "datagrams lost",
+        "copies delivered",
+        "datagrams partitioned",
+        "exits",
+        "invocations of another type",
+    ];
+
     #[test]
     fn dispatch_order_matches_a_stably_sorted_vec() {
-        let mut covered = [0; 4];
+        let mut covered = [0; COVERED.len()];
         for seed in 0..40 {
             for (total, seen) in covered.iter_mut().zip(run_script(seed)) {
                 *total += seen;
             }
         }
-        // Not vacuous: timers were squashed, timers and datagrams reached
-        // dead nodes, cancels hit fired timers, events shared an instant.
-        assert!(covered.iter().all(|&n| n > 0), "{covered:?}");
+        // Not vacuous: every way an event can end and every way a key can
+        // travel was met.
+        let met: Vec<_> = COVERED.iter().zip(covered).collect();
+        assert!(met.iter().all(|&(_, n)| n > 0), "{met:?}");
+    }
+
+    /// Pushes `(kind, delay, pops after it)`: kind 0 is not a timer, 1 and 2
+    /// arm one, 3 arms two in a row — what binds a lane.
+    fn queue_script() -> impl Strategy<Value = Vec<(u8, usize, u8)>> {
+        prop::collection::vec((0u8..4, 0usize..DELAYS.len(), 0u8..4), 200..400)
+    }
+
+    /// More delays than lanes; `0` ties a timer with what was just popped.
+    const DELAYS: [u64; 11] = [0, 3, 5, 7, 10, 20, 33, 50, 100, 250, 1000];
+
+    proptest! {
+        /// The queue alone against a sorted list of its keys: however timer
+        /// pushes (lane or not), plain pushes and pops interleave under a
+        /// clock that only moves forward, every pop is the least key pending
+        /// and `len` is what went in less what came out.
+        #[test]
+        fn the_queue_pops_keys_in_ascending_order(script in queue_script()) {
+            let mut queue = EventQueue::new();
+            let mut pending: Vec<u128> = Vec::new();
+            let mut now = SimTime::ZERO;
+            let (mut laned, mut sifted) = (0, 0);
+            let mut pop = |queue: &mut EventQueue, pending: &mut Vec<u128>, now: &mut SimTime| {
+                let from_lane = queue.least < queue.heap_top();
+                let least = pending.iter().copied().min();
+                prop_assert_eq!(queue.next_at(), least.map(EventQueue::at_of));
+                let popped = queue.pop();
+                prop_assert_eq!(popped, least.map(|key| (EventQueue::at_of(key), key as u32)));
+                if let Some((at, _)) = popped {
+                    pending.retain(|&key| Some(key) != least);
+                    *now = at;
+                    laned += u64::from(from_lane);
+                    sifted += u64::from(!from_lane);
+                }
+                prop_assert_eq!(queue.len(), pending.len());
+                Ok(())
+            };
+            let mut cell = 0;
+            for (kind, delay, pops) in script {
+                let at = now + Duration::from_micros(DELAYS[delay]);
+                for _ in 0..if kind == 3 { 2 } else { 1 } {
+                    pending.push(EventQueue::key(at, queue.seq, cell));
+                    match kind {
+                        0 => queue.push(at, cell),
+                        _ => queue.push_timer(now, at, cell),
+                    }
+                    cell += 1;
+                    prop_assert_eq!(queue.len(), pending.len());
+                }
+                for _ in 0..pops {
+                    pop(&mut queue, &mut pending, &mut now)?;
+                }
+            }
+            while !pending.is_empty() {
+                pop(&mut queue, &mut pending, &mut now)?;
+            }
+            prop_assert_eq!(queue.pop(), None);
+            // Not vacuous: both ways through the queue were taken, and the
+            // lanes ran out.
+            prop_assert!(laned > 0 && sifted > 0 && queue.bound == LANES);
+        }
     }
 
     /// The key fields narrower than the values they hold refuse what does

@@ -189,6 +189,36 @@ fn crash_stops_delivery_but_state_remains_inspectable() {
     assert!(stats.dropped_dead > 0);
 }
 
+/// A fault scheduled for a time already gone takes effect now: the clock
+/// does not run backwards for it, and timers armed afterwards keep their
+/// order.
+#[test]
+fn a_fault_scheduled_in_the_past_takes_effect_now() {
+    let mut sim = stream_sim(LinkProfile::ideal(), 6, 1000);
+    sim.run_until(SimTime::from_secs(5));
+    sim.crash_at(SimTime::from_secs(1), NodeId(2));
+    assert_eq!(sim.next_event_at(), Some(SimTime::from_secs(5)));
+    let mut last = sim.now();
+    while sim
+        .next_event_at()
+        .is_some_and(|at| at <= SimTime::from_secs(6))
+    {
+        assert!(sim.step());
+        assert!(sim.now() >= last, "{} after {last}", sim.now());
+        last = sim.now();
+    }
+    assert!(!sim.is_alive(NodeId(2)));
+    // The sink heard the 10 ms stream up to the crash at 5 s and no
+    // further, and the streamer's timers went on firing every 10 ms.
+    let heard = sim
+        .with_process(NodeId(2), |s: &Sink| s.heard.clone())
+        .unwrap();
+    assert_eq!(heard.len(), 500);
+    assert!(heard.iter().all(|(t, _)| *t <= SimTime::from_secs(5)));
+    let sent = sim.with_process(NodeId(1), |s: &Streamer| s.sent).unwrap();
+    assert_eq!(sent, 600);
+}
+
 #[test]
 fn restarted_node_receives_again() {
     let mut sim = stream_sim(LinkProfile::ideal(), 7, 1000);

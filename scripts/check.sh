@@ -17,10 +17,11 @@ cargo test --workspace -q
 echo "==> cargo doc (no deps)"
 cargo doc --workspace --no-deps --quiet
 
-# The sampler (scripts/profile.sh) is not part of the gate; keep it parsing
-# and its shim compiling.
-echo "==> profile.sh parses, its shim compiles"
+# The sampler (scripts/profile.sh) and the A/B driver (scripts/ab.sh) are
+# not part of the gate; keep them parsing and the shim compiling.
+echo "==> profile.sh and ab.sh parse, the shim compiles"
 sh -n scripts/profile.sh
+sh -n scripts/ab.sh
 if command -v gcc >/dev/null; then
     mkdir -p target/profile
     gcc -O2 -Wall -shared -fPIC -o target/profile/sigprof_shim.so scripts/sigprof_shim.c
