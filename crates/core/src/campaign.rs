@@ -171,7 +171,7 @@ impl Campaign {
         let first_tail_bringup = self.shock.and_then(|(shock_at, tail)| {
             sim.trace()
                 .with_recorder(|rec| {
-                    rec.events()
+                    rec.fold_events()
                         .filter_map(|e| match e {
                             VodEvent::ReplicaBringUp { at, movie, .. }
                                 if *movie == tail && *at >= shock_at =>

@@ -190,10 +190,11 @@ impl OracleReport {
     /// Replays `recorder`'s event stream and judges every invariant.
     ///
     /// A ring that evicted events makes every verdict
-    /// [`Verdict::Inconclusive`]. Otherwise the stream is scanned in a
-    /// single pass, and the end of the trace — where open spans, cuts and
-    /// uncovered windows are closed and against which deadlines are
-    /// judged — is the latest `at` that pass saw.
+    /// [`Verdict::Inconclusive`]. Otherwise the events the checks read
+    /// ([`TraceRecorder::fold_events`]) are scanned in a single pass, and
+    /// the end of the trace — where open spans, cuts and uncovered windows
+    /// are closed and against which deadlines are judged — is the latest
+    /// `at` of any recorded event.
     pub fn check(recorder: &TraceRecorder, cfg: &OracleConfig) -> Self {
         if recorder.dropped() > 0 {
             let detail = format!(
@@ -211,7 +212,7 @@ impl OracleReport {
                 degraded_only_when_home_down: Verdict::Inconclusive(detail),
             };
         }
-        Scan::run(recorder, false).judge(cfg)
+        Scan::run(recorder.fold_events(), recorder.latest_at(), false).judge(cfg)
     }
 }
 
@@ -289,7 +290,8 @@ struct Scan {
     site_faults: BTreeMap<u32, Vec<(SimTime, SimTime)>>,
     /// Degraded (reduced-quality) rescue serves: `(at, client)`.
     degraded_serves: Vec<(SimTime, ClientId)>,
-    /// The latest `at` of any event: where everything still open closes.
+    /// The latest `at` of any recorded event: where everything still open
+    /// closes.
     trace_end: SimTime,
 }
 
@@ -307,12 +309,21 @@ impl Scan {
         }
     }
 
-    /// One chronological pass. `sweep_every_event` re-judges coverage
-    /// after every event instead of only when it can have changed; the
-    /// result is the same, and only the differential test asks for it.
+    /// One chronological pass over a recorder's events that ended at
+    /// `trace_end`. `sweep_every_event` re-judges coverage after every
+    /// event instead of only when it can have changed, and `events` may be
+    /// the whole ring instead of what the folds read; the result is the
+    /// same, and only the differential tests ask for either.
     #[allow(clippy::too_many_lines)]
-    fn run(recorder: &TraceRecorder, sweep_every_event: bool) -> Self {
-        let mut scan = Scan::default();
+    fn run<'a>(
+        events: impl Iterator<Item = &'a VodEvent>,
+        trace_end: SimTime,
+        sweep_every_event: bool,
+    ) -> Self {
+        let mut scan = Scan {
+            trace_end,
+            ..Scan::default()
+        };
         // Live state threaded through the chronological sweep.
         let mut open_spans: BTreeMap<ClientId, BTreeMap<NodeId, SimTime>> = BTreeMap::new();
         let mut open_cuts: BTreeMap<(NodeId, NodeId), SimTime> = BTreeMap::new();
@@ -337,9 +348,8 @@ impl Scan {
         let mut swept_at = SimTime::ZERO;
         let mut next_run_out: Option<SimTime> = None;
         let pair = |a: NodeId, b: NodeId| (a.min(b), a.max(b));
-        for event in recorder.events() {
+        for event in events {
             let at = event.at();
-            scan.trace_end = scan.trace_end.max(at);
             // Only liveness and connectivity transitions can change a
             // site's fault status; skip the per-site sweep elsewhere.
             let site_relevant = matches!(
@@ -630,7 +640,6 @@ impl Scan {
                 }
             }
         }
-        let trace_end = scan.trace_end;
         for (client, open) in open_spans {
             for (server, start) in open {
                 scan.spans.entry(client).or_default().push(ServeSpan {
@@ -1084,6 +1093,10 @@ mod tests {
             rec.push(e);
         }
         rec
+    }
+
+    fn scan(rec: &TraceRecorder, sweep_every_event: bool) -> Scan {
+        Scan::run(rec.fold_events(), rec.latest_at(), sweep_every_event)
     }
 
     fn started(at: f64, server: u32, client: u32) -> VodEvent {
@@ -1979,8 +1992,8 @@ mod tests {
         let mut covered = [0usize; 5];
         for seed in 0..300 {
             let (rec, relevant) = coverage_trace(seed);
-            let on_demand = Scan::run(&rec, false);
-            let every_event = Scan::run(&rec, true);
+            let on_demand = scan(&rec, false);
+            let every_event = scan(&rec, true);
             assert_eq!(on_demand.uncovered, every_event.uncovered, "seed {seed}");
             let report = on_demand.judge(&cfg);
             assert_eq!(
@@ -2024,8 +2037,8 @@ mod tests {
             pad(40.0),
         ];
         let rec = recorder(events);
-        let on_demand = Scan::run(&rec, false);
-        assert_eq!(on_demand.uncovered, Scan::run(&rec, true).uncovered);
+        let on_demand = scan(&rec, false);
+        assert_eq!(on_demand.uncovered, scan(&rec, true).uncovered);
         assert_eq!(
             on_demand.uncovered,
             [

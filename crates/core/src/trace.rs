@@ -1108,47 +1108,130 @@ impl VodEvent {
     }
 }
 
+/// Events per chunk of a [`TraceRecorder`]: small enough that the
+/// allocator hands a finished run's freed chunks to the next run from its
+/// own heap (a ring grown as one block is tens of megabytes that can only
+/// be mapped, and zero-filled by the kernel, afresh for every run), large
+/// enough that a chunk boundary is crossed once in thousands of pushes.
+const CHUNK_EVENTS: usize = 4096;
+
+/// Whether any fold over a recorded run — the oracle's scan,
+/// [`RunReport`], a campaign's judge — reads `event`. Of the network's
+/// datagram events they read only the delivery of a video frame, which is
+/// what [`TraceRecorder::fold_events`] lets them skip.
+fn read_by_folds(event: &VodEvent) -> bool {
+    match event {
+        VodEvent::NetSent { .. } | VodEvent::NetDropped { .. } => false,
+        VodEvent::NetDelivered { class, .. } => *class == "video",
+        _ => true,
+    }
+}
+
 /// A bounded ring buffer of [`VodEvent`]s. When full, the oldest events
 /// are evicted and counted in [`TraceRecorder::dropped`].
+///
+/// The events sit in fixed-size chunks, so recording never copies what is
+/// already recorded; eviction advances an offset into the oldest chunk and
+/// frees the chunk once the offset reaches its end. Beside them the ring
+/// keeps the positions of the events [`read_by_folds`] names, so a fold
+/// walks those alone.
 #[derive(Debug)]
 pub struct TraceRecorder {
-    events: VecDeque<VodEvent>,
+    /// Oldest first; every chunk but the last holds `CHUNK_EVENTS`.
+    chunks: VecDeque<Vec<VodEvent>>,
+    /// Evicted events at the front of the oldest chunk.
+    head: usize,
+    len: usize,
     capacity: usize,
     dropped: u64,
+    /// Of the retained events, those `read_by_folds`: how many events
+    /// were pushed before each, ascending.
+    index: VecDeque<u64>,
+    latest_at: SimTime,
 }
 
 impl TraceRecorder {
     /// Creates a recorder holding at most `capacity` events.
     pub fn new(capacity: usize) -> Self {
         TraceRecorder {
-            events: VecDeque::new(),
+            chunks: VecDeque::new(),
+            head: 0,
+            len: 0,
             capacity: capacity.max(1),
             dropped: 0,
+            index: VecDeque::new(),
+            latest_at: SimTime::ZERO,
         }
     }
 
     /// Appends an event, evicting the oldest if the buffer is full.
     pub fn push(&mut self, event: VodEvent) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
+        if self.len == self.capacity {
+            if self.index.front() == Some(&self.dropped) {
+                self.index.pop_front();
+            }
             self.dropped += 1;
+            self.len -= 1;
+            self.head += 1;
+            if self.head == CHUNK_EVENTS {
+                self.chunks.pop_front();
+                self.head = 0;
+            }
         }
-        self.events.push_back(event);
+        self.latest_at = self.latest_at.max(event.at());
+        if read_by_folds(&event) {
+            self.index.push_back(self.dropped + self.len as u64);
+        }
+        match self.chunks.back_mut() {
+            Some(chunk) if chunk.len() < CHUNK_EVENTS => chunk.push(event),
+            _ => {
+                let mut chunk = Vec::with_capacity(CHUNK_EVENTS);
+                chunk.push(event);
+                self.chunks.push_back(chunk);
+            }
+        }
+        self.len += 1;
+    }
+
+    /// The retained part of each chunk, oldest first.
+    fn slices(&self) -> impl Iterator<Item = &[VodEvent]> {
+        let mut skip = self.head;
+        self.chunks
+            .iter()
+            .map(move |chunk| &chunk[std::mem::take(&mut skip)..])
     }
 
     /// The retained events, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &VodEvent> {
-        self.events.iter()
+        self.slices().flatten()
+    }
+
+    /// The retained events that some fold over a run reads, oldest first:
+    /// everything but the network's datagram events, and of those the
+    /// deliveries of video frames. The oracle, [`RunReport`] and the
+    /// campaign judge walk these instead of [`TraceRecorder::events`].
+    pub fn fold_events(&self) -> impl Iterator<Item = &VodEvent> {
+        let first = self.dropped - self.head as u64;
+        self.index.iter().map(move |pushed_before| {
+            let offset = (pushed_before - first) as usize;
+            &self.chunks[offset / CHUNK_EVENTS][offset % CHUNK_EVENTS]
+        })
+    }
+
+    /// The latest timestamp of any event ever pushed (time zero before
+    /// the first).
+    pub fn latest_at(&self) -> SimTime {
+        self.latest_at
     }
 
     /// Number of retained events.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.len
     }
 
     /// Whether nothing was recorded (or everything was evicted).
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.len == 0
     }
 
     /// Maximum number of retained events.
@@ -1163,10 +1246,12 @@ impl TraceRecorder {
 
     /// Renders the retained events as JSON Lines, one object per line.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(self.events.len() * 96);
-        for event in &self.events {
-            event.write_json(&mut out);
-            out.push('\n');
+        let mut out = String::with_capacity(self.len * 96);
+        for slice in self.slices() {
+            for event in slice {
+                event.write_json(&mut out);
+                out.push('\n');
+            }
         }
         out
     }
@@ -1347,6 +1432,15 @@ pub struct RunReport {
 impl RunReport {
     /// Derives the report from a recorder's event stream.
     pub fn from_recorder(recorder: &TraceRecorder) -> Self {
+        Self::fold(recorder, recorder.fold_events())
+    }
+
+    /// The report over `events`, which are `recorder`'s: the ones its
+    /// folds read — or, from the test that they suffice, all of them.
+    pub(crate) fn fold<'a>(
+        recorder: &TraceRecorder,
+        events: impl Iterator<Item = &'a VodEvent>,
+    ) -> Self {
         let mut report = RunReport {
             events_seen: recorder.len() as u64 + recorder.dropped(),
             events_dropped: recorder.dropped(),
@@ -1364,7 +1458,7 @@ impl RunReport {
         let mut bringups: Vec<(f64, NodeId, MovieId, &'static str)> = Vec::new();
         let mut movie_starts: Vec<(f64, NodeId, MovieId)> = Vec::new();
 
-        for event in recorder.events() {
+        for event in events {
             match event {
                 VodEvent::NetDelivered {
                     at,
