@@ -1113,7 +1113,7 @@ impl VodEvent {
 /// own heap (a ring grown as one block is tens of megabytes that can only
 /// be mapped, and zero-filled by the kernel, afresh for every run), large
 /// enough that a chunk boundary is crossed once in thousands of pushes.
-const CHUNK_EVENTS: usize = 4096;
+const CHUNK_EVENTS: usize = 1024;
 
 /// Whether any fold over a recorded run — the oracle's scan,
 /// [`RunReport`], a campaign's judge — reads `event`. Of the network's
