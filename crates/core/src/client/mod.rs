@@ -487,14 +487,14 @@ impl VodClient {
         let occupancy = self.buffer.occupancy() + self.decoder.queued_frames();
         let band = self.flow.band(occupancy);
         if band != self.last_band {
-            let from = self.last_band.name();
+            let from = self.last_band;
             self.last_band = band;
             let client = self.id;
             self.trace.emit(|| VodEvent::BandChanged {
                 at: now,
                 client,
                 from,
-                to: band.name(),
+                to: band,
                 occupancy,
             });
         }

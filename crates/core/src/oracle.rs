@@ -58,7 +58,7 @@ use std::time::Duration;
 use media::MovieId;
 use simnet::{NodeId, SimTime};
 
-use crate::protocol::{ClientId, VcrCmd};
+use crate::protocol::{ClientId, TrafficClass, VcrCmd};
 use crate::trace::{DiscardKind, TraceRecorder, VodEvent};
 
 /// Tunable bounds of the oracle's invariants.
@@ -540,7 +540,11 @@ impl Scan {
                     let missed = to_frame.0.saturating_sub(from_frame.0).saturating_sub(1);
                     scan.gaps.push((at, *client, missed));
                 }
-                VodEvent::NetDelivered { to, class, .. } if *class == "video" => {
+                VodEvent::NetDelivered {
+                    to,
+                    class: TrafficClass::Video,
+                    ..
+                } => {
                     scan.video_arrivals.entry(to.node).or_default().push(at);
                 }
                 VodEvent::FrameDiscarded { client, kind, .. } => {
@@ -558,18 +562,13 @@ impl Scan {
                     scan.session_over.entry(*client).or_insert(at);
                     scan.stopped_for_good.insert(*client);
                 }
-                VodEvent::SiteDefined {
-                    site,
-                    servers,
-                    clients,
-                    ..
-                } => {
-                    all_site_servers.extend(servers.iter().copied());
+                VodEvent::SiteDefined { site, .. } => {
+                    all_site_servers.extend(site.servers.iter().copied());
                     scan.sites.insert(
-                        *site,
+                        site.site,
                         (
-                            servers.iter().copied().collect(),
-                            clients.iter().copied().collect(),
+                            site.servers.iter().copied().collect(),
+                            site.clients.iter().copied().collect(),
                         ),
                     );
                 }
@@ -1080,6 +1079,7 @@ pub fn summary_token(report: &OracleReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::SiteDef;
     use media::FrameNo;
     use simnet::{Endpoint, Port};
 
@@ -1168,14 +1168,14 @@ mod tests {
                 started(1.0, 1, 7),
                 VodEvent::Partitioned {
                     at: t(1.5),
-                    a: vec![NodeId(1)],
-                    b: vec![NodeId(2), NodeId(100 + 7)],
+                    a: vec![NodeId(1)].into(),
+                    b: vec![NodeId(2), NodeId(100 + 7)].into(),
                 },
                 started(2.0, 2, 7),
                 VodEvent::Healed {
                     at: t(30.0),
-                    a: vec![NodeId(1)],
-                    b: vec![NodeId(2), NodeId(100 + 7)],
+                    a: vec![NodeId(1)].into(),
+                    b: vec![NodeId(2), NodeId(100 + 7)].into(),
                 },
                 stopped(30.1, 1, 7),
             ]),
@@ -1271,7 +1271,7 @@ mod tests {
             sent_at: t(8.9),
             from: Endpoint::new(NodeId(2), Port(1)),
             to: Endpoint::new(NodeId(107), Port(1)),
-            class: "video",
+            class: TrafficClass::Video,
         });
         repaired.push(VodEvent::FrameGap {
             at: t(60.0),
@@ -1306,13 +1306,13 @@ mod tests {
             },
             VodEvent::Partitioned {
                 at: t(6.0),
-                a: vec![NodeId(2)],
-                b: vec![NodeId(3)],
+                a: vec![NodeId(2)].into(),
+                b: vec![NodeId(3)].into(),
             },
             VodEvent::Healed {
                 at: t(14.0),
-                a: vec![NodeId(2)],
-                b: vec![NodeId(3)],
+                a: vec![NodeId(2)].into(),
+                b: vec![NodeId(3)].into(),
             },
             VodEvent::NodeCrashed {
                 at: t(20.0),
@@ -1323,7 +1323,7 @@ mod tests {
                 sent_at: t(26.9),
                 from: Endpoint::new(NodeId(2), Port(1)),
                 to: Endpoint::new(NodeId(107), Port(1)),
-                class: "video",
+                class: TrafficClass::Video,
             },
             VodEvent::FrameGap {
                 at: t(60.0),
@@ -1348,20 +1348,20 @@ mod tests {
             },
             VodEvent::Partitioned {
                 at: t(6.0),
-                a: vec![NodeId(2)],
-                b: vec![NodeId(3)],
+                a: vec![NodeId(2)].into(),
+                b: vec![NodeId(3)].into(),
             },
             VodEvent::Healed {
                 at: t(14.0),
-                a: vec![NodeId(2)],
-                b: vec![NodeId(3)],
+                a: vec![NodeId(2)].into(),
+                b: vec![NodeId(3)].into(),
             },
             VodEvent::NetDelivered {
                 at: t(23.0),
                 sent_at: t(22.9),
                 from: Endpoint::new(NodeId(2), Port(1)),
                 to: Endpoint::new(NodeId(107), Port(1)),
-                class: "video",
+                class: TrafficClass::Video,
             },
             VodEvent::FrameGap {
                 at: t(60.0),
@@ -1472,7 +1472,7 @@ mod tests {
             client: ClientId(client),
             movie: MovieId(1),
             frames_sent: 30,
-            served_for: Duration::from_secs(1),
+            served_us: 1_000_000,
             to_owner: NodeId(to_owner),
         }
     }
@@ -1582,7 +1582,7 @@ mod tests {
                 sent_at: t(15.9),
                 from: Endpoint::new(NodeId(2), Port(1)),
                 to: Endpoint::new(NodeId(107), Port(1)),
-                class: "video",
+                class: TrafficClass::Video,
             });
             events.extend(holder_back(back_at));
             events.push(VodEvent::FrameGap {
@@ -1616,17 +1616,21 @@ mod tests {
         vec![
             VodEvent::SiteDefined {
                 at: t(0.0),
-                site: 0,
-                name: "east".into(),
-                servers: vec![NodeId(1), NodeId(2)],
-                clients: vec![NodeId(107)],
+                site: Box::new(SiteDef {
+                    site: 0,
+                    name: "east".into(),
+                    servers: vec![NodeId(1), NodeId(2)],
+                    clients: vec![NodeId(107)],
+                }),
             },
             VodEvent::SiteDefined {
                 at: t(0.0),
-                site: 1,
-                name: "west".into(),
-                servers: vec![NodeId(3), NodeId(4)],
-                clients: vec![],
+                site: Box::new(SiteDef {
+                    site: 1,
+                    name: "west".into(),
+                    servers: vec![NodeId(3), NodeId(4)],
+                    clients: vec![],
+                }),
             },
             VodEvent::NodeStarted {
                 at: t(0.0),
@@ -1660,7 +1664,7 @@ mod tests {
             sent_at: t(at - 0.1),
             from: Endpoint::new(NodeId(3), Port(1)),
             to: Endpoint::new(NodeId(node), Port(1)),
-            class: "video",
+            class: TrafficClass::Video,
         }
     }
 
@@ -1705,16 +1709,16 @@ mod tests {
         // Site 0 cut from every other site's server at 5 s, healed at 20 s.
         events.push(VodEvent::Partitioned {
             at: t(5.0),
-            a: vec![NodeId(1), NodeId(2)],
-            b: vec![NodeId(3), NodeId(4)],
+            a: vec![NodeId(1), NodeId(2)].into(),
+            b: vec![NodeId(3), NodeId(4)].into(),
         });
         // The partition also interrupts the stream (the movie group split
         // away from the client's record holder, say).
         events.push(stopped(5.0, 1, 7));
         events.push(VodEvent::Healed {
             at: t(20.0),
-            a: vec![NodeId(1), NodeId(2)],
-            b: vec![NodeId(3), NodeId(4)],
+            a: vec![NodeId(1), NodeId(2)].into(),
+            b: vec![NodeId(3), NodeId(4)].into(),
         });
         // Re-served at 25 s: past fault + bound (15 s), inside heal +
         // bound (30 s).
@@ -1835,13 +1839,13 @@ mod tests {
             // 14 s: excused until 24 s.
             events.push(VodEvent::Partitioned {
                 at: t(6.0),
-                a: vec![NodeId(1), NodeId(2)],
-                b: vec![NodeId(3), NodeId(4)],
+                a: vec![NodeId(1), NodeId(2)].into(),
+                b: vec![NodeId(3), NodeId(4)].into(),
             });
             events.push(VodEvent::Healed {
                 at: t(14.0),
-                a: vec![NodeId(1), NodeId(2)],
-                b: vec![NodeId(3), NodeId(4)],
+                a: vec![NodeId(1), NodeId(2)].into(),
+                b: vec![NodeId(3), NodeId(4)].into(),
             });
             // A second crash at 20 s sits outside the *original* window;
             // under the old chained sweep it stretched the deadline to
@@ -1943,7 +1947,7 @@ mod tests {
                     client,
                     movie,
                     frames_sent: 1,
-                    served_for: Duration::from_millis(1),
+                    served_us: 1_000,
                     to_owner: server,
                 },
             });
@@ -1954,7 +1958,7 @@ mod tests {
                 let (at, sent_at) = (SimTime::from_micros(now), SimTime::from_micros(now));
                 let from = Endpoint::new(server, Port(1));
                 let to = Endpoint::new(client_node, Port(1));
-                let class = if pick(2) == 0 { "video" } else { "control" };
+                let class = [TrafficClass::Video, TrafficClass::VodSync][pick(2) as usize];
                 rec.push(if pick(2) == 0 {
                     let bytes = 100;
                     VodEvent::NetSent {

@@ -303,17 +303,65 @@ impl Payload for ControlPayload {
     }
 
     fn class(&self) -> &'static str {
+        let class = match self {
+            ControlPayload::Open(_) | ControlPayload::EndOfMovie { .. } => TrafficClass::VodCtl,
+            ControlPayload::Flow { .. } | ControlPayload::Vcr { .. } => TrafficClass::VodFlow,
+            ControlPayload::Sync { .. }
+            | ControlPayload::Remove { .. }
+            | ControlPayload::Demand { .. }
+            | ControlPayload::PrefixAssign { .. }
+            | ControlPayload::PrefixRelease { .. } => TrafficClass::VodSync,
+        };
+        class.name()
+    }
+}
+
+/// The traffic classes a [`VodWire`] datagram can report as its
+/// [`Payload::class`], typed: a trace event records its class in one byte
+/// and renders it by [`TrafficClass::name`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum TrafficClass {
+    /// GCS liveness: heartbeats, acks and announces (named by `gcs`).
+    GcsHb,
+    /// Video frames.
+    Video,
+    /// GCS membership and retransmission control (named by `gcs`).
+    GcsCtl,
+    /// Session open and end-of-movie.
+    VodCtl,
+    /// Replica state: sync, removal, demand and the prefix tier.
+    VodSync,
+    /// Flow control and VCR commands.
+    VodFlow,
+}
+
+impl TrafficClass {
+    /// Every class, the most frequent on the wire first.
+    pub const ALL: [TrafficClass; 6] = [
+        TrafficClass::GcsHb,
+        TrafficClass::Video,
+        TrafficClass::GcsCtl,
+        TrafficClass::VodCtl,
+        TrafficClass::VodSync,
+        TrafficClass::VodFlow,
+    ];
+
+    /// The name [`Payload::class`] reports, the network statistics are
+    /// keyed by and the JSONL export prints.
+    pub const fn name(self) -> &'static str {
         match self {
-            ControlPayload::Open(_) => "vod-ctl",
-            ControlPayload::Sync { .. } => "vod-sync",
-            ControlPayload::Remove { .. } => "vod-sync",
-            ControlPayload::Flow { .. } => "vod-flow",
-            ControlPayload::Vcr { .. } => "vod-flow",
-            ControlPayload::EndOfMovie { .. } => "vod-ctl",
-            ControlPayload::Demand { .. } => "vod-sync",
-            ControlPayload::PrefixAssign { .. } => "vod-sync",
-            ControlPayload::PrefixRelease { .. } => "vod-sync",
+            TrafficClass::GcsHb => "gcs-hb",
+            TrafficClass::Video => "video",
+            TrafficClass::GcsCtl => "gcs-ctl",
+            TrafficClass::VodCtl => "vod-ctl",
+            TrafficClass::VodSync => "vod-sync",
+            TrafficClass::VodFlow => "vod-flow",
         }
+    }
+
+    /// The class `name` names; `None` for a name no [`VodWire`] reports.
+    pub fn from_name(name: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|class| class.name() == name)
     }
 }
 
@@ -335,7 +383,7 @@ impl Payload for VideoPacket {
     }
 
     fn class(&self) -> &'static str {
-        "video"
+        TrafficClass::Video.name()
     }
 }
 

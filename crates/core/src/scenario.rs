@@ -43,7 +43,7 @@ use crate::config::VodConfig;
 use crate::profile::{ProfileHandle, ProfileReport};
 use crate::protocol::{ClientId, VodWire};
 use crate::server::{Replica, ServerStats, VodServer};
-use crate::trace::{RunReport, TraceHandle, VodEvent};
+use crate::trace::{RunReport, SiteDef, TraceHandle, VodEvent};
 
 /// A VCR operation scheduled in a scenario script.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -423,10 +423,12 @@ impl ScenarioBuilder {
                 let clients = map.client_nodes(site).unwrap_or_default().to_vec();
                 trace.emit(|| VodEvent::SiteDefined {
                     at: SimTime::ZERO,
-                    site: site as u32,
-                    name,
-                    servers,
-                    clients,
+                    site: Box::new(SiteDef {
+                        site: site as u32,
+                        name,
+                        servers,
+                        clients,
+                    }),
                 });
             }
         }

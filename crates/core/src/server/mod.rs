@@ -1097,9 +1097,9 @@ impl VodServer {
         self.stats.prefix_handoffs.add(ctx.now(), 1);
         let (at, server) = (ctx.now(), self.node);
         let movie = session.record.movie;
-        let (frames_sent, served_for) = (
+        let (frames_sent, served_us) = (
             session.frames_sent,
-            ctx.now().saturating_since(session.started_at),
+            ctx.now().saturating_since(session.started_at).as_micros() as u64,
         );
         let to_owner = to_owner.unwrap_or(UNSERVED);
         self.trace.emit(|| VodEvent::PrefixHandoff {
@@ -1108,7 +1108,7 @@ impl VodServer {
             client,
             movie,
             frames_sent,
-            served_for,
+            served_us,
             to_owner,
         });
     }

@@ -29,14 +29,15 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
-use gcs::{GcsTrace, GroupId};
+use gcs::{GcsTrace, GroupId, View};
 use media::{FrameNo, FrameType, MovieId};
 use simnet::{DropReason, Endpoint, NodeId, SimTime, TraceEvent};
 
+use crate::client::Band;
 use crate::forecast::{BringUpTrigger, PolicyKind, PopState};
 use crate::json::escape;
 use crate::metrics::Histogram;
-use crate::protocol::{ClientId, VcrCmd};
+use crate::protocol::{ClientId, TrafficClass, VcrCmd};
 
 /// Default ring-buffer capacity of a recorder: comfortably holds every
 /// event of a 90-second, few-client scenario while bounding memory for
@@ -80,7 +81,7 @@ pub enum VodEvent {
         /// Destination endpoint.
         to: Endpoint,
         /// Traffic class.
-        class: &'static str,
+        class: TrafficClass,
         /// Payload size in bytes.
         bytes: usize,
     },
@@ -95,7 +96,7 @@ pub enum VodEvent {
         /// Destination endpoint.
         to: Endpoint,
         /// Traffic class.
-        class: &'static str,
+        class: TrafficClass,
     },
     /// A datagram was dropped.
     NetDropped {
@@ -106,7 +107,7 @@ pub enum VodEvent {
         /// Destination endpoint.
         to: Endpoint,
         /// Traffic class.
-        class: &'static str,
+        class: TrafficClass,
         /// Why it was dropped.
         reason: DropReason,
     },
@@ -137,18 +138,18 @@ pub enum VodEvent {
         /// When it took effect.
         at: SimTime,
         /// One side of the cut.
-        a: Vec<NodeId>,
+        a: Box<[NodeId]>,
         /// The other side.
-        b: Vec<NodeId>,
+        b: Box<[NodeId]>,
     },
     /// A partition was healed (empty sides: all partitions at once).
     Healed {
         /// When it took effect.
         at: SimTime,
         /// One side of the former cut.
-        a: Vec<NodeId>,
+        a: Box<[NodeId]>,
         /// The other side.
-        b: Vec<NodeId>,
+        b: Box<[NodeId]>,
     },
     /// An inter-site WAN link was browned out: per-link overrides were
     /// installed between the two node sets.
@@ -156,18 +157,18 @@ pub enum VodEvent {
         /// When the brownout took effect.
         at: SimTime,
         /// One side of the affected links.
-        a: Vec<NodeId>,
+        a: Box<[NodeId]>,
         /// The other side.
-        b: Vec<NodeId>,
+        b: Box<[NodeId]>,
     },
     /// A browned-out WAN link was restored to its base profile.
     WanRestored {
         /// When the restore took effect.
         at: SimTime,
         /// One side of the affected links.
-        a: Vec<NodeId>,
+        a: Box<[NodeId]>,
         /// The other side.
-        b: Vec<NodeId>,
+        b: Box<[NodeId]>,
     },
     /// A site (datacenter) of the deployment, emitted once at build time
     /// so trace consumers (the oracle, reports) can reconstruct the
@@ -175,14 +176,9 @@ pub enum VodEvent {
     SiteDefined {
         /// Emission time (scenario build, so effectively time zero).
         at: SimTime,
-        /// The site's index in the topology.
-        site: u32,
-        /// The site's name.
-        name: String,
-        /// The server nodes of the site.
-        servers: Vec<NodeId>,
-        /// Client nodes homed to the site.
-        clients: Vec<NodeId>,
+        /// The site (boxed: one event per site and run, and inline it
+        /// would be the widest variant by far).
+        site: Box<SiteDef>,
     },
     // ---------------- GCS (from `gcs::GcsTrace`) ----------------
     /// A node's failure detector started suspecting a peer.
@@ -202,12 +198,8 @@ pub enum VodEvent {
         node: NodeId,
         /// The group.
         group: GroupId,
-        /// The view's epoch.
-        epoch: u64,
-        /// The view's coordinator.
-        coordinator: NodeId,
-        /// The members of the new view.
-        members: Vec<NodeId>,
+        /// The view: its epoch, coordinator and members.
+        view: Box<View>,
     },
     /// A node asked to join a group.
     JoinRequested {
@@ -410,8 +402,8 @@ pub enum VodEvent {
         movie: MovieId,
         /// Frames transmitted from the cache.
         frames_sent: u64,
-        /// How long the prefix transmission ran.
-        served_for: std::time::Duration,
+        /// How long the prefix transmission ran, in microseconds.
+        served_us: u64,
         /// Where the client's session landed.
         to_owner: NodeId,
     },
@@ -453,10 +445,10 @@ pub enum VodEvent {
         at: SimTime,
         /// The client.
         client: ClientId,
-        /// Band before ([`Band::name`](crate::client::Band::name)).
-        from: &'static str,
+        /// Band before.
+        from: Band,
         /// Band after.
-        to: &'static str,
+        to: Band,
         /// Occupancy (frames, software buffer + decoder) after the change.
         occupancy: usize,
     },
@@ -529,6 +521,24 @@ pub enum VodEvent {
     },
 }
 
+/// What [`VodEvent::SiteDefined`] says about one site.
+#[derive(Clone, Debug)]
+pub struct SiteDef {
+    /// The site's index in the topology.
+    pub site: u32,
+    /// The site's name.
+    pub name: String,
+    /// The server nodes of the site.
+    pub servers: Vec<NodeId>,
+    /// Client nodes homed to the site.
+    pub clients: Vec<NodeId>,
+}
+
+// A recorded datagram is 40 bytes and the widest variants 48: a run
+// records hundreds of thousands of events and every byte of one is
+// written, and most of them read back, once per event.
+const _: () = assert!(std::mem::size_of::<VodEvent>() <= 48);
+
 fn write_nodes(out: &mut String, nodes: &[NodeId]) {
     out.push('[');
     for (i, n) in nodes.iter().enumerate() {
@@ -546,6 +556,12 @@ fn frame_type_name(ftype: FrameType) -> &'static str {
         FrameType::P => "P",
         FrameType::B => "B",
     }
+}
+
+/// The typed form of the class name the network reports for a datagram
+/// of [`VodWire`](crate::protocol::VodWire).
+fn wire_class(name: &str) -> TrafficClass {
+    TrafficClass::from_name(name).expect("a traffic class of VodWire")
 }
 
 impl VodEvent {
@@ -594,6 +610,12 @@ impl VodEvent {
     }
 
     /// Translates a network-layer trace event.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a datagram whose class is not a [`TrafficClass`] — the
+    /// network carried something other than
+    /// [`VodWire`](crate::protocol::VodWire).
     pub fn from_net(event: &TraceEvent) -> Self {
         match event {
             TraceEvent::Sent {
@@ -606,7 +628,7 @@ impl VodEvent {
                 at: *at,
                 from: *from,
                 to: *to,
-                class,
+                class: wire_class(class),
                 bytes: *bytes,
             },
             TraceEvent::Delivered {
@@ -620,7 +642,7 @@ impl VodEvent {
                 sent_at: *sent_at,
                 from: *from,
                 to: *to,
-                class,
+                class: wire_class(class),
             },
             TraceEvent::Dropped {
                 at,
@@ -632,7 +654,7 @@ impl VodEvent {
                 at: *at,
                 from: *from,
                 to: *to,
-                class,
+                class: wire_class(class),
                 reason: *reason,
             },
             TraceEvent::NodeStarted { at, node } => VodEvent::NodeStarted {
@@ -649,13 +671,13 @@ impl VodEvent {
             },
             TraceEvent::Partitioned { at, a, b } => VodEvent::Partitioned {
                 at: *at,
-                a: a.clone(),
-                b: b.clone(),
+                a: a[..].into(),
+                b: b[..].into(),
             },
             TraceEvent::Healed { at, a, b } => VodEvent::Healed {
                 at: *at,
-                a: a.clone(),
-                b: b.clone(),
+                a: a[..].into(),
+                b: b[..].into(),
             },
             TraceEvent::LinkOverride {
                 at,
@@ -664,13 +686,13 @@ impl VodEvent {
                 degraded: true,
             } => VodEvent::WanDegraded {
                 at: *at,
-                a: a.clone(),
-                b: b.clone(),
+                a: a[..].into(),
+                b: b[..].into(),
             },
             TraceEvent::LinkOverride { at, a, b, .. } => VodEvent::WanRestored {
                 at: *at,
-                a: a.clone(),
-                b: b.clone(),
+                a: a[..].into(),
+                b: b[..].into(),
             },
         }
     }
@@ -687,9 +709,7 @@ impl VodEvent {
                 at: *at,
                 node,
                 group: *group,
-                epoch: view.id.epoch,
-                coordinator: view.id.coordinator,
-                members: view.members.clone(),
+                view: Box::new(view.clone()),
             },
             GcsTrace::JoinRequested { at, group } => VodEvent::JoinRequested {
                 at: *at,
@@ -719,7 +739,8 @@ impl VodEvent {
             } => {
                 let _ = write!(
                     out,
-                    ",\"ev\":\"net_sent\",\"from\":\"{from}\",\"to\":\"{to}\",\"class\":\"{class}\",\"bytes\":{bytes}"
+                    ",\"ev\":\"net_sent\",\"from\":\"{from}\",\"to\":\"{to}\",\"class\":\"{}\",\"bytes\":{bytes}",
+                    class.name()
                 );
             }
             VodEvent::NetDelivered {
@@ -731,7 +752,8 @@ impl VodEvent {
             } => {
                 let _ = write!(
                     out,
-                    ",\"ev\":\"net_delivered\",\"from\":\"{from}\",\"to\":\"{to}\",\"class\":\"{class}\",\"latency_us\":{}",
+                    ",\"ev\":\"net_delivered\",\"from\":\"{from}\",\"to\":\"{to}\",\"class\":\"{}\",\"latency_us\":{}",
+                    class.name(),
                     at.saturating_since(*sent_at).as_micros()
                 );
             }
@@ -744,7 +766,8 @@ impl VodEvent {
             } => {
                 let _ = write!(
                     out,
-                    ",\"ev\":\"net_dropped\",\"from\":\"{from}\",\"to\":\"{to}\",\"class\":\"{class}\",\"reason\":\"{}\"",
+                    ",\"ev\":\"net_dropped\",\"from\":\"{from}\",\"to\":\"{to}\",\"class\":\"{}\",\"reason\":\"{}\"",
+                    class.name(),
                     reason.name()
                 );
             }
@@ -781,21 +804,16 @@ impl VodEvent {
                 out.push_str(",\"b\":");
                 write_nodes(out, b);
             }
-            VodEvent::SiteDefined {
-                site,
-                name,
-                servers,
-                clients,
-                ..
-            } => {
+            VodEvent::SiteDefined { site, .. } => {
                 let _ = write!(
                     out,
-                    ",\"ev\":\"site_defined\",\"site\":{site},\"name\":\"{}\",\"servers\":",
-                    escape(name)
+                    ",\"ev\":\"site_defined\",\"site\":{},\"name\":\"{}\",\"servers\":",
+                    site.site,
+                    escape(&site.name)
                 );
-                write_nodes(out, servers);
+                write_nodes(out, &site.servers);
                 out.push_str(",\"clients\":");
-                write_nodes(out, clients);
+                write_nodes(out, &site.clients);
             }
             VodEvent::Suspected { node, peer, .. } => {
                 let _ = write!(
@@ -805,19 +823,14 @@ impl VodEvent {
                 );
             }
             VodEvent::ViewInstalled {
-                node,
-                group,
-                epoch,
-                coordinator,
-                members,
-                ..
+                node, group, view, ..
             } => {
                 let _ = write!(
                     out,
-                    ",\"ev\":\"view_installed\",\"node\":{},\"group\":{},\"epoch\":{epoch},\"coordinator\":{},\"members\":",
-                    node.0, group.0, coordinator.0
+                    ",\"ev\":\"view_installed\",\"node\":{},\"group\":{},\"epoch\":{},\"coordinator\":{},\"members\":",
+                    node.0, group.0, view.id.epoch, view.id.coordinator.0
                 );
-                write_nodes(out, members);
+                write_nodes(out, &view.members);
             }
             VodEvent::JoinRequested { node, group, .. } => {
                 let _ = write!(
@@ -981,18 +994,14 @@ impl VodEvent {
                 client,
                 movie,
                 frames_sent,
-                served_for,
+                served_us,
                 to_owner,
                 ..
             } => {
                 let _ = write!(
                     out,
-                    ",\"ev\":\"prefix_handoff\",\"server\":{},\"client\":{},\"movie\":{},\"frames_sent\":{frames_sent},\"served_us\":{},\"to_owner\":{}",
-                    server.0,
-                    client.0,
-                    movie.0,
-                    served_for.as_micros(),
-                    to_owner.0
+                    ",\"ev\":\"prefix_handoff\",\"server\":{},\"client\":{},\"movie\":{},\"frames_sent\":{frames_sent},\"served_us\":{served_us},\"to_owner\":{}",
+                    server.0, client.0, movie.0, to_owner.0
                 );
             }
             VodEvent::OpenRequested {
@@ -1031,8 +1040,10 @@ impl VodEvent {
             } => {
                 let _ = write!(
                     out,
-                    ",\"ev\":\"band_changed\",\"client\":{},\"from\":\"{from}\",\"to\":\"{to}\",\"occupancy\":{occupancy}",
-                    client.0
+                    ",\"ev\":\"band_changed\",\"client\":{},\"from\":\"{}\",\"to\":\"{}\",\"occupancy\":{occupancy}",
+                    client.0,
+                    from.name(),
+                    to.name()
                 );
             }
             VodEvent::EmergencyRequested { client, severe, .. } => {
@@ -1122,7 +1133,7 @@ const CHUNK_EVENTS: usize = 1024;
 fn read_by_folds(event: &VodEvent) -> bool {
     match event {
         VodEvent::NetSent { .. } | VodEvent::NetDropped { .. } => false,
-        VodEvent::NetDelivered { class, .. } => *class == "video",
+        VodEvent::NetDelivered { class, .. } => *class == TrafficClass::Video,
         _ => true,
     }
 }
@@ -1464,9 +1475,9 @@ impl RunReport {
                     at,
                     sent_at,
                     to,
-                    class,
+                    class: TrafficClass::Video,
                     ..
-                } if *class == "video" => {
+                } => {
                     let secs = at.as_secs_f64();
                     report
                         .delivery_latency
@@ -1538,9 +1549,10 @@ impl RunReport {
                 }
                 VodEvent::ReplicaRetire { .. } => report.replica_retires += 1,
                 VodEvent::PrefixServe { .. } => report.prefix_serves += 1,
-                VodEvent::PrefixHandoff { served_for, .. } => {
+                VodEvent::PrefixHandoff { served_us, .. } => {
                     report.prefix_handoffs += 1;
-                    report.prefix_seconds_avoided += served_for.as_secs_f64();
+                    report.prefix_seconds_avoided +=
+                        std::time::Duration::from_micros(*served_us).as_secs_f64();
                 }
                 VodEvent::DegradedServe { .. } => report.degraded_serves += 1,
                 VodEvent::RetryBackoff { delay, .. } => {
@@ -1559,8 +1571,7 @@ impl RunReport {
                     DiscardKind::Overflow => report.overflow_frames += 1,
                 },
                 VodEvent::BandChanged { at, client, to, .. } => {
-                    let healthy = *to == "normal" || *to == "above_high";
-                    if healthy {
+                    if matches!(to, Band::Normal | Band::AboveHigh) {
                         if let Some(started) = refill_start.remove(client) {
                             report.refill_time.record(at.as_secs_f64() - started);
                         }
@@ -2027,7 +2038,7 @@ mod tests {
             sent_at: t(2000),
             from: Endpoint::new(NodeId(1), simnet::Port(2)),
             to: Endpoint::new(NodeId(100), simnet::Port(2)),
-            class: "video",
+            class: TrafficClass::Video,
         });
         handle.emit(|| VodEvent::VcrIssued {
             at: t(3000),
@@ -2064,7 +2075,7 @@ mod tests {
             sent_at: t(sent_us),
             from: Endpoint::new(NodeId(2), simnet::Port(2)),
             to: Endpoint::new(client_node, simnet::Port(2)),
-            class: "video",
+            class: TrafficClass::Video,
         };
         let start = |at_us: u64, server: u32, frame: u64| VodEvent::SessionStarted {
             at: t(at_us),
@@ -2084,9 +2095,13 @@ mod tests {
             at: t(40_400_000),
             node: NodeId(1),
             group: crate::protocol::movie_group(MovieId(1)),
-            epoch: 3,
-            coordinator: NodeId(1),
-            members: vec![NodeId(1)],
+            view: Box::new(View::new(
+                gcs::ViewId {
+                    epoch: 3,
+                    coordinator: NodeId(1),
+                },
+                vec![NodeId(1)],
+            )),
         });
         handle.emit(|| start(40_600_000, 1, 1170));
         handle.emit(|| video(40_650_000, 40_648_000));
@@ -2127,7 +2142,7 @@ mod tests {
             sent_at: t(64_099_000),
             from: Endpoint::new(NodeId(3), simnet::Port(2)),
             to: Endpoint::new(NodeId(100), simnet::Port(2)),
-            class: "video",
+            class: TrafficClass::Video,
         });
         let report = handle.report().unwrap();
         assert!(report.takeovers.is_empty());
@@ -2140,8 +2155,8 @@ mod tests {
         handle.emit(|| VodEvent::BandChanged {
             at: t(10_000_000),
             client: ClientId(1),
-            from: "normal",
-            to: "critical_severe",
+            from: Band::Normal,
+            to: Band::CriticalSevere,
             occupancy: 2,
         });
         handle.emit(|| VodEvent::EmergencyRequested {
@@ -2158,15 +2173,15 @@ mod tests {
         handle.emit(|| VodEvent::BandChanged {
             at: t(12_000_000),
             client: ClientId(1),
-            from: "critical_severe",
-            to: "below_low",
+            from: Band::CriticalSevere,
+            to: Band::BelowLow,
             occupancy: 15,
         });
         handle.emit(|| VodEvent::BandChanged {
             at: t(13_000_000),
             client: ClientId(1),
-            from: "below_low",
-            to: "normal",
+            from: Band::BelowLow,
+            to: Band::Normal,
             occupancy: 28,
         });
         handle.emit(|| VodEvent::EmergencyEnded {

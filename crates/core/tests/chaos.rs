@@ -5,7 +5,7 @@
 use std::time::Duration;
 
 use ftvod_core::campaign::{self, CHAOS_CLIENTS, CHAOS_FAULTS};
-use ftvod_core::protocol::ClientId;
+use ftvod_core::protocol::{ClientId, TrafficClass};
 use ftvod_core::scenario::ScenarioBuilder;
 use ftvod_core::server::VodServer;
 use ftvod_core::trace::{VodEvent, DEFAULT_EVENT_CAPACITY};
@@ -62,8 +62,8 @@ fn restarted_server_rejoins_groups_and_serves_redistributed_clients() {
                     if *server == NodeId(1) && *at > restart)
             });
             let video = rec.events().any(|e| {
-                matches!(e, VodEvent::NetDelivered { at, from, class, .. }
-                    if *class == "video" && from.node == NodeId(1) && *at > restart)
+                matches!(e, VodEvent::NetDelivered { at, from, class: TrafficClass::Video, .. }
+                    if from.node == NodeId(1) && *at > restart)
             });
             (restarted_at, session, video)
         })
