@@ -2054,6 +2054,85 @@ mod tests {
         );
     }
 
+    /// Runs each campaign and asserts that the oracle's report and the run
+    /// report over `fold_events` are, byte for byte, the ones a walk of
+    /// the whole ring gives. Returns [events recorded, of them read by the
+    /// folds, takeovers reported, verdicts that are not a plain pass].
+    fn folds_agree_over(campaigns: Vec<crate::campaign::Campaign>) -> [usize; 4] {
+        use crate::trace::RunReport;
+        let cfg = OracleConfig::paper_default();
+        let mut seen = [0usize; 4];
+        for (i, campaign) in campaigns.iter().enumerate() {
+            let mut sim = campaign.builder.build();
+            sim.run_until(campaign.end);
+            sim.trace()
+                .with_recorder(|rec| {
+                    assert_eq!(rec.dropped(), 0, "campaign {i}");
+                    let indexed = OracleReport::check(rec, &cfg);
+                    let whole = Scan::run(rec.events(), rec.latest_at(), false).judge(&cfg);
+                    assert_eq!(indexed.to_string(), whole.to_string(), "campaign {i}");
+                    let report = RunReport::from_recorder(rec);
+                    assert_eq!(
+                        report.to_json(),
+                        RunReport::fold(rec, rec.events()).to_json(),
+                        "campaign {i}"
+                    );
+                    seen[0] += rec.len();
+                    seen[1] += rec.fold_events().count();
+                    seen[2] += report.takeovers.len();
+                    seen[3] += indexed
+                        .verdicts()
+                        .iter()
+                        .filter(|(_, v)| **v != Verdict::Pass)
+                        .count();
+                })
+                .expect("campaigns record");
+        }
+        seen
+    }
+
+    // The three tests below cover every golden campaign; they are three so
+    // that the test harness runs them side by side (a debug build spends
+    // 11 s, 2 s and 8 s simulating them).
+
+    #[test]
+    fn folds_over_the_index_equal_folds_over_the_whole_ring_chaos() {
+        use crate::campaign::{chaos, CHAOS_CLIENTS, CHAOS_FAULTS, CHAOS_SYNC};
+        // The golden sweep, which passes throughout, and two seeds known
+        // to fail, so that verdicts with windows in them are compared too.
+        let seen = folds_agree_over(
+            (1..=25)
+                .chain([28, 34])
+                .map(|seed| chaos(CHAOS_CLIENTS, CHAOS_FAULTS, CHAOS_SYNC, seed).0)
+                .collect(),
+        );
+        let [recorded, read, takeovers, not_pass] = seen;
+        assert!(recorded > 2_500_000 && read * 4 < recorded, "{seen:?}");
+        assert!(takeovers > 100 && not_pass >= 2, "{seen:?}");
+    }
+
+    #[test]
+    fn folds_over_the_index_equal_folds_over_the_whole_ring_flash() {
+        use crate::forecast::PolicyKind;
+        let seen = folds_agree_over(vec![
+            crate::campaign::flash(PolicyKind::Reactive, true, 1),
+            crate::campaign::flash(PolicyKind::Predictive, true, 1),
+        ]);
+        assert!(seen[0] > 500_000 && seen[1] * 4 < seen[0], "{seen:?}");
+    }
+
+    #[test]
+    fn folds_over_the_index_equal_folds_over_the_whole_ring_multidc() {
+        use crate::campaign::multidc;
+        use crate::config::FailoverMode;
+        let mut campaigns: Vec<_> = (1..=10)
+            .map(|seed| multidc(FailoverMode::RemoteDegraded, seed))
+            .collect();
+        campaigns.push(multidc(FailoverMode::HomeOnly, 1));
+        let seen = folds_agree_over(campaigns);
+        assert!(seen[0] > 1_000_000 && seen[1] * 4 < seen[0], "{seen:?}");
+    }
+
     #[test]
     fn evicted_events_make_everything_inconclusive() {
         let mut rec = TraceRecorder::new(1);

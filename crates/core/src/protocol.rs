@@ -597,5 +597,21 @@ mod tests {
         }
         .into();
         assert_eq!(flow.class(), "vod-flow");
+        // What the trace's one-byte class rests on: every name a wire
+        // message reports is a `TrafficClass`, `gcs`'s two included.
+        let join: VodWire = GcsPacket::JoinReq {
+            group: SERVER_GROUP,
+            joiner: NodeId(1),
+        }
+        .into();
+        assert_eq!(join.class(), "gcs-ctl");
+        for wire in [&video, &hb, &flow, &join] {
+            let class = TrafficClass::from_name(wire.class()).expect("typed");
+            assert_eq!(class.name(), wire.class());
+        }
+        for class in TrafficClass::ALL {
+            assert_eq!(TrafficClass::from_name(class.name()), Some(class));
+        }
+        assert_eq!(TrafficClass::from_name("gcs"), None);
     }
 }

@@ -1651,10 +1651,23 @@ impl RunReport {
 
     /// Total seconds of user-visible service interruption.
     pub fn glitch_seconds(&self) -> f64 {
-        self.glitches.iter().map(|g| g.gap_s).sum()
+        // Not `sum()`: std sums no floats to `-0.0`, which prints as `-0.00`.
+        self.glitches.iter().fold(0.0, |total, g| total + g.gap_s)
     }
 
-    /// One-line summary for the end of a CLI run.
+    /// `trace: ring evicted N of M events` when the ring evicted: every
+    /// number of the report then counts the retained tail of the run only.
+    fn eviction_note(&self) -> Option<String> {
+        (self.events_dropped > 0).then(|| {
+            format!(
+                "trace: ring evicted {} of {} events",
+                self.events_dropped, self.events_seen
+            )
+        })
+    }
+
+    /// One-line summary for the end of a CLI run (a second line says so
+    /// when the ring evicted).
     pub fn summary_line(&self) -> String {
         let p99d = self
             .delivery_latency
@@ -1664,7 +1677,7 @@ impl RunReport {
             .takeover_latency
             .quantile(0.99)
             .map_or_else(|| "-".to_owned(), |v| format!("{v:.2}s"));
-        format!(
+        let mut line = format!(
             "report: takeovers={} migrations={} p99_delivery={} p99_takeover={} glitch={:.2}s late_frames={} emergencies={}",
             self.takeovers.len(),
             self.migrations,
@@ -1673,7 +1686,12 @@ impl RunReport {
             self.glitch_seconds(),
             self.late_frames,
             self.emergencies_granted,
-        )
+        );
+        if let Some(note) = self.eviction_note() {
+            line.push('\n');
+            line.push_str(&note);
+        }
+        line
     }
 
     /// Renders the whole report as one machine-readable JSON object.
@@ -1890,6 +1908,9 @@ impl fmt::Display for RunReport {
             "run report ({} events, {} evicted)",
             self.events_seen, self.events_dropped
         )?;
+        if let Some(note) = self.eviction_note() {
+            writeln!(f, "  {note}")?;
+        }
         writeln!(
             f,
             "  session moves: {} takeover(s), {} migration(s)",
@@ -2030,6 +2051,36 @@ mod tests {
             .unwrap();
     }
 
+    /// A report folded from a ring that evicted says so, in both
+    /// renderings; one from a whole run does not; and neither prints the
+    /// `-0.00` that summing no glitches used to.
+    #[test]
+    fn a_truncated_report_says_so_and_no_glitch_is_not_negative() {
+        let node_started = |i: u32| VodEvent::NodeStarted {
+            at: t(u64::from(i)),
+            node: NodeId(i),
+        };
+        let whole = TraceHandle::recording(8);
+        let evicted = TraceHandle::recording(2);
+        for i in 0..5 {
+            whole.emit(|| node_started(i));
+            evicted.emit(|| node_started(i));
+        }
+        let (whole, evicted) = (whole.report().unwrap(), evicted.report().unwrap());
+        assert!(whole.glitch_seconds().is_sign_positive());
+        for text in [whole.summary_line(), whole.to_string()] {
+            assert!(
+                !text.contains("trace:") && !text.contains("-0.00"),
+                "{text}"
+            );
+        }
+        for text in [evicted.summary_line(), evicted.to_string()] {
+            assert!(text.contains("trace: ring evicted 3 of 5 events"), "{text}");
+            assert!(!text.contains("-0.00"), "{text}");
+        }
+        assert!(whole.summary_line().contains(" glitch=0.00s "));
+    }
+
     #[test]
     fn jsonl_is_one_valid_object_per_line() {
         let handle = TraceHandle::recording(16);
@@ -2064,6 +2115,284 @@ mod tests {
                 "balanced braces: {line}"
             );
         }
+    }
+
+    /// The rule `read_by_folds` implements, stated a second time.
+    fn a_fold_reads(event: &VodEvent) -> bool {
+        match event {
+            VodEvent::NetSent { .. } | VodEvent::NetDropped { .. } => false,
+            VodEvent::NetDelivered { class, .. } => class.name() == "video",
+            _ => true,
+        }
+    }
+
+    /// One event of the ten kinds the ring property pushes: four the
+    /// folds skip, six they read, two of those owning heap memory.
+    fn ring_event(kind: u64, at: SimTime) -> VodEvent {
+        let from = Endpoint::new(NodeId(1), simnet::Port(1));
+        let to = Endpoint::new(NodeId(100), simnet::Port(2));
+        let node = NodeId(kind as u32);
+        match kind {
+            0 | 1 => VodEvent::NetSent {
+                at,
+                from,
+                to,
+                class: [TrafficClass::GcsHb, TrafficClass::Video][kind as usize],
+                bytes: 64,
+            },
+            2..=4 => VodEvent::NetDelivered {
+                at,
+                sent_at: at,
+                from,
+                to,
+                class: [
+                    TrafficClass::GcsHb,
+                    TrafficClass::VodSync,
+                    TrafficClass::Video,
+                ][kind as usize - 2],
+            },
+            5 => VodEvent::NetDropped {
+                at,
+                from,
+                to,
+                class: TrafficClass::Video,
+                reason: DropReason::Loss,
+            },
+            6 => VodEvent::NodeCrashed { at, node },
+            7 => VodEvent::FrameGap {
+                at,
+                client: ClientId(7),
+                from_frame: FrameNo(1),
+                to_frame: FrameNo(3),
+            },
+            8 => VodEvent::Partitioned {
+                at,
+                a: [node].into(),
+                b: [NodeId(2), NodeId(3)].into(),
+            },
+            _ => VodEvent::ViewInstalled {
+                at,
+                node,
+                group: GroupId(11),
+                view: Box::new(View::new(
+                    gcs::ViewId {
+                        epoch: 2,
+                        coordinator: node,
+                    },
+                    vec![node, NodeId(4)],
+                )),
+            },
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(3))]
+
+        /// Differential test of the chunked, indexed ring against the
+        /// plain `VecDeque<VodEvent>` it replaced, at capacities that put
+        /// eviction before, on and after a chunk boundary. After every
+        /// push the counters and the oldest retained event agree; after every
+        /// fourth, and the two after a chunk is freed, so does the order
+        /// of all retained events, and `fold_events` is `events` filtered
+        /// by the rule; every 193rd push and at the end the JSONL is the
+        /// model's, byte for byte.
+        #[test]
+        fn the_chunked_ring_is_the_plain_ring_it_replaced(seed in 0u64..1 << 32) {
+            const C: usize = CHUNK_EVENTS;
+            // [chunks freed by eviction, indexed events evicted, times
+            // eviction left the index empty, pushes that stepped back in
+            // time past a skipped event].
+            let mut seen = [0usize; 4];
+            for capacity in [1, C - 1, C, C + 1, 3 * C + 7] {
+                let mut rng = simnet::SimRng::seed_from_u64(seed ^ capacity as u64);
+                let mut ring = TraceRecorder::new(capacity);
+                let mut model: VecDeque<VodEvent> = VecDeque::new();
+                let (mut dropped, mut latest, mut now) = (0u64, SimTime::ZERO, 0u64);
+                let mut read_in_model = 0usize;
+                proptest::prop_assert!(ring.is_empty() && ring.latest_at() == latest);
+                for serial in 0..(capacity + C + 61) as u64 {
+                    // Mostly forwards, sometimes back; `serial` in the low
+                    // digits makes every timestamp identify its event.
+                    now = (now + rng.gen_u64_below(4)).saturating_sub(rng.gen_u64_below(2));
+                    let at = SimTime::from_micros(now * 100_000 + serial);
+                    let event = ring_event(rng.gen_u64_below(10), at);
+                    seen[3] += usize::from(at < latest && !a_fold_reads(&event));
+                    latest = latest.max(at);
+                    if model.len() == capacity {
+                        let evicted = model.pop_front().expect("capacity is at least 1");
+                        dropped += 1;
+                        seen[0] += usize::from((dropped as usize).is_multiple_of(C));
+                        if a_fold_reads(&evicted) {
+                            read_in_model -= 1;
+                            seen[1] += 1;
+                            seen[2] += usize::from(read_in_model == 0);
+                        }
+                    }
+                    read_in_model += usize::from(a_fold_reads(&event));
+                    model.push_back(event.clone());
+                    ring.push(event);
+
+                    proptest::prop_assert_eq!(ring.len(), model.len());
+                    proptest::prop_assert_eq!(ring.dropped(), dropped);
+                    proptest::prop_assert_eq!(ring.capacity(), capacity);
+                    proptest::prop_assert!(!ring.is_empty());
+                    proptest::prop_assert_eq!(ring.latest_at(), latest);
+                    proptest::prop_assert_eq!(
+                        ring.events().next().map(VodEvent::at),
+                        model.front().map(VodEvent::at)
+                    );
+                    if serial % 4 != 0 && (dropped == 0 || dropped as usize % C > 1) {
+                        continue;
+                    }
+                    proptest::prop_assert!(
+                        ring.events().map(VodEvent::at).eq(model.iter().map(VodEvent::at)),
+                        "capacity {capacity}, push {serial}: retained events differ"
+                    );
+                    proptest::prop_assert!(
+                        ring.fold_events().map(VodEvent::at).eq(ring
+                            .events()
+                            .filter(|e| a_fold_reads(e))
+                            .map(VodEvent::at)),
+                        "capacity {capacity}, push {serial}: the index is not the rule"
+                    );
+                    if serial % 193 == 0 || serial as usize == capacity + C + 60 {
+                        let mut jsonl = String::new();
+                        for event in &model {
+                            event.write_json(&mut jsonl);
+                            jsonl.push('\n');
+                        }
+                        proptest::prop_assert_eq!(ring.to_jsonl(), jsonl);
+                    }
+                }
+            }
+            let [chunks_freed, index_evicted, index_emptied, stepped_back] = seen;
+            proptest::prop_assert!(chunks_freed >= 5, "{seen:?}");
+            proptest::prop_assert!(index_evicted > 1_000 && index_emptied > 100, "{seen:?}");
+            proptest::prop_assert!(stepped_back > 100, "{seen:?}");
+        }
+    }
+
+    /// Every traffic class and every variant this PR shrank renders the
+    /// bytes the 88-byte event rendered: the fixture is the output of the
+    /// parent commit (7f78600) for the same thirty events.
+    #[test]
+    fn shrunk_events_render_the_bytes_they_rendered_before() {
+        let from = Endpoint::new(NodeId(1), simnet::Port(2));
+        let to = Endpoint::new(NodeId(100), simnet::Port(1));
+        let mut events = Vec::new();
+        // In the fixture's order: "video", "gcs-hb", "gcs-ctl", "vod-ctl",
+        // "vod-sync", "vod-flow" when the class was still a string.
+        let classes = [
+            TrafficClass::Video,
+            TrafficClass::GcsHb,
+            TrafficClass::GcsCtl,
+            TrafficClass::VodCtl,
+            TrafficClass::VodSync,
+            TrafficClass::VodFlow,
+        ];
+        for (i, class) in classes.into_iter().enumerate() {
+            let at = t(1000 + i as u64);
+            events.push(VodEvent::NetSent {
+                at,
+                from,
+                to,
+                class,
+                bytes: 100 + i,
+            });
+            events.push(VodEvent::NetDelivered {
+                at,
+                sent_at: t(900),
+                from,
+                to,
+                class,
+            });
+            events.push(VodEvent::NetDropped {
+                at,
+                from,
+                to,
+                class,
+                reason: DropReason::Partition,
+            });
+        }
+        assert_eq!(events.len(), 3 * TrafficClass::ALL.len());
+        let (a, b) = (vec![NodeId(1), NodeId(2)], vec![NodeId(3)]);
+        let (boxed_a, boxed_b): (Box<[NodeId]>, Box<[NodeId]>) =
+            (a.clone().into(), b.clone().into());
+        events.push(VodEvent::Partitioned {
+            at: t(2000),
+            a: boxed_a.clone(),
+            b: boxed_b.clone(),
+        });
+        events.push(VodEvent::Healed {
+            at: t(2001),
+            a: [].into(),
+            b: [].into(),
+        });
+        events.push(VodEvent::WanDegraded {
+            at: t(2002),
+            a: boxed_a.clone(),
+            b: boxed_b.clone(),
+        });
+        events.push(VodEvent::WanRestored {
+            at: t(2003),
+            a: boxed_b,
+            b: boxed_a,
+        });
+        events.push(VodEvent::SiteDefined {
+            at: t(0),
+            site: Box::new(SiteDef {
+                site: 1,
+                name: "east \"coast\"".to_owned(),
+                servers: a.clone(),
+                clients: vec![NodeId(100), NodeId(101)],
+            }),
+        });
+        events.push(VodEvent::ViewInstalled {
+            at: t(2004),
+            node: NodeId(2),
+            group: GroupId(11),
+            view: Box::new(View::new(
+                gcs::ViewId {
+                    epoch: 7,
+                    coordinator: NodeId(1),
+                },
+                a,
+            )),
+        });
+        let bands = [
+            Band::Normal,
+            Band::BelowLow,
+            Band::CriticalMild,
+            Band::CriticalSevere,
+            Band::AboveHigh,
+            Band::Normal,
+        ];
+        for (i, pair) in bands.windows(2).enumerate() {
+            events.push(VodEvent::BandChanged {
+                at: t(3000 + i as u64),
+                client: ClientId(5),
+                from: pair[0],
+                to: pair[1],
+                occupancy: 10 + i,
+            });
+        }
+        events.push(VodEvent::PrefixHandoff {
+            at: t(4000),
+            server: NodeId(3),
+            client: ClientId(5),
+            movie: MovieId(2),
+            frames_sent: 42,
+            served_us: 1_400_017,
+            to_owner: NodeId(1),
+        });
+        let mut rec = TraceRecorder::new(events.len());
+        for event in events {
+            rec.push(event);
+        }
+        assert_eq!(
+            rec.to_jsonl(),
+            include_str!("../tests/fixtures/trace_events_pr23.jsonl")
+        );
     }
 
     #[test]

@@ -315,11 +315,14 @@ fn run_fleet(opts: &FleetOptions) -> Result<(), String> {
     sim.run_until(end);
     let report = FleetReport::from_sim(&plan, &sim, end);
     print!("{}", report.render());
+    // Summed from the servers' own counters, as the table above: the
+    // trace ring of a fleet-sized run has evicted the early decisions.
+    let (bringups, retires) = report
+        .per_server
+        .values()
+        .fold((0, 0), |(ups, downs), row| (ups + row.2, downs + row.3));
+    println!("replication: {bringups} bring-up(s), {retires} retire(s)");
     if let Some(run) = sim.report() {
-        println!(
-            "replication: {} bring-up(s), {} retire(s)",
-            run.replica_bringups, run.replica_retires
-        );
         if run.prefix_serves > 0 {
             println!(
                 "prefix tier: {} serve(s), {} handoff(s), {:.1}s of waiting avoided",
