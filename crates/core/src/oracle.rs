@@ -565,7 +565,7 @@ impl Scan {
                 VodEvent::SiteDefined { site, .. } => {
                     all_site_servers.extend(site.servers.iter().copied());
                     scan.sites.insert(
-                        site.site,
+                        site.index,
                         (
                             site.servers.iter().copied().collect(),
                             site.clients.iter().copied().collect(),
@@ -1617,7 +1617,7 @@ mod tests {
             VodEvent::SiteDefined {
                 at: t(0.0),
                 site: Box::new(SiteDef {
-                    site: 0,
+                    index: 0,
                     name: "east".into(),
                     servers: vec![NodeId(1), NodeId(2)],
                     clients: vec![NodeId(107)],
@@ -1626,7 +1626,7 @@ mod tests {
             VodEvent::SiteDefined {
                 at: t(0.0),
                 site: Box::new(SiteDef {
-                    site: 1,
+                    index: 1,
                     name: "west".into(),
                     servers: vec![NodeId(3), NodeId(4)],
                     clients: vec![],

@@ -424,7 +424,7 @@ impl ScenarioBuilder {
                 trace.emit(|| VodEvent::SiteDefined {
                     at: SimTime::ZERO,
                     site: Box::new(SiteDef {
-                        site: site as u32,
+                        index: site as u32,
                         name,
                         servers,
                         clients,

@@ -5,19 +5,23 @@
 # wins at least nine tenths of the pairs and the medians differ by more
 # than the distance between the parent's quartiles.
 #
-#   sh scripts/ab.sh <parent-rev> <workload> [--pairs N] [--seed S] [--seconds S]
+#   sh scripts/ab.sh <parent-rev> <workload>|all [--pairs N] [--seed S] [--seconds S]
+#
+# `all` runs the four workloads in turn, each judged as above, and ends with
+# one table of them: a change that claims a gain on one workload has to show
+# the other three as well.
 #
 # The parent is a `git archive` of <parent-rev> under target/ab/parent (a
 # plain copy: nothing is left in .git), each side has its own
 # CARGO_TARGET_DIR under target/ab/, both build --offline, and nothing under
 # benchmark/ is edited. Odd pairs run the parent first, even pairs the
-# change. Every run is listed; `--seconds` defaults to the benchmark's own.
-# Not part of tier-1.
+# change. Every run is listed (and left in target/ab/runs_<workload>.txt);
+# `--seconds` defaults to the benchmark's own. Not part of tier-1.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-usage='usage: ab.sh <parent-rev> <workload> [--pairs N] [--seed S] [--seconds S]'
+usage='usage: ab.sh <parent-rev> <workload>|all [--pairs N] [--seed S] [--seconds S]'
 rev=${1:?$usage}
 workload=${2:?$usage}
 shift 2
@@ -47,10 +51,10 @@ CARGO_TARGET_DIR=$dir/parent-target cargo build --release --quiet --offline \
 CARGO_TARGET_DIR=$dir/change-target cargo build --release --quiet --offline \
     --manifest-path benchmark/Cargo.toml
 
-# One run: "<side> <pair> <wall_s> <setup_s> <ttff_p50_s> <startup_ok_share>
-# <displayed_share> <counters_digest>" appended to runs.txt.
+# One run of workload $name: "<side> <pair> <wall_s> <setup_s> <ttff_p50_s>
+# <startup_ok_share> <displayed_share> <counters_digest>" appended to $runs.
 run() {
-    "$dir/$1-target/release/ftvod-benchmark" --workload "$workload" --seed "$seed" \
+    "$dir/$1-target/release/ftvod-benchmark" --workload "$name" --seed "$seed" \
         ${seconds:+--seconds "$seconds"} |
         awk -v side="$1" -v pair="$2" '
             $1 == "counters_digest" { digest = $2 }
@@ -58,24 +62,29 @@ run() {
             END {
                 print side, pair, v["wall_s"], v["setup_s"], v["ttff_p50_s"],
                     v["startup_ok_share"], v["displayed_share"], digest
-            }' >>"$dir/runs.txt"
+            }' >>"$runs"
 }
 
-: >"$dir/runs.txt"
-pair=1
-while [ "$pair" -le "$pairs" ]; do
-    if [ $((pair % 2)) -eq 1 ]; then
-        run parent "$pair"
-        run change "$pair"
-    else
-        run change "$pair"
-        run parent "$pair"
-    fi
-    pair=$((pair + 1))
-done
+# The pairs of workload $1, every run, the verdict per metric, and one row
+# appended to summary.txt; fails if a simulated metric or the digest moved.
+compare() {
+    name=$1
+    runs=$dir/runs_$name.txt
+    : >"$runs"
+    pair=1
+    while [ "$pair" -le "$pairs" ]; do
+        if [ $((pair % 2)) -eq 1 ]; then
+            run parent "$pair"
+            run change "$pair"
+        else
+            run change "$pair"
+            run parent "$pair"
+        fi
+        pair=$((pair + 1))
+    done
 
-echo "ab.sh $workload --seed $seed${seconds:+ --seconds $seconds}: parent $commit vs the working tree, $pairs pair(s)"
-awk '
+    echo "ab.sh $name --seed $seed${seconds:+ --seconds $seconds}: parent $commit vs the working tree, $pairs pair(s)"
+    awk -v name="$name" -v summary="$dir/summary.txt" '
 function quantile(a, n, q,    h, lo) {
     h = (n - 1) * q + 1
     lo = int(h)
@@ -136,10 +145,31 @@ END {
             "", m, won, n, lost, 100 * delta / q2[1]
         printf "%-7s %-8s |median delta| %.6g %s parent inter-quartile distance %.6g; gain by the rule: %s\n",
             "", m, size, beyond ? "above" : "within", iqr, gain ? "yes" : "no"
+        row = row sprintf("  %-7s %11.6g %11.6g %+7.2f %%  %2d / %-2d  %9.4g  %-4s", m, q2[1], q2[2],
+            100 * delta / q2[1], won, n, iqr, gain ? "yes" : "no")
     }
+    printf "%-14s%s  %s\n", name, row, moved ? "NOT EQUAL" : "equal" >>summary
     print ""
     printf "ttff_p50_s, startup_ok_share, displayed_share, counters_digest: %s in all %d runs (%s)\n",
         moved ? "NOT EQUAL" : "equal", NR, first
     exit moved
 }
-' "$dir/runs.txt"
+' "$runs"
+}
+
+: >"$dir/summary.txt"
+status=0
+if [ "$workload" = all ]; then
+    for each in steady_fleet paper_figs chaos_oracle surge_failover; do
+        compare "$each" || status=1
+        echo
+    done
+    echo "ab.sh all: per metric the parent's median, the change's, the delta, pairs the change won, the"
+    echo "parent's inter-quartile distance and the gain by the rule; last, the simulated metrics and digest"
+    printf '%-14s  %-7s %11s %11s %9s  %7s  %9s  %-4s  %-7s %11s %11s %9s  %7s  %9s  %-4s\n' workload \
+        metric parent change delta won iqr gain metric parent change delta won iqr gain
+    cat "$dir/summary.txt"
+else
+    compare "$workload" || status=1
+fi
+exit $status

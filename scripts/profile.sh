@@ -6,7 +6,15 @@
 # resolves it, inlined frames included. Prints self time by first in-repo
 # frame, by crate directory and by file:line, self time by source directory
 # of the innermost frame (where std's `collections/btree` or `binary_heap`
-# show), and inclusive time by symbol.
+# show), samples whose innermost frame is outside the executable (libc's
+# `memcpy`, `malloc`, `realloc`) by the first caller that does resolve, and
+# inclusive time by symbol.
+#
+# The timer counts CPU time in user and kernel mode alike, and a signal is
+# delivered on the way back to user mode: the time the kernel spends
+# serving a page fault (zero-filling a page of a fresh `mmap` or of a grown
+# heap) is charged to the user line that touched the page, not to a frame
+# of its own. A plain store that owns several per cent is that.
 #
 #   sh scripts/profile.sh <workload> [--seed N] [--seconds S]
 #
@@ -77,6 +85,7 @@ FNR == NR {
             at = substr(at, length(root) + 1)
         n = ++levels[addr]
         func_of[addr, n] = fn
+        where_of[addr, n] = at
         if (n == 1) {
             dir = at
             sub(/^\/rustc\/[0-9a-f]*\//, "", dir)
@@ -96,6 +105,17 @@ FNR == NR {
 {
     samples++
     by_leaf_dir[$1 in leaf_dir ? leaf_dir[$1] : "(outside the executable)"]++
+    if (!($1 in leaf_dir)) {
+        caller = "(no caller resolves)"
+        for (i = 2; i <= NF; i++)
+            if (levels[$i] > 0) {
+                at = where_of[$i, 1]
+                sub(/^\/rustc\/[0-9a-f]*\//, "", at)
+                caller = func_of[$i, 1] "  " at
+                break
+            }
+        by_outside_caller[caller]++
+    }
     owner = ""
     split("", seen)
     for (i = 1; i <= NF; i++) {
@@ -135,6 +155,7 @@ END {
     table("self time by first in-repo frame", by_frame, 40)
     table("self time by file:line of the first in-repo frame", by_line, 40)
     table("self time by source directory of the innermost frame", by_leaf_dir, 20)
+    table("innermost frame outside the executable, by first resolved caller", by_outside_caller, 20)
     table("inclusive time by symbol", inclusive, 60)
 }
 ' "$dir/frames.txt" "$dir/samples.txt"

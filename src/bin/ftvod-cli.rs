@@ -320,7 +320,9 @@ fn run_fleet(opts: &FleetOptions) -> Result<(), String> {
     let (bringups, retires) = report
         .per_server
         .values()
-        .fold((0, 0), |(ups, downs), row| (ups + row.2, downs + row.3));
+        .fold((0, 0), |(ups, downs), &(_, _, up, down, _)| {
+            (ups + up, downs + down)
+        });
     println!("replication: {bringups} bring-up(s), {retires} retire(s)");
     if let Some(run) = sim.report() {
         if run.prefix_serves > 0 {
