@@ -5,14 +5,13 @@
 //! **judged** (oracle verdicts, [`FleetReport`], [`RunReport`], first
 //! bring-up of the shocked movie).
 //!
-//! `ftvod-cli chaos | flash | multidc`, the perf suite and the
-//! integration tests all come here, so a change to a campaign changes
-//! every one of them at once. The two halves are separate on purpose:
-//! [`chaos`], [`flash`] and [`multidc`] return a [`Campaign`] whose
-//! builder a caller may still extend (the perf suite turns on cost
-//! profiling) before building and running it; [`oracle`] and
-//! [`Campaign::judge_with`] then read the verdicts out of the finished
-//! [`VodSim`], so the oracle replay can be timed on its own.
+//! `ftvod-cli chaos | flash | multidc` and the integration tests all come
+//! here, so a change to a campaign changes every one of them at once. The
+//! two halves are separate on purpose: [`chaos`], [`flash`] and
+//! [`multidc`] return a [`Campaign`] whose builder a caller may still
+//! extend (a test turns on cost profiling) before building and running
+//! it; [`Campaign::judge`] then reads the verdicts out of the finished
+//! [`VodSim`], which the caller keeps for questions of its own.
 //! [`Campaign::run`] is the whole pipeline for callers with nothing to
 //! add in between.
 //!
@@ -161,13 +160,11 @@ impl Campaign {
     pub fn run(&self) -> Outcome {
         let mut sim = self.builder.build();
         sim.run_until(self.end);
-        self.judge_with(&sim, oracle(&sim))
+        self.judge(&sim)
     }
 
-    /// Judges a finished run of this campaign, given the verdicts
-    /// [`oracle`] returned for it (taken separately so a caller can time
-    /// the replay).
-    pub fn judge_with(&self, sim: &VodSim, oracle: OracleReport) -> Outcome {
+    /// Judges a finished run of this campaign.
+    pub fn judge(&self, sim: &VodSim) -> Outcome {
         let first_tail_bringup = self.shock.and_then(|(shock_at, tail)| {
             sim.trace()
                 .with_recorder(|rec| {
@@ -185,7 +182,7 @@ impl Campaign {
                 .expect("recording was enabled")
         });
         Outcome {
-            oracle,
+            oracle: oracle(sim),
             fleet: FleetReport::from_sim(&self.plan, sim, self.end),
             run: sim.report().expect("recording was enabled"),
             first_tail_bringup,

@@ -2,7 +2,7 @@
 //! writer uses.
 //!
 //! The workspace is hermetic (no serde). Writing stays hand-rolled at the
-//! call sites (trace JSONL, run reports, the perf counters document), but
+//! call sites (trace JSONL, run reports), but
 //! every string they embed goes through [`escape`]. Nothing in the
 //! workspace reads JSON back; the repo benchmark has its own reader.
 

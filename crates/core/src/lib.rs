@@ -32,7 +32,7 @@
 //!   crashes, all from one seed;
 //! * [`campaign`] — the one definition of the chaos, flash-crowd and
 //!   multi-datacenter campaigns: how each is wired and how a finished
-//!   run is judged, shared by the CLI, the perf suite and the tests;
+//!   run is judged, shared by the CLI and the tests;
 //! * [`experiments`] — the paper's evaluation as one table: every
 //!   figure, table and quantitative sentence is a row that runs its
 //!   scenario and records each paper-vs-measured check with the verdict

@@ -18,23 +18,15 @@
 //! timers or messages, so enabling it cannot change simulation behaviour:
 //! span/event *counts* are deterministic given the seed, and only the
 //! wall-clock nanosecond fields differ between runs.
-//!
-//! # Flamecharts
-//!
-//! With [`ProfileHandle::with_flamechart`] the profiler additionally keeps
-//! a bounded buffer of individual spans and can render them in the Chrome
-//! trace-event format ([`ProfileHandle::chrome_trace_json`]) for
-//! `about://tracing` / Perfetto.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::rc::Rc;
 use std::time::Instant;
 
 use simnet::{NetStats, SimProfile};
 
-/// The instrumented layers of the stack, from scheduler to oracle.
+/// The instrumented layers of the stack, from scheduler to client.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Subsystem {
     /// The simnet dispatch loop itself (filled from
@@ -49,22 +41,19 @@ pub enum Subsystem {
     /// The client's display-tick playback path (decode, refill, flow
     /// control).
     ClientPlayback,
-    /// Post-run oracle replay over the recorded trace.
-    OracleReplay,
 }
 
 impl Subsystem {
     /// Every subsystem, in display order.
-    pub const ALL: [Subsystem; 6] = [
+    pub const ALL: [Subsystem; 5] = [
         Subsystem::SimnetScheduler,
         Subsystem::GcsViewChange,
         Subsystem::ServerSync,
         Subsystem::ServerTakeover,
         Subsystem::ClientPlayback,
-        Subsystem::OracleReplay,
     ];
 
-    /// Stable dotted name, used in reports, BENCH files and flamecharts.
+    /// Stable dotted name, used in reports and the benchmark's layers.
     pub fn name(self) -> &'static str {
         match self {
             Subsystem::SimnetScheduler => "simnet.scheduler",
@@ -72,7 +61,6 @@ impl Subsystem {
             Subsystem::ServerSync => "server.sync",
             Subsystem::ServerTakeover => "server.takeover",
             Subsystem::ClientPlayback => "client.playback",
-            Subsystem::OracleReplay => "oracle.replay",
         }
     }
 
@@ -83,7 +71,6 @@ impl Subsystem {
             Subsystem::ServerSync => 2,
             Subsystem::ServerTakeover => 3,
             Subsystem::ClientPlayback => 4,
-            Subsystem::OracleReplay => 5,
         }
     }
 }
@@ -98,56 +85,17 @@ pub struct SpanStats {
     pub wall_ns: u64,
 }
 
-/// One recorded span interval, kept only in flamechart mode.
-#[derive(Clone, Copy, Debug)]
-struct ChromeSpan {
-    sub: Subsystem,
-    start_ns: u64,
-    dur_ns: u64,
-}
-
 /// The shared recorder behind a [`ProfileHandle`].
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Profiler {
-    origin: Instant,
-    spans: [SpanStats; 6],
-    /// Individual spans for flamechart export; empty capacity disables
-    /// retention (totals only).
-    chrome: Vec<ChromeSpan>,
-    chrome_capacity: usize,
-    /// Spans not retained because the flamechart buffer was full. The
-    /// aggregate [`SpanStats`] still include them.
-    chrome_dropped: u64,
+    spans: [SpanStats; 5],
 }
 
 impl Profiler {
-    fn new(chrome_capacity: usize) -> Self {
-        Profiler {
-            origin: Instant::now(),
-            spans: [SpanStats::default(); 6],
-            chrome: Vec::new(),
-            chrome_capacity,
-            chrome_dropped: 0,
-        }
-    }
-
     fn record(&mut self, sub: Subsystem, started: Instant) {
-        let dur_ns = started.elapsed().as_nanos() as u64;
         let slot = &mut self.spans[sub.index()];
         slot.count += 1;
-        slot.wall_ns += dur_ns;
-        if self.chrome_capacity > 0 {
-            if self.chrome.len() < self.chrome_capacity {
-                let start_ns = started.duration_since(self.origin).as_nanos() as u64;
-                self.chrome.push(ChromeSpan {
-                    sub,
-                    start_ns,
-                    dur_ns,
-                });
-            } else {
-                self.chrome_dropped += 1;
-            }
-        }
+        slot.wall_ns += started.elapsed().as_nanos() as u64;
     }
 }
 
@@ -167,19 +115,10 @@ impl ProfileHandle {
         ProfileHandle { inner: None }
     }
 
-    /// A recording handle keeping aggregate per-subsystem totals only.
+    /// A recording handle keeping aggregate per-subsystem totals.
     pub fn enabled() -> Self {
-        ProfileHandle::with_flamechart(0)
-    }
-
-    /// A recording handle that additionally retains up to `capacity`
-    /// individual spans for flamechart export. Spans past the capacity
-    /// are dropped from the flamechart (counted in
-    /// [`ProfileReport::counters`] under `span.flamechart_dropped`) but
-    /// still feed the aggregate totals.
-    pub fn with_flamechart(capacity: usize) -> Self {
         ProfileHandle {
-            inner: Some(Rc::new(RefCell::new(Profiler::new(capacity)))),
+            inner: Some(Rc::default()),
         }
     }
 
@@ -200,65 +139,12 @@ impl ProfileHandle {
         }
     }
 
-    /// Runs `f` inside a span for `sub` — convenience for call sites that
-    /// wrap a whole function (e.g. the oracle replay).
-    pub fn time<R>(&self, sub: Subsystem, f: impl FnOnce() -> R) -> R {
-        let _guard = self.span(sub);
-        f()
-    }
-
     /// Aggregate stats for `sub`, or zeros when disabled.
     pub fn stats(&self, sub: Subsystem) -> SpanStats {
         self.inner
             .as_ref()
             .map(|rc| rc.borrow().spans[sub.index()])
             .unwrap_or_default()
-    }
-
-    /// Spans dropped from the flamechart buffer because it was full.
-    pub fn flamechart_dropped(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map(|rc| rc.borrow().chrome_dropped)
-            .unwrap_or(0)
-    }
-
-    /// Renders the retained spans as a Chrome trace-event JSON document
-    /// (`about://tracing` / Perfetto / `chrome://tracing`). Returns `None`
-    /// when the handle is disabled. Timestamps and durations are in
-    /// microseconds since the profiler was created; each subsystem gets
-    /// its own thread lane.
-    pub fn chrome_trace_json(&self) -> Option<String> {
-        let rc = self.inner.as_ref()?;
-        let profiler = rc.borrow();
-        let mut out = String::from("{\"traceEvents\":[");
-        let mut first = true;
-        for sub in Subsystem::ALL {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":{},\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                sub.index(),
-                sub.name()
-            );
-        }
-        for span in &profiler.chrome {
-            let _ = write!(
-                out,
-                ",{{\"ph\":\"X\",\"name\":\"{}\",\"cat\":\"ftvod\",\
-                 \"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{}}}",
-                span.sub.name(),
-                span.start_ns / 1_000,
-                (span.dur_ns / 1_000).max(1),
-                span.sub.index()
-            );
-        }
-        out.push_str("]}");
-        Some(out)
     }
 }
 
@@ -280,8 +166,8 @@ impl Drop for SpanGuard {
 /// and network totals on the deterministic side; wall-clock attribution
 /// on the other.
 ///
-/// The split is the heart of the perf regression gate: `counters` must be
-/// byte-identical across runs of the same seed, `wall_ns` may not.
+/// `counters` are byte-identical across runs of the same seed; `wall_ns`
+/// is not.
 #[derive(Clone, Debug, Default)]
 pub struct ProfileReport {
     /// Deterministic counters, keyed by stable dotted names
@@ -320,10 +206,6 @@ impl ProfileReport {
                     .insert(format!("span.{}.count", sub.name()), stats.count);
                 report.wall_ns.insert(sub.name().to_string(), stats.wall_ns);
             }
-            report.counters.insert(
-                "span.flamechart_dropped".to_string(),
-                spans.flamechart_dropped(),
-            );
         }
         if let Some(net) = net {
             for (class, c) in net.iter() {
@@ -344,38 +226,6 @@ impl ProfileReport {
         }
         report
     }
-
-    /// Renders an aligned human-readable table: wall-clock attribution
-    /// first, then every deterministic counter.
-    pub fn render_table(&self) -> String {
-        let mut out = String::new();
-        if !self.wall_ns.is_empty() {
-            let total: u64 = self.wall_ns.values().sum();
-            out.push_str(&format!(
-                "{:<24} {:>12} {:>7}\n",
-                "subsystem", "wall_us", "share"
-            ));
-            for (name, ns) in &self.wall_ns {
-                let share = if total > 0 {
-                    *ns as f64 / total as f64 * 100.0
-                } else {
-                    0.0
-                };
-                out.push_str(&format!(
-                    "{:<24} {:>12} {:>6.1}%\n",
-                    name,
-                    ns / 1_000,
-                    share
-                ));
-            }
-            out.push('\n');
-        }
-        out.push_str(&format!("{:<32} {:>14}\n", "counter", "value"));
-        for (name, value) in &self.counters {
-            out.push_str(&format!("{name:<32} {value:>14}\n"));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -386,40 +236,24 @@ mod tests {
     fn disabled_handle_is_inert() {
         let handle = ProfileHandle::disabled();
         assert!(!handle.is_enabled());
-        handle.time(Subsystem::ServerSync, || ());
+        drop(handle.span(Subsystem::ServerSync));
         assert_eq!(handle.stats(Subsystem::ServerSync), SpanStats::default());
-        assert!(handle.chrome_trace_json().is_none());
     }
 
     #[test]
     fn spans_accumulate_counts() {
         let handle = ProfileHandle::enabled();
         for _ in 0..3 {
-            handle.time(Subsystem::ClientPlayback, || ());
+            drop(handle.span(Subsystem::ClientPlayback));
         }
         assert_eq!(handle.stats(Subsystem::ClientPlayback).count, 3);
         assert_eq!(handle.stats(Subsystem::ServerSync).count, 0);
     }
 
     #[test]
-    fn flamechart_capacity_is_bounded_and_accounted() {
-        let handle = ProfileHandle::with_flamechart(2);
-        for _ in 0..5 {
-            handle.time(Subsystem::ServerTakeover, || ());
-        }
-        // Aggregates see all five; the chart keeps two and counts three
-        // as dropped.
-        assert_eq!(handle.stats(Subsystem::ServerTakeover).count, 5);
-        assert_eq!(handle.flamechart_dropped(), 3);
-        let json = handle.chrome_trace_json().unwrap();
-        assert_eq!(json.matches("\"ph\":\"X\"").count(), 2);
-        assert!(json.contains("\"server.takeover\""));
-    }
-
-    #[test]
     fn report_merges_all_sources() {
         let handle = ProfileHandle::enabled();
-        handle.time(Subsystem::GcsViewChange, || ());
+        drop(handle.span(Subsystem::GcsViewChange));
         let sched = SimProfile {
             deliver_events: 7,
             dispatch_ns: 1_000,
@@ -430,8 +264,5 @@ mod tests {
         assert_eq!(report.counters["span.gcs.view_change.count"], 1);
         assert_eq!(report.wall_ns["simnet.scheduler"], 1_000);
         assert!(!report.counters.contains_key("sched.dispatch_ns"));
-        let table = report.render_table();
-        assert!(table.contains("simnet.scheduler"));
-        assert!(table.contains("sched.deliver_events"));
     }
 }

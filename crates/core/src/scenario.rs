@@ -104,9 +104,8 @@ pub struct ScenarioBuilder {
     clients: Vec<ClientSetup>,
     script: Vec<(SimTime, Scripted)>,
     event_capacity: Option<usize>,
-    /// `Some(capacity)` turns on cost profiling; the capacity bounds the
-    /// flamechart span buffer (0 = aggregate totals only).
-    profile_capacity: Option<usize>,
+    /// Cost profiling on.
+    profile_costs: bool,
 }
 
 impl ScenarioBuilder {
@@ -133,7 +132,7 @@ impl ScenarioBuilder {
             clients: Vec::new(),
             script: Vec::new(),
             event_capacity: None,
-            profile_capacity: None,
+            profile_costs: false,
         }
     }
 
@@ -153,15 +152,7 @@ impl ScenarioBuilder {
     /// Profiling is passive — simulated outcomes are bit-identical with
     /// and without it, and all non-wall-clock fields are deterministic.
     pub fn profile_costs(&mut self) -> &mut Self {
-        self.profile_capacity = Some(0);
-        self
-    }
-
-    /// Like [`ScenarioBuilder::profile_costs`], additionally retaining up
-    /// to `capacity` individual spans for Chrome-trace flamechart export
-    /// ([`crate::profile::ProfileHandle::chrome_trace_json`]).
-    pub fn profile_flamechart(&mut self, capacity: usize) -> &mut Self {
-        self.profile_capacity = Some(capacity.max(1));
+        self.profile_costs = true;
         self
     }
 
@@ -340,10 +331,10 @@ impl ScenarioBuilder {
             let handle = trace.clone();
             sim.set_tracer(move |event| handle.emit(|| VodEvent::from_net(event)));
         }
-        let profile = match self.profile_capacity {
-            Some(0) => ProfileHandle::enabled(),
-            Some(capacity) => ProfileHandle::with_flamechart(capacity),
-            None => ProfileHandle::disabled(),
+        let profile = if self.profile_costs {
+            ProfileHandle::enabled()
+        } else {
+            ProfileHandle::disabled()
         };
         if profile.is_enabled() {
             sim.enable_profiling();

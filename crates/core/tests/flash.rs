@@ -21,7 +21,7 @@ fn run_flash(policy: PolicyKind, prefix: bool) -> FlashRun {
     let wired = campaign::flash(policy, prefix, SEED);
     let mut sim = wired.builder.build();
     sim.run_until(wired.end);
-    let outcome = wired.judge_with(&sim, campaign::oracle(&sim));
+    let outcome = wired.judge(&sim);
     let count = |wanted: fn(&VodEvent) -> bool| {
         sim.trace()
             .with_recorder(|rec| rec.events().filter(|e| wanted(e)).count())

@@ -21,7 +21,7 @@ fn run_multidc(seed: u64, mode: FailoverMode) -> MultiDcRun {
     let wired = campaign::multidc(mode, seed);
     let mut sim = wired.builder.build();
     sim.run_until(wired.end);
-    let outcome = wired.judge_with(&sim, campaign::oracle(&sim));
+    let outcome = wired.judge(&sim);
     let degraded_serves = sim
         .trace()
         .with_recorder(|rec| {

@@ -4,9 +4,11 @@
 //! zero-perturbation guarantee (profiling never changes what the
 //! simulation computes).
 
-use ftvod_core::profile::Subsystem;
+use std::collections::BTreeMap;
+
+use ftvod_core::campaign::{self, CHAOS_FAULTS, CHAOS_SYNC};
 use ftvod_core::protocol::ClientId;
-use ftvod_core::scenario::presets;
+use ftvod_core::scenario::{presets, ScenarioBuilder};
 use simnet::{NodeId, SimTime};
 
 const END: SimTime = SimTime::from_secs(92);
@@ -57,40 +59,54 @@ fn ring_buffer_overflow_accounting_is_deterministic() {
     );
 }
 
+/// Builds `builder` with cost profiling on, runs it to `end` and returns
+/// the deterministic side of its profile report.
+fn profiled_counters(mut builder: ScenarioBuilder, end: SimTime) -> BTreeMap<String, u64> {
+    builder.profile_costs();
+    let mut sim = builder.build();
+    sim.run_until(end);
+    sim.profile_report().expect("profiling enabled").counters
+}
+
 /// The profile counter table — scheduler event counts, span counts,
-/// network totals — is identical across repeated same-seed runs. Only
-/// the wall-clock side of the report may vary.
+/// network totals — is identical across repeated same-seed runs, on the
+/// paper's LAN failover and on a multi-fault chaos campaign (two
+/// crash/restart cycles and four loss bursts, built as `prop_chaos.rs`
+/// builds it). Only the wall-clock side of the report may vary.
 #[test]
 fn profile_counters_are_deterministic_across_runs() {
-    let counters = || {
-        let (mut builder, _, _) = presets::fig4_lan(42);
-        builder.profile_costs();
-        let mut sim = builder.build();
-        sim.run_until(END);
-        sim.profile_report().expect("profiling enabled").counters
-    };
+    assert_deterministic("fig4_lan", || {
+        profiled_counters(presets::fig4_lan(42).0, END)
+    });
+    assert_deterministic("chaos seed 1", || {
+        let (wired, _) = campaign::chaos(8, CHAOS_FAULTS, CHAOS_SYNC, 1);
+        profiled_counters(wired.builder, SimTime::from_secs(45))
+    });
+}
+
+/// Runs `counters` twice: the run must have crashed a server, installed
+/// views and played frames, and the two tables must be equal.
+fn assert_deterministic(name: &str, counters: impl Fn() -> BTreeMap<String, u64>) {
     let first = counters();
+    let count = |key: &str| first.get(key).copied().unwrap_or(0);
     assert!(
-        first.get("sched.events_total").copied().unwrap_or(0) > 0,
-        "scheduler dispatched no events"
+        count("sched.events_total") > 0,
+        "{name}: scheduler dispatched no events"
     );
     assert!(
-        first
-            .get("span.client.playback.count")
-            .copied()
-            .unwrap_or(0)
-            > 0,
-        "client playback recorded no spans"
+        count("span.client.playback.count") > 0,
+        "{name}: client playback recorded no spans"
     );
     assert!(
-        first
-            .get("span.gcs.view_change.count")
-            .copied()
-            .unwrap_or(0)
-            > 0,
-        "the crash scenario installed no views"
+        count("span.gcs.view_change.count") > 0,
+        "{name}: the crash installed no views"
     );
-    assert_eq!(first, counters(), "counters diverged across same-seed runs");
+    assert!(count("sched.crash_events") > 0, "{name}: nothing crashed");
+    assert_eq!(
+        first,
+        counters(),
+        "{name}: counters diverged across same-seed runs"
+    );
 }
 
 /// The zero-overhead-when-off contract's other half: when profiling is
@@ -116,35 +132,7 @@ fn profiling_does_not_perturb_simulation() {
     assert_eq!(profiled.1, plain.1, "server stats diverged under profiling");
 }
 
-/// A flamechart buffer far smaller than the span volume drops the excess
-/// and says how many; the drop count is deterministic, and the retained
-/// trace is valid Chrome-trace JSON with one metadata record per
-/// subsystem.
-#[test]
-fn flamechart_capacity_overflow_is_accounted() {
-    let run = || {
-        let (mut builder, _, _) = presets::fig4_lan(42);
-        builder.profile_flamechart(16);
-        let mut sim = builder.build();
-        sim.run_until(END);
-        let dropped = sim.profile().flamechart_dropped();
-        let trace = sim
-            .profile()
-            .chrome_trace_json()
-            .expect("profiling enabled");
-        (dropped, trace)
-    };
-    let (dropped, trace) = run();
-    assert!(dropped > 0, "the scenario should overflow 16 span slots");
-    assert!(trace.starts_with("{\"traceEvents\":["));
-    assert!(trace.contains("\"thread_name\""));
-    assert!(trace.contains(Subsystem::ClientPlayback.name()));
-    let (dropped2, _) = run();
-    assert_eq!(dropped, dropped2, "flamechart drop count diverged");
-}
-
-/// Disabled profiling stays disabled: no report, no flamechart, handle
-/// reports off. This is the configuration every non-perf run uses, so it
+/// Disabled profiling stays disabled: no report, handle reports off. This is the configuration every non-perf run uses, so it
 /// must never silently flip on.
 #[test]
 fn profiling_is_off_by_default() {
@@ -153,5 +141,4 @@ fn profiling_is_off_by_default() {
     sim.run_until(SimTime::from_secs(10));
     assert!(!sim.profile().is_enabled());
     assert!(sim.profile_report().is_none());
-    assert!(sim.profile().chrome_trace_json().is_none());
 }

@@ -28,8 +28,9 @@ mkdir -p "$out"
 for policy in reactive predictive hybrid; do
     "$cli" fleet --servers 8 --clients 320 --movies 12 --seed 1 --policy "$policy"
 done >"$out/fleet_policies.txt"
-# perf's stdout carries wall-clock; the counters document does not.
-"$cli" perf --out "$out/perf_counters.json" >/dev/null
+# The CLI's fleet defaults (4 servers, 96 sessions, 6 movies, seed 42,
+# reactive dynamic replication) at `small_fleet`'s cap: EXPERIMENTS.md E3.
+"$cli" fleet --cap 12 >"$out/fleet_small.txt"
 # Every figure and table of the paper's evaluation, with its verdict
 # lines; exits nonzero when a verdict differs from its expectation.
 "$cli" experiment all >"$out/experiments.txt"

@@ -72,11 +72,6 @@
 //!   --depth D          interleaving depth bound     (default 5)
 //!   --max-states S     distinct-state cap           (default 400000)
 //!   --revert-pr4-fix   disable the PR 4 expulsion fix (must fail)
-//! ftvod-cli perf [options]                  run the fixed perf suite and
-//!                                           write its deterministic
-//!                                           counters document
-//!   --out FILE         where to write the document (default perf_counters.json)
-//!   --flamechart FILE  export a Chrome-trace JSON of fig4_lan spans
 //! ftvod-cli experiment <id | all>           regenerate a figure or table of
 //!                                           the paper's evaluation (fig2 fig4
 //!                                           fig5 T1-T5 T7 A1-A4 FD E1-E3);
@@ -94,7 +89,6 @@ use std::process::ExitCode;
 use std::str::FromStr;
 use std::time::Duration;
 
-use ftvod::bench::perf;
 use ftvod::prelude::*;
 use ftvod::vod::campaign::{self, Outcome};
 use ftvod::vod::experiments;
@@ -900,56 +894,6 @@ fn run_report(args: &PresetArgs) -> Result<(), String> {
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
-struct PerfOptions {
-    out: String,
-    flamechart: Option<String>,
-}
-
-impl Default for PerfOptions {
-    fn default() -> Self {
-        PerfOptions {
-            out: "perf_counters.json".to_owned(),
-            flamechart: None,
-        }
-    }
-}
-
-fn parse_perf(args: &[String]) -> Result<PerfOptions, String> {
-    let mut opts = PerfOptions::default();
-    let mut flags = Flags::new(args);
-    while let Some(flag) = flags.next() {
-        match flag {
-            "--out" => opts.out = flags.value(flag)?,
-            "--flamechart" => opts.flamechart = Some(flags.value(flag)?),
-            other => return unknown(other),
-        }
-    }
-    Ok(opts)
-}
-
-fn run_perf(opts: &PerfOptions) -> Result<(), String> {
-    println!(
-        "perf: running the fixed suite (fig4_lan, fig5_wan, fleet_e3, chaos_5seeds, flash_crowd)"
-    );
-    let capacity = if opts.flamechart.is_some() {
-        1 << 18
-    } else {
-        0
-    };
-    let (scenarios, flamechart) = perf::run_suite(capacity);
-    print!("{}", perf::render_table(&scenarios));
-    std::fs::write(&opts.out, perf::to_json(&scenarios))
-        .map_err(|e| format!("writing {}: {e}", opts.out))?;
-    println!("wrote {}", opts.out);
-    if let Some(path) = &opts.flamechart {
-        let trace = flamechart.ok_or("the suite produced no flamechart spans")?;
-        std::fs::write(path, &trace).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote flamechart to {path} (open in a Chrome-trace viewer)");
-    }
-    Ok(())
-}
-
 /// Where `experiment` puts its CSV artifacts, relative to the invoking
 /// directory.
 const EXPERIMENT_ARTIFACTS: &str = "target/experiments";
@@ -1175,20 +1119,6 @@ fn usage_for(topic: &str) -> &'static str {
              \x20                    checker must rediscover the merge\n\
              \x20                    deadlock and exit nonzero"
         }
-        "perf" => {
-            "usage: ftvod-cli perf [options]\n\n\
-             Run the fixed perf suite (fig4_lan, fig5_wan, fleet_e3,\n\
-             chaos_5seeds, flash_crowd) with hot-path cost profiling on,\n\
-             print per-scenario events and peak concurrent sessions, and\n\
-             write the deterministic counter table as JSON (schema\n\
-             ftvod-bench/v1). The document is byte-identical across runs\n\
-             of one build; scripts/golden.sh compares it with\n\
-             tests/golden/perf_counters.json. Timing is the repo\n\
-             benchmark's job (benchmark/README.md).\n\n\
-             options:\n\
-             \x20 --out FILE          counters document (default perf_counters.json)\n\
-             \x20 --flamechart FILE   export fig4_lan spans as Chrome-trace JSON"
-        }
         "experiment" => {
             "usage: ftvod-cli experiment <id | all>\n\n\
              Regenerate one figure or table of the paper's evaluation, or\n\
@@ -1221,7 +1151,6 @@ fn usage_for(topic: &str) -> &'static str {
              \x20 multidc     two-datacenter site-crash sweep: cross-DC rescue\n\
              \x20             and degraded-mode serving vs a home-only baseline\n\
              \x20 check       exhaustively model-check the membership protocol\n\
-             \x20 perf        run the perf suite, write its counters document\n\
              \x20 experiment  regenerate the paper's figures and tables and\n\
              \x20             judge them against their recorded verdicts\n\n\
              Run `ftvod-cli <command> --help` for the command's options."
@@ -1260,7 +1189,6 @@ fn main() -> ExitCode {
         "chaos" => exit_from(parse_chaos(&args[1..]).and_then(|opts| run_chaos(&opts))),
         "multidc" => exit_from(parse_multidc(&args[1..]).and_then(|opts| run_multidc(&opts))),
         "check" => exit_from(parse_check(&args[1..]).and_then(|opts| run_check(&opts))),
-        "perf" => exit_from(parse_perf(&args[1..]).and_then(|opts| run_perf(&opts))),
         "experiment" => exit_from(parse_experiment(&args[1..]).and_then(run_experiment)),
         other => {
             eprintln!("unknown command \"{other}\"\n\n{}", usage_for("overview"));
@@ -1629,7 +1557,6 @@ mod tests {
             "chaos",
             "multidc",
             "check",
-            "perf",
             "experiment",
             "overview",
         ] {
@@ -1646,50 +1573,14 @@ mod tests {
         assert!(usage_for("overview").contains("flash"));
         assert!(usage_for("overview").contains("chaos"));
         assert!(usage_for("overview").contains("check"));
-        assert!(usage_for("overview").contains("perf"));
-        assert!(usage_for("perf").contains("flash_crowd"));
         assert!(usage_for("check").contains("--revert-pr4-fix"));
         assert!(usage_for("check").contains("--depth"));
-        assert!(usage_for("perf").contains("--flamechart"));
         assert!(usage_for("overview").contains("experiment"));
         for row in experiments::TABLE {
             assert!(usage_for("experiment").contains(row.id), "{}", row.id);
         }
         assert!(usage_for("report").contains("--json"));
         assert!(usage_for("fleet").contains("--net-csv"));
-    }
-
-    #[test]
-    fn perf_defaults_parse() {
-        let opts = parse_perf(&[]).unwrap();
-        assert_eq!(opts, PerfOptions::default());
-        assert_eq!(opts.out, "perf_counters.json");
-        assert_eq!(opts.flamechart, None);
-    }
-
-    #[test]
-    fn perf_full_flag_set_parses() {
-        let opts = parse_perf(&strings(&[
-            "--out",
-            "bench.json",
-            "--flamechart",
-            "flame.json",
-        ]))
-        .unwrap();
-        assert_eq!(opts.out, "bench.json");
-        assert_eq!(opts.flamechart.as_deref(), Some("flame.json"));
-    }
-
-    #[test]
-    fn perf_rejects_bad_inputs() {
-        assert!(parse_perf(&strings(&["--bogus"])).is_err());
-        assert!(parse_perf(&strings(&["--out"])).is_err());
-        assert!(parse_perf(&strings(&["stray"])).is_err());
-        // The gate flags went with the second counters document.
-        for gone in ["--baseline", "--max-wall-ratio", "--rev", "--date"] {
-            assert!(parse_perf(&strings(&[gone, "x"])).is_err(), "{gone}");
-        }
-        assert!(parse_perf(&strings(&["--counters-only"])).is_err());
     }
 
     #[test]

@@ -77,12 +77,6 @@ pub mod vod {
     pub use ftvod_core::*;
 }
 
-/// The measuring harness (re-export of [`ftvod_bench`]): the fixed perf
-/// suite behind `ftvod-cli perf` and the golden counters document.
-pub mod bench {
-    pub use ftvod_bench::*;
-}
-
 /// The most commonly needed names in one import.
 pub mod prelude {
     pub use ftvod_core::chaos::{ChaosFault, ChaosPlan, ChaosProfile};
