@@ -31,6 +31,9 @@ done >"$out/fleet_policies.txt"
 # The CLI's fleet defaults (4 servers, 96 sessions, 6 movies, seed 42,
 # reactive dynamic replication) at `small_fleet`'s cap: EXPERIMENTS.md E3.
 "$cli" fleet --cap 12 >"$out/fleet_small.txt"
+# One scripted session through pause, resume and a seek: the example CI
+# runs, pinned here so a change to the client's VCR path shows.
+cargo run --release --quiet --example vcr_session >"$out/vcr_session.txt"
 # Every figure and table of the paper's evaluation, with its verdict
 # lines; exits nonzero when a verdict differs from its expectation.
 "$cli" experiment all >"$out/experiments.txt"
