@@ -36,7 +36,7 @@ pub struct FeedSummary {
 }
 
 /// A frame-capacity-bounded reordering buffer feeding a hardware decoder.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SoftwareBuffer {
     capacity: usize,
     /// Ascending by frame number, no number twice. A few dozen frames

@@ -52,7 +52,7 @@ impl Band {
 }
 
 /// Stateful implementation of the Figure 2 policy.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct FlowController {
     low_water: usize,
     high_water: usize,

@@ -12,8 +12,8 @@ use super::{
 };
 use crate::client::ClientStats;
 use crate::config::{ReplicationConfig, ResumePolicy, VodConfig};
-use crate::protocol::ClientId;
-use crate::scenario::{presets, VcrOp, VodSim};
+use crate::protocol::{ClientId, VcrCmd};
+use crate::scenario::{presets, VodSim};
 use crate::server::Emergency;
 use crate::workload::{fleet_builder, FleetProfile, FleetReport};
 
@@ -390,8 +390,8 @@ pub(super) fn e1_speed_control(r: &mut Report) {
         240,
     );
     builder
-        .vcr_at(SimTime::from_secs(30), CLIENT, VcrOp::SetSpeed(150))
-        .vcr_at(SimTime::from_secs(60), CLIENT, VcrOp::SetSpeed(75));
+        .vcr_at(SimTime::from_secs(30), CLIENT, VcrCmd::SetSpeed(150))
+        .vcr_at(SimTime::from_secs(60), CLIENT, VcrCmd::SetSpeed(75));
     let mut sim = builder.build();
 
     // Sample the delivered rate in 2-second windows.

@@ -12,7 +12,8 @@
 //!   management with its prefix tier ([`server::Placement`]: who holds
 //!   what);
 //! * [`client`] — clients: software/hardware buffering, the Figure 2 flow
-//!   control policy, VCR operations, statistics;
+//!   control policy, VCR operations, statistics ([`client::ClientSession`]:
+//!   every client decision, as a plain value);
 //! * [`config`] — the paper's §6 operating point and ablation knobs;
 //! * [`metrics`] — time series/counters behind every reproduced figure;
 //! * [`json`] — the one JSON string escape every writer shares;
@@ -75,7 +76,7 @@ pub use metrics::Histogram;
 pub use oracle::{OracleConfig, OracleReport, Verdict};
 pub use profile::{ProfileHandle, ProfileReport, SpanStats, Subsystem};
 pub use protocol::{ClientId, ControlPayload, DemandEntry, VideoPacket, VodWire};
-pub use scenario::{ScenarioBuilder, VcrOp, VodSim};
+pub use scenario::{ScenarioBuilder, VodSim};
 pub use server::{Replica, ServerStats, VodServer};
 pub use trace::{RunReport, TakeoverBreakdown, TraceHandle, TraceRecorder, VodEvent};
 pub use workload::{

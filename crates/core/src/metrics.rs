@@ -106,12 +106,14 @@ impl Cumulative {
         Cumulative::default()
     }
 
-    /// Adds `n` occurrences at time `at`.
+    /// Adds `n` occurrences at time `at`; the total saturates at
+    /// `u64::MAX` (a feed that passes over the whole frame numbering
+    /// counts that many skipped frames).
     pub fn add(&mut self, at: SimTime, n: u64) {
         if n == 0 {
             return;
         }
-        self.current += n;
+        self.current = self.current.saturating_add(n);
         self.events.push((at.as_secs_f64(), self.current));
     }
 

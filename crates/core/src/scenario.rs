@@ -35,32 +35,15 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use media::{FrameNo, Movie, MovieId};
+use media::{Movie, MovieId};
 use simnet::{LinkProfile, NodeId, SimTime, Simulation, SiteTopology};
 
 use crate::client::{ClientStats, VodClient, WatchRequest};
 use crate::config::VodConfig;
 use crate::profile::{ProfileHandle, ProfileReport};
-use crate::protocol::{ClientId, VodWire};
+use crate::protocol::{ClientId, VcrCmd, VodWire};
 use crate::server::{Replica, ServerStats, VodServer};
 use crate::trace::{RunReport, SiteDef, TraceHandle, VodEvent};
-
-/// A VCR operation scheduled in a scenario script.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum VcrOp {
-    /// Pause playback.
-    Pause,
-    /// Resume playback.
-    Resume,
-    /// Random access to a frame.
-    Seek(FrameNo),
-    /// Change the quality cap (max fps).
-    SetQuality(u32),
-    /// Change the playback speed (percent of normal).
-    SetSpeed(u32),
-    /// End the session.
-    Stop,
-}
 
 #[derive(Clone, Debug)]
 struct ClientSetup {
@@ -69,12 +52,11 @@ struct ClientSetup {
     movie: MovieId,
     at: SimTime,
     max_fps: Option<u32>,
-    start_at: FrameNo,
 }
 
 #[derive(Clone, Debug)]
 enum Scripted {
-    Vcr { client: ClientId, op: VcrOp },
+    Vcr { client: ClientId, cmd: VcrCmd },
     Shutdown { node: NodeId },
 }
 
@@ -281,7 +263,6 @@ impl ScenarioBuilder {
             movie,
             at,
             max_fps: None,
-            start_at: FrameNo::ZERO,
         });
         self
     }
@@ -301,14 +282,13 @@ impl ScenarioBuilder {
             movie,
             at,
             max_fps: Some(max_fps),
-            start_at: FrameNo::ZERO,
         });
         self
     }
 
-    /// Schedules a VCR operation on a running client.
-    pub fn vcr_at(&mut self, at: SimTime, client: ClientId, op: VcrOp) -> &mut Self {
-        self.script.push((at, Scripted::Vcr { client, op }));
+    /// Schedules a VCR command on a running client.
+    pub fn vcr_at(&mut self, at: SimTime, client: ClientId, cmd: VcrCmd) -> &mut Self {
+        self.script.push((at, Scripted::Vcr { client, cmd }));
         self
     }
 
@@ -433,7 +413,6 @@ impl ScenarioBuilder {
             if let Some(cap) = setup.max_fps {
                 request.max_fps = cap;
             }
-            request.start_at = setup.start_at;
             sim.start_node_at(
                 setup.at,
                 setup.node,
@@ -443,10 +422,10 @@ impl ScenarioBuilder {
                     setup.node,
                     universe.clone(),
                     request,
+                    self.seed,
                 )
                 .with_trace(trace.clone())
-                .with_profile(profile.clone())
-                .with_retry_seed(self.seed),
+                .with_profile(profile.clone()),
             );
             client_nodes.insert(setup.id, setup.node);
         }
@@ -496,7 +475,12 @@ impl VodSim {
             self.next_script += 1;
             self.sim.run_until(at);
             match action {
-                Scripted::Vcr { client, op } => self.apply_vcr(client, op),
+                Scripted::Vcr { client, cmd } => {
+                    if let Some(&node) = self.client_nodes.get(&client) {
+                        self.sim
+                            .invoke(node, |c: &mut VodClient, ctx| c.vcr(ctx, cmd));
+                    }
+                }
                 Scripted::Shutdown { node } => {
                     self.sim
                         .invoke(node, |s: &mut VodServer, ctx| s.shutdown(ctx));
@@ -504,20 +488,6 @@ impl VodSim {
             }
         }
         self.sim.run_until(until);
-    }
-
-    fn apply_vcr(&mut self, client: ClientId, op: VcrOp) {
-        let Some(&node) = self.client_nodes.get(&client) else {
-            return;
-        };
-        self.sim.invoke(node, |c: &mut VodClient, ctx| match op {
-            VcrOp::Pause => c.pause(ctx),
-            VcrOp::Resume => c.resume(ctx),
-            VcrOp::Seek(position) => c.seek(ctx, position),
-            VcrOp::SetQuality(fps) => c.set_quality(ctx, fps),
-            VcrOp::SetSpeed(percent) => c.set_speed(ctx, percent),
-            VcrOp::Stop => c.stop(ctx),
-        });
     }
 
     /// Current simulated time.
@@ -529,13 +499,14 @@ impl VodSim {
     pub fn client_stats(&self, client: ClientId) -> Option<ClientStats> {
         let node = self.client_nodes.get(&client)?;
         self.sim
-            .with_process(*node, |c: &VodClient| c.stats().clone())
+            .with_process(*node, |c: &VodClient| c.session().stats().clone())
     }
 
     /// Frames displayed so far by `client`.
     pub fn client_displayed(&self, client: ClientId) -> Option<u64> {
         let node = self.client_nodes.get(&client)?;
-        self.sim.with_process(*node, |c: &VodClient| c.displayed())
+        self.sim
+            .with_process(*node, |c: &VodClient| c.session().decoder().displayed())
     }
 
     /// The statistics of the server on `node`.

@@ -69,7 +69,7 @@ impl DiscardKind {
 /// Timestamps (`at`) are simulated time. Identity fields use the same
 /// types the layers themselves use; the JSONL export renders them
 /// compactly (nodes and groups as numbers, endpoints as `"n1:2"` strings).
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub enum VodEvent {
     // ---------------- network (from `simnet::TraceEvent`) ----------------
     /// A datagram was submitted to the network.
@@ -522,7 +522,7 @@ pub enum VodEvent {
 }
 
 /// What [`VodEvent::SiteDefined`] says about one site.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct SiteDef {
     /// The site's index in the topology.
     pub index: u32,

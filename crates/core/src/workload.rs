@@ -26,8 +26,8 @@ use simnet::{LinkProfile, NodeId, SimRng, SimTime, SiteTopology};
 
 use crate::config::{FailoverMode, MultiDcConfig, ReplicationConfig, SiteMap, VodConfig};
 use crate::metrics::Histogram;
-use crate::protocol::ClientId;
-use crate::scenario::{ScenarioBuilder, VcrOp, VodSim};
+use crate::protocol::{ClientId, VcrCmd};
+use crate::scenario::{ScenarioBuilder, VodSim};
 
 /// Domain-separation constant mixed into the seed so the workload stream
 /// is independent of the network simulator's draws for the same seed.
@@ -265,7 +265,7 @@ pub struct PlannedVcr {
     /// When to issue the operation.
     pub at: SimTime,
     /// The operation.
-    pub op: VcrOp,
+    pub op: VcrCmd,
 }
 
 /// One client session of the generated population.
@@ -346,11 +346,11 @@ impl FleetPlan {
                 let pause_len = 1.0 + 2.0 * pause_len_u;
                 vcr.push(PlannedVcr {
                     at: SimTime::from_secs_f64(pause_at),
-                    op: VcrOp::Pause,
+                    op: VcrCmd::Pause,
                 });
                 vcr.push(PlannedVcr {
                     at: SimTime::from_secs_f64(pause_at + pause_len),
-                    op: VcrOp::Resume,
+                    op: VcrCmd::Resume,
                 });
             }
             let seek_u = rng.gen_f64();
@@ -360,12 +360,12 @@ impl FleetPlan {
                 let target = FrameNo((movie_frames * 0.8 * seek_to_u) as u64);
                 vcr.push(PlannedVcr {
                     at: SimTime::from_secs_f64(at + duration * 0.6),
-                    op: VcrOp::Seek(target),
+                    op: VcrCmd::Seek(target),
                 });
             }
             vcr.push(PlannedVcr {
                 at: stop,
-                op: VcrOp::Stop,
+                op: VcrCmd::Stop,
             });
             sessions.push(PlannedSession {
                 client: ClientId(i + 1),
@@ -712,7 +712,7 @@ mod tests {
             assert!(s.stop > s.start);
             let len = s.stop.saturating_since(s.start).as_secs_f64();
             assert!(len <= profile.max_session.as_secs_f64() + 1e-6);
-            assert_eq!(s.vcr.last().map(|v| v.op), Some(VcrOp::Stop));
+            assert_eq!(s.vcr.last().map(|v| v.op), Some(VcrCmd::Stop));
             assert_eq!(s.vcr.last().map(|v| v.at), Some(s.stop));
         }
         // Arrivals are ordered (a cumulative sum of positive gaps).

@@ -4,8 +4,8 @@
 
 use std::time::Duration;
 
-use ftvod_core::protocol::{ClientId, ControlPayload, VodWire};
-use ftvod_core::scenario::{ScenarioBuilder, VcrOp, VodSim};
+use ftvod_core::protocol::{ClientId, ControlPayload, VcrCmd, VodWire};
+use ftvod_core::scenario::{ScenarioBuilder, VodSim};
 use gcs::{GcsConfig, GcsNode, GroupId};
 use media::{Movie, MovieId, MovieSpec};
 use simnet::{Context, Endpoint, LinkProfile, NodeId, Port, Process, SimTime, Simulation, Timer};
@@ -38,7 +38,7 @@ fn deployment(clients: u32) -> ScenarioBuilder {
                 MovieId(1),
                 SimTime::from_secs(u64::from(c)),
             )
-            .vcr_at(SimTime::from_secs(10), id, VcrOp::Stop);
+            .vcr_at(SimTime::from_secs(10), id, VcrCmd::Stop);
     }
     builder
 }

@@ -5,8 +5,8 @@
 use std::time::Duration;
 
 use ftvod_core::config::{ReplicationConfig, VodConfig};
-use ftvod_core::protocol::ClientId;
-use ftvod_core::scenario::{ScenarioBuilder, VcrOp};
+use ftvod_core::protocol::{ClientId, VcrCmd};
+use ftvod_core::scenario::ScenarioBuilder;
 use ftvod_core::server::VodServer;
 use ftvod_core::trace::DEFAULT_EVENT_CAPACITY;
 use ftvod_core::workload::{fleet_builder, FleetProfile, FleetReport};
@@ -41,10 +41,10 @@ fn parked_clients_are_admitted_as_sessions_end_without_leaks() {
     }
     // The two admitted viewers stop mid-movie, freeing their slots; the
     // two parked viewers stop later, after they have been served.
-    builder.vcr_at(SimTime::from_secs(10), ClientId(1), VcrOp::Stop);
-    builder.vcr_at(SimTime::from_secs(12), ClientId(2), VcrOp::Stop);
-    builder.vcr_at(SimTime::from_secs(20), ClientId(3), VcrOp::Stop);
-    builder.vcr_at(SimTime::from_secs(22), ClientId(4), VcrOp::Stop);
+    builder.vcr_at(SimTime::from_secs(10), ClientId(1), VcrCmd::Stop);
+    builder.vcr_at(SimTime::from_secs(12), ClientId(2), VcrCmd::Stop);
+    builder.vcr_at(SimTime::from_secs(20), ClientId(3), VcrCmd::Stop);
+    builder.vcr_at(SimTime::from_secs(22), ClientId(4), VcrCmd::Stop);
     let mut sim = builder.build();
     sim.run_until(SimTime::from_secs(30));
 

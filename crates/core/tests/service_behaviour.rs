@@ -5,8 +5,8 @@
 use std::time::Duration;
 
 use ftvod_core::config::{TakeoverPolicy, VodConfig};
-use ftvod_core::protocol::ClientId;
-use ftvod_core::scenario::{presets, ScenarioBuilder, VcrOp, VodSim};
+use ftvod_core::protocol::{ClientId, VcrCmd};
+use ftvod_core::scenario::{presets, ScenarioBuilder, VodSim};
 use ftvod_core::server::VodServer;
 use media::{FrameNo, Movie, MovieId, MovieSpec};
 use simnet::{LinkProfile, NodeId, SimTime};
@@ -253,8 +253,8 @@ fn pause_and_resume_stop_and_restart_the_stream() {
         .server(S1)
         .server(S2)
         .client(C1, CLIENT_NODE, MovieId(1), SimTime::from_secs(2))
-        .vcr_at(SimTime::from_secs(20), C1, VcrOp::Pause)
-        .vcr_at(SimTime::from_secs(30), C1, VcrOp::Resume);
+        .vcr_at(SimTime::from_secs(20), C1, VcrCmd::Pause)
+        .vcr_at(SimTime::from_secs(30), C1, VcrCmd::Resume);
     let mut sim = builder.build();
     sim.run_until(SimTime::from_secs(22));
     let received_at_pause = sim.client_stats(C1).unwrap().frames_received;
@@ -284,7 +284,7 @@ fn seek_jumps_and_recovers_via_emergency() {
         .server(S1)
         .server(S2)
         .client(C1, CLIENT_NODE, MovieId(1), SimTime::from_secs(2))
-        .vcr_at(SimTime::from_secs(20), C1, VcrOp::Seek(FrameNo(2700)));
+        .vcr_at(SimTime::from_secs(20), C1, VcrCmd::Seek(FrameNo(2700)));
     let mut sim = builder.build();
     sim.run_until(SimTime::from_secs(19));
     let emergencies_before = sim.client_stats(C1).unwrap().emergencies.total();
@@ -308,7 +308,7 @@ fn stop_removes_the_session_everywhere() {
         .server(S1)
         .server(S2)
         .client(C1, CLIENT_NODE, MovieId(1), SimTime::from_secs(2))
-        .vcr_at(SimTime::from_secs(15), C1, VcrOp::Stop);
+        .vcr_at(SimTime::from_secs(15), C1, VcrCmd::Stop);
     let mut sim = builder.build();
     sim.run_until(SimTime::from_secs(25));
     assert_eq!(sim.owner_of(C1), None, "session closed on every replica");
@@ -337,7 +337,7 @@ fn stop_racing_server_crash_leaves_no_zombie_session() {
         .server(S1)
         .server(S2)
         .client(C1, CLIENT_NODE, MovieId(1), SimTime::from_secs(2))
-        .vcr_at(SimTime::from_secs(15), C1, VcrOp::Stop);
+        .vcr_at(SimTime::from_secs(15), C1, VcrCmd::Stop);
     let mut sim = builder.build();
     sim.run_until(SimTime::from_secs(14));
     assert_eq!(sim.owner_of(C1), Some(S2), "highest id serves first");
@@ -396,8 +396,8 @@ fn quality_change_caps_the_rate_by_the_movies_own_frame_rate() {
         .movie(Movie::generate(MovieId(1), &spec), &[S1])
         .server(S1)
         .client(C1, CLIENT_NODE, MovieId(1), SimTime::from_secs(2))
-        .vcr_at(SimTime::from_secs(20), C1, VcrOp::Pause)
-        .vcr_at(SimTime::from_secs(21), C1, VcrOp::SetQuality(30));
+        .vcr_at(SimTime::from_secs(20), C1, VcrCmd::Pause)
+        .vcr_at(SimTime::from_secs(21), C1, VcrCmd::SetQuality(30));
     let mut sim = builder.build();
     let record = |sim: &mut VodSim| {
         let records = sim
@@ -539,7 +539,9 @@ fn movie_end_is_signalled() {
     let node = CLIENT_NODE;
     let ended = sim
         .sim_mut()
-        .with_process(node, |c: &ftvod_core::client::VodClient| c.ended())
+        .with_process(node, |c: &ftvod_core::client::VodClient| {
+            c.session().ended()
+        })
         .unwrap();
     assert!(ended, "client learned the movie is over");
     assert_eq!(sim.owner_of(C1), None, "session closed at the end");
@@ -592,7 +594,7 @@ fn client_can_start_mid_movie() {
     sim.run_until(SimTime::from_secs(5));
     sim.sim_mut()
         .invoke(CLIENT_NODE, |c: &mut ftvod_core::client::VodClient, ctx| {
-            c.seek(ctx, FrameNo(1800)); // minute one
+            c.vcr(ctx, VcrCmd::Seek(FrameNo(1800))); // minute one
         })
         .unwrap();
     sim.run_until(SimTime::from_secs(65));
@@ -600,7 +602,9 @@ fn client_can_start_mid_movie() {
     // must end around t=62s.
     let ended = sim
         .sim_mut()
-        .with_process(CLIENT_NODE, |c: &ftvod_core::client::VodClient| c.ended())
+        .with_process(CLIENT_NODE, |c: &ftvod_core::client::VodClient| {
+            c.session().ended()
+        })
         .unwrap();
     assert!(ended, "mid-movie start reaches the end early");
 }
@@ -609,8 +613,8 @@ fn client_can_start_mid_movie() {
 fn migration_of_a_paused_client_keeps_it_paused() {
     let (builder, crash_at, _) = {
         let (mut b, c, l) = presets::fig4_lan(21);
-        b.vcr_at(c - Duration::from_secs(5), C1, VcrOp::Pause);
-        b.vcr_at(c + Duration::from_secs(10), C1, VcrOp::Resume);
+        b.vcr_at(c - Duration::from_secs(5), C1, VcrCmd::Pause);
+        b.vcr_at(c + Duration::from_secs(10), C1, VcrCmd::Resume);
         (b, c, l)
     };
     let mut sim = builder.build();
@@ -685,8 +689,8 @@ fn playback_speed_control_scales_the_stream() {
         .server(S1)
         .server(S2)
         .client(C1, CLIENT_NODE, MovieId(1), SimTime::from_secs(2))
-        .vcr_at(SimTime::from_secs(30), C1, VcrOp::SetSpeed(200))
-        .vcr_at(SimTime::from_secs(60), C1, VcrOp::SetSpeed(50));
+        .vcr_at(SimTime::from_secs(30), C1, VcrCmd::SetSpeed(200))
+        .vcr_at(SimTime::from_secs(60), C1, VcrCmd::SetSpeed(50));
     let mut sim = builder.build();
     sim.run_until(SimTime::from_secs(28));
     let normal_start = sim.client_stats(C1).unwrap().frames_received;
@@ -727,7 +731,7 @@ fn admission_control_caps_sessions_and_admits_when_freed() {
         .client(ClientId(2), NodeId(101), MovieId(1), SimTime::from_secs(3))
         .client(ClientId(3), NodeId(102), MovieId(1), SimTime::from_secs(4))
         // The first viewer stops mid-movie, freeing a slot.
-        .vcr_at(SimTime::from_secs(30), C1, VcrOp::Stop);
+        .vcr_at(SimTime::from_secs(30), C1, VcrCmd::Stop);
     let mut sim = builder.build();
     sim.run_until(SimTime::from_secs(25));
     let served: Vec<bool> = [C1, ClientId(2), ClientId(3)]

@@ -3,12 +3,15 @@
 //! exports across same-seed runs, and end-to-end report correlation on
 //! the paper's LAN crash scenario.
 
+use std::time::Duration;
+
 use ftvod_core::metrics::Histogram;
-use ftvod_core::protocol::ClientId;
-use ftvod_core::scenario::presets;
+use ftvod_core::protocol::{ClientId, VcrCmd};
+use ftvod_core::scenario::{presets, ScenarioBuilder};
 use ftvod_core::trace::DEFAULT_EVENT_CAPACITY;
+use media::{FrameNo, Movie, MovieId, MovieSpec};
 use proptest::prelude::*;
-use simnet::{NodeId, SimTime};
+use simnet::{LinkProfile, NodeId, SimTime};
 
 const END: SimTime = SimTime::from_secs(92);
 const SERVERS: [NodeId; 3] = [NodeId(1), NodeId(2), NodeId(3)];
@@ -125,6 +128,53 @@ fn jsonl_covers_all_layers() {
             "malformed JSONL line: {line}"
         );
     }
+}
+
+/// FNV-1a, 64 bit: a checksum of an export, to pin it without its bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// One scripted session issues all six VCR commands — `SetQuality` both
+/// ways, which no golden reaches — and its whole trace is pinned: the
+/// checksum was taken before the client's decisions became a plain value
+/// (`client/session.rs`), so any change in what the client does, or in
+/// the order it does it, shows here.
+#[test]
+fn every_vcr_command_keeps_the_trace_byte_identical() {
+    let c1 = ClientId(1);
+    let movie = Movie::generate(
+        MovieId(1),
+        &MovieSpec::paper_default().with_duration(Duration::from_secs(60)),
+    );
+    let mut builder = ScenarioBuilder::new(26);
+    builder
+        .network(LinkProfile::lan())
+        .movie(movie, &SERVERS[..2])
+        .server(SERVERS[0])
+        .server(SERVERS[1])
+        .client(c1, NodeId(100), MovieId(1), SimTime::from_secs(2))
+        .record_events(DEFAULT_EVENT_CAPACITY);
+    for (at, cmd) in [
+        (8, VcrCmd::Pause),
+        (11, VcrCmd::Resume),
+        (14, VcrCmd::SetQuality(15)),
+        (18, VcrCmd::SetSpeed(150)),
+        (22, VcrCmd::Seek(FrameNo(1200))),
+        (26, VcrCmd::SetQuality(30)),
+        (30, VcrCmd::Stop),
+    ] {
+        builder.vcr_at(SimTime::from_secs(at), c1, cmd);
+    }
+    let mut sim = builder.build();
+    sim.run_until(SimTime::from_secs(34));
+    let jsonl = sim.events_jsonl().expect("recording enabled");
+    let issued = jsonl.matches("\"ev\":\"vcr\"").count();
+    assert_eq!(issued, 7, "every scripted command is traced");
+    assert_eq!((jsonl.len(), jsonl.lines().count()), (712_745, 7_594));
+    assert_eq!(fnv1a(jsonl.as_bytes()), 0xb287_fad5_e385_e6e5);
 }
 
 proptest! {

@@ -41,7 +41,7 @@ impl std::fmt::Display for DecoderFullError {
 impl std::error::Error for DecoderFullError {}
 
 /// A byte-bounded FIFO decoder buffer with per-tick consumption.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct HardwareDecoder {
     capacity: u64,
     occupied: u64,

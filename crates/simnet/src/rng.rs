@@ -19,7 +19,7 @@
 /// [`Context::rng`](crate::Context::rng) — flows through one instance, so
 /// draws are consumed in event order and a fixed seed reproduces the run
 /// exactly.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SimRng {
     s: [u64; 4],
 }

@@ -46,6 +46,7 @@ fn main() {
             NodeId(100),
             servers.clone(),
             WatchRequest::full_quality(&movie),
+            0,
         ),
     );
 
@@ -58,11 +59,11 @@ fn main() {
         let (received, sw, hw, stalls, displayed) = rt
             .with_process(NodeId(100), |c: &VodClient| {
                 (
-                    c.stats().frames_received,
-                    c.sw_occupancy(),
-                    c.hw_occupancy(),
-                    c.stats().stalls.total(),
-                    c.displayed(),
+                    c.session().stats().frames_received,
+                    c.session().buffer().occupancy(),
+                    c.session().decoder().occupied(),
+                    c.session().stats().stalls.total(),
+                    c.session().decoder().displayed(),
                 )
             })
             .expect("client exists");
@@ -79,7 +80,7 @@ fn main() {
     }
 
     let stats = rt
-        .with_process(NodeId(100), |c: &VodClient| c.stats().clone())
+        .with_process(NodeId(100), |c: &VodClient| c.session().stats().clone())
         .unwrap();
     println!(
         "\nten real seconds of video, one real crash: {} frozen frames, \

@@ -23,12 +23,12 @@ fn main() {
         .server(NodeId(2))
         .client(ClientId(1), NodeId(100), MovieId(1), SimTime::from_secs(2))
         // Watch, pause for ten seconds, resume, then jump to minute two.
-        .vcr_at(SimTime::from_secs(20), ClientId(1), VcrOp::Pause)
-        .vcr_at(SimTime::from_secs(30), ClientId(1), VcrOp::Resume)
+        .vcr_at(SimTime::from_secs(20), ClientId(1), VcrCmd::Pause)
+        .vcr_at(SimTime::from_secs(30), ClientId(1), VcrCmd::Resume)
         .vcr_at(
             SimTime::from_secs(45),
             ClientId(1),
-            VcrOp::Seek(FrameNo(3600)),
+            VcrCmd::Seek(FrameNo(3600)),
         );
     let mut sim = builder.build();
 

@@ -88,8 +88,8 @@ pub mod prelude {
     pub use ftvod_core::forecast::PolicyKind;
     pub use ftvod_core::oracle::{OracleConfig, OracleReport, Verdict};
     pub use ftvod_core::profile::{ProfileHandle, ProfileReport, Subsystem};
-    pub use ftvod_core::protocol::{ClientId, VodWire};
-    pub use ftvod_core::scenario::{presets, ScenarioBuilder, VcrOp, VodSim};
+    pub use ftvod_core::protocol::{ClientId, VcrCmd, VodWire};
+    pub use ftvod_core::scenario::{presets, ScenarioBuilder, VodSim};
     pub use ftvod_core::server::{Replica, VodServer};
     pub use ftvod_core::trace::{RunReport, TraceHandle, VodEvent, DEFAULT_EVENT_CAPACITY};
     pub use ftvod_core::workload::{

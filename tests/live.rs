@@ -43,18 +43,23 @@ fn video_streams_in_real_time() {
             NodeId(100),
             servers.clone(),
             WatchRequest::full_quality(&movie),
+            0,
         ),
     );
     // ~1.6 wall-clock seconds: connect, stream, then a live failover.
     rt.run_for(Duration::from_millis(1_100));
     let before = rt
-        .with_process(NodeId(100), |c: &VodClient| c.stats().frames_received)
+        .with_process(NodeId(100), |c: &VodClient| {
+            c.session().stats().frames_received
+        })
         .expect("client exists");
     assert!(before > 10, "live stream never started: {before} frames");
     rt.stop_node(NodeId(2));
     rt.run_for(Duration::from_millis(900));
     let after = rt
-        .with_process(NodeId(100), |c: &VodClient| c.stats().frames_received)
+        .with_process(NodeId(100), |c: &VodClient| {
+            c.session().stats().frames_received
+        })
         .unwrap();
     assert!(
         after > before + 5,
