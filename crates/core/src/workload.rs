@@ -548,6 +548,10 @@ pub struct FleetReport {
     /// Per-server `(peak sessions, admission rejections, replicas brought
     /// up, replicas retired, frames sent)`, keyed by node.
     pub per_server: BTreeMap<NodeId, (u32, u64, u64, u64, u64)>,
+    /// Prefix transmissions started, summed over the servers.
+    pub prefix_serves: u64,
+    /// Prefix transmissions ended, summed over the servers.
+    pub prefix_handoffs: u64,
 }
 
 impl FleetReport {
@@ -587,6 +591,8 @@ impl FleetReport {
                     stats.frames_sent,
                 ),
             );
+            report.prefix_serves += stats.prefix_serves.total();
+            report.prefix_handoffs += stats.prefix_handoffs.total();
         }
         report
     }

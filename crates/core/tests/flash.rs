@@ -77,6 +77,13 @@ fn predictive_with_prefix_cache_dominates_reactive_on_the_flash_crowd() {
         p.run.prefix_seconds_avoided > 0.0,
         "prefix serving should be credited with avoided waiting time"
     );
+    // The fleet report sums the servers' own counters (what `ftvod-cli
+    // fleet` prints); on a run whose ring evicted nothing the trace agrees.
+    assert_eq!(p.run.events_dropped, 0, "the ring evicted");
+    assert_eq!(
+        (p.fleet.prefix_serves, p.fleet.prefix_handoffs),
+        (p.run.prefix_serves, p.run.prefix_handoffs)
+    );
 
     // The reactive baseline, with no prefix cache configured, must not
     // fabricate prefix activity.

@@ -223,6 +223,45 @@ enum TickState {
     Asleep,
 }
 
+/// What the groups give the housekeeping passes to do, as of the last walk
+/// over them ([`GcsNode::walk_groups`]). Only membership input raises a
+/// flag, and it forces the next walk.
+#[derive(Clone, Copy, Default)]
+struct Busy {
+    /// A flush is coordinated or a fresh install is re-sent.
+    resends: bool,
+    /// A group is being joined or left.
+    joins: bool,
+    /// A foreign view's freshness clock runs.
+    foreign: bool,
+    /// A flush can time out.
+    flushing: bool,
+}
+
+impl Busy {
+    fn any(self) -> bool {
+        self.resends || self.joins || self.foreign || self.flushing
+    }
+}
+
+/// The housekeeping passes a tick runs only when they can act, one bit
+/// each in what [`GcsNode::tick`] reports having run.
+#[derive(Clone, Copy)]
+enum Pass {
+    Detector,
+    Naks,
+    Resends,
+    Joins,
+    Prune,
+    ViewChanges,
+}
+
+impl Pass {
+    fn bit(self) -> u8 {
+        1 << self as u8
+    }
+}
+
 impl<P> GroupState<P> {
     fn new() -> Self {
         GroupState {
@@ -318,9 +357,24 @@ pub struct GcsNode<P: Payload> {
     /// points without a context (e.g. [`GcsNode::create_group`]) stamp
     /// trace events.
     trace_now: SimTime,
-    /// Buffer of [`GcsNode::take_peers`], kept so the two per-tick peer
-    /// walks allocate nothing once it has grown to the peer count.
-    peer_scratch: Vec<NodeId>,
+    /// Membership input since the last tick: a packet that can change a
+    /// view, a suspicion cleared by a packet, an application request, or a
+    /// pass of the last tick that changed a view (see [`GcsNode::tick`]).
+    input: bool,
+    /// The other members of every group's view, ascending without repeats:
+    /// whom the failure detector watches. Rebuilt on membership input.
+    watched: Vec<NodeId>,
+    /// The same for the groups this node is a member of (or flushing in):
+    /// whom heartbeats go to.
+    hb_peers: Vec<NodeId>,
+    /// The failure detector can next act once the clock is past this: the
+    /// earliest instant an unsuspected peer's silence can exceed the
+    /// timeout, from `last_heard` at its last run (those only grow).
+    fd_due: SimTime,
+    /// Whether some receive buffer may hold a message (NAK work).
+    naks_due: bool,
+    /// Refreshed on membership input and while a flag is raised.
+    busy: Busy,
 }
 
 impl<P: Payload> fmt::Debug for GcsNode<P> {
@@ -369,7 +423,12 @@ impl<P: Payload> GcsNode<P> {
             proto_cfg: ProtoConfig::default(),
             proto_probe: None,
             trace_now: SimTime::ZERO,
-            peer_scratch: Vec::new(),
+            input: true,
+            watched: Vec::new(),
+            hb_peers: Vec::new(),
+            fd_due: SimTime::ZERO,
+            naks_due: false,
+            busy: Busy::default(),
         }
     }
 
@@ -534,6 +593,7 @@ impl<P: Payload> GcsNode<P> {
     /// have gone to sleep, call [`GcsNode::start`] in the same handler.
     pub fn create_group(&mut self, group: GroupId) -> Vec<GcsEvent<P>> {
         let node = self.node;
+        self.input = true;
         self.probe(Some(group), || ProtoEvent::Create);
         let state = self.group_mut(group);
         let Some(view) = state.mem.create(node) else {
@@ -560,6 +620,7 @@ impl<P: Payload> GcsNode<P> {
         self.catch_up(ctx.now());
         let node = self.node;
         let ticks = self.ticks;
+        self.input = true;
         self.probe(Some(group), || ProtoEvent::RequestJoin {
             contacts: contacts.to_vec(),
         });
@@ -596,6 +657,7 @@ impl<P: Payload> GcsNode<P> {
     {
         let node = self.node;
         let ticks = self.ticks;
+        self.input = true;
         self.probe(Some(group), || ProtoEvent::RequestLeave);
         let Some(state) = self.groups.get_mut(&group) else {
             return;
@@ -718,8 +780,18 @@ impl<P: Payload> GcsNode<P> {
         self.trace_now = ctx.now();
         self.last_heard.insert(peer, ctx.now());
         if self.suspected.remove(&peer) {
+            self.input = true;
             self.probe(None, || ProtoEvent::Unsuspect(peer));
         }
+        // The liveness and message-plane packets change no view.
+        self.input |= !matches!(
+            pkt,
+            GcsPacket::Heartbeat
+                | GcsPacket::AppMsg { .. }
+                | GcsPacket::Nak { .. }
+                | GcsPacket::Ack { .. }
+                | GcsPacket::NonMemberSend { .. }
+        );
         if self.proto_probe.is_some() {
             if let Some((group, msg)) = proto_msg_of(&pkt) {
                 self.probe(Some(group), || ProtoEvent::Deliver { from: peer, msg });
@@ -812,39 +884,91 @@ impl<P: Payload> GcsNode<P> {
     where
         M: Payload + From<GcsPacket<P>>,
     {
+        self.tick(ctx, timer).0
+    }
+
+    /// The housekeeping tick, also saying which of the gated passes ran
+    /// (a [`Pass::bit`] each).
+    ///
+    /// Each pass runs only on a tick where it can act: the failure
+    /// detector after membership input or past [`GcsNode::fd_due`]; the
+    /// NAKs while a receive buffer may hold a message; resends, joins and
+    /// the prune while [`GcsNode::busy`] or the non-member book says some
+    /// group has such work; the view changes after membership input, a
+    /// suspicion change, a join or leave pass or a foreign view's clock,
+    /// and while a flush can time out. Heartbeats, acks and announces keep
+    /// their periods. A skipped pass is one that would have found nothing
+    /// to do, so the tick sends, draws and traces exactly what running
+    /// every pass on every tick would.
+    fn tick<M>(&mut self, ctx: &mut Context<'_, M>, timer: Timer) -> (Vec<GcsEvent<P>>, u8)
+    where
+        M: Payload + From<GcsPacket<P>>,
+    {
         debug_assert_eq!(timer.tag, self.tick_tag, "timer routed to wrong component");
-        self.trace_now = ctx.now();
-        self.last_tick = ctx.now();
+        let now = ctx.now();
+        self.trace_now = now;
+        self.last_tick = now;
         self.ticks += 1;
         if self.idle() {
             // No group, nothing deferred: each pass below would find
             // nothing to do. Sleep until an entry point brings work.
             self.tick_state = TickState::Asleep;
-            return Vec::new();
+            return (Vec::new(), 0);
         }
         self.arm(ctx);
         let mut events = Vec::new();
-        self.tick_failure_detector(ctx);
+        let mut ran = 0;
+        let input = std::mem::take(&mut self.input);
+        if input {
+            self.rebuild_peers();
+        }
+        if input || self.busy.any() {
+            self.busy = self.walk_groups();
+        }
+        let busy = self.busy;
+        let mut membership = input || busy.joins || busy.foreign || busy.flushing;
+        if input || now > self.fd_due {
+            ran |= Pass::Detector.bit();
+            membership |= self.tick_failure_detector(ctx);
+        }
         if self.ticks.is_multiple_of(self.config.hb_every_ticks) {
             self.tick_heartbeats(ctx);
         }
         if self.ticks.is_multiple_of(self.config.ack_every_ticks) {
             self.tick_acks(ctx);
         }
-        self.tick_naks(ctx);
-        self.tick_resends(ctx);
-        events.extend(self.tick_joins(ctx));
+        if input || self.naks_due {
+            ran |= Pass::Naks.bit();
+            self.naks_due = self.tick_naks(ctx);
+        }
+        if busy.resends {
+            ran |= Pass::Resends.bit();
+            self.tick_resends(ctx);
+        }
+        if busy.joins {
+            // A singleton it forms or a leave it forces changes a view:
+            // the next tick rebuilds the peer lists.
+            ran |= Pass::Joins.bit();
+            self.input = true;
+            events.extend(self.tick_joins(ctx));
+        }
         // Prune before the election: `Membership::election` treats every
         // remaining foreign entry as fresh, so stale ones must be expired
         // first. The prune's keep-predicate is exactly the freshness check
         // the election used to apply, evaluated at the same tick.
-        self.tick_prune();
-        self.tick_view_changes(ctx);
+        if busy.foreign || !self.nonmember_seen.is_empty() {
+            ran |= Pass::Prune.bit();
+            self.tick_prune();
+        }
+        if membership {
+            ran |= Pass::ViewChanges.bit();
+            self.input |= self.tick_view_changes(ctx);
+        }
         if self.ticks.is_multiple_of(self.config.announce_every_ticks) {
             self.tick_announces(ctx);
         }
         events.append(&mut self.deferred_events);
-        events
+        (events, ran)
     }
 
     // ------------------------------------------------------------------
@@ -929,7 +1053,8 @@ impl<P: Payload> GcsNode<P> {
                 });
             }
         }
-        // NAK any remaining gap, rate-limited.
+        // NAK any remaining gap, rate-limited; the tick re-NAKs it.
+        self.naks_due |= !recv.buf.is_empty();
         let gap = recv.buf.keys().next().map(|&first| (recv.next, first));
         if let Some((next, first)) = gap {
             if first > next {
@@ -1459,63 +1584,99 @@ impl<P: Payload> GcsNode<P> {
     // Housekeeping ticks
     // ------------------------------------------------------------------
 
-    fn tick_failure_detector<M: Payload>(&mut self, ctx: &mut Context<'_, M>) {
+    /// Suspects the watched peers silent past the timeout and clears the
+    /// others; returns whether a suspicion changed, and sets
+    /// [`GcsNode::fd_due`].
+    fn tick_failure_detector<M: Payload>(&mut self, ctx: &mut Context<'_, M>) -> bool {
         let now = ctx.now();
         let timeout = self.config.suspect_timeout;
-        let peers = self.take_peers(|_| true);
+        let mut changed = false;
+        let mut due = SimTime::from_micros(u64::MAX);
+        let peers = std::mem::take(&mut self.watched);
         for &peer in &peers {
             let heard = self.last_heard.get(&peer).copied();
-            match heard {
+            let quiet_until = match heard {
                 Some(at) if now.saturating_since(at) > timeout => {
                     if self.suspected.insert(peer) {
+                        changed = true;
                         self.probe(None, || ProtoEvent::Suspect(peer));
                         self.trace(|| GcsTrace::Suspected { at: now, peer });
                     }
+                    continue;
                 }
-                Some(_) => {
+                Some(at) => {
                     // Recently heard: clear any stale suspicion (e.g. one
                     // acquired across an old partition).
                     if self.suspected.remove(&peer) {
+                        changed = true;
                         self.probe(None, || ProtoEvent::Unsuspect(peer));
                     }
+                    at + timeout
                 }
                 None => {
+                    // Watched from now on, judged from the next tick.
                     self.last_heard.insert(peer, now);
+                    now
                 }
-            }
+            };
+            due = due.min(quiet_until);
         }
-        self.peer_scratch = peers;
+        self.watched = peers;
+        self.fd_due = due;
+        changed
     }
 
-    /// The other members of every group whose status `include` accepts, in
-    /// ascending id order and without repeats — the order the failure
-    /// detector probes and heartbeats are sent in. The vector is
-    /// [`GcsNode::peer_scratch`]; hand it back when done.
-    fn take_peers(&mut self, include: impl Fn(GroupStatus) -> bool) -> Vec<NodeId> {
+    /// Rebuilds [`GcsNode::watched`] and [`GcsNode::hb_peers`]: the other
+    /// members of every group's view, and of the views this node is a
+    /// member of or flushing in, in ascending id order and without repeats
+    /// — the order the failure detector probes and heartbeats are sent in.
+    fn rebuild_peers(&mut self) {
         let node = self.node;
-        let mut peers = std::mem::take(&mut self.peer_scratch);
-        peers.clear();
+        self.watched.clear();
+        self.hb_peers.clear();
         for state in self.groups.values() {
-            if include(state.mem.status) {
-                let members = &state.mem.view.members;
-                peers.extend(members.iter().copied().filter(|&m| m != node));
+            let others = state
+                .mem
+                .view
+                .members
+                .iter()
+                .copied()
+                .filter(|&m| m != node);
+            let member = matches!(
+                state.mem.status,
+                GroupStatus::Member | GroupStatus::Flushing
+            );
+            if member {
+                self.hb_peers.extend(others.clone());
             }
+            self.watched.extend(others);
         }
-        peers.sort_unstable();
-        peers.dedup();
-        peers
+        for peers in [&mut self.watched, &mut self.hb_peers] {
+            peers.sort_unstable();
+            peers.dedup();
+        }
     }
 
-    fn tick_heartbeats<M>(&mut self, ctx: &mut Context<'_, M>)
+    /// One walk over the groups: which gated passes some group gives work.
+    fn walk_groups(&self) -> Busy {
+        let mut busy = Busy::default();
+        for state in self.groups.values() {
+            let status = state.mem.status;
+            busy.resends |= state.vc.is_some() || state.install_resend.is_some();
+            busy.joins |= status == GroupStatus::Joining || state.mem.leaving;
+            busy.foreign |= !state.foreign_seen.is_empty();
+            busy.flushing |= status == GroupStatus::Flushing || state.mem.flush.is_some();
+        }
+        busy
+    }
+
+    fn tick_heartbeats<M>(&self, ctx: &mut Context<'_, M>)
     where
         M: Payload + From<GcsPacket<P>>,
     {
-        let peers =
-            self.take_peers(|status| matches!(status, GroupStatus::Member | GroupStatus::Flushing));
-        for &peer in &peers {
+        for &peer in &self.hb_peers {
             self.emit(ctx, peer, GcsPacket::Heartbeat);
         }
-        self.peer_scratch = peers;
     }
 
     fn tick_acks<M>(&mut self, ctx: &mut Context<'_, M>)
@@ -1543,25 +1704,27 @@ impl<P: Payload> GcsNode<P> {
     }
 
     /// Re-issue NAKs for gaps that persist (the original NAK or its
-    /// retransmission may itself have been lost).
-    fn tick_naks<M>(&mut self, ctx: &mut Context<'_, M>)
+    /// retransmission may itself have been lost). Returns whether a receive
+    /// buffer of any group still holds a message.
+    fn tick_naks<M>(&mut self, ctx: &mut Context<'_, M>) -> bool
     where
         M: Payload + From<GcsPacket<P>>,
     {
         let ticks = self.ticks;
+        let mut held = false;
         let mut naks: Vec<(GroupId, NodeId, u64, u64)> = Vec::new();
         for (&group, state) in &mut self.groups {
-            if state.mem.status != GroupStatus::Member {
-                continue;
-            }
+            let member = state.mem.status == GroupStatus::Member;
             for (&sender, recv) in &state.recv {
-                if let Some(&first) = recv.buf.keys().next() {
-                    if first > recv.next {
-                        let last = state.last_nak_tick.get(&sender).copied().unwrap_or(0);
-                        if ticks.saturating_sub(last) >= 2 {
-                            naks.push((group, sender, recv.next, first - 1));
-                            state.last_nak_tick.insert(sender, ticks.max(1));
-                        }
+                let Some(&first) = recv.buf.keys().next() else {
+                    continue;
+                };
+                held = true;
+                if member && first > recv.next {
+                    let last = state.last_nak_tick.get(&sender).copied().unwrap_or(0);
+                    if ticks.saturating_sub(last) >= 2 {
+                        naks.push((group, sender, recv.next, first - 1));
+                        state.last_nak_tick.insert(sender, ticks.max(1));
                     }
                 }
             }
@@ -1578,6 +1741,7 @@ impl<P: Payload> GcsNode<P> {
                 },
             );
         }
+        held
     }
 
     /// Retransmits in-flight `Prepare`s (to candidates that have not
@@ -1783,7 +1947,9 @@ impl<P: Payload> GcsNode<P> {
         events
     }
 
-    fn tick_view_changes<M>(&mut self, ctx: &mut Context<'_, M>)
+    /// Runs the flush timeouts and elections that are due; returns whether
+    /// any group had one.
+    fn tick_view_changes<M>(&mut self, ctx: &mut Context<'_, M>) -> bool
     where
         M: Payload + From<GcsPacket<P>>,
     {
@@ -1883,6 +2049,7 @@ impl<P: Payload> GcsNode<P> {
                 self.initiate_view_change(ctx, group, epoch, candidates);
             }
         }
+        resume != Bound::Unbounded
     }
 
     fn initiate_view_change<M>(
@@ -2061,6 +2228,9 @@ fn proto_msg_of<P: Payload>(pkt: &GcsPacket<P>) -> Option<(GroupId, ProtoMsg)> {
 mod ack_differential;
 
 #[cfg(test)]
+mod tick_differential;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -2089,14 +2259,11 @@ mod tests {
             state.mem.view = View::new(ViewId::default(), members);
         }
         let ids = |raw: &[u32]| raw.iter().copied().map(NodeId).collect::<Vec<_>>();
+        gcs.rebuild_peers();
         // The failure detector watches every group's view...
-        let watched = gcs.take_peers(|_| true);
-        assert_eq!(watched, ids(&[1, 2, 7, 9, 1000]));
-        gcs.peer_scratch = watched;
+        assert_eq!(gcs.watched, ids(&[1, 2, 7, 9, 1000]));
         // ...heartbeats go to the groups this node is a member of.
-        let heartbeat =
-            gcs.take_peers(|s| matches!(s, GroupStatus::Member | GroupStatus::Flushing));
-        assert_eq!(heartbeat, ids(&[1, 2, 9, 1000]));
+        assert_eq!(gcs.hb_peers, ids(&[1, 2, 9, 1000]));
     }
 
     #[test]

@@ -18,6 +18,7 @@ use std::collections::BTreeSet;
 use std::time::Duration;
 
 use common::*;
+use gcs::proto::{ProtoAction, ProtoConfig, ProtoEvent, ProtoMsg, ProtoNode};
 use gcs::{GcsPacket, GroupId, GroupStatus, View, ViewId};
 use proptest::prelude::*;
 use simnet::{Endpoint, LinkProfile, NodeId, SimTime, Simulation};
@@ -316,5 +317,158 @@ proptest! {
             .with_process(target, |app: &App| app.delivered_from(G, target))
             .unwrap();
         prop_assert_eq!(echoed.last(), Some(&7_777));
+    }
+}
+
+/// Raw material of one [`ProtoEvent`]; [`proto_event`] picks what it needs.
+#[derive(Clone, Copy, Debug)]
+struct Step {
+    kind: u8,
+    msg: u8,
+    from: u32,
+    who: u32,
+    epoch: u64,
+    members: u8,
+    reversed: bool,
+}
+
+/// Ids of the machine's peers, the id space's top included; the machine
+/// itself is one of them.
+const PEERS: [u32; 6] = [1, 2, 3, 4, u32::MAX - 1, u32::MAX];
+
+/// Stale, current and future epochs, up to the last one.
+const EPOCHS: [u64; 7] = [0, 1, 2, 3, 9, u64::MAX - 1, u64::MAX];
+
+fn step() -> impl Strategy<Value = Step> {
+    (
+        (0u8..26, 0u8..6, 0usize..PEERS.len()),
+        (0usize..PEERS.len(), 0usize..EPOCHS.len()),
+        (0u8..64, 0u8..4),
+    )
+        .prop_map(
+            |((kind, msg, from), (who, epoch), (members, reversed))| Step {
+                kind,
+                msg,
+                from: PEERS[from],
+                who: PEERS[who],
+                epoch: EPOCHS[epoch],
+                members,
+                reversed: reversed == 0,
+            },
+        )
+}
+
+/// The subset of [`PEERS`] named by the bits of `mask`: empty, without the
+/// machine or with it, in ascending order or reversed.
+fn peer_list(mask: u8, reversed: bool) -> Vec<NodeId> {
+    let mut ids: Vec<NodeId> = (0..PEERS.len())
+        .filter(|i| mask & (1 << i) != 0)
+        .map(|i| NodeId(PEERS[i]))
+        .collect();
+    if reversed {
+        ids.reverse();
+    }
+    ids
+}
+
+/// The event `d` names; the last five kinds feed `previous` again
+/// (duplicated installs, repeated joins and leaves).
+fn proto_event(d: Step, previous: Option<&ProtoEvent>) -> ProtoEvent {
+    let (from, who) = (NodeId(d.from), NodeId(d.who));
+    let vid = ViewId {
+        epoch: d.epoch,
+        coordinator: who,
+    };
+    let peers = peer_list(d.members, d.reversed);
+    let msg = match d.msg {
+        0 => ProtoMsg::JoinReq { joiner: who },
+        1 => ProtoMsg::LeaveReq { leaver: who },
+        2 => ProtoMsg::Prepare {
+            vid,
+            candidates: peers.clone(),
+        },
+        // Mostly for proposals this machine never made.
+        3 => ProtoMsg::FlushAck { vid },
+        4 => ProtoMsg::Install {
+            view: View::new(vid, peers.clone()),
+        },
+        _ => ProtoMsg::Announce {
+            vid,
+            members: peers.clone(),
+        },
+    };
+    match d.kind {
+        0..=5 => ProtoEvent::Deliver { from, msg },
+        // Strangers, the machine itself and the top of the id space.
+        6 => ProtoEvent::Suspect(who),
+        7 => ProtoEvent::Unsuspect(who),
+        8 => ProtoEvent::Create,
+        9 => ProtoEvent::RequestJoin { contacts: peers },
+        10 => ProtoEvent::RequestLeave,
+        11 | 12 => ProtoEvent::DoElection,
+        13 => ProtoEvent::FlushTimeout { silent: peers },
+        14 => ProtoEvent::AbandonFlush,
+        15 => ProtoEvent::SingletonForm,
+        16 => ProtoEvent::JoinRetry,
+        17 => ProtoEvent::LeaveRetry,
+        18 => ProtoEvent::ForceLeave,
+        19 => ProtoEvent::DoAnnounce,
+        20 => ProtoEvent::ExpireForeign(who),
+        _ => previous.cloned().unwrap_or(ProtoEvent::Create),
+    }
+}
+
+/// Feeds `events` to a fresh machine for `node`, checking after every step
+/// that each view it installs lists it (an excluding view is only surfaced
+/// just before the machine dissolves) and that it holds no view without
+/// itself. Returns every step's actions and the final machine.
+fn drive(
+    node: NodeId,
+    events: &[ProtoEvent],
+) -> Result<(Vec<Vec<ProtoAction>>, ProtoNode), TestCaseError> {
+    let bootstrap = PEERS.iter().copied().map(NodeId).collect();
+    let mut machine = ProtoNode::new(ProtoConfig::default(), node, bootstrap);
+    let mut trace = Vec::with_capacity(events.len());
+    for (i, event) in events.iter().enumerate() {
+        let actions = machine.step(event.clone());
+        for (k, action) in actions.iter().enumerate() {
+            if let ProtoAction::Install { view } = action {
+                let dissolves = actions.get(k + 1) == Some(&ProtoAction::Dissolve);
+                prop_assert!(
+                    view.contains(node) || dissolves,
+                    "step {i} ({event:?}) installed {view:?} without {node:?}"
+                );
+            }
+        }
+        let group = &machine.group;
+        if matches!(group.status, GroupStatus::Member | GroupStatus::Flushing) {
+            prop_assert!(
+                group.view.contains(node),
+                "step {i} ({event:?}) left {node:?} in {:?}",
+                group.view
+            );
+        }
+        trace.push(actions);
+    }
+    Ok((trace, machine))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn proto_node_step_is_total(
+        script in prop::collection::vec(step(), 1..120),
+        at_the_top in any::<bool>(),
+    ) {
+        let node = NodeId(if at_the_top { u32::MAX } else { 2 });
+        let mut events: Vec<ProtoEvent> = Vec::with_capacity(script.len());
+        for d in script {
+            let event = proto_event(d, events.last());
+            events.push(event);
+        }
+        let once = drive(node, &events)?;
+        let twice = drive(node, &events)?;
+        prop_assert_eq!(once, twice);
     }
 }

@@ -8,7 +8,12 @@
 # of the innermost frame (where std's `collections/btree` or `binary_heap`
 # show), samples whose innermost frame is outside the executable (libc's
 # `memcpy`, `malloc`, `realloc`) by the first caller that does resolve, and
-# inclusive time by symbol.
+# inclusive time by symbol. With --focus, a last table gives the inclusive
+# time of every symbol matching the extended regular expression REGEX, its
+# generic arguments stripped: every instance of `GcsNode<P>::on_timer`
+# counts as one `gcs::node::GcsNode::on_timer`. An inlined frame carries
+# its bare name (`tick_prune<P, M>` becomes `tick_prune`), so a REGEX like
+# 'on_timer|tick_' finds both kinds.
 #
 # The timer counts CPU time in user and kernel mode alike, and a signal is
 # delivered on the way back to user mode: the time the kernel spends
@@ -16,7 +21,7 @@
 # heap) is charged to the user line that touched the page, not to a frame
 # of its own. A plain store that owns several per cent is that.
 #
-#   sh scripts/profile.sh <workload> [--seed N] [--seconds S]
+#   sh scripts/profile.sh <workload> [--seed N] [--seconds S] [--focus REGEX]
 #
 # Builds benchmark/ with frame pointers and line tables into
 # target/profile/ (its own target dir; nothing under benchmark/ is edited)
@@ -26,14 +31,16 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-workload=${1:?usage: profile.sh <workload> [--seed N] [--seconds S]}
+workload=${1:?usage: profile.sh <workload> [--seed N] [--seconds S] [--focus REGEX]}
 shift
 seed=0
 seconds=6
+focus=
 while [ $# -gt 0 ]; do
     case $1 in
     --seed) seed=${2:?--seed needs a value} ;;
     --seconds) seconds=${2:?--seconds needs a value} ;;
+    --focus) focus=${2:?--focus needs a value} ;;
     *)
         echo "profile.sh: unknown argument $1" >&2
         exit 2
@@ -63,9 +70,25 @@ sed -n 's/^counters_digest /counters_digest /p; s/^wall_s  */wall_s /p' "$dir/ru
 tr ' ' '\n' <"$dir/samples.txt" | grep -v '^0*$' | sort -u |
     addr2line -a -f -C -i -e "$bin" >"$dir/frames.txt"
 
-awk -v root="$PWD/" '
+awk -v root="$PWD/" -v focus="$focus" '
 function shorten(sym) {
     sub(/::h[0-9a-f]+$/, "", sym)
+    return sym
+}
+# Innermost first: `Vec<T>` and `tick_prune<P, M>` lose their arguments,
+# while `<Duration>::f` and `<VodServer as Process<M>>::f` keep the type.
+function strip_generics(sym,    prev, inner, cut) {
+    while (match(sym, /<[^<>]*>/)) {
+        prev = RSTART > 1 ? substr(sym, RSTART - 1, 1) : ""
+        inner = ""
+        if (prev !~ /[A-Za-z0-9_}]/) {
+            inner = substr(sym, RSTART + 1, RLENGTH - 2)
+            cut = index(inner, " as ")
+            if (cut)
+                inner = substr(inner, 1, cut - 1)
+        }
+        sym = substr(sym, 1, RSTART - 1) inner substr(sym, RSTART + RLENGTH)
+    }
     return sym
 }
 # First pass (frames.txt): frames[addr, level] = function / where.
@@ -118,12 +141,20 @@ FNR == NR {
     }
     owner = ""
     split("", seen)
+    split("", seen_focus)
     for (i = 1; i <= NF; i++) {
         for (n = 1; n <= levels[$i]; n++) {
             fn = func_of[$i, n]
             if (!(fn in seen)) {
                 seen[fn] = 1
                 inclusive[fn]++
+                if (focus != "") {
+                    bare = strip_generics(fn)
+                    if (bare ~ focus && !(bare in seen_focus)) {
+                        seen_focus[bare] = 1
+                        focused[bare]++
+                    }
+                }
             }
             if (owner == "" && (($i, n) in crate_of)) {
                 owner = fn
@@ -136,12 +167,12 @@ FNR == NR {
     if (owner == "")
         by_crate["(no in-repo frame)"]++
 }
-function table(title, count, limit,    key, cmd) {
+function table(title, count, limit, keep_all,    key, cmd) {
     printf "\n%s\n", title
     fflush()
     cmd = "sort -rn | head -n " limit
     for (key in count)
-        if (count[key] < samples) # on every stack: says nothing
+        if (keep_all || count[key] < samples) # on every stack: says nothing
             printf "%6.2f %%  %6d  %s\n", 100 * count[key] / samples, count[key], key | cmd
     close(cmd)
 }
@@ -157,5 +188,7 @@ END {
     table("self time by source directory of the innermost frame", by_leaf_dir, 20)
     table("innermost frame outside the executable, by first resolved caller", by_outside_caller, 20)
     table("inclusive time by symbol", inclusive, 60)
+    if (focus != "")
+        table("inclusive time of symbols matching " focus ", generic arguments stripped", focused, 1000, 1)
 }
 ' "$dir/frames.txt" "$dir/samples.txt"

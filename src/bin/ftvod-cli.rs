@@ -318,13 +318,22 @@ fn run_fleet(opts: &FleetOptions) -> Result<(), String> {
             (ups + up, downs + down)
         });
     println!("replication: {bringups} bring-up(s), {retires} retire(s)");
-    if let Some(run) = sim.report() {
-        if run.prefix_serves > 0 {
-            println!(
-                "prefix tier: {} serve(s), {} handoff(s), {:.1}s of waiting avoided",
-                run.prefix_serves, run.prefix_handoffs, run.prefix_seconds_avoided
-            );
-        }
+    let run = sim.report();
+    if report.prefix_serves > 0 {
+        // The counts are the servers' too; the waiting avoided is folded
+        // from the trace, so it is only said when the ring kept it all.
+        let avoided = run
+            .as_ref()
+            .filter(|run| run.events_dropped == 0)
+            .map_or_else(String::new, |run| {
+                format!(", {:.1}s of waiting avoided", run.prefix_seconds_avoided)
+            });
+        println!(
+            "prefix tier: {} serve(s), {} handoff(s){avoided}",
+            report.prefix_serves, report.prefix_handoffs
+        );
+    }
+    if let Some(run) = run {
         println!("\n{}", run.summary_line());
     }
     write_net_csv(&sim, opts.net_csv.as_deref())
