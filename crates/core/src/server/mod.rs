@@ -804,7 +804,7 @@ impl VodServer {
                 let mut interval =
                     frame_interval(session.record.rate_fps + session.emergency.current());
                 if !jitter.is_zero() {
-                    interval += jitter.mul_f64(ctx.rng().gen_f64());
+                    interval += ctx.rng().jitter(jitter);
                 }
                 session.send_timer =
                     Some(ctx.set_timer_after(interval, tag::of(tag::SEND, client.0)));

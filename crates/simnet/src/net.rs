@@ -254,7 +254,12 @@ impl LinkProfile {
     }
 
     /// Returns a copy with the egress bandwidth replaced.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes_per_sec` is `Some(0)`.
     pub fn with_bandwidth(mut self, bytes_per_sec: Option<u64>) -> Self {
+        assert!(bytes_per_sec != Some(0), "bandwidth must be positive");
         self.bandwidth = bytes_per_sec;
         self
     }
@@ -366,6 +371,12 @@ mod tests {
     #[should_panic(expected = "loss must be in [0,1]")]
     fn with_loss_validates() {
         let _ = LinkProfile::lan().with_loss(1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "bandwidth must be positive")]
+    fn with_bandwidth_rejects_zero() {
+        let _ = LinkProfile::lan().with_bandwidth(Some(0));
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! xoshiro authors recommend, which also guarantees a non-zero state for
 //! any seed.
 
+use std::time::Duration;
+
 /// Deterministic xoshiro256** generator seeded from a single `u64`.
 ///
 /// All randomness in a [`Simulation`](crate::Simulation) — link loss,
@@ -98,6 +100,36 @@ impl SimRng {
     pub fn gen_bool(&mut self, p: f64) -> bool {
         self.gen_f64() < p
     }
+
+    /// Uniform delay in `[0, bound]`: exactly `bound.mul_f64(self.gen_f64())`,
+    /// from the one draw `gen_f64` takes, computed in integers.
+    #[inline]
+    pub fn jitter(&mut self, bound: Duration) -> Duration {
+        scaled(bound, self.next_u64() >> 11)
+    }
+}
+
+/// `bound · k / 2⁵³` rounded to the nanosecond as `mul_f64` rounds it.
+///
+/// `mul_f64` is `from_secs_f64(r · bound.as_secs_f64())`: at most three
+/// roundings before the nanosecond one, so under 2⁻⁵¹ of the exact value.
+/// Away from a half nanosecond by twice that, the exact quotient rounded
+/// to nearest is the answer; nearer, the float expression decides.
+pub(crate) fn scaled(bound: Duration, k: u64) -> Duration {
+    const ONE: u64 = 1 << 53;
+    let float = || bound.mul_f64(k as f64 * (1.0 / ONE as f64));
+    let bound_ns = bound.as_nanos();
+    if bound_ns >= 1 << 60 {
+        return float();
+    }
+    let num = bound_ns * u128::from(k);
+    let (ns, twice_rem) = ((num >> 53) as u64, 2 * (num as u64 & (ONE - 1)));
+    if u128::from(twice_rem.abs_diff(ONE)) <= (num >> 49) + 4 {
+        return float();
+    }
+    let exact = Duration::from_nanos(ns + u64::from(twice_rem > ONE));
+    debug_assert_eq!(exact, float());
+    exact
 }
 
 #[cfg(test)]

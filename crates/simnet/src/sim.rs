@@ -1138,7 +1138,7 @@ impl<M: Payload> Simulation<M> {
         }
         let mut depart = at;
         if let Some(bandwidth) = profile.bandwidth {
-            let serialization = Duration::from_secs_f64(size as f64 / bandwidth as f64);
+            let serialization = serialization(size, bandwidth);
             // A datagram is only ever routed for the node whose handler
             // just ran, so the sender has a row.
             let busy = &mut self.nodes[from.node.0 as usize].egress_busy;
@@ -1169,10 +1169,34 @@ impl<M: Payload> Simulation<M> {
     }
 }
 
+/// `size / bandwidth` seconds, exactly
+/// `Duration::from_secs_f64(size as f64 / bandwidth as f64)` computed in
+/// integers. Below 2⁵³ both operands are exact, so the float quotient is
+/// within 2⁻⁵³ of the exact one and `from_secs_f64` rounds it to the
+/// nearest nanosecond: away from a half nanosecond by more than that
+/// error, the exact quotient rounded to nearest is the answer; nearer, or
+/// out of that range, the float expression decides. A zero bandwidth
+/// takes the float path too, whose panic names it.
+fn serialization(size: usize, bandwidth: u64) -> Duration {
+    const EXACT: u64 = 1 << 53;
+    let float = || Duration::from_secs_f64(size as f64 / bandwidth as f64);
+    let num = match (size as u64).checked_mul(1_000_000_000) {
+        Some(num) if (1..EXACT).contains(&bandwidth) => num,
+        _ => return float(),
+    };
+    let (ns, twice_rem) = (num / bandwidth, 2 * (num % bandwidth));
+    if twice_rem.abs_diff(bandwidth) <= (num >> 52) + 1 {
+        return float();
+    }
+    let exact = Duration::from_nanos(ns + u64::from(twice_rem > bandwidth));
+    debug_assert_eq!(exact, float());
+    exact
+}
+
 fn draw_delay(rng: &mut SimRng, profile: &LinkProfile) -> Duration {
     let mut delay = profile.base_delay;
     if !profile.jitter.is_zero() {
-        delay += profile.jitter.mul_f64(rng.gen_f64());
+        delay += rng.jitter(profile.jitter);
     }
     if profile.reorder > 0.0 && rng.gen_f64() < profile.reorder {
         delay += profile.reorder_extra;
@@ -1189,6 +1213,9 @@ impl<M: Payload> std::fmt::Debug for Simulation<M> {
             .finish()
     }
 }
+
+#[cfg(test)]
+mod exact_delays;
 
 /// Differential test of the event queue's ordering contract: a seeded
 /// random script of one-off and periodic timers, cancels, sends over

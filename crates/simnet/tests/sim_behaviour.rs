@@ -261,6 +261,24 @@ fn bandwidth_adds_serialization_delay() {
     }
 }
 
+/// `with_bandwidth` refuses `Some(0)`; a profile whose public field is set
+/// to 0 anyway fails in `route` with std's message for a float that does
+/// not fit a `Duration`, never with an integer division by zero.
+#[test]
+#[should_panic(expected = "value is either too big or NaN")]
+fn zero_bandwidth_set_directly_panics_in_route() {
+    let mut profile = LinkProfile::ideal();
+    profile.bandwidth = Some(0);
+    let mut sim = Simulation::new(8);
+    sim.set_default_profile(profile);
+    sim.add_node(
+        NodeId(1),
+        Streamer::new(NodeId(2), 1, Duration::from_millis(1), 1000),
+    );
+    sim.add_node(NodeId(2), Sink::default());
+    sim.run_until(SimTime::from_secs(1));
+}
+
 #[test]
 fn same_seed_same_outcome_different_seed_differs() {
     let profile = LinkProfile::wan();

@@ -13,7 +13,13 @@
 # generic arguments stripped: every instance of `GcsNode<P>::on_timer`
 # counts as one `gcs::node::GcsNode::on_timer`. An inlined frame carries
 # its bare name (`tick_prune<P, M>` becomes `tick_prune`), so a REGEX like
-# 'on_timer|tick_' finds both kinds.
+# 'on_timer|tick_' finds both kinds. With --callers, a last table counts,
+# for each sample whose stack holds a symbol matching REGEX, the innermost
+# such symbol and the two nearest in-repo functions above it, generic
+# arguments stripped as for --focus: the 20 most common chains, each with
+# its share of all samples, under a title giving the share of samples that
+# hold a match. `--callers f64` is how the float conversions' callers were
+# found.
 #
 # The timer counts CPU time in user and kernel mode alike, and a signal is
 # delivered on the way back to user mode: the time the kernel spends
@@ -22,6 +28,7 @@
 # of its own. A plain store that owns several per cent is that.
 #
 #   sh scripts/profile.sh <workload> [--seed N] [--seconds S] [--focus REGEX]
+#                                      [--callers REGEX]
 #
 # Builds benchmark/ with frame pointers and line tables into
 # target/profile/ (its own target dir; nothing under benchmark/ is edited)
@@ -31,16 +38,18 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-workload=${1:?usage: profile.sh <workload> [--seed N] [--seconds S] [--focus REGEX]}
+workload=${1:?usage: profile.sh <workload> [--seed N] [--seconds S] [--focus REGEX] [--callers REGEX]}
 shift
 seed=0
 seconds=6
 focus=
+callers=
 while [ $# -gt 0 ]; do
     case $1 in
     --seed) seed=${2:?--seed needs a value} ;;
     --seconds) seconds=${2:?--seconds needs a value} ;;
     --focus) focus=${2:?--focus needs a value} ;;
+    --callers) callers=${2:?--callers needs a value} ;;
     *)
         echo "profile.sh: unknown argument $1" >&2
         exit 2
@@ -70,7 +79,7 @@ sed -n 's/^counters_digest /counters_digest /p; s/^wall_s  */wall_s /p' "$dir/ru
 tr ' ' '\n' <"$dir/samples.txt" | grep -v '^0*$' | sort -u |
     addr2line -a -f -C -i -e "$bin" >"$dir/frames.txt"
 
-awk -v root="$PWD/" -v focus="$focus" '
+awk -v root="$PWD/" -v focus="$focus" -v callers="$callers" '
 function shorten(sym) {
     sub(/::h[0-9a-f]+$/, "", sym)
     return sym
@@ -140,6 +149,8 @@ FNR == NR {
         by_outside_caller[caller]++
     }
     owner = ""
+    chain = ""
+    above = -1
     split("", seen)
     split("", seen_focus)
     for (i = 1; i <= NF; i++) {
@@ -156,6 +167,16 @@ FNR == NR {
                     }
                 }
             }
+            if (callers != "" && above < 2) {
+                bare = strip_generics(fn)
+                if (above < 0 && bare ~ callers) {
+                    chain = bare
+                    above = 0
+                } else if (above >= 0 && (($i, n) in crate_of)) {
+                    chain = chain "  <  " bare
+                    above++
+                }
+            }
             if (owner == "" && (($i, n) in crate_of)) {
                 owner = fn
                 by_frame[fn]++
@@ -166,6 +187,10 @@ FNR == NR {
     }
     if (owner == "")
         by_crate["(no in-repo frame)"]++
+    if (chain != "") {
+        by_chain[chain]++
+        matched++
+    }
 }
 function table(title, count, limit, keep_all,    key, cmd) {
     printf "\n%s\n", title
@@ -190,5 +215,8 @@ END {
     table("inclusive time by symbol", inclusive, 60)
     if (focus != "")
         table("inclusive time of symbols matching " focus ", generic arguments stripped", focused, 1000, 1)
+    if (callers != "")
+        table(sprintf("first symbol matching %s  <  its two nearest in-repo callers (on %.2f %% of samples)",
+            callers, 100 * matched / samples), by_chain, 20, 1)
 }
 ' "$dir/frames.txt" "$dir/samples.txt"

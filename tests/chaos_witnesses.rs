@@ -1,0 +1,49 @@
+//! One witness per failure class of the chaos sweep, pinned as a **known
+//! deviation** from the paper's promise (exactly one server, re-served
+//! after a fault). Each test runs one campaign at the CLI's defaults —
+//! what `ftvod-cli chaos --seed N --seeds 1` runs — and asserts that
+//! exactly today's invariant fails. The ROADMAP item-1 part named in its
+//! doc should flip it: that change asserts `PASS` here in the same diff.
+
+use ftvod::vod::campaign::{self, CHAOS_CLIENTS, CHAOS_FAULTS, CHAOS_SYNC};
+use ftvod::vod::oracle::summary_token;
+
+/// The oracle's summary token for the CLI-default chaos campaign `seed`.
+fn verdict(seed: u64) -> String {
+    let (wired, _faults) = campaign::chaos(CHAOS_CLIENTS, CHAOS_FAULTS, CHAOS_SYNC, seed);
+    let oracle = wired.run().oracle;
+    let token = summary_token(&oracle);
+    eprintln!("seed {seed}: {token}\n{oracle}");
+    token
+}
+
+/// **Known deviation** (ROADMAP item 1c, a floor under the last copy):
+/// n3 retires movie 2 down to one copy, its sole holder n2 crashes with
+/// c4's only record, and c4 is not re-served within the bound.
+#[test]
+fn known_deviation_seed_28_last_copy_crashes_and_c4_is_not_re_served() {
+    assert_eq!(verdict(28), "FAIL[re-served-after-fault]");
+}
+
+/// **Known deviation** (ROADMAP item 1a, the client is the authority on
+/// its session state): c14's seek is lost in n1's crash, and n4 resumes at
+/// the record's stale frame, behind the client's feed point.
+#[test]
+fn known_deviation_seed_70_lost_seek_leaves_c14_unserved() {
+    assert_eq!(verdict(70), "FAIL[re-served-after-fault]");
+}
+
+/// **Known deviation** (ROADMAP item 1b, the session group arbitrates
+/// exclusive service): n3 and n4 each rescue movie 1 and both admit c24's
+/// re-OPEN.
+#[test]
+fn known_deviation_seed_932_two_rescuers_both_serve_c24() {
+    assert_eq!(verdict(932), "FAIL[exclusive-service]");
+}
+
+/// **Known deviation** (ROADMAP item 1b): after a partial merge n4 keeps
+/// streaming to c2 beside n2, and nobody tells it to stop.
+#[test]
+fn known_deviation_seed_1012_partial_merge_serves_c2_twice() {
+    assert_eq!(verdict(1012), "FAIL[exclusive-service]");
+}
