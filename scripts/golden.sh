@@ -18,20 +18,34 @@ mkdir -p "$out"
 
 "$cli" chaos --seeds 25 >"$out/chaos_25seeds.txt"
 "$cli" chaos --seeds 1 --plan >"$out/chaos_seed1_plan.txt"
+# Appends `ftvod-cli chaos ARGS...` to FILE, its stdout and then its stderr
+# summary naming the failing seeds. A campaign of the sweep violates an
+# invariant, so the CLI exits 1; any other status is an error.
+chaos_fails() {
+    file=$1
+    shift
+    status=0
+    "$cli" chaos "$@" >>"$file" 2>"$out/stderr.txt" || status=$?
+    if [ "$status" -ne 1 ]; then
+        cat "$out/stderr.txt" >&2
+        echo "golden.sh: chaos $* exited $status, not 1" >&2
+        exit 1
+    fi
+    cat "$out/stderr.txt" >>"$file"
+    rm "$out/stderr.txt"
+}
 # The sweep where exclusive service fails (~3 s): partial merges and
 # concurrent singletons, where the membership passes of the GCS tick act.
-# Nine of its campaigns violate an invariant, so the CLI exits 1; any other
-# status is an error. The stderr summary naming the seeds is kept too.
-status=0
-"$cli" chaos --seed 1001 --seeds 100 >"$out/chaos_1001_100seeds.txt" 2>"$out/stderr.txt" ||
-    status=$?
-if [ "$status" -ne 1 ]; then
-    cat "$out/stderr.txt" >&2
-    echo "golden.sh: chaos --seed 1001 --seeds 100 exited $status, not 1" >&2
-    exit 1
-fi
-cat "$out/stderr.txt" >>"$out/chaos_1001_100seeds.txt"
-rm "$out/stderr.txt"
+# Nine of its campaigns violate an invariant.
+chaos_fails "$out/chaos_1001_100seeds.txt" --seed 1001 --seeds 100
+# The 40 campaigns of `chaos --seed 1 --seeds 1000` that fail (ROADMAP,
+# "Open items"), one run each (~1.3 s in all), with the verdict windows
+# of their failures. A seed that a fix flips to PASS exits 0 and stops the
+# script here: take it off the list in the same change.
+for seed in 28 34 39 68 70 72 89 90 186 211 302 316 321 362 370 451 488 508 511 513 \
+    611 614 627 663 691 704 774 776 777 823 838 924 925 932 948 960 967 968 975 982; do
+    chaos_fails "$out/chaos_witnesses.txt" --seed "$seed" --seeds 1
+done
 "$cli" flash >"$out/flash.txt"
 "$cli" flash --seed 1 --compare >"$out/flash_compare.txt"
 "$cli" multidc --seeds 10 >"$out/multidc.txt"
