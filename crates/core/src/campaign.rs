@@ -34,7 +34,7 @@ use crate::config::{FailoverMode, PrefixCacheConfig, ReplicationConfig};
 use crate::forecast::PolicyKind;
 use crate::oracle::{summary_token, OracleConfig, OracleReport};
 use crate::scenario::{ScenarioBuilder, VodSim};
-use crate::trace::{RunReport, VodEvent};
+use crate::trace::RunReport;
 use crate::workload::{
     fleet_builder_with_config, fleet_config, multidc_builder, multidc_profile, FleetPlan,
     FleetProfile, FleetReport,
@@ -48,7 +48,8 @@ pub const CHAOS_FAULTS: u32 = 6;
 pub const CHAOS_SYNC: Duration = Duration::from_millis(500);
 
 /// Event-ring capacity of every campaign: room for every event of the
-/// run, because eviction would blind the oracle.
+/// run. The oracle and the run report read the recorder's fold and need
+/// none of it; the size is for the tests that walk a campaign's events.
 const EVENT_RING: usize = 1 << 20;
 
 /// A wired campaign: build `builder`, run it to `end`, then judge it.
@@ -142,9 +143,9 @@ pub fn multidc(mode: FailoverMode, seed: u64) -> Campaign {
     }
 }
 
-/// Replays a finished run's recorded trace through the safety oracle at
-/// the paper's bounds — the judge step for any recorded [`VodSim`],
-/// campaign or bespoke scenario.
+/// Judges a finished run's recorded trace with the safety oracle at the
+/// paper's bounds — the judge step for any recorded [`VodSim`], campaign
+/// or bespoke scenario.
 ///
 /// # Panics
 ///
@@ -168,15 +169,11 @@ impl Campaign {
         let first_tail_bringup = self.shock.and_then(|(shock_at, tail)| {
             sim.trace()
                 .with_recorder(|rec| {
-                    rec.fold_events()
-                        .filter_map(|e| match e {
-                            VodEvent::ReplicaBringUp { at, movie, .. }
-                                if *movie == tail && *at >= shock_at =>
-                            {
-                                Some(*at)
-                            }
-                            _ => None,
-                        })
+                    rec.fold()
+                        .bringups
+                        .iter()
+                        .filter(|&&(at, _, movie, _)| movie == tail && at >= shock_at)
+                        .map(|&(at, ..)| at)
                         .min()
                 })
                 .expect("recording was enabled")

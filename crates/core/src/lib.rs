@@ -18,7 +18,8 @@
 //! * [`metrics`] — time series/counters behind every reproduced figure;
 //! * [`json`] — the one JSON string escape every writer shares;
 //! * [`trace`] — the cross-layer event stream, JSONL export and derived
-//!   run reports (takeover-latency breakdowns, latency percentiles);
+//!   run reports (takeover-latency breakdowns, latency percentiles), read
+//!   from one fold the recorder advances as each event is recorded;
 //! * [`profile`] — per-subsystem cost accounting (span wall-clock plus
 //!   simnet scheduler counters), zero-overhead when disabled;
 //! * [`workload`] — the fleet workload engine: Zipf popularity, Poisson
@@ -41,7 +42,7 @@
 //! * [`oracle`] — the trace-driven safety oracle checking the paper's
 //!   invariants (exclusive service, bounded frame gaps, replica coverage,
 //!   repair within a bound, and the site-aware failover invariants)
-//!   against any recorded run.
+//!   over any recorded run, read from the same fold.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -51,6 +52,7 @@ pub mod chaos;
 pub mod client;
 pub mod config;
 pub mod experiments;
+mod fold;
 pub mod forecast;
 pub mod json;
 pub mod metrics;

@@ -4,11 +4,12 @@
 
 use std::time::Duration;
 
-use ftvod_core::campaign::{self, CHAOS_CLIENTS, CHAOS_FAULTS};
+use ftvod_core::campaign::{self, CHAOS_CLIENTS, CHAOS_FAULTS, CHAOS_SYNC};
+use ftvod_core::oracle::summary_token;
 use ftvod_core::protocol::{ClientId, TrafficClass};
 use ftvod_core::scenario::ScenarioBuilder;
 use ftvod_core::server::VodServer;
-use ftvod_core::trace::{VodEvent, DEFAULT_EVENT_CAPACITY};
+use ftvod_core::trace::{TraceRecorder, VodEvent, DEFAULT_EVENT_CAPACITY};
 use media::{Movie, MovieId, MovieSpec};
 use simnet::{NodeId, SimTime};
 
@@ -233,4 +234,31 @@ fn default_chaos_campaign_matches_the_golden_cli_output() {
         rest,
         format!("{rendered}chaos: 1/1 campaign(s) passed the oracle\n")
     );
+}
+
+/// The oracle and the run report read the recorder's fold, not its ring,
+/// so a ring that evicts most of a run changes neither. Seed 28 fails
+/// `re-served-after-fault`, so the compared verdicts carry a window.
+#[test]
+fn a_ring_that_evicts_changes_no_verdict_and_no_report() {
+    let run = |ring: Option<usize>| {
+        let (mut wired, _faults) = campaign::chaos(CHAOS_CLIENTS, CHAOS_FAULTS, CHAOS_SYNC, 28);
+        if let Some(capacity) = ring {
+            wired.builder.record_events(capacity);
+        }
+        let mut sim = wired.builder.build();
+        sim.run_until(wired.end);
+        let dropped = sim.trace().with_recorder(TraceRecorder::dropped);
+        (wired.judge(&sim), dropped.expect("campaigns record"))
+    };
+    let (whole, none) = run(None);
+    let (tail, dropped) = run(Some(4_096));
+    assert_eq!(none, 0);
+    assert!(dropped > 0, "the small ring evicted nothing");
+    assert_eq!(summary_token(&whole.oracle), "FAIL[re-served-after-fault]");
+    assert_eq!(whole.oracle.to_string(), tail.oracle.to_string());
+    let mut tail_run = tail.run;
+    assert_eq!(tail_run.events_dropped, dropped);
+    tail_run.events_dropped = 0;
+    assert_eq!(whole.run.to_json(), tail_run.to_json());
 }
