@@ -136,7 +136,8 @@ impl Cumulative {
             .map_or(0, |&(_, v)| v)
     }
 
-    /// Occurrences within the window `[from, to]` seconds.
+    /// Occurrences within the half-open window `[from, to)` seconds:
+    /// one at `from` counts, one at `to` does not.
     pub fn in_window(&self, from: f64, to: f64) -> u64 {
         self.total_before(to) - self.total_before(from)
     }
@@ -428,6 +429,9 @@ mod tests {
         assert_eq!(c.total_before(0.5), 0);
         assert_eq!(c.in_window(0.9, 6.0), 5);
         assert_eq!(c.in_window(1.5, 6.0), 3);
+        // Half-open: the step at `from` counts, the one at `to` does not.
+        assert_eq!(c.in_window(1.0, 5.0), 2);
+        assert_eq!(c.in_window(5.0, 6.0), 3);
     }
 
     #[test]
