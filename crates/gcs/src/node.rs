@@ -34,9 +34,10 @@
 //!   [`GcsNode::forced_gaps`] — applications that exchange full state on
 //!   every view change (as the VoD servers do) are unaffected.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Bound;
 
 use simnet::{Context, Endpoint, NodeId, Payload, Port, SimTime, Timer, VecMap};
@@ -113,6 +114,29 @@ type GcsTracer = Box<dyn FnMut(&GcsTrace)>;
 /// equivalence tests drive a pure [`crate::proto::ProtoNode`] from this
 /// stream and assert it installs the same view sequence as the live node.
 type ProtoProbe = Box<dyn FnMut(Option<GroupId>, &ProtoEvent)>;
+
+/// Hashes a [`NodeId`] with one multiply (Fibonacci hashing), halves
+/// swapped so that the well-mixed high half picks the bucket. Ids come off
+/// the wire, but a table keyed by them holds one entry per distinct id, so
+/// colliding ids cost probes, never memory.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u32(u32::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0 ^ u64::from(n)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(32)
+    }
+}
 
 struct RecvState<P> {
     /// Next sequence number to deliver from this sender.
@@ -337,7 +361,9 @@ pub struct GcsNode<P: Payload> {
     /// Whether this node has ever held group state. One that has not keeps
     /// ticking: [`GcsNode::create_group`] has no context to wake it from.
     had_group: bool,
-    last_heard: VecMap<NodeId, SimTime>,
+    /// When each peer was last heard from, stamped by every packet. Only
+    /// looked up, never walked, so its order decides nothing.
+    last_heard: HashMap<NodeId, SimTime, BuildHasherDefault<IdHasher>>,
     suspected: BTreeSet<NodeId>,
     groups: VecMap<GroupId, GroupState<P>>,
     next_nonmember_id: u64,
@@ -411,7 +437,7 @@ impl<P: Payload> GcsNode<P> {
             tick_state: TickState::Unstarted,
             last_tick: SimTime::ZERO,
             had_group: false,
-            last_heard: VecMap::new(),
+            last_heard: HashMap::default(),
             suspected: BTreeSet::new(),
             groups: VecMap::new(),
             next_nonmember_id: 1,

@@ -241,7 +241,8 @@ struct Snapshot {
     /// Membership events fed to the pure machine since the last tick.
     probed: Vec<(Option<GroupId>, ProtoEvent)>,
     suspected: BTreeSet<NodeId>,
-    last_heard: VecMap<NodeId, SimTime>,
+    /// Sorted: the endpoint's map is hashed.
+    last_heard: BTreeMap<NodeId, SimTime>,
     nonmember_seen: VecMap<(NodeId, u64), u64>,
     views: Vec<(GroupId, GroupStatus, Option<View>)>,
 }
@@ -311,7 +312,7 @@ impl Process<Wire> for Node {
             events,
             probed: std::mem::take(&mut log.probed),
             suspected: gcs.suspected.clone(),
-            last_heard: gcs.last_heard.clone(),
+            last_heard: gcs.last_heard.iter().map(|(&k, &v)| (k, v)).collect(),
             nonmember_seen: gcs.nonmember_seen.clone(),
             views,
         };

@@ -4,6 +4,10 @@
 //! below what the receiver itself has sent — may panic a [`gcs::GcsNode`],
 //! talk it out of its own view or make it size a table by an id's value.
 //!
+//! Senders whose ids agree in their low 16 bits, `u32::MAX` among them,
+//! may cost the failure detector's hashed table probes, never an entry
+//! beyond one per id.
+//!
 //! The packets are forged: handed to a member of a settled three-member
 //! group as if they had arrived from an arbitrary endpoint, with the
 //! housekeeping tick running in between so that whatever they queue
@@ -271,6 +275,7 @@ proptest! {
     fn forged_packets_neither_panic_nor_evict(
         script in prop::collection::vec(draw(), 1..40),
         setup in (0u64..1_000, 1u32..4),
+        collisions in 0u32..64,
     ) {
         let (seed, target) = setup;
         let target = NodeId(target);
@@ -278,6 +283,19 @@ proptest! {
         // Everyone the target can have heard of: the members, and whoever
         // a forged packet came from, named or listed in a view (1..=5).
         let mut named: BTreeSet<u32> = ids.iter().map(|n| n.0).chain(1..=5).collect();
+
+        // First a heartbeat from each of `collisions` senders whose ids
+        // agree in their low 16 bits, down from `u32::MAX`: whatever a hash
+        // of an id keeps of those bits alone collides.
+        for k in 0..collisions {
+            let from = Endpoint::new(NodeId(u32::MAX - (k << 16)), GCS_PORT);
+            named.insert(from.node.0);
+            sim.invoke(target, |app: &mut App, ctx| {
+                let events = app.gcs.on_packet(ctx, from, GcsPacket::Heartbeat);
+                app.record(events);
+            })
+            .expect("target is up");
+        }
 
         for d in script {
             named.extend([d.from, d.who]);

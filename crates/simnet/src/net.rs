@@ -308,6 +308,10 @@ pub trait Payload: Clone + fmt::Debug + 'static {
     fn size_bytes(&self) -> usize;
 
     /// Coarse traffic class for statistics (e.g. `"video"`, `"gcs"`).
+    ///
+    /// Must be a pure function of the message: the simulator asks again
+    /// when it routes a datagram and when it delivers it, rather than
+    /// storing the answer beside it.
     fn class(&self) -> &'static str {
         "default"
     }

@@ -147,13 +147,11 @@ impl<M: Payload> Context<'_, M> {
     /// Delivery (or loss) is governed by the link profile between the two
     /// nodes; see [`LinkProfile`](crate::LinkProfile).
     pub fn send(&mut self, from_port: Port, to: Endpoint, msg: M) {
-        let class = msg.class();
         let (cell, vacant) = self.bodies.vacant();
         *vacant = Some(EventKind::Deliver {
             from: Endpoint::new(self.node, from_port),
             to,
             msg,
-            class,
             sent_at: self.now,
         });
         self.effects.push(Effect::Send(cell));

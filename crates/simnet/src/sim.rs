@@ -146,12 +146,14 @@ pub enum TraceEvent {
 
 type Tracer = Box<dyn FnMut(&TraceEvent)>;
 
+/// A pending event's body: 128 bytes for `VodWire` (104), so the rare
+/// events box what would widen it, and a delivery asks its message for its
+/// class ([`Payload::class`]) instead of carrying it.
 pub(crate) enum EventKind<M: Payload> {
     Deliver {
         from: Endpoint,
         to: Endpoint,
         msg: M,
-        class: &'static str,
         sent_at: SimTime,
     },
     Timer {
@@ -176,12 +178,12 @@ pub(crate) enum EventKind<M: Payload> {
     },
     HealAll,
     SetDefaultProfile {
-        profile: LinkProfile,
+        profile: Box<LinkProfile>,
     },
     SetLinkOverrides {
         a: Vec<NodeId>,
         b: Vec<NodeId>,
-        profile: Option<LinkProfile>,
+        profile: Option<Box<LinkProfile>>,
     },
 }
 
@@ -225,12 +227,11 @@ impl<M: Payload> Slab<M> {
         cell
     }
 
-    fn take(&mut self, cell: u32) -> EventKind<M> {
-        let kind = self.cells[cell as usize]
-            .take()
-            .expect("a cell index points at a filled cell");
+    /// Empties `cell` and frees it, returning what it held: the body is
+    /// moved once, `Option` and all.
+    fn take(&mut self, cell: u32) -> Option<EventKind<M>> {
         self.free.push(cell);
-        kind
+        self.cells[cell as usize].take()
     }
 }
 
@@ -611,7 +612,7 @@ impl<M: Payload> Simulation<M> {
             EventKind::SetLinkOverrides {
                 a: a.to_vec(),
                 b: b.to_vec(),
-                profile,
+                profile: profile.map(Box::new),
             },
         );
     }
@@ -664,6 +665,7 @@ impl<M: Payload> Simulation<M> {
     /// to model a transient network degradation: degrade at `t`, restore
     /// the base profile at `t + duration`. An `at` already past means now.
     pub fn set_default_profile_at(&mut self, at: SimTime, profile: LinkProfile) {
+        let profile = Box::new(profile);
         self.schedule(at, EventKind::SetDefaultProfile { profile });
     }
 
@@ -722,8 +724,7 @@ impl<M: Payload> Simulation<M> {
         let started = self.profile.as_ref().map(|_| Instant::now());
         while self.queue.next_at().is_some_and(|at| at <= until) {
             let (at, cell) = self.queue.pop().expect("peeked event vanished");
-            let kind = self.bodies.take(cell);
-            self.dispatch(at, kind);
+            self.dispatch_cell(at, cell);
         }
         if until > self.now {
             self.now = until;
@@ -751,8 +752,7 @@ impl<M: Payload> Simulation<M> {
         match self.queue.pop() {
             Some((at, cell)) => {
                 let started = self.profile.as_ref().map(|_| Instant::now());
-                let kind = self.bodies.take(cell);
-                self.dispatch(at, kind);
+                self.dispatch_cell(at, cell);
                 if let (Some(profile), Some(started)) = (self.profile.as_mut(), started) {
                     profile.dispatch_ns += started.elapsed().as_nanos() as u64;
                 }
@@ -860,18 +860,38 @@ impl<M: Payload> Simulation<M> {
         }
     }
 
-    fn dispatch(&mut self, at: SimTime, kind: EventKind<M>) {
+    /// Runs the event queued in `cell` at `at` and frees the cell. A
+    /// timer's three words are copied out and its body stays put; any
+    /// other body is moved out once.
+    fn dispatch_cell(&mut self, at: SimTime, cell: u32) {
         debug_assert!(at >= self.now, "event queue went backwards");
         self.now = at;
-        match kind {
-            EventKind::Deliver {
+        let slot = &mut self.bodies.cells[cell as usize];
+        if let Some(EventKind::Timer { node, id, tag }) = *slot {
+            *slot = None;
+            self.bodies.free.push(cell);
+            // Most runs never cancel a timer: skip the hash then.
+            if !self.cancelled.is_empty() && self.cancelled.remove(&id.0) {
+                self.count(|p| p.timer_squashed += 1);
+            } else if !self.is_alive(node) {
+                self.count(|p| p.timer_dead += 1);
+            } else {
+                self.count(|p| p.timer_fired += 1);
+                self.run_handler(node, |process, ctx| {
+                    process.on_timer(ctx, Timer { id, tag });
+                });
+            }
+            return;
+        }
+        match self.bodies.take(cell) {
+            Some(EventKind::Deliver {
                 from,
                 to,
                 msg,
-                class,
                 sent_at,
-            } => {
+            }) => {
                 self.count(|p| p.deliver_events += 1);
+                let class = msg.class();
                 if !self.is_alive(to.node) {
                     self.stats.class_mut(class).dropped_dead += 1;
                     self.trace(|| TraceEvent::Dropped {
@@ -895,22 +915,7 @@ impl<M: Payload> Simulation<M> {
                     process.on_datagram(ctx, from, to, msg);
                 });
             }
-            EventKind::Timer { node, id, tag } => {
-                // Most runs never cancel a timer: skip the hash then.
-                if !self.cancelled.is_empty() && self.cancelled.remove(&id.0) {
-                    self.count(|p| p.timer_squashed += 1);
-                    return;
-                }
-                if !self.is_alive(node) {
-                    self.count(|p| p.timer_dead += 1);
-                    return;
-                }
-                self.count(|p| p.timer_fired += 1);
-                self.run_handler(node, |process, ctx| {
-                    process.on_timer(ctx, Timer { id, tag });
-                });
-            }
-            EventKind::Start { node, process } => {
+            Some(EventKind::Start { node, process }) => {
                 self.count(|p| p.start_events += 1);
                 let index = node.0 as usize;
                 if index >= self.nodes.len() {
@@ -930,7 +935,7 @@ impl<M: Payload> Simulation<M> {
                 }
                 self.run_handler(node, |process, ctx| process.on_start(ctx));
             }
-            EventKind::Crash { node } => {
+            Some(EventKind::Crash { node }) => {
                 self.count(|p| p.crash_events += 1);
                 if let Some(slot) = self.slot_mut(node) {
                     slot.alive = false;
@@ -938,7 +943,7 @@ impl<M: Payload> Simulation<M> {
                 self.crashed.insert(node);
                 self.trace(|| TraceEvent::NodeCrashed { at, node });
             }
-            EventKind::Partition { a, b } => {
+            Some(EventKind::Partition { a, b }) => {
                 self.count(|p| p.partition_events += 1);
                 for &x in &a {
                     for &y in &b {
@@ -948,7 +953,7 @@ impl<M: Payload> Simulation<M> {
                 }
                 self.trace(|| TraceEvent::Partitioned { at, a, b });
             }
-            EventKind::Heal { a, b } => {
+            Some(EventKind::Heal { a, b }) => {
                 self.count(|p| p.heal_events += 1);
                 for &x in &a {
                     for &y in &b {
@@ -964,7 +969,7 @@ impl<M: Payload> Simulation<M> {
                 }
                 self.trace(|| TraceEvent::Healed { at, a, b });
             }
-            EventKind::HealAll => {
+            Some(EventKind::HealAll) => {
                 self.count(|p| p.heal_events += 1);
                 self.blocked.clear();
                 self.trace(|| TraceEvent::Healed {
@@ -973,18 +978,18 @@ impl<M: Payload> Simulation<M> {
                     b: Vec::new(),
                 });
             }
-            EventKind::SetDefaultProfile { profile } => {
+            Some(EventKind::SetDefaultProfile { profile }) => {
                 self.count(|p| p.profile_change_events += 1);
-                self.default_profile = profile;
+                self.default_profile = *profile;
             }
-            EventKind::SetLinkOverrides { a, b, profile } => {
+            Some(EventKind::SetLinkOverrides { a, b, profile }) => {
                 self.count(|p| p.profile_change_events += 1);
                 for &x in &a {
                     for &y in &b {
                         match &profile {
                             Some(p) => {
-                                self.overrides.insert((x, y), p.clone());
-                                self.overrides.insert((y, x), p.clone());
+                                self.overrides.insert((x, y), (**p).clone());
+                                self.overrides.insert((y, x), (**p).clone());
                             }
                             None => {
                                 self.overrides.remove(&(x, y));
@@ -995,6 +1000,9 @@ impl<M: Payload> Simulation<M> {
                 }
                 let degraded = profile.is_some();
                 self.trace(|| TraceEvent::LinkOverride { at, a, b, degraded });
+            }
+            Some(EventKind::Timer { .. }) | None => {
+                unreachable!("a queued cell is filled, and a timer's was emptied above")
             }
         }
     }
@@ -1056,16 +1064,12 @@ impl<M: Payload> Simulation<M> {
     fn route(&mut self, cell: u32) {
         self.count(|p| p.msgs_routed += 1);
         let Some(EventKind::Deliver {
-            from,
-            to,
-            ref msg,
-            class,
-            ..
+            from, to, ref msg, ..
         }) = self.bodies.cells[cell as usize]
         else {
             unreachable!("a send effect names the delivery it built");
         };
-        let size = msg.size_bytes();
+        let (size, class) = (msg.size_bytes(), msg.class());
         {
             let counters = self.stats.class_mut(class);
             counters.sent_msgs += 1;
@@ -1159,7 +1163,6 @@ impl<M: Payload> Simulation<M> {
                 from,
                 to,
                 msg: msg.clone(),
-                class,
                 sent_at: at,
             });
             self.queue.push(copy_at, copy);
@@ -1597,9 +1600,9 @@ mod tests {
         Some((lane < heap, timer, tied))
     }
 
-    /// Runs one seed through both and returns how often it met each of
-    /// [`COVERED`].
-    fn run_script(seed: u64) -> [u64; COVERED.len()] {
+    /// The simulation of `seed` before its first event, and the log its
+    /// handlers write; `model` is given the same boots, faults and cut.
+    fn scripted_sim(seed: u64, model: &mut Model) -> (Simulation<Note>, Rc<RefCell<Vec<Record>>>) {
         let log: Rc<RefCell<Vec<Record>>> = Rc::default();
         let scripted = |node: u32, incarnation: u64| Scripted {
             script: Script::new(seed, node, incarnation),
@@ -1616,7 +1619,6 @@ mod tests {
         let mut lossy = LinkProfile::ideal().with_loss(LOSS);
         lossy.duplicate = DUPLICATE;
         sim.set_link_profile_sym(NodeId(LOSSY_LINK.0), NodeId(LOSSY_LINK.1), lossy);
-        let mut model = Model::new(seed);
 
         for node in 1..=NODES {
             sim.add_node(NodeId(node), scripted(node, 0));
@@ -1639,7 +1641,14 @@ mod tests {
         model.push(CUT_FROM, ModelEvent::Cut(true));
         sim.heal_at(CUT_UNTIL, &ids(CUT.0), &ids(CUT.1));
         model.push(CUT_UNTIL, ModelEvent::Cut(false));
+        (sim, log)
+    }
 
+    /// Runs one seed through both and returns how often it met each of
+    /// [`COVERED`].
+    fn run_script(seed: u64) -> [u64; COVERED.len()] {
+        let mut model = Model::new(seed);
+        let (mut sim, log) = scripted_sim(seed, &mut model);
         let (mut laned, mut refused, mut lane_squashed, mut lane_ties) = (0, 0, 0, 0);
         let mut strangers = 0;
         let mut steps = 0;
@@ -1752,6 +1761,51 @@ mod tests {
         // travel was met.
         let met: Vec<_> = COVERED.iter().zip(covered).collect();
         assert!(met.iter().all(|&(_, n)| n > 0), "{met:?}");
+    }
+
+    /// `step` and `run_until` share one dispatch path: a script driven one
+    /// event at a time and one driven to its end in one call hand every
+    /// handler the same events and leave the same counters.
+    #[test]
+    fn step_and_run_until_dispatch_alike() {
+        let seed = 7;
+        let (mut stepped, stepped_log) = scripted_sim(seed, &mut Model::new(seed));
+        while stepped.step() {}
+        let (mut ran, ran_log) = scripted_sim(seed, &mut Model::new(seed));
+        ran.run_until(SimTime::from_secs(3_600));
+        assert_eq!(ran.next_event_at(), None);
+        assert!(stepped_log.borrow().len() > 200);
+        assert_eq!(*stepped_log.borrow(), *ran_log.borrow());
+        let counters = |sim: &Simulation<Note>| {
+            let profile = sim.profile().expect("profiling is on").counters();
+            (profile, sim.stats().to_string())
+        };
+        assert_eq!(counters(&stepped), counters(&ran));
+    }
+
+    /// A payload the shape of the VoD wire type: 104 bytes, and spare
+    /// values in its tag for the cell's own discriminant.
+    #[derive(Clone, Debug)]
+    enum Wide {
+        Frame([u64; 12], u8),
+        Beat,
+    }
+
+    impl Payload for Wide {
+        fn size_bytes(&self) -> usize {
+            match self {
+                Wide::Frame(words, tail) => 8 * words.len() + usize::from(*tail),
+                Wide::Beat => 8,
+            }
+        }
+    }
+
+    #[test]
+    fn an_event_cell_is_128_bytes_for_a_104_byte_payload() {
+        let sizes = [Wide::Frame([0; 12], 0), Wide::Beat].map(|wide| wide.size_bytes());
+        assert_eq!(sizes, [96, 8]);
+        assert_eq!(std::mem::size_of::<Wide>(), 104);
+        assert_eq!(std::mem::size_of::<Option<EventKind<Wide>>>(), 128);
     }
 
     /// Pushes `(kind, delay, pops after it)`: kind 0 is not a timer, 1 and 2

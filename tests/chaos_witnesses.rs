@@ -1,6 +1,6 @@
 //! One witness per failure class of the chaos sweep, pinned as a **known
-//! deviation** from the paper's promise (exactly one server, re-served
-//! after a fault). Each test runs one campaign at the CLI's defaults —
+//! deviation** from the paper's promise (exactly one server, bounded gaps,
+//! re-served after a fault). Each test runs one campaign at the CLI's defaults —
 //! what `ftvod-cli chaos --seed N --seeds 1` runs — and asserts that
 //! exactly today's invariant fails. The ROADMAP item-1 part named in its
 //! doc should flip it: that change asserts `PASS` here in the same diff.
@@ -39,6 +39,14 @@ fn known_deviation_seed_70_lost_seek_leaves_c14_unserved() {
 #[test]
 fn known_deviation_seed_932_two_rescuers_both_serve_c24() {
     assert_eq!(verdict(932), "FAIL[exclusive-service]");
+}
+
+/// **Known deviation** (ROADMAP item 1e, undiagnosed): c15 skips 528
+/// frames at 33.35 s, against a bound of 45. The one witness of the
+/// bounded-gaps class.
+#[test]
+fn known_deviation_seed_777_c15_skips_528_frames_past_the_gap_bound() {
+    assert_eq!(verdict(777), "FAIL[bounded-gaps]");
 }
 
 /// **Known deviation** (ROADMAP item 1b): after a partial merge n4 keeps
