@@ -44,8 +44,7 @@ use simnet::{Context, Endpoint, NodeId, Payload, Port, SimTime, Timer, VecMap};
 
 use crate::packet::GcsPacket;
 use crate::proto::{
-    AnnounceOutcome, FlushProgress, GroupStatus, InstallDecision, LeaveStart, Membership,
-    ProtoConfig, ProtoEvent, ProtoMsg,
+    Env, ForeignView, GroupStatus, Membership, ProtoAction, ProtoConfig, ProtoEvent, ProtoMsg,
 };
 use crate::types::{GcsConfig, GcsEvent, GroupId, View, ViewId};
 
@@ -108,13 +107,6 @@ pub enum GcsTrace {
 
 type GcsTracer = Box<dyn FnMut(&GcsTrace)>;
 
-/// A passive probe receiving the [`ProtoEvent`] stream the live node
-/// feeds its embedded membership state machine — `None` group means the
-/// event is node-global (failure-detector suspicion). The replay
-/// equivalence tests drive a pure [`crate::proto::ProtoNode`] from this
-/// stream and assert it installs the same view sequence as the live node.
-type ProtoProbe = Box<dyn FnMut(Option<GroupId>, &ProtoEvent)>;
-
 /// Hashes a [`NodeId`] with one multiply (Fibonacci hashing), halves
 /// swapped so that the well-mixed high half picks the bucket. Ids come off
 /// the wire, but a table keyed by them holds one entry per distinct id, so
@@ -156,7 +148,7 @@ impl<P> RecvState<P> {
 
 /// Message-plane freight of an in-progress view change. The membership
 /// half of the round (proposal id, candidates, acks) lives in the
-/// embedded [`Membership::flush`]; the two are created and consumed
+/// group's [`Membership::flush`]; the two are created and consumed
 /// together.
 struct VcData<P> {
     delivered_max: BTreeMap<NodeId, u64>,
@@ -190,9 +182,8 @@ impl<P> VcData<P> {
 }
 
 struct GroupState<P> {
-    /// The membership plane: every who-is-in-the-view decision is
-    /// delegated to this pure state machine (shared with the model
-    /// checker; see [`crate::proto`]).
+    /// The membership plane: the pure state machine the model checker
+    /// explores, changed only by [`GcsNode::step`] (see [`crate::proto`]).
     mem: Membership,
     promised_tick: u64,
     leave_tick: u64,
@@ -225,14 +216,15 @@ struct InstallResend<P> {
     remaining: u8,
 }
 
-/// What an incoming announce asks of the node. The blind
-/// [`InstallResend`] burst above covers a single lost Install datagram;
-/// `Resync` covers the unbounded case (every retransmission lost, or a
-/// partition outlasting the burst) that the model checker surfaced.
-enum AnnounceReaction {
-    None,
-    Reform { epoch: u64, candidates: Vec<NodeId> },
-    Resync,
+/// The message-plane freight of an install: per sender, the delivery
+/// horizon of the previous view, and the messages below it some member
+/// may lack.
+struct Cut<P> {
+    cut: Vec<(NodeId, u64)>,
+    fill: Vec<(NodeId, u64, P)>,
+    /// Whether the node had a view of the group before: it delivers up to
+    /// the cut, where a joiner starts at it.
+    was_member: bool,
 }
 
 /// Where the housekeeping timer stands.
@@ -374,11 +366,6 @@ pub struct GcsNode<P: Payload> {
     /// (e.g. flush abandonment inside a tick); drained into the next batch.
     deferred_events: Vec<GcsEvent<P>>,
     tracer: Option<GcsTracer>,
-    /// Protocol-variant knobs forwarded to the membership state machine.
-    proto_cfg: ProtoConfig,
-    /// Passive mirror of every event fed to the membership plane; see
-    /// [`GcsNode::set_proto_probe`].
-    proto_probe: Option<ProtoProbe>,
     /// Last simulated time observed through a [`Context`]; lets entry
     /// points without a context (e.g. [`GcsNode::create_group`]) stamp
     /// trace events.
@@ -446,8 +433,6 @@ impl<P: Payload> GcsNode<P> {
             views_installed: 0,
             deferred_events: Vec::new(),
             tracer: None,
-            proto_cfg: ProtoConfig::default(),
-            proto_probe: None,
             trace_now: SimTime::ZERO,
             input: true,
             watched: Vec::new(),
@@ -458,35 +443,12 @@ impl<P: Payload> GcsNode<P> {
         }
     }
 
-    /// Installs a passive probe receiving the exact [`ProtoEvent`] stream
-    /// this node feeds its embedded membership state machine (`None`
-    /// group = node-global failure-detector events). Replaying the stream
-    /// through a pure [`crate::proto::ProtoNode`] must reproduce this
-    /// node's view sequence — the replay-equivalence property tests hold
-    /// the refactor to that.
-    pub fn set_proto_probe(&mut self, probe: impl FnMut(Option<GroupId>, &ProtoEvent) + 'static) {
-        self.proto_probe = Some(Box::new(probe));
-    }
-
-    /// Runs `make` and hands the event to the probe — only when one is
-    /// installed, so the disabled path costs a single branch.
-    fn probe(&mut self, group: Option<GroupId>, make: impl FnOnce() -> ProtoEvent) {
-        if let Some(probe) = self.proto_probe.as_mut() {
-            probe(group, &make());
-        }
-    }
-
     /// Installs a tracer receiving a [`GcsTrace`] for every suspicion, view
     /// install and join/leave request. Tracing is
     /// passive: events are constructed only while a tracer is installed and
     /// the tracer cannot influence the protocol.
     pub fn set_tracer(&mut self, tracer: impl FnMut(&GcsTrace) + 'static) {
         self.tracer = Some(Box::new(tracer));
-    }
-
-    /// Removes the installed tracer.
-    pub fn clear_tracer(&mut self) {
-        self.tracer = None;
     }
 
     /// Runs `make` and hands the event to the tracer — only when one is
@@ -618,21 +580,19 @@ impl<P: Payload> GcsNode<P> {
     /// There is no context here to arm the tick from: on a node that may
     /// have gone to sleep, call [`GcsNode::start`] in the same handler.
     pub fn create_group(&mut self, group: GroupId) -> Vec<GcsEvent<P>> {
-        let node = self.node;
         self.input = true;
-        self.probe(Some(group), || ProtoEvent::Create);
-        let state = self.group_mut(group);
-        let Some(view) = state.mem.create(node) else {
-            return Vec::new();
-        };
-        self.views_installed += 1;
-        let at = self.trace_now;
-        self.trace(|| GcsTrace::ViewInstalled {
-            at,
-            group,
-            view: view.clone(),
-        });
-        vec![GcsEvent::View { group, view }]
+        self.group_mut(group);
+        // The step can only install `[node]` bare: nothing is sent and
+        // nothing is queued in a group that had no view, so no context is
+        // needed to carry it out.
+        let actions = self.step(group, ProtoEvent::Create);
+        actions
+            .into_iter()
+            .filter_map(|action| match action {
+                ProtoAction::Install { view } => Some(self.surface(group, view)),
+                _ => None,
+            })
+            .collect()
     }
 
     /// Starts joining `group`. Join requests go to the bootstrap set plus
@@ -644,15 +604,14 @@ impl<P: Payload> GcsNode<P> {
         M: Payload + From<GcsPacket<P>>,
     {
         self.catch_up(ctx.now());
-        let node = self.node;
         let ticks = self.ticks;
         self.input = true;
-        self.probe(Some(group), || ProtoEvent::RequestJoin {
-            contacts: contacts.to_vec(),
-        });
-        let joining = self.group_mut(group).mem.start_join(contacts);
+        // Only an idle node starts joining.
+        let idle = self.group_mut(group).mem.status == GroupStatus::Idle;
+        let contacts = contacts.to_vec();
+        let actions = self.step(group, ProtoEvent::RequestJoin { contacts });
         self.wake_if_busy(ctx);
-        if !joining {
+        if !idle {
             return;
         }
         let state = self.group_mut(group);
@@ -661,17 +620,7 @@ impl<P: Payload> GcsNode<P> {
         let at = ctx.now();
         self.trace_now = at;
         self.trace(|| GcsTrace::JoinRequested { at, group });
-        let targets = self.join_targets(group);
-        for target in targets {
-            self.emit(
-                ctx,
-                target,
-                GcsPacket::JoinReq {
-                    group,
-                    joiner: node,
-                },
-            );
-        }
+        self.carry_out(ctx, group, actions, None);
     }
 
     /// Requests a graceful departure from `group`. The node keeps operating
@@ -681,37 +630,23 @@ impl<P: Payload> GcsNode<P> {
     where
         M: Payload + From<GcsPacket<P>>,
     {
-        let node = self.node;
         let ticks = self.ticks;
         self.input = true;
-        self.probe(Some(group), || ProtoEvent::RequestLeave);
-        let Some(state) = self.groups.get_mut(&group) else {
-            return;
-        };
-        let start = state.mem.request_leave(node, &self.suspected);
-        if start == LeaveStart::Ignored {
+        // Not in the group: nothing to leave.
+        if self.status(group) == GroupStatus::Idle {
             return;
         }
-        if start == LeaveStart::Dissolve {
-            // Sole member: dissolve immediately.
-            self.groups.remove(&group);
-            return;
+        let actions = self.step(group, ProtoEvent::RequestLeave);
+        // A sole member dissolves at once; anyone else is now leaving.
+        if actions.last() != Some(&ProtoAction::Dissolve) {
+            let state = self.group_mut(group);
+            state.leave_tick = ticks;
+            state.last_leave_send_tick = ticks;
+            let at = ctx.now();
+            self.trace_now = at;
+            self.trace(|| GcsTrace::LeaveRequested { at, group });
         }
-        state.leave_tick = ticks;
-        state.last_leave_send_tick = ticks;
-        let at = ctx.now();
-        self.trace_now = at;
-        self.trace(|| GcsTrace::LeaveRequested { at, group });
-        if let LeaveStart::Send(target) = start {
-            self.emit(
-                ctx,
-                target,
-                GcsPacket::LeaveReq {
-                    group,
-                    leaver: node,
-                },
-            );
-        }
+        self.carry_out(ctx, group, actions, None);
     }
 
     /// Reliably multicasts `payload` in `group` (FIFO per sender, view
@@ -807,7 +742,6 @@ impl<P: Payload> GcsNode<P> {
         self.last_heard.insert(peer, ctx.now());
         if self.suspected.remove(&peer) {
             self.input = true;
-            self.probe(None, || ProtoEvent::Unsuspect(peer));
         }
         // The liveness and message-plane packets change no view.
         self.input |= !matches!(
@@ -818,29 +752,16 @@ impl<P: Payload> GcsNode<P> {
                 | GcsPacket::Ack { .. }
                 | GcsPacket::NonMemberSend { .. }
         );
-        if self.proto_probe.is_some() {
-            if let Some((group, msg)) = proto_msg_of(&pkt) {
-                self.probe(Some(group), || ProtoEvent::Deliver { from: peer, msg });
-            }
-        }
-        match pkt {
-            GcsPacket::Heartbeat => Vec::new(),
-            GcsPacket::JoinReq { group, joiner } => {
-                self.on_join_req(ctx, group, joiner);
-                Vec::new()
-            }
-            GcsPacket::LeaveReq { group, leaver } => {
-                if let Some(state) = self.groups.get_mut(&group) {
-                    state.mem.on_leave_req(leaver);
-                }
-                Vec::new()
-            }
+        // A membership packet is one step of its group's machine, with
+        // the packet's message-plane freight kept aside.
+        let (group, msg, cut) = match pkt {
+            GcsPacket::Heartbeat => return Vec::new(),
             GcsPacket::AppMsg {
                 group,
                 origin,
                 seq,
                 payload,
-            } => self.on_app_msg(ctx, group, origin, seq, payload),
+            } => return self.on_app_msg(ctx, group, origin, seq, payload),
             GcsPacket::Nak {
                 group,
                 origin,
@@ -848,59 +769,70 @@ impl<P: Payload> GcsNode<P> {
                 to_seq,
             } => {
                 self.on_nak(ctx, peer, group, origin, from_seq, to_seq);
-                Vec::new()
+                return Vec::new();
             }
             GcsPacket::Ack { group, delivered } => {
                 self.on_ack(ctx, group, peer, delivered);
-                Vec::new()
-            }
-            GcsPacket::Prepare {
-                group,
-                vid,
-                candidates,
-            } => {
-                self.on_prepare(ctx, group, vid, candidates);
-                Vec::new()
-            }
-            GcsPacket::FlushAck {
-                group,
-                vid,
-                delivered,
-                held,
-            } => self.on_flush_ack(ctx, group, peer, vid, delivered, held),
-            GcsPacket::Install {
-                group,
-                view,
-                cut,
-                fill,
-            } => self.on_install(ctx, group, view, cut, fill),
-            GcsPacket::Announce {
-                group,
-                vid,
-                members,
-            } => {
-                match self.on_announce(group, peer, vid, members) {
-                    AnnounceReaction::Reform { epoch, candidates } => {
-                        self.initiate_view_change(ctx, group, epoch, candidates);
-                    }
-                    AnnounceReaction::Resync => {
-                        // We are listed in a newer view we never
-                        // installed: the Install was lost. Ask the
-                        // announcer to re-admit us.
-                        let joiner = self.node;
-                        self.emit(ctx, peer, GcsPacket::JoinReq { group, joiner });
-                    }
-                    AnnounceReaction::None => {}
-                }
-                Vec::new()
+                return Vec::new();
             }
             GcsPacket::NonMemberSend {
                 group,
                 origin,
                 msg_id,
                 payload,
-            } => self.on_nonmember_send(group, origin, msg_id, payload),
-        }
+            } => return self.on_nonmember_send(group, origin, msg_id, payload),
+            GcsPacket::Announce {
+                group,
+                vid,
+                members,
+            } => return self.on_announce(ctx, group, peer, vid, members),
+            GcsPacket::JoinReq { group, joiner } => (group, ProtoMsg::JoinReq { joiner }, None),
+            GcsPacket::LeaveReq { group, leaver } => (group, ProtoMsg::LeaveReq { leaver }, None),
+            GcsPacket::Prepare {
+                group,
+                vid,
+                candidates,
+            } => {
+                // A proposal naming this node gives it state for the
+                // group, kept even when it refuses (with the epoch seen).
+                if candidates.contains(&self.node) {
+                    self.group_mut(group);
+                }
+                (group, ProtoMsg::Prepare { vid, candidates }, None)
+            }
+            GcsPacket::FlushAck {
+                group,
+                vid,
+                delivered,
+                held,
+            } => {
+                // A candidate's report joins the round it acks.
+                if let Some(state) = self.groups.get_mut(&group) {
+                    if let (Some(fl), Some(vc)) = (&state.mem.flush, &mut state.vc) {
+                        if fl.vid == vid && fl.candidates.contains(&peer) {
+                            vc.absorb(delivered, held);
+                        }
+                    }
+                }
+                (group, ProtoMsg::FlushAck { vid }, None)
+            }
+            GcsPacket::Install {
+                group,
+                view,
+                cut,
+                fill,
+            } => {
+                let was_member = self.groups.get(&group).is_some_and(|s| s.mem.had_view);
+                let cut = Cut {
+                    cut,
+                    fill,
+                    was_member,
+                };
+                (group, ProtoMsg::Install { view }, Some(cut))
+            }
+        };
+        let actions = self.step(group, ProtoEvent::Deliver { from: peer, msg });
+        self.carry_out(ctx, group, actions, cut)
     }
 
     /// Handles the housekeeping timer. The application must forward timers
@@ -1242,126 +1174,143 @@ impl<P: Payload> GcsNode<P> {
     }
 
     // ------------------------------------------------------------------
-    // Membership: joins, prepares, flush, install
+    // Membership: one step of a group's machine, and what it decided
     // ------------------------------------------------------------------
 
-    fn on_join_req<M>(&mut self, ctx: &mut Context<'_, M>, group: GroupId, joiner: NodeId)
+    /// Steps `group`'s membership machine with `event`. Without state for
+    /// the group, nothing happens: the events that give a node state for a
+    /// group come after the caller made it.
+    fn step(&mut self, group: GroupId, event: ProtoEvent) -> Vec<ProtoAction> {
+        let Some(state) = self.groups.get_mut(&group) else {
+            return Vec::new();
+        };
+        let mut env = Env {
+            cfg: ProtoConfig::default(),
+            node: self.node,
+            bootstrap: &self.bootstrap,
+            suspected: &mut self.suspected,
+        };
+        state.mem.step(&mut env, event)
+    }
+
+    /// Carries out the actions of one step of `group`'s machine, adding
+    /// the message plane's freight: a `FlushAck` takes this node's floors
+    /// and held messages, and an `Install` the cut and fill of `cut` (an
+    /// `Install` packet's) or of the round this node coordinates. A
+    /// proposal opens the round's message-plane half with this node's own
+    /// flush. Returns the upcalls; those of a round proposed and completed
+    /// in one step (a singleton, proposed on a tick or an announce) wait in
+    /// the deferred queue.
+    fn carry_out<M>(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+        group: GroupId,
+        actions: Vec<ProtoAction>,
+        mut cut: Option<Cut<P>>,
+    ) -> Vec<GcsEvent<P>>
     where
         M: Payload + From<GcsPacket<P>>,
     {
         let node = self.node;
-        if joiner == node || self.status(group) == GroupStatus::Idle {
-            return;
-        }
-        let Some(state) = self.groups.get_mut(&group) else {
-            return;
-        };
-        // Relay to the coordinator in case the joiner does not know it.
-        if let Some(coord) = state.mem.on_join_req(node, &self.suspected, joiner) {
-            self.emit(ctx, coord, GcsPacket::JoinReq { group, joiner });
-        }
-    }
-
-    fn on_prepare<M>(
-        &mut self,
-        ctx: &mut Context<'_, M>,
-        group: GroupId,
-        vid: ViewId,
-        candidates: Vec<NodeId>,
-    ) where
-        M: Payload + From<GcsPacket<P>>,
-    {
-        let node = self.node;
-        if !candidates.contains(&node) {
-            return;
-        }
         let ticks = self.ticks;
-        let state = self.group_mut(group);
-        // The machine refuses proposals that do not dominate what we
-        // installed/promised, and never promises from Idle (membership
-        // requires consent — the coordinator times out on the missing
-        // flush-ack and drops us).
-        if !state.mem.on_prepare(node, vid, &candidates) {
-            return;
-        }
-        state.promised_tick = ticks;
-        let delivered = state.floors(node);
-        let held = state.held(node);
-        self.emit(
-            ctx,
-            vid.coordinator,
-            GcsPacket::FlushAck {
-                group,
-                vid,
-                delivered,
-                held,
-            },
-        );
-    }
-
-    fn on_flush_ack<M>(
-        &mut self,
-        ctx: &mut Context<'_, M>,
-        group: GroupId,
-        from: NodeId,
-        vid: ViewId,
-        delivered: Vec<(NodeId, u64)>,
-        held: Vec<(NodeId, u64, P)>,
-    ) -> Vec<GcsEvent<P>>
-    where
-        M: Payload + From<GcsPacket<P>>,
-    {
-        let Some(state) = self.groups.get_mut(&group) else {
-            return Vec::new();
-        };
-        // Validate against the membership round before absorbing the
-        // report (the machine consumes the round on completion).
-        let valid = state
-            .mem
-            .flush
-            .as_ref()
-            .is_some_and(|fl| fl.vid == vid && fl.candidates.contains(&from));
-        if !valid {
-            return Vec::new();
-        }
-        state
-            .vc
-            .as_mut()
-            .expect("flush round has message-plane data")
-            .absorb(delivered, held);
-        match state.mem.on_flush_ack(from, vid) {
-            FlushProgress::Complete { vid, candidates } => {
-                self.complete_view_change(ctx, group, vid, candidates)
+        let mut events = Vec::new();
+        let mut proposed = false;
+        for action in actions {
+            match action {
+                ProtoAction::Send { to, msg } => {
+                    let pkt = match msg {
+                        ProtoMsg::JoinReq { joiner } => GcsPacket::JoinReq { group, joiner },
+                        ProtoMsg::LeaveReq { leaver } => GcsPacket::LeaveReq { group, leaver },
+                        ProtoMsg::Prepare { vid, candidates } => GcsPacket::Prepare {
+                            group,
+                            vid,
+                            candidates,
+                        },
+                        ProtoMsg::FlushAck { vid } => {
+                            let state = self.group_mut(group);
+                            state.promised_tick = ticks;
+                            GcsPacket::FlushAck {
+                                group,
+                                vid,
+                                delivered: state.floors(node),
+                                held: state.held(node),
+                            }
+                        }
+                        ProtoMsg::Install { view } => {
+                            let cut = cut.get_or_insert_with(|| self.complete_round(group, &view));
+                            GcsPacket::Install {
+                                group,
+                                view,
+                                cut: cut.cut.clone(),
+                                fill: cut.fill.clone(),
+                            }
+                        }
+                        ProtoMsg::Announce { vid, members } => GcsPacket::Announce {
+                            group,
+                            vid,
+                            members,
+                        },
+                    };
+                    self.emit(ctx, to, pkt);
+                }
+                ProtoAction::Propose { .. } => {
+                    proposed = true;
+                    let state = self.group_mut(group);
+                    state.foreign_seen.clear();
+                    state.promised_tick = ticks;
+                    let mut vc = VcData::new(ticks);
+                    vc.absorb(state.floors(node), state.held(node));
+                    state.vc = Some(vc);
+                }
+                // Excluded (graceful leave or false suspicion): the view is
+                // surfaced, neither traced nor counted, and `Dissolve`
+                // follows.
+                ProtoAction::Install { view } if !view.contains(node) => {
+                    events.push(GcsEvent::View { group, view });
+                }
+                ProtoAction::Install { view } => {
+                    // Without a packet's cut, the install completes the
+                    // round this node coordinates, or else it is a view
+                    // the node formed alone (`Create`, `SingletonForm`):
+                    // nothing to deliver, surfaced bare.
+                    match cut.take() {
+                        Some(cut) => events.extend(self.install(ctx, group, view, cut)),
+                        None if self.groups[&group].vc.is_some() => {
+                            let cut = self.complete_round(group, &view);
+                            events.extend(self.install(ctx, group, view, cut));
+                        }
+                        None => events.push(self.surface(group, view)),
+                    }
+                    events.extend(self.send_pending(ctx, group));
+                }
+                ProtoAction::Dissolve => {
+                    self.groups.remove(&group);
+                }
             }
-            _ => Vec::new(),
         }
+        if proposed {
+            self.deferred_events.append(&mut events);
+        }
+        events
     }
 
-    /// All candidates flushed: compute the cut, distribute `Install`.
-    fn complete_view_change<M>(
-        &mut self,
-        ctx: &mut Context<'_, M>,
-        group: GroupId,
-        vid: ViewId,
-        candidates: Vec<NodeId>,
-    ) -> Vec<GcsEvent<P>>
-    where
-        M: Payload + From<GcsPacket<P>>,
-    {
-        let node = self.node;
+    /// The cut and fill of the round this node coordinated, now complete
+    /// as `view`: per sender, the highest floor a candidate reported,
+    /// extended through the pooled messages (anything contiguously
+    /// available to the coordinator can be delivered by all), and the
+    /// pooled messages up to it. They are blindly re-sent for a few ticks,
+    /// so that a single lost datagram cannot strand a member in the old
+    /// view.
+    fn complete_round(&mut self, group: GroupId, view: &View) -> Cut<P> {
         let state = self.group_mut(group);
-        let Some(vc) = state.vc.take() else {
-            return Vec::new();
-        };
-        let mut cut: BTreeMap<NodeId, u64> = BTreeMap::new();
-        for &candidate in &candidates {
-            cut.insert(candidate, 0);
-        }
+        let vc = state
+            .vc
+            .take()
+            .expect("a completed round has message-plane data");
+        let mut cut: BTreeMap<NodeId, u64> = view.members.iter().map(|&m| (m, 0)).collect();
         for (&sender, &floor) in &vc.delivered_max {
             cut.insert(sender, floor);
         }
-        // Extend each sender's cut through the pooled messages: anything
-        // contiguously available to the coordinator can be delivered by all.
         for (sender, horizon) in cut.iter_mut() {
             while let Some(next) = horizon.checked_add(1) {
                 if !vc.pool.contains_key(&(*sender, next)) {
@@ -1372,48 +1321,34 @@ impl<P: Payload> GcsNode<P> {
         }
         let fill: Vec<(NodeId, u64, P)> = vc
             .pool
-            .iter()
+            .into_iter()
             .filter(|((sender, seq), _)| *seq <= cut.get(sender).copied().unwrap_or(0))
-            .map(|(&(sender, seq), p)| (sender, seq, p.clone()))
+            .map(|((sender, seq), p)| (sender, seq, p))
             .collect();
-        let view = View::new(vid, candidates);
-        let cut_vec: Vec<(NodeId, u64)> = cut.into_iter().collect();
-        let peers: Vec<NodeId> = view
-            .members
-            .iter()
-            .copied()
-            .filter(|&m| m != node)
-            .collect();
-        for member in peers {
-            self.emit(
-                ctx,
-                member,
-                GcsPacket::Install {
-                    group,
-                    view: view.clone(),
-                    cut: cut_vec.clone(),
-                    fill: fill.clone(),
-                },
-            );
-        }
-        // Blindly re-send the install for a few ticks: a single lost
-        // datagram must not strand a member in the old view.
-        self.group_mut(group).install_resend = Some(InstallResend {
+        let cut: Vec<(NodeId, u64)> = cut.into_iter().collect();
+        state.install_resend = Some(InstallResend {
             view: view.clone(),
-            cut: cut_vec.clone(),
+            cut: cut.clone(),
             fill: fill.clone(),
             remaining: 3,
         });
-        self.on_install(ctx, group, view, cut_vec, fill)
+        Cut {
+            cut,
+            fill,
+            was_member: true,
+        }
     }
 
-    fn on_install<M>(
+    /// The message-plane half of adopting `view`, which the group's
+    /// machine has just installed: merge the fill, deliver up to the cut
+    /// (a joiner starts at it instead), keep receive state for the members
+    /// only, and refresh their liveness.
+    fn install<M>(
         &mut self,
         ctx: &mut Context<'_, M>,
         group: GroupId,
         view: View,
-        cut: Vec<(NodeId, u64)>,
-        fill: Vec<(NodeId, u64, P)>,
+        cut: Cut<P>,
     ) -> Vec<GcsEvent<P>>
     where
         M: Payload + From<GcsPacket<P>>,
@@ -1421,164 +1356,151 @@ impl<P: Payload> GcsNode<P> {
         let node = self.node;
         let mut events = Vec::new();
         let mut forced = 0u64;
-        let decision = self
-            .groups
-            .get(&group)
-            .map_or(InstallDecision::Refused, |s| {
-                s.mem.install_decision(node, &view)
-            });
-        match decision {
-            InstallDecision::Refused | InstallDecision::Stale => return events,
-            InstallDecision::Excluded => {
-                // We were excluded (graceful leave or false suspicion).
-                events.push(GcsEvent::View {
-                    group,
-                    view: view.clone(),
-                });
-                self.groups.remove(&group);
-                return events;
+        let state = self.group_mut(group);
+        let Cut {
+            cut,
+            fill,
+            was_member,
+        } = cut;
+        // Merge the fill into receive buffers.
+        for (sender, seq, payload) in fill {
+            if sender == node {
+                continue;
             }
-            InstallDecision::Adopt => {}
+            let recv = state.recv.get_or_insert_with(sender, || RecvState::new(1));
+            if seq >= recv.next {
+                recv.buf.get_or_insert_with(seq, || payload);
+            }
         }
-        {
-            let state = self.group_mut(group);
-            let was_member = state.mem.had_view;
-            let cut: BTreeMap<NodeId, u64> = cut.into_iter().collect();
-            // Merge the fill into receive buffers.
-            for (sender, seq, payload) in fill {
-                if sender == node {
-                    continue;
-                }
-                let recv = state.recv.get_or_insert_with(sender, || RecvState::new(1));
-                if seq >= recv.next {
-                    recv.buf.get_or_insert_with(seq, || payload);
-                }
+        let cut: BTreeMap<NodeId, u64> = cut.into_iter().collect();
+        for (&sender, &horizon) in &cut {
+            if sender == node {
+                // Our own messages up to the cut are stable. That is all
+                // of them when we flushed for this view (we stop sending
+                // once we promise); an install we never flushed for may
+                // cut below what we have sent since, and that tail stays
+                // ours to retransmit, its numbers taken.
+                state.next_seq = state.next_seq.max(horizon.saturating_add(1));
+                state.send_buf.retain(|&seq, _| seq > horizon);
+                continue;
             }
-            for (&sender, &horizon) in &cut {
-                if sender == node {
-                    // Our own messages up to the cut are stable. That is all
-                    // of them when we flushed for this view (we stop sending
-                    // once we promise); an install we never flushed for may
-                    // cut below what we have sent since, and that tail stays
-                    // ours to retransmit, its numbers taken.
-                    state.next_seq = state.next_seq.max(horizon.saturating_add(1));
-                    state.send_buf.retain(|&seq, _| seq > horizon);
-                    continue;
-                }
-                let recv = state.recv.get_or_insert_with(sender, || RecvState::new(1));
-                if was_member {
-                    // Deliver up to the cut (the fill guarantees the
-                    // messages exist except across lossy merges).
-                    while recv.next <= horizon {
-                        match recv.buf.remove(&recv.next) {
-                            Some(payload) => {
-                                recv.next = recv.next.saturating_add(1);
-                                events.push(GcsEvent::Deliver {
-                                    group,
-                                    sender,
-                                    payload,
-                                });
-                            }
-                            None => {
-                                forced = forced.saturating_add(horizon - recv.next + 1);
-                                recv.next = horizon.saturating_add(1);
-                                break;
-                            }
+            let recv = state.recv.get_or_insert_with(sender, || RecvState::new(1));
+            if was_member {
+                // Deliver up to the cut (the fill guarantees the messages
+                // exist except across lossy merges).
+                while recv.next <= horizon {
+                    match recv.buf.remove(&recv.next) {
+                        Some(payload) => {
+                            recv.next = recv.next.saturating_add(1);
+                            events.push(GcsEvent::Deliver {
+                                group,
+                                sender,
+                                payload,
+                            });
+                        }
+                        None => {
+                            forced = forced.saturating_add(horizon - recv.next + 1);
+                            recv.next = horizon.saturating_add(1);
+                            break;
                         }
                     }
-                } else {
-                    // Joiners start fresh at the cut.
-                    recv.buf.retain(|&seq, _| seq > horizon);
-                    recv.next = recv.next.max(horizon.saturating_add(1));
                 }
+            } else {
+                // Joiners start fresh at the cut.
+                recv.buf.retain(|&seq, _| seq > horizon);
+                recv.next = recv.next.max(horizon.saturating_add(1));
             }
-            let state = self.group_mut(group);
-            // Keep receive state only for members of the new view.
-            state.recv.retain(|sender, _| view.contains(*sender));
-            state.retained.clear();
-            state.ack_floors.clear();
-            state.last_nak_tick.clear();
-            state.mem.apply_install(node, &view);
-            if state.mem.flush.is_none() {
-                state.vc = None;
-            }
-            state
-                .foreign_seen
-                .retain(|n, _| state.mem.foreign.contains_key(n));
         }
+        // Keep receive state only for members of the new view.
+        state.recv.retain(|sender, _| view.contains(*sender));
+        state.retained.clear();
+        state.ack_floors.clear();
+        state.last_nak_tick.clear();
+        if state.mem.flush.is_none() {
+            state.vc = None;
+        }
+        state
+            .foreign_seen
+            .retain(|n, _| state.mem.foreign.contains_key(n));
         self.forced_gaps = self.forced_gaps.saturating_add(forced);
+        // A stale timestamp may linger from an earlier non-member contact
+        // (e.g. a connection-establishment broadcast long before this node
+        // shared any group with the peer): without the refresh a freshly
+        // installed view could be torn at once.
+        let now = ctx.now();
+        for &m in &view.members {
+            if m != node {
+                self.last_heard.insert(m, now);
+            }
+        }
+        events.push(self.surface(group, view));
+        events
+    }
+
+    /// Counts and traces a view this node installed; returns the upcall.
+    fn surface(&mut self, group: GroupId, view: View) -> GcsEvent<P> {
         self.views_installed += 1;
-        let install_at = ctx.now();
+        let at = self.trace_now;
         self.trace(|| GcsTrace::ViewInstalled {
-            at: install_at,
+            at,
             group,
             view: view.clone(),
         });
-        events.push(GcsEvent::View { group, view });
-        // Flush sends queued during the change.
-        let pending: Vec<P> = {
-            let state = self.group_mut(group);
-            state.pending_sends.drain(..).collect()
-        };
+        GcsEvent::View { group, view }
+    }
+
+    /// Multicasts what was queued while the group had no view to send in.
+    fn send_pending<M>(&mut self, ctx: &mut Context<'_, M>, group: GroupId) -> Vec<GcsEvent<P>>
+    where
+        M: Payload + From<GcsPacket<P>>,
+    {
+        let pending = std::mem::take(&mut self.group_mut(group).pending_sends);
+        let mut events = Vec::new();
         for payload in pending {
             events.extend(self.do_multicast(ctx, group, payload));
-        }
-        // Refresh liveness for all members so a freshly installed view is
-        // not immediately re-torn: a stale timestamp may linger from an
-        // earlier non-member contact (e.g. a connection-establishment
-        // broadcast long before this node shared any group with the peer).
-        let now = ctx.now();
-        let members = self.groups[&group].mem.view.members.clone();
-        for m in members {
-            if m != node {
-                self.last_heard.insert(m, now);
-                self.suspected.remove(&m);
-            }
         }
         events
     }
 
-    /// Handles a view announcement. Tells the caller whether to re-form
-    /// a residual side (this node was expelled from a newer incarnation)
-    /// or to re-sync (this node missed the Install of a newer view that
-    /// lists it).
-    fn on_announce(
+    /// An announce is one step of the group's machine; what it concluded
+    /// restarts one of this node's clocks. Heard while joining, it makes
+    /// the announcer a join contact and restarts the singleton clock (the
+    /// group clearly exists). Heard as a member, one that leaves its view
+    /// on record for the announcer was recorded as a foreign component:
+    /// the record's freshness clock restarts. (An ignored announce never
+    /// matches a record: there is none of a member of the view, and an
+    /// installed view's epoch only grows.)
+    fn on_announce<M>(
         &mut self,
+        ctx: &mut Context<'_, M>,
         group: GroupId,
         from: NodeId,
         vid: ViewId,
         members: Vec<NodeId>,
-    ) -> AnnounceReaction {
+    ) -> Vec<GcsEvent<P>>
+    where
+        M: Payload + From<GcsPacket<P>>,
+    {
         let ticks = self.ticks;
-        let node = self.node;
-        let cfg = self.proto_cfg;
-        let Some(state) = self.groups.get_mut(&group) else {
-            return AnnounceReaction::None;
+        let Some(state) = self.groups.get(&group) else {
+            return Vec::new();
         };
-        if state.mem.status == GroupStatus::Idle {
-            return AnnounceReaction::None;
-        }
-        match state
-            .mem
-            .on_announce(&cfg, node, &self.suspected, from, vid, members)
-        {
-            AnnounceOutcome::Reform { epoch, candidates } => {
-                AnnounceReaction::Reform { epoch, candidates }
-            }
-            AnnounceOutcome::Resync => AnnounceReaction::Resync,
-            AnnounceOutcome::Foreign => {
+        let status = state.mem.status;
+        let heard = (status == GroupStatus::Member).then(|| ForeignView {
+            vid,
+            members: members.clone(),
+        });
+        let msg = ProtoMsg::Announce { vid, members };
+        let actions = self.step(group, ProtoEvent::Deliver { from, msg });
+        let state = self.group_mut(group);
+        match status {
+            GroupStatus::Joining => state.join_start_tick = ticks,
+            GroupStatus::Member if state.mem.foreign.get(&from) == heard.as_ref() => {
                 state.foreign_seen.insert(from, ticks);
-                AnnounceReaction::None
             }
-            AnnounceOutcome::JoinContact => {
-                // A live member announced itself: aim future join requests
-                // at it. Restart the singleton clock: the group clearly
-                // exists.
-                state.join_start_tick = ticks;
-                AnnounceReaction::None
-            }
-            AnnounceOutcome::Ignored => AnnounceReaction::None,
+            _ => {}
         }
+        self.carry_out(ctx, group, actions, None)
     }
 
     fn on_nonmember_send(
@@ -1625,7 +1547,6 @@ impl<P: Payload> GcsNode<P> {
                 Some(at) if now.saturating_since(at) > timeout => {
                     if self.suspected.insert(peer) {
                         changed = true;
-                        self.probe(None, || ProtoEvent::Suspect(peer));
                         self.trace(|| GcsTrace::Suspected { at: now, peer });
                     }
                     continue;
@@ -1633,10 +1554,7 @@ impl<P: Payload> GcsNode<P> {
                 Some(at) => {
                     // Recently heard: clear any stale suspicion (e.g. one
                     // acquired across an old partition).
-                    if self.suspected.remove(&peer) {
-                        changed = true;
-                        self.probe(None, || ProtoEvent::Unsuspect(peer));
-                    }
+                    changed |= self.suspected.remove(&peer);
                     at + timeout
                 }
                 None => {
@@ -1863,7 +1781,6 @@ impl<P: Payload> GcsNode<P> {
     where
         M: Payload + From<GcsPacket<P>>,
     {
-        let node = self.node;
         let ticks = self.ticks;
         let join_retry_ticks = self.config.join_retry_ticks;
         let singleton_form_ticks = self.config.singleton_form_ticks;
@@ -1883,50 +1800,19 @@ impl<P: Payload> GcsNode<P> {
             .map(|(&g, _)| g)
             .collect();
         for group in joining {
-            let (resend, form_singleton) = {
-                let state = self.group_mut(group);
-                let resend = ticks.saturating_sub(state.last_join_send_tick) >= join_retry_ticks;
-                let form = ticks.saturating_sub(state.join_start_tick) >= singleton_form_ticks
-                    && state.mem.promised.is_none();
-                (resend, form)
-            };
-            if form_singleton {
-                self.probe(Some(group), || ProtoEvent::SingletonForm);
-                let state = self.group_mut(group);
-                let Some(view) = state.mem.singleton_form(node) else {
-                    continue;
-                };
-                self.views_installed += 1;
-                let at = self.trace_now;
-                self.trace(|| GcsTrace::ViewInstalled {
-                    at,
-                    group,
-                    view: view.clone(),
-                });
-                events.push(GcsEvent::View { group, view });
-                let pending: Vec<P> = {
-                    let state = self.group_mut(group);
-                    state.pending_sends.drain(..).collect()
-                };
-                for payload in pending {
-                    events.extend(self.do_multicast(ctx, group, payload));
-                }
+            let state = self.group_mut(group);
+            let event = if ticks.saturating_sub(state.join_start_tick) >= singleton_form_ticks
+                && state.mem.promised.is_none()
+            {
+                ProtoEvent::SingletonForm
+            } else if ticks.saturating_sub(state.last_join_send_tick) >= join_retry_ticks {
+                state.last_join_send_tick = ticks;
+                ProtoEvent::JoinRetry
+            } else {
                 continue;
-            }
-            if resend {
-                self.group_mut(group).last_join_send_tick = ticks;
-                let targets = self.join_targets(group);
-                for target in targets {
-                    self.emit(
-                        ctx,
-                        target,
-                        GcsPacket::JoinReq {
-                            group,
-                            joiner: node,
-                        },
-                    );
-                }
-            }
+            };
+            let actions = self.step(group, event);
+            events.extend(self.carry_out(ctx, group, actions, None));
         }
         // Re-send LeaveReqs periodically: the original may have hit a dead
         // target or a coordinator that abandoned its flush. The old code
@@ -1935,26 +1821,20 @@ impl<P: Payload> GcsNode<P> {
         // node sat in `Flushing` across the modulo instants) never re-sent
         // and stalled until the force-quit. Track the last send explicitly
         // and retry while flushing too.
-        let leave_retries: Vec<(GroupId, NodeId)> = self
+        let leave_retries: Vec<GroupId> = self
             .groups
             .iter()
             .filter(|(_, s)| {
-                s.mem.leaving
-                    && matches!(s.mem.status, GroupStatus::Member | GroupStatus::Flushing)
-                    && ticks.saturating_sub(s.last_leave_send_tick) >= join_retry_ticks
+                s.mem.leaving && ticks.saturating_sub(s.last_leave_send_tick) >= join_retry_ticks
             })
-            .filter_map(|(&g, s)| s.mem.leave_target(node, &self.suspected).map(|t| (g, t)))
+            .map(|(&g, _)| g)
             .collect();
-        for (group, target) in leave_retries {
-            self.group_mut(group).last_leave_send_tick = ticks;
-            self.emit(
-                ctx,
-                target,
-                GcsPacket::LeaveReq {
-                    group,
-                    leaver: node,
-                },
-            );
+        for group in leave_retries {
+            let actions = self.step(group, ProtoEvent::LeaveRetry);
+            if !actions.is_empty() {
+                self.group_mut(group).last_leave_send_tick = ticks;
+            }
+            self.carry_out(ctx, group, actions, None);
         }
         // Forced leave for nodes whose LeaveReq went unanswered.
         let stale_leavers: Vec<GroupId> = self
@@ -1967,8 +1847,8 @@ impl<P: Payload> GcsNode<P> {
             .map(|(&g, _)| g)
             .collect();
         for group in stale_leavers {
-            self.probe(Some(group), || ProtoEvent::ForceLeave);
-            self.groups.remove(&group);
+            let actions = self.step(group, ProtoEvent::ForceLeave);
+            self.carry_out(ctx, group, actions, None);
         }
         events
     }
@@ -2016,119 +1896,58 @@ impl<P: Payload> GcsNode<P> {
             // sends that were queued behind the promise. A joiner's stale
             // promise is abandoned too: it blocks singleton formation,
             // and no surviving coordinator will ever resolve it.
-            if abandoned(self.group_mut(group)) {
-                self.probe(Some(group), || ProtoEvent::AbandonFlush);
-                let pending: Vec<P> = {
-                    let state = self.group_mut(group);
-                    state.mem.abandon_flush();
-                    state.pending_sends.drain(..).collect()
-                };
-                for payload in pending {
-                    let events = self.do_multicast(ctx, group, payload);
-                    self.deferred_events.extend(events);
-                }
+            if abandoned(&self.groups[&group]) {
+                self.step(group, ProtoEvent::AbandonFlush);
+                let events = self.send_pending(ctx, group);
+                self.deferred_events.extend(events);
             }
             // Coordinator-side timeout: drop unresponsive candidates, retry.
-            if retry(self.group_mut(group)) {
-                let state = self.group_mut(group);
-                state.vc = None;
-                if let Some(fl) = state.mem.flush_timeout() {
-                    let now = ctx.now();
-                    let timeout = self.config.suspect_timeout;
-                    // A missing ack alone is not evidence of death: the
-                    // ack may have been lost to churn right after a
-                    // partition heals. Only suspect a non-acker that is
-                    // also silent; a demonstrably live peer simply gets
-                    // another chance in the retried view change.
-                    let silent: Vec<NodeId> = fl
-                        .candidates
-                        .iter()
-                        .copied()
-                        .filter(|c| {
-                            self.last_heard
-                                .get(c)
-                                .is_none_or(|&at| now.saturating_since(at) > timeout)
-                        })
-                        .collect();
-                    self.probe(Some(group), || ProtoEvent::FlushTimeout {
-                        silent: silent.clone(),
-                    });
-                    for candidate in &fl.candidates {
-                        if !fl.acked.contains(candidate)
-                            && silent.contains(candidate)
-                            && self.suspected.insert(*candidate)
-                        {
-                            let peer = *candidate;
-                            let at = self.trace_now;
-                            self.trace(|| GcsTrace::Suspected { at, peer });
-                        }
-                    }
-                }
+            if retry(&self.groups[&group]) {
+                self.time_out_flush(ctx.now(), group);
             }
             // The membership election (stale foreign entries were expired
             // by `tick_prune` just before this runs).
-            let Some(state) = self.groups.get(&group) else {
-                continue;
-            };
-            if let Some((epoch, candidates)) = state.mem.election(node, &self.suspected) {
-                self.probe(Some(group), || ProtoEvent::DoElection);
-                self.initiate_view_change(ctx, group, epoch, candidates);
-            }
+            let actions = self.step(group, ProtoEvent::DoElection);
+            self.carry_out(ctx, group, actions, None);
         }
         resume != Bound::Unbounded
     }
 
-    fn initiate_view_change<M>(
-        &mut self,
-        ctx: &mut Context<'_, M>,
-        group: GroupId,
-        epoch: u64,
-        candidates: Vec<NodeId>,
-    ) where
-        M: Payload + From<GcsPacket<P>>,
-    {
-        let node = self.node;
-        let ticks = self.ticks;
-        let vid = {
-            let state = self.group_mut(group);
-            // Promises the proposal to this node, self-acks, clears the
-            // foreign book and flips to `Flushing`.
-            let vid = state.mem.begin_view_change(node, epoch, &candidates);
-            state.foreign_seen.clear();
-            state.vc = Some(VcData::new(ticks));
-            state.promised_tick = ticks;
-            vid
+    /// Abandons the round `group`'s coordinator (this node) has waited on
+    /// past the flush timeout. A missing ack alone is not evidence of
+    /// death: the ack may have been lost to churn right after a partition
+    /// heals. Only a non-acker that is also silent is suspected (and
+    /// traced, when newly); a demonstrably live peer simply gets another
+    /// chance in the retried view change.
+    fn time_out_flush(&mut self, now: SimTime, group: GroupId) {
+        let timeout = self.config.suspect_timeout;
+        let Some(state) = self.groups.get_mut(&group) else {
+            return;
         };
-        for &candidate in &candidates {
-            if candidate != node {
-                self.emit(
-                    ctx,
-                    candidate,
-                    GcsPacket::Prepare {
-                        group,
-                        vid,
-                        candidates: candidates.clone(),
-                    },
-                );
-            }
-        }
-        // Flush ourselves inline (message-plane side of the self-ack).
-        {
-            let state = self.group_mut(group);
-            let delivered = state.floors(node);
-            let held = state.held(node);
-            if let Some(vc) = state.vc.as_mut() {
-                vc.absorb(delivered, held);
-            }
-        }
-        // Singleton proposals complete immediately; surface the install's
-        // upcalls through the deferred queue (this runs inside a tick).
-        if candidates == [node] {
-            if let FlushProgress::Complete { vid, candidates } =
-                self.group_mut(group).mem.on_flush_ack(node, vid)
-            {
-                let events = self.complete_view_change(ctx, group, vid, candidates);
-                self.deferred_events.extend(events);
+        state.vc = None;
+        let Some(round) = &state.mem.flush else {
+            return;
+        };
+        let silent: Vec<NodeId> = round
+            .candidates
+            .iter()
+            .copied()
+            .filter(|c| {
+                self.last_heard
+                    .get(c)
+                    .is_none_or(|&at| now.saturating_since(at) > timeout)
+            })
+            .collect();
+        let trusted: Vec<NodeId> = silent
+            .iter()
+            .copied()
+            .filter(|c| !self.suspected.contains(c))
+            .collect();
+        self.step(group, ProtoEvent::FlushTimeout { silent });
+        for peer in trusted {
+            if self.suspected.contains(&peer) {
+                let at = self.trace_now;
+                self.trace(|| GcsTrace::Suspected { at, peer });
             }
         }
     }
@@ -2137,24 +1956,12 @@ impl<P: Payload> GcsNode<P> {
     where
         M: Payload + From<GcsPacket<P>>,
     {
-        let node = self.node;
-        for (&group, state) in &self.groups {
-            let Some((vid, members)) = state.mem.announce_payload(node) else {
-                continue;
-            };
-            // Members receive announces too: one that never installed
-            // the announced view detects its lost Install and re-syncs.
-            for &target in self.bootstrap.iter().filter(|&&n| n != node) {
-                self.emit(
-                    ctx,
-                    target,
-                    GcsPacket::Announce {
-                        group,
-                        vid,
-                        members: members.clone(),
-                    },
-                );
-            }
+        // The coordinator of each installed view announces it to every
+        // bootstrap node.
+        let groups: Vec<GroupId> = self.groups.keys().copied().collect();
+        for group in groups {
+            let actions = self.step(group, ProtoEvent::DoAnnounce);
+            self.carry_out(ctx, group, actions, None);
         }
     }
 
@@ -2176,10 +1983,8 @@ impl<P: Payload> GcsNode<P> {
             })
             .collect();
         for (group, peer) in expired {
-            self.probe(Some(group), || ProtoEvent::ExpireForeign(peer));
-            let state = self.groups.get_mut(&group).expect("group exists");
-            state.foreign_seen.remove(&peer);
-            state.mem.expire_foreign(peer);
+            self.group_mut(group).foreign_seen.remove(&peer);
+            self.step(group, ProtoEvent::ExpireForeign(peer));
         }
     }
 
@@ -2192,61 +1997,11 @@ impl<P: Payload> GcsNode<P> {
         self.groups.get_or_insert_with(group, GroupState::new)
     }
 
-    fn join_targets(&self, group: GroupId) -> Vec<NodeId> {
-        let mut targets: BTreeSet<NodeId> = self.bootstrap.iter().copied().collect();
-        if let Some(state) = self.groups.get(&group) {
-            targets.extend(state.mem.join_contacts.iter().copied());
-        }
-        targets.remove(&self.node);
-        targets.into_iter().collect()
-    }
-
     fn emit<M>(&self, ctx: &mut Context<'_, M>, dst: NodeId, pkt: GcsPacket<P>)
     where
         M: Payload + From<GcsPacket<P>>,
     {
         ctx.send(self.port, Endpoint::new(dst, self.port), M::from(pkt));
-    }
-}
-
-/// The membership-plane projection of a packet: the [`ProtoMsg`] the pure
-/// state machine would receive for it, if any. Only evaluated when a proto
-/// probe is installed (replay-equivalence tests).
-fn proto_msg_of<P: Payload>(pkt: &GcsPacket<P>) -> Option<(GroupId, ProtoMsg)> {
-    match pkt {
-        GcsPacket::JoinReq { group, joiner } => {
-            Some((*group, ProtoMsg::JoinReq { joiner: *joiner }))
-        }
-        GcsPacket::LeaveReq { group, leaver } => {
-            Some((*group, ProtoMsg::LeaveReq { leaver: *leaver }))
-        }
-        GcsPacket::Prepare {
-            group,
-            vid,
-            candidates,
-        } => Some((
-            *group,
-            ProtoMsg::Prepare {
-                vid: *vid,
-                candidates: candidates.clone(),
-            },
-        )),
-        GcsPacket::FlushAck { group, vid, .. } => Some((*group, ProtoMsg::FlushAck { vid: *vid })),
-        GcsPacket::Install { group, view, .. } => {
-            Some((*group, ProtoMsg::Install { view: view.clone() }))
-        }
-        GcsPacket::Announce {
-            group,
-            vid,
-            members,
-        } => Some((
-            *group,
-            ProtoMsg::Announce {
-                vid: *vid,
-                members: members.clone(),
-            },
-        )),
-        _ => None,
     }
 }
 

@@ -13,10 +13,10 @@
 //! the old way, in the other the new way (half the seeds announce at a
 //! tenth of the usual rate, so less membership input wakes every pass
 //! and each gate has to hold on its own). After every tick of every node
-//! both sides' probed membership events, suspicion, `last_heard`, views
-//! and returned events are equal; at the end so is everything put on the
-//! wire. A pass the new tick skipped never acted in the old one, and every
-//! gated pass was skipped on some ticks and acted on others.
+//! both sides' membership machines, suspicion, `last_heard`, views and
+//! returned events are equal; at the end so is everything put on the wire.
+//! A pass the new tick skipped never acted in the old one, and every gated
+//! pass was skipped on some ticks and acted on others.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -52,10 +52,19 @@ const PASSES: [&str; 6] = [
     "view changes",
 ];
 
+/// Membership events by the name of their [`ProtoEvent`], as [`tally`]
+/// reads them off the passes.
+type Kinds = BTreeMap<&'static str, u64>;
+
 impl GcsNode<Num> {
     /// `on_timer` as the parent had it — every pass on every tick — with
     /// the gated passes that acted as [`Pass::bit`]s.
-    fn tick_every_pass(&mut self, ctx: &mut Context<'_, Wire>, timer: Timer) -> Ticked {
+    fn tick_every_pass(
+        &mut self,
+        ctx: &mut Context<'_, Wire>,
+        timer: Timer,
+        kinds: &mut Kinds,
+    ) -> Ticked {
         debug_assert_eq!(timer.tag, self.tick_tag, "timer routed to wrong component");
         self.trace_now = ctx.now();
         self.last_tick = ctx.now();
@@ -66,7 +75,7 @@ impl GcsNode<Num> {
         }
         self.arm(ctx);
         let mut events = Vec::new();
-        let mut did = self.acted(Pass::Detector, |gcs| {
+        let mut did = self.acted(Pass::Detector, kinds, |gcs| {
             gcs.tick_failure_detector_parent(ctx);
         });
         if self.ticks.is_multiple_of(self.config.hb_every_ticks) {
@@ -75,11 +84,13 @@ impl GcsNode<Num> {
         if self.ticks.is_multiple_of(self.config.ack_every_ticks) {
             self.tick_acks(ctx);
         }
-        did |= self.acted(Pass::Naks, |gcs| gcs.tick_naks_parent(ctx));
-        did |= self.acted(Pass::Resends, |gcs| gcs.tick_resends(ctx));
-        did |= self.acted(Pass::Joins, |gcs| events.extend(gcs.tick_joins(ctx)));
-        did |= self.acted(Pass::Prune, |gcs| gcs.tick_prune());
-        did |= self.acted(Pass::ViewChanges, |gcs| {
+        did |= self.acted(Pass::Naks, kinds, |gcs| gcs.tick_naks_parent(ctx));
+        did |= self.acted(Pass::Resends, kinds, |gcs| gcs.tick_resends(ctx));
+        did |= self.acted(Pass::Joins, kinds, |gcs| {
+            events.extend(gcs.tick_joins(ctx));
+        });
+        did |= self.acted(Pass::Prune, kinds, |gcs| gcs.tick_prune());
+        did |= self.acted(Pass::ViewChanges, kinds, |gcs| {
             gcs.tick_view_changes(ctx);
         });
         if self.ticks.is_multiple_of(self.config.announce_every_ticks) {
@@ -92,14 +103,24 @@ impl GcsNode<Num> {
     /// Runs one pass; `pass`'s bit if it changed anything. Every send of a
     /// gated pass comes with a change of state (a NAK, resend or retry
     /// stamps its tick), so what is compared is the state alone.
-    fn acted(&mut self, pass: Pass, run: impl FnOnce(&mut Self)) -> u8 {
+    fn acted(&mut self, pass: Pass, kinds: &mut Kinds, run: impl FnOnce(&mut Self)) -> u8 {
         let before = self.footprint();
+        let machines = self.machines();
         run(self);
+        tally(pass, &machines, &self.machines(), kinds);
         if self.footprint() == before {
             0
         } else {
             pass.bit()
         }
+    }
+
+    /// Each group's membership machine.
+    fn machines(&self) -> Vec<(GroupId, Membership)> {
+        self.groups
+            .iter()
+            .map(|(&g, s)| (g, s.mem.clone()))
+            .collect()
     }
 
     /// Everything a housekeeping pass can change.
@@ -155,14 +176,11 @@ impl GcsNode<Num> {
             match heard {
                 Some(at) if now.saturating_since(at) > timeout => {
                     if self.suspected.insert(peer) {
-                        self.probe(None, || ProtoEvent::Suspect(peer));
                         self.trace(|| GcsTrace::Suspected { at: now, peer });
                     }
                 }
                 Some(_) => {
-                    if self.suspected.remove(&peer) {
-                        self.probe(None, || ProtoEvent::Unsuspect(peer));
-                    }
+                    self.suspected.remove(&peer);
                 }
                 None => {
                     self.last_heard.insert(peer, now);
@@ -229,6 +247,54 @@ impl GcsNode<Num> {
     }
 }
 
+/// Counts the membership events `pass` stepped, from each group's machine
+/// before and after it. Only what no other event of the pass can do is
+/// counted: the joins pass forms singletons and forces leaves, the prune
+/// expires foreign views, and the view-change pass abandons flushes (back
+/// to the same view), times rounds out and proposes new ones.
+fn tally(
+    pass: Pass,
+    before: &[(GroupId, Membership)],
+    after: &[(GroupId, Membership)],
+    kinds: &mut Kinds,
+) {
+    let round = |m: &Membership| m.flush.as_ref().map(|fl| fl.vid);
+    for (group, old) in before {
+        let new = after.iter().find(|(g, _)| g == group).map(|(_, m)| m);
+        let mut count = |kind| *kinds.entry(kind).or_default() += 1;
+        match (pass, new) {
+            (Pass::Joins, None) => count("ForceLeave"),
+            (Pass::Joins, Some(new))
+                if old.status == GroupStatus::Joining && new.status == GroupStatus::Member =>
+            {
+                count("SingletonForm");
+            }
+            (Pass::Prune, Some(new)) if new.foreign.len() < old.foreign.len() => {
+                count("ExpireForeign");
+            }
+            (Pass::ViewChanges, Some(new)) => {
+                let resumed = old.status == GroupStatus::Flushing
+                    && new.status == GroupStatus::Member
+                    && new.view.id == old.view.id;
+                let released = old.status == GroupStatus::Joining
+                    && old.promised.is_some()
+                    && new.promised.is_none();
+                if resumed || released {
+                    count("AbandonFlush");
+                }
+                if round(old).is_some() && round(new) != round(old) {
+                    count("FlushTimeout");
+                }
+                let proposed = round(new).is_some_and(|vid| round(old) != Some(vid));
+                if proposed || new.view.id != old.view.id {
+                    count("DoElection");
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
 /// What a tick returned, and the [`Pass::bit`]s of the gated passes the
 /// new tick ran (the old one: that acted).
 type Ticked = (Vec<GcsEvent<Num>>, u8);
@@ -238,8 +304,7 @@ type Ticked = (Vec<GcsEvent<Num>>, u8);
 struct Snapshot {
     at: SimTime,
     events: Vec<GcsEvent<Num>>,
-    /// Membership events fed to the pure machine since the last tick.
-    probed: Vec<(Option<GroupId>, ProtoEvent)>,
+    machines: Vec<(GroupId, Membership)>,
     suspected: BTreeSet<NodeId>,
     /// Sorted: the endpoint's map is hashed.
     last_heard: BTreeMap<NodeId, SimTime>,
@@ -254,7 +319,9 @@ struct Log {
     passes: Vec<u8>,
     /// Whether the tick began with membership input (new tick only).
     input: Vec<bool>,
-    probed: Vec<(Option<GroupId>, ProtoEvent)>,
+    /// Membership events of the old tick's passes, with the suspicions
+    /// raised and cleared from one tick to the next.
+    kinds: Kinds,
     /// Packets received, with what handling them returned.
     received: Vec<(SimTime, NodeId, Wire, Vec<GcsEvent<Num>>)>,
 }
@@ -265,20 +332,18 @@ struct Node {
     gcs: GcsNode<Num>,
     every_pass: bool,
     log: Shared,
+    /// Whom this incarnation suspected at its last tick.
+    suspected: BTreeSet<NodeId>,
 }
 
 impl Node {
     fn new(id: NodeId, every_pass: bool, config: GcsConfig, log: &Shared) -> Self {
         let bootstrap = (1..=NODES).map(NodeId).collect();
-        let mut gcs = GcsNode::new(config, id, PORT, TICK, bootstrap);
-        let probed = Rc::clone(log);
-        gcs.set_proto_probe(move |group, event| {
-            probed.borrow_mut().probed.push((group, event.clone()));
-        });
         Node {
-            gcs,
+            gcs: GcsNode::new(config, id, PORT, TICK, bootstrap),
             every_pass,
             log: Rc::clone(log),
+            suspected: BTreeSet::new(),
         }
     }
 }
@@ -296,8 +361,9 @@ impl Process<Wire> for Node {
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Wire>, timer: Timer) {
         let input = self.gcs.input;
+        let mut log = self.log.borrow_mut();
         let (events, passes) = if self.every_pass {
-            self.gcs.tick_every_pass(ctx, timer)
+            self.gcs.tick_every_pass(ctx, timer, &mut log.kinds)
         } else {
             self.gcs.tick(ctx, timer)
         };
@@ -306,11 +372,15 @@ impl Process<Wire> for Node {
             .iter()
             .map(|&g| (g, gcs.status(g), gcs.view(g).cloned()))
             .collect();
-        let mut log = self.log.borrow_mut();
+        let suspects = gcs.suspected.difference(&self.suspected).count() as u64;
+        let unsuspects = self.suspected.difference(&gcs.suspected).count() as u64;
+        *log.kinds.entry("Suspect").or_default() += suspects;
+        *log.kinds.entry("Unsuspect").or_default() += unsuspects;
+        self.suspected.clone_from(&gcs.suspected);
         let snapshot = Snapshot {
             at: ctx.now(),
             events,
-            probed: std::mem::take(&mut log.probed),
+            machines: gcs.machines(),
             suspected: gcs.suspected.clone(),
             last_heard: gcs.last_heard.iter().map(|(&k, &v)| (k, v)).collect(),
             nonmember_seen: gcs.nonmember_seen.clone(),
@@ -435,7 +505,7 @@ fn the_gated_tick_matches_the_every_pass_tick() {
     let mut acted = [0u64; PASSES.len()];
     let mut acted_unprompted = [0u64; PASSES.len()];
     let mut nonmember_expiries = 0;
-    let mut probed: BTreeMap<String, u64> = BTreeMap::new();
+    let mut kinds = Kinds::new();
     for seed in 0..12 {
         let (old, old_wire) = run(seed, true);
         let (new, new_wire) = run(seed, false);
@@ -463,10 +533,8 @@ fn the_gated_tick_matches_the_every_pass_tick() {
                     |t: &[Snapshot]| t[i].nonmember_seen.len() < t[i - 1].nonmember_seen.len();
                 nonmember_expiries += u64::from(i > 0 && pruned && shrank(&old.ticks));
             }
-            for (_, event) in old.ticks.iter().flat_map(|t| &t.probed) {
-                let kind = format!("{event:?}");
-                let kind = kind.split(['(', ' ']).next().unwrap_or_default();
-                *probed.entry(kind.to_string()).or_default() += 1;
+            for (&kind, &n) in &old.kinds {
+                *kinds.entry(kind).or_default() += n;
             }
         }
         assert_eq!(old_wire.len(), new_wire.len(), "seed {seed}: wire log");
@@ -485,11 +553,12 @@ fn the_gated_tick_matches_the_every_pass_tick() {
             "{name} only ran on input"
         );
     }
-    println!("{nonmember_expiries} prunes of non-member entries; probed {probed:?}");
+    println!("{nonmember_expiries} prunes of non-member entries; {kinds:?}");
     assert!(nonmember_expiries > 0);
     // The runs reach what the gates are about: silent peers crossing the
-    // deadline, flush timeouts, abandoned flushes, singletons, forced
-    // leaves and expiring foreign views.
+    // deadline (suspected, then heard again), flush timeouts, abandoned
+    // flushes, singletons, forced leaves, expiring foreign views and
+    // elections.
     for kind in [
         "Suspect",
         "Unsuspect",
@@ -501,8 +570,8 @@ fn the_gated_tick_matches_the_every_pass_tick() {
         "DoElection",
     ] {
         assert!(
-            probed.get(kind).is_some_and(|&n| n > 0),
-            "no {kind}: {probed:?}"
+            kinds.get(kind).is_some_and(|&n| n > 0),
+            "no {kind}: {kinds:?}"
         );
     }
 }

@@ -1,14 +1,15 @@
 //! The membership plane of the GCS, extracted as a pure state machine.
 //!
 //! Everything that decides *who is in the group* — view changes, merges,
-//! expulsions, joins and leaves — lives here, side-effect free:
-//! `State × Event → (State′, Vec<Action>)`. The live [`GcsNode`] embeds a
-//! [`Membership`] per group and routes every membership decision through
-//! it; the in-house model checker (`ftvod-mc`) drives the same code via
-//! [`ProtoNode`], exhaustively exploring crash/partition/merge
-//! interleavings over small node counts. One source of truth, two
-//! drivers — so a checker counterexample is a real protocol bug, and a
-//! protocol change cannot silently bypass the checker.
+//! expulsions, joins and leaves — lives here, side-effect free, as one
+//! step function: `State × Event → (State′, Vec<Action>)`. Its two callers
+//! run the same body. The live [`GcsNode`] keeps a [`Membership`] per
+//! group, steps it with every membership input and carries out the
+//! actions, adding the message plane's freight; the in-house model checker
+//! (`ftvod-mc`) steps one group through [`ProtoNode`], exhaustively
+//! exploring crash/partition/merge interleavings over small node counts.
+//! So a checker counterexample is a real protocol bug, and a fix made here
+//! is the fix the live node runs.
 //!
 //! Time never appears in this module. Every timer-driven behaviour of the
 //! live node (suspicion timeouts, flush abandonment, join retries,
@@ -93,13 +94,13 @@ impl FlushRound {
 
 /// What [`Membership::on_flush_ack`] did with an incoming flush-ack.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum FlushProgress {
+enum FlushProgress {
     /// Not coordinating, wrong round, or not a candidate: dropped.
     Ignored,
     /// Recorded; more acks outstanding.
     Acked,
-    /// All candidates acked: the round is taken out of the state and the
-    /// caller must install `View::new(vid, candidates)` everywhere.
+    /// All candidates acked: the round is taken out of the state, and
+    /// `View::new(vid, candidates)` is to be installed everywhere.
     Complete {
         /// The completed proposal id.
         vid: ViewId,
@@ -117,7 +118,7 @@ pub enum InstallDecision {
     /// The install does not dominate the current view: ignored.
     Stale,
     /// The new view excludes this node (graceful leave or expulsion):
-    /// the caller dissolves its local state after surfacing the view.
+    /// the view is surfaced, then the local state dissolves.
     Excluded,
     /// The new view includes this node: apply it.
     Adopt,
@@ -125,7 +126,7 @@ pub enum InstallDecision {
 
 /// What [`Membership::on_announce`] concluded.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum AnnounceOutcome {
+enum AnnounceOutcome {
     /// Nothing to do (own view, stale, or irrelevant status).
     Ignored,
     /// A newer incarnation of the group expelled this node; it is the
@@ -138,15 +139,18 @@ pub enum AnnounceOutcome {
         candidates: Vec<NodeId>,
     },
     /// The announce revealed a foreign component; it was recorded for the
-    /// next merge election. The live node stamps the entry's expiry clock.
+    /// next merge election. The live node restarts the entry's expiry
+    /// clock.
     Foreign,
     /// The announced view is *newer and lists this node*, yet this node
     /// never installed it: the `Install` was lost, and without repair the
     /// group diverges permanently (the coordinator believes the view is
     /// in force; this node still delivers in the old one — a divergence
-    /// the model checker found via a single dropped Install). The caller
+    /// the model checker found via a single dropped Install). The node
     /// sends a `JoinReq` to the announcer; the stateless-member machinery
-    /// then re-installs the membership under a fresh epoch.
+    /// then re-installs the membership under a fresh epoch. (The live
+    /// node's install re-send burst covers a single lost datagram; this
+    /// covers every retransmission lost, or a partition outlasting it.)
     Resync,
     /// Heard while joining: the announcer becomes a join contact and the
     /// singleton-formation clock restarts (the group clearly exists).
@@ -155,7 +159,7 @@ pub enum AnnounceOutcome {
 
 /// How [`Membership::request_leave`] starts a graceful departure.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum LeaveStart {
+enum LeaveStart {
     /// Not in the group: nothing to leave.
     Ignored,
     /// Sole member: the group dissolves immediately.
@@ -168,14 +172,15 @@ pub enum LeaveStart {
 }
 
 /// Per-group membership state: every field that decides who is in the
-/// view. The live [`GcsNode`](crate::GcsNode) embeds one per group (its
+/// view. The live [`GcsNode`](crate::GcsNode) keeps one per group (its
 /// message-plane state — sequence numbers, buffers, flushed pools — lives
-/// beside it); [`ProtoNode`] wraps one for the model checker.
+/// beside it); [`ProtoNode`] wraps one for the model checker. Both change
+/// it only by stepping it with a [`ProtoEvent`].
 ///
 /// No field measures time. The live node keeps its tick bookkeeping
 /// (promise age, foreign-entry freshness, retry clocks) outside and
-/// expresses expiry by calling [`Membership::expire_foreign`] /
-/// [`Membership::abandon_flush`] / [`Membership::flush_timeout`].
+/// expresses expiry as the events [`ProtoEvent::ExpireForeign`],
+/// [`ProtoEvent::AbandonFlush`] and [`ProtoEvent::FlushTimeout`].
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Membership {
     /// Local membership status.
@@ -229,7 +234,7 @@ impl Membership {
     /// Creates the group with `node` as its only member, effective
     /// immediately. Returns the installed singleton view, or `None` if
     /// the node already has state for the group.
-    pub fn create(&mut self, node: NodeId) -> Option<View> {
+    fn create(&mut self, node: NodeId) -> Option<View> {
         if self.status != GroupStatus::Idle {
             return None;
         }
@@ -244,22 +249,11 @@ impl Membership {
         Some(self.view.clone())
     }
 
-    /// Starts joining; `contacts` are members known out of band. Returns
-    /// `false` when the node is not idle (already joining or a member).
-    pub fn start_join(&mut self, contacts: &[NodeId]) -> bool {
-        if self.status != GroupStatus::Idle {
-            return false;
-        }
-        self.status = GroupStatus::Joining;
-        self.join_contacts.extend(contacts.iter().copied());
-        true
-    }
-
     /// A joiner timed out waiting to be adopted: form a singleton view
     /// and rely on announces/merge to coalesce. Returns the view, or
     /// `None` when not applicable (not joining, or a promise is pending —
     /// a coordinator is already adopting us).
-    pub fn singleton_form(&mut self, node: NodeId) -> Option<View> {
+    fn singleton_form(&mut self, node: NodeId) -> Option<View> {
         if self.status != GroupStatus::Joining || self.promised.is_some() {
             return None;
         }
@@ -285,7 +279,7 @@ impl Membership {
     /// joiner forces an epoch bump that re-installs the view onto the
     /// fresh incarnation, and stateless members are skipped as relay
     /// targets (they cannot act on the request).
-    pub fn on_join_req(
+    fn on_join_req(
         &mut self,
         node: NodeId,
         suspected: &BTreeSet<NodeId>,
@@ -312,7 +306,7 @@ impl Membership {
     /// Handles a `LeaveReq` from `leaver`. Accepted while member *or*
     /// flushing (same survivability argument as joins). Returns whether
     /// the request was recorded.
-    pub fn on_leave_req(&mut self, leaver: NodeId) -> bool {
+    fn on_leave_req(&mut self, leaver: NodeId) -> bool {
         if matches!(self.status, GroupStatus::Member | GroupStatus::Flushing) {
             // Latest request wins (mirror of `on_join_req`): a leave from
             // a node we only knew as a pending joiner withdraws the join.
@@ -325,9 +319,10 @@ impl Membership {
     }
 
     /// Handles a `Prepare` for proposal `vid` over `candidates`. Returns
-    /// `true` when the node promises (the caller must send a `FlushAck`
-    /// with its message-plane floors to `vid.coordinator`).
-    pub fn on_prepare(&mut self, node: NodeId, vid: ViewId, candidates: &[NodeId]) -> bool {
+    /// `true` when the node promises (it answers `vid.coordinator` with a
+    /// `FlushAck`, which the live node loads with its message-plane
+    /// floors).
+    fn on_prepare(&mut self, node: NodeId, vid: ViewId, candidates: &[NodeId]) -> bool {
         if !candidates.contains(&node) {
             return false;
         }
@@ -356,9 +351,9 @@ impl Membership {
     }
 
     /// Coordinator side: records `from`'s flush-ack for round `vid`.
-    /// On [`FlushProgress::Complete`] the round is consumed and the
-    /// caller installs the new view.
-    pub fn on_flush_ack(&mut self, from: NodeId, vid: ViewId) -> FlushProgress {
+    /// On [`FlushProgress::Complete`] the round is consumed and the new
+    /// view is installed.
+    fn on_flush_ack(&mut self, from: NodeId, vid: ViewId) -> FlushProgress {
         let Some(fl) = self.flush.as_mut() else {
             return FlushProgress::Ignored;
         };
@@ -377,7 +372,7 @@ impl Membership {
     }
 
     /// Pure verdict on an incoming install of `view` (no mutation): what
-    /// the caller should do with it.
+    /// the machine will do with it.
     pub fn install_decision(&self, node: NodeId, view: &View) -> InstallDecision {
         if self.status == GroupStatus::Idle {
             return InstallDecision::Refused;
@@ -391,34 +386,50 @@ impl Membership {
         InstallDecision::Adopt
     }
 
-    /// Applies an install previously judged [`InstallDecision::Adopt`]:
-    /// the membership-plane mutations of adopting `view`. (The caller
-    /// performs the message-plane work — cut delivery, buffer resets —
-    /// and clears failure-detector suspicion for the new members.)
-    pub fn apply_install(&mut self, node: NodeId, view: &View) {
-        debug_assert_eq!(self.install_decision(node, view), InstallDecision::Adopt);
-        self.max_epoch_seen = self.max_epoch_seen.max(view.id.epoch);
-        self.pending_joiners.retain(|j| !view.contains(*j));
-        self.pending_leavers
-            .retain(|l| view.contains(*l) && *l != node);
-        self.promised = None;
-        if let Some(fl) = &self.flush {
-            if fl.vid.epoch <= view.id.epoch {
-                self.flush = None;
+    /// Acts on an install of `view` as [`Membership::install_decision`]
+    /// judges it. An excluding view is surfaced, then the state dissolves.
+    /// An adopted one settles the books it covers and clears suspicion of
+    /// its members, so a freshly installed view is not immediately re-torn
+    /// (the live node adds the message-plane work: cut delivery, buffer
+    /// resets).
+    fn install(&mut self, env: &mut Env<'_>, view: View) -> Vec<ProtoAction> {
+        let node = env.node;
+        match self.install_decision(node, &view) {
+            InstallDecision::Refused | InstallDecision::Stale => Vec::new(),
+            InstallDecision::Excluded => {
+                let mut actions = vec![ProtoAction::Install { view }];
+                actions.extend(self.dissolve());
+                actions
+            }
+            InstallDecision::Adopt => {
+                self.max_epoch_seen = self.max_epoch_seen.max(view.id.epoch);
+                self.pending_joiners.retain(|j| !view.contains(*j));
+                self.pending_leavers
+                    .retain(|l| view.contains(*l) && *l != node);
+                self.promised = None;
+                if let Some(fl) = &self.flush {
+                    if fl.vid.epoch <= view.id.epoch {
+                        self.flush = None;
+                    }
+                }
+                self.foreign.retain(|n, _| !view.contains(*n));
+                self.view = view.clone();
+                self.had_view = true;
+                self.status = GroupStatus::Member;
+                for m in &view.members {
+                    env.suspected.remove(m);
+                }
+                vec![ProtoAction::Install { view }]
             }
         }
-        self.foreign.retain(|n, _| !view.contains(*n));
-        self.view = view.clone();
-        self.had_view = true;
-        self.status = GroupStatus::Member;
     }
 
     /// Handles a coordinator `Announce` of (`vid`, `members`). Mutates
-    /// the foreign/contact books; the caller acts on the returned
-    /// outcome. `suspected` scopes the expulsion re-form: the residual
+    /// the foreign/contact books; the step acts on the returned outcome.
+    /// `suspected` scopes the expulsion re-form: the residual
     /// side is led by its minimum *unsuspected* member (the checker
     /// found that waiting on a dead residual leader deadlocks the merge).
-    pub fn on_announce(
+    fn on_announce(
         &mut self,
         cfg: &ProtoConfig,
         node: NodeId,
@@ -506,9 +517,9 @@ impl Membership {
     /// `Some((epoch, candidates))` when a view change should start, or
     /// `None` when the current view stands.
     ///
-    /// Callers must pre-expire stale foreign entries
-    /// ([`Membership::expire_foreign`]); every entry present is treated
-    /// as fresh.
+    /// Drivers must expire stale foreign entries first
+    /// ([`ProtoEvent::ExpireForeign`]); every entry present is treated as
+    /// fresh.
     pub fn election(
         &self,
         node: NodeId,
@@ -595,34 +606,50 @@ impl Membership {
 
     /// Starts coordinating a view change over `candidates` at `epoch`:
     /// records the flush round, promises the proposal to itself and
-    /// self-acks. Returns the proposal id; the caller sends `Prepare` to
-    /// every other candidate (and completes immediately for singletons).
-    pub fn begin_view_change(&mut self, node: NodeId, epoch: u64, candidates: &[NodeId]) -> ViewId {
+    /// self-acks, then proposes it to every other candidate. A singleton
+    /// proposal completes at once.
+    fn begin_view_change(
+        &mut self,
+        env: &mut Env<'_>,
+        epoch: u64,
+        candidates: Vec<NodeId>,
+    ) -> Vec<ProtoAction> {
+        let node = env.node;
         let vid = ViewId {
             epoch,
             coordinator: node,
         };
         self.max_epoch_seen = self.max_epoch_seen.max(epoch);
-        let mut acked = BTreeSet::new();
-        acked.insert(node);
-        self.flush = Some(FlushRound {
-            vid,
-            candidates: candidates.to_vec(),
-            acked,
-        });
         self.foreign.clear();
         self.promised = Some(vid);
         if self.status == GroupStatus::Member {
             self.status = GroupStatus::Flushing;
         }
-        vid
-    }
-
-    /// Coordinator-side flush timeout: abandons the round. Returns the
-    /// abandoned round so the caller can suspect candidates that are
-    /// both unresponsive (no ack) and demonstrably silent.
-    pub fn flush_timeout(&mut self) -> Option<FlushRound> {
-        self.flush.take()
+        let mut actions = vec![ProtoAction::Propose { vid }];
+        actions.extend(
+            candidates
+                .iter()
+                .filter(|&&c| c != node)
+                .map(|&to| ProtoAction::Send {
+                    to,
+                    msg: ProtoMsg::Prepare {
+                        vid,
+                        candidates: candidates.clone(),
+                    },
+                }),
+        );
+        let singleton = candidates == [node];
+        self.flush = Some(FlushRound {
+            vid,
+            candidates,
+            acked: BTreeSet::from([node]),
+        });
+        if singleton {
+            if let FlushProgress::Complete { vid, candidates } = self.on_flush_ack(node, vid) {
+                actions.extend(self.install(env, View::new(vid, candidates)));
+            }
+        }
+        actions
     }
 
     /// Member-side flush abandonment: the coordinator that held our
@@ -632,25 +659,18 @@ impl Membership {
     /// ever dominates it (no surviving coordinator knows the joiner
     /// exists), so keeping it blocks `singleton_form` forever — the
     /// checker found a joiner orphaned in `Joining` by exactly this when
-    /// its adopting coordinator crashed mid-flush. Returns whether any
-    /// state changed.
-    pub fn abandon_flush(&mut self) -> bool {
+    /// its adopting coordinator crashed mid-flush.
+    fn abandon_flush(&mut self) {
         match self.status {
-            GroupStatus::Flushing => {
-                self.status = GroupStatus::Member;
-                true
-            }
-            GroupStatus::Joining if self.promised.is_some() => {
-                self.promised = None;
-                true
-            }
-            _ => false,
+            GroupStatus::Flushing => self.status = GroupStatus::Member,
+            GroupStatus::Joining => self.promised = None,
+            _ => {}
         }
     }
 
     /// Starts a graceful leave. The node keeps operating until a view
     /// excluding it is installed (or a timeout force-quits locally).
-    pub fn request_leave(&mut self, node: NodeId, suspected: &BTreeSet<NodeId>) -> LeaveStart {
+    fn request_leave(&mut self, node: NodeId, suspected: &BTreeSet<NodeId>) -> LeaveStart {
         if self.status == GroupStatus::Idle {
             return LeaveStart::Ignored;
         }
@@ -677,12 +697,6 @@ impl Membership {
             .find(|&m| m != node && !suspected.contains(&m))
     }
 
-    /// Drops the foreign entry learned from `peer` (the live node calls
-    /// this when the entry's freshness clock expires).
-    pub fn expire_foreign(&mut self, peer: NodeId) {
-        self.foreign.remove(&peer);
-    }
-
     /// The announce this node should periodically send, if it is the
     /// coordinator of an installed view: `(vid, members)`.
     pub fn announce_payload(&self, node: NodeId) -> Option<(ViewId, Vec<NodeId>)> {
@@ -692,6 +706,199 @@ impl Membership {
             None
         }
     }
+
+    /// Advances the group's machine by one event, returning the actions it
+    /// emits. Events whose precondition does not hold are no-ops — the
+    /// driver may fire anything at any time.
+    pub(crate) fn step(&mut self, env: &mut Env<'_>, event: ProtoEvent) -> Vec<ProtoAction> {
+        let node = env.node;
+        match event {
+            ProtoEvent::Deliver { from, msg } => {
+                // Any packet refreshes the failure detector.
+                env.suspected.remove(&from);
+                self.on_msg(env, from, msg)
+            }
+            ProtoEvent::Suspect(peer) => {
+                if peer != node {
+                    env.suspected.insert(peer);
+                }
+                Vec::new()
+            }
+            ProtoEvent::Unsuspect(peer) => {
+                env.suspected.remove(&peer);
+                Vec::new()
+            }
+            ProtoEvent::Create => match self.create(node) {
+                Some(view) => vec![ProtoAction::Install { view }],
+                None => Vec::new(),
+            },
+            ProtoEvent::RequestJoin { contacts } => {
+                if self.status != GroupStatus::Idle {
+                    return Vec::new();
+                }
+                self.status = GroupStatus::Joining;
+                self.join_contacts.extend(contacts);
+                self.join_sends(env)
+            }
+            ProtoEvent::RequestLeave => match self.request_leave(node, env.suspected) {
+                LeaveStart::Ignored | LeaveStart::NoTarget => Vec::new(),
+                LeaveStart::Dissolve => self.dissolve(),
+                LeaveStart::Send(target) => vec![ProtoAction::Send {
+                    to: target,
+                    msg: ProtoMsg::LeaveReq { leaver: node },
+                }],
+            },
+            ProtoEvent::DoElection => match self.election(node, env.suspected) {
+                Some((epoch, candidates)) => self.begin_view_change(env, epoch, candidates),
+                None => Vec::new(),
+            },
+            ProtoEvent::FlushTimeout { silent } => {
+                if let Some(fl) = self.flush.take() {
+                    for c in &fl.candidates {
+                        if !fl.acked.contains(c) && silent.contains(c) && *c != node {
+                            env.suspected.insert(*c);
+                        }
+                    }
+                }
+                Vec::new()
+            }
+            ProtoEvent::AbandonFlush => {
+                self.abandon_flush();
+                Vec::new()
+            }
+            ProtoEvent::SingletonForm => match self.singleton_form(node) {
+                Some(view) => vec![ProtoAction::Install { view }],
+                None => Vec::new(),
+            },
+            ProtoEvent::JoinRetry if self.status == GroupStatus::Joining => self.join_sends(env),
+            ProtoEvent::LeaveRetry
+                if self.leaving
+                    && matches!(self.status, GroupStatus::Member | GroupStatus::Flushing) =>
+            {
+                match self.leave_target(node, env.suspected) {
+                    Some(target) => vec![ProtoAction::Send {
+                        to: target,
+                        msg: ProtoMsg::LeaveReq { leaver: node },
+                    }],
+                    None => Vec::new(),
+                }
+            }
+            ProtoEvent::ForceLeave if self.leaving => self.dissolve(),
+            ProtoEvent::JoinRetry | ProtoEvent::LeaveRetry | ProtoEvent::ForceLeave => Vec::new(),
+            // Announces go to *every* peer, members included: a member
+            // serves them as lost-Install detection (see
+            // [`AnnounceOutcome::Resync`]), a non-member as merge bait.
+            ProtoEvent::DoAnnounce => match self.announce_payload(node) {
+                Some((vid, members)) => env
+                    .bootstrap
+                    .iter()
+                    .copied()
+                    .filter(|n| *n != node)
+                    .map(|to| ProtoAction::Send {
+                        to,
+                        msg: ProtoMsg::Announce {
+                            vid,
+                            members: members.clone(),
+                        },
+                    })
+                    .collect(),
+                None => Vec::new(),
+            },
+            ProtoEvent::ExpireForeign(peer) => {
+                self.foreign.remove(&peer);
+                Vec::new()
+            }
+        }
+    }
+
+    fn on_msg(&mut self, env: &mut Env<'_>, from: NodeId, msg: ProtoMsg) -> Vec<ProtoAction> {
+        let node = env.node;
+        match msg {
+            ProtoMsg::JoinReq { joiner } => match self.on_join_req(node, env.suspected, joiner) {
+                Some(coord) => vec![ProtoAction::Send {
+                    to: coord,
+                    msg: ProtoMsg::JoinReq { joiner },
+                }],
+                None => Vec::new(),
+            },
+            ProtoMsg::LeaveReq { leaver } => {
+                self.on_leave_req(leaver);
+                Vec::new()
+            }
+            ProtoMsg::Prepare { vid, candidates } => {
+                if self.on_prepare(node, vid, &candidates) {
+                    vec![ProtoAction::Send {
+                        to: vid.coordinator,
+                        msg: ProtoMsg::FlushAck { vid },
+                    }]
+                } else {
+                    Vec::new()
+                }
+            }
+            ProtoMsg::FlushAck { vid } => match self.on_flush_ack(from, vid) {
+                FlushProgress::Complete { vid, candidates } => {
+                    let view = View::new(vid, candidates);
+                    let mut actions: Vec<ProtoAction> = view
+                        .members
+                        .iter()
+                        .copied()
+                        .filter(|&m| m != node)
+                        .map(|to| ProtoAction::Send {
+                            to,
+                            msg: ProtoMsg::Install { view: view.clone() },
+                        })
+                        .collect();
+                    actions.extend(self.install(env, view));
+                    actions
+                }
+                _ => Vec::new(),
+            },
+            ProtoMsg::Install { view } => self.install(env, view),
+            ProtoMsg::Announce { vid, members } => {
+                match self.on_announce(&env.cfg, node, env.suspected, from, vid, members) {
+                    AnnounceOutcome::Reform { epoch, candidates } => {
+                        self.begin_view_change(env, epoch, candidates)
+                    }
+                    AnnounceOutcome::Resync => vec![ProtoAction::Send {
+                        to: from,
+                        msg: ProtoMsg::JoinReq { joiner: node },
+                    }],
+                    _ => Vec::new(),
+                }
+            }
+        }
+    }
+
+    fn join_sends(&self, env: &Env<'_>) -> Vec<ProtoAction> {
+        let mut targets: BTreeSet<NodeId> = env.bootstrap.iter().copied().collect();
+        targets.extend(self.join_contacts.iter().copied());
+        targets.remove(&env.node);
+        targets
+            .into_iter()
+            .map(|to| ProtoAction::Send {
+                to,
+                msg: ProtoMsg::JoinReq { joiner: env.node },
+            })
+            .collect()
+    }
+
+    fn dissolve(&mut self) -> Vec<ProtoAction> {
+        *self = Membership::new();
+        vec![ProtoAction::Dissolve]
+    }
+}
+
+/// What [`Membership::step`] needs of the node around the group: the same
+/// for each of the node's groups.
+pub(crate) struct Env<'a> {
+    /// Protocol-variant knobs.
+    pub(crate) cfg: ProtoConfig,
+    /// This node's id.
+    pub(crate) node: NodeId,
+    /// Nodes contacted for joins and announces.
+    pub(crate) bootstrap: &'a [NodeId],
+    /// The failure detector's suspicion set, which every group shares.
+    pub(crate) suspected: &'a mut BTreeSet<NodeId>,
 }
 
 /// A membership-plane message between nodes. Mirrors the membership
@@ -749,12 +956,13 @@ pub enum ProtoEvent {
         /// The message.
         msg: ProtoMsg,
     },
-    /// The failure detector started suspecting `peer` (live node: silence
-    /// past the suspicion timeout; checker: enabled while `peer` is
-    /// actually unreachable).
+    /// The failure detector started suspecting `peer` (checker: enabled
+    /// while `peer` is actually unreachable; the live node's detector
+    /// edits the suspicion set its groups share directly, on silence past
+    /// the suspicion timeout).
     Suspect(NodeId),
-    /// The failure detector cleared its suspicion of `peer` (live node:
-    /// recently heard; checker: enabled while `peer` is reachable).
+    /// The failure detector cleared its suspicion of `peer` (checker:
+    /// enabled while `peer` is reachable; live node: recently heard).
     Unsuspect(NodeId),
     /// Application request: create the group as its first member.
     Create,
@@ -803,23 +1011,32 @@ pub enum ProtoAction {
         /// The message.
         msg: ProtoMsg,
     },
-    /// A view was installed locally (the replay-equivalence tests compare
-    /// exactly these between the live node and the pure machine).
+    /// A view was installed locally. The live node runs the message-plane
+    /// install for it (cut delivery, receive-buffer reset), except for the
+    /// singleton a node forms on its own (`Create`, `SingletonForm`),
+    /// which it surfaces bare.
     Install {
-        /// The installed view. For [`ProtoNode::step`] this can also be a
-        /// view *excluding* the node (surfaced just before dissolving),
-        /// matching the live node's upcall.
+        /// The installed view. This can also be a view *excluding* the
+        /// node: it is surfaced just before [`ProtoAction::Dissolve`].
         view: View,
     },
     /// The node dropped its state for the group (graceful leave
     /// completed, expelled, or force-quit).
     Dissolve,
+    /// The node began coordinating view change `vid`: it promised the
+    /// proposal to itself and self-acked. Comes before the round's
+    /// `Prepare`s, and before its install when the proposal is a
+    /// singleton; the live node opens the round's message-plane half here,
+    /// with its own flush.
+    Propose {
+        /// The proposal id.
+        vid: ViewId,
+    },
 }
 
 /// One node of the membership protocol over a single group, as a pure
-/// state machine: `step(event) → actions`. Drives the same [`Membership`]
-/// decisions as the live [`GcsNode`](crate::GcsNode); the glue around
-/// them mirrors the live node's packet/timer handlers.
+/// state machine: `step(event) → actions`, the step the live
+/// [`GcsNode`](crate::GcsNode) runs for each of its groups.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct ProtoNode {
     /// Protocol-variant knobs.
@@ -863,252 +1080,13 @@ impl ProtoNode {
     /// Events whose precondition does not hold are no-ops — the driver
     /// may fire anything at any time.
     pub fn step(&mut self, event: ProtoEvent) -> Vec<ProtoAction> {
-        match event {
-            ProtoEvent::Deliver { from, msg } => {
-                // Any packet refreshes the failure detector.
-                self.suspected.remove(&from);
-                self.on_msg(from, msg)
-            }
-            ProtoEvent::Suspect(peer) => {
-                if peer != self.node {
-                    self.suspected.insert(peer);
-                }
-                Vec::new()
-            }
-            ProtoEvent::Unsuspect(peer) => {
-                self.suspected.remove(&peer);
-                Vec::new()
-            }
-            ProtoEvent::Create => match self.group.create(self.node) {
-                Some(view) => vec![ProtoAction::Install { view }],
-                None => Vec::new(),
-            },
-            ProtoEvent::RequestJoin { contacts } => {
-                if self.group.start_join(&contacts) {
-                    self.join_sends()
-                } else {
-                    Vec::new()
-                }
-            }
-            ProtoEvent::RequestLeave => {
-                match self.group.request_leave(self.node, &self.suspected) {
-                    LeaveStart::Ignored | LeaveStart::NoTarget => Vec::new(),
-                    LeaveStart::Dissolve => self.dissolve(),
-                    LeaveStart::Send(target) => vec![ProtoAction::Send {
-                        to: target,
-                        msg: ProtoMsg::LeaveReq { leaver: self.node },
-                    }],
-                }
-            }
-            ProtoEvent::DoElection => match self.group.election(self.node, &self.suspected) {
-                Some((epoch, candidates)) => self.begin_view_change(epoch, &candidates),
-                None => Vec::new(),
-            },
-            ProtoEvent::FlushTimeout { silent } => {
-                if let Some(fl) = self.group.flush_timeout() {
-                    for c in &fl.candidates {
-                        if !fl.acked.contains(c) && silent.contains(c) && *c != self.node {
-                            self.suspected.insert(*c);
-                        }
-                    }
-                }
-                Vec::new()
-            }
-            ProtoEvent::AbandonFlush => {
-                self.group.abandon_flush();
-                Vec::new()
-            }
-            ProtoEvent::SingletonForm => match self.group.singleton_form(self.node) {
-                Some(view) => vec![ProtoAction::Install { view }],
-                None => Vec::new(),
-            },
-            ProtoEvent::JoinRetry => {
-                if self.group.status == GroupStatus::Joining {
-                    self.join_sends()
-                } else {
-                    Vec::new()
-                }
-            }
-            ProtoEvent::LeaveRetry => {
-                if self.group.leaving
-                    && matches!(
-                        self.group.status,
-                        GroupStatus::Member | GroupStatus::Flushing
-                    )
-                {
-                    match self.group.leave_target(self.node, &self.suspected) {
-                        Some(target) => vec![ProtoAction::Send {
-                            to: target,
-                            msg: ProtoMsg::LeaveReq { leaver: self.node },
-                        }],
-                        None => Vec::new(),
-                    }
-                } else {
-                    Vec::new()
-                }
-            }
-            ProtoEvent::ForceLeave => {
-                if self.group.leaving {
-                    self.dissolve()
-                } else {
-                    Vec::new()
-                }
-            }
-            // Announces go to *every* peer, members included: a member
-            // serves them as lost-Install detection (see
-            // [`AnnounceOutcome::Resync`]), a non-member as merge bait.
-            ProtoEvent::DoAnnounce => match self.group.announce_payload(self.node) {
-                Some((vid, members)) => self
-                    .bootstrap
-                    .iter()
-                    .copied()
-                    .filter(|n| *n != self.node)
-                    .map(|to| ProtoAction::Send {
-                        to,
-                        msg: ProtoMsg::Announce {
-                            vid,
-                            members: members.clone(),
-                        },
-                    })
-                    .collect(),
-                None => Vec::new(),
-            },
-            ProtoEvent::ExpireForeign(peer) => {
-                self.group.expire_foreign(peer);
-                Vec::new()
-            }
-        }
-    }
-
-    fn on_msg(&mut self, from: NodeId, msg: ProtoMsg) -> Vec<ProtoAction> {
-        match msg {
-            ProtoMsg::JoinReq { joiner } => {
-                match self.group.on_join_req(self.node, &self.suspected, joiner) {
-                    Some(coord) => vec![ProtoAction::Send {
-                        to: coord,
-                        msg: ProtoMsg::JoinReq { joiner },
-                    }],
-                    None => Vec::new(),
-                }
-            }
-            ProtoMsg::LeaveReq { leaver } => {
-                self.group.on_leave_req(leaver);
-                Vec::new()
-            }
-            ProtoMsg::Prepare { vid, candidates } => {
-                if self.group.on_prepare(self.node, vid, &candidates) {
-                    vec![ProtoAction::Send {
-                        to: vid.coordinator,
-                        msg: ProtoMsg::FlushAck { vid },
-                    }]
-                } else {
-                    Vec::new()
-                }
-            }
-            ProtoMsg::FlushAck { vid } => match self.group.on_flush_ack(from, vid) {
-                FlushProgress::Complete { vid, candidates } => {
-                    let view = View::new(vid, candidates);
-                    let mut actions: Vec<ProtoAction> = view
-                        .members
-                        .iter()
-                        .copied()
-                        .filter(|&m| m != self.node)
-                        .map(|to| ProtoAction::Send {
-                            to,
-                            msg: ProtoMsg::Install { view: view.clone() },
-                        })
-                        .collect();
-                    actions.extend(self.apply_install(view));
-                    actions
-                }
-                _ => Vec::new(),
-            },
-            ProtoMsg::Install { view } => self.apply_install(view),
-            ProtoMsg::Announce { vid, members } => {
-                match self.group.on_announce(
-                    &self.cfg,
-                    self.node,
-                    &self.suspected,
-                    from,
-                    vid,
-                    members,
-                ) {
-                    AnnounceOutcome::Reform { epoch, candidates } => {
-                        self.begin_view_change(epoch, &candidates)
-                    }
-                    AnnounceOutcome::Resync => vec![ProtoAction::Send {
-                        to: from,
-                        msg: ProtoMsg::JoinReq { joiner: self.node },
-                    }],
-                    _ => Vec::new(),
-                }
-            }
-        }
-    }
-
-    fn apply_install(&mut self, view: View) -> Vec<ProtoAction> {
-        match self.group.install_decision(self.node, &view) {
-            InstallDecision::Refused | InstallDecision::Stale => Vec::new(),
-            InstallDecision::Excluded => {
-                // Surface the excluding view, then drop the group state —
-                // matching the live node's upcall order.
-                let mut actions = vec![ProtoAction::Install { view }];
-                actions.extend(self.dissolve());
-                actions
-            }
-            InstallDecision::Adopt => {
-                self.group.apply_install(self.node, &view);
-                // Installing refreshes liveness for every member, so a
-                // freshly installed view is not immediately re-torn.
-                for &m in &view.members {
-                    self.suspected.remove(&m);
-                }
-                vec![ProtoAction::Install { view }]
-            }
-        }
-    }
-
-    fn begin_view_change(&mut self, epoch: u64, candidates: &[NodeId]) -> Vec<ProtoAction> {
-        let vid = self.group.begin_view_change(self.node, epoch, candidates);
-        let mut actions: Vec<ProtoAction> = candidates
-            .iter()
-            .copied()
-            .filter(|&c| c != self.node)
-            .map(|to| ProtoAction::Send {
-                to,
-                msg: ProtoMsg::Prepare {
-                    vid,
-                    candidates: candidates.to_vec(),
-                },
-            })
-            .collect();
-        // Singleton proposals complete immediately.
-        if candidates == [self.node] {
-            if let FlushProgress::Complete { vid, candidates } =
-                self.group.on_flush_ack(self.node, vid)
-            {
-                actions.extend(self.apply_install(View::new(vid, candidates)));
-            }
-        }
-        actions
-    }
-
-    fn join_sends(&self) -> Vec<ProtoAction> {
-        let mut targets: BTreeSet<NodeId> = self.bootstrap.iter().copied().collect();
-        targets.extend(self.group.join_contacts.iter().copied());
-        targets.remove(&self.node);
-        targets
-            .into_iter()
-            .map(|to| ProtoAction::Send {
-                to,
-                msg: ProtoMsg::JoinReq { joiner: self.node },
-            })
-            .collect()
-    }
-
-    fn dissolve(&mut self) -> Vec<ProtoAction> {
-        self.group = Membership::new();
-        vec![ProtoAction::Dissolve]
+        let mut env = Env {
+            cfg: self.cfg,
+            node: self.node,
+            bootstrap: &self.bootstrap,
+            suspected: &mut self.suspected,
+        };
+        self.group.step(&mut env, event)
     }
 }
 

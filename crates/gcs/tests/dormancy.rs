@@ -11,7 +11,7 @@ mod common;
 use std::time::Duration;
 
 use common::*;
-use gcs::{GcsEvent, GcsPacket, GroupId};
+use gcs::{GcsEvent, GcsPacket, GroupId, GroupStatus, ViewId};
 use simnet::{Context, Endpoint, LinkProfile, NodeId, Process, SimTime, Simulation, Timer};
 
 const G: GroupId = GroupId(100);
@@ -231,4 +231,57 @@ fn start_wakes_a_sleeper_that_creates_a_group() {
         p.app.last_view(OWN).map(|v| v.members.clone())
     });
     assert_eq!(members, Some(vec![ids[0], SLEEPER]));
+}
+
+/// A `Prepare` naming a node for a group it has no state for is refused
+/// (membership requires consent), but it leaves the node idle state for
+/// the group, which remembers the proposal's epoch: the node reports no
+/// view, ticks on from then, and a later `create_group` installs the
+/// epoch after the refused one. ROADMAP item 4(e) will revisit this idle
+/// state.
+#[test]
+fn a_refused_prepare_leaves_idle_state_that_remembers_its_epoch() {
+    const OWN: GroupId = GroupId(101);
+    const EPOCH: u64 = 41;
+    let (mut sim, ids) = staggered();
+    sim.run_until(SimTime::from_millis(100));
+    // A group of one dissolves on `leave`: asleep from the next tick on.
+    invoke(&mut sim, SLEEPER, |p, ctx| {
+        let events = p.app.gcs.create_group(OWN);
+        p.app.record(events);
+        p.app.gcs.leave(ctx, OWN);
+    });
+    sim.run_until(SimTime::from_secs(2));
+    assert_eq!(probe(&sim, SLEEPER, |p| p.ticks_us.len()), 2);
+    let prepare = GcsPacket::Prepare {
+        group: G,
+        vid: ViewId {
+            epoch: EPOCH,
+            coordinator: ids[0],
+        },
+        candidates: vec![ids[0], SLEEPER],
+    };
+    invoke(&mut sim, SLEEPER, |p, ctx| {
+        let events = p
+            .app
+            .gcs
+            .on_packet(ctx, Endpoint::new(ids[0], GCS_PORT), prepare);
+        p.record(ctx.now(), events);
+    });
+    let (status, view) = probe(&sim, SLEEPER, |p| {
+        (p.app.gcs.status(G), p.app.gcs.view(G).cloned())
+    });
+    assert_eq!((status, view), (GroupStatus::Idle, None));
+    sim.run_until(SimTime::from_secs(4));
+    assert_eq!(
+        probe(&sim, SLEEPER, |p| p.ticks_us.len()),
+        2 + 40,
+        "one tick per grid instant since the prepare"
+    );
+    invoke(&mut sim, SLEEPER, |p, ctx| {
+        let events = p.app.gcs.create_group(G);
+        p.record(ctx.now(), events);
+    });
+    let installed = probe(&sim, SLEEPER, |p| p.installs.last().cloned());
+    assert_eq!(installed, Some((4_000_000, EPOCH + 1, vec![SLEEPER.0])));
 }

@@ -437,9 +437,14 @@ fn proto_event(d: Step, previous: Option<&ProtoEvent>) -> ProtoEvent {
 }
 
 /// Feeds `events` to a fresh machine for `node`, checking after every step
-/// that each view it installs lists it (an excluding view is only surfaced
-/// just before the machine dissolves) and that it holds no view without
-/// itself. Returns every step's actions and the final machine.
+/// the shapes of its actions that the live node's interpreter relies on:
+/// - `Dissolve` is the last action of a step;
+/// - a view installed without the node is followed directly by `Dissolve`;
+/// - `Create` and `SingletonForm` do nothing but install `[node]`;
+/// - every `Prepare` comes after the `Propose` of its round.
+///
+/// And that the machine holds no view without itself. Returns every
+/// step's actions and the final machine.
 fn drive(
     node: NodeId,
     events: &[ProtoEvent],
@@ -449,14 +454,44 @@ fn drive(
     let mut trace = Vec::with_capacity(events.len());
     for (i, event) in events.iter().enumerate() {
         let actions = machine.step(event.clone());
+        if let Some(k) = actions.iter().position(|a| *a == ProtoAction::Dissolve) {
+            prop_assert_eq!(
+                k + 1,
+                actions.len(),
+                "step {} ({:?}): {:?}",
+                i,
+                event,
+                actions
+            );
+        }
         for (k, action) in actions.iter().enumerate() {
-            if let ProtoAction::Install { view } = action {
-                let dissolves = actions.get(k + 1) == Some(&ProtoAction::Dissolve);
-                prop_assert!(
-                    view.contains(node) || dissolves,
-                    "step {i} ({event:?}) installed {view:?} without {node:?}"
-                );
+            match action {
+                ProtoAction::Install { view } => {
+                    let dissolves = actions.get(k + 1) == Some(&ProtoAction::Dissolve);
+                    prop_assert!(
+                        view.contains(node) || dissolves,
+                        "step {i} ({event:?}) installed {view:?} without {node:?}"
+                    );
+                }
+                ProtoAction::Send {
+                    msg: ProtoMsg::Prepare { vid, .. },
+                    ..
+                } => {
+                    let proposed = &ProtoAction::Propose { vid: *vid };
+                    prop_assert!(
+                        actions[..k].contains(proposed),
+                        "step {i} ({event:?}) prepared {vid:?} unproposed: {actions:?}"
+                    );
+                }
+                _ => {}
             }
+        }
+        if matches!(event, ProtoEvent::Create | ProtoEvent::SingletonForm) {
+            let alone = |a: &ProtoAction| matches!(a, ProtoAction::Install { view } if view.members == [node]);
+            prop_assert!(
+                actions.iter().all(alone),
+                "step {i} ({event:?}): {actions:?}"
+            );
         }
         let group = &machine.group;
         if matches!(group.status, GroupStatus::Member | GroupStatus::Flushing) {
