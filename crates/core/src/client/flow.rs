@@ -15,11 +15,12 @@
 //! falls back to plain increase requests (the server ignores them during
 //! the burst anyway).
 
-use std::time::Duration;
-
 use simnet::SimTime;
 
-use crate::config::VodConfig;
+use crate::config::{
+    VodConfig, CRITICAL_MILD_FRAC, CRITICAL_SEVERE_FRAC, EMERGENCY_COOLDOWN, FLOW_NORMAL_EVERY,
+    FLOW_URGENT_EVERY, HIGH_WATER_FRAC, LOW_WATER_FRAC,
+};
 use crate::protocol::FlowRequest;
 
 /// Occupancy band of Figure 2 (exposed for tests and the policy-table
@@ -58,9 +59,6 @@ pub struct FlowController {
     high_water: usize,
     critical_severe: usize,
     critical_mild: usize,
-    normal_every: u32,
-    urgent_every: u32,
-    cooldown: Duration,
     frames_since_eval: u32,
     prev_occupancy: usize,
     last_emergency: Option<SimTime>,
@@ -69,22 +67,21 @@ pub struct FlowController {
 }
 
 impl FlowController {
-    /// Builds the controller from the service configuration.
+    /// Builds the controller at the paper's thresholds, [`LOW_WATER_FRAC`]
+    /// and the other constants of [`crate::config`]; no field of the
+    /// configuration moves them.
     ///
     /// `total_capacity_frames` is the client's *combined* buffer space
     /// (software buffer plus the hardware decoder's capacity expressed in
     /// frames): the paper's water marks are fractions "of the total buffer
     /// space" (§4.2), which holds roughly 2.4 seconds of video.
-    pub fn new(cfg: &VodConfig, total_capacity_frames: usize) -> Self {
+    pub fn new(_cfg: &VodConfig, total_capacity_frames: usize) -> Self {
         let frames = total_capacity_frames.max(1) as f64;
         FlowController {
-            low_water: (frames * cfg.low_water_frac).round() as usize,
-            high_water: (frames * cfg.high_water_frac).round() as usize,
-            critical_severe: (frames * cfg.critical_severe_frac).round() as usize,
-            critical_mild: (frames * cfg.critical_mild_frac).round() as usize,
-            normal_every: cfg.flow_normal_every.max(1),
-            urgent_every: cfg.flow_urgent_every.max(1),
-            cooldown: cfg.emergency_cooldown,
+            low_water: (frames * LOW_WATER_FRAC).round() as usize,
+            high_water: (frames * HIGH_WATER_FRAC).round() as usize,
+            critical_severe: (frames * CRITICAL_SEVERE_FRAC).round() as usize,
+            critical_mild: (frames * CRITICAL_MILD_FRAC).round() as usize,
             frames_since_eval: 0,
             prev_occupancy: 0,
             last_emergency: None,
@@ -133,8 +130,8 @@ impl FlowController {
     /// between the water marks, `f_urgent` (doubled frequency) outside.
     pub fn check_every(&self, occupancy: usize) -> u32 {
         match self.band(occupancy) {
-            Band::Normal => self.normal_every,
-            _ => self.urgent_every,
+            Band::Normal => FLOW_NORMAL_EVERY,
+            _ => FLOW_URGENT_EVERY,
         }
     }
 
@@ -153,7 +150,7 @@ impl FlowController {
         if let FlowRequest::Emergency { .. } = request {
             let in_cooldown = self
                 .last_emergency
-                .is_some_and(|at| now.saturating_since(at) < self.cooldown);
+                .is_some_and(|at| now.saturating_since(at) < EMERGENCY_COOLDOWN);
             if in_cooldown {
                 request = FlowRequest::Increase;
             } else {

@@ -21,7 +21,7 @@ use media::{DisplayOutcome, FrameMeta, FrameNo, HardwareDecoder, QualityFilter};
 use simnet::{NodeId, SimRng, SimTime};
 
 use super::{Band, ClientStats, FlowController, InsertOutcome, SoftwareBuffer, WatchRequest};
-use crate::config::VodConfig;
+use crate::config::{VodConfig, SAMPLE_INTERVAL};
 use crate::protocol::{
     session_group, ClientId, ControlPayload, FlowRequest, OpenRequest, VcrCmd, VideoPacket,
 };
@@ -81,7 +81,6 @@ pub struct ClientSession {
     id: ClientId,
     node: NodeId,
     request: WatchRequest,
-    sample_interval: Duration,
     /// Playback speed in percent of normal (100 = real time).
     speed_percent: u32,
     buffer: SoftwareBuffer,
@@ -133,7 +132,6 @@ impl ClientSession {
             id,
             node,
             request,
-            sample_interval: cfg.sample_interval,
             speed_percent: 100,
             buffer,
             decoder: HardwareDecoder::new(cfg.hw_buffer_bytes),
@@ -183,7 +181,7 @@ impl ClientSession {
         match input {
             Input::Start if !self.stopped => {
                 self.open(now, out);
-                out.push(Action::Arm(ClientTimer::Sample, self.sample_interval));
+                out.push(Action::Arm(ClientTimer::Sample, SAMPLE_INTERVAL));
                 self.retry_wait = self.next_backoff();
                 out.push(Action::Arm(ClientTimer::Retry, self.retry_wait));
             }
@@ -346,7 +344,7 @@ impl ClientSession {
                 let (sw, hw) = (self.buffer.occupancy(), self.decoder.occupied());
                 self.stats.sw_occupancy.push(now, sw as f64);
                 self.stats.hw_occupancy.push(now, hw as f64);
-                out.push(Action::Arm(ClientTimer::Sample, self.sample_interval));
+                out.push(Action::Arm(ClientTimer::Sample, SAMPLE_INTERVAL));
             }
             ClientTimer::Retry if self.ended => {}
             ClientTimer::Retry => {

@@ -11,7 +11,7 @@ use super::{
     CLIENT, CRASH_AT, CRASH_RUN_END,
 };
 use crate::client::ClientStats;
-use crate::config::{ReplicationConfig, ResumePolicy, VodConfig};
+use crate::config::{ReplicationConfig, ResumePolicy, VodConfig, DEFAULT_RATE_FPS};
 use crate::protocol::{ClientId, VcrCmd};
 use crate::scenario::{presets, VodSim};
 use crate::server::Emergency;
@@ -259,7 +259,7 @@ pub(super) fn a4_qos(r: &mut Report) {
     );
 
     let cfg = VodConfig::paper_default();
-    let vbr_pct = 100 * cfg.emergency_base_severe / cfg.default_rate_fps;
+    let vbr_pct = 100 * cfg.emergency_base_severe / DEFAULT_RATE_FPS;
     say!(
         r,
         "reservation the service would request (paper §4.1):\n  \

@@ -12,7 +12,7 @@ use super::{
     crash_scenario, deployment, fmt_f, mean, outage, run_to, viewer, Report, CLIENT, CRASH_RUN_END,
 };
 use crate::client::FlowController;
-use crate::config::{TakeoverPolicy, VodConfig};
+use crate::config::{TakeoverPolicy, VodConfig, DEFAULT_RATE_FPS};
 use crate::metrics::{cumulative_to_csv, percentile, series_to_csv};
 use crate::protocol::FlowRequest;
 use crate::scenario::presets;
@@ -360,7 +360,7 @@ pub(super) fn t2_emergency(r: &mut Report) {
         mild == 16, // documented rounding difference
     );
     let cfg = VodConfig::paper_default();
-    let peak_ratio = f64::from(cfg.emergency_base_severe) / f64::from(cfg.default_rate_fps);
+    let peak_ratio = f64::from(cfg.emergency_base_severe) / f64::from(DEFAULT_RATE_FPS);
     r.check(
         "peak surplus vs 30 fps mean bandwidth",
         "≤ 40 %",

@@ -283,8 +283,7 @@ impl Placement {
         // the reactive policy.
         for (&movie, &(sessions, waiting, ref holders)) in &agg {
             let demand = sessions.saturating_add(waiting);
-            self.forecasts
-                .observe(movie, demand, holders.len() as u32, &rules);
+            self.forecasts.observe(movie, demand, holders.len() as u32);
         }
         let can_copy = |pending: &BTreeMap<MovieId, Vec<NodeId>>, movie| {
             catalog.contains_key(&movie)
@@ -335,7 +334,7 @@ impl Placement {
                     decisions.push(Decision::Retire(note));
                 }
             }
-            self.policy.acted(movie, action, &rules);
+            self.policy.acted(movie, action);
         }
         // Orphan rescue: a movie with waiting viewers but no live holder
         // cannot wait out the hot/cold hysteresis — nobody is left to
@@ -363,8 +362,7 @@ impl Placement {
                 };
                 self.pending_bringups.insert(movie, Vec::new());
                 decisions.push(Decision::BringUp(note, trigger));
-                self.policy
-                    .acted(movie, PlacementAction::BringUp(trigger), &rules);
+                self.policy.acted(movie, PlacementAction::BringUp(trigger));
             }
         }
         // The retired movies' sessions are off this server's report

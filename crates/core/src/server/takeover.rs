@@ -24,7 +24,10 @@ use simnet::{NodeId, SimTime, VecMap};
 
 use super::assign::{admit_client, redistribute_clients};
 use super::UNSERVED;
-use crate::config::{FailoverMode, ResumePolicy, TakeoverPolicy, VodConfig};
+use crate::config::{
+    FailoverMode, ResumePolicy, TakeoverPolicy, VodConfig, DEFAULT_RATE_FPS, DEGRADED_FPS,
+    MIN_RATE_FPS,
+};
 use crate::protocol::{ClientId, ClientRecord, OpenRequest};
 
 /// How long the removal of a record is remembered against stale reports.
@@ -92,9 +95,7 @@ pub struct Resume {
     pub filter: QualityFilter,
     /// Cross-DC rescue in reduced quality: the owner is outside the
     /// client's home site and no home-site server is in the movie view,
-    /// so the stream is capped at [`MultiDcConfig::degraded_fps`].
-    ///
-    /// [`MultiDcConfig::degraded_fps`]: crate::config::MultiDcConfig::degraded_fps
+    /// so the stream is capped at [`DEGRADED_FPS`].
     pub degraded: bool,
 }
 
@@ -378,8 +379,7 @@ impl TakeoverTable {
             let home = mdc.map.home_site_of_client(record.client_node)?;
             let away = |n: &NodeId| mdc.map.site_of_server(*n) != Some(home);
             let rescue = away(&me) && self.view.members.iter().all(away);
-            (rescue && mdc.mode == FailoverMode::RemoteDegraded)
-                .then(|| mdc.degraded_fps.max(cfg.min_rate_fps))
+            (rescue && mdc.mode == FailoverMode::RemoteDegraded).then_some(DEGRADED_FPS)
         });
         record.owner = me;
         if cfg.resume == ResumePolicy::SkipAhead && !record.paused {
@@ -388,7 +388,7 @@ impl TakeoverTable {
             record.next_frame = FrameNo(record.next_frame.0.saturating_add(estimated));
         }
         let max_fps = rescue_fps.map_or(record.max_fps, |fps| record.max_fps.min(fps));
-        let (filter, cap) = quality(cfg, gop, fps, max_fps);
+        let (filter, cap) = quality(gop, fps, max_fps);
         record.rate_fps = record.rate_fps.min(cap);
         Resume {
             record,
@@ -399,14 +399,14 @@ impl TakeoverTable {
 }
 
 /// A client's OPEN as the record [`TakeoverTable::admit`] places.
-pub fn candidate(cfg: &VodConfig, open: &OpenRequest) -> ClientRecord {
+pub fn candidate(open: &OpenRequest) -> ClientRecord {
     ClientRecord {
         client: open.client,
         client_node: open.client_node,
         session_group: open.session_group,
         movie: open.movie,
         next_frame: open.start_at,
-        rate_fps: cfg.default_rate_fps,
+        rate_fps: DEFAULT_RATE_FPS,
         max_fps: open.max_fps,
         owner: UNSERVED,
         assigned_epoch: 0,
@@ -418,10 +418,10 @@ pub fn candidate(cfg: &VodConfig, open: &OpenRequest) -> ClientRecord {
 /// The filter that thins a movie of `fps` frames per second down to
 /// `max_fps`, and the transmission-rate cap that goes with it: a thinned
 /// stream must not be pumped at the full-rate cadence.
-pub fn quality(cfg: &VodConfig, gop: &GopPattern, fps: u32, max_fps: u32) -> (QualityFilter, u32) {
+pub fn quality(gop: &GopPattern, fps: u32, max_fps: u32) -> (QualityFilter, u32) {
     let filter = QualityFilter::new(gop, fps, max_fps);
     let cap = filter.effective_fps(fps).ceil() as u32;
-    (filter, cap.max(cfg.min_rate_fps))
+    (filter, cap.max(MIN_RATE_FPS))
 }
 
 #[cfg(test)]
@@ -592,35 +592,32 @@ mod tests {
         let mut follower = table.clone();
         follower.install_view(PEER, view(6, &[1, 2]));
         assert_eq!(
-            follower.admit(&cfg, PEER, candidate(&cfg, &open(7, 0)), now),
+            follower.admit(&cfg, PEER, candidate(&open(7, 0)), now),
             None
         );
 
         // First OPENs: least-loaded member, ties to the highest id.
-        let first = table.admit(&cfg, ME, candidate(&cfg, &open(7, 40)), now);
+        let first = table.admit(&cfg, ME, candidate(&open(7, 40)), now);
         let expected = ClientRecord {
-            rate_fps: cfg.default_rate_fps,
+            rate_fps: DEFAULT_RATE_FPS,
             updated_at: now,
             ..record(7, 6, 0, PEER, 40)
         };
         assert_eq!(first, Some(expected));
-        let second = table.admit(&cfg, ME, candidate(&cfg, &open(8, 0)), now);
+        let second = table.admit(&cfg, ME, candidate(&open(8, 0)), now);
         assert_eq!(second.map(|r| r.owner), Some(ME));
 
         // A duplicate OPEN republishes the record untouched, whatever the
         // retry says and whenever it comes.
         let later = SimTime::from_secs(9);
-        let again = table.admit(&cfg, ME, candidate(&cfg, &open(7, 999)), later);
+        let again = table.admit(&cfg, ME, candidate(&open(7, 999)), later);
         assert_eq!(again, Some(expected));
 
         // Both members full: the first refusal parks the client on every
         // replica, the retries of a parked client publish nothing.
-        let refused = table.admit(&cfg, ME, candidate(&cfg, &open(9, 5)), now);
+        let refused = table.admit(&cfg, ME, candidate(&open(9, 5)), now);
         assert_eq!(refused.map(|r| r.owner), Some(UNSERVED));
-        assert_eq!(
-            table.admit(&cfg, ME, candidate(&cfg, &open(9, 5)), later),
-            None
-        );
+        assert_eq!(table.admit(&cfg, ME, candidate(&open(9, 5)), later), None);
         let parked = *table.get(ClientId(9)).expect("parked");
         assert_eq!(table.admit(&cfg, ME, parked, later), None);
 
@@ -628,7 +625,7 @@ mod tests {
         // the coordinator's retry on its behalf keeps the parked record.
         table.remove(ClientId(7), later);
         let mut by_open = table.clone();
-        let retried = by_open.admit(&cfg, ME, candidate(&cfg, &open(9, 77)), later);
+        let retried = by_open.admit(&cfg, ME, candidate(&open(9, 77)), later);
         let readmitted = table.admit(&cfg, ME, parked, later);
         let placed = ClientRecord {
             owner: PEER,

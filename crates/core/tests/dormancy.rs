@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use ftvod_core::protocol::{ClientId, ControlPayload, VcrCmd, VodWire};
 use ftvod_core::scenario::{ScenarioBuilder, VodSim};
-use gcs::{GcsConfig, GcsNode, GroupId};
+use gcs::{GcsConfig, GcsNode, GroupId, TICK_PERIOD};
 use media::{Movie, MovieId, MovieSpec};
 use simnet::{Context, Endpoint, LinkProfile, NodeId, Port, Process, SimTime, Simulation, Timer};
 
@@ -149,7 +149,7 @@ fn a_fleet_of_endpoints_that_left_their_only_group_schedules_nothing() {
             m.gcs.leave(ctx, session);
         });
     }
-    sim.run_for(GcsConfig::new().tick);
+    sim.run_for(TICK_PERIOD);
     sim.enable_profiling();
     sim.run_for(Duration::from_secs(10));
     let profile = sim.profile().expect("profiling enabled");

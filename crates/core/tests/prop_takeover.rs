@@ -148,7 +148,7 @@ fn step(
             let parked = table.records().find(|r| r.owner == UNSERVED).copied();
             let asked = match parked {
                 Some(parked) if kind % 10 == 5 => parked,
-                _ => candidate(cfg, &open(a)),
+                _ => candidate(&open(a)),
             };
             let before = table.get(asked.client).copied();
             if let Some(published) = table.admit(cfg, ME, asked, now) {

@@ -116,4 +116,7 @@ mod types;
 pub use node::{GcsNode, GcsTrace, NotMemberError};
 pub use packet::{GcsPacket, HEADER_BYTES};
 pub use proto::GroupStatus;
-pub use types::{GcsConfig, GcsEvent, GroupId, View, ViewId};
+pub use types::{
+    GcsConfig, GcsEvent, GroupId, View, ViewId, ACK_EVERY_TICKS, FLUSH_TIMEOUT_TICKS,
+    FOREIGN_EXPIRY_TICKS, HB_EVERY_TICKS, JOIN_RETRY_TICKS, SINGLETON_FORM_TICKS, TICK_PERIOD,
+};

@@ -46,7 +46,10 @@ use crate::packet::GcsPacket;
 use crate::proto::{
     Env, ForeignView, GroupStatus, Membership, ProtoAction, ProtoConfig, ProtoEvent, ProtoMsg,
 };
-use crate::types::{GcsConfig, GcsEvent, GroupId, View, ViewId};
+use crate::types::{
+    GcsConfig, GcsEvent, GroupId, View, ViewId, ACK_EVERY_TICKS, FLUSH_TIMEOUT_TICKS,
+    FOREIGN_EXPIRY_TICKS, HB_EVERY_TICKS, JOIN_RETRY_TICKS, SINGLETON_FORM_TICKS, TICK_PERIOD,
+};
 
 /// Error returned when multicasting to a group the node is not (and is not
 /// becoming) a member of.
@@ -520,7 +523,7 @@ impl<P: Payload> GcsNode<P> {
     /// [`Process::on_start`](simnet::Process::on_start); calling it again
     /// is harmless (an armed node is left alone, a sleeping one is woken).
     ///
-    /// The tick runs every [`GcsConfig::tick`] from the first `start`
+    /// The tick runs every [`TICK_PERIOD`] from the first `start`
     /// while the node has work. A node that has left its last group and
     /// holds no deferred state lets the timer lapse; [`GcsNode::join`],
     /// [`GcsNode::multicast`], [`GcsNode::on_packet`] and `start` re-arm
@@ -553,7 +556,7 @@ impl<P: Payload> GcsNode<P> {
     /// node would take.
     fn catch_up(&mut self, now: SimTime) {
         if self.tick_state == TickState::Asleep {
-            let tick = (self.config.tick.as_micros() as u64).max(1);
+            let tick = (TICK_PERIOD.as_micros() as u64).max(1);
             let slept = now.saturating_since(self.last_tick).as_micros() as u64 / tick;
             self.ticks += slept;
             self.last_tick = SimTime::from_micros(self.last_tick.as_micros() + slept * tick);
@@ -563,7 +566,7 @@ impl<P: Payload> GcsNode<P> {
     /// Arms the timer for the grid instant after `last_tick`.
     fn arm<M: Payload>(&mut self, ctx: &mut Context<'_, M>) {
         self.tick_state = TickState::Armed;
-        ctx.set_timer_at(self.last_tick + self.config.tick, self.tick_tag);
+        ctx.set_timer_at(self.last_tick + TICK_PERIOD, self.tick_tag);
     }
 
     /// Re-arms a sleeping node (already caught up) that was given work.
@@ -598,7 +601,7 @@ impl<P: Payload> GcsNode<P> {
     /// Starts joining `group`. Join requests go to the bootstrap set plus
     /// `contacts` (nodes known to be members — e.g. the client of a session
     /// group). If nobody answers within
-    /// [`GcsConfig::singleton_form_ticks`], a singleton view is formed.
+    /// [`SINGLETON_FORM_TICKS`], a singleton view is formed.
     pub fn join<M>(&mut self, ctx: &mut Context<'_, M>, group: GroupId, contacts: &[NodeId])
     where
         M: Payload + From<GcsPacket<P>>,
@@ -889,10 +892,10 @@ impl<P: Payload> GcsNode<P> {
             ran |= Pass::Detector.bit();
             membership |= self.tick_failure_detector(ctx);
         }
-        if self.ticks.is_multiple_of(self.config.hb_every_ticks) {
+        if self.ticks.is_multiple_of(HB_EVERY_TICKS) {
             self.tick_heartbeats(ctx);
         }
-        if self.ticks.is_multiple_of(self.config.ack_every_ticks) {
+        if self.ticks.is_multiple_of(ACK_EVERY_TICKS) {
             self.tick_acks(ctx);
         }
         if input || self.naks_due {
@@ -1782,8 +1785,6 @@ impl<P: Payload> GcsNode<P> {
         M: Payload + From<GcsPacket<P>>,
     {
         let ticks = self.ticks;
-        let join_retry_ticks = self.config.join_retry_ticks;
-        let singleton_form_ticks = self.config.singleton_form_ticks;
         let mut events = Vec::new();
         // All three passes below act only on groups being joined or left.
         if !self
@@ -1801,11 +1802,11 @@ impl<P: Payload> GcsNode<P> {
             .collect();
         for group in joining {
             let state = self.group_mut(group);
-            let event = if ticks.saturating_sub(state.join_start_tick) >= singleton_form_ticks
+            let event = if ticks.saturating_sub(state.join_start_tick) >= SINGLETON_FORM_TICKS
                 && state.mem.promised.is_none()
             {
                 ProtoEvent::SingletonForm
-            } else if ticks.saturating_sub(state.last_join_send_tick) >= join_retry_ticks {
+            } else if ticks.saturating_sub(state.last_join_send_tick) >= JOIN_RETRY_TICKS {
                 state.last_join_send_tick = ticks;
                 ProtoEvent::JoinRetry
             } else {
@@ -1825,7 +1826,7 @@ impl<P: Payload> GcsNode<P> {
             .groups
             .iter()
             .filter(|(_, s)| {
-                s.mem.leaving && ticks.saturating_sub(s.last_leave_send_tick) >= join_retry_ticks
+                s.mem.leaving && ticks.saturating_sub(s.last_leave_send_tick) >= JOIN_RETRY_TICKS
             })
             .map(|(&g, _)| g)
             .collect();
@@ -1841,8 +1842,7 @@ impl<P: Payload> GcsNode<P> {
             .groups
             .iter()
             .filter(|(_, s)| {
-                s.mem.leaving
-                    && ticks.saturating_sub(s.leave_tick) > 2 * self.config.flush_timeout_ticks
+                s.mem.leaving && ticks.saturating_sub(s.leave_tick) > 2 * FLUSH_TIMEOUT_TICKS
             })
             .map(|(&g, _)| g)
             .collect();
@@ -1861,9 +1861,8 @@ impl<P: Payload> GcsNode<P> {
     {
         let node = self.node;
         let ticks = self.ticks;
-        let flush_timeout_ticks = self.config.flush_timeout_ticks;
         let abandoned = |state: &GroupState<P>| {
-            let stale = ticks.saturating_sub(state.promised_tick) > 2 * flush_timeout_ticks;
+            let stale = ticks.saturating_sub(state.promised_tick) > 2 * FLUSH_TIMEOUT_TICKS;
             stale
                 && (state.mem.status == GroupStatus::Flushing
                     || (state.mem.status == GroupStatus::Joining && state.mem.promised.is_some()))
@@ -1871,7 +1870,7 @@ impl<P: Payload> GcsNode<P> {
         let retry = |state: &GroupState<P>| {
             state.mem.flush.is_some()
                 && matches!(&state.vc,
-                    Some(vc) if ticks.saturating_sub(vc.start_tick) > flush_timeout_ticks)
+                    Some(vc) if ticks.saturating_sub(vc.start_tick) > FLUSH_TIMEOUT_TICKS)
         };
         // Groups are visited in id order and each is judged on the state
         // its predecessors left behind (a flush timeout in one group
@@ -1970,7 +1969,6 @@ impl<P: Payload> GcsNode<P> {
         let horizon = 10 * self.config.announce_every_ticks;
         self.nonmember_seen
             .retain(|_, &mut seen| ticks.saturating_sub(seen) <= horizon);
-        let expiry = self.config.foreign_expiry_ticks;
         let expired: Vec<(GroupId, NodeId)> = self
             .groups
             .iter()
@@ -1978,7 +1976,7 @@ impl<P: Payload> GcsNode<P> {
                 state
                     .foreign_seen
                     .iter()
-                    .filter(|(_, &seen)| ticks.saturating_sub(seen) > expiry)
+                    .filter(|(_, &seen)| ticks.saturating_sub(seen) > FOREIGN_EXPIRY_TICKS)
                     .map(move |(&peer, _)| (group, peer))
             })
             .collect();

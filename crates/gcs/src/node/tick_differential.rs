@@ -78,10 +78,10 @@ impl GcsNode<Num> {
         let mut did = self.acted(Pass::Detector, kinds, |gcs| {
             gcs.tick_failure_detector_parent(ctx);
         });
-        if self.ticks.is_multiple_of(self.config.hb_every_ticks) {
+        if self.ticks.is_multiple_of(HB_EVERY_TICKS) {
             self.tick_heartbeats_parent(ctx);
         }
-        if self.ticks.is_multiple_of(self.config.ack_every_ticks) {
+        if self.ticks.is_multiple_of(ACK_EVERY_TICKS) {
             self.tick_acks(ctx);
         }
         did |= self.acted(Pass::Naks, kinds, |gcs| gcs.tick_naks_parent(ctx));

@@ -129,51 +129,49 @@ pub enum GcsEvent<P> {
     },
 }
 
-/// Tuning knobs of the group communication service.
+/// Period of the group communication service's housekeeping timer; every
+/// interval below, and [`GcsConfig::announce_every_ticks`], counts these
+/// ticks.
+pub const TICK_PERIOD: Duration = Duration::from_millis(50);
+/// A heartbeat to every known peer each this many ticks: every 100 ms,
+/// which with [`GcsConfig::suspect_timeout`]'s 400 ms and the flush round
+/// yields the paper's ~0.5 s average takeover (§4.2).
+pub const HB_EVERY_TICKS: u64 = 2;
+/// Cumulative delivery acknowledgments (stability tracking) are broadcast
+/// each this many ticks.
+pub const ACK_EVERY_TICKS: u64 = 4;
+/// A joiner re-sends its join request each this many ticks.
+pub const JOIN_RETRY_TICKS: u64 = 6;
+/// A view change that has not completed within this many ticks is aborted
+/// and retried (the coordinator excludes unresponsive candidates).
+pub const FLUSH_TIMEOUT_TICKS: u64 = 10;
+/// A joiner that hears nothing for this many ticks forms a singleton view
+/// and relies on announces and merge to coalesce.
+pub const SINGLETON_FORM_TICKS: u64 = 24;
+/// Entries learned from announces expire after this many ticks.
+pub const FOREIGN_EXPIRY_TICKS: u64 = 40;
+
+/// Tuning knobs of the group communication service; the intervals no
+/// caller varies are the constants above.
 ///
 /// The defaults reproduce the paper's operating point: heartbeats every
 /// 100 ms, suspicion after 400 ms of silence, which together with the flush
 /// round yields the ~0.5 s average takeover time reported in §4.2.
 #[derive(Clone, Debug, PartialEq)]
 pub struct GcsConfig {
-    /// Period of the internal housekeeping timer; every other interval
-    /// below is quantized to this tick.
-    pub tick: Duration,
-    /// Send a heartbeat to every known peer each `hb_every_ticks` ticks.
-    pub hb_every_ticks: u64,
     /// Suspect a peer after this much silence.
     pub suspect_timeout: Duration,
-    /// Broadcast cumulative delivery acknowledgments (stability tracking)
-    /// each `ack_every_ticks` ticks.
-    pub ack_every_ticks: u64,
-    /// Re-send join requests each `join_retry_ticks` ticks while joining.
-    pub join_retry_ticks: u64,
-    /// Abort and retry a view change that has not completed within this
-    /// many ticks (the coordinator excludes unresponsive candidates).
-    pub flush_timeout_ticks: u64,
     /// Coordinators announce their view to non-member bootstrap nodes each
     /// `announce_every_ticks` ticks (drives partition merge).
     pub announce_every_ticks: u64,
-    /// A joiner that hears nothing for this many ticks forms a singleton
-    /// view and relies on announces/merge to coalesce.
-    pub singleton_form_ticks: u64,
-    /// Entries learned from announces expire after this many ticks.
-    pub foreign_expiry_ticks: u64,
 }
 
 impl GcsConfig {
     /// The paper's operating point (see struct-level docs).
     pub fn new() -> Self {
         GcsConfig {
-            tick: Duration::from_millis(50),
-            hb_every_ticks: 2,
             suspect_timeout: Duration::from_millis(400),
-            ack_every_ticks: 4,
-            join_retry_ticks: 6,
-            flush_timeout_ticks: 10,
             announce_every_ticks: 10,
-            singleton_form_ticks: 24,
-            foreign_expiry_ticks: 40,
         }
     }
 

@@ -138,7 +138,7 @@ fn sleep_is_invisible() {
     assert_eq!(probe(&sim, ids[0], |p| p.installs.clone()), installs(0));
     assert_eq!(probe(&sim, ids[1], |p| p.installs.clone()), installs(1_100));
     // ...and the sleeper's acks after its return leave it on ticks 124,
-    // 128, ... of its grid: multiples of `ack_every_ticks`, so the count
+    // 128, ... of its grid: multiples of `ACK_EVERY_TICKS`, so the count
     // was restored, not restarted.
     let first_ack_us = 13_000 + 124 * TICK_US + 1_100;
     for &id in &ids[..2] {

@@ -216,7 +216,7 @@ impl World {
         }
     }
 
-    /// The live system's self-form timer (`singleton_form_ticks`) is
+    /// The live system's self-form timer (`SINGLETON_FORM_TICKS`) is
     /// deliberately longer than suspicion plus reconfiguration, so a
     /// restarted node can only form a view of its own once every old
     /// group that still listed it has expelled it. The checker encodes
