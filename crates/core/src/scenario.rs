@@ -515,18 +515,6 @@ impl VodSim {
             .with_process(node, |s: &VodServer| s.stats().clone())
     }
 
-    /// Movies the server on `node` currently replicates, in id order.
-    pub fn server_movies(&self, node: NodeId) -> Option<Vec<MovieId>> {
-        self.sim.with_process(node, |s: &VodServer| s.movies_held())
-    }
-
-    /// Movies whose prefix the server on `node` currently caches (always
-    /// empty unless the config enables the prefix-cache tier).
-    pub fn server_prefixes(&self, node: NodeId) -> Option<Vec<MovieId>> {
-        self.sim
-            .with_process(node, |s: &VodServer| s.prefixes_cached())
-    }
-
     /// The node of the server currently transmitting to `client`, if any.
     pub fn owner_of(&self, client: ClientId) -> Option<NodeId> {
         self.server_nodes

@@ -533,11 +533,6 @@ impl<M: Payload> Simulation<M> {
         self.tracer = Some(Box::new(tracer));
     }
 
-    /// Removes the installed tracer.
-    pub fn clear_tracer(&mut self) {
-        self.tracer = None;
-    }
-
     /// Hands the tracer the event `make` builds; without a tracer the
     /// event is never built.
     #[inline]
@@ -771,22 +766,6 @@ impl<M: Payload> Simulation<M> {
             .process
             .as_ref()
             .and_then(|p| p.as_any().downcast_ref::<T>())
-            .map(f)
-    }
-
-    /// Mutably borrows the process on `node` as concrete type `T`, without a
-    /// [`Context`]: use this for passive inspection or test-only tweaks. To
-    /// drive a process (e.g. issue a VCR command that must send messages),
-    /// use [`Simulation::invoke`].
-    pub fn with_process_mut<T: 'static, R>(
-        &mut self,
-        node: NodeId,
-        f: impl FnOnce(&mut T) -> R,
-    ) -> Option<R> {
-        self.slot_mut(node)?
-            .process
-            .as_mut()
-            .and_then(|p| p.as_any_mut().downcast_mut::<T>())
             .map(f)
     }
 

@@ -520,20 +520,3 @@ fn tracer_observes_the_whole_lifecycle() {
     assert_eq!(count("sent") as u64, stats.sent_msgs);
     assert_eq!(count("delivered") as u64, stats.delivered_msgs);
 }
-
-#[test]
-fn tracer_can_be_cleared() {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    let hits: Rc<RefCell<u64>> = Rc::default();
-    let sink = Rc::clone(&hits);
-    let mut sim = stream_sim(LinkProfile::ideal(), 21, 100);
-    sim.set_tracer(move |_| *sink.borrow_mut() += 1);
-    sim.run_until(SimTime::from_millis(200));
-    let after_some = *hits.borrow();
-    assert!(after_some > 0);
-    sim.clear_tracer();
-    sim.run_until(SimTime::from_secs(2));
-    assert_eq!(*hits.borrow(), after_some, "no events after clearing");
-}
