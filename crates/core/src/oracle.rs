@@ -421,41 +421,50 @@ impl<'a> Judge<'a> {
         deadline
     }
 
+    /// The repair check of invariants 4 and 6: the first client, in id
+    /// order, that a server the fault `hit` was serving at `at`, whose
+    /// session was not over by `deadline`, and that got no usable frame in
+    /// `(at, deadline]`.
+    fn unrepaired(
+        &self,
+        at: SimTime,
+        deadline: SimTime,
+        hit: impl Fn(NodeId) -> bool,
+    ) -> Option<ClientId> {
+        self.spans.iter().find_map(|(&client, spans)| {
+            let affected = spans
+                .iter()
+                .any(|s| hit(s.server) && s.start < at && s.end >= at);
+            let repaired = !affected
+                || self.over_by(client, deadline)
+                || self.usable_frames_in(client, at, deadline) > 0;
+            (!repaired).then_some(client)
+        })
+    }
+
     fn check_reserved_after_fault(&self, cfg: &OracleConfig) -> Verdict {
         let trace_end = self.fold.latest_at;
         for (crash_at, node) in self.crashes() {
             let deadline = self.rebased_deadline(crash_at, cfg);
-            for (client, spans) in &self.spans {
-                let affected = spans
-                    .iter()
-                    .any(|s| s.server == node && s.start < crash_at && s.end >= crash_at);
-                if !affected {
-                    continue;
-                }
-                if self.over_by(*client, deadline) {
-                    continue;
-                }
-                let served = self.usable_frames_in(*client, crash_at, deadline) > 0;
-                if served {
-                    continue;
-                }
-                if trace_end < deadline {
-                    return Verdict::Inconclusive(format!(
-                        "trace ends {}us before {client}'s repair deadline ({} crash at {}us)",
-                        deadline.saturating_since(trace_end).as_micros(),
-                        node,
-                        crash_at.as_micros()
-                    ));
-                }
-                return Verdict::Fail(format!(
-                    "{client} not re-served by {}us after {} crashed at {}us \
-                     (bound {}us, re-based past overlapping faults)",
-                    deadline.as_micros(),
+            let Some(client) = self.unrepaired(crash_at, deadline, |s| s == node) else {
+                continue;
+            };
+            if trace_end < deadline {
+                return Verdict::Inconclusive(format!(
+                    "trace ends {}us before {client}'s repair deadline ({} crash at {}us)",
+                    deadline.saturating_since(trace_end).as_micros(),
                     node,
-                    crash_at.as_micros(),
-                    cfg.reserve_bound.as_micros()
+                    crash_at.as_micros()
                 ));
             }
+            return Verdict::Fail(format!(
+                "{client} not re-served by {}us after {} crashed at {}us \
+                 (bound {}us, re-based past overlapping faults)",
+                deadline.as_micros(),
+                node,
+                crash_at.as_micros(),
+                cfg.reserve_bound.as_micros()
+            ));
         }
         Verdict::Pass
     }
@@ -519,35 +528,25 @@ impl<'a> Judge<'a> {
             };
             for &(from, _to) in windows {
                 let deadline = self.rebased_deadline(from, cfg);
-                for (client, spans) in &self.spans {
-                    let affected = spans
-                        .iter()
-                        .any(|s| servers.contains(&s.server) && s.start < from && s.end >= from);
-                    if !affected {
-                        continue;
-                    }
-                    if self.over_by(*client, deadline) {
-                        continue;
-                    }
-                    if self.usable_frames_in(*client, from, deadline) > 0 {
-                        continue;
-                    }
-                    if trace_end < deadline {
-                        return Verdict::Inconclusive(format!(
-                            "trace ends {}us before {client}'s rescue deadline \
-                             (site {site} faulted at {}us)",
-                            deadline.saturating_since(trace_end).as_micros(),
-                            from.as_micros()
-                        ));
-                    }
-                    return Verdict::Fail(format!(
-                        "{client} not re-served by {}us after site {site} faulted at {}us \
-                         (bound {}us, re-based past overlapping faults)",
-                        deadline.as_micros(),
-                        from.as_micros(),
-                        cfg.reserve_bound.as_micros()
+                let hit = |s: NodeId| servers.contains(&s);
+                let Some(client) = self.unrepaired(from, deadline, hit) else {
+                    continue;
+                };
+                if trace_end < deadline {
+                    return Verdict::Inconclusive(format!(
+                        "trace ends {}us before {client}'s rescue deadline \
+                         (site {site} faulted at {}us)",
+                        deadline.saturating_since(trace_end).as_micros(),
+                        from.as_micros()
                     ));
                 }
+                return Verdict::Fail(format!(
+                    "{client} not re-served by {}us after site {site} faulted at {}us \
+                     (bound {}us, re-based past overlapping faults)",
+                    deadline.as_micros(),
+                    from.as_micros(),
+                    cfg.reserve_bound.as_micros()
+                ));
             }
         }
         Verdict::Pass
