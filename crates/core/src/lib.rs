@@ -26,8 +26,8 @@
 //!   arrivals, VCR mixes and churn, all from one seed;
 //! * [`forecast`] — per-movie popularity state machines (Markov
 //!   cold/warming/hot/cooling with seeded transition estimation) and
-//!   [`forecast::PlacementPolicy`], one struct deciding by the reactive,
-//!   predictive or hybrid replica-placement rule;
+//!   [`forecast::PlacementPolicy`], one struct deciding by the reactive
+//!   or predictive replica-placement rule;
 //! * [`chaos`] — seeded fault campaigns: crash/restart cycles, pairwise
 //!   partitions with heals, correlated loss bursts, and (on multi-site
 //!   deployments) site partitions, WAN brownouts and correlated site

@@ -50,10 +50,9 @@ done
 "$cli" flash --seed 1 --compare >"$out/flash_compare.txt"
 "$cli" multidc --seeds 10 >"$out/multidc.txt"
 "$cli" multidc --seed 42 --compare >"$out/multidc_compare.txt"
-# The three placement policies at fleet size: the only golden where
-# `hybrid` differs from `predictive` (the retire rule) and where
-# `reactive` retires.
-for policy in reactive predictive hybrid; do
+# Both placement policies at fleet size, where each one's retire rule
+# acts (`predictive` also waits for a cold forecast before it retires).
+for policy in reactive predictive; do
     "$cli" fleet --servers 8 --clients 320 --movies 12 --seed 1 --policy "$policy"
 done >"$out/fleet_policies.txt"
 # The CLI's fleet defaults (4 servers, 96 sessions, 6 movies, seed 42,

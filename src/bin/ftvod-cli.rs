@@ -32,7 +32,7 @@
 //!   --cap C            admission cap per server     (default 3M/2N)
 //!   --seconds S        run length override
 //!   --static           disable the dynamic replica manager
-//!   --policy P         reactive | predictive | hybrid (default reactive)
+//!   --policy P         reactive | predictive        (default reactive)
 //!   --prefix-secs S    enable the prefix-cache tier (default prefix 10s)
 //!   --prefix-movies K  prefix-cache budget per server (default 4)
 //!   --seed N           determinism seed             (default 42)
@@ -42,7 +42,7 @@
 //!                                           nonzero if the oracle fails
 //!   --seeds N          number of sweep seeds        (default 10)
 //!   --seed N           first seed                   (default 1)
-//!   --compare          three-policy table on one seed
+//!   --compare          two-policy table on one seed
 //! ftvod-cli chaos [options]                 seeded fault campaigns checked
 //!                                           by the safety oracle; exits
 //!                                           nonzero if any invariant fails
@@ -488,9 +488,9 @@ fn run_flash(opts: &FlashOptions) -> Result<(), String> {
     let profile = FleetProfile::flash_crowd();
     let shock = profile.shock.expect("flash_crowd has a shock");
     if opts.compare {
-        // EXPERIMENTS.md E7: the three-policy table on one seed. The
-        // reactive baseline runs bare; the forecast policies get the
-        // prefix-cache tier they are designed to feed.
+        // EXPERIMENTS.md E7: the policy table on one seed. The reactive
+        // baseline runs bare; the predictive policy gets the prefix-cache
+        // tier it is designed to feed.
         println!(
             "flash: policy comparison on seed {}, {}x shock at {}s on movie {}",
             opts.seed,
@@ -501,7 +501,6 @@ fn run_flash(opts: &FlashOptions) -> Result<(), String> {
         let rows = [
             ("reactive", PolicyKind::Reactive, false),
             ("predictive+prefix", PolicyKind::Predictive, true),
-            ("hybrid+prefix", PolicyKind::Hybrid, true),
         ];
         return compare_table(
             18,
@@ -1026,7 +1025,7 @@ fn usage_for(topic: &str) -> &'static str {
              \x20 --cap C        admission cap per server           (default 3M/2N)\n\
              \x20 --seconds S    run length override (default: until the plan ends)\n\
              \x20 --static       disable the dynamic replica manager\n\
-             \x20 --policy P     reactive | predictive | hybrid     (default reactive)\n\
+             \x20 --policy P     reactive | predictive              (default reactive)\n\
              \x20 --prefix-secs S    enable the prefix-cache tier: cache the\n\
              \x20                    first S seconds of hot movies  (default 10)\n\
              \x20 --prefix-movies K  prefix-cache budget per server (default 4)\n\
@@ -1042,14 +1041,14 @@ fn usage_for(topic: &str) -> &'static str {
              of seeds, judging every run with the safety oracle.\n\
              The same seed always produces the same line, byte for byte.\n\
              Exits nonzero if any run violates an invariant.\n\n\
-             With --compare, one seed is run under all three placement\n\
-             policies (reactive bare, predictive and hybrid with the\n\
-             prefix cache) and the verdicts are printed side by side —\n\
+             With --compare, one seed is run under both placement\n\
+             policies (reactive bare, predictive with the prefix\n\
+             cache) and the verdicts are printed side by side —\n\
              the EXPERIMENTS.md E7 table.\n\n\
              options:\n\
              \x20 --seeds N      number of sweep seeds              (default 10)\n\
              \x20 --seed N       first seed                         (default 1)\n\
-             \x20 --compare      three-policy comparison on one seed"
+             \x20 --compare      two-policy comparison on one seed"
         }
         "chaos" => {
             "usage: ftvod-cli chaos [options]\n\n\
@@ -1376,13 +1375,12 @@ mod tests {
         );
         // Neither flag leaves the cache off.
         assert_eq!(parse_fleet(&[]).unwrap().prefix_cache(), None);
-        let hybrid = parse_fleet(&strings(&["--policy", "hybrid"])).unwrap();
-        assert_eq!(hybrid.policy, PolicyKind::Hybrid);
     }
 
     #[test]
     fn fleet_rejects_bad_inputs() {
         assert!(parse_fleet(&strings(&["--bogus"])).is_err());
+        assert!(parse_fleet(&strings(&["--policy", "hybrid"])).is_err());
         assert!(parse_fleet(&strings(&["--servers", "0"])).is_err());
         assert!(parse_fleet(&strings(&["--movies", "0"])).is_err());
         assert!(parse_fleet(&strings(&["--zipf", "-1"])).is_err());
