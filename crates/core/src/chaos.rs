@@ -7,12 +7,12 @@
 //! so the same seed always yields the same plan, element for element.
 //!
 //! The planner keeps campaigns *survivable by construction*: a crash is
-//! downgraded to a loss burst when it would leave fewer than
-//! [`ChaosProfile::min_up`] servers alive at any instant (the paper's
-//! fault model assumes at most `k − 1` of `k` replicas fail), and a node
-//! is never crashed again while a previous crash/restart cycle on it is
-//! still open. The downgrade consumes the slot's draws all the same, so
-//! the decision never perturbs later slots.
+//! downgraded to a loss burst when it would leave fewer than [`MIN_UP`]
+//! servers alive at any instant (the paper's fault model assumes at most
+//! `k − 1` of `k` replicas fail), and a node is never crashed again while
+//! a previous crash/restart cycle on it is still open. The downgrade
+//! consumes the slot's draws all the same, so the decision never perturbs
+//! later slots.
 //!
 //! [`ChaosPlan::apply`] scripts the plan onto a [`ScenarioBuilder`]; the
 //! trace of the resulting run can then be checked against the paper's
@@ -29,69 +29,32 @@ use crate::scenario::ScenarioBuilder;
 /// for the same seed.
 const CHAOS_STREAM: u64 = 0x43_48_41_4f_53; // "CHAOS"
 
-/// Shape of a chaos campaign. All times are scenario times.
+/// Faults are injected no earlier than this (scenario time).
+pub const WINDOW_START: Duration = Duration::from_secs(10);
+/// Faults are injected no later than this (scenario time).
+pub const WINDOW_END: Duration = Duration::from_secs(40);
+/// Shortest crash → restart delay.
+pub const RESTART_MIN: Duration = Duration::from_secs(5);
+/// Longest crash → restart delay.
+pub const RESTART_MAX: Duration = Duration::from_secs(15);
+/// Shortest partition duration.
+pub const PARTITION_MIN: Duration = Duration::from_secs(4);
+/// Longest partition duration.
+pub const PARTITION_MAX: Duration = Duration::from_secs(10);
+/// Shortest loss-burst duration.
+pub const BURST_MIN: Duration = Duration::from_secs(2);
+/// Longest loss-burst duration.
+pub const BURST_MAX: Duration = Duration::from_secs(6);
+/// Survivability floor: a crash is downgraded to a burst rather than let
+/// the number of live servers drop below this at any instant.
+pub const MIN_UP: u32 = 2;
+
+/// Shape of a chaos campaign: how many fault slots to draw. Everything
+/// else about a campaign is a constant of this module.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ChaosProfile {
     /// Number of fault slots to draw (some may be downgraded to bursts).
     pub faults: u32,
-    /// Faults are injected no earlier than this.
-    pub window_start: Duration,
-    /// Faults are injected no later than this.
-    pub window_end: Duration,
-    /// Shortest crash → restart delay.
-    pub restart_min: Duration,
-    /// Longest crash → restart delay.
-    pub restart_max: Duration,
-    /// Shortest partition duration.
-    pub partition_min: Duration,
-    /// Longest partition duration.
-    pub partition_max: Duration,
-    /// Shortest loss-burst duration.
-    pub burst_min: Duration,
-    /// Longest loss-burst duration.
-    pub burst_max: Duration,
-    /// Crashes are downgraded to bursts rather than let the number of
-    /// live servers drop below this floor at any instant.
-    pub min_up: u32,
-    /// Optional site layout. When present, the reserved aux draw becomes
-    /// the site selector and the kind map widens to include site-scoped
-    /// faults (site partition, WAN brownout, correlated site crash).
-    /// `None` keeps legacy plans byte-identical.
-    pub sites: Option<SiteChaos>,
-}
-
-/// Site layout for site-scoped chaos: which servers form each
-/// datacenter, and the per-site survivability floor.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SiteChaos {
-    /// Server membership of each site, in site-index order.
-    pub sites: Vec<Vec<NodeId>>,
-    /// Per-site survivability floor: any fault that would leave a site
-    /// with fewer than this many live servers is downgraded. In
-    /// particular a site-wide crash (which empties its site) downgrades
-    /// to a WAN brownout whenever this floor is above zero.
-    pub site_min_up: u32,
-}
-
-impl SiteChaos {
-    /// Two-plus sites with the default floor of one live server per site
-    /// (so correlated site crashes always downgrade to brownouts).
-    pub fn new(sites: Vec<Vec<NodeId>>) -> Self {
-        SiteChaos {
-            sites,
-            site_min_up: 1,
-        }
-    }
-
-    /// Sets the per-site floor (`0` permits correlated site crashes).
-    pub fn with_site_min_up(mut self, floor: u32) -> Self {
-        self.site_min_up = floor;
-        self
-    }
-
-    fn site_of(&self, node: NodeId) -> Option<usize> {
-        self.sites.iter().position(|s| s.contains(&node))
-    }
 }
 
 impl ChaosProfile {
@@ -99,25 +62,7 @@ impl ChaosProfile {
     /// run, crash/restart cycles of 5–15 s, partitions of 4–10 s and
     /// loss bursts of 2–6 s, never dropping below two live servers.
     pub fn default_campaign() -> Self {
-        ChaosProfile {
-            faults: 6,
-            window_start: Duration::from_secs(10),
-            window_end: Duration::from_secs(40),
-            restart_min: Duration::from_secs(5),
-            restart_max: Duration::from_secs(15),
-            partition_min: Duration::from_secs(4),
-            partition_max: Duration::from_secs(10),
-            burst_min: Duration::from_secs(2),
-            burst_max: Duration::from_secs(6),
-            min_up: 2,
-            sites: None,
-        }
-    }
-
-    /// Enables site-scoped faults on top of the default campaign.
-    pub fn with_sites(mut self, sites: SiteChaos) -> Self {
-        self.sites = Some(sites);
-        self
+        ChaosProfile { faults: 6 }
     }
 }
 
@@ -154,49 +99,6 @@ pub enum ChaosFault {
         /// When the normal profile is restored.
         until: SimTime,
     },
-    /// Cut an entire site's servers off from every other server at `at`;
-    /// heal exactly this cut at `heal_at`. Clients deliberately stay
-    /// connected to both sides so cross-DC rescue remains possible.
-    SitePartition {
-        /// When the cut appears.
-        at: SimTime,
-        /// Index of the partitioned site.
-        site: u32,
-        /// The partitioned site's servers.
-        a: Vec<NodeId>,
-        /// Every other server.
-        b: Vec<NodeId>,
-        /// When this cut is removed.
-        heal_at: SimTime,
-    },
-    /// Brown out the WAN links between a site and the rest of the fleet
-    /// from `at` until `heal_at` (per-pair profile overrides with
-    /// correlated loss; traffic still flows, badly).
-    WanDegrade {
-        /// When the brownout starts.
-        at: SimTime,
-        /// Index of the browned-out site.
-        site: u32,
-        /// The site's servers.
-        a: Vec<NodeId>,
-        /// Every other server.
-        b: Vec<NodeId>,
-        /// When the override is lifted.
-        heal_at: SimTime,
-    },
-    /// Correlated crash of every server in a site at `at`, with fresh
-    /// replacements booting at `restart_at`. Only planned when the
-    /// per-site floor is zero (see [`SiteChaos::site_min_up`]).
-    SiteCrash {
-        /// When the site fails.
-        at: SimTime,
-        /// Index of the crashed site.
-        site: u32,
-        /// The site's servers (all crash together).
-        servers: Vec<NodeId>,
-        /// When the replacements boot.
-        restart_at: SimTime,
-    },
 }
 
 impl ChaosFault {
@@ -205,10 +107,7 @@ impl ChaosFault {
         match *self {
             ChaosFault::CrashRestart { at, .. }
             | ChaosFault::Partition { at, .. }
-            | ChaosFault::Burst { at, .. }
-            | ChaosFault::SitePartition { at, .. }
-            | ChaosFault::WanDegrade { at, .. }
-            | ChaosFault::SiteCrash { at, .. } => at,
+            | ChaosFault::Burst { at, .. } => at,
         }
     }
 }
@@ -233,15 +132,11 @@ impl ChaosPlan {
     ///
     /// # Panics
     ///
-    /// Panics if `servers` is empty or the fault window is inverted.
+    /// Panics if `servers` is empty.
     pub fn generate(profile: &ChaosProfile, servers: &[NodeId], seed: u64) -> Self {
         assert!(!servers.is_empty(), "chaos needs at least one server");
-        assert!(
-            profile.window_end >= profile.window_start,
-            "fault window must not be inverted"
-        );
         let mut rng = SimRng::seed_from_u64(seed ^ CHAOS_STREAM);
-        let window = (profile.window_end - profile.window_start).as_secs_f64();
+        let window = (WINDOW_END - WINDOW_START).as_secs_f64();
         let span = |min: Duration, max: Duration, u: f64| {
             Duration::from_secs_f64(
                 min.as_secs_f64() + (max.as_secs_f64() - min.as_secs_f64()).max(0.0) * u,
@@ -253,177 +148,45 @@ impl ChaosPlan {
         let mut faults = Vec::with_capacity(profile.faults as usize);
         for _ in 0..profile.faults {
             // Draw schedule (always 5 draws, branches notwithstanding):
-            // kind, time, target, aux, duration. The aux draw is the site
-            // selector when sites are enabled and reserved otherwise, so
-            // legacy plans are byte-identical to pre-site releases.
+            // kind, time, target, a reserved aux draw, duration.
             let u_kind = rng.gen_f64();
             let u_time = rng.gen_f64();
             let u_target = rng.gen_f64();
-            let u_aux = rng.gen_f64();
+            let _reserved = rng.gen_f64();
             let u_dur = rng.gen_f64();
-            let at = SimTime::from_secs_f64(profile.window_start.as_secs_f64() + window * u_time);
+            let at = SimTime::from_secs_f64(WINDOW_START.as_secs_f64() + window * u_time);
             let target =
                 servers[((u_target * servers.len() as f64) as usize).min(servers.len() - 1)];
-            match &profile.sites {
-                None => {
-                    if u_kind < 0.4 {
-                        let restart_at = at + span(profile.restart_min, profile.restart_max, u_dur);
-                        if Self::crash_is_survivable(
-                            servers.len(),
-                            profile.min_up,
-                            &downtimes,
-                            target,
-                            at,
-                            restart_at,
-                        ) {
-                            downtimes.push((target, at, restart_at));
-                            faults.push(ChaosFault::CrashRestart {
-                                at,
-                                node: target,
-                                restart_at,
-                            });
-                            continue;
-                        }
-                        // Unsurvivable: fall through to a burst of the same
-                        // length (the draws are already consumed either way).
-                        faults.push(ChaosFault::Burst {
-                            at,
-                            until: at + span(profile.restart_min, profile.restart_max, u_dur),
-                        });
-                    } else if u_kind < 0.7 && servers.len() >= 2 {
-                        let rest: Vec<NodeId> =
-                            servers.iter().copied().filter(|&s| s != target).collect();
-                        let heal_at =
-                            at + span(profile.partition_min, profile.partition_max, u_dur);
-                        faults.push(ChaosFault::Partition {
-                            at,
-                            a: vec![target],
-                            b: rest,
-                            heal_at,
-                        });
-                    } else {
-                        faults.push(ChaosFault::Burst {
-                            at,
-                            until: at + span(profile.burst_min, profile.burst_max, u_dur),
-                        });
-                    }
+            if u_kind < 0.4 {
+                let restart_at = at + span(RESTART_MIN, RESTART_MAX, u_dur);
+                if Self::crash_is_survivable(servers.len(), &downtimes, target, at, restart_at) {
+                    downtimes.push((target, at, restart_at));
+                    faults.push(ChaosFault::CrashRestart {
+                        at,
+                        node: target,
+                        restart_at,
+                    });
+                } else {
+                    // Unsurvivable: fall through to a burst of the same
+                    // length (the draws are already consumed either way).
+                    faults.push(ChaosFault::Burst {
+                        at,
+                        until: restart_at,
+                    });
                 }
-                Some(site_chaos) => {
-                    let nsites = site_chaos.sites.len();
-                    let site_idx = if nsites == 0 {
-                        0
-                    } else {
-                        ((u_aux * nsites as f64) as usize).min(nsites - 1)
-                    };
-                    if u_kind < 0.25 {
-                        let restart_at = at + span(profile.restart_min, profile.restart_max, u_dur);
-                        if Self::crash_is_survivable(
-                            servers.len(),
-                            profile.min_up,
-                            &downtimes,
-                            target,
-                            at,
-                            restart_at,
-                        ) && Self::site_floor_holds(
-                            site_chaos, &downtimes, target, at, restart_at,
-                        ) {
-                            downtimes.push((target, at, restart_at));
-                            faults.push(ChaosFault::CrashRestart {
-                                at,
-                                node: target,
-                                restart_at,
-                            });
-                        } else {
-                            faults.push(ChaosFault::Burst {
-                                at,
-                                until: at + span(profile.restart_min, profile.restart_max, u_dur),
-                            });
-                        }
-                    } else if u_kind < 0.45 && servers.len() >= 2 {
-                        let rest: Vec<NodeId> =
-                            servers.iter().copied().filter(|&s| s != target).collect();
-                        let heal_at =
-                            at + span(profile.partition_min, profile.partition_max, u_dur);
-                        faults.push(ChaosFault::Partition {
-                            at,
-                            a: vec![target],
-                            b: rest,
-                            heal_at,
-                        });
-                    } else if u_kind < 0.6 || nsites < 2 {
-                        faults.push(ChaosFault::Burst {
-                            at,
-                            until: at + span(profile.burst_min, profile.burst_max, u_dur),
-                        });
-                    } else {
-                        let members = site_chaos.sites[site_idx].clone();
-                        let rest: Vec<NodeId> = servers
-                            .iter()
-                            .copied()
-                            .filter(|s| !members.contains(s))
-                            .collect();
-                        if members.is_empty() || rest.is_empty() {
-                            faults.push(ChaosFault::Burst {
-                                at,
-                                until: at + span(profile.burst_min, profile.burst_max, u_dur),
-                            });
-                        } else if u_kind < 0.75 {
-                            let heal_at =
-                                at + span(profile.partition_min, profile.partition_max, u_dur);
-                            faults.push(ChaosFault::SitePartition {
-                                at,
-                                site: site_idx as u32,
-                                a: members,
-                                b: rest,
-                                heal_at,
-                            });
-                        } else if u_kind < 0.9 {
-                            let heal_at = at + span(profile.burst_min, profile.burst_max, u_dur);
-                            faults.push(ChaosFault::WanDegrade {
-                                at,
-                                site: site_idx as u32,
-                                a: members,
-                                b: rest,
-                                heal_at,
-                            });
-                        } else {
-                            let restart_at =
-                                at + span(profile.restart_min, profile.restart_max, u_dur);
-                            if site_chaos.site_min_up == 0
-                                && Self::group_crash_is_survivable(
-                                    servers.len(),
-                                    profile.min_up,
-                                    &downtimes,
-                                    &members,
-                                    at,
-                                    restart_at,
-                                )
-                            {
-                                for &member in &members {
-                                    downtimes.push((member, at, restart_at));
-                                }
-                                faults.push(ChaosFault::SiteCrash {
-                                    at,
-                                    site: site_idx as u32,
-                                    servers: members,
-                                    restart_at,
-                                });
-                            } else {
-                                // The paper's fault model never empties a
-                                // replica set: a site-wide crash that would
-                                // drop the site below its floor becomes a
-                                // WAN brownout of the same length instead.
-                                faults.push(ChaosFault::WanDegrade {
-                                    at,
-                                    site: site_idx as u32,
-                                    a: members,
-                                    b: rest,
-                                    heal_at: restart_at,
-                                });
-                            }
-                        }
-                    }
-                }
+            } else if u_kind < 0.7 && servers.len() >= 2 {
+                let rest: Vec<NodeId> = servers.iter().copied().filter(|&s| s != target).collect();
+                faults.push(ChaosFault::Partition {
+                    at,
+                    a: vec![target],
+                    b: rest,
+                    heal_at: at + span(PARTITION_MIN, PARTITION_MAX, u_dur),
+                });
+            } else {
+                faults.push(ChaosFault::Burst {
+                    at,
+                    until: at + span(BURST_MIN, BURST_MAX, u_dur),
+                });
             }
         }
         faults.sort_by_key(|f| f.at());
@@ -435,11 +198,10 @@ impl ChaosPlan {
     }
 
     /// Whether crashing `node` over `[at, restart_at)` keeps at least
-    /// `min_up` servers alive throughout and does not overlap an open
+    /// [`MIN_UP`] servers alive throughout and does not overlap an open
     /// crash/restart cycle on the same node.
     fn crash_is_survivable(
         total: usize,
-        min_up: u32,
         downtimes: &[(NodeId, SimTime, SimTime)],
         node: NodeId,
         at: SimTime,
@@ -456,58 +218,11 @@ impl ChaosPlan {
             }
         }
         // Conservative: count every overlapping downtime as simultaneous.
-        total as u32 > min_up + concurrent
+        total as u32 > MIN_UP + concurrent
     }
 
-    /// Whether crashing all of `nodes` over `[at, restart_at)` keeps at
-    /// least `min_up` servers alive globally and does not overlap an open
-    /// cycle on any member.
-    fn group_crash_is_survivable(
-        total: usize,
-        min_up: u32,
-        downtimes: &[(NodeId, SimTime, SimTime)],
-        nodes: &[NodeId],
-        at: SimTime,
-        restart_at: SimTime,
-    ) -> bool {
-        let overlaps = |from: SimTime, to: SimTime| at < to && from < restart_at;
-        let mut concurrent = 0u32;
-        for &(other, from, to) in downtimes {
-            if overlaps(from, to) {
-                if nodes.contains(&other) {
-                    return false;
-                }
-                concurrent += 1;
-            }
-        }
-        total as u32 >= min_up + concurrent + nodes.len() as u32
-    }
-
-    /// Whether crashing `node` over `[at, restart_at)` keeps its home
-    /// site at or above the per-site floor. Nodes outside every site are
-    /// unconstrained.
-    fn site_floor_holds(
-        site_chaos: &SiteChaos,
-        downtimes: &[(NodeId, SimTime, SimTime)],
-        node: NodeId,
-        at: SimTime,
-        restart_at: SimTime,
-    ) -> bool {
-        let Some(site) = site_chaos.site_of(node) else {
-            return true;
-        };
-        let members = &site_chaos.sites[site];
-        let overlaps = |from: SimTime, to: SimTime| at < to && from < restart_at;
-        let down_in_site = downtimes
-            .iter()
-            .filter(|&&(other, from, to)| overlaps(from, to) && members.contains(&other))
-            .count() as u32;
-        members.len() as u32 > site_chaos.site_min_up + down_in_site
-    }
-
-    /// Number of node-scoped faults of each kind `(crash_restarts,
-    /// partitions, bursts)`. Site-scoped faults are counted by
-    /// [`ChaosPlan::site_kind_counts`].
+    /// Number of faults of each kind `(crash_restarts, partitions,
+    /// bursts)`.
     pub fn kind_counts(&self) -> (u32, u32, u32) {
         let mut counts = (0, 0, 0);
         for fault in &self.faults {
@@ -515,24 +230,6 @@ impl ChaosPlan {
                 ChaosFault::CrashRestart { .. } => counts.0 += 1,
                 ChaosFault::Partition { .. } => counts.1 += 1,
                 ChaosFault::Burst { .. } => counts.2 += 1,
-                ChaosFault::SitePartition { .. }
-                | ChaosFault::WanDegrade { .. }
-                | ChaosFault::SiteCrash { .. } => {}
-            }
-        }
-        counts
-    }
-
-    /// Number of site-scoped faults of each kind `(site_partitions,
-    /// wan_degrades, site_crashes)`.
-    pub fn site_kind_counts(&self) -> (u32, u32, u32) {
-        let mut counts = (0, 0, 0);
-        for fault in &self.faults {
-            match fault {
-                ChaosFault::SitePartition { .. } => counts.0 += 1,
-                ChaosFault::WanDegrade { .. } => counts.1 += 1,
-                ChaosFault::SiteCrash { .. } => counts.2 += 1,
-                _ => {}
             }
         }
         counts
@@ -549,10 +246,11 @@ impl ChaosPlan {
         normal.clone().with_burst_loss(0.1, 0.5, 0.5)
     }
 
-    /// The browned-out inter-DC profile used for [`ChaosFault::WanDegrade`]:
-    /// the WAN baseline plus the same Gilbert–Elliott correlated-loss
-    /// chain as [`ChaosPlan::degraded_profile`], applied as per-pair link
-    /// overrides so only cross-site traffic suffers.
+    /// A browned-out inter-DC profile: the WAN baseline plus the same
+    /// Gilbert–Elliott correlated-loss chain as
+    /// [`ChaosPlan::degraded_profile`], for per-pair link overrides
+    /// ([`simnet::Simulation::set_link_overrides_at`]) so only cross-site
+    /// traffic suffers.
     pub fn brownout_profile() -> LinkProfile {
         LinkProfile::wan().with_burst_loss(0.1, 0.5, 0.5)
     }
@@ -580,29 +278,6 @@ impl ChaosPlan {
                     builder.network_at(*at, degraded.clone());
                     builder.network_at(*until, normal.clone());
                 }
-                ChaosFault::SitePartition {
-                    at, a, b, heal_at, ..
-                } => {
-                    builder.partition_at(*at, a, b);
-                    builder.heal_at(*heal_at, a, b);
-                }
-                ChaosFault::WanDegrade {
-                    at, a, b, heal_at, ..
-                } => {
-                    builder.wan_degrade_at(*at, a, b, Self::brownout_profile());
-                    builder.wan_restore_at(*heal_at, a, b);
-                }
-                ChaosFault::SiteCrash {
-                    at,
-                    servers,
-                    restart_at,
-                    ..
-                } => {
-                    for &node in servers {
-                        builder.crash_at(*at, node);
-                        builder.restart_at(*restart_at, node);
-                    }
-                }
             }
         }
     }
@@ -618,13 +293,6 @@ impl ChaosPlan {
             "chaos plan: {} fault(s) = {crashes} crash/restart, {partitions} partition, {bursts} burst",
             self.faults.len()
         );
-        let (site_parts, brownouts, site_crashes) = self.site_kind_counts();
-        if site_parts + brownouts + site_crashes > 0 {
-            let _ = writeln!(
-                out,
-                "  site faults: {site_parts} site-partition, {brownouts} wan-brownout, {site_crashes} site-crash"
-            );
-        }
         for fault in &self.faults {
             match fault {
                 ChaosFault::CrashRestart {
@@ -664,63 +332,9 @@ impl ChaosPlan {
                         until.as_micros()
                     );
                 }
-                ChaosFault::SitePartition {
-                    at,
-                    site,
-                    a,
-                    b,
-                    heal_at,
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "  {}us site-partition s{site} [{}]|[{}] heal {}us",
-                        at.as_micros(),
-                        Self::render_side(a),
-                        Self::render_side(b),
-                        heal_at.as_micros()
-                    );
-                }
-                ChaosFault::WanDegrade {
-                    at,
-                    site,
-                    a,
-                    b,
-                    heal_at,
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "  {}us wan-brownout s{site} [{}]|[{}] heal {}us",
-                        at.as_micros(),
-                        Self::render_side(a),
-                        Self::render_side(b),
-                        heal_at.as_micros()
-                    );
-                }
-                ChaosFault::SiteCrash {
-                    at,
-                    site,
-                    servers,
-                    restart_at,
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "  {}us site-crash s{site} [{}] restart {}us",
-                        at.as_micros(),
-                        Self::render_side(servers),
-                        restart_at.as_micros()
-                    );
-                }
             }
         }
         out
-    }
-
-    fn render_side(nodes: &[NodeId]) -> String {
-        nodes
-            .iter()
-            .map(|n| n.0.to_string())
-            .collect::<Vec<_>>()
-            .join(",")
     }
 }
 
@@ -749,18 +363,18 @@ mod tests {
         for seed in 0..32 {
             let plan = ChaosPlan::generate(&profile, &servers(4), seed);
             assert_eq!(plan.faults.len(), 6);
-            let lo = SimTime::from_secs(10);
-            let hi = SimTime::from_secs(40);
+            let lo = SimTime::ZERO + WINDOW_START;
+            let hi = SimTime::ZERO + WINDOW_END;
             for fault in &plan.faults {
                 assert!(fault.at() >= lo && fault.at() <= hi);
                 match fault {
                     ChaosFault::CrashRestart { at, restart_at, .. } => {
                         let gap = restart_at.saturating_since(*at);
-                        assert!(gap >= profile.restart_min && gap <= profile.restart_max);
+                        assert!(gap >= RESTART_MIN && gap <= RESTART_MAX);
                     }
                     ChaosFault::Partition { at, heal_at, a, b } => {
                         let gap = heal_at.saturating_since(*at);
-                        assert!(gap >= profile.partition_min && gap <= profile.partition_max);
+                        assert!(gap >= PARTITION_MIN && gap <= PARTITION_MAX);
                         assert_eq!(a.len(), 1);
                         assert_eq!(b.len(), 3);
                         assert!(!b.contains(&a[0]));
@@ -768,7 +382,6 @@ mod tests {
                     ChaosFault::Burst { at, until } => {
                         assert!(*until > *at);
                     }
-                    other => panic!("site fault {other:?} in a legacy (no-sites) plan"),
                 }
             }
             for pair in plan.faults.windows(2) {
@@ -779,8 +392,8 @@ mod tests {
 
     #[test]
     fn crashes_never_drop_below_the_floor() {
-        // With only two servers and min_up = 2, every crash slot must be
-        // downgraded: no CrashRestart may survive planning.
+        // With only two servers and a floor of MIN_UP = 2, every crash
+        // slot must be downgraded: no CrashRestart may survive planning.
         let profile = ChaosProfile::default_campaign();
         for seed in 0..64 {
             let plan = ChaosPlan::generate(&profile, &servers(2), seed);
@@ -807,100 +420,6 @@ mod tests {
                     .count();
                 assert!(down <= 2, "seed {seed}: three servers down at once");
             }
-        }
-    }
-
-    fn two_sites() -> SiteChaos {
-        SiteChaos::new(vec![vec![NodeId(1), NodeId(2)], vec![NodeId(3), NodeId(4)]])
-    }
-
-    #[test]
-    fn site_plans_are_reproducible_and_legacy_plans_unchanged() {
-        let profile = ChaosProfile::default_campaign().with_sites(two_sites());
-        let a = ChaosPlan::generate(&profile, &servers(4), 42);
-        let b = ChaosPlan::generate(&profile, &servers(4), 42);
-        assert_eq!(a, b);
-        assert_eq!(a.render(), b.render());
-        // The sites field defaults to None, so pre-site profiles keep
-        // producing byte-identical plans.
-        let legacy = ChaosProfile::default_campaign();
-        assert!(legacy.sites.is_none());
-        // Some seed in a small range must exercise every site kind.
-        let mut seen = (0, 0, 0);
-        for seed in 0..64 {
-            let mut open = ChaosProfile::default_campaign().with_sites(two_sites());
-            open.sites.as_mut().unwrap().site_min_up = 0;
-            let plan = ChaosPlan::generate(&open, &servers(4), seed);
-            let (sp, wd, sc) = plan.site_kind_counts();
-            seen.0 += sp;
-            seen.1 += wd;
-            seen.2 += sc;
-        }
-        assert!(seen.0 > 0, "no site partitions drawn in 64 seeds");
-        assert!(seen.1 > 0, "no wan brownouts drawn in 64 seeds");
-        assert!(seen.2 > 0, "no site crashes drawn in 64 seeds");
-    }
-
-    #[test]
-    fn site_crash_below_floor_downgrades_to_wan_brownout() {
-        // With the default per-site floor (one live server per site) a
-        // site-wide crash would empty its site, so every site-crash draw
-        // must downgrade to a WAN brownout of the same schedule.
-        let floored = ChaosProfile::default_campaign().with_sites(two_sites());
-        let mut open = floored.clone();
-        open.sites.as_mut().unwrap().site_min_up = 0;
-        let mut downgraded = 0;
-        for seed in 0..64 {
-            let with_floor = ChaosPlan::generate(&floored, &servers(4), seed);
-            let without_floor = ChaosPlan::generate(&open, &servers(4), seed);
-            let (_, _, crashes) = with_floor.site_kind_counts();
-            assert_eq!(crashes, 0, "seed {seed}: site crash survived the floor");
-            // The downgrade consumes the slot's draws all the same: both
-            // plans have identical fault schedules (same times), and each
-            // site crash in the unfloored plan appears as a brownout over
-            // exactly the crash window in the floored one.
-            assert_eq!(with_floor.faults.len(), without_floor.faults.len());
-            for (f, u) in with_floor.faults.iter().zip(&without_floor.faults) {
-                assert_eq!(f.at(), u.at(), "seed {seed}: downgrade moved a slot");
-                if let ChaosFault::SiteCrash {
-                    at,
-                    site,
-                    servers,
-                    restart_at,
-                } = u
-                {
-                    downgraded += 1;
-                    assert_eq!(
-                        f,
-                        &ChaosFault::WanDegrade {
-                            at: *at,
-                            site: *site,
-                            a: servers.clone(),
-                            b: (1..=4)
-                                .map(NodeId)
-                                .filter(|n| !servers.contains(n))
-                                .collect(),
-                            heal_at: *restart_at,
-                        },
-                        "seed {seed}: downgrade is not a brownout over the crash window"
-                    );
-                }
-            }
-        }
-        assert!(downgraded > 0, "no downgrade exercised in 64 seeds");
-    }
-
-    #[test]
-    fn single_crashes_respect_the_per_site_floor() {
-        // Two one-server sites: any single crash would empty a site, so
-        // site-enabled plans may not contain CrashRestart at all.
-        let tiny = SiteChaos::new(vec![vec![NodeId(1)], vec![NodeId(2)]]);
-        let mut profile = ChaosProfile::default_campaign().with_sites(tiny);
-        profile.min_up = 0;
-        for seed in 0..64 {
-            let plan = ChaosPlan::generate(&profile, &servers(2), seed);
-            let (crashes, _, _) = plan.kind_counts();
-            assert_eq!(crashes, 0, "seed {seed} emptied a one-server site");
         }
     }
 

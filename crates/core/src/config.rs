@@ -68,6 +68,10 @@ pub const COOLDOWN_TICKS: u32 = 4;
 /// second: half of [`DEFAULT_RATE_FPS`], §5's quality adaptation applied to
 /// failover (DESIGN.md §5i).
 pub const DEGRADED_FPS: u32 = 15;
+/// Extra degraded sessions each server accepts beyond its admission cap
+/// during a [`FailoverMode::RemoteDegraded`] rescue (admission shedding
+/// headroom, DESIGN.md §5i).
+pub const SHED_HEADROOM: u32 = 4;
 
 /// What a server does when another replica's clients lose their server.
 ///
@@ -298,19 +302,16 @@ pub struct MultiDcConfig {
     pub map: SiteMap,
     /// What to do when a client's home site is unreachable.
     pub mode: FailoverMode,
-    /// Extra degraded sessions each server accepts beyond its normal
-    /// admission cap during a rescue (admission shedding headroom).
-    pub shed_headroom: u32,
 }
 
 impl MultiDcConfig {
     /// Defaults for a given site map: full remote-degraded failover
-    /// (rescue sessions at [`DEGRADED_FPS`]) and 4 shed slots per server.
+    /// (rescue sessions at [`DEGRADED_FPS`], [`SHED_HEADROOM`] shed slots
+    /// per server).
     pub fn new(map: SiteMap) -> Self {
         MultiDcConfig {
             map,
             mode: FailoverMode::RemoteDegraded,
-            shed_headroom: 4,
         }
     }
 
@@ -318,13 +319,6 @@ impl MultiDcConfig {
     #[must_use]
     pub fn with_mode(mut self, mode: FailoverMode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Returns a copy with a different shed headroom.
-    #[must_use]
-    pub fn with_shed_headroom(mut self, headroom: u32) -> Self {
-        self.shed_headroom = headroom;
         self
     }
 }
@@ -550,14 +544,9 @@ mod tests {
         assert_eq!(map.site_of_server(NodeId(9)), None);
         assert_eq!(map.home_site_of_client(NodeId(1000)), Some(east));
         assert_eq!(map.home_site_of_client(NodeId(9)), None);
-        let cfg = cfg.with_multidc(
-            MultiDcConfig::new(map)
-                .with_mode(FailoverMode::Remote)
-                .with_shed_headroom(2),
-        );
+        let cfg = cfg.with_multidc(MultiDcConfig::new(map).with_mode(FailoverMode::Remote));
         let mdc = cfg.multidc.expect("enabled");
         assert_eq!(mdc.mode, FailoverMode::Remote);
-        assert_eq!(mdc.shed_headroom, 2);
         assert_eq!(FailoverMode::default(), FailoverMode::RemoteDegraded);
         assert_eq!(FailoverMode::HomeOnly.as_str(), "home-only");
     }

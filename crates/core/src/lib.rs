@@ -29,9 +29,7 @@
 //!   [`forecast::PlacementPolicy`], one struct deciding by the reactive
 //!   or predictive replica-placement rule;
 //! * [`chaos`] — seeded fault campaigns: crash/restart cycles, pairwise
-//!   partitions with heals, correlated loss bursts, and (on multi-site
-//!   deployments) site partitions, WAN brownouts and correlated site
-//!   crashes, all from one seed;
+//!   partitions with heals and correlated loss bursts, all from one seed;
 //! * [`campaign`] — the one definition of the chaos, flash-crowd and
 //!   multi-datacenter campaigns: how each is wired and how a finished
 //!   run is judged, shared by the CLI and the tests;
@@ -64,7 +62,7 @@ pub mod server;
 pub mod trace;
 pub mod workload;
 
-pub use chaos::{ChaosFault, ChaosPlan, ChaosProfile, SiteChaos};
+pub use chaos::{ChaosFault, ChaosPlan, ChaosProfile};
 pub use client::{ClientStats, VodClient, WatchRequest};
 pub use config::{
     FailoverMode, MultiDcConfig, PrefixCacheConfig, ReplicationConfig, ResumePolicy, SiteMap,

@@ -60,10 +60,6 @@ enum Scripted {
     Shutdown { node: NodeId },
 }
 
-/// A scheduled override of the links between two node sets: `None`
-/// restores the profile the topology dictates.
-type LinkOverride = (SimTime, Vec<NodeId>, Vec<NodeId>, Option<LinkProfile>);
-
 /// Declarative description of a deployment plus its event script.
 #[derive(Debug)]
 pub struct ScenarioBuilder {
@@ -81,8 +77,6 @@ pub struct ScenarioBuilder {
     heals: Vec<SimTime>,
     pair_heals: Vec<(SimTime, Vec<NodeId>, Vec<NodeId>)>,
     profile_changes: Vec<(SimTime, LinkProfile)>,
-    topology: Option<SiteTopology>,
-    link_overrides: Vec<LinkOverride>,
     clients: Vec<ClientSetup>,
     script: Vec<(SimTime, Scripted)>,
     event_capacity: Option<usize>,
@@ -109,8 +103,6 @@ impl ScenarioBuilder {
             heals: Vec::new(),
             pair_heals: Vec::new(),
             profile_changes: Vec::new(),
-            topology: None,
-            link_overrides: Vec::new(),
             clients: Vec::new(),
             script: Vec::new(),
             event_capacity: None,
@@ -138,7 +130,9 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the link profile for every link (default: LAN).
+    /// Sets the link profile for every link (default: LAN). With a
+    /// multi-DC site map it is the profile within a site; links between
+    /// sites are [`LinkProfile::wan`].
     pub fn network(&mut self, profile: LinkProfile) -> &mut Self {
         self.profile = profile;
         self
@@ -218,40 +212,11 @@ impl ScenarioBuilder {
 
     /// Replaces the default link profile at `at` mid-run (scripted
     /// degradations: loss/jitter bursts and their later restoration).
-    /// Per-link overrides are unaffected.
+    /// A deployment with a multi-DC site map routes every link by the
+    /// site topology [`Self::build`] derives from it, so this has no
+    /// effect there.
     pub fn network_at(&mut self, at: SimTime, profile: LinkProfile) -> &mut Self {
         self.profile_changes.push((at, profile));
-        self
-    }
-
-    /// Installs a site topology: intra-site traffic uses the topology's
-    /// LAN profile, cross-site traffic its WAN profile. Scheduled
-    /// overrides ([`Self::wan_degrade_at`]) and explicit per-link
-    /// overrides still win over the topology.
-    pub fn topology(&mut self, topo: SiteTopology) -> &mut Self {
-        self.topology = Some(topo);
-        self
-    }
-
-    /// Degrades the links between `a` and `b` (both directions) to
-    /// `profile` at `at` — a WAN brownout between two sites. Pair with
-    /// [`Self::wan_restore_at`] to lift the override.
-    pub fn wan_degrade_at(
-        &mut self,
-        at: SimTime,
-        a: &[NodeId],
-        b: &[NodeId],
-        profile: LinkProfile,
-    ) -> &mut Self {
-        self.link_overrides
-            .push((at, a.to_vec(), b.to_vec(), Some(profile)));
-        self
-    }
-
-    /// Removes the link overrides between `a` and `b` at `at`, restoring
-    /// topology/default routing for those pairs.
-    pub fn wan_restore_at(&mut self, at: SimTime, a: &[NodeId], b: &[NodeId]) -> &mut Self {
-        self.link_overrides.push((at, a.to_vec(), b.to_vec(), None));
         self
     }
 
@@ -292,7 +257,11 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Builds the runnable simulation.
+    /// Builds the runnable simulation. A multi-DC configuration's
+    /// [`crate::config::SiteMap`] also becomes the simulator's
+    /// [`SiteTopology`]: each site's servers and homed clients share the
+    /// builder's profile, and traffic between sites crosses
+    /// [`LinkProfile::wan`].
     ///
     /// # Panics
     ///
@@ -300,9 +269,6 @@ impl ScenarioBuilder {
     pub fn build(&self) -> VodSim {
         let mut sim: Simulation<VodWire> = Simulation::new(self.seed);
         sim.set_default_profile(self.profile.clone());
-        if let Some(topo) = &self.topology {
-            sim.set_topology(topo.clone());
-        }
         let trace = match self.event_capacity {
             Some(capacity) => TraceHandle::recording(capacity),
             None => TraceHandle::disabled(),
@@ -383,15 +349,15 @@ impl ScenarioBuilder {
         for (at, profile) in &self.profile_changes {
             sim.set_default_profile_at(*at, profile.clone());
         }
-        for (at, a, b, profile) in &self.link_overrides {
-            sim.set_link_overrides_at(*at, a, b, profile.clone());
-        }
         if let Some(multidc) = &self.cfg.multidc {
             let map = &multidc.map;
+            let mut topology = SiteTopology::new(self.profile.clone(), LinkProfile::wan());
             for site in 0..map.site_count() {
                 let name = map.site_name(site).unwrap_or_default().to_string();
                 let servers = map.servers(site).unwrap_or_default().to_vec();
                 let clients = map.client_nodes(site).unwrap_or_default().to_vec();
+                topology.add_site(&name, &servers);
+                topology.home_nodes(site, &clients);
                 trace.emit(|| VodEvent::SiteDefined {
                     at: SimTime::ZERO,
                     site: Box::new(SiteDef {
@@ -402,6 +368,7 @@ impl ScenarioBuilder {
                     }),
                 });
             }
+            sim.set_topology(topology);
         }
         let mut client_nodes = BTreeMap::new();
         for setup in &self.clients {

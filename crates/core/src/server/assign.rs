@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 
 use simnet::NodeId;
 
-use crate::config::{FailoverMode, VodConfig};
+use crate::config::{FailoverMode, VodConfig, SHED_HEADROOM};
 use crate::protocol::{ClientId, ClientRecord};
 
 /// Computes the owner for every client.
@@ -141,7 +141,7 @@ fn place_in_view(
     let rescue_extra = mdc.and_then(|mdc| match mdc.mode {
         FailoverMode::HomeOnly => None,
         FailoverMode::Remote => Some(0),
-        FailoverMode::RemoteDegraded => Some(mdc.shed_headroom as usize),
+        FailoverMode::RemoteDegraded => Some(SHED_HEADROOM as usize),
     });
     place(
         seats,

@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use media::{FrameNo, Movie, MovieId, MovieSpec};
-use simnet::{LinkProfile, NodeId, SimRng, SimTime, SiteTopology};
+use simnet::{NodeId, SimRng, SimTime};
 
 use crate::config::{FailoverMode, MultiDcConfig, ReplicationConfig, SiteMap, VodConfig};
 use crate::metrics::Histogram;
@@ -512,13 +512,6 @@ pub fn multidc_builder(seed: u64, mode: FailoverMode) -> (ScenarioBuilder, Fleet
     let cfg = fleet_config(&profile, None).with_multidc(MultiDcConfig::new(map).with_mode(mode));
 
     let (mut builder, plan) = fleet_builder_with_config(&profile, seed, cfg);
-    let mut topo = SiteTopology::new(LinkProfile::lan(), LinkProfile::wan());
-    let t_east = topo.add_site("east", &east_servers);
-    let t_west = topo.add_site("west", &west_servers);
-    topo.home_nodes(t_east, &east_clients);
-    topo.home_nodes(t_west, &west_clients);
-    builder.topology(topo);
-
     let fault = SimTime::ZERO + MULTIDC_FAULT_AT;
     let heal = SimTime::ZERO + MULTIDC_HEAL_AT;
     for server in east_servers {

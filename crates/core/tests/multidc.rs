@@ -3,11 +3,13 @@
 //! reduce unserved client-seconds versus the home-only baseline, the
 //! degraded mode must admit at least as many rescues as plain remote
 //! failover, the oracle's site-aware invariants must hold on the
-//! failover runs, and the whole pipeline must be byte-deterministic.
+//! failover runs, the whole pipeline must be byte-deterministic, and the
+//! links must follow the scenario's one declaration of its sites.
 
 use ftvod_core::campaign::{self, Outcome};
 use ftvod_core::oracle::summary_token;
 use ftvod_core::{FailoverMode, VodEvent};
+use simnet::LinkProfile;
 
 const SEED: u64 = 42;
 
@@ -96,4 +98,53 @@ fn multidc_runs_are_byte_deterministic() {
         );
         assert_eq!(a.outcome.oracle, b.outcome.oracle);
     }
+}
+
+/// `multidc_builder` declares its sites once, as the configuration's
+/// `SiteMap`; the built simulation routes by the topology derived from
+/// it. Every server and every homed client the map names (as the trace's
+/// `SiteDefined` events report them) sits in the map's site, with LAN
+/// links inside a site and WAN links between them.
+#[test]
+fn the_simulator_routes_by_the_site_map() {
+    let wired = campaign::multidc(FailoverMode::RemoteDegraded, SEED);
+    let mut sim = wired.builder.build();
+    let sites = sim
+        .trace()
+        .with_recorder(|rec| {
+            rec.events()
+                .filter_map(|e| match e {
+                    VodEvent::SiteDefined { site, .. } => Some((**site).clone()),
+                    _ => None,
+                })
+                .collect::<Vec<_>>()
+        })
+        .expect("recording on");
+    assert_eq!(sites.len(), 2, "east and west");
+    let topology = sim.sim_mut().topology().expect("derived from the site map");
+    assert_eq!(topology.site_count(), sites.len());
+    assert_eq!(topology.lan(), &LinkProfile::lan());
+    assert_eq!(topology.wan(), &LinkProfile::wan());
+    for site in &sites {
+        let index = site.index as usize;
+        assert_eq!(topology.site_name(index), Some(site.name.as_str()));
+        assert!(!site.servers.is_empty() && !site.clients.is_empty());
+        for &node in site.servers.iter().chain(&site.clients) {
+            assert_eq!(
+                topology.site_of(node),
+                Some(index),
+                "{node} in {}",
+                site.name
+            );
+        }
+    }
+    let (east, west) = (&sites[0], &sites[1]);
+    assert_eq!(
+        topology.profile_for(east.clients[0], west.servers[0]),
+        &LinkProfile::wan()
+    );
+    assert_eq!(
+        topology.profile_for(east.clients[0], east.servers[0]),
+        &LinkProfile::lan()
+    );
 }

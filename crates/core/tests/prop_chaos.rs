@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use ftvod_core::campaign::{self, CHAOS_FAULTS, CHAOS_SYNC};
-use ftvod_core::chaos::{ChaosPlan, ChaosProfile};
+use ftvod_core::chaos::{ChaosFault, ChaosPlan, ChaosProfile, MIN_UP};
 use simnet::{NodeId, SimTime};
 
 fn server_nodes(n: u32) -> Vec<NodeId> {
@@ -44,26 +44,23 @@ proptest! {
     }
 
     /// The survivability floor holds for every seed: at no instant does
-    /// the plan crash the fleet below `min_up` live servers.
+    /// the plan crash the fleet below `MIN_UP` live servers.
     #[test]
     fn chaos_plans_respect_the_survivability_floor(
         seed in 0u64..1_000_000,
         faults in 1u32..12,
     ) {
-        let profile = ChaosProfile::default_campaign();
-        let mut with_faults = profile.clone();
-        with_faults.faults = faults;
+        let mut profile = ChaosProfile::default_campaign();
+        profile.faults = faults;
         let nodes = server_nodes(4);
-        let plan = ChaosPlan::generate(&with_faults, &nodes, seed);
+        let plan = ChaosPlan::generate(&profile, &nodes, seed);
         // Sweep the crash/restart intervals: the number of concurrently
         // down servers never exceeds fleet size minus the floor.
         let downs: Vec<(SimTime, SimTime)> = plan
             .faults
             .iter()
             .filter_map(|f| match f {
-                ftvod_core::chaos::ChaosFault::CrashRestart { at, restart_at, .. } => {
-                    Some((*at, *restart_at))
-                }
+                ChaosFault::CrashRestart { at, restart_at, .. } => Some((*at, *restart_at)),
                 _ => None,
             })
             .collect();
@@ -73,9 +70,8 @@ proptest! {
                 .filter(|&&(s, e)| s <= start && start < e)
                 .count() as u32;
             prop_assert!(
-                concurrent <= 4 - with_faults.min_up,
-                "{concurrent} servers down at {start:?} violates min_up={}",
-                with_faults.min_up
+                concurrent <= 4 - MIN_UP,
+                "{concurrent} servers down at {start:?} violates MIN_UP={MIN_UP}"
             );
         }
     }

@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use ftvod_core::config::{FailoverMode, MultiDcConfig, SiteMap, VodConfig};
+use ftvod_core::config::{FailoverMode, MultiDcConfig, SiteMap, VodConfig, SHED_HEADROOM};
 use ftvod_core::protocol::{session_group, ClientId, ClientRecord};
 use ftvod_core::server::{
     admit_client, assign_clients_geo, assign_clients_with_capacity, redistribute_clients, UNSERVED,
@@ -161,7 +161,7 @@ fn old_elect_owner_geo(
     let extra = match mdc.mode {
         FailoverMode::HomeOnly => return None,
         FailoverMode::Remote => 0,
-        FailoverMode::RemoteDegraded => mdc.shed_headroom as usize,
+        FailoverMode::RemoteDegraded => SHED_HEADROOM as usize,
     };
     let rescue_cap = capacity.map(|cap| cap + extra);
     pick(rescue_cap, &|_| true)
@@ -197,7 +197,7 @@ fn old_redistribute(cfg: &VodConfig, members: &[NodeId], records: &Records) -> A
                 .map(|&n| (n, mdc.map.site_of_server(n)))
                 .collect();
             let rescue_extra = match mdc.mode {
-                FailoverMode::RemoteDegraded => mdc.shed_headroom as usize,
+                FailoverMode::RemoteDegraded => SHED_HEADROOM as usize,
                 FailoverMode::HomeOnly | FailoverMode::Remote => 0,
             };
             old_assign_geo(
@@ -278,7 +278,7 @@ proptest! {
             prop::collection::vec(0u8..3, SERVERS as usize..SERVERS as usize + 1),
             prop::collection::vec(0u8..3, CLIENTS as usize + 1..CLIENTS as usize + 2),
         ),
-        knobs in (0u32..5, 0usize..4, 0u32..3),
+        knobs in (0u32..5, 0usize..4),
     ) {
         let members: Vec<NodeId> = view.into_iter().map(NodeId).collect();
         // Owner 0 = no record, 1..=SERVERS = that server (in the view or
@@ -292,14 +292,12 @@ proptest! {
             })
             .collect();
         let (server_sites, client_homes) = sites;
-        let (cap, mode, shed_headroom) = knobs;
+        let (cap, mode) = knobs;
         let mut cfg = VodConfig::paper_default();
         cfg.max_sessions_per_server = cap.checked_sub(1);
         // Mode 3 = a single-datacenter deployment.
         if let Some(&mode) = MODES.get(mode) {
-            let mdc = MultiDcConfig::new(site_map(&server_sites, &client_homes))
-                .with_mode(mode)
-                .with_shed_headroom(shed_headroom);
+            let mdc = MultiDcConfig::new(site_map(&server_sites, &client_homes)).with_mode(mode);
             cfg = cfg.with_multidc(mdc);
         }
 
@@ -334,10 +332,10 @@ proptest! {
         for allow_remote in [false, true] {
             prop_assert_eq!(
                 assign_clients_geo(
-                    &geo_clients, &geo_servers, capacity, allow_remote, shed_headroom as usize,
+                    &geo_clients, &geo_servers, capacity, allow_remote, SHED_HEADROOM as usize,
                 ),
                 old_assign_geo(
-                    &geo_clients, &geo_servers, capacity, allow_remote, shed_headroom as usize,
+                    &geo_clients, &geo_servers, capacity, allow_remote, SHED_HEADROOM as usize,
                 )
             );
         }

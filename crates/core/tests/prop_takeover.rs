@@ -19,7 +19,9 @@
 //! * **Resume offsets** — the conservative resume never passes the
 //!   record, skip-ahead adds ⌈staleness × rate⌉ and nothing when paused.
 
-use ftvod_core::config::{MultiDcConfig, ResumePolicy, SiteMap, TakeoverPolicy, VodConfig};
+use ftvod_core::config::{
+    MultiDcConfig, ResumePolicy, SiteMap, TakeoverPolicy, VodConfig, SHED_HEADROOM,
+};
 use ftvod_core::protocol::{session_group, ClientId, ClientRecord, OpenRequest};
 use ftvod_core::server::takeover::{candidate, Installed, Merged};
 use ftvod_core::server::{TakeoverTable, UNSERVED};
@@ -186,7 +188,11 @@ fn step(
                     prop_assert_eq!(r.assigned_epoch, epoch);
                 }
                 if let Some(cap) = cfg.max_sessions_per_server {
-                    let shed = cfg.multidc.as_ref().map_or(0, |mdc| mdc.shed_headroom);
+                    let shed = if cfg.multidc.is_some() {
+                        SHED_HEADROOM
+                    } else {
+                        0
+                    };
                     for &m in &view.members {
                         prop_assert!(table.owned_by(m) <= (cap + shed) as usize);
                     }

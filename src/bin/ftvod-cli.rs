@@ -256,6 +256,9 @@ fn parse_fleet(args: &[String]) -> Result<FleetOptions, String> {
     if !opts.zipf.is_finite() || opts.zipf < 0.0 {
         return Err("--zipf must be a finite non-negative exponent".to_owned());
     }
+    if opts.cap == Some(0) {
+        return Err("--cap must be at least 1".to_owned());
+    }
     if opts.prefix_secs == Some(0) {
         return Err("--prefix-secs must be positive (omit it to disable the cache)".to_owned());
     }
@@ -1386,6 +1389,10 @@ mod tests {
         assert!(parse_fleet(&strings(&["--zipf", "-1"])).is_err());
         assert!(parse_fleet(&strings(&["--zipf", "nan"])).is_err());
         assert!(parse_fleet(&strings(&["--cap"])).is_err());
+        assert_eq!(
+            parse_fleet(&strings(&["--cap", "0"])),
+            Err("--cap must be at least 1".to_owned())
+        );
         assert!(parse_fleet(&strings(&["--policy", "psychic"])).is_err());
         assert!(parse_fleet(&strings(&["--policy"])).is_err());
         assert!(parse_fleet(&strings(&["--prefix-secs", "0"])).is_err());

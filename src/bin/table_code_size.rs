@@ -9,7 +9,9 @@
 //!
 //! Counts the non-blank, non-comment, non-test lines of this workspace's
 //! modules and checks the same *shape*: the application (server + client)
-//! is small relative to the group-communication substrate it leans on.
+//! is small relative to the group-communication substrate it leans on
+//! (the substrate carries more than half as many lines). Exits non-zero
+//! when a check does not hold.
 //! Then prints the same count for the whole workspace — per crate `src/`,
 //! `src/bin/` and `tests/` — so a PR that claims to delete code can put a
 //! before/after table in CHANGES.md.
@@ -141,7 +143,7 @@ fn workspace_table(repo: &Path, report: &mut Report) {
     report.table("package\tsrc\tsrc/bin\ttests\ttotal", rows);
 }
 
-fn main() {
+fn main() -> Result<(), String> {
     // This binary belongs to the root package.
     let repo = Path::new(env!("CARGO_MANIFEST_DIR"));
     let [server, _] = tree_lines(&repo.join("crates/core/src/server"));
@@ -174,9 +176,9 @@ fn main() {
         client < server,
     );
     report.check(
-        "the substrate carries more code than the application",
+        "the substrate is over half the application's size",
         "\"far more complicated\" without it",
-        format!("gcs {gcs} vs app {}", server + client),
+        format!("gcs {gcs} vs half of app {}", (server + client) / 2),
         gcs > (server + client) / 2,
     );
     report.line(
@@ -186,6 +188,7 @@ fn main() {
     );
     workspace_table(repo, &mut report);
     print!("{}", report.text());
+    report.gate()
 }
 
 #[cfg(test)]
