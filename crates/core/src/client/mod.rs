@@ -126,7 +126,7 @@ impl VodClient {
     /// Creates a client that will watch per `request`, using `servers` as
     /// the bootstrap set for contacting the VoD service. `retry_seed`
     /// seeds the re-OPEN backoff jitter ([`ClientSession::new`]).
-    pub fn new(
+    pub(crate) fn new(
         cfg: VodConfig,
         id: ClientId,
         node: NodeId,
@@ -147,7 +147,7 @@ impl VodClient {
     /// emergency requests, frame discards, VCR commands) and this node's
     /// GCS events flow into it. Tracing is passive and does not change the
     /// client's behaviour.
-    pub fn with_trace(mut self, trace: TraceHandle) -> Self {
+    pub(crate) fn with_trace(mut self, trace: TraceHandle) -> Self {
         self.trace = trace.clone();
         if trace.is_enabled() {
             let node = self.gcs.node();
@@ -160,7 +160,7 @@ impl VodClient {
     /// Installs a profile handle: the client's display-tick playback path
     /// opens cost spans on it. Profiling is passive and does not change
     /// the client's behaviour.
-    pub fn with_profile(mut self, profile: ProfileHandle) -> Self {
+    pub(crate) fn with_profile(mut self, profile: ProfileHandle) -> Self {
         self.profile = profile;
         self
     }

@@ -142,11 +142,6 @@ impl MovieForecast {
         self.state
     }
 
-    /// Demand EWMA rounded back to whole sessions.
-    pub fn ewma_demand(&self) -> u32 {
-        (self.ewma / FP).max(0) as u32
-    }
-
     /// Feeds one sync tick's aggregate demand (`sessions + waiting`) for
     /// the movie at its current replica count and returns the new state.
     pub fn observe(&mut self, demand: u32, replicas: u32) -> PopState {

@@ -77,7 +77,7 @@ pub use oracle::{OracleConfig, OracleReport, Verdict};
 pub use profile::{ProfileHandle, ProfileReport, SpanStats, Subsystem};
 pub use protocol::{ClientId, ControlPayload, DemandEntry, VideoPacket, VodWire};
 pub use scenario::{ScenarioBuilder, VodSim};
-pub use server::{Replica, ServerStats, VodServer};
+pub use server::{ServerStats, VodServer};
 pub use trace::{RunReport, TakeoverBreakdown, TraceHandle, TraceRecorder, VodEvent};
 pub use workload::{
     fleet_builder, fleet_builder_with_config, fleet_config, multidc_builder, multidc_profile,

@@ -314,28 +314,6 @@ pub fn percentile(samples: &[f64], q: f64) -> Option<f64> {
     Some(sorted[rank])
 }
 
-/// Merges several cumulative counters into one combined step sequence
-/// (e.g. "skipped" = overflow discards + loss gaps, plotted together).
-pub fn merge_cumulative(counters: &[&Cumulative]) -> Vec<(f64, u64)> {
-    let mut events: Vec<(f64, u64)> = Vec::new();
-    for counter in counters {
-        let mut prev = 0;
-        for &(t, total) in counter.steps() {
-            events.push((t, total - prev));
-            prev = total;
-        }
-    }
-    events.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("times are finite"));
-    let mut running = 0;
-    events
-        .into_iter()
-        .map(|(t, delta)| {
-            running += delta;
-            (t, running)
-        })
-        .collect()
-}
-
 /// Renders aligned `(time, value)` rows — one column set per series — as
 /// CSV with the given headers. Series are emitted in row-major order of
 /// their own points (they need not share timestamps).
@@ -533,18 +511,6 @@ mod tests {
     #[should_panic(expected = "quantile must be in [0,1]")]
     fn percentile_validates_q() {
         let _ = percentile(&[1.0], 1.5);
-    }
-
-    #[test]
-    fn merging_counters_interleaves_steps() {
-        let mut a = Cumulative::new();
-        a.add(t(1.0), 2);
-        a.add(t(5.0), 1);
-        let mut b = Cumulative::new();
-        b.add(t(3.0), 10);
-        let merged = merge_cumulative(&[&a, &b]);
-        assert_eq!(merged, vec![(1.0, 2), (3.0, 12), (5.0, 13)]);
-        assert!(merge_cumulative(&[]).is_empty());
     }
 
     #[test]

@@ -34,6 +34,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+use std::time::Instant;
 
 use media::{Movie, MovieId};
 use simnet::{LinkProfile, NodeId, SimTime, Simulation, SiteTopology};
@@ -286,56 +287,35 @@ impl ScenarioBuilder {
             sim.enable_profiling();
         }
         let universe: Vec<NodeId> = self.server_universe.iter().copied().collect();
-        let replicas_for = |node: NodeId| -> Vec<Replica> {
-            self.movies
+        let server = |node: NodeId| {
+            let replicas = self
+                .movies
                 .values()
                 .filter(|(_, holders)| holders.contains(&node))
                 .map(|(movie, holders)| Replica {
                     movie: Arc::clone(movie),
                     holders: holders.clone(),
                 })
-                .collect()
+                .collect();
+            // Every server gets the full catalog (the paper's shared disk
+            // farm): dynamic replication may ask any of them to bring up
+            // any movie, not just the ones they were seeded with.
+            VodServer::new(self.cfg.clone(), node, universe.clone(), replicas)
+                .with_catalog(self.movies.values().map(|(movie, _)| Arc::clone(movie)))
+                .with_trace(trace.clone())
+                .with_profile(profile.clone())
         };
-        // Every server gets the full catalog (the paper's shared disk
-        // farm): dynamic replication may ask any of them to bring up any
-        // movie, not just the ones they were seeded with.
-        let catalog: Vec<Arc<media::Movie>> = self
-            .movies
-            .values()
-            .map(|(movie, _)| Arc::clone(movie))
-            .collect();
         for &node in &self.initial_servers {
-            sim.add_node(
-                node,
-                VodServer::new(self.cfg.clone(), node, universe.clone(), replicas_for(node))
-                    .with_catalog(catalog.iter().cloned())
-                    .with_trace(trace.clone())
-                    .with_profile(profile.clone()),
-            );
+            sim.add_node(node, server(node));
         }
         for &(at, node) in &self.late_servers {
-            sim.start_node_at(
-                at,
-                node,
-                VodServer::new(self.cfg.clone(), node, universe.clone(), replicas_for(node))
-                    .with_catalog(catalog.iter().cloned())
-                    .with_trace(trace.clone())
-                    .with_profile(profile.clone()),
-            );
+            sim.start_node_at(at, node, server(node));
         }
         for &(at, node) in &self.crashes {
             sim.crash_at(at, node);
         }
         for &(at, node) in &self.restarts {
-            sim.restart_at(
-                at,
-                node,
-                VodServer::new(self.cfg.clone(), node, universe.clone(), replicas_for(node))
-                    .with_catalog(catalog.iter().cloned())
-                    .with_trace(trace.clone())
-                    .with_profile(profile.clone())
-                    .with_rejoin(),
-            );
+            sim.restart_at(at, node, server(node).with_rejoin());
         }
         for (at, a, b) in &self.partitions {
             sim.partition_at(*at, a, b);
@@ -437,10 +417,28 @@ impl std::fmt::Debug for VodSim {
 impl VodSim {
     /// Runs the simulation (and the scenario script) up to `until`.
     pub fn run_until(&mut self, until: SimTime) {
+        self.run_script(until, Simulation::run_until);
+    }
+
+    /// Runs like [`Self::run_until`], but on the wall clock: every event
+    /// is dispatched once `epoch` plus its scheduled time has passed (see
+    /// [`simnet::rt::run_paced`]). What the handlers see, and so every
+    /// statistic and recorded event, is the same as unpaced.
+    pub fn run_until_paced(&mut self, until: SimTime, epoch: Instant) {
+        self.run_script(until, |sim, at| simnet::rt::run_paced(sim, at, epoch));
+    }
+
+    /// Interleaves the scenario script with `advance`, which runs the
+    /// simulation up to a given time.
+    fn run_script(
+        &mut self,
+        until: SimTime,
+        mut advance: impl FnMut(&mut Simulation<VodWire>, SimTime),
+    ) {
         while self.next_script < self.script.len() && self.script[self.next_script].0 <= until {
             let (at, action) = self.script[self.next_script].clone();
             self.next_script += 1;
-            self.sim.run_until(at);
+            advance(&mut self.sim, at);
             match action {
                 Scripted::Vcr { client, cmd } => {
                     if let Some(&node) = self.client_nodes.get(&client) {
@@ -454,7 +452,7 @@ impl VodSim {
                 }
             }
         }
-        self.sim.run_until(until);
+        advance(&mut self.sim, until);
     }
 
     /// Current simulated time.
@@ -541,7 +539,7 @@ impl VodSim {
         ))
     }
 
-    /// Escape hatch for tests: the underlying simulation.
+    /// Escape hatch for tests and examples: the underlying simulation.
     pub fn sim_mut(&mut self) -> &mut Simulation<VodWire> {
         &mut self.sim
     }
@@ -590,17 +588,8 @@ pub mod presets {
     pub fn fig4_lan(seed: u64) -> (ScenarioBuilder, SimTime, SimTime) {
         let crash_at = CLIENT_START + Duration::from_secs(38);
         let balance_at = crash_at + Duration::from_secs(24);
-        let spec = MovieSpec::paper_default().with_duration(Duration::from_secs(150));
-        let mut builder = ScenarioBuilder::new(seed);
+        let mut builder = deployment(seed, LinkProfile::lan());
         builder
-            .network(LinkProfile::lan())
-            .movie(
-                Movie::generate(MOVIE, &spec),
-                &[nodes::S1, nodes::S2, nodes::S3],
-            )
-            .server(nodes::S1)
-            .server(nodes::S2)
-            .client(CLIENT_ID, nodes::CLIENT, MOVIE, CLIENT_START)
             // S2 serves the client (highest id of the two initial
             // replicas); kill it mid-movie.
             .crash_at(crash_at, nodes::S2)
@@ -617,20 +606,29 @@ pub mod presets {
     pub fn fig5_wan(seed: u64) -> (ScenarioBuilder, SimTime, SimTime) {
         let balance_at = CLIENT_START + Duration::from_secs(25);
         let crash_at = balance_at + Duration::from_secs(22);
+        let mut builder = deployment(seed, LinkProfile::wan());
+        builder
+            .server_at(balance_at, nodes::S3)
+            // After the load balance S3 owns the client; terminate it.
+            .crash_at(crash_at, nodes::S3);
+        (builder, balance_at, crash_at)
+    }
+
+    /// The deployment both figures share: a 150 s movie held by S1–S3,
+    /// S1 and S2 up at time zero, and the viewer on [`nodes::CLIENT`] from
+    /// [`CLIENT_START`].
+    fn deployment(seed: u64, network: LinkProfile) -> ScenarioBuilder {
         let spec = MovieSpec::paper_default().with_duration(Duration::from_secs(150));
         let mut builder = ScenarioBuilder::new(seed);
         builder
-            .network(LinkProfile::wan())
+            .network(network)
             .movie(
                 Movie::generate(MOVIE, &spec),
                 &[nodes::S1, nodes::S2, nodes::S3],
             )
             .server(nodes::S1)
             .server(nodes::S2)
-            .client(CLIENT_ID, nodes::CLIENT, MOVIE, CLIENT_START)
-            .server_at(balance_at, nodes::S3)
-            // After the load balance S3 owns the client; terminate it.
-            .crash_at(crash_at, nodes::S3);
-        (builder, balance_at, crash_at)
+            .client(CLIENT_ID, nodes::CLIENT, MOVIE, CLIENT_START);
+        builder
     }
 }

@@ -94,11 +94,11 @@ fn frame_interval(fps: u32) -> Duration {
 /// A movie replica this server holds, plus who else holds it (used to
 /// bootstrap the movie group deterministically).
 #[derive(Clone, Debug)]
-pub struct Replica {
+pub(crate) struct Replica {
     /// The movie data.
-    pub movie: Arc<Movie>,
+    pub(crate) movie: Arc<Movie>,
     /// All servers holding a copy (including this one).
-    pub holders: Vec<NodeId>,
+    pub(crate) holders: Vec<NodeId>,
 }
 
 struct Session {
@@ -151,22 +151,15 @@ fn tables(movies: &BTreeMap<MovieId, Held>) -> Holdings<'_> {
 pub struct ServerStats {
     /// Number of clients owned over time, sampled at every sync tick
     /// (drives the load-balancing visualizations).
-    pub owned_over_time: crate::metrics::TimeSeries,
+    pub owned_over_time: TimeSeries,
     /// Video frames transmitted.
     pub frames_sent: u64,
-    /// Video bytes transmitted.
-    pub bytes_sent: u64,
     /// Clients acquired through takeover/redistribution.
     pub takeovers: Cumulative,
-    /// Emergency bursts granted.
-    pub emergencies_granted: Cumulative,
     /// State-synchronization multicasts sent.
     pub syncs_sent: u64,
     /// Redistribution rounds executed.
     pub redistributions: u64,
-    /// Clients parked as [`UNSERVED`] over time, sampled at every sync
-    /// tick (this server's view of the admission backlog).
-    pub unserved_over_time: TimeSeries,
     /// Open requests this server (as coordinator) could not place on any
     /// replica — the client was parked as [`UNSERVED`].
     pub admission_rejections: Cumulative,
@@ -179,9 +172,6 @@ pub struct ServerStats {
     /// Prefix transmissions ended (handoff to a replica, release, or
     /// prefix exhaustion).
     pub prefix_handoffs: Cumulative,
-    /// Video frames sent from the prefix cache (not counted in
-    /// [`frames_sent`](Self::frames_sent), which tracks owned sessions).
-    pub prefix_frames_sent: u64,
 }
 
 /// The VoD server process.
@@ -226,7 +216,12 @@ impl VodServer {
     /// Creates a server on `node` holding `replicas`, with `servers` as the
     /// universe of nodes that may ever run a VoD server (the GCS bootstrap
     /// set).
-    pub fn new(cfg: VodConfig, node: NodeId, servers: Vec<NodeId>, replicas: Vec<Replica>) -> Self {
+    pub(crate) fn new(
+        cfg: VodConfig,
+        node: NodeId,
+        servers: Vec<NodeId>,
+        replicas: Vec<Replica>,
+    ) -> Self {
         let gcs = GcsNode::new(
             cfg.gcs.clone(),
             node,
@@ -279,7 +274,7 @@ impl VodServer {
     /// load. Per-client state is *not* carried over — a reboot loses
     /// volatile memory — so everything it serves is re-learned from the
     /// surviving replicas' sync messages.
-    pub fn with_rejoin(mut self) -> Self {
+    pub(crate) fn with_rejoin(mut self) -> Self {
         self.rejoin = true;
         self
     }
@@ -287,7 +282,7 @@ impl VodServer {
     /// Extends the catalog of movies this server can bring up on demand.
     /// Without this, dynamic replication can only clone movies the server
     /// was seeded with.
-    pub fn with_catalog(mut self, movies: impl IntoIterator<Item = Arc<Movie>>) -> Self {
+    pub(crate) fn with_catalog(mut self, movies: impl IntoIterator<Item = Arc<Movie>>) -> Self {
         for movie in movies {
             self.catalog.entry(movie.id()).or_insert(movie);
         }
@@ -298,7 +293,7 @@ impl VodServer {
     /// takeover, state-exchange rounds, redistribution, emergency bursts,
     /// shutdown handoff) and this node's GCS events flow into it. Tracing
     /// is passive and does not change the server's behaviour.
-    pub fn with_trace(mut self, trace: TraceHandle) -> Self {
+    pub(crate) fn with_trace(mut self, trace: TraceHandle) -> Self {
         self.trace = trace.clone();
         if trace.is_enabled() {
             let node = self.node;
@@ -311,7 +306,7 @@ impl VodServer {
     /// Installs a profile handle: the server's view-change, periodic sync
     /// and takeover/exchange paths open cost spans on it. Profiling is
     /// passive and does not change the server's behaviour.
-    pub fn with_profile(mut self, profile: ProfileHandle) -> Self {
+    pub(crate) fn with_profile(mut self, profile: ProfileHandle) -> Self {
         self.profile = profile;
         self
     }
@@ -679,7 +674,6 @@ impl VodServer {
             FlowRequest::Emergency { severe } => {
                 let base = if severe { base_severe } else { base_mild };
                 if session.emergency.trigger(base) {
-                    self.stats.emergencies_granted.add(ctx.now(), 1);
                     let (at, server) = (ctx.now(), self.node);
                     self.trace.emit(|| VodEvent::EmergencyGranted {
                         at,
@@ -792,7 +786,6 @@ impl VodServer {
                     frame,
                 };
                 self.stats.frames_sent += 1;
-                self.stats.bytes_sent += u64::from(frame.size);
                 let dst = Endpoint::new(session.record.client_node, VIDEO_PORT);
                 ctx.send(VIDEO_PORT, dst, VodWire::Video(packet));
                 let interval =
@@ -826,12 +819,9 @@ impl VodServer {
         self.stats
             .owned_over_time
             .push(now, self.sessions.len() as f64);
-        let mut unserved = 0;
         for state in self.movies.values_mut() {
-            unserved += state.table.owned_by(UNSERVED);
             state.table.expire_tombstones(now);
         }
-        self.stats.unserved_over_time.push(now, unserved as f64);
         let movie_ids: Vec<MovieId> = self.movies.keys().copied().collect();
         for movie_id in movie_ids {
             self.sync_movie(ctx, movie_id, true);
@@ -1127,7 +1117,6 @@ impl VodServer {
             movie: movie_id,
             frame,
         };
-        self.stats.prefix_frames_sent += 1;
         let dst = Endpoint::new(client_node, VIDEO_PORT);
         ctx.send(VIDEO_PORT, dst, VodWire::Video(packet));
         let timer = ctx.set_timer_after(frame_interval(rate_fps), tag::of(tag::PREFIX, client.0));

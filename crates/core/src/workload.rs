@@ -534,9 +534,11 @@ pub struct FleetReport {
     /// Total client-seconds spent waiting for the first frame (sessions
     /// never served accrue until the end of the run).
     pub unserved_seconds: f64,
-    /// Total client-seconds of mid-session stalls: interruptions longer
-    /// than 200 ms that were later bridged by a resume (takeovers,
-    /// migrations, site faults — §4.2's irregularity periods).
+    /// Total client-seconds of mid-session interruptions longer than
+    /// 200 ms that were later bridged by a resume: takeovers, migrations
+    /// and site faults (§4.2's irregularity periods), but also planned
+    /// VCR pauses, which the client records as interruptions too (24.2
+    /// of the 24.5 s on the `steady_fleet` benchmark workload).
     pub stalled_seconds: f64,
     /// Per-server `(peak sessions, admission rejections, replicas brought
     /// up, replicas retired, frames sent)`, keyed by node.

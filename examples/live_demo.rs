@@ -1,63 +1,51 @@
 //! Live demo: the exact same server/client state machines that run in the
 //! simulator, executed on the wall clock for ten real seconds — including
-//! a real-time failover.
+//! a failover.
 //!
 //! Everything else in this repository measures the service inside the
 //! deterministic simulator; this example shows that the implementation is
-//! a real service: the [`simnet::rt::RealTimeRunner`] drives it with real
-//! timers and an in-process lossy network, and the takeover happens while
-//! you watch.
+//! a real service: [`VodSim::run_until_paced`] dispatches every event of
+//! the scenario only once its time has really elapsed, so the takeover
+//! happens while you watch. Handlers see the scheduled times, so the run
+//! is the deterministic simulation slowed to wall time and the output is
+//! the same on every run.
 //!
 //! ```text
 //! cargo run --example live_demo            # runs ~10 wall-clock seconds
 //! ```
 
-use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ftvod::prelude::*;
-use ftvod::vod::client::{VodClient, WatchRequest};
-use ftvod::vod::protocol::VodWire;
-use ftvod::vod::server::{Replica, VodServer};
-use simnet::rt::RealTimeRunner;
+
+const VIEWER: NodeId = NodeId(100);
 
 fn main() {
-    let movie = Arc::new(Movie::generate(
+    let movie = Movie::generate(
         MovieId(1),
         &MovieSpec::paper_default().with_duration(Duration::from_secs(60)),
-    ));
-    let servers = vec![NodeId(1), NodeId(2)];
-    let cfg = VodConfig::paper_default();
-
-    let mut rt: RealTimeRunner<VodWire> = RealTimeRunner::new(42);
-    rt.set_default_profile(LinkProfile::lan());
-    for &s in &servers {
-        let replicas = vec![Replica {
-            movie: Arc::clone(&movie),
-            holders: servers.clone(),
-        }];
-        rt.add_node(s, VodServer::new(cfg.clone(), s, servers.clone(), replicas));
-    }
-    rt.add_node(
-        NodeId(100),
-        VodClient::new(
-            cfg,
-            ClientId(1),
-            NodeId(100),
-            servers.clone(),
-            WatchRequest::full_quality(&movie),
-            0,
-        ),
     );
+    let crash_at = SimTime::from_secs(5);
+    let mut builder = ScenarioBuilder::new(42);
+    builder
+        .network(LinkProfile::lan())
+        .movie(movie, &[NodeId(1), NodeId(2)])
+        .server(NodeId(1))
+        .server(NodeId(2))
+        .client(ClientId(1), VIEWER, MovieId(1), SimTime::ZERO)
+        // n2 serves the viewer (the higher id of two equally loaded
+        // replicas); kill it mid-stream.
+        .crash_at(crash_at, NodeId(2));
+    let mut sim = builder.build();
 
     println!("streaming live (wall-clock time!); the serving replica dies at t=5s\n");
+    let epoch = Instant::now();
     for second in 1..=10u64 {
-        rt.run_for(Duration::from_secs(1));
-        if second == 5 {
-            rt.stop_node(NodeId(2));
-        }
-        let (received, sw, hw, stalls, displayed) = rt
-            .with_process(NodeId(100), |c: &VodClient| {
+        let now = SimTime::from_secs(second);
+        sim.run_until_paced(now, epoch);
+        let (received, sw, hw, stalls, displayed) = sim
+            .sim_mut()
+            .with_process(VIEWER, |c: &VodClient| {
                 (
                     c.session().stats().frames_received,
                     c.session().buffer().occupancy(),
@@ -67,8 +55,8 @@ fn main() {
                 )
             })
             .expect("client exists");
-        let marker = if second == 5 {
-            "  << n2 KILLED (for real)"
+        let marker = if now == crash_at {
+            "  << n2 KILLED"
         } else {
             ""
         };
@@ -79,11 +67,9 @@ fn main() {
         );
     }
 
-    let stats = rt
-        .with_process(NodeId(100), |c: &VodClient| c.session().stats().clone())
-        .unwrap();
+    let stats = sim.client_stats(ClientId(1)).expect("client exists");
     println!(
-        "\nten real seconds of video, one real crash: {} frozen frames, \
+        "\nten real seconds of video, one crash: {} frozen frames, \
          {} duplicates at the takeover.",
         stats.stalls.total(),
         stats.late.total()

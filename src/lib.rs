@@ -90,7 +90,7 @@ pub mod prelude {
     pub use ftvod_core::profile::{ProfileHandle, ProfileReport, Subsystem};
     pub use ftvod_core::protocol::{ClientId, VcrCmd, VodWire};
     pub use ftvod_core::scenario::{presets, ScenarioBuilder, VodSim};
-    pub use ftvod_core::server::{Replica, VodServer};
+    pub use ftvod_core::server::VodServer;
     pub use ftvod_core::trace::{RunReport, TraceHandle, VodEvent, DEFAULT_EVENT_CAPACITY};
     pub use ftvod_core::workload::{
         fleet_builder, fleet_builder_with_config, fleet_config, multidc_builder, multidc_profile,
