@@ -152,7 +152,7 @@ impl VodClient {
         if trace.is_enabled() {
             let node = self.gcs.node();
             self.gcs
-                .set_tracer(move |event| trace.emit(|| VodEvent::from_gcs(node, event)));
+                .set_tracer(move |at, event| trace.emit(at, || VodEvent::from_gcs(node, event)));
         }
         self
     }
@@ -177,7 +177,8 @@ impl VodClient {
 
     /// Steps the session and applies its actions in emission order.
     fn step(&mut self, ctx: &mut Context<'_, VodWire>, input: Input) {
-        self.session.step(ctx.now(), input, &mut self.actions);
+        let now = ctx.now();
+        self.session.step(now, input, &mut self.actions);
         let group = session_group(self.session.id());
         for action in self.actions.drain(..) {
             match action {
@@ -191,7 +192,7 @@ impl VodClient {
                     ctx.set_timer_after(after, GCS_TICK + 1 + timer as u64);
                 }
                 Action::LeaveSession => self.gcs.leave(ctx, group),
-                Action::Trace(event) => self.trace.emit(|| event),
+                Action::Trace(event) => self.trace.emit(now, || event),
             }
         }
     }

@@ -71,7 +71,7 @@ pub enum Action {
     Arm(ClientTimer, Duration),
     /// Leave the session group.
     LeaveSession,
-    /// Record the event.
+    /// Record the event as happening at the step's `now`.
     Trace(VodEvent),
 }
 
@@ -180,7 +180,7 @@ impl ClientSession {
     pub fn step(&mut self, now: SimTime, input: Input, out: &mut Vec<Action>) {
         match input {
             Input::Start if !self.stopped => {
-                self.open(now, out);
+                self.open(out);
                 out.push(Action::Arm(ClientTimer::Sample, SAMPLE_INTERVAL));
                 self.retry_wait = self.next_backoff();
                 out.push(Action::Arm(ClientTimer::Retry, self.retry_wait));
@@ -191,10 +191,10 @@ impl ClientSession {
                 ..
             }) if client == self.id => {
                 self.ended = true;
-                out.push(Action::Trace(VodEvent::MovieEnded { at: now, client }));
+                out.push(Action::Trace(VodEvent::MovieEnded { client }));
             }
             Input::Timer(timer) if !self.stopped => self.on_timer(now, timer, out),
-            Input::Vcr(cmd) => self.on_vcr(now, cmd, out),
+            Input::Vcr(cmd) => self.on_vcr(cmd, out),
             // Views are deliberately ignored: the client is oblivious to
             // which server is on the other end of its session group.
             _ => {}
@@ -208,7 +208,7 @@ impl ClientSession {
         base.mul_f64(0.75 + 0.5 * self.retry_rng.gen_f64())
     }
 
-    fn open(&self, now: SimTime, out: &mut Vec<Action>) {
+    fn open(&self, out: &mut Vec<Action>) {
         let open = OpenRequest {
             client: self.id,
             client_node: self.node,
@@ -218,7 +218,6 @@ impl ClientSession {
             start_at: self.buffer.next_feed(),
         };
         out.push(Action::Trace(VodEvent::OpenRequested {
-            at: now,
             client: open.client,
             movie: open.movie,
             start_at: open.start_at,
@@ -236,14 +235,14 @@ impl ClientSession {
         if first {
             self.stats.first_frame_at = Some(at);
             let frame = frame.no;
-            out.push(Action::Trace(VodEvent::FirstFrame { at, client, frame }));
+            out.push(Action::Trace(VodEvent::FirstFrame { client, frame }));
         }
         if let Some(last) = self.stats.last_frame_at {
             let gap = at.saturating_since(last);
             if gap > Duration::from_millis(200) && !self.paused {
                 let gap_s = gap.as_secs_f64();
                 self.stats.interruptions.push((last.as_secs_f64(), gap_s));
-                out.push(Action::Trace(VodEvent::StreamResumed { at, client, gap_s }));
+                out.push(Action::Trace(VodEvent::StreamResumed { client, gap_s }));
             }
         }
         self.stats.last_frame_at = Some(at);
@@ -252,7 +251,6 @@ impl ClientSession {
         }
         let discarded = |frame: FrameMeta, kind| {
             Action::Trace(VodEvent::FrameDiscarded {
-                at,
                 client,
                 frame: frame.no,
                 ftype: frame.ftype,
@@ -272,7 +270,6 @@ impl ClientSession {
                 let (highest, to_frame) = (self.highest_frame, frame.no);
                 if let Some(from_frame) = highest.filter(|h| to_frame.0 > h.0.saturating_add(1)) {
                     out.push(Action::Trace(VodEvent::FrameGap {
-                        at,
                         client,
                         from_frame,
                         to_frame,
@@ -296,7 +293,6 @@ impl ClientSession {
             if let FlowRequest::Emergency { severe } = req {
                 self.stats.emergencies.add(at, 1);
                 out.push(Action::Trace(VodEvent::EmergencyRequested {
-                    at,
                     client,
                     severe,
                 }));
@@ -317,7 +313,6 @@ impl ClientSession {
         let band = self.flow.band(occupancy);
         if band != self.last_band {
             out.push(Action::Trace(VodEvent::BandChanged {
-                at: now,
                 client: self.id,
                 from: self.last_band,
                 to: band,
@@ -363,12 +358,11 @@ impl ClientSession {
                     // lockstep against the surviving datacenter.
                     self.retry_attempt += 1;
                     out.push(Action::Trace(VodEvent::RetryBackoff {
-                        at: now,
                         client: self.id,
                         attempt: self.retry_attempt,
                         delay: self.retry_wait,
                     }));
-                    self.open(now, out);
+                    self.open(out);
                     self.retry_wait = self.next_backoff();
                 } else {
                     // Healthy (or paused): plain 2 s watchdog, and the
@@ -384,7 +378,7 @@ impl ClientSession {
 
     /// A VCR command (paper §3: full VCR-like control): the local effect,
     /// then the command to the session group.
-    fn on_vcr(&mut self, at: SimTime, cmd: VcrCmd, out: &mut Vec<Action>) {
+    fn on_vcr(&mut self, cmd: VcrCmd, out: &mut Vec<Action>) {
         match cmd {
             VcrCmd::Pause => self.paused = true,
             VcrCmd::Resume => self.paused = false,
@@ -409,7 +403,7 @@ impl ClientSession {
             self.recompute_display_interval();
         }
         let client = self.id;
-        out.push(Action::Trace(VodEvent::VcrIssued { at, client, cmd }));
+        out.push(Action::Trace(VodEvent::VcrIssued { client, cmd }));
         out.push(Action::Multicast(ControlPayload::Vcr { client, cmd }));
         if cmd == VcrCmd::Stop {
             // Membership is the liveness signal (paper §5.2): the Stop

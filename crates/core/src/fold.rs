@@ -65,7 +65,7 @@ pub(crate) struct PrefixSpan {
 /// time by [`SessionFold::observe`].
 #[derive(Debug, Default)]
 pub(crate) struct SessionFold {
-    /// The latest `at` of any event observed, read or not: where whatever
+    /// The latest time of any event observed, read or not: where whatever
     /// is still open closes.
     pub(crate) latest_at: SimTime,
 
@@ -148,9 +148,9 @@ pub(crate) struct SessionFold {
 }
 
 impl SessionFold {
-    /// Folds in one event, in the order the run recorded them.
-    pub(crate) fn observe(&mut self, event: &VodEvent) {
-        let at = event.at();
+    /// Folds in one event, which happened at `at`, in the order the run
+    /// recorded them.
+    pub(crate) fn observe(&mut self, at: SimTime, event: &VodEvent) {
         self.latest_at = self.latest_at.max(at);
         if !read_by_fold(event) {
             return;
@@ -193,10 +193,10 @@ impl SessionFold {
                     .record(at.saturating_since(*sent_at).as_secs_f64());
                 self.video_arrivals.entry(to.node).or_default().push(at);
             }
-            VodEvent::NodeStarted { node, .. } | VodEvent::NodeRestarted { node, .. } => {
+            VodEvent::NodeStarted { node } | VodEvent::NodeRestarted { node } => {
                 self.live.insert(*node);
             }
-            VodEvent::NodeCrashed { node, .. } => {
+            VodEvent::NodeCrashed { node } => {
                 self.live.remove(node);
                 // The crash terminates whatever the node was serving...
                 for (client, open) in &mut self.open_spans {
@@ -223,17 +223,17 @@ impl SessionFold {
                 }
                 self.failures.push((at, *node, "crash"));
             }
-            VodEvent::ShutdownStarted { server, .. } => {
+            VodEvent::ShutdownStarted { server } => {
                 self.failures.push((at, *server, "shutdown"));
             }
-            VodEvent::Partitioned { a, b, .. } => {
+            VodEvent::Partitioned { a, b } => {
                 for &x in a {
                     for &y in b {
                         self.open_cuts.entry(pair(x, y)).or_insert(at);
                     }
                 }
             }
-            VodEvent::Healed { a, b, .. } => {
+            VodEvent::Healed { a, b } => {
                 let heal_all = a.is_empty() && b.is_empty();
                 let healed: Vec<(NodeId, NodeId)> = if heal_all {
                     self.open_cuts.keys().copied().collect()
@@ -261,7 +261,6 @@ impl SessionFold {
                 client_node,
                 movie,
                 resume_frame,
-                ..
             } => {
                 self.open_spans
                     .entry(*client)
@@ -287,10 +286,8 @@ impl SessionFold {
                     self.session_over.remove(client);
                 }
             }
-            VodEvent::SessionStopped { server, client, .. } => {
-                self.close_span(*client, *server, at)
-            }
-            VodEvent::SessionEnded { server, client, .. } => {
+            VodEvent::SessionStopped { server, client } => self.close_span(*client, *server, at),
+            VodEvent::SessionEnded { server, client } => {
                 self.close_span(*client, *server, at);
                 self.session_over.entry(*client).or_insert(at);
                 if let Some(start) = self.starts.get(client).and_then(|s| s.last()) {
@@ -361,7 +358,6 @@ impl SessionFold {
                 client,
                 from_frame,
                 to_frame,
-                ..
             } => {
                 let missed = to_frame.0.saturating_sub(from_frame.0).saturating_sub(1);
                 self.gaps.push((at, *client, missed));
@@ -373,13 +369,12 @@ impl SessionFold {
             VodEvent::VcrIssued {
                 client,
                 cmd: VcrCmd::Stop,
-                ..
             }
-            | VodEvent::MovieEnded { client, .. } => {
+            | VodEvent::MovieEnded { client } => {
                 self.session_over.entry(*client).or_insert(at);
                 self.stopped_for_good.insert(*client);
             }
-            VodEvent::SiteDefined { site, .. } => {
+            VodEvent::SiteDefined { site } => {
                 self.all_site_servers.extend(site.servers.iter().copied());
                 self.sites.insert(
                     site.index,
@@ -393,7 +388,6 @@ impl SessionFold {
                 server,
                 client,
                 base,
-                ..
             } => {
                 self.tally.emergencies_granted += 1;
                 self.open_grants.insert(*client, (at, *server, *base));
@@ -415,7 +409,7 @@ impl SessionFold {
                 self.tally.retry_backoffs += 1;
                 self.tally.retry_wait.record(delay.as_secs_f64());
             }
-            VodEvent::StreamResumed { client, gap_s, .. } => {
+            VodEvent::StreamResumed { client, gap_s } => {
                 self.tally.glitches.push(GlitchWindow {
                     client: *client,
                     resumed_s: at.as_secs_f64(),
@@ -532,12 +526,14 @@ impl SessionFold {
     /// reads, not only where that can change it: the reference the
     /// on-demand sweep of [`SessionFold::observe`] is tested against.
     #[cfg(test)]
-    pub(crate) fn sweep_every_event<'a>(events: impl Iterator<Item = &'a VodEvent>) -> Self {
+    pub(crate) fn sweep_every_event<'a>(
+        events: impl Iterator<Item = (SimTime, &'a VodEvent)>,
+    ) -> Self {
         let mut fold = SessionFold::default();
-        for event in events {
-            fold.observe(event);
+        for (at, event) in events {
+            fold.observe(at, event);
             if read_by_fold(event) {
-                fold.sweep_coverage(event.at());
+                fold.sweep_coverage(at);
             }
         }
         fold

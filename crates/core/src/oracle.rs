@@ -191,7 +191,7 @@ impl OracleReport {
     /// Judges every invariant over the run `recorder` has recorded so
     /// far: all of it, evicted or not, as the recorder folds each event in
     /// when it is pushed. Transmissions, cuts and uncovered windows still
-    /// open close at the latest `at` of any recorded event; an obligation
+    /// open close at the latest time of any recorded event; an obligation
     /// whose deadline lies past it and is not met yet is
     /// [`Verdict::Inconclusive`].
     pub fn check(recorder: &TraceRecorder, cfg: &OracleConfig) -> Self {
@@ -713,53 +713,53 @@ mod tests {
         SimTime::from_secs_f64(s)
     }
 
-    fn recorder(events: Vec<VodEvent>) -> TraceRecorder {
+    fn recorder(events: Vec<(SimTime, VodEvent)>) -> TraceRecorder {
         let mut rec = TraceRecorder::new(1 << 12);
-        for e in events {
-            rec.push(e);
+        for (at, event) in events {
+            rec.push(at, event);
         }
         rec
     }
 
-    fn started(at: f64, server: u32, client: u32) -> VodEvent {
-        VodEvent::SessionStarted {
-            at: t(at),
-            server: NodeId(server),
-            client: ClientId(client),
-            client_node: NodeId(100 + client),
-            movie: MovieId(1),
-            resume_frame: FrameNo(0),
-        }
+    fn started(at: f64, server: u32, client: u32) -> (SimTime, VodEvent) {
+        (
+            t(at),
+            VodEvent::SessionStarted {
+                server: NodeId(server),
+                client: ClientId(client),
+                client_node: NodeId(100 + client),
+                movie: MovieId(1),
+                resume_frame: FrameNo(0),
+            },
+        )
     }
 
-    fn stopped(at: f64, server: u32, client: u32) -> VodEvent {
-        VodEvent::SessionStopped {
-            at: t(at),
-            server: NodeId(server),
-            client: ClientId(client),
-        }
+    fn stopped(at: f64, server: u32, client: u32) -> (SimTime, VodEvent) {
+        (
+            t(at),
+            VodEvent::SessionStopped {
+                server: NodeId(server),
+                client: ClientId(client),
+            },
+        )
     }
 
     #[test]
     fn clean_handoff_passes_all_invariants() {
         let report = OracleReport::check(
             &recorder(vec![
-                VodEvent::NodeStarted {
-                    at: t(0.0),
-                    node: NodeId(1),
-                },
-                VodEvent::NodeStarted {
-                    at: t(0.0),
-                    node: NodeId(2),
-                },
+                (t(0.0), VodEvent::NodeStarted { node: NodeId(1) }),
+                (t(0.0), VodEvent::NodeStarted { node: NodeId(2) }),
                 started(1.0, 1, 7),
                 stopped(20.0, 1, 7),
                 started(20.5, 2, 7),
-                VodEvent::SessionEnded {
-                    at: t(40.0),
-                    server: NodeId(2),
-                    client: ClientId(7),
-                },
+                (
+                    t(40.0),
+                    VodEvent::SessionEnded {
+                        server: NodeId(2),
+                        client: ClientId(7),
+                    },
+                ),
             ]),
             &OracleConfig::paper_default(),
         );
@@ -788,17 +788,21 @@ mod tests {
         let report = OracleReport::check(
             &recorder(vec![
                 started(1.0, 1, 7),
-                VodEvent::Partitioned {
-                    at: t(1.5),
-                    a: vec![NodeId(1)].into(),
-                    b: vec![NodeId(2), NodeId(100 + 7)].into(),
-                },
+                (
+                    t(1.5),
+                    VodEvent::Partitioned {
+                        a: vec![NodeId(1)].into(),
+                        b: vec![NodeId(2), NodeId(100 + 7)].into(),
+                    },
+                ),
                 started(2.0, 2, 7),
-                VodEvent::Healed {
-                    at: t(30.0),
-                    a: vec![NodeId(1)].into(),
-                    b: vec![NodeId(2), NodeId(100 + 7)].into(),
-                },
+                (
+                    t(30.0),
+                    VodEvent::Healed {
+                        a: vec![NodeId(1)].into(),
+                        b: vec![NodeId(2), NodeId(100 + 7)].into(),
+                    },
+                ),
                 stopped(30.1, 1, 7),
             ]),
             &OracleConfig::paper_default(),
@@ -809,23 +813,27 @@ mod tests {
     #[test]
     fn oversized_frame_jump_fails_bounded_gaps() {
         let report = OracleReport::check(
-            &recorder(vec![VodEvent::FrameGap {
-                at: t(5.0),
-                client: ClientId(3),
-                from_frame: FrameNo(100),
-                to_frame: FrameNo(400),
-            }]),
+            &recorder(vec![(
+                t(5.0),
+                VodEvent::FrameGap {
+                    client: ClientId(3),
+                    from_frame: FrameNo(100),
+                    to_frame: FrameNo(400),
+                },
+            )]),
             &OracleConfig::paper_default(),
         );
         assert!(report.bounded_gaps.is_fail());
         // A within-bound jump passes.
         let small = OracleReport::check(
-            &recorder(vec![VodEvent::FrameGap {
-                at: t(5.0),
-                client: ClientId(3),
-                from_frame: FrameNo(100),
-                to_frame: FrameNo(110),
-            }]),
+            &recorder(vec![(
+                t(5.0),
+                VodEvent::FrameGap {
+                    client: ClientId(3),
+                    from_frame: FrameNo(100),
+                    to_frame: FrameNo(110),
+                },
+            )]),
             &OracleConfig::paper_default(),
         );
         assert_eq!(small.bounded_gaps, Verdict::Pass);
@@ -834,24 +842,20 @@ mod tests {
     #[test]
     fn losing_every_holder_fails_coverage() {
         let mut events = vec![
-            VodEvent::NodeStarted {
-                at: t(0.0),
-                node: NodeId(1),
-            },
+            (t(0.0), VodEvent::NodeStarted { node: NodeId(1) }),
             started(1.0, 1, 7),
-            VodEvent::NodeCrashed {
-                at: t(5.0),
-                node: NodeId(1),
-            },
+            (t(5.0), VodEvent::NodeCrashed { node: NodeId(1) }),
         ];
         // Pad the trace far past the grace window so the uncovered span is
         // closed at a late trace end.
-        events.push(VodEvent::FrameGap {
-            at: t(60.0),
-            client: ClientId(7),
-            from_frame: FrameNo(0),
-            to_frame: FrameNo(1),
-        });
+        events.push((
+            t(60.0),
+            VodEvent::FrameGap {
+                client: ClientId(7),
+                from_frame: FrameNo(0),
+                to_frame: FrameNo(1),
+            },
+        ));
         let report = OracleReport::check(&recorder(events), &OracleConfig::paper_default());
         assert!(report.replica_coverage.is_fail(), "{report}");
     }
@@ -859,15 +863,9 @@ mod tests {
     #[test]
     fn unrepaired_crash_fails_reserved_and_truncated_trace_is_inconclusive() {
         let base = vec![
-            VodEvent::NodeStarted {
-                at: t(0.0),
-                node: NodeId(1),
-            },
+            (t(0.0), VodEvent::NodeStarted { node: NodeId(1) }),
             started(1.0, 1, 7),
-            VodEvent::NodeCrashed {
-                at: t(5.0),
-                node: NodeId(1),
-            },
+            (t(5.0), VodEvent::NodeCrashed { node: NodeId(1) }),
         ];
         // Trace ends before the deadline: inconclusive, still passes.
         let short = OracleReport::check(&recorder(base.clone()), &OracleConfig::paper_default());
@@ -878,29 +876,35 @@ mod tests {
         assert!(short.pass());
         // Trace extends past the deadline with no delivery: fail.
         let mut long = base.clone();
-        long.push(VodEvent::FrameGap {
-            at: t(60.0),
-            client: ClientId(7),
-            from_frame: FrameNo(0),
-            to_frame: FrameNo(1),
-        });
+        long.push((
+            t(60.0),
+            VodEvent::FrameGap {
+                client: ClientId(7),
+                from_frame: FrameNo(0),
+                to_frame: FrameNo(1),
+            },
+        ));
         let report = OracleReport::check(&recorder(long), &OracleConfig::paper_default());
         assert!(report.reserved_after_fault.is_fail(), "{report}");
         // A timely video delivery to the client's node repairs it.
         let mut repaired = base;
-        repaired.push(VodEvent::NetDelivered {
-            at: t(9.0),
-            sent_at: t(8.9),
-            from: Endpoint::new(NodeId(2), Port(1)),
-            to: Endpoint::new(NodeId(107), Port(1)),
-            class: TrafficClass::Video,
-        });
-        repaired.push(VodEvent::FrameGap {
-            at: t(60.0),
-            client: ClientId(7),
-            from_frame: FrameNo(0),
-            to_frame: FrameNo(1),
-        });
+        repaired.push((
+            t(9.0),
+            VodEvent::NetDelivered {
+                sent_at: t(8.9),
+                from: Endpoint::new(NodeId(2), Port(1)),
+                to: Endpoint::new(NodeId(107), Port(1)),
+                class: TrafficClass::Video,
+            },
+        ));
+        repaired.push((
+            t(60.0),
+            VodEvent::FrameGap {
+                client: ClientId(7),
+                from_frame: FrameNo(0),
+                to_frame: FrameNo(1),
+            },
+        ));
         let report = OracleReport::check(&recorder(repaired), &OracleConfig::paper_default());
         assert_eq!(report.reserved_after_fault, Verdict::Pass, "{report}");
     }
@@ -917,80 +921,81 @@ mod tests {
         // outside the original window; under the old chaining it stretched
         // the deadline to 30s, so the repair at 27s passed.
         let events = vec![
-            VodEvent::NodeStarted {
-                at: t(0.0),
-                node: NodeId(1),
-            },
+            (t(0.0), VodEvent::NodeStarted { node: NodeId(1) }),
             started(1.0, 1, 7),
-            VodEvent::NodeCrashed {
-                at: t(5.0),
-                node: NodeId(1),
-            },
-            VodEvent::Partitioned {
-                at: t(6.0),
-                a: vec![NodeId(2)].into(),
-                b: vec![NodeId(3)].into(),
-            },
-            VodEvent::Healed {
-                at: t(14.0),
-                a: vec![NodeId(2)].into(),
-                b: vec![NodeId(3)].into(),
-            },
-            VodEvent::NodeCrashed {
-                at: t(20.0),
-                node: NodeId(3),
-            },
-            VodEvent::NetDelivered {
-                at: t(27.0),
-                sent_at: t(26.9),
-                from: Endpoint::new(NodeId(2), Port(1)),
-                to: Endpoint::new(NodeId(107), Port(1)),
-                class: TrafficClass::Video,
-            },
-            VodEvent::FrameGap {
-                at: t(60.0),
-                client: ClientId(7),
-                from_frame: FrameNo(0),
-                to_frame: FrameNo(1),
-            },
+            (t(5.0), VodEvent::NodeCrashed { node: NodeId(1) }),
+            (
+                t(6.0),
+                VodEvent::Partitioned {
+                    a: vec![NodeId(2)].into(),
+                    b: vec![NodeId(3)].into(),
+                },
+            ),
+            (
+                t(14.0),
+                VodEvent::Healed {
+                    a: vec![NodeId(2)].into(),
+                    b: vec![NodeId(3)].into(),
+                },
+            ),
+            (t(20.0), VodEvent::NodeCrashed { node: NodeId(3) }),
+            (
+                t(27.0),
+                VodEvent::NetDelivered {
+                    sent_at: t(26.9),
+                    from: Endpoint::new(NodeId(2), Port(1)),
+                    to: Endpoint::new(NodeId(107), Port(1)),
+                    class: TrafficClass::Video,
+                },
+            ),
+            (
+                t(60.0),
+                VodEvent::FrameGap {
+                    client: ClientId(7),
+                    from_frame: FrameNo(0),
+                    to_frame: FrameNo(1),
+                },
+            ),
         ];
         let report = OracleReport::check(&recorder(events), &OracleConfig::paper_default());
         assert!(report.reserved_after_fault.is_fail(), "{report}");
         // The same trace with the repair inside the single-excuse window
         // (before 24s) passes.
         let events_ok = vec![
-            VodEvent::NodeStarted {
-                at: t(0.0),
-                node: NodeId(1),
-            },
+            (t(0.0), VodEvent::NodeStarted { node: NodeId(1) }),
             started(1.0, 1, 7),
-            VodEvent::NodeCrashed {
-                at: t(5.0),
-                node: NodeId(1),
-            },
-            VodEvent::Partitioned {
-                at: t(6.0),
-                a: vec![NodeId(2)].into(),
-                b: vec![NodeId(3)].into(),
-            },
-            VodEvent::Healed {
-                at: t(14.0),
-                a: vec![NodeId(2)].into(),
-                b: vec![NodeId(3)].into(),
-            },
-            VodEvent::NetDelivered {
-                at: t(23.0),
-                sent_at: t(22.9),
-                from: Endpoint::new(NodeId(2), Port(1)),
-                to: Endpoint::new(NodeId(107), Port(1)),
-                class: TrafficClass::Video,
-            },
-            VodEvent::FrameGap {
-                at: t(60.0),
-                client: ClientId(7),
-                from_frame: FrameNo(0),
-                to_frame: FrameNo(1),
-            },
+            (t(5.0), VodEvent::NodeCrashed { node: NodeId(1) }),
+            (
+                t(6.0),
+                VodEvent::Partitioned {
+                    a: vec![NodeId(2)].into(),
+                    b: vec![NodeId(3)].into(),
+                },
+            ),
+            (
+                t(14.0),
+                VodEvent::Healed {
+                    a: vec![NodeId(2)].into(),
+                    b: vec![NodeId(3)].into(),
+                },
+            ),
+            (
+                t(23.0),
+                VodEvent::NetDelivered {
+                    sent_at: t(22.9),
+                    from: Endpoint::new(NodeId(2), Port(1)),
+                    to: Endpoint::new(NodeId(107), Port(1)),
+                    class: TrafficClass::Video,
+                },
+            ),
+            (
+                t(60.0),
+                VodEvent::FrameGap {
+                    client: ClientId(7),
+                    from_frame: FrameNo(0),
+                    to_frame: FrameNo(1),
+                },
+            ),
         ];
         let report = OracleReport::check(&recorder(events_ok), &OracleConfig::paper_default());
         assert_eq!(report.reserved_after_fault, Verdict::Pass, "{report}");
@@ -1005,31 +1010,26 @@ mod tests {
     fn client_stop_is_terminal_despite_resurrection() {
         let report = OracleReport::check(
             &recorder(vec![
-                VodEvent::NodeStarted {
-                    at: t(0.0),
-                    node: NodeId(1),
-                },
-                VodEvent::NodeStarted {
-                    at: t(0.0),
-                    node: NodeId(2),
-                },
+                (t(0.0), VodEvent::NodeStarted { node: NodeId(1) }),
+                (t(0.0), VodEvent::NodeStarted { node: NodeId(2) }),
                 started(1.0, 1, 7),
-                VodEvent::VcrIssued {
-                    at: t(20.0),
-                    client: ClientId(7),
-                    cmd: VcrCmd::Stop,
-                },
+                (
+                    t(20.0),
+                    VodEvent::VcrIssued {
+                        client: ClientId(7),
+                        cmd: VcrCmd::Stop,
+                    },
+                ),
                 started(21.0, 2, 7),
-                VodEvent::NodeCrashed {
-                    at: t(25.0),
-                    node: NodeId(2),
-                },
-                VodEvent::FrameGap {
-                    at: t(60.0),
-                    client: ClientId(8),
-                    from_frame: FrameNo(0),
-                    to_frame: FrameNo(1),
-                },
+                (t(25.0), VodEvent::NodeCrashed { node: NodeId(2) }),
+                (
+                    t(60.0),
+                    VodEvent::FrameGap {
+                        client: ClientId(8),
+                        from_frame: FrameNo(0),
+                        to_frame: FrameNo(1),
+                    },
+                ),
             ]),
             &OracleConfig::paper_default(),
         );
@@ -1043,60 +1043,59 @@ mod tests {
     fn server_side_end_is_superseded_by_restart() {
         let report = OracleReport::check(
             &recorder(vec![
-                VodEvent::NodeStarted {
-                    at: t(0.0),
-                    node: NodeId(1),
-                },
-                VodEvent::NodeStarted {
-                    at: t(0.0),
-                    node: NodeId(2),
-                },
+                (t(0.0), VodEvent::NodeStarted { node: NodeId(1) }),
+                (t(0.0), VodEvent::NodeStarted { node: NodeId(2) }),
                 started(1.0, 1, 7),
-                VodEvent::SessionEnded {
-                    at: t(20.0),
-                    server: NodeId(1),
-                    client: ClientId(7),
-                },
+                (
+                    t(20.0),
+                    VodEvent::SessionEnded {
+                        server: NodeId(1),
+                        client: ClientId(7),
+                    },
+                ),
                 started(21.0, 2, 7),
-                VodEvent::NodeCrashed {
-                    at: t(25.0),
-                    node: NodeId(2),
-                },
-                VodEvent::FrameGap {
-                    at: t(60.0),
-                    client: ClientId(8),
-                    from_frame: FrameNo(0),
-                    to_frame: FrameNo(1),
-                },
+                (t(25.0), VodEvent::NodeCrashed { node: NodeId(2) }),
+                (
+                    t(60.0),
+                    VodEvent::FrameGap {
+                        client: ClientId(8),
+                        from_frame: FrameNo(0),
+                        to_frame: FrameNo(1),
+                    },
+                ),
             ]),
             &OracleConfig::paper_default(),
         );
         assert!(report.reserved_after_fault.is_fail(), "{report}");
     }
 
-    fn prefix_serve(at: f64, server: u32, client: u32) -> VodEvent {
-        VodEvent::PrefixServe {
-            at: t(at),
-            server: NodeId(server),
-            client: ClientId(client),
-            client_node: NodeId(100 + client),
-            movie: MovieId(1),
-            from_frame: FrameNo(0),
-            prefix_frames: 300, // 10 s at 30 fps
-            rate_fps: 30,
-        }
+    fn prefix_serve(at: f64, server: u32, client: u32) -> (SimTime, VodEvent) {
+        (
+            t(at),
+            VodEvent::PrefixServe {
+                server: NodeId(server),
+                client: ClientId(client),
+                client_node: NodeId(100 + client),
+                movie: MovieId(1),
+                from_frame: FrameNo(0),
+                prefix_frames: 300, // 10 s at 30 fps
+                rate_fps: 30,
+            },
+        )
     }
 
-    fn prefix_handoff(at: f64, server: u32, client: u32, to_owner: u32) -> VodEvent {
-        VodEvent::PrefixHandoff {
-            at: t(at),
-            server: NodeId(server),
-            client: ClientId(client),
-            movie: MovieId(1),
-            frames_sent: 30,
-            served_us: 1_000_000,
-            to_owner: NodeId(to_owner),
-        }
+    fn prefix_handoff(at: f64, server: u32, client: u32, to_owner: u32) -> (SimTime, VodEvent) {
+        (
+            t(at),
+            VodEvent::PrefixHandoff {
+                server: NodeId(server),
+                client: ClientId(client),
+                movie: MovieId(1),
+                frames_sent: 30,
+                served_us: 1_000_000,
+                to_owner: NodeId(to_owner),
+            },
+        )
     }
 
     #[test]
@@ -1145,12 +1144,14 @@ mod tests {
         let report = OracleReport::check(
             &recorder(vec![
                 prefix_serve(1.0, 2, 7),
-                VodEvent::FrameGap {
-                    at: t(30.0),
-                    client: ClientId(7),
-                    from_frame: FrameNo(0),
-                    to_frame: FrameNo(1),
-                },
+                (
+                    t(30.0),
+                    VodEvent::FrameGap {
+                        client: ClientId(7),
+                        from_frame: FrameNo(0),
+                        to_frame: FrameNo(1),
+                    },
+                ),
             ]),
             &OracleConfig::paper_default(),
         );
@@ -1166,53 +1167,50 @@ mod tests {
     fn prefix_serve_covers_a_movie_only_until_the_prefix_runs_out() {
         let holder_back = |at: f64| {
             vec![
-                VodEvent::NodeStarted {
-                    at: t(at),
-                    node: NodeId(3),
-                },
-                VodEvent::ReplicaBringUp {
-                    at: t(at),
-                    server: NodeId(3),
-                    movie: MovieId(1),
-                    demand: 1,
-                    replicas: 1,
-                    policy: crate::forecast::PolicyKind::Predictive,
-                    trigger: crate::forecast::BringUpTrigger::Forecast,
-                    forecast: crate::forecast::PopState::Hot,
-                },
+                (t(at), VodEvent::NodeStarted { node: NodeId(3) }),
+                (
+                    t(at),
+                    VodEvent::ReplicaBringUp {
+                        server: NodeId(3),
+                        movie: MovieId(1),
+                        demand: 1,
+                        replicas: 1,
+                        policy: crate::forecast::PolicyKind::Predictive,
+                        trigger: crate::forecast::BringUpTrigger::Forecast,
+                        forecast: crate::forecast::PopState::Hot,
+                    },
+                ),
             ]
         };
         let base = |bridge: bool, back_at: f64| {
             let mut events = vec![
-                VodEvent::NodeStarted {
-                    at: t(0.0),
-                    node: NodeId(1),
-                },
+                (t(0.0), VodEvent::NodeStarted { node: NodeId(1) }),
                 started(1.0, 1, 7),
-                VodEvent::NodeCrashed {
-                    at: t(5.0),
-                    node: NodeId(1),
-                },
+                (t(5.0), VodEvent::NodeCrashed { node: NodeId(1) }),
             ];
             if bridge {
                 events.push(prefix_serve(5.5, 2, 7));
             }
             // A video delivery just past the runway re-evaluates coverage
             // (and repairs invariant 4 along the way).
-            events.push(VodEvent::NetDelivered {
-                at: t(16.0),
-                sent_at: t(15.9),
-                from: Endpoint::new(NodeId(2), Port(1)),
-                to: Endpoint::new(NodeId(107), Port(1)),
-                class: TrafficClass::Video,
-            });
+            events.push((
+                t(16.0),
+                VodEvent::NetDelivered {
+                    sent_at: t(15.9),
+                    from: Endpoint::new(NodeId(2), Port(1)),
+                    to: Endpoint::new(NodeId(107), Port(1)),
+                    class: TrafficClass::Video,
+                },
+            ));
             events.extend(holder_back(back_at));
-            events.push(VodEvent::FrameGap {
-                at: t(60.0),
-                client: ClientId(7),
-                from_frame: FrameNo(0),
-                to_frame: FrameNo(1),
-            });
+            events.push((
+                t(60.0),
+                VodEvent::FrameGap {
+                    client: ClientId(7),
+                    from_frame: FrameNo(0),
+                    to_frame: FrameNo(1),
+                },
+            ));
             events
         };
         // Bridged: uncovered only from the end of the runway (16 s) to
@@ -1234,69 +1232,62 @@ mod tests {
 
     /// Two sites: east = servers 1,2 homing client node 107; west =
     /// servers 3,4 (no homed clients).
-    fn two_sites() -> Vec<VodEvent> {
+    fn two_sites() -> Vec<(SimTime, VodEvent)> {
         vec![
-            VodEvent::SiteDefined {
-                at: t(0.0),
-                site: Box::new(SiteDef {
-                    index: 0,
-                    name: "east".into(),
-                    servers: vec![NodeId(1), NodeId(2)],
-                    clients: vec![NodeId(107)],
-                }),
-            },
-            VodEvent::SiteDefined {
-                at: t(0.0),
-                site: Box::new(SiteDef {
-                    index: 1,
-                    name: "west".into(),
-                    servers: vec![NodeId(3), NodeId(4)],
-                    clients: vec![],
-                }),
-            },
-            VodEvent::NodeStarted {
-                at: t(0.0),
-                node: NodeId(1),
-            },
-            VodEvent::NodeStarted {
-                at: t(0.0),
-                node: NodeId(2),
-            },
-            VodEvent::NodeStarted {
-                at: t(0.0),
-                node: NodeId(3),
-            },
-            VodEvent::NodeStarted {
-                at: t(0.0),
-                node: NodeId(4),
-            },
+            (
+                t(0.0),
+                VodEvent::SiteDefined {
+                    site: Box::new(SiteDef {
+                        index: 0,
+                        name: "east".into(),
+                        servers: vec![NodeId(1), NodeId(2)],
+                        clients: vec![NodeId(107)],
+                    }),
+                },
+            ),
+            (
+                t(0.0),
+                VodEvent::SiteDefined {
+                    site: Box::new(SiteDef {
+                        index: 1,
+                        name: "west".into(),
+                        servers: vec![NodeId(3), NodeId(4)],
+                        clients: vec![],
+                    }),
+                },
+            ),
+            (t(0.0), VodEvent::NodeStarted { node: NodeId(1) }),
+            (t(0.0), VodEvent::NodeStarted { node: NodeId(2) }),
+            (t(0.0), VodEvent::NodeStarted { node: NodeId(3) }),
+            (t(0.0), VodEvent::NodeStarted { node: NodeId(4) }),
         ]
     }
 
-    fn crashed(at: f64, node: u32) -> VodEvent {
-        VodEvent::NodeCrashed {
-            at: t(at),
-            node: NodeId(node),
-        }
+    fn crashed(at: f64, node: u32) -> (SimTime, VodEvent) {
+        (t(at), VodEvent::NodeCrashed { node: NodeId(node) })
     }
 
-    fn video_to(at: f64, node: u32) -> VodEvent {
-        VodEvent::NetDelivered {
-            at: t(at),
-            sent_at: t(at - 0.1),
-            from: Endpoint::new(NodeId(3), Port(1)),
-            to: Endpoint::new(NodeId(node), Port(1)),
-            class: TrafficClass::Video,
-        }
+    fn video_to(at: f64, node: u32) -> (SimTime, VodEvent) {
+        (
+            t(at),
+            VodEvent::NetDelivered {
+                sent_at: t(at - 0.1),
+                from: Endpoint::new(NodeId(3), Port(1)),
+                to: Endpoint::new(NodeId(node), Port(1)),
+                class: TrafficClass::Video,
+            },
+        )
     }
 
-    fn pad(at: f64) -> VodEvent {
-        VodEvent::FrameGap {
-            at: t(at),
-            client: ClientId(99),
-            from_frame: FrameNo(0),
-            to_frame: FrameNo(1),
-        }
+    fn pad(at: f64) -> (SimTime, VodEvent) {
+        (
+            t(at),
+            VodEvent::FrameGap {
+                client: ClientId(99),
+                from_frame: FrameNo(0),
+                to_frame: FrameNo(1),
+            },
+        )
     }
 
     /// A correlated site crash must not strand the site's clients: a
@@ -1329,19 +1320,23 @@ mod tests {
         let mut events = two_sites();
         events.push(started(1.0, 1, 7));
         // Site 0 cut from every other site's server at 5 s, healed at 20 s.
-        events.push(VodEvent::Partitioned {
-            at: t(5.0),
-            a: vec![NodeId(1), NodeId(2)].into(),
-            b: vec![NodeId(3), NodeId(4)].into(),
-        });
+        events.push((
+            t(5.0),
+            VodEvent::Partitioned {
+                a: vec![NodeId(1), NodeId(2)].into(),
+                b: vec![NodeId(3), NodeId(4)].into(),
+            },
+        ));
         // The partition also interrupts the stream (the movie group split
         // away from the client's record holder, say).
         events.push(stopped(5.0, 1, 7));
-        events.push(VodEvent::Healed {
-            at: t(20.0),
-            a: vec![NodeId(1), NodeId(2)].into(),
-            b: vec![NodeId(3), NodeId(4)].into(),
-        });
+        events.push((
+            t(20.0),
+            VodEvent::Healed {
+                a: vec![NodeId(1), NodeId(2)].into(),
+                b: vec![NodeId(3), NodeId(4)].into(),
+            },
+        ));
         // Re-served at 25 s: past fault + bound (15 s), inside heal +
         // bound (30 s).
         events.push(video_to(25.0, 107));
@@ -1364,10 +1359,7 @@ mod tests {
             events.push(started(8.0, 3, 7));
             events.push(video_to(9.0, 107));
             // East recovers at 30 s.
-            events.push(VodEvent::NodeRestarted {
-                at: t(30.0),
-                node: NodeId(1),
-            });
+            events.push((t(30.0), VodEvent::NodeRestarted { node: NodeId(1) }));
             if returned {
                 events.push(stopped(31.0, 3, 7));
                 events.push(started(32.0, 1, 7));
@@ -1390,12 +1382,16 @@ mod tests {
     /// immediate wake of) a home-site fault window.
     #[test]
     fn degraded_serving_requires_a_home_site_fault() {
-        let degraded = |at: f64, client: u32| VodEvent::DegradedServe {
-            at: t(at),
-            server: NodeId(3),
-            client: ClientId(client),
-            movie: MovieId(1),
-            rate_fps: 15,
+        let degraded = |at: f64, client: u32| {
+            (
+                t(at),
+                VodEvent::DegradedServe {
+                    server: NodeId(3),
+                    client: ClientId(client),
+                    movie: MovieId(1),
+                    rate_fps: 15,
+                },
+            )
         };
         // During the fault: excused.
         let mut events = two_sites();
@@ -1405,10 +1401,7 @@ mod tests {
         events.push(started(8.0, 3, 7));
         events.push(degraded(8.0, 7));
         events.push(video_to(9.0, 107));
-        events.push(VodEvent::NodeRestarted {
-            at: t(30.0),
-            node: NodeId(1),
-        });
+        events.push((t(30.0), VodEvent::NodeRestarted { node: NodeId(1) }));
         events.push(stopped(31.0, 3, 7));
         events.push(started(32.0, 1, 7));
         events.push(pad(60.0));
@@ -1459,16 +1452,20 @@ mod tests {
             events.push(crashed(5.0, 1));
             // A site partition begins inside the window and heals at
             // 14 s: excused until 24 s.
-            events.push(VodEvent::Partitioned {
-                at: t(6.0),
-                a: vec![NodeId(1), NodeId(2)].into(),
-                b: vec![NodeId(3), NodeId(4)].into(),
-            });
-            events.push(VodEvent::Healed {
-                at: t(14.0),
-                a: vec![NodeId(1), NodeId(2)].into(),
-                b: vec![NodeId(3), NodeId(4)].into(),
-            });
+            events.push((
+                t(6.0),
+                VodEvent::Partitioned {
+                    a: vec![NodeId(1), NodeId(2)].into(),
+                    b: vec![NodeId(3), NodeId(4)].into(),
+                },
+            ));
+            events.push((
+                t(14.0),
+                VodEvent::Healed {
+                    a: vec![NodeId(1), NodeId(2)].into(),
+                    b: vec![NodeId(3), NodeId(4)].into(),
+                },
+            ));
             // A second crash at 20 s sits outside the *original* window;
             // under the old chained sweep it stretched the deadline to
             // 30 s.
@@ -1520,59 +1517,57 @@ mod tests {
             let client_node = NodeId(100 + client.0);
             let (demand, replicas, policy, forecast) =
                 (1, 1, PolicyKind::Predictive, PopState::Hot);
-            rec.push(match kind {
-                0 => VodEvent::NodeStarted { at, node: server },
-                1 => VodEvent::NodeRestarted { at, node: server },
-                2..=4 => VodEvent::NodeCrashed { at, node: server },
-                5 | 6 => VodEvent::SessionStarted {
-                    at,
-                    server,
-                    client,
-                    client_node,
-                    movie,
-                    resume_frame: FrameNo(0),
+            rec.push(
+                at,
+                match kind {
+                    0 => VodEvent::NodeStarted { node: server },
+                    1 => VodEvent::NodeRestarted { node: server },
+                    2..=4 => VodEvent::NodeCrashed { node: server },
+                    5 | 6 => VodEvent::SessionStarted {
+                        server,
+                        client,
+                        client_node,
+                        movie,
+                        resume_frame: FrameNo(0),
+                    },
+                    7 => VodEvent::SessionEnded { server, client },
+                    8 => VodEvent::ReplicaBringUp {
+                        server,
+                        movie,
+                        demand,
+                        replicas,
+                        policy,
+                        trigger: BringUpTrigger::Forecast,
+                        forecast,
+                    },
+                    9 | 10 => VodEvent::ReplicaRetire {
+                        server,
+                        movie,
+                        demand,
+                        replicas,
+                        policy,
+                        forecast,
+                    },
+                    11 | 12 => VodEvent::PrefixServe {
+                        server,
+                        client,
+                        client_node,
+                        movie,
+                        from_frame: FrameNo(0),
+                        // 0.1 s to 3 s of video.
+                        prefix_frames: 3 + pick(88),
+                        rate_fps: 30,
+                    },
+                    _ => VodEvent::PrefixHandoff {
+                        server,
+                        client,
+                        movie,
+                        frames_sent: 1,
+                        served_us: 1_000,
+                        to_owner: server,
+                    },
                 },
-                7 => VodEvent::SessionEnded { at, server, client },
-                8 => VodEvent::ReplicaBringUp {
-                    at,
-                    server,
-                    movie,
-                    demand,
-                    replicas,
-                    policy,
-                    trigger: BringUpTrigger::Forecast,
-                    forecast,
-                },
-                9 | 10 => VodEvent::ReplicaRetire {
-                    at,
-                    server,
-                    movie,
-                    demand,
-                    replicas,
-                    policy,
-                    forecast,
-                },
-                11 | 12 => VodEvent::PrefixServe {
-                    at,
-                    server,
-                    client,
-                    client_node,
-                    movie,
-                    from_frame: FrameNo(0),
-                    // 0.1 s to 3 s of video.
-                    prefix_frames: 3 + pick(88),
-                    rate_fps: 30,
-                },
-                _ => VodEvent::PrefixHandoff {
-                    at,
-                    server,
-                    client,
-                    movie,
-                    frames_sent: 1,
-                    served_us: 1_000,
-                    to_owner: server,
-                },
-            });
+            );
             relevant += 1;
             for _ in 0..20 + pick(150) {
                 // Same-instant runs and steps of up to 50 ms.
@@ -1581,24 +1576,25 @@ mod tests {
                 let from = Endpoint::new(server, Port(1));
                 let to = Endpoint::new(client_node, Port(1));
                 let class = [TrafficClass::Video, TrafficClass::VodSync][pick(2) as usize];
-                rec.push(if pick(2) == 0 {
-                    let bytes = 100;
-                    VodEvent::NetSent {
-                        at,
-                        from,
-                        to,
-                        class,
-                        bytes,
-                    }
-                } else {
-                    VodEvent::NetDelivered {
-                        at,
-                        sent_at,
-                        from,
-                        to,
-                        class,
-                    }
-                });
+                rec.push(
+                    at,
+                    if pick(2) == 0 {
+                        let bytes = 100;
+                        VodEvent::NetSent {
+                            from,
+                            to,
+                            class,
+                            bytes,
+                        }
+                    } else {
+                        VodEvent::NetDelivered {
+                            sent_at,
+                            from,
+                            to,
+                            class,
+                        }
+                    },
+                );
             }
         }
         (rec, relevant)
@@ -1630,8 +1626,10 @@ mod tests {
             );
             let relevant_instants: BTreeSet<SimTime> = rec
                 .events()
-                .filter(|e| !matches!(e, VodEvent::NetSent { .. } | VodEvent::NetDelivered { .. }))
-                .map(VodEvent::at)
+                .filter(|(_, e)| {
+                    !matches!(e, VodEvent::NetSent { .. } | VodEvent::NetDelivered { .. })
+                })
+                .map(|(at, _)| at)
                 .collect();
             covered[0] += rec.len() - relevant;
             covered[1] += on_demand.uncovered.len();

@@ -276,7 +276,7 @@ impl ScenarioBuilder {
         };
         if trace.is_enabled() {
             let handle = trace.clone();
-            sim.set_tracer(move |event| handle.emit(|| VodEvent::from_net(event)));
+            sim.set_tracer(move |at, event| handle.emit(at, || VodEvent::from_net(event)));
         }
         let profile = if self.profile_costs {
             ProfileHandle::enabled()
@@ -338,8 +338,7 @@ impl ScenarioBuilder {
                 let clients = map.client_nodes(site).unwrap_or_default().to_vec();
                 topology.add_site(&name, &servers);
                 topology.home_nodes(site, &clients);
-                trace.emit(|| VodEvent::SiteDefined {
-                    at: SimTime::ZERO,
+                trace.emit(SimTime::ZERO, || VodEvent::SiteDefined {
                     site: Box::new(SiteDef {
                         index: site as u32,
                         name,

@@ -298,7 +298,7 @@ impl VodServer {
         if trace.is_enabled() {
             let node = self.node;
             self.gcs
-                .set_tracer(move |event| trace.emit(|| VodEvent::from_gcs(node, event)));
+                .set_tracer(move |at, event| trace.emit(at, || VodEvent::from_gcs(node, event)));
         }
         self
     }
@@ -331,7 +331,7 @@ impl VodServer {
     /// process exits once the handoff is under way.
     pub fn shutdown(&mut self, ctx: &mut Context<'_, VodWire>) {
         let (at, server) = (ctx.now(), self.node);
-        self.trace.emit(|| VodEvent::ShutdownStarted { at, server });
+        self.trace.emit(at, || VodEvent::ShutdownStarted { server });
         // Publish the freshest offsets first so the successors resume with
         // minimal duplicate re-transmission.
         let movie_ids: Vec<MovieId> = self.movies.keys().copied().collect();
@@ -412,8 +412,7 @@ impl VodServer {
             Installed::Exchange(report) => {
                 let view = state.table.view();
                 let (at, epoch, members) = (ctx.now(), view.id.epoch, view.len());
-                self.trace.emit(|| VodEvent::StateExchangeStarted {
-                    at,
+                self.trace.emit(at, || VodEvent::StateExchangeStarted {
                     server: node,
                     movie: movie_id,
                     epoch,
@@ -534,8 +533,7 @@ impl VodServer {
             .values()
             .filter(|s| s.record.movie == movie_id)
             .count();
-        self.trace.emit(|| VodEvent::Redistributed {
-            at,
+        self.trace.emit(at, || VodEvent::Redistributed {
             server,
             movie: movie_id,
             epoch,
@@ -588,8 +586,7 @@ impl VodServer {
         self.stats.takeovers.add(at, 1);
         let (server, client, client_node) = (self.node, record.client, record.client_node);
         let (movie, resume_frame) = (record.movie, record.next_frame);
-        self.trace.emit(|| VodEvent::SessionStarted {
-            at,
+        self.trace.emit(at, || VodEvent::SessionStarted {
             server,
             client,
             client_node,
@@ -598,8 +595,7 @@ impl VodServer {
         });
         if degraded {
             let rate_fps = record.rate_fps;
-            self.trace.emit(|| VodEvent::DegradedServe {
-                at,
+            self.trace.emit(at, || VodEvent::DegradedServe {
                 server,
                 client,
                 movie,
@@ -629,9 +625,9 @@ impl VodServer {
             ctx.cancel_timer(timer);
         }
         let (at, server, movie) = (ctx.now(), self.node, session.record.movie);
-        self.trace.emit(|| match how {
-            Close::Migrated => VodEvent::SessionStopped { at, server, client },
-            Close::Ended { .. } => VodEvent::SessionEnded { at, server, client },
+        self.trace.emit(at, || match how {
+            Close::Migrated => VodEvent::SessionStopped { server, client },
+            Close::Ended { .. } => VodEvent::SessionEnded { server, client },
         });
         if let Close::Ended { announce } = how {
             if let Some(state) = self.movies.get_mut(&movie) {
@@ -675,8 +671,7 @@ impl VodServer {
                 let base = if severe { base_severe } else { base_mild };
                 if session.emergency.trigger(base) {
                     let (at, server) = (ctx.now(), self.node);
-                    self.trace.emit(|| VodEvent::EmergencyGranted {
-                        at,
+                    self.trace.emit(at, || VodEvent::EmergencyGranted {
                         server,
                         client,
                         base,
@@ -807,7 +802,7 @@ impl VodServer {
             session.decay_armed = false;
             let (at, server) = (ctx.now(), self.node);
             self.trace
-                .emit(|| VodEvent::EmergencyEnded { at, server, client });
+                .emit(at, || VodEvent::EmergencyEnded { server, client });
         }
     }
 
@@ -925,8 +920,7 @@ impl VodServer {
     fn bring_up(&mut self, ctx: &mut Context<'_, VodWire>, note: Note, trigger: BringUpTrigger) {
         let (at, server) = (ctx.now(), self.node);
         self.stats.replica_bringups.add(at, 1);
-        self.trace.emit(|| VodEvent::ReplicaBringUp {
-            at,
+        self.trace.emit(at, || VodEvent::ReplicaBringUp {
             server,
             movie: note.movie,
             demand: note.demand,
@@ -983,8 +977,7 @@ impl VodServer {
         self.movies.remove(&movie_id);
         let (at, server) = (ctx.now(), self.node);
         self.stats.replica_retires.add(at, 1);
-        self.trace.emit(|| VodEvent::ReplicaRetire {
-            at,
+        self.trace.emit(at, || VodEvent::ReplicaRetire {
             server,
             movie: movie_id,
             demand: note.demand,
@@ -1033,8 +1026,7 @@ impl VodServer {
         let at = ctx.now();
         let (server, client, client_node) = (self.node, record.client, record.client_node);
         let (movie_id, from_frame, rate_fps) = (record.movie, record.next_frame, record.rate_fps);
-        self.trace.emit(|| VodEvent::PrefixServe {
-            at,
+        self.trace.emit(at, || VodEvent::PrefixServe {
             server,
             client,
             client_node,
@@ -1079,8 +1071,7 @@ impl VodServer {
             ctx.now().saturating_since(session.started_at).as_micros() as u64,
         );
         let to_owner = to_owner.unwrap_or(UNSERVED);
-        self.trace.emit(|| VodEvent::PrefixHandoff {
-            at,
+        self.trace.emit(at, || VodEvent::PrefixHandoff {
             server,
             client,
             movie,

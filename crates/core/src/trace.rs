@@ -73,7 +73,9 @@ impl DiscardKind {
 
 /// One structured observability event, spanning every layer of the stack.
 ///
-/// Timestamps (`at`) are simulated time. Identity fields use the same
+/// An event says what happened; when it happened (simulated time) is
+/// stamped by whoever records it ([`TraceHandle::emit`],
+/// [`TraceRecorder::push`]). Identity fields use the same
 /// types the layers themselves use; the JSONL export renders them
 /// compactly (nodes and groups as numbers, endpoints as `"n1:2"` strings).
 #[derive(Clone, PartialEq, Debug)]
@@ -81,8 +83,6 @@ pub enum VodEvent {
     // ---------------- network (from `simnet::TraceEvent`) ----------------
     /// A datagram was submitted to the network.
     NetSent {
-        /// When it was sent.
-        at: SimTime,
         /// Source endpoint.
         from: Endpoint,
         /// Destination endpoint.
@@ -94,9 +94,8 @@ pub enum VodEvent {
     },
     /// A datagram reached a live destination process.
     NetDelivered {
-        /// When it arrived.
-        at: SimTime,
-        /// When it was sent (so `at - sent_at` is the latency).
+        /// When it was sent (so the delivery time minus `sent_at` is the
+        /// latency).
         sent_at: SimTime,
         /// Source endpoint.
         from: Endpoint,
@@ -107,8 +106,6 @@ pub enum VodEvent {
     },
     /// A datagram was dropped.
     NetDropped {
-        /// When the drop was decided.
-        at: SimTime,
         /// Source endpoint.
         from: Endpoint,
         /// Destination endpoint.
@@ -120,30 +117,22 @@ pub enum VodEvent {
     },
     /// A node booted.
     NodeStarted {
-        /// When it booted.
-        at: SimTime,
         /// The node.
         node: NodeId,
     },
     /// A node crashed.
     NodeCrashed {
-        /// When it crashed.
-        at: SimTime,
         /// The node.
         node: NodeId,
     },
     /// A previously crashed node booted again with a fresh process (the
     /// repair side of a crash/repair cycle).
     NodeRestarted {
-        /// When it rebooted.
-        at: SimTime,
         /// The node.
         node: NodeId,
     },
     /// A network partition came up.
     Partitioned {
-        /// When it took effect.
-        at: SimTime,
         /// One side of the cut.
         a: Box<[NodeId]>,
         /// The other side.
@@ -151,8 +140,6 @@ pub enum VodEvent {
     },
     /// A partition was healed (empty sides: all partitions at once).
     Healed {
-        /// When it took effect.
-        at: SimTime,
         /// One side of the former cut.
         a: Box<[NodeId]>,
         /// The other side.
@@ -161,8 +148,6 @@ pub enum VodEvent {
     /// An inter-site WAN link was browned out: per-link overrides were
     /// installed between the two node sets.
     WanDegraded {
-        /// When the brownout took effect.
-        at: SimTime,
         /// One side of the affected links.
         a: Box<[NodeId]>,
         /// The other side.
@@ -170,8 +155,6 @@ pub enum VodEvent {
     },
     /// A browned-out WAN link was restored to its base profile.
     WanRestored {
-        /// When the restore took effect.
-        at: SimTime,
         /// One side of the affected links.
         a: Box<[NodeId]>,
         /// The other side.
@@ -181,8 +164,6 @@ pub enum VodEvent {
     /// so trace consumers (the oracle, reports) can reconstruct the
     /// topology from the event stream alone.
     SiteDefined {
-        /// Emission time (scenario build, so effectively time zero).
-        at: SimTime,
         /// The site (boxed: one event per site and run, and inline it
         /// would be the widest variant by far).
         site: Box<SiteDef>,
@@ -190,8 +171,6 @@ pub enum VodEvent {
     // ---------------- GCS (from `gcs::GcsTrace`) ----------------
     /// A node's failure detector started suspecting a peer.
     Suspected {
-        /// When suspicion was raised.
-        at: SimTime,
         /// The suspecting node.
         node: NodeId,
         /// The suspected peer.
@@ -199,8 +178,6 @@ pub enum VodEvent {
     },
     /// A node installed a new group view.
     ViewInstalled {
-        /// When the view was installed.
-        at: SimTime,
         /// The installing node.
         node: NodeId,
         /// The group.
@@ -210,8 +187,6 @@ pub enum VodEvent {
     },
     /// A node asked to join a group.
     JoinRequested {
-        /// When the join was requested.
-        at: SimTime,
         /// The joining node.
         node: NodeId,
         /// The group.
@@ -219,8 +194,6 @@ pub enum VodEvent {
     },
     /// A node asked to leave a group.
     LeaveRequested {
-        /// When the leave was requested.
-        at: SimTime,
         /// The leaving node.
         node: NodeId,
         /// The group.
@@ -230,8 +203,6 @@ pub enum VodEvent {
     /// A server began (or resumed) transmitting to a client: fresh
     /// adoption, crash takeover or load-balance migration.
     SessionStarted {
-        /// When transmission was set up.
-        at: SimTime,
         /// The serving node.
         server: NodeId,
         /// The client.
@@ -246,8 +217,6 @@ pub enum VodEvent {
     /// A server stopped transmitting to a client because ownership moved
     /// elsewhere (the session itself lives on).
     SessionStopped {
-        /// When transmission stopped.
-        at: SimTime,
         /// The releasing server.
         server: NodeId,
         /// The client.
@@ -255,8 +224,6 @@ pub enum VodEvent {
     },
     /// A session ended for good (stop command or end of movie).
     SessionEnded {
-        /// When it ended.
-        at: SimTime,
         /// The serving node.
         server: NodeId,
         /// The client.
@@ -264,8 +231,6 @@ pub enum VodEvent {
     },
     /// A movie-group view change started a state-exchange round.
     StateExchangeStarted {
-        /// When the round started.
-        at: SimTime,
         /// The server starting its round.
         server: NodeId,
         /// The movie group's movie.
@@ -278,8 +243,6 @@ pub enum VodEvent {
     /// A state-exchange round gathered all expected reports (or timed out)
     /// and client ownership was redistributed.
     Redistributed {
-        /// When redistribution ran.
-        at: SimTime,
         /// The server that recomputed the assignment.
         server: NodeId,
         /// The movie concerned.
@@ -291,8 +254,6 @@ pub enum VodEvent {
     },
     /// A server granted an emergency burst to a client (paper §4.1).
     EmergencyGranted {
-        /// When the burst started.
-        at: SimTime,
         /// The granting server.
         server: NodeId,
         /// The client.
@@ -302,8 +263,6 @@ pub enum VodEvent {
     },
     /// An emergency burst decayed to zero; normal flow control resumes.
     EmergencyEnded {
-        /// When the burst ended.
-        at: SimTime,
         /// The server.
         server: NodeId,
         /// The client.
@@ -311,8 +270,6 @@ pub enum VodEvent {
     },
     /// A server began a graceful shutdown, handing its clients over.
     ShutdownStarted {
-        /// When the shutdown began.
-        at: SimTime,
         /// The server.
         server: NodeId,
     },
@@ -320,8 +277,6 @@ pub enum VodEvent {
     /// of a hot movie; the server joined the movie group and the next
     /// redistribution hands it a share of the sessions (DESIGN.md §5d).
     ReplicaBringUp {
-        /// When the decision was made.
-        at: SimTime,
         /// The server bringing up the replica.
         server: NodeId,
         /// The movie.
@@ -342,8 +297,6 @@ pub enum VodEvent {
     /// of a cold movie; the server detaches gracefully (fresh offsets
     /// published first) and the survivors redistribute its sessions.
     ReplicaRetire {
-        /// When the decision was made.
-        at: SimTime,
         /// The retiring server.
         server: NodeId,
         /// The movie.
@@ -361,8 +314,6 @@ pub enum VodEvent {
     /// movie it does not replicate, hiding the bring-up latency of the
     /// predicted replica (DESIGN.md §5h).
     PrefixServe {
-        /// When the prefix transmission started.
-        at: SimTime,
         /// The prefix source.
         server: NodeId,
         /// The client.
@@ -384,8 +335,6 @@ pub enum VodEvent {
     /// its normal capacity at a degraded frame rate (the paper's §5
     /// quality adaptation applied to cross-DC failover).
     DegradedServe {
-        /// When the degraded session started transmitting.
-        at: SimTime,
         /// The remote server doing the rescue.
         server: NodeId,
         /// The rescued client.
@@ -399,8 +348,6 @@ pub enum VodEvent {
     /// (`to_owner` is a real server), or the session is gone or the
     /// cached range ran out (`to_owner` is the unserved sentinel).
     PrefixHandoff {
-        /// When the prefix transmission ended.
-        at: SimTime,
         /// The prefix source.
         server: NodeId,
         /// The client.
@@ -417,8 +364,6 @@ pub enum VodEvent {
     // ---------------- client ----------------
     /// A client asked the (abstract) server group to open a session.
     OpenRequested {
-        /// When the request was sent.
-        at: SimTime,
         /// The client.
         client: ClientId,
         /// The requested movie.
@@ -428,8 +373,6 @@ pub enum VodEvent {
     },
     /// The first frame of a session reached the client.
     FirstFrame {
-        /// When it arrived.
-        at: SimTime,
         /// The client.
         client: ClientId,
         /// The frame number.
@@ -438,8 +381,6 @@ pub enum VodEvent {
     /// Frames started arriving again after a service interruption (a gap
     /// longer than the glitch threshold while playing).
     StreamResumed {
-        /// When the stream resumed.
-        at: SimTime,
         /// The client.
         client: ClientId,
         /// Length of the preceding gap, in seconds.
@@ -448,8 +389,6 @@ pub enum VodEvent {
     /// The client's combined buffer occupancy crossed into a different
     /// Figure-2 band (water-mark / critical-threshold crossing).
     BandChanged {
-        /// When the crossing happened.
-        at: SimTime,
         /// The client.
         client: ClientId,
         /// Band before.
@@ -461,8 +400,6 @@ pub enum VodEvent {
     },
     /// The client issued an emergency flow-control request.
     EmergencyRequested {
-        /// When the request was sent.
-        at: SimTime,
         /// The client.
         client: ClientId,
         /// Whether the severe tier (occupancy under 15%) fired.
@@ -470,8 +407,6 @@ pub enum VodEvent {
     },
     /// The client discarded a received frame.
     FrameDiscarded {
-        /// When it was discarded.
-        at: SimTime,
         /// The client.
         client: ClientId,
         /// The frame number.
@@ -488,8 +423,6 @@ pub enum VodEvent {
     /// against the sync-skew bound (paper §6.1.1: duplicates allowed,
     /// gaps bounded by the 500 ms skew).
     FrameGap {
-        /// When the jump was observed.
-        at: SimTime,
         /// The client.
         client: ClientId,
         /// Highest frame number received before the jump.
@@ -499,8 +432,6 @@ pub enum VodEvent {
     },
     /// The client issued a VCR command.
     VcrIssued {
-        /// When the command was sent.
-        at: SimTime,
         /// The client.
         client: ClientId,
         /// The command.
@@ -508,8 +439,6 @@ pub enum VodEvent {
     },
     /// The movie played to its end.
     MovieEnded {
-        /// When the end-of-movie notice arrived.
-        at: SimTime,
         /// The client.
         client: ClientId,
     },
@@ -517,8 +446,6 @@ pub enum VodEvent {
     /// wait — emitted at the moment of the retry so RunReport can
     /// attribute rescue latency to backoff waiting.
     RetryBackoff {
-        /// When the retry was sent.
-        at: SimTime,
         /// The client.
         client: ClientId,
         /// Retry attempt number (1 = first re-send).
@@ -541,10 +468,11 @@ pub struct SiteDef {
     pub clients: Vec<NodeId>,
 }
 
-// A recorded datagram is 40 bytes and the widest variants 48: a run
-// records hundreds of thousands of events and every byte of one is
+// An event is at most 40 bytes and a recorded one, with its time, 48: a
+// run records hundreds of thousands of events and every byte of one is
 // written, and most of them read back, once per event.
-const _: () = assert!(std::mem::size_of::<VodEvent>() <= 48);
+const _: () = assert!(std::mem::size_of::<VodEvent>() <= 40);
+const _: () = assert!(std::mem::size_of::<(SimTime, VodEvent)>() <= 48);
 
 fn write_nodes(out: &mut String, nodes: &[NodeId]) {
     out.push('[');
@@ -572,50 +500,6 @@ fn wire_class(name: &str) -> TrafficClass {
 }
 
 impl VodEvent {
-    /// The event's timestamp.
-    pub fn at(&self) -> SimTime {
-        match *self {
-            VodEvent::NetSent { at, .. }
-            | VodEvent::NetDelivered { at, .. }
-            | VodEvent::NetDropped { at, .. }
-            | VodEvent::NodeStarted { at, .. }
-            | VodEvent::NodeCrashed { at, .. }
-            | VodEvent::NodeRestarted { at, .. }
-            | VodEvent::Partitioned { at, .. }
-            | VodEvent::Healed { at, .. }
-            | VodEvent::WanDegraded { at, .. }
-            | VodEvent::WanRestored { at, .. }
-            | VodEvent::SiteDefined { at, .. }
-            | VodEvent::Suspected { at, .. }
-            | VodEvent::ViewInstalled { at, .. }
-            | VodEvent::JoinRequested { at, .. }
-            | VodEvent::LeaveRequested { at, .. }
-            | VodEvent::SessionStarted { at, .. }
-            | VodEvent::SessionStopped { at, .. }
-            | VodEvent::SessionEnded { at, .. }
-            | VodEvent::StateExchangeStarted { at, .. }
-            | VodEvent::Redistributed { at, .. }
-            | VodEvent::EmergencyGranted { at, .. }
-            | VodEvent::EmergencyEnded { at, .. }
-            | VodEvent::ShutdownStarted { at, .. }
-            | VodEvent::ReplicaBringUp { at, .. }
-            | VodEvent::ReplicaRetire { at, .. }
-            | VodEvent::DegradedServe { at, .. }
-            | VodEvent::PrefixServe { at, .. }
-            | VodEvent::PrefixHandoff { at, .. }
-            | VodEvent::OpenRequested { at, .. }
-            | VodEvent::FirstFrame { at, .. }
-            | VodEvent::StreamResumed { at, .. }
-            | VodEvent::BandChanged { at, .. }
-            | VodEvent::EmergencyRequested { at, .. }
-            | VodEvent::FrameDiscarded { at, .. }
-            | VodEvent::FrameGap { at, .. }
-            | VodEvent::VcrIssued { at, .. }
-            | VodEvent::MovieEnded { at, .. }
-            | VodEvent::RetryBackoff { at, .. } => at,
-        }
-    }
-
     /// Translates a network-layer trace event.
     ///
     /// # Panics
@@ -626,78 +510,58 @@ impl VodEvent {
     pub fn from_net(event: &TraceEvent) -> Self {
         match event {
             TraceEvent::Sent {
-                at,
                 from,
                 to,
                 class,
                 bytes,
             } => VodEvent::NetSent {
-                at: *at,
                 from: *from,
                 to: *to,
                 class: wire_class(class),
                 bytes: *bytes,
             },
             TraceEvent::Delivered {
-                at,
                 sent_at,
                 from,
                 to,
                 class,
             } => VodEvent::NetDelivered {
-                at: *at,
                 sent_at: *sent_at,
                 from: *from,
                 to: *to,
                 class: wire_class(class),
             },
             TraceEvent::Dropped {
-                at,
                 from,
                 to,
                 class,
                 reason,
             } => VodEvent::NetDropped {
-                at: *at,
                 from: *from,
                 to: *to,
                 class: wire_class(class),
                 reason: *reason,
             },
-            TraceEvent::NodeStarted { at, node } => VodEvent::NodeStarted {
-                at: *at,
-                node: *node,
-            },
-            TraceEvent::NodeCrashed { at, node } => VodEvent::NodeCrashed {
-                at: *at,
-                node: *node,
-            },
-            TraceEvent::NodeRestarted { at, node } => VodEvent::NodeRestarted {
-                at: *at,
-                node: *node,
-            },
-            TraceEvent::Partitioned { at, a, b } => VodEvent::Partitioned {
-                at: *at,
+            TraceEvent::NodeStarted { node } => VodEvent::NodeStarted { node: *node },
+            TraceEvent::NodeCrashed { node } => VodEvent::NodeCrashed { node: *node },
+            TraceEvent::NodeRestarted { node } => VodEvent::NodeRestarted { node: *node },
+            TraceEvent::Partitioned { a, b } => VodEvent::Partitioned {
                 a: a[..].into(),
                 b: b[..].into(),
             },
-            TraceEvent::Healed { at, a, b } => VodEvent::Healed {
-                at: *at,
+            TraceEvent::Healed { a, b } => VodEvent::Healed {
                 a: a[..].into(),
                 b: b[..].into(),
             },
             TraceEvent::LinkOverride {
-                at,
                 a,
                 b,
                 degraded: true,
             } => VodEvent::WanDegraded {
-                at: *at,
                 a: a[..].into(),
                 b: b[..].into(),
             },
-            TraceEvent::LinkOverride { at, a, b, .. } => VodEvent::WanRestored {
-                at: *at,
+            TraceEvent::LinkOverride { a, b, .. } => VodEvent::WanRestored {
                 a: a[..].into(),
                 b: b[..].into(),
             },
@@ -707,42 +571,34 @@ impl VodEvent {
     /// Translates a GCS-layer trace event observed on `node`.
     pub fn from_gcs(node: NodeId, event: &GcsTrace) -> Self {
         match event {
-            GcsTrace::Suspected { at, peer } => VodEvent::Suspected {
-                at: *at,
-                node,
-                peer: *peer,
-            },
-            GcsTrace::ViewInstalled { at, group, view } => VodEvent::ViewInstalled {
-                at: *at,
+            GcsTrace::Suspected { peer } => VodEvent::Suspected { node, peer: *peer },
+            GcsTrace::ViewInstalled { group, view } => VodEvent::ViewInstalled {
                 node,
                 group: *group,
                 view: Box::new(view.clone()),
             },
-            GcsTrace::JoinRequested { at, group } => VodEvent::JoinRequested {
-                at: *at,
+            GcsTrace::JoinRequested { group } => VodEvent::JoinRequested {
                 node,
                 group: *group,
             },
-            GcsTrace::LeaveRequested { at, group } => VodEvent::LeaveRequested {
-                at: *at,
+            GcsTrace::LeaveRequested { group } => VodEvent::LeaveRequested {
                 node,
                 group: *group,
             },
         }
     }
 
-    /// Appends this event to `out` as one JSON object (no trailing
-    /// newline). Every value is produced from integer or static-string
-    /// data, so equal event streams render byte-identically.
-    pub fn write_json(&self, out: &mut String) {
-        let _ = write!(out, "{{\"t_us\":{}", self.at().as_micros());
+    /// Appends this event, recorded at `at`, to `out` as one JSON object
+    /// (no trailing newline). Every value is produced from integer or
+    /// static-string data, so equal event streams render byte-identically.
+    pub fn write_json(&self, at: SimTime, out: &mut String) {
+        let _ = write!(out, "{{\"t_us\":{}", at.as_micros());
         match self {
             VodEvent::NetSent {
                 from,
                 to,
                 class,
                 bytes,
-                ..
             } => {
                 let _ = write!(
                     out,
@@ -751,7 +607,6 @@ impl VodEvent {
                 );
             }
             VodEvent::NetDelivered {
-                at,
                 sent_at,
                 from,
                 to,
@@ -769,7 +624,6 @@ impl VodEvent {
                 to,
                 class,
                 reason,
-                ..
             } => {
                 let _ = write!(
                     out,
@@ -778,40 +632,40 @@ impl VodEvent {
                     reason.name()
                 );
             }
-            VodEvent::NodeStarted { node, .. } => {
+            VodEvent::NodeStarted { node } => {
                 let _ = write!(out, ",\"ev\":\"node_started\",\"node\":{}", node.0);
             }
-            VodEvent::NodeCrashed { node, .. } => {
+            VodEvent::NodeCrashed { node } => {
                 let _ = write!(out, ",\"ev\":\"node_crashed\",\"node\":{}", node.0);
             }
-            VodEvent::NodeRestarted { node, .. } => {
+            VodEvent::NodeRestarted { node } => {
                 let _ = write!(out, ",\"ev\":\"node_restarted\",\"node\":{}", node.0);
             }
-            VodEvent::Partitioned { a, b, .. } => {
+            VodEvent::Partitioned { a, b } => {
                 out.push_str(",\"ev\":\"partitioned\",\"a\":");
                 write_nodes(out, a);
                 out.push_str(",\"b\":");
                 write_nodes(out, b);
             }
-            VodEvent::Healed { a, b, .. } => {
+            VodEvent::Healed { a, b } => {
                 out.push_str(",\"ev\":\"healed\",\"a\":");
                 write_nodes(out, a);
                 out.push_str(",\"b\":");
                 write_nodes(out, b);
             }
-            VodEvent::WanDegraded { a, b, .. } => {
+            VodEvent::WanDegraded { a, b } => {
                 out.push_str(",\"ev\":\"wan_degraded\",\"a\":");
                 write_nodes(out, a);
                 out.push_str(",\"b\":");
                 write_nodes(out, b);
             }
-            VodEvent::WanRestored { a, b, .. } => {
+            VodEvent::WanRestored { a, b } => {
                 out.push_str(",\"ev\":\"wan_restored\",\"a\":");
                 write_nodes(out, a);
                 out.push_str(",\"b\":");
                 write_nodes(out, b);
             }
-            VodEvent::SiteDefined { site, .. } => {
+            VodEvent::SiteDefined { site } => {
                 let _ = write!(
                     out,
                     ",\"ev\":\"site_defined\",\"site\":{},\"name\":\"{}\",\"servers\":",
@@ -822,7 +676,7 @@ impl VodEvent {
                 out.push_str(",\"clients\":");
                 write_nodes(out, &site.clients);
             }
-            VodEvent::Suspected { node, peer, .. } => {
+            VodEvent::Suspected { node, peer } => {
                 let _ = write!(
                     out,
                     ",\"ev\":\"suspected\",\"node\":{},\"peer\":{}",
@@ -839,14 +693,14 @@ impl VodEvent {
                 );
                 write_nodes(out, &view.members);
             }
-            VodEvent::JoinRequested { node, group, .. } => {
+            VodEvent::JoinRequested { node, group } => {
                 let _ = write!(
                     out,
                     ",\"ev\":\"join_requested\",\"node\":{},\"group\":{}",
                     node.0, group.0
                 );
             }
-            VodEvent::LeaveRequested { node, group, .. } => {
+            VodEvent::LeaveRequested { node, group } => {
                 let _ = write!(
                     out,
                     ",\"ev\":\"leave_requested\",\"node\":{},\"group\":{}",
@@ -859,7 +713,6 @@ impl VodEvent {
                 client_node,
                 movie,
                 resume_frame,
-                ..
             } => {
                 let _ = write!(
                     out,
@@ -867,14 +720,14 @@ impl VodEvent {
                     server.0, client.0, client_node.0, movie.0, resume_frame.0
                 );
             }
-            VodEvent::SessionStopped { server, client, .. } => {
+            VodEvent::SessionStopped { server, client } => {
                 let _ = write!(
                     out,
                     ",\"ev\":\"session_stopped\",\"server\":{},\"client\":{}",
                     server.0, client.0
                 );
             }
-            VodEvent::SessionEnded { server, client, .. } => {
+            VodEvent::SessionEnded { server, client } => {
                 let _ = write!(
                     out,
                     ",\"ev\":\"session_ended\",\"server\":{},\"client\":{}",
@@ -886,7 +739,6 @@ impl VodEvent {
                 movie,
                 epoch,
                 members,
-                ..
             } => {
                 let _ = write!(
                     out,
@@ -899,7 +751,6 @@ impl VodEvent {
                 movie,
                 epoch,
                 owned,
-                ..
             } => {
                 let _ = write!(
                     out,
@@ -911,7 +762,6 @@ impl VodEvent {
                 server,
                 client,
                 base,
-                ..
             } => {
                 let _ = write!(
                     out,
@@ -919,14 +769,14 @@ impl VodEvent {
                     server.0, client.0
                 );
             }
-            VodEvent::EmergencyEnded { server, client, .. } => {
+            VodEvent::EmergencyEnded { server, client } => {
                 let _ = write!(
                     out,
                     ",\"ev\":\"emergency_ended\",\"server\":{},\"client\":{}",
                     server.0, client.0
                 );
             }
-            VodEvent::ShutdownStarted { server, .. } => {
+            VodEvent::ShutdownStarted { server } => {
                 let _ = write!(out, ",\"ev\":\"shutdown_started\",\"server\":{}", server.0);
             }
             VodEvent::ReplicaBringUp {
@@ -937,7 +787,6 @@ impl VodEvent {
                 policy,
                 trigger,
                 forecast,
-                ..
             } => {
                 let _ = write!(
                     out,
@@ -956,7 +805,6 @@ impl VodEvent {
                 replicas,
                 policy,
                 forecast,
-                ..
             } => {
                 let _ = write!(
                     out,
@@ -972,7 +820,6 @@ impl VodEvent {
                 client,
                 movie,
                 rate_fps,
-                ..
             } => {
                 let _ = write!(
                     out,
@@ -988,7 +835,6 @@ impl VodEvent {
                 from_frame,
                 prefix_frames,
                 rate_fps,
-                ..
             } => {
                 let _ = write!(
                     out,
@@ -1003,7 +849,6 @@ impl VodEvent {
                 frames_sent,
                 served_us,
                 to_owner,
-                ..
             } => {
                 let _ = write!(
                     out,
@@ -1015,7 +860,6 @@ impl VodEvent {
                 client,
                 movie,
                 start_at,
-                ..
             } => {
                 let _ = write!(
                     out,
@@ -1023,14 +867,14 @@ impl VodEvent {
                     client.0, movie.0, start_at.0
                 );
             }
-            VodEvent::FirstFrame { client, frame, .. } => {
+            VodEvent::FirstFrame { client, frame } => {
                 let _ = write!(
                     out,
                     ",\"ev\":\"first_frame\",\"client\":{},\"frame\":{}",
                     client.0, frame.0
                 );
             }
-            VodEvent::StreamResumed { client, gap_s, .. } => {
+            VodEvent::StreamResumed { client, gap_s } => {
                 let _ = write!(
                     out,
                     ",\"ev\":\"stream_resumed\",\"client\":{},\"gap_us\":{}",
@@ -1043,7 +887,6 @@ impl VodEvent {
                 from,
                 to,
                 occupancy,
-                ..
             } => {
                 let _ = write!(
                     out,
@@ -1053,7 +896,7 @@ impl VodEvent {
                     to.name()
                 );
             }
-            VodEvent::EmergencyRequested { client, severe, .. } => {
+            VodEvent::EmergencyRequested { client, severe } => {
                 let _ = write!(
                     out,
                     ",\"ev\":\"emergency_requested\",\"client\":{},\"severe\":{severe}",
@@ -1065,7 +908,6 @@ impl VodEvent {
                 frame,
                 ftype,
                 kind,
-                ..
             } => {
                 let _ = write!(
                     out,
@@ -1080,7 +922,6 @@ impl VodEvent {
                 client,
                 from_frame,
                 to_frame,
-                ..
             } => {
                 let _ = write!(
                     out,
@@ -1088,7 +929,7 @@ impl VodEvent {
                     client.0, from_frame.0, to_frame.0
                 );
             }
-            VodEvent::VcrIssued { client, cmd, .. } => {
+            VodEvent::VcrIssued { client, cmd } => {
                 let _ = write!(out, ",\"ev\":\"vcr\",\"client\":{},\"cmd\":\"", client.0);
                 match cmd {
                     VcrCmd::Pause => out.push_str("pause\""),
@@ -1105,14 +946,13 @@ impl VodEvent {
                     VcrCmd::Stop => out.push_str("stop\""),
                 }
             }
-            VodEvent::MovieEnded { client, .. } => {
+            VodEvent::MovieEnded { client } => {
                 let _ = write!(out, ",\"ev\":\"movie_ended\",\"client\":{}", client.0);
             }
             VodEvent::RetryBackoff {
                 client,
                 attempt,
                 delay,
-                ..
             } => {
                 let _ = write!(
                     out,
@@ -1126,7 +966,7 @@ impl VodEvent {
     }
 }
 
-/// Events per chunk of a [`TraceRecorder`]: 48 KiB of events, well under
+/// Events per chunk of a [`TraceRecorder`]: 48 KiB of timed events, well under
 /// the size (128 KiB in glibc) from which an allocator maps a block of its
 /// own. A chunk is then carved from the heap's free lists and returned to
 /// them, so a process that records run after run touches fresh,
@@ -1145,8 +985,9 @@ const CHUNK_EVENTS: usize = 1024;
 /// frees the chunk once the offset reaches its end.
 #[derive(Debug)]
 pub struct TraceRecorder {
-    /// Oldest first; every chunk but the last holds `CHUNK_EVENTS`.
-    chunks: VecDeque<Vec<VodEvent>>,
+    /// Oldest first, each event with its time; every chunk but the last
+    /// holds `CHUNK_EVENTS`.
+    chunks: VecDeque<Vec<(SimTime, VodEvent)>>,
     /// Evicted events at the front of the oldest chunk.
     head: usize,
     len: usize,
@@ -1168,10 +1009,10 @@ impl TraceRecorder {
         }
     }
 
-    /// Folds the event in and appends it, evicting the oldest if the
-    /// buffer is full.
-    pub fn push(&mut self, event: VodEvent) {
-        self.fold.observe(&event);
+    /// Folds the event, which happened at `at`, in and appends it,
+    /// evicting the oldest if the buffer is full.
+    pub fn push(&mut self, at: SimTime, event: VodEvent) {
+        self.fold.observe(at, &event);
         if self.len == self.capacity {
             self.dropped += 1;
             self.len -= 1;
@@ -1182,27 +1023,23 @@ impl TraceRecorder {
             }
         }
         match self.chunks.back_mut() {
-            Some(chunk) if chunk.len() < CHUNK_EVENTS => chunk.push(event),
+            Some(chunk) if chunk.len() < CHUNK_EVENTS => chunk.push((at, event)),
             _ => {
                 let mut chunk = Vec::with_capacity(CHUNK_EVENTS);
-                chunk.push(event);
+                chunk.push((at, event));
                 self.chunks.push_back(chunk);
             }
         }
         self.len += 1;
     }
 
-    /// The retained part of each chunk, oldest first.
-    fn slices(&self) -> impl Iterator<Item = &[VodEvent]> {
+    /// The retained events with their times, oldest first.
+    pub fn events(&self) -> impl Iterator<Item = (SimTime, &VodEvent)> {
         let mut skip = self.head;
         self.chunks
             .iter()
-            .map(move |chunk| &chunk[std::mem::take(&mut skip)..])
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &VodEvent> {
-        self.slices().flatten()
+            .flat_map(move |chunk| &chunk[std::mem::take(&mut skip)..])
+            .map(|(at, event)| (*at, event))
     }
 
     /// The fold of every event ever pushed.
@@ -1239,11 +1076,9 @@ impl TraceRecorder {
     /// Renders the retained events as JSON Lines, one object per line.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::with_capacity(self.len * 96);
-        for slice in self.slices() {
-            for event in slice {
-                event.write_json(&mut out);
-                out.push('\n');
-            }
+        for (at, event) in self.events() {
+            event.write_json(at, &mut out);
+            out.push('\n');
         }
         out
     }
@@ -1276,12 +1111,12 @@ impl TraceHandle {
         self.inner.is_some()
     }
 
-    /// Records the event produced by `make` — which is only invoked when
-    /// the handle is enabled, keeping the disabled path free of event
-    /// construction.
-    pub fn emit(&self, make: impl FnOnce() -> VodEvent) {
+    /// Records the event produced by `make` as happening at `at` — `make`
+    /// is only invoked when the handle is enabled, keeping the disabled
+    /// path free of event construction.
+    pub fn emit(&self, at: SimTime, make: impl FnOnce() -> VodEvent) {
         if let Some(recorder) = &self.inner {
-            recorder.borrow_mut().push(make());
+            recorder.borrow_mut().push(at, make());
         }
     }
 
@@ -1863,12 +1698,9 @@ mod tests {
     fn disabled_handle_never_builds_events() {
         let handle = TraceHandle::disabled();
         let mut built = false;
-        handle.emit(|| {
+        handle.emit(t(0), || {
             built = true;
-            VodEvent::NodeCrashed {
-                at: t(0),
-                node: NodeId(1),
-            }
+            VodEvent::NodeCrashed { node: NodeId(1) }
         });
         assert!(!built, "closure must not run on a disabled handle");
         assert!(handle.to_jsonl().is_none());
@@ -1879,8 +1711,7 @@ mod tests {
     fn ring_buffer_evicts_oldest() {
         let handle = TraceHandle::recording(2);
         for i in 0..5u32 {
-            handle.emit(|| VodEvent::NodeStarted {
-                at: t(u64::from(i)),
+            handle.emit(t(u64::from(i)), || VodEvent::NodeStarted {
                 node: NodeId(i),
             });
         }
@@ -1888,7 +1719,7 @@ mod tests {
             .with_recorder(|rec| {
                 assert_eq!(rec.len(), 2);
                 assert_eq!(rec.dropped(), 3);
-                let first = rec.events().next().unwrap().at();
+                let (first, _) = rec.events().next().unwrap();
                 assert_eq!(first, t(3), "oldest retained event");
             })
             .unwrap();
@@ -1899,16 +1730,15 @@ mod tests {
     /// `0.00`, not the `-0.00` that summing no glitches used to.
     #[test]
     fn a_report_covers_evicted_events_and_no_glitch_is_not_negative() {
-        let glitch = |i: u64| VodEvent::StreamResumed {
-            at: t(i),
+        let glitch = || VodEvent::StreamResumed {
             client: ClientId(1),
             gap_s: 0.5,
         };
         let whole = TraceHandle::recording(8);
         let evicted = TraceHandle::recording(2);
         for i in 0..5 {
-            whole.emit(|| glitch(i));
-            evicted.emit(|| glitch(i));
+            whole.emit(t(i), glitch);
+            evicted.emit(t(i), glitch);
         }
         let (whole, mut evicted) = (whole.report().unwrap(), evicted.report().unwrap());
         assert_eq!((evicted.events_seen, evicted.events_dropped), (5, 3));
@@ -1926,15 +1756,13 @@ mod tests {
     #[test]
     fn jsonl_is_one_valid_object_per_line() {
         let handle = TraceHandle::recording(16);
-        handle.emit(|| VodEvent::NetDelivered {
-            at: t(2500),
+        handle.emit(t(2500), || VodEvent::NetDelivered {
             sent_at: t(2000),
             from: Endpoint::new(NodeId(1), simnet::Port(2)),
             to: Endpoint::new(NodeId(100), simnet::Port(2)),
             class: TrafficClass::Video,
         });
-        handle.emit(|| VodEvent::VcrIssued {
-            at: t(3000),
+        handle.emit(t(3000), || VodEvent::VcrIssued {
             client: ClientId(1),
             cmd: VcrCmd::Seek(FrameNo(42)),
         });
@@ -1967,14 +1795,12 @@ mod tests {
         let node = NodeId(kind as u32);
         match kind {
             0 | 1 => VodEvent::NetSent {
-                at,
                 from,
                 to,
                 class: [TrafficClass::GcsHb, TrafficClass::Video][kind as usize],
                 bytes: 64,
             },
             2..=4 => VodEvent::NetDelivered {
-                at,
                 sent_at: at,
                 from,
                 to,
@@ -1985,26 +1811,22 @@ mod tests {
                 ][kind as usize - 2],
             },
             5 => VodEvent::NetDropped {
-                at,
                 from,
                 to,
                 class: TrafficClass::Video,
                 reason: DropReason::Loss,
             },
-            6 => VodEvent::NodeCrashed { at, node },
+            6 => VodEvent::NodeCrashed { node },
             7 => VodEvent::FrameGap {
-                at,
                 client: ClientId(7),
                 from_frame: FrameNo(1),
                 to_frame: FrameNo(3),
             },
             8 => VodEvent::Partitioned {
-                at,
                 a: [node].into(),
                 b: [NodeId(2), NodeId(3)].into(),
             },
             _ => VodEvent::ViewInstalled {
-                at,
                 node,
                 group: GroupId(11),
                 view: Box::new(View::new(
@@ -2022,7 +1844,7 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(3))]
 
         /// Differential test of the chunked ring against the plain
-        /// `VecDeque<VodEvent>` it replaced, at capacities that put
+        /// `VecDeque` of timed events it replaced, at capacities that put
         /// eviction before, on and after a chunk boundary. After every
         /// push the counters and the oldest retained event agree; after every
         /// fourth, and the two after a chunk is freed, so does the order
@@ -2036,7 +1858,7 @@ mod tests {
             for capacity in [1, C - 1, C, C + 1, 3 * C + 7] {
                 let mut rng = simnet::SimRng::seed_from_u64(seed ^ capacity as u64);
                 let mut ring = TraceRecorder::new(capacity);
-                let mut model: VecDeque<VodEvent> = VecDeque::new();
+                let mut model: VecDeque<(SimTime, VodEvent)> = VecDeque::new();
                 let (mut dropped, mut latest, mut now) = (0u64, SimTime::ZERO, 0u64);
                 proptest::prop_assert!(ring.is_empty() && ring.latest_at() == latest);
                 for serial in 0..(capacity + C + 61) as u64 {
@@ -2052,8 +1874,8 @@ mod tests {
                         dropped += 1;
                         seen[0] += usize::from((dropped as usize).is_multiple_of(C));
                     }
-                    model.push_back(event.clone());
-                    ring.push(event);
+                    model.push_back((at, event.clone()));
+                    ring.push(at, event);
 
                     proptest::prop_assert_eq!(ring.len(), model.len());
                     proptest::prop_assert_eq!(ring.dropped(), dropped);
@@ -2061,20 +1883,20 @@ mod tests {
                     proptest::prop_assert!(!ring.is_empty());
                     proptest::prop_assert_eq!(ring.latest_at(), latest);
                     proptest::prop_assert_eq!(
-                        ring.events().next().map(VodEvent::at),
-                        model.front().map(VodEvent::at)
+                        ring.events().next(),
+                        model.front().map(|(at, event)| (*at, event))
                     );
                     if serial % 4 != 0 && (dropped == 0 || dropped as usize % C > 1) {
                         continue;
                     }
                     proptest::prop_assert!(
-                        ring.events().map(VodEvent::at).eq(model.iter().map(VodEvent::at)),
+                        ring.events().eq(model.iter().map(|(at, event)| (*at, event))),
                         "capacity {capacity}, push {serial}: retained events differ"
                     );
                     if serial % 193 == 0 || serial as usize == capacity + C + 60 {
                         let mut jsonl = String::new();
-                        for event in &model {
-                            event.write_json(&mut jsonl);
+                        for (at, event) in &model {
+                            event.write_json(*at, &mut jsonl);
                             jsonl.push('\n');
                         }
                         proptest::prop_assert_eq!(ring.to_jsonl(), jsonl);
@@ -2107,73 +1929,91 @@ mod tests {
         ];
         for (i, class) in classes.into_iter().enumerate() {
             let at = t(1000 + i as u64);
-            events.push(VodEvent::NetSent {
+            events.push((
                 at,
-                from,
-                to,
-                class,
-                bytes: 100 + i,
-            });
-            events.push(VodEvent::NetDelivered {
+                VodEvent::NetSent {
+                    from,
+                    to,
+                    class,
+                    bytes: 100 + i,
+                },
+            ));
+            events.push((
                 at,
-                sent_at: t(900),
-                from,
-                to,
-                class,
-            });
-            events.push(VodEvent::NetDropped {
+                VodEvent::NetDelivered {
+                    sent_at: t(900),
+                    from,
+                    to,
+                    class,
+                },
+            ));
+            events.push((
                 at,
-                from,
-                to,
-                class,
-                reason: DropReason::Partition,
-            });
+                VodEvent::NetDropped {
+                    from,
+                    to,
+                    class,
+                    reason: DropReason::Partition,
+                },
+            ));
         }
         assert_eq!(events.len(), 3 * TrafficClass::ALL.len());
         let (a, b) = (vec![NodeId(1), NodeId(2)], vec![NodeId(3)]);
         let (boxed_a, boxed_b): (Box<[NodeId]>, Box<[NodeId]>) =
             (a.clone().into(), b.clone().into());
-        events.push(VodEvent::Partitioned {
-            at: t(2000),
-            a: boxed_a.clone(),
-            b: boxed_b.clone(),
-        });
-        events.push(VodEvent::Healed {
-            at: t(2001),
-            a: [].into(),
-            b: [].into(),
-        });
-        events.push(VodEvent::WanDegraded {
-            at: t(2002),
-            a: boxed_a.clone(),
-            b: boxed_b.clone(),
-        });
-        events.push(VodEvent::WanRestored {
-            at: t(2003),
-            a: boxed_b,
-            b: boxed_a,
-        });
-        events.push(VodEvent::SiteDefined {
-            at: t(0),
-            site: Box::new(SiteDef {
-                index: 1,
-                name: "east \"coast\"".to_owned(),
-                servers: a.clone(),
-                clients: vec![NodeId(100), NodeId(101)],
-            }),
-        });
-        events.push(VodEvent::ViewInstalled {
-            at: t(2004),
-            node: NodeId(2),
-            group: GroupId(11),
-            view: Box::new(View::new(
-                gcs::ViewId {
-                    epoch: 7,
-                    coordinator: NodeId(1),
-                },
-                a,
-            )),
-        });
+        events.push((
+            t(2000),
+            VodEvent::Partitioned {
+                a: boxed_a.clone(),
+                b: boxed_b.clone(),
+            },
+        ));
+        events.push((
+            t(2001),
+            VodEvent::Healed {
+                a: [].into(),
+                b: [].into(),
+            },
+        ));
+        events.push((
+            t(2002),
+            VodEvent::WanDegraded {
+                a: boxed_a.clone(),
+                b: boxed_b.clone(),
+            },
+        ));
+        events.push((
+            t(2003),
+            VodEvent::WanRestored {
+                a: boxed_b,
+                b: boxed_a,
+            },
+        ));
+        events.push((
+            t(0),
+            VodEvent::SiteDefined {
+                site: Box::new(SiteDef {
+                    index: 1,
+                    name: "east \"coast\"".to_owned(),
+                    servers: a.clone(),
+                    clients: vec![NodeId(100), NodeId(101)],
+                }),
+            },
+        ));
+        events.push((
+            t(2004),
+            VodEvent::ViewInstalled {
+                node: NodeId(2),
+                group: GroupId(11),
+                view: Box::new(View::new(
+                    gcs::ViewId {
+                        epoch: 7,
+                        coordinator: NodeId(1),
+                    },
+                    a,
+                )),
+            },
+        ));
         let bands = [
             Band::Normal,
             Band::BelowLow,
@@ -2183,26 +2023,30 @@ mod tests {
             Band::Normal,
         ];
         for (i, pair) in bands.windows(2).enumerate() {
-            events.push(VodEvent::BandChanged {
-                at: t(3000 + i as u64),
-                client: ClientId(5),
-                from: pair[0],
-                to: pair[1],
-                occupancy: 10 + i,
-            });
+            events.push((
+                t(3000 + i as u64),
+                VodEvent::BandChanged {
+                    client: ClientId(5),
+                    from: pair[0],
+                    to: pair[1],
+                    occupancy: 10 + i,
+                },
+            ));
         }
-        events.push(VodEvent::PrefixHandoff {
-            at: t(4000),
-            server: NodeId(3),
-            client: ClientId(5),
-            movie: MovieId(2),
-            frames_sent: 42,
-            served_us: 1_400_017,
-            to_owner: NodeId(1),
-        });
+        events.push((
+            t(4000),
+            VodEvent::PrefixHandoff {
+                server: NodeId(3),
+                client: ClientId(5),
+                movie: MovieId(2),
+                frames_sent: 42,
+                served_us: 1_400_017,
+                to_owner: NodeId(1),
+            },
+        ));
         let mut rec = TraceRecorder::new(events.len());
-        for event in events {
-            rec.push(event);
+        for (at, event) in events {
+            rec.push(at, event);
         }
         assert_eq!(
             rec.to_jsonl(),
@@ -2214,29 +2058,23 @@ mod tests {
     fn report_correlates_a_crash_takeover() {
         let handle = TraceHandle::recording(64);
         let client_node = NodeId(100);
-        let video = |at_us: u64, sent_us: u64| VodEvent::NetDelivered {
-            at: t(at_us),
+        let video = |sent_us: u64| VodEvent::NetDelivered {
             sent_at: t(sent_us),
             from: Endpoint::new(NodeId(2), simnet::Port(2)),
             to: Endpoint::new(client_node, simnet::Port(2)),
             class: TrafficClass::Video,
         };
-        let start = |at_us: u64, server: u32, frame: u64| VodEvent::SessionStarted {
-            at: t(at_us),
+        let start = |server: u32, frame: u64| VodEvent::SessionStarted {
             server: NodeId(server),
             client: ClientId(1),
             client_node,
             movie: MovieId(1),
             resume_frame: FrameNo(frame),
         };
-        handle.emit(|| start(1_000_000, 2, 0));
-        handle.emit(|| video(1_100_000, 1_099_000));
-        handle.emit(|| VodEvent::NodeCrashed {
-            at: t(40_000_000),
-            node: NodeId(2),
-        });
-        handle.emit(|| VodEvent::ViewInstalled {
-            at: t(40_400_000),
+        handle.emit(t(1_000_000), || start(2, 0));
+        handle.emit(t(1_100_000), || video(1_099_000));
+        handle.emit(t(40_000_000), || VodEvent::NodeCrashed { node: NodeId(2) });
+        handle.emit(t(40_400_000), || VodEvent::ViewInstalled {
             node: NodeId(1),
             group: crate::protocol::movie_group(MovieId(1)),
             view: Box::new(View::new(
@@ -2247,8 +2085,8 @@ mod tests {
                 vec![NodeId(1)],
             )),
         });
-        handle.emit(|| start(40_600_000, 1, 1170));
-        handle.emit(|| video(40_650_000, 40_648_000));
+        handle.emit(t(40_600_000), || start(1, 1170));
+        handle.emit(t(40_650_000), || video(40_648_000));
         let report = handle.report().unwrap();
         assert_eq!(report.takeovers.len(), 1);
         assert_eq!(report.migrations, 0);
@@ -2273,27 +2111,21 @@ mod tests {
     #[test]
     fn report_counts_a_move_off_a_restarted_server_as_migration() {
         let handle = TraceHandle::recording(64);
-        let start = |at_us: u64, server: u32| VodEvent::SessionStarted {
-            at: t(at_us),
+        let start = |server: u32| VodEvent::SessionStarted {
             server: NodeId(server),
             client: ClientId(1),
             client_node: NodeId(100),
             movie: MovieId(1),
             resume_frame: FrameNo(0),
         };
-        handle.emit(|| start(1_000_000, 1));
-        handle.emit(|| VodEvent::NodeCrashed {
-            at: t(5_000_000),
+        handle.emit(t(1_000_000), || start(1));
+        handle.emit(t(5_000_000), || VodEvent::NodeCrashed { node: NodeId(2) });
+        handle.emit(t(10_000_000), || VodEvent::NodeRestarted {
             node: NodeId(2),
         });
-        handle.emit(|| VodEvent::NodeRestarted {
-            at: t(10_000_000),
-            node: NodeId(2),
-        });
-        handle.emit(|| start(20_000_000, 2));
-        handle.emit(|| start(40_000_000, 3));
-        handle.emit(|| VodEvent::NetDelivered {
-            at: t(40_100_000),
+        handle.emit(t(20_000_000), || start(2));
+        handle.emit(t(40_000_000), || start(3));
+        handle.emit(t(40_100_000), || VodEvent::NetDelivered {
             sent_at: t(40_099_000),
             from: Endpoint::new(NodeId(3), simnet::Port(2)),
             to: Endpoint::new(NodeId(100), simnet::Port(2)),
@@ -2307,18 +2139,16 @@ mod tests {
     #[test]
     fn report_counts_rebalance_as_migration() {
         let handle = TraceHandle::recording(64);
-        let start = |at_us: u64, server: u32| VodEvent::SessionStarted {
-            at: t(at_us),
+        let start = |server: u32| VodEvent::SessionStarted {
             server: NodeId(server),
             client: ClientId(1),
             client_node: NodeId(100),
             movie: MovieId(1),
             resume_frame: FrameNo(0),
         };
-        handle.emit(|| start(1_000_000, 1));
-        handle.emit(|| start(64_000_000, 3));
-        handle.emit(|| VodEvent::NetDelivered {
-            at: t(64_100_000),
+        handle.emit(t(1_000_000), || start(1));
+        handle.emit(t(64_000_000), || start(3));
+        handle.emit(t(64_100_000), || VodEvent::NetDelivered {
             sent_at: t(64_099_000),
             from: Endpoint::new(NodeId(3), simnet::Port(2)),
             to: Endpoint::new(NodeId(100), simnet::Port(2)),
@@ -2332,40 +2162,34 @@ mod tests {
     #[test]
     fn report_tracks_refill_and_emergency_windows() {
         let handle = TraceHandle::recording(64);
-        handle.emit(|| VodEvent::BandChanged {
-            at: t(10_000_000),
+        handle.emit(t(10_000_000), || VodEvent::BandChanged {
             client: ClientId(1),
             from: Band::Normal,
             to: Band::CriticalSevere,
             occupancy: 2,
         });
-        handle.emit(|| VodEvent::EmergencyRequested {
-            at: t(10_100_000),
+        handle.emit(t(10_100_000), || VodEvent::EmergencyRequested {
             client: ClientId(1),
             severe: true,
         });
-        handle.emit(|| VodEvent::EmergencyGranted {
-            at: t(10_200_000),
+        handle.emit(t(10_200_000), || VodEvent::EmergencyGranted {
             server: NodeId(1),
             client: ClientId(1),
             base: 12,
         });
-        handle.emit(|| VodEvent::BandChanged {
-            at: t(12_000_000),
+        handle.emit(t(12_000_000), || VodEvent::BandChanged {
             client: ClientId(1),
             from: Band::CriticalSevere,
             to: Band::BelowLow,
             occupancy: 15,
         });
-        handle.emit(|| VodEvent::BandChanged {
-            at: t(13_000_000),
+        handle.emit(t(13_000_000), || VodEvent::BandChanged {
             client: ClientId(1),
             from: Band::BelowLow,
             to: Band::Normal,
             occupancy: 28,
         });
-        handle.emit(|| VodEvent::EmergencyEnded {
-            at: t(18_200_000),
+        handle.emit(t(18_200_000), || VodEvent::EmergencyEnded {
             server: NodeId(1),
             client: ClientId(1),
         });

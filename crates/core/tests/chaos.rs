@@ -54,17 +54,17 @@ fn restarted_server_rejoins_groups_and_serves_redistributed_clients() {
     let (restarted_at, post_restart_session, post_restart_video) = sim
         .trace()
         .with_recorder(|rec| {
-            let restarted_at = rec.events().find_map(|e| match e {
-                VodEvent::NodeRestarted { at, node } if *node == NodeId(1) => Some(*at),
+            let restarted_at = rec.events().find_map(|(at, e)| match e {
+                VodEvent::NodeRestarted { node } if *node == NodeId(1) => Some(at),
                 _ => None,
             });
-            let session = rec.events().any(|e| {
-                matches!(e, VodEvent::SessionStarted { at, server, .. }
-                    if *server == NodeId(1) && *at > restart)
+            let session = rec.events().any(|(at, e)| {
+                matches!(e, VodEvent::SessionStarted { server, .. }
+                    if *server == NodeId(1) && at > restart)
             });
-            let video = rec.events().any(|e| {
-                matches!(e, VodEvent::NetDelivered { at, from, class: TrafficClass::Video, .. }
-                    if from.node == NodeId(1) && *at > restart)
+            let video = rec.events().any(|(at, e)| {
+                matches!(e, VodEvent::NetDelivered { from, class: TrafficClass::Video, .. }
+                    if from.node == NodeId(1) && at > restart)
             });
             (restarted_at, session, video)
         })

@@ -26,7 +26,7 @@ fn run_flash(policy: PolicyKind, prefix: bool) -> FlashRun {
     let outcome = wired.judge(&sim);
     let count = |wanted: fn(&VodEvent) -> bool| {
         sim.trace()
-            .with_recorder(|rec| rec.events().filter(|e| wanted(e)).count())
+            .with_recorder(|rec| rec.events().filter(|(_, e)| wanted(e)).count())
             .expect("recording on")
     };
     let render = format!("{}\n{}", outcome.fleet.render(), outcome.run);

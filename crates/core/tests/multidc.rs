@@ -28,7 +28,7 @@ fn run_multidc(seed: u64, mode: FailoverMode) -> MultiDcRun {
         .trace()
         .with_recorder(|rec| {
             rec.events()
-                .filter(|e| matches!(e, VodEvent::DegradedServe { .. }))
+                .filter(|(_, e)| matches!(e, VodEvent::DegradedServe { .. }))
                 .count()
         })
         .expect("recording on");
@@ -113,8 +113,8 @@ fn the_simulator_routes_by_the_site_map() {
         .trace()
         .with_recorder(|rec| {
             rec.events()
-                .filter_map(|e| match e {
-                    VodEvent::SiteDefined { site, .. } => Some((**site).clone()),
+                .filter_map(|(_, e)| match e {
+                    VodEvent::SiteDefined { site } => Some((**site).clone()),
                     _ => None,
                 })
                 .collect::<Vec<_>>()

@@ -68,7 +68,8 @@ impl fmt::Display for NotMemberError {
 impl Error for NotMemberError {}
 
 /// A structured, passive observability event from the GCS layer, delivered
-/// to the tracer installed with [`GcsNode::set_tracer`].
+/// with the simulated time it happened at to the tracer installed with
+/// [`GcsNode::set_tracer`].
 ///
 /// Tracing cannot perturb the protocol: events are only constructed when a
 /// tracer is installed, and the tracer receives shared references — it has
@@ -77,16 +78,12 @@ impl Error for NotMemberError {}
 pub enum GcsTrace {
     /// The local failure detector started suspecting `peer`.
     Suspected {
-        /// Simulated time the suspicion was raised.
-        at: SimTime,
         /// The peer that went quiet.
         peer: NodeId,
     },
     /// A new view was installed locally (joins, leaves, crashes and merges
     /// all end in one of these).
     ViewInstalled {
-        /// Simulated time of the install.
-        at: SimTime,
         /// The group the view belongs to.
         group: GroupId,
         /// The freshly installed view.
@@ -94,21 +91,17 @@ pub enum GcsTrace {
     },
     /// The local node asked to join `group`.
     JoinRequested {
-        /// Simulated time of the request.
-        at: SimTime,
         /// The group being joined.
         group: GroupId,
     },
     /// The local node asked to leave `group`.
     LeaveRequested {
-        /// Simulated time of the request.
-        at: SimTime,
         /// The group being left.
         group: GroupId,
     },
 }
 
-type GcsTracer = Box<dyn FnMut(&GcsTrace)>;
+type GcsTracer = Box<dyn FnMut(SimTime, &GcsTrace)>;
 
 /// Hashes a [`NodeId`] with one multiply (Fibonacci hashing), halves
 /// swapped so that the well-mixed high half picks the bucket. Ids come off
@@ -369,9 +362,9 @@ pub struct GcsNode<P: Payload> {
     /// (e.g. flush abandonment inside a tick); drained into the next batch.
     deferred_events: Vec<GcsEvent<P>>,
     tracer: Option<GcsTracer>,
-    /// Last simulated time observed through a [`Context`]; lets entry
-    /// points without a context (e.g. [`GcsNode::create_group`]) stamp
-    /// trace events.
+    /// Last simulated time observed through a [`Context`]: the time every
+    /// trace event is stamped with, also from entry points without a
+    /// context (e.g. [`GcsNode::create_group`]).
     trace_now: SimTime,
     /// Membership input since the last tick: a packet that can change a
     /// view, a suspicion cleared by a packet, an application request, or a
@@ -446,19 +439,20 @@ impl<P: Payload> GcsNode<P> {
         }
     }
 
-    /// Installs a tracer receiving a [`GcsTrace`] for every suspicion, view
-    /// install and join/leave request. Tracing is
+    /// Installs a tracer receiving the current time and a [`GcsTrace`] for
+    /// every suspicion, view install and join/leave request. Tracing is
     /// passive: events are constructed only while a tracer is installed and
     /// the tracer cannot influence the protocol.
-    pub fn set_tracer(&mut self, tracer: impl FnMut(&GcsTrace) + 'static) {
+    pub fn set_tracer(&mut self, tracer: impl FnMut(SimTime, &GcsTrace) + 'static) {
         self.tracer = Some(Box::new(tracer));
     }
 
-    /// Runs `make` and hands the event to the tracer — only when one is
-    /// installed, so the disabled path costs a single branch.
+    /// Runs `make` and hands the event, stamped with `trace_now`, to the
+    /// tracer — only when one is installed, so the disabled path costs a
+    /// single branch.
     fn trace(&mut self, make: impl FnOnce() -> GcsTrace) {
         if let Some(tracer) = self.tracer.as_mut() {
-            tracer(&make());
+            tracer(self.trace_now, &make());
         }
     }
 
@@ -620,9 +614,8 @@ impl<P: Payload> GcsNode<P> {
         let state = self.group_mut(group);
         state.join_start_tick = ticks;
         state.last_join_send_tick = ticks;
-        let at = ctx.now();
-        self.trace_now = at;
-        self.trace(|| GcsTrace::JoinRequested { at, group });
+        self.trace_now = ctx.now();
+        self.trace(|| GcsTrace::JoinRequested { group });
         self.carry_out(ctx, group, actions, None);
     }
 
@@ -645,9 +638,8 @@ impl<P: Payload> GcsNode<P> {
             let state = self.group_mut(group);
             state.leave_tick = ticks;
             state.last_leave_send_tick = ticks;
-            let at = ctx.now();
-            self.trace_now = at;
-            self.trace(|| GcsTrace::LeaveRequested { at, group });
+            self.trace_now = ctx.now();
+            self.trace(|| GcsTrace::LeaveRequested { group });
         }
         self.carry_out(ctx, group, actions, None);
     }
@@ -1443,9 +1435,7 @@ impl<P: Payload> GcsNode<P> {
     /// Counts and traces a view this node installed; returns the upcall.
     fn surface(&mut self, group: GroupId, view: View) -> GcsEvent<P> {
         self.views_installed += 1;
-        let at = self.trace_now;
         self.trace(|| GcsTrace::ViewInstalled {
-            at,
             group,
             view: view.clone(),
         });
@@ -1550,7 +1540,7 @@ impl<P: Payload> GcsNode<P> {
                 Some(at) if now.saturating_since(at) > timeout => {
                     if self.suspected.insert(peer) {
                         changed = true;
-                        self.trace(|| GcsTrace::Suspected { at: now, peer });
+                        self.trace(|| GcsTrace::Suspected { peer });
                     }
                     continue;
                 }
@@ -1945,8 +1935,7 @@ impl<P: Payload> GcsNode<P> {
         self.step(group, ProtoEvent::FlushTimeout { silent });
         for peer in trusted {
             if self.suspected.contains(&peer) {
-                let at = self.trace_now;
-                self.trace(|| GcsTrace::Suspected { at, peer });
+                self.trace(|| GcsTrace::Suspected { peer });
             }
         }
     }

@@ -176,7 +176,7 @@ impl GcsNode<Num> {
             match heard {
                 Some(at) if now.saturating_since(at) > timeout => {
                     if self.suspected.insert(peer) {
-                        self.trace(|| GcsTrace::Suspected { at: now, peer });
+                        self.trace(|| GcsTrace::Suspected { peer });
                     }
                 }
                 Some(_) => {
@@ -408,7 +408,9 @@ fn run(seed: u64, every_pass: bool) -> (Vec<Log>, Vec<String>) {
     let mut sim: Simulation<Wire> = Simulation::new(seed);
     sim.set_default_profile(LinkProfile::lan());
     let sink = Rc::clone(&wire);
-    sim.set_tracer(move |event: &TraceEvent| sink.borrow_mut().push(format!("{event:?}")));
+    sim.set_tracer(move |at: SimTime, event: &TraceEvent| {
+        sink.borrow_mut().push(format!("{at:?} {event:?}"));
+    });
     for (&id, log) in ids.iter().zip(&logs) {
         sim.add_node(id, Node::new(id, every_pass, config.clone(), log));
     }

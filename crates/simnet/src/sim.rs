@@ -40,15 +40,13 @@ impl DropReason {
     }
 }
 
-/// A structured observability event, delivered to the tracer installed
-/// with [`Simulation::set_tracer`]. Tracing is entirely passive: it cannot
-/// affect the run.
+/// A structured observability event, delivered with the simulated time it
+/// happened at to the tracer installed with [`Simulation::set_tracer`].
+/// Tracing is entirely passive: it cannot affect the run.
 #[derive(Clone, Debug)]
 pub enum TraceEvent {
     /// A datagram was submitted to the network.
     Sent {
-        /// Simulated time of the send.
-        at: SimTime,
         /// Source endpoint.
         from: Endpoint,
         /// Destination endpoint.
@@ -60,11 +58,9 @@ pub enum TraceEvent {
     },
     /// A datagram reached a live destination process.
     Delivered {
-        /// Simulated time of the delivery.
-        at: SimTime,
         /// Simulated time at which the datagram was submitted to the
-        /// network (so `at - sent_at` is the end-to-end latency, including
-        /// serialization, propagation and reordering).
+        /// network (so the delivery time minus `sent_at` is the end-to-end
+        /// latency, including serialization, propagation and reordering).
         sent_at: SimTime,
         /// Source endpoint.
         from: Endpoint,
@@ -75,8 +71,6 @@ pub enum TraceEvent {
     },
     /// A datagram was dropped.
     Dropped {
-        /// Simulated time of the drop decision.
-        at: SimTime,
         /// Source endpoint.
         from: Endpoint,
         /// Destination endpoint.
@@ -88,15 +82,11 @@ pub enum TraceEvent {
     },
     /// A node booted (its `on_start` is about to run).
     NodeStarted {
-        /// Simulated time of the boot.
-        at: SimTime,
         /// The node.
         node: NodeId,
     },
     /// A node crashed.
     NodeCrashed {
-        /// Simulated time of the crash.
-        at: SimTime,
         /// The node.
         node: NodeId,
     },
@@ -104,15 +94,11 @@ pub enum TraceEvent {
     /// about to run on a fresh process. Emitted instead of
     /// [`TraceEvent::NodeStarted`] when the node had crashed before.
     NodeRestarted {
-        /// Simulated time of the reboot.
-        at: SimTime,
         /// The node.
         node: NodeId,
     },
     /// A partition came up between two sets of nodes.
     Partitioned {
-        /// Simulated time the partition took effect.
-        at: SimTime,
         /// One side of the cut.
         a: Vec<NodeId>,
         /// The other side of the cut.
@@ -121,8 +107,6 @@ pub enum TraceEvent {
     /// A partition was healed. Empty node lists mean *all* partitions were
     /// removed at once ([`Simulation::heal_all_at`]).
     Healed {
-        /// Simulated time the heal took effect.
-        at: SimTime,
         /// One side of the former cut.
         a: Vec<NodeId>,
         /// The other side of the former cut.
@@ -133,8 +117,6 @@ pub enum TraceEvent {
     /// brownout/restore primitive of
     /// [`Simulation::set_link_overrides_at`].
     LinkOverride {
-        /// Simulated time the change took effect.
-        at: SimTime,
         /// One side of the affected links.
         a: Vec<NodeId>,
         /// The other side of the affected links.
@@ -144,7 +126,7 @@ pub enum TraceEvent {
     },
 }
 
-type Tracer = Box<dyn FnMut(&TraceEvent)>;
+type Tracer = Box<dyn FnMut(SimTime, &TraceEvent)>;
 
 /// A pending event's body: 128 bytes for `VodWire` (104), so the rare
 /// events box what would widen it, and a delivery asks its message for its
@@ -176,7 +158,6 @@ pub(crate) enum EventKind<M: Payload> {
         a: Vec<NodeId>,
         b: Vec<NodeId>,
     },
-    HealAll,
     SetDefaultProfile {
         profile: Box<LinkProfile>,
     },
@@ -525,20 +506,20 @@ impl<M: Payload> Simulation<M> {
         self.profile.as_ref()
     }
 
-    /// Installs a tracer receiving a [`TraceEvent`] for every send,
-    /// delivery, drop, boot and crash. Pass a closure appending to a log,
-    /// printing, or counting — tracing is passive and does not perturb the
-    /// run.
-    pub fn set_tracer(&mut self, tracer: impl FnMut(&TraceEvent) + 'static) {
+    /// Installs a tracer receiving the current time and a [`TraceEvent`]
+    /// for every send, delivery, drop, boot and crash. Pass a closure
+    /// appending to a log, printing, or counting — tracing is passive and
+    /// does not perturb the run.
+    pub fn set_tracer(&mut self, tracer: impl FnMut(SimTime, &TraceEvent) + 'static) {
         self.tracer = Some(Box::new(tracer));
     }
 
-    /// Hands the tracer the event `make` builds; without a tracer the
-    /// event is never built.
+    /// Hands the tracer the current time and the event `make` builds;
+    /// without a tracer the event is never built.
     #[inline]
     fn trace(&mut self, make: impl FnOnce() -> TraceEvent) {
         if let Some(tracer) = self.tracer.as_mut() {
-            tracer(&make());
+            tracer(self.now, &make());
         }
     }
 
@@ -677,7 +658,7 @@ impl<M: Payload> Simulation<M> {
     }
 
     /// Schedules the removal of the partition between `a` and `b` at `at`, or
-    /// now if that is past.
+    /// now if that is past. Two empty sides remove every partition.
     pub fn heal_at(&mut self, at: SimTime, a: &[NodeId], b: &[NodeId]) {
         self.schedule(
             at,
@@ -691,7 +672,7 @@ impl<M: Payload> Simulation<M> {
     /// Schedules the removal of *all* partitions at `at`, or now if that is
     /// past.
     pub fn heal_all_at(&mut self, at: SimTime) {
-        self.schedule(at, EventKind::HealAll);
+        self.heal_at(at, &[], &[]);
     }
 
     /// Whether node `id` currently hosts a live process.
@@ -874,7 +855,6 @@ impl<M: Payload> Simulation<M> {
                 if !self.is_alive(to.node) {
                     self.stats.class_mut(class).dropped_dead += 1;
                     self.trace(|| TraceEvent::Dropped {
-                        at,
                         from,
                         to,
                         class,
@@ -884,7 +864,6 @@ impl<M: Payload> Simulation<M> {
                 }
                 self.stats.class_mut(class).delivered_msgs += 1;
                 self.trace(|| TraceEvent::Delivered {
-                    at,
                     sent_at,
                     from,
                     to,
@@ -908,9 +887,9 @@ impl<M: Payload> Simulation<M> {
                 slot.process = Some(process);
                 slot.alive = true;
                 if self.crashed.remove(&node) {
-                    self.trace(|| TraceEvent::NodeRestarted { at, node });
+                    self.trace(|| TraceEvent::NodeRestarted { node });
                 } else {
-                    self.trace(|| TraceEvent::NodeStarted { at, node });
+                    self.trace(|| TraceEvent::NodeStarted { node });
                 }
                 self.run_handler(node, |process, ctx| process.on_start(ctx));
             }
@@ -920,7 +899,7 @@ impl<M: Payload> Simulation<M> {
                     slot.alive = false;
                 }
                 self.crashed.insert(node);
-                self.trace(|| TraceEvent::NodeCrashed { at, node });
+                self.trace(|| TraceEvent::NodeCrashed { node });
             }
             Some(EventKind::Partition { a, b }) => {
                 self.count(|p| p.partition_events += 1);
@@ -930,10 +909,13 @@ impl<M: Payload> Simulation<M> {
                         *self.blocked.entry((y, x)).or_insert(0) += 1;
                     }
                 }
-                self.trace(|| TraceEvent::Partitioned { at, a, b });
+                self.trace(|| TraceEvent::Partitioned { a, b });
             }
             Some(EventKind::Heal { a, b }) => {
                 self.count(|p| p.heal_events += 1);
+                if a.is_empty() && b.is_empty() {
+                    self.blocked.clear();
+                }
                 for &x in &a {
                     for &y in &b {
                         for pair in [(x, y), (y, x)] {
@@ -946,16 +928,7 @@ impl<M: Payload> Simulation<M> {
                         }
                     }
                 }
-                self.trace(|| TraceEvent::Healed { at, a, b });
-            }
-            Some(EventKind::HealAll) => {
-                self.count(|p| p.heal_events += 1);
-                self.blocked.clear();
-                self.trace(|| TraceEvent::Healed {
-                    at,
-                    a: Vec::new(),
-                    b: Vec::new(),
-                });
+                self.trace(|| TraceEvent::Healed { a, b });
             }
             Some(EventKind::SetDefaultProfile { profile }) => {
                 self.count(|p| p.profile_change_events += 1);
@@ -978,7 +951,7 @@ impl<M: Payload> Simulation<M> {
                     }
                 }
                 let degraded = profile.is_some();
-                self.trace(|| TraceEvent::LinkOverride { at, a, b, degraded });
+                self.trace(|| TraceEvent::LinkOverride { a, b, degraded });
             }
             Some(EventKind::Timer { .. }) | None => {
                 unreachable!("a queued cell is filled, and a timer's was emptied above")
@@ -1056,7 +1029,6 @@ impl<M: Payload> Simulation<M> {
         }
         let at = self.now;
         self.trace(|| TraceEvent::Sent {
-            at,
             from,
             to,
             class,
@@ -1066,7 +1038,6 @@ impl<M: Payload> Simulation<M> {
         if !self.blocked.is_empty() && self.blocked.contains_key(&link) {
             self.stats.class_mut(class).dropped_partition += 1;
             self.trace(|| TraceEvent::Dropped {
-                at,
                 from,
                 to,
                 class,
@@ -1110,7 +1081,6 @@ impl<M: Payload> Simulation<M> {
         if loss_now > 0.0 && self.rng.gen_f64() < loss_now {
             self.stats.class_mut(class).dropped_loss += 1;
             self.trace(|| TraceEvent::Dropped {
-                at,
                 from,
                 to,
                 class,

@@ -91,7 +91,7 @@ fn restart_is_traced_distinctly_from_first_boot() {
     let log: Rc<RefCell<Vec<(&'static str, NodeId)>>> = Rc::default();
     let sink = Rc::clone(&log);
     let mut sim = stream_sim(LinkProfile::ideal(), 30, 1000);
-    sim.set_tracer(move |event| match event {
+    sim.set_tracer(move |_, event| match event {
         TraceEvent::NodeStarted { node, .. } => sink.borrow_mut().push(("started", *node)),
         TraceEvent::NodeRestarted { node, .. } => sink.borrow_mut().push(("restarted", *node)),
         _ => {}

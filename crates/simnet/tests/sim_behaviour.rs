@@ -175,6 +175,23 @@ fn partition_blocks_and_heal_restores() {
     );
 }
 
+/// Two empty sides heal every cut, as the `Healed` event they trace says:
+/// the stream is cut off for the same two seconds as by a named heal.
+#[test]
+fn a_heal_with_empty_sides_reopens_every_cut() {
+    let mut sim = stream_sim(LinkProfile::ideal(), 5, 1000);
+    sim.partition_at(SimTime::from_secs(2), &[NodeId(1)], &[NodeId(2)]);
+    sim.heal_at(SimTime::from_secs(4), &[], &[]);
+    sim.run_until(SimTime::from_secs(20));
+    let stats = sim.stats().class("blob");
+    assert!(
+        (150..=250).contains(&stats.dropped_partition),
+        "partition drops {} outside expected band",
+        stats.dropped_partition
+    );
+    assert_eq!(stats.delivered_msgs + stats.dropped_partition, 1000);
+}
+
 #[test]
 fn crash_stops_delivery_but_state_remains_inspectable() {
     let mut sim = stream_sim(LinkProfile::ideal(), 6, 1000);
@@ -488,7 +505,7 @@ fn tracer_observes_the_whole_lifecycle() {
     let log: Rc<RefCell<Vec<String>>> = Rc::default();
     let sink = Rc::clone(&log);
     let mut sim = stream_sim(LinkProfile::ideal().with_loss(0.5), 20, 50);
-    sim.set_tracer(move |event| {
+    sim.set_tracer(move |_, event| {
         let tag = match event {
             TraceEvent::Sent { .. } => "sent",
             TraceEvent::Delivered { .. } => "delivered",

@@ -14,6 +14,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test"
 cargo test --workspace -q
 
+# The benchmark is a separate package on the crates' public API: a change
+# that breaks it fails here, not only in scripts/golden.sh.
+echo "==> benchmark compiles"
+cargo check --offline --manifest-path benchmark/Cargo.toml --all-targets
+
 echo "==> cargo doc (no deps)"
 cargo doc --workspace --no-deps --quiet
 

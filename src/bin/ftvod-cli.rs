@@ -453,16 +453,17 @@ fn run_chaos(opts: &ChaosOptions) -> Result<(), String> {
     )
 }
 
+/// The options of the two seed sweeps, `flash` and `multidc`.
 #[derive(Debug, Clone, PartialEq)]
-struct FlashOptions {
+struct SweepOptions {
     seeds: u32,
     seed: u64,
     compare: bool,
 }
 
-impl Default for FlashOptions {
+impl Default for SweepOptions {
     fn default() -> Self {
-        FlashOptions {
+        SweepOptions {
             seeds: 10,
             seed: 1,
             compare: false,
@@ -470,8 +471,8 @@ impl Default for FlashOptions {
     }
 }
 
-fn parse_flash(args: &[String]) -> Result<FlashOptions, String> {
-    let mut opts = FlashOptions::default();
+fn parse_sweep(args: &[String]) -> Result<SweepOptions, String> {
+    let mut opts = SweepOptions::default();
     let mut flags = Flags::new(args);
     while let Some(flag) = flags.next() {
         match flag {
@@ -487,7 +488,7 @@ fn parse_flash(args: &[String]) -> Result<FlashOptions, String> {
     Ok(opts)
 }
 
-fn run_flash(opts: &FlashOptions) -> Result<(), String> {
+fn run_flash(opts: &SweepOptions) -> Result<(), String> {
     let profile = FleetProfile::flash_crowd();
     let shock = profile.shock.expect("flash_crowd has a shock");
     if opts.compare {
@@ -536,41 +537,7 @@ fn run_flash(opts: &FlashOptions) -> Result<(), String> {
     )
 }
 
-#[derive(Debug, Clone, PartialEq)]
-struct MultiDcOptions {
-    seeds: u32,
-    seed: u64,
-    compare: bool,
-}
-
-impl Default for MultiDcOptions {
-    fn default() -> Self {
-        MultiDcOptions {
-            seeds: 10,
-            seed: 1,
-            compare: false,
-        }
-    }
-}
-
-fn parse_multidc(args: &[String]) -> Result<MultiDcOptions, String> {
-    let mut opts = MultiDcOptions::default();
-    let mut flags = Flags::new(args);
-    while let Some(flag) = flags.next() {
-        match flag {
-            "--seeds" => opts.seeds = flags.value(flag)?,
-            "--seed" => opts.seed = flags.value(flag)?,
-            "--compare" => opts.compare = true,
-            other => return unknown(other),
-        }
-    }
-    if opts.seeds == 0 {
-        return Err("--seeds must be at least 1".to_owned());
-    }
-    Ok(opts)
-}
-
-fn run_multidc(opts: &MultiDcOptions) -> Result<(), String> {
+fn run_multidc(opts: &SweepOptions) -> Result<(), String> {
     if opts.compare {
         // EXPERIMENTS.md E8: the three-mode table on one seed. The
         // home-only baseline is expected to strand the east clients (and
@@ -1181,9 +1148,9 @@ fn main() -> ExitCode {
         "report" => exit_from(parse_preset(cmd, &args[1..]).and_then(|p| run_report(&p))),
         "custom" => exit_from(parse_custom(&args[1..]).and_then(|opts| run_custom(&opts))),
         "fleet" => exit_from(parse_fleet(&args[1..]).and_then(|opts| run_fleet(&opts))),
-        "flash" => exit_from(parse_flash(&args[1..]).and_then(|opts| run_flash(&opts))),
+        "flash" => exit_from(parse_sweep(&args[1..]).and_then(|opts| run_flash(&opts))),
         "chaos" => exit_from(parse_chaos(&args[1..]).and_then(|opts| run_chaos(&opts))),
-        "multidc" => exit_from(parse_multidc(&args[1..]).and_then(|opts| run_multidc(&opts))),
+        "multidc" => exit_from(parse_sweep(&args[1..]).and_then(|opts| run_multidc(&opts))),
         "check" => exit_from(parse_check(&args[1..]).and_then(|opts| run_check(&opts))),
         "experiment" => exit_from(parse_experiment(&args[1..]).and_then(run_experiment)),
         other => {
@@ -1402,8 +1369,8 @@ mod tests {
 
     #[test]
     fn flash_defaults_parse() {
-        let opts = parse_flash(&[]).unwrap();
-        assert_eq!(opts, FlashOptions::default());
+        let opts = parse_sweep(&[]).unwrap();
+        assert_eq!(opts, SweepOptions::default());
         assert_eq!(opts.seeds, 10);
         assert_eq!(opts.seed, 1);
         assert!(!opts.compare);
@@ -1411,7 +1378,7 @@ mod tests {
 
     #[test]
     fn flash_full_flag_set_parses() {
-        let opts = parse_flash(&strings(&["--seeds", "3", "--seed", "9", "--compare"])).unwrap();
+        let opts = parse_sweep(&strings(&["--seeds", "3", "--seed", "9", "--compare"])).unwrap();
         assert_eq!(opts.seeds, 3);
         assert_eq!(opts.seed, 9);
         assert!(opts.compare);
@@ -1419,10 +1386,10 @@ mod tests {
 
     #[test]
     fn flash_rejects_bad_inputs() {
-        assert!(parse_flash(&strings(&["--bogus"])).is_err());
-        assert!(parse_flash(&strings(&["--seeds", "0"])).is_err());
-        assert!(parse_flash(&strings(&["--seeds"])).is_err());
-        assert!(parse_flash(&strings(&["--seed", "x"])).is_err());
+        assert!(parse_sweep(&strings(&["--bogus"])).is_err());
+        assert!(parse_sweep(&strings(&["--seeds", "0"])).is_err());
+        assert!(parse_sweep(&strings(&["--seeds"])).is_err());
+        assert!(parse_sweep(&strings(&["--seed", "x"])).is_err());
     }
 
     #[test]
@@ -1469,8 +1436,8 @@ mod tests {
 
     #[test]
     fn multidc_defaults_parse() {
-        let opts = parse_multidc(&[]).unwrap();
-        assert_eq!(opts, MultiDcOptions::default());
+        let opts = parse_sweep(&[]).unwrap();
+        assert_eq!(opts, SweepOptions::default());
         assert_eq!(opts.seeds, 10);
         assert_eq!(opts.seed, 1);
         assert!(!opts.compare);
@@ -1478,7 +1445,7 @@ mod tests {
 
     #[test]
     fn multidc_full_flag_set_parses() {
-        let opts = parse_multidc(&strings(&["--seeds", "3", "--seed", "9", "--compare"])).unwrap();
+        let opts = parse_sweep(&strings(&["--seeds", "3", "--seed", "9", "--compare"])).unwrap();
         assert_eq!(opts.seeds, 3);
         assert_eq!(opts.seed, 9);
         assert!(opts.compare);
@@ -1486,10 +1453,10 @@ mod tests {
 
     #[test]
     fn multidc_rejects_bad_inputs() {
-        assert!(parse_multidc(&strings(&["--bogus"])).is_err());
-        assert!(parse_multidc(&strings(&["--seeds", "0"])).is_err());
-        assert!(parse_multidc(&strings(&["--seeds"])).is_err());
-        assert!(parse_multidc(&strings(&["--seed", "x"])).is_err());
+        assert!(parse_sweep(&strings(&["--bogus"])).is_err());
+        assert!(parse_sweep(&strings(&["--seeds", "0"])).is_err());
+        assert!(parse_sweep(&strings(&["--seeds"])).is_err());
+        assert!(parse_sweep(&strings(&["--seed", "x"])).is_err());
     }
 
     #[test]
