@@ -92,8 +92,10 @@ pub(crate) struct SessionFold {
     pub(crate) open_spans: BTreeMap<ClientId, BTreeMap<NodeId, SimTime>>,
     /// Healed cuts between unordered server pairs: `(a, b) -> [[from, to)]`.
     pub(crate) cuts: BTreeMap<(NodeId, NodeId), Vec<(SimTime, SimTime)>>,
-    /// Cuts not healed yet, with when they began.
-    pub(crate) open_cuts: BTreeMap<(NodeId, NodeId), SimTime>,
+    /// Cuts not healed yet: when they began, and how many partitions
+    /// still sever the pair. Overlapping partitions may cut the same pair,
+    /// and the network reopens it only when the last of them heals.
+    pub(crate) open_cuts: BTreeMap<(NodeId, NodeId), (SimTime, u32)>,
     /// Frame-sequence jumps observed at clients: `(at, client, missed)`.
     pub(crate) gaps: Vec<(SimTime, ClientId, u64)>,
     /// When each client's session was over for good (server-side end,
@@ -229,7 +231,7 @@ impl SessionFold {
             VodEvent::Partitioned { a, b } => {
                 for &x in a {
                     for &y in b {
-                        self.open_cuts.entry(pair(x, y)).or_insert(at);
+                        self.open_cuts.entry(pair(x, y)).or_insert((at, 0)).1 += 1;
                     }
                 }
             }
@@ -243,7 +245,13 @@ impl SessionFold {
                         .collect()
                 };
                 for key in healed {
-                    if let Some(from) = self.open_cuts.remove(&key) {
+                    let Some((from, severing)) = self.open_cuts.get_mut(&key) else {
+                        continue;
+                    };
+                    *severing -= 1;
+                    if heal_all || *severing == 0 {
+                        let from = *from;
+                        self.open_cuts.remove(&key);
                         self.cuts.entry(key).or_default().push((from, at));
                     }
                 }
@@ -537,5 +545,51 @@ impl SessionFold {
             }
         }
         fold
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Observes a partition (`cut`) or a heal of `a | b` at `at` seconds.
+    fn observe(fold: &mut SessionFold, at: u64, cut: bool, a: &[u32], b: &[u32]) {
+        let nodes = |ids: &[u32]| ids.iter().copied().map(NodeId).collect();
+        let (a, b) = (nodes(a), nodes(b));
+        let event = if cut {
+            VodEvent::Partitioned { a, b }
+        } else {
+            VodEvent::Healed { a, b }
+        };
+        fold.observe(SimTime::from_secs(at), &event);
+    }
+
+    fn cuts(fold: &SessionFold, a: u32, b: u32) -> Vec<(u64, u64)> {
+        let secs = |t: SimTime| t.as_micros() / 1_000_000;
+        let cuts = &fold.cuts[&(NodeId(a), NodeId(b))];
+        cuts.iter().map(|&(s, e)| (secs(s), secs(e))).collect()
+    }
+
+    /// Two overlapping partitions both sever servers 1 and 2: the pair
+    /// stays cut until the second heals, as the network routes it.
+    #[test]
+    fn a_pair_stays_cut_until_its_last_partition_heals() {
+        let mut fold = SessionFold::default();
+        observe(&mut fold, 10, true, &[1], &[2, 3]);
+        observe(&mut fold, 12, true, &[2], &[1, 3]);
+        observe(&mut fold, 14, false, &[1], &[2, 3]);
+        observe(&mut fold, 18, false, &[2], &[1, 3]);
+        assert_eq!(cuts(&fold, 1, 2), [(10, 18)]);
+        assert_eq!(cuts(&fold, 1, 3), [(10, 14)]);
+        assert_eq!(cuts(&fold, 2, 3), [(12, 18)]);
+        assert!(fold.open_cuts.is_empty());
+
+        // A heal of two empty sides clears every cut, however many
+        // partitions sever it.
+        observe(&mut fold, 20, true, &[1], &[2]);
+        observe(&mut fold, 21, true, &[2], &[1]);
+        observe(&mut fold, 22, false, &[], &[]);
+        assert_eq!(cuts(&fold, 1, 2), [(10, 18), (20, 22)]);
+        assert!(fold.open_cuts.is_empty());
     }
 }

@@ -240,7 +240,7 @@ impl<'a> Judge<'a> {
             }
         }
         let mut cuts = fold.cuts.clone();
-        for (&key, &from) in &fold.open_cuts {
+        for (&key, &(from, _)) in &fold.open_cuts {
             cuts.entry(key).or_default().push((from, trace_end));
         }
         let mut uncovered = fold.uncovered.clone();

@@ -38,9 +38,10 @@ pub struct SimProfile {
     pub crash_events: u64,
     /// `Partition` events dispatched.
     pub partition_events: u64,
-    /// `Heal` / `HealAll` events dispatched.
+    /// `Heal` events dispatched (two empty sides heal every cut).
     pub heal_events: u64,
-    /// Default-link-profile replacement events dispatched.
+    /// Link-profile change events dispatched: default-profile
+    /// replacements and per-link override installs and removals.
     pub profile_change_events: u64,
     /// Datagrams submitted to the network router (before loss/partition
     /// decisions).

@@ -52,6 +52,7 @@
 //!   --clients M        sessions per campaign        (default 24)
 //!   --sync-ms MS       server sync interval         (default 500)
 //!   --plan             print each campaign's fault schedule
+//!   --summary          end with each invariant's failure rate
 //! ftvod-cli multidc [options]               two-datacenter site-crash sweep
 //!                                           under remote-degraded failover,
 //!                                           checked by the safety oracle;
@@ -335,6 +336,7 @@ struct ChaosOptions {
     clients: u32,
     sync_ms: u64,
     plan: bool,
+    summary: bool,
 }
 
 impl Default for ChaosOptions {
@@ -346,6 +348,7 @@ impl Default for ChaosOptions {
             clients: campaign::CHAOS_CLIENTS,
             sync_ms: campaign::CHAOS_SYNC.as_millis() as u64,
             plan: false,
+            summary: false,
         }
     }
 }
@@ -361,6 +364,7 @@ fn parse_chaos(args: &[String]) -> Result<ChaosOptions, String> {
             "--clients" => opts.clients = flags.value(flag)?,
             "--sync-ms" => opts.sync_ms = flags.value(flag)?,
             "--plan" => opts.plan = true,
+            "--summary" => opts.summary = true,
             other => return unknown(other),
         }
     }
@@ -435,7 +439,9 @@ fn run_chaos(opts: &ChaosOptions) -> Result<(), String> {
         opts.seeds, opts.seed, opts.faults, opts.clients, opts.sync_ms
     );
     let sync = Duration::from_millis(opts.sync_ms);
-    sweep(
+    // Failing campaigns per invariant, in the oracle's report order.
+    let mut failing: Vec<(&'static str, u64)> = Vec::new();
+    let verdict = sweep(
         "chaos",
         "campaign(s)",
         "--plan",
@@ -448,9 +454,39 @@ fn run_chaos(opts: &ChaosOptions) -> Result<(), String> {
             if opts.plan {
                 print!("{}", faults.render());
             }
+            let verdicts = outcome.oracle.verdicts();
+            if failing.is_empty() {
+                failing = verdicts.map(|(name, _)| (name, 0)).to_vec();
+            }
+            for ((_, fails), (_, verdict)) in failing.iter_mut().zip(verdicts) {
+                *fails += u64::from(verdict.is_fail());
+            }
             outcome
         },
-    )
+    );
+    if opts.summary {
+        let runs = u64::from(opts.seeds);
+        for (name, fails) in failing {
+            let (low, high) = wilson_95(fails, runs);
+            println!(
+                "{name:<30} {fails:>5} / {runs} failed  95% Wilson [{:.2}%, {:.2}%]",
+                100.0 * low,
+                100.0 * high
+            );
+        }
+    }
+    verdict
+}
+
+/// The 95 % Wilson score interval of a rate of `k` in `n`: unlike the
+/// normal approximation, it stays inside [0, 1] and is not empty at 0.
+fn wilson_95(k: u64, n: u64) -> (f64, f64) {
+    const Z: f64 = 1.96;
+    let (p, n) = (k as f64 / n as f64, n as f64);
+    let spread = Z * Z / n;
+    let center = (p + spread / 2.0) / (1.0 + spread);
+    let half = Z / (1.0 + spread) * (p * (1.0 - p) / n + spread / (4.0 * n)).sqrt();
+    ((center - half).max(0.0), (center + half).min(1.0))
 }
 
 /// The options of the two seed sweeps, `flash` and `multidc`.
@@ -1035,7 +1071,9 @@ fn usage_for(topic: &str) -> &'static str {
              \x20 --faults K     fault slots per campaign           (default 6)\n\
              \x20 --clients M    sessions per campaign              (default 24)\n\
              \x20 --sync-ms MS   server sync interval in ms         (default 500)\n\
-             \x20 --plan         print each campaign's fault schedule"
+             \x20 --plan         print each campaign's fault schedule\n\
+             \x20 --summary      end with each invariant's failing count, the\n\
+             \x20                sweep size and a 95% Wilson interval"
         }
         "multidc" => {
             "usage: ftvod-cli multidc [options]\n\n\
@@ -1399,6 +1437,7 @@ mod tests {
         assert_eq!(opts.seeds, 5);
         assert_eq!(opts.sync_ms, 500);
         assert!(!opts.plan);
+        assert!(!opts.summary);
     }
 
     #[test]
@@ -1415,6 +1454,7 @@ mod tests {
             "--sync-ms",
             "20000",
             "--plan",
+            "--summary",
         ]))
         .unwrap();
         assert_eq!(opts.seeds, 25);
@@ -1423,6 +1463,7 @@ mod tests {
         assert_eq!(opts.clients, 12);
         assert_eq!(opts.sync_ms, 20000);
         assert!(opts.plan);
+        assert!(opts.summary);
     }
 
     #[test]
@@ -1432,6 +1473,15 @@ mod tests {
         assert!(parse_chaos(&strings(&["--clients", "0"])).is_err());
         assert!(parse_chaos(&strings(&["--sync-ms", "0"])).is_err());
         assert!(parse_chaos(&strings(&["--seeds"])).is_err());
+    }
+
+    /// Textbook values: 0 of 10 and 5 of 10.
+    #[test]
+    fn wilson_intervals_match_the_textbook() {
+        let round = |(low, high): (f64, f64)| ((low * 1e4).round(), (high * 1e4).round());
+        assert_eq!(round(wilson_95(0, 10)), (0.0, 2775.0));
+        assert_eq!(round(wilson_95(5, 10)), (2366.0, 7634.0));
+        assert_eq!(round(wilson_95(10, 10)), (7225.0, 10000.0));
     }
 
     #[test]
