@@ -11,14 +11,16 @@
 //! gaps (paper §6.1.1).
 //!
 //! Who serves whom is decided in [`takeover`], by a plain value per movie
-//! group, and who holds what in [`replicas`], by a plain value per server;
-//! neither has effects. This module owns the effects — timers, group
+//! group, who holds what in [`replicas`], by a plain value per server, and
+//! how each client is streamed in [`session`], by a plain value per served
+//! client; none has effects. This module owns the effects — timers, group
 //! membership, datagrams, trace events, counters — and the transmission
-//! loops of sessions and prefix sessions.
+//! loop of prefix sessions.
 
 mod assign;
 mod emergency;
 pub mod replicas;
+pub mod session;
 pub mod takeover;
 
 pub use assign::{
@@ -27,28 +29,28 @@ pub use assign::{
 };
 pub use emergency::Emergency;
 pub use replicas::Placement;
+pub use session::ServerSession;
 pub use takeover::TakeoverTable;
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 use gcs::{GcsEvent, GcsNode, GroupId, View};
-use media::{FrameNo, Movie, MovieId, QualityFilter};
+use media::{FrameNo, Movie, MovieId};
 use simnet::{Context, Endpoint, NodeId, Process, SimTime, Timer, TimerId, VecMap};
 
-use crate::config::{
-    VodConfig, DEGRADED_FPS, EXCHANGE_TIMEOUT, MAX_RATE_FPS, MIN_RATE_FPS, SCHEDULING_JITTER,
-};
+use crate::config::{VodConfig, EXCHANGE_TIMEOUT, SCHEDULING_JITTER};
 use crate::forecast::BringUpTrigger;
 use crate::metrics::{Cumulative, TimeSeries};
 use crate::profile::{ProfileHandle, Subsystem};
 use crate::protocol::{
     client_of_session_group, movie_group, movie_of_group, ClientId, ClientRecord, ControlPayload,
-    FlowRequest, VcrCmd, VideoPacket, VodWire, GCS_PORT, SERVER_GROUP, VIDEO_PORT,
+    VideoPacket, VodWire, GCS_PORT, SERVER_GROUP, VIDEO_PORT,
 };
 use crate::trace::{TraceHandle, VodEvent};
 use replicas::{Decision, Holdings, Note, PrefixVerdict};
+use session::{frame_interval, Action, Input, ServerTimer};
 use takeover::{Installed, Merged};
 
 /// Sentinel owner for clients admitted to no server (admission control):
@@ -80,17 +82,6 @@ mod tag {
     }
 }
 
-/// The pause between two frames of a stream sent at `fps`, which is held to
-/// 1..=240. The float conversion ran once per frame; the table holds the
-/// results of the same expression.
-fn frame_interval(fps: u32) -> Duration {
-    static INTERVALS: OnceLock<[Duration; 240]> = OnceLock::new();
-    let table = INTERVALS.get_or_init(|| {
-        std::array::from_fn(|i| Duration::from_secs_f64(1.0 / f64::from(i as u32 + 1)))
-    });
-    table[fps.clamp(1, 240) as usize - 1]
-}
-
 /// A movie replica this server holds, plus who else holds it (used to
 /// bootstrap the movie group deterministically).
 #[derive(Clone, Debug)]
@@ -101,20 +92,9 @@ pub(crate) struct Replica {
     pub(crate) holders: Vec<NodeId>,
 }
 
-struct Session {
-    record: ClientRecord,
-    emergency: Emergency,
-    filter: QualityFilter,
-    send_timer: Option<TimerId>,
-    decay_armed: bool,
-    /// See [`takeover::Resume::degraded`].
-    degraded: bool,
-}
-
 /// Why a session closes: the client moved to another replica (its record
 /// lives on), or the session itself is over — announced to the other
 /// replicas unless the news came from one of them.
-#[derive(Clone, Copy)]
 enum Close {
     Migrated,
     Ended { announce: bool },
@@ -129,7 +109,7 @@ struct PrefixSession {
     end_frame: FrameNo,
     frames_sent: u64,
     started_at: SimTime,
-    timer: Option<TimerId>,
+    timer: TimerId,
 }
 
 /// A movie this server holds: the data, the holders its group was
@@ -184,7 +164,11 @@ pub struct VodServer {
     /// Movies this server *can* bring up on demand (the paper's servers
     /// sit on a shared disk farm, so any server can serve any movie).
     catalog: BTreeMap<MovieId, Arc<Movie>>,
-    sessions: VecMap<ClientId, Session>,
+    sessions: VecMap<ClientId, ServerSession>,
+    /// The send timer armed for each session, if one is.
+    send_timers: VecMap<ClientId, TimerId>,
+    /// The actions of the session step being applied, reused across steps.
+    actions: Vec<Action>,
     stats: ServerStats,
     trace: TraceHandle,
     profile: ProfileHandle,
@@ -238,6 +222,8 @@ impl VodServer {
             movies: BTreeMap::new(),
             catalog: BTreeMap::new(),
             sessions: VecMap::new(),
+            send_timers: VecMap::new(),
+            actions: Vec::new(),
             stats: ServerStats::default(),
             trace: TraceHandle::disabled(),
             profile: ProfileHandle::disabled(),
@@ -339,8 +325,7 @@ impl VodServer {
             self.sync_movie(ctx, movie_id, false);
             self.gcs.leave(ctx, movie_group(movie_id));
         }
-        let clients: Vec<ClientId> = self.sessions.keys().copied().collect();
-        for client in clients {
+        for client in self.clients_owned() {
             self.close_session(ctx, client, Close::Migrated);
         }
         self.gcs.leave(ctx, SERVER_GROUP);
@@ -397,7 +382,7 @@ impl VodServer {
         if let Some(movie_id) = self.movie_of_group(group) {
             self.on_movie_view(ctx, movie_id, view);
         } else if let Some(client) = client_of_session_group(group) {
-            self.on_session_view(ctx, client, view);
+            self.step(ctx, client, Input::SessionView(view));
         }
     }
 
@@ -422,17 +407,6 @@ impl VodServer {
                 ctx.set_timer_after(EXCHANGE_TIMEOUT, deadline);
                 self.publish(ctx, movie_id, report);
             }
-        }
-    }
-
-    fn on_session_view(&mut self, ctx: &mut Context<'_, VodWire>, client: ClientId, view: View) {
-        let Some(session) = self.sessions.get(&client) else {
-            return;
-        };
-        if view.contains(self.node) && !view.contains(session.record.client_node) {
-            // The client itself is gone (crash, departure or partition):
-            // close the session and tell the other replicas.
-            self.close_session(ctx, client, Close::Ended { announce: true });
         }
     }
 
@@ -473,8 +447,8 @@ impl VodServer {
                     self.close_session(ctx, client, Close::Ended { announce: false });
                 }
             }
-            ControlPayload::Flow { client, req } => self.on_flow(ctx, client, req),
-            ControlPayload::Vcr { client, cmd } => self.on_vcr(ctx, client, cmd),
+            ControlPayload::Flow { client, req } => self.step(ctx, client, Input::Flow(req)),
+            ControlPayload::Vcr { client, cmd } => self.step(ctx, client, Input::Vcr(cmd)),
             ControlPayload::EndOfMovie { .. } => {}
             ControlPayload::Demand {
                 server,
@@ -528,11 +502,7 @@ impl VodServer {
             return;
         };
         let (at, server) = (ctx.now(), self.node);
-        let owned = self
-            .sessions
-            .values()
-            .filter(|s| s.record.movie == movie_id)
-            .count();
+        let owned = self.clients_of(movie_id).len();
         self.trace.emit(at, || VodEvent::Redistributed {
             server,
             movie: movie_id,
@@ -550,7 +520,7 @@ impl VodServer {
         let Some(state) = self.movies.get(&movie_id) else {
             return;
         };
-        let here = |s: &Session| s.record.movie == movie_id;
+        let here = |s: &ServerSession| s.record().movie == movie_id;
         let diff = state.table.session_diff(self.node, &self.sessions, here);
         for client in diff.stop {
             self.close_session(ctx, client, Close::Migrated);
@@ -571,48 +541,61 @@ impl VodServer {
         let Some(state) = self.movies.get(&record.movie) else {
             return;
         };
-        let (gop, fps, at) = (state.movie.gop(), state.movie.fps(), ctx.now());
-        let resumed = state
-            .table
-            .resume(&self.cfg, self.node, gop, fps, record, at);
-        let (record, degraded) = (resumed.record, resumed.degraded);
-        let send_timer = (!record.paused)
-            .then(|| ctx.set_timer_after(Duration::ZERO, tag::of(tag::SEND, record.client.0)));
-        // Join the client's session group to receive its control messages
-        // (paper §5.2: "to take over a client, a server simply joins the
-        // client's session group and resumes the video transmission").
-        self.gcs
-            .join(ctx, record.session_group, &[record.client_node]);
+        let (table, movie, at) = (&state.table, &state.movie, ctx.now());
+        let resumed = table.resume(&self.cfg, self.node, movie.gop(), movie.fps(), record, at);
+        let movie = Arc::clone(movie);
+        let session = ServerSession::start(&self.cfg, movie, resumed, &mut self.actions);
         self.stats.takeovers.add(at, 1);
-        let (server, client, client_node) = (self.node, record.client, record.client_node);
-        let (movie, resume_frame) = (record.movie, record.next_frame);
-        self.trace.emit(at, || VodEvent::SessionStarted {
-            server,
-            client,
-            client_node,
-            movie,
-            resume_frame,
-        });
-        if degraded {
-            let rate_fps = record.rate_fps;
-            self.trace.emit(at, || VodEvent::DegradedServe {
-                server,
-                client,
-                movie,
-                rate_fps,
-            });
+        self.sessions.insert(record.client, session);
+        self.apply(ctx, record.client);
+    }
+
+    /// Steps `client`'s session, if this server runs one, with `input`.
+    fn step(&mut self, ctx: &mut Context<'_, VodWire>, client: ClientId, input: Input) {
+        if let Some(session) = self.sessions.get_mut(&client) {
+            session.step(ctx.now(), input, &mut self.actions);
+            self.apply(ctx, client);
         }
-        self.sessions.insert(
-            record.client,
-            Session {
-                record,
-                emergency: Emergency::new(self.cfg.emergency_decay),
-                filter: resumed.filter,
-                send_timer,
-                decay_armed: false,
-                degraded,
-            },
-        );
+    }
+
+    /// Performs the actions `client`'s session emitted, in emission order.
+    fn apply(&mut self, ctx: &mut Context<'_, VodWire>, client: ClientId) {
+        let mut actions = std::mem::take(&mut self.actions);
+        let send = tag::of(tag::SEND, client.0);
+        for action in actions.drain(..) {
+            match action {
+                Action::Send(to, packet, interval) => {
+                    self.stats.frames_sent += 1;
+                    let dst = Endpoint::new(to, VIDEO_PORT);
+                    ctx.send(VIDEO_PORT, dst, VodWire::Video(packet));
+                    let after = interval + ctx.rng().jitter(SCHEDULING_JITTER);
+                    self.send_timers
+                        .insert(client, ctx.set_timer_after(after, send));
+                }
+                Action::Arm(ServerTimer::Send, after) => {
+                    self.send_timers
+                        .insert(client, ctx.set_timer_after(after, send));
+                }
+                Action::Arm(ServerTimer::Decay, after) => {
+                    ctx.set_timer_after(after, tag::of(tag::DECAY, client.0));
+                }
+                Action::Disarm => self.disarm(ctx, client),
+                Action::EndOfMovie(group) => {
+                    self.multicast(ctx, group, ControlPayload::EndOfMovie { client });
+                }
+                Action::JoinSession(group, node) => self.gcs.join(ctx, group, &[node]),
+                Action::End => self.close_session(ctx, client, Close::Ended { announce: true }),
+                Action::Trace(event) => self.trace.emit(ctx.now(), || event),
+            }
+        }
+        self.actions = actions;
+    }
+
+    /// Cancels `client`'s send timer, if one is armed.
+    fn disarm(&mut self, ctx: &mut Context<'_, VodWire>, client: ClientId) {
+        if let Some(timer) = self.send_timers.remove(&client) {
+            ctx.cancel_timer(timer);
+        }
     }
 
     /// Stops transmitting to `client` and leaves its session group; an
@@ -621,10 +604,9 @@ impl VodServer {
         let Some(session) = self.sessions.remove(&client) else {
             return;
         };
-        if let Some(timer) = session.send_timer {
-            ctx.cancel_timer(timer);
-        }
-        let (at, server, movie) = (ctx.now(), self.node, session.record.movie);
+        self.disarm(ctx, client);
+        let record = session.record();
+        let (at, server, movie) = (ctx.now(), self.node, record.movie);
         self.trace.emit(at, || match how {
             Close::Migrated => VodEvent::SessionStopped { server, client },
             Close::Ended { .. } => VodEvent::SessionEnded { server, client },
@@ -638,182 +620,20 @@ impl VodServer {
                 self.multicast(ctx, movie_group(movie), payload);
             }
         }
-        self.gcs.leave(ctx, session.record.session_group);
-    }
-
-    fn on_flow(&mut self, ctx: &mut Context<'_, VodWire>, client: ClientId, req: FlowRequest) {
-        let (base_severe, base_mild) =
-            (self.cfg.emergency_base_severe, self.cfg.emergency_base_mild);
-        let Some(session) = self.sessions.get_mut(&client) else {
-            return;
-        };
-        // Paper §4.1: "while the emergency quantity is greater than zero,
-        // the server ignores all flow control requests from the client".
-        if session.emergency.is_active() {
-            return;
-        }
-        match req {
-            FlowRequest::Increase => {
-                // A degraded rescue session must not be flow-controlled
-                // back up above its reduced-quality ceiling.
-                let ceiling = if session.degraded {
-                    DEGRADED_FPS
-                } else {
-                    MAX_RATE_FPS
-                };
-                session.record.rate_fps = (session.record.rate_fps + 1).min(ceiling);
-            }
-            FlowRequest::Decrease => {
-                session.record.rate_fps =
-                    session.record.rate_fps.saturating_sub(1).max(MIN_RATE_FPS);
-            }
-            FlowRequest::Emergency { severe } => {
-                let base = if severe { base_severe } else { base_mild };
-                if session.emergency.trigger(base) {
-                    let (at, server) = (ctx.now(), self.node);
-                    self.trace.emit(at, || VodEvent::EmergencyGranted {
-                        server,
-                        client,
-                        base,
-                    });
-                    if !session.decay_armed {
-                        session.decay_armed = true;
-                        ctx.set_timer_after(Duration::from_secs(1), tag::of(tag::DECAY, client.0));
-                    }
-                }
-            }
-        }
-    }
-
-    fn on_vcr(&mut self, ctx: &mut Context<'_, VodWire>, client: ClientId, cmd: VcrCmd) {
-        match cmd {
-            VcrCmd::Pause => {
-                if let Some(session) = self.sessions.get_mut(&client) {
-                    session.record.paused = true;
-                    if let Some(timer) = session.send_timer.take() {
-                        ctx.cancel_timer(timer);
-                    }
-                }
-            }
-            VcrCmd::Resume => {
-                if let Some(session) = self.sessions.get_mut(&client) {
-                    if session.record.paused {
-                        session.record.paused = false;
-                        session.send_timer =
-                            Some(ctx.set_timer_after(Duration::ZERO, tag::of(tag::SEND, client.0)));
-                    }
-                }
-            }
-            VcrCmd::Seek(position) => {
-                if let Some(session) = self.sessions.get_mut(&client) {
-                    session.record.next_frame = position;
-                }
-            }
-            VcrCmd::SetQuality(max_fps) => {
-                let Some(session) = self.sessions.get_mut(&client) else {
-                    return;
-                };
-                if let Some(m) = self.movies.get(&session.record.movie) {
-                    let (filter, cap) = takeover::quality(m.movie.gop(), m.movie.fps(), max_fps);
-                    session.record.max_fps = max_fps;
-                    session.record.rate_fps = session.record.rate_fps.min(cap);
-                    session.filter = filter;
-                }
-            }
-            VcrCmd::SetSpeed(percent) => {
-                // Jump the base rate straight to the new consumption; the
-                // flow control fine-tunes from there.
-                let hint = self.sessions.get(&client).and_then(|s| {
-                    self.movies
-                        .get(&s.record.movie)
-                        .map(|m| m.movie.fps().saturating_mul(percent) / 100)
-                });
-                if let (Some(session), Some(hint)) = (self.sessions.get_mut(&client), hint) {
-                    session.record.rate_fps = hint.clamp(MIN_RATE_FPS, MAX_RATE_FPS);
-                }
-            }
-            VcrCmd::Stop => self.close_session(ctx, client, Close::Ended { announce: true }),
-        }
+        self.gcs.leave(ctx, record.session_group);
     }
 
     // ------------------------------------------------------------------
-    // Timers: transmission, decay, sync, exchange deadline
+    // Timers: sync, exchange deadline
     // ------------------------------------------------------------------
-
-    fn on_send_timer(&mut self, ctx: &mut Context<'_, VodWire>, client: ClientId) {
-        let Some(session) = self.sessions.get_mut(&client) else {
-            return;
-        };
-        if session.record.paused {
-            session.send_timer = None;
-            return;
-        }
-        let Some(state) = self.movies.get(&session.record.movie) else {
-            return;
-        };
-        // Advance to the next frame the quality filter lets through.
-        let mut outgoing = None;
-        loop {
-            let no = session.record.next_frame;
-            match state.movie.frame(no) {
-                None => break,
-                Some(frame) => {
-                    session.record.next_frame = no.plus(1);
-                    if session.filter.should_send(no) {
-                        outgoing = Some(frame);
-                        break;
-                    }
-                }
-            }
-        }
-        match outgoing {
-            None => {
-                // End of the movie.
-                let group = session.record.session_group;
-                let payload = ControlPayload::EndOfMovie { client };
-                self.multicast(ctx, group, payload);
-                self.close_session(ctx, client, Close::Ended { announce: true });
-            }
-            Some(frame) => {
-                let packet = VideoPacket {
-                    client,
-                    movie: session.record.movie,
-                    frame,
-                };
-                self.stats.frames_sent += 1;
-                let dst = Endpoint::new(session.record.client_node, VIDEO_PORT);
-                ctx.send(VIDEO_PORT, dst, VodWire::Video(packet));
-                let interval =
-                    frame_interval(session.record.rate_fps + session.emergency.current())
-                        + ctx.rng().jitter(SCHEDULING_JITTER);
-                session.send_timer =
-                    Some(ctx.set_timer_after(interval, tag::of(tag::SEND, client.0)));
-            }
-        }
-    }
-
-    fn on_decay_timer(&mut self, ctx: &mut Context<'_, VodWire>, client: ClientId) {
-        let Some(session) = self.sessions.get_mut(&client) else {
-            return;
-        };
-        if session.emergency.decay_step() > 0 {
-            ctx.set_timer_after(Duration::from_secs(1), tag::of(tag::DECAY, client.0));
-        } else {
-            session.decay_armed = false;
-            let (at, server) = (ctx.now(), self.node);
-            self.trace
-                .emit(at, || VodEvent::EmergencyEnded { server, client });
-        }
-    }
 
     /// Periodic state multicast (paper §5.2, every half second).
     fn on_sync_timer(&mut self, ctx: &mut Context<'_, VodWire>) {
         let _span = self.profile.span(Subsystem::ServerSync);
         self.sync_round += 1;
         let now = ctx.now();
-        self.stats
-            .owned_over_time
-            .push(now, self.sessions.len() as f64);
+        let owned = self.sessions.len() as f64;
+        self.stats.owned_over_time.push(now, owned);
         for state in self.movies.values_mut() {
             state.table.expire_tombstones(now);
         }
@@ -836,7 +656,7 @@ impl VodServer {
             return;
         };
         let round = periodic.then_some(self.sync_round);
-        let live = |client| self.sessions.get(&client).map(|s| s.record);
+        let live = |client| self.sessions.get(&client).map(|s| *s.record());
         if let Some(report) = state.table.report(self.node, ctx.now(), round, live) {
             self.stats.syncs_sent += 1;
             self.publish(ctx, movie_id, report);
@@ -929,10 +749,8 @@ impl VodServer {
             trigger,
             forecast: note.forecast,
         });
-        let copy = self
-            .cfg
-            .replication
-            .map_or(Duration::ZERO, |r| r.bringup_delay);
+        let rules = self.cfg.replication;
+        let copy = rules.map_or(Duration::ZERO, |r| r.bringup_delay);
         if copy.is_zero() {
             self.complete_bringup(ctx, note.movie);
         } else {
@@ -965,13 +783,7 @@ impl VodServer {
         let movie_id = note.movie;
         self.sync_movie(ctx, movie_id, false);
         self.gcs.leave(ctx, movie_group(movie_id));
-        let clients: Vec<ClientId> = self
-            .sessions
-            .iter()
-            .filter(|(_, s)| s.record.movie == movie_id)
-            .map(|(&c, _)| c)
-            .collect();
-        for client in clients {
+        for client in self.clients_of(movie_id) {
             self.close_session(ctx, client, Close::Migrated);
         }
         self.movies.remove(&movie_id);
@@ -1003,17 +815,15 @@ impl VodServer {
         let Some(pc) = self.cfg.prefix_cache else {
             return;
         };
+        let (cap, busy) = (self.cfg.max_sessions_per_server, self.sessions.len());
+        let busy = busy + self.prefix_sessions.len();
         if self.movies.contains_key(&record.movie)
             || !self.placement.prefix_cache().contains(&record.movie)
             || self.sessions.contains_key(&record.client)
             || self.prefix_sessions.contains_key(&record.client)
+            || cap.is_some_and(|cap| busy >= cap as usize)
         {
             return;
-        }
-        if let Some(cap) = self.cfg.max_sessions_per_server {
-            if self.sessions.len() + self.prefix_sessions.len() >= cap as usize {
-                return;
-            }
         }
         let Some(movie) = self.catalog.get(&record.movie) else {
             return;
@@ -1022,8 +832,8 @@ impl VodServer {
         if record.next_frame.0 >= prefix_frames {
             return; // the client is already past the cached range
         }
-        self.stats.prefix_serves.add(ctx.now(), 1);
         let at = ctx.now();
+        self.stats.prefix_serves.add(at, 1);
         let (server, client, client_node) = (self.node, record.client, record.client_node);
         let (movie_id, from_frame, rate_fps) = (record.movie, record.next_frame, record.rate_fps);
         self.trace.emit(at, || VodEvent::PrefixServe {
@@ -1036,16 +846,14 @@ impl VodServer {
             rate_fps,
         });
         let timer = ctx.set_timer_after(Duration::ZERO, tag::of(tag::PREFIX, record.client.0));
-        self.prefix_sessions.insert(
-            record.client,
-            PrefixSession {
-                record,
-                end_frame: FrameNo(prefix_frames),
-                frames_sent: 0,
-                started_at: at,
-                timer: Some(timer),
-            },
-        );
+        let session = PrefixSession {
+            record,
+            end_frame: FrameNo(prefix_frames),
+            frames_sent: 0,
+            started_at: at,
+            timer,
+        };
+        self.prefix_sessions.insert(record.client, session);
     }
 
     /// Ends a prefix transmission. `to_owner` is the server the client's
@@ -1060,16 +868,11 @@ impl VodServer {
         let Some(session) = self.prefix_sessions.remove(&client) else {
             return;
         };
-        if let Some(timer) = session.timer {
-            ctx.cancel_timer(timer);
-        }
-        self.stats.prefix_handoffs.add(ctx.now(), 1);
-        let (at, server) = (ctx.now(), self.node);
-        let movie = session.record.movie;
-        let (frames_sent, served_us) = (
-            session.frames_sent,
-            ctx.now().saturating_since(session.started_at).as_micros() as u64,
-        );
+        ctx.cancel_timer(session.timer);
+        let (at, server, movie) = (ctx.now(), self.node, session.record.movie);
+        self.stats.prefix_handoffs.add(at, 1);
+        let frames_sent = session.frames_sent;
+        let served_us = at.saturating_since(session.started_at).as_micros() as u64;
         let to_owner = to_owner.unwrap_or(UNSERVED);
         self.trace.emit(at, || VodEvent::PrefixHandoff {
             server,
@@ -1086,38 +889,28 @@ impl VodServer {
     /// the prefix is a stopgap, not a tuned stream) and self-terminate at
     /// the end of the cached range.
     fn on_prefix_timer(&mut self, ctx: &mut Context<'_, VodWire>, client: ClientId) {
-        let Some(session) = self.prefix_sessions.get(&client) else {
+        let Some(session) = self.prefix_sessions.get_mut(&client) else {
             return;
         };
-        let (movie_id, next, end) = (
-            session.record.movie,
-            session.record.next_frame,
-            session.end_frame,
-        );
-        let (client_node, rate_fps) = (session.record.client_node, session.record.rate_fps);
-        if next.0 >= end.0 {
-            self.finish_prefix(ctx, client, None);
-            return;
-        }
-        let Some(frame) = self.catalog.get(&movie_id).and_then(|m| m.frame(next)) else {
-            self.finish_prefix(ctx, client, None);
-            return;
+        let (record, next) = (session.record, session.record.next_frame);
+        let movie = self.catalog.get(&record.movie);
+        let frame = movie
+            .and_then(|m| m.frame(next))
+            .filter(|_| next < session.end_frame);
+        let Some(frame) = frame else {
+            return self.finish_prefix(ctx, client, None);
         };
         let packet = VideoPacket {
             client,
-            movie: movie_id,
+            movie: record.movie,
             frame,
         };
-        let dst = Endpoint::new(client_node, VIDEO_PORT);
+        let dst = Endpoint::new(record.client_node, VIDEO_PORT);
         ctx.send(VIDEO_PORT, dst, VodWire::Video(packet));
-        let timer = ctx.set_timer_after(frame_interval(rate_fps), tag::of(tag::PREFIX, client.0));
-        let session = self
-            .prefix_sessions
-            .get_mut(&client)
-            .expect("checked above");
+        let after = frame_interval(record.rate_fps);
+        session.timer = ctx.set_timer_after(after, tag::of(tag::PREFIX, client.0));
         session.record.next_frame = next.plus(1);
         session.frames_sent += 1;
-        session.timer = Some(timer);
     }
 
     // ------------------------------------------------------------------
@@ -1157,6 +950,15 @@ impl VodServer {
         if let Ok(events) = self.gcs.multicast(ctx, group, payload) {
             self.handle_events(ctx, events);
         }
+    }
+
+    /// The clients this server streams `movie` to, in id order.
+    fn clients_of(&self, movie: MovieId) -> Vec<ClientId> {
+        let here = self
+            .sessions
+            .iter()
+            .filter(|(_, s)| s.record().movie == movie);
+        here.map(|(&client, _)| client).collect()
     }
 
     fn movie_of_group(&self, group: GroupId) -> Option<MovieId> {
@@ -1213,16 +1015,17 @@ impl Process<VodWire> for VodServer {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, VodWire>, timer: Timer) {
+        let client = ClientId(tag::id(timer.tag));
         match tag::kind(timer.tag) {
             tag::GCS_TICK => {
                 let events = self.gcs.on_timer(ctx, timer);
                 self.handle_events(ctx, events);
             }
             tag::SYNC => self.on_sync_timer(ctx),
-            tag::SEND => self.on_send_timer(ctx, ClientId(tag::id(timer.tag))),
-            tag::DECAY => self.on_decay_timer(ctx, ClientId(tag::id(timer.tag))),
+            tag::SEND => self.step(ctx, client, Input::Timer(ServerTimer::Send)),
+            tag::DECAY => self.step(ctx, client, Input::Timer(ServerTimer::Decay)),
             tag::EXCHANGE => self.on_exchange_timer(ctx, MovieId(tag::id(timer.tag))),
-            tag::PREFIX => self.on_prefix_timer(ctx, ClientId(tag::id(timer.tag))),
+            tag::PREFIX => self.on_prefix_timer(ctx, client),
             tag::BRINGUP => self.complete_bringup(ctx, MovieId(tag::id(timer.tag))),
             tag::SHUTDOWN => ctx.exit(),
             _ => debug_assert!(false, "unknown timer tag {}", timer.tag),
