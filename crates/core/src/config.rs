@@ -61,6 +61,10 @@ pub const COLD_SESSIONS_PER_REPLICA: u32 = 2;
 pub const HYSTERESIS_TICKS: u32 = 2;
 /// Cap on replicas per movie (DESIGN.md §5d).
 pub const MAX_REPLICAS: u32 = 8;
+/// Floor on replicas per movie: the replica manager never retires a copy
+/// that would leave fewer, so a movie survives one crash (k copies
+/// tolerate k − 1 faults; DESIGN.md §5d).
+pub const MIN_REPLICAS: u32 = 2;
 /// Sync ticks a movie is left alone after its replica set changed, so the
 /// redistribution settles (DESIGN.md §5d).
 pub const COOLDOWN_TICKS: u32 = 4;
@@ -116,13 +120,11 @@ pub enum ResumePolicy {
 /// long, the highest-id member of the movie group's view-synchronous view
 /// leaves it gracefully (retire — elected over the agreed view, not the
 /// eventually-consistent demand maps, so concurrent retires cannot
-/// cascade a movie's holders below `min_replicas`). [`COOLDOWN_TICKS`]
+/// cascade a movie's holders below [`MIN_REPLICAS`]). [`COOLDOWN_TICKS`]
 /// suppresses further changes to a movie right after its replica set
 /// moved, letting the redistribution settle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReplicationConfig {
-    /// Floor on replicas per movie.
-    pub min_replicas: u32,
     /// How long bringing up a replica takes: the elected server copies
     /// the movie onto its disk farm for this long before it can join the
     /// movie group and serve (zero = the copy is instantaneous, the
@@ -132,10 +134,9 @@ pub struct ReplicationConfig {
 }
 
 impl ReplicationConfig {
-    /// Defaults: keep at least one copy, and copy a movie instantly.
+    /// Defaults: copy a movie instantly.
     pub fn paper_default() -> Self {
         ReplicationConfig {
-            min_replicas: 1,
             bringup_delay: Duration::ZERO,
         }
     }
@@ -558,6 +559,5 @@ mod tests {
         let cfg = cfg.with_dynamic_replication(ReplicationConfig::paper_default());
         let policy = cfg.replication.expect("enabled");
         assert_eq!(policy, ReplicationConfig::default());
-        assert!(policy.min_replicas >= 1);
     }
 }

@@ -27,8 +27,8 @@ use media::MovieId;
 use simnet::SimRng;
 
 use crate::config::{
-    ReplicationConfig, COLD_SESSIONS_PER_REPLICA, COOLDOWN_TICKS, HOT_SESSIONS_PER_REPLICA,
-    HYSTERESIS_TICKS, MAX_REPLICAS,
+    COLD_SESSIONS_PER_REPLICA, COOLDOWN_TICKS, HOT_SESSIONS_PER_REPLICA, HYSTERESIS_TICKS,
+    MAX_REPLICAS, MIN_REPLICAS,
 };
 
 /// Domain-separated seed stream for the forecast transition priors
@@ -369,10 +369,10 @@ impl MovieObservation {
         self.demand() > HOT_SESSIONS_PER_REPLICA.saturating_mul(self.replicas) && self.can_grow()
     }
 
-    /// The reactive retire signal: a replica above the floor, nobody
-    /// waiting, and the sessions fit on one replica fewer.
-    fn spare(&self, cfg: &ReplicationConfig) -> bool {
-        self.replicas > cfg.min_replicas
+    /// The reactive retire signal: a replica above [`MIN_REPLICAS`],
+    /// nobody waiting, and the sessions fit on one replica fewer.
+    fn spare(&self) -> bool {
+        self.replicas > MIN_REPLICAS
             && self.waiting == 0
             && self.sessions <= COLD_SESSIONS_PER_REPLICA.saturating_mul(self.replicas - 1)
     }
@@ -449,22 +449,17 @@ impl PlacementPolicy {
 
     /// The verdict for one movie. `forecast` is the shared bank's machine
     /// for the movie, already fed this tick's demand.
-    pub fn decide(
-        &mut self,
-        obs: &MovieObservation,
-        forecast: &MovieForecast,
-        cfg: &ReplicationConfig,
-    ) -> PlacementAction {
+    pub fn decide(&mut self, obs: &MovieObservation, forecast: &MovieForecast) -> PlacementAction {
         if self.settling(obs.movie, obs.replicas) {
             return PlacementAction::Hold;
         }
         let surge = || forecast_surge(forecast, obs) && obs.can_grow();
         let (up, trigger, cold) = match self.kind {
-            PolicyKind::Reactive => (obs.hot(), BringUpTrigger::ReactiveStreak, obs.spare(cfg)),
+            PolicyKind::Reactive => (obs.hot(), BringUpTrigger::ReactiveStreak, obs.spare()),
             PolicyKind::Predictive => (
                 surge(),
                 BringUpTrigger::Forecast,
-                obs.spare(cfg) && forecast.state() == PopState::Cold,
+                obs.spare() && forecast.state() == PopState::Cold,
             ),
         };
         let run = |streak: &mut BTreeMap<MovieId, u32>, on: bool| {
@@ -501,10 +496,6 @@ impl PlacementPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn cfg() -> ReplicationConfig {
-        ReplicationConfig::paper_default()
-    }
 
     fn obs(movie: u32, sessions: u32, waiting: u32, replicas: u32, live: u32) -> MovieObservation {
         MovieObservation {
@@ -579,96 +570,81 @@ mod tests {
 
     #[test]
     fn reactive_needs_the_full_streak_and_respects_cooldown() {
-        let (c, f) = (cfg(), unread());
+        let f = unread();
         let mut p = PlacementPolicy::new(PolicyKind::Reactive);
         let movie = MovieId(1);
         // First observation: replica-set change detection swallows it and
         // arms the cooldown, exactly like the pre-trait manager.
         p.begin_tick();
-        assert_eq!(
-            p.decide(&obs(1, 12, 0, 1, 4), &f, &c),
-            PlacementAction::Hold
-        );
+        assert_eq!(p.decide(&obs(1, 12, 0, 1, 4), &f), PlacementAction::Hold);
         // Cooldown gates the next COOLDOWN_TICKS - 1 ticks (the streak
         // starts accruing on the tick the cooldown reaches zero).
         for _ in 0..COOLDOWN_TICKS - 1 {
             p.begin_tick();
-            assert_eq!(
-                p.decide(&obs(1, 12, 0, 1, 4), &f, &c),
-                PlacementAction::Hold
-            );
+            assert_eq!(p.decide(&obs(1, 12, 0, 1, 4), &f), PlacementAction::Hold);
         }
         // Streak builds: HYSTERESIS_TICKS - 1 hot ticks are not enough...
         for _ in 0..HYSTERESIS_TICKS - 1 {
             p.begin_tick();
-            assert_eq!(
-                p.decide(&obs(1, 12, 0, 1, 4), &f, &c),
-                PlacementAction::Hold
-            );
+            assert_eq!(p.decide(&obs(1, 12, 0, 1, 4), &f), PlacementAction::Hold);
         }
         // ...the next one fires.
         p.begin_tick();
         let fired = PlacementAction::BringUp(BringUpTrigger::ReactiveStreak);
-        assert_eq!(p.decide(&obs(1, 12, 0, 1, 4), &f, &c), fired);
+        assert_eq!(p.decide(&obs(1, 12, 0, 1, 4), &f), fired);
         p.acted(movie, fired);
         // Immediately after acting the cooldown gates the movie again.
         p.begin_tick();
-        assert_eq!(
-            p.decide(&obs(1, 12, 0, 1, 4), &f, &c),
-            PlacementAction::Hold
-        );
+        assert_eq!(p.decide(&obs(1, 12, 0, 1, 4), &f), PlacementAction::Hold);
     }
 
     #[test]
     fn reactive_boundary_conditions_match_the_thresholds() {
-        let (c, f) = (cfg(), unread());
+        let f = unread();
         let mut p = PlacementPolicy::new(PolicyKind::Reactive);
         // Warm the change-detection/cooldown up on a quiet movie,
         // stopping one tick short so no streak has accrued yet.
         for _ in 0..COOLDOWN_TICKS {
             p.begin_tick();
-            p.decide(&obs(1, 1, 0, 2, 4), &f, &c);
+            p.decide(&obs(1, 1, 0, 2, 4), &f);
         }
         // Exactly at the hot threshold (demand == hot * replicas) is NOT
         // hot; one above is.
         let at = HOT_SESSIONS_PER_REPLICA * 2;
         for _ in 0..HYSTERESIS_TICKS + 2 {
             p.begin_tick();
-            assert_eq!(
-                p.decide(&obs(1, at, 0, 2, 4), &f, &c),
-                PlacementAction::Hold
-            );
+            assert_eq!(p.decide(&obs(1, at, 0, 2, 4), &f), PlacementAction::Hold);
         }
         // Exactly at the cold threshold (sessions == cold * (replicas-1),
-        // nobody waiting) IS cold.
-        let cold_at = COLD_SESSIONS_PER_REPLICA;
+        // nobody waiting) IS cold, on a movie above the floor of two.
+        let cold_at = COLD_SESSIONS_PER_REPLICA * 2;
         let mut q = PlacementPolicy::new(PolicyKind::Reactive);
         for _ in 0..COOLDOWN_TICKS {
             q.begin_tick();
-            q.decide(&obs(1, cold_at, 0, 2, 4), &f, &c);
+            q.decide(&obs(1, cold_at, 0, 3, 4), &f);
         }
         for _ in 0..HYSTERESIS_TICKS - 1 {
             q.begin_tick();
             assert_eq!(
-                q.decide(&obs(1, cold_at, 0, 2, 4), &f, &c),
+                q.decide(&obs(1, cold_at, 0, 3, 4), &f),
                 PlacementAction::Hold
             );
         }
         q.begin_tick();
         assert_eq!(
-            q.decide(&obs(1, cold_at, 0, 2, 4), &f, &c),
+            q.decide(&obs(1, cold_at, 0, 3, 4), &f),
             PlacementAction::Retire
         );
         // A single waiting client vetoes retirement.
         let mut r = PlacementPolicy::new(PolicyKind::Reactive);
         for _ in 0..COOLDOWN_TICKS {
             r.begin_tick();
-            r.decide(&obs(1, cold_at, 1, 2, 4), &f, &c);
+            r.decide(&obs(1, cold_at, 1, 3, 4), &f);
         }
         for _ in 0..HYSTERESIS_TICKS + 2 {
             r.begin_tick();
             assert_eq!(
-                r.decide(&obs(1, cold_at, 1, 2, 4), &f, &c),
+                r.decide(&obs(1, cold_at, 1, 3, 4), &f),
                 PlacementAction::Hold
             );
         }
@@ -677,17 +653,17 @@ mod tests {
     /// Settles change detection and the cooldown of `kind` on a quiet
     /// movie 1, then feeds one tick of `demand`: the bank and the verdict.
     fn verdict_after_quiet(kind: PolicyKind, sessions: u32, waiting: u32) -> PlacementAction {
-        let (c, movie) = (cfg(), MovieId(1));
+        let movie = MovieId(1);
         let mut bank = ForecastBank::new(FORECAST_STREAM);
         let mut p = PlacementPolicy::new(kind);
         for _ in 0..=COOLDOWN_TICKS {
             p.begin_tick();
             bank.observe(movie, 0, 1);
-            p.decide(&obs(1, 0, 0, 1, 4), &bank.movies[&movie], &c);
+            p.decide(&obs(1, 0, 0, 1, 4), &bank.movies[&movie]);
         }
         p.begin_tick();
         bank.observe(movie, sessions + waiting, 1);
-        p.decide(&obs(1, sessions, waiting, 1, 4), &bank.movies[&movie], &c)
+        p.decide(&obs(1, sessions, waiting, 1, 4), &bank.movies[&movie])
     }
 
     /// Tick 1 of a flash crowd: demand jumps over the threshold, the
@@ -704,23 +680,23 @@ mod tests {
         );
     }
 
-    /// The two retire rules: a movie whose two replicas sit idle while
+    /// The two retire rules: a movie whose three replicas sit idle while
     /// its forecast is still cooling retires on the plain cold streak
     /// under `Reactive`, and waits for the machine to say *cold* under
     /// `Predictive`.
     #[test]
     fn predictive_retires_only_on_a_cold_forecast() {
-        let (c, movie) = (cfg(), MovieId(1));
+        let movie = MovieId(1);
         let mut f = MovieForecast::seeded(FORECAST_STREAM, movie);
-        f.observe(40, 2);
-        f.observe(1, 2);
+        f.observe(40, 3);
+        f.observe(1, 3);
         assert_eq!(f.state(), PopState::Cooling);
         let verdict = |kind| {
             let mut p = PlacementPolicy::new(kind);
             let mut last = PlacementAction::Hold;
             for _ in 0..COOLDOWN_TICKS + HYSTERESIS_TICKS {
                 p.begin_tick();
-                last = p.decide(&obs(1, 1, 0, 2, 4), &f, &c);
+                last = p.decide(&obs(1, 1, 0, 3, 4), &f);
             }
             last
         };

@@ -45,7 +45,7 @@ use simnet::{NodeId, SimTime};
 
 use super::assign::least_loaded;
 use super::{TakeoverTable, UNSERVED};
-use crate::config::VodConfig;
+use crate::config::{VodConfig, MIN_REPLICAS};
 use crate::forecast::{
     BringUpTrigger, ForecastBank, MovieObservation, PlacementAction, PlacementPolicy, PolicyKind,
     PopState, FORECAST_STREAM,
@@ -235,13 +235,13 @@ impl Placement {
     /// lowest id. A retire goes to the highest id of the movie group's
     /// view — view-synchronous, so unlike the eventually consistent
     /// reports it cannot crown two candidates — and only while that view
-    /// is above [`min_replicas`]: at most one member leaves per view. A
+    /// is above [`MIN_REPLICAS`]: at most one member leaves per view. A
     /// movie with live orphan OPENs and no reporter is rescued by the
     /// least-loaded live server. An elected server that cannot copy the
     /// movie (not in `catalog`, or already held or on its way) declines,
     /// which leaves streak, cooldown and orphan OPENs as they were.
     ///
-    /// [`min_replicas`]: crate::config::ReplicationConfig::min_replicas
+    /// [`MIN_REPLICAS`]: crate::config::MIN_REPLICAS
     pub fn tick<M>(
         &mut self,
         me: NodeId,
@@ -259,9 +259,9 @@ impl Placement {
             .collect();
         let mut fleet = Fleet { live, load };
         let mut decisions = Vec::new();
-        let Some(rules) = cfg.replication else {
+        if cfg.replication.is_none() {
             return (decisions, fleet);
-        };
+        }
         self.policy.begin_tick();
         if fleet.live.len() <= 1 || !fleet.live.contains(&me) {
             return (decisions, fleet); // nowhere to replicate to, or not a member yet
@@ -301,7 +301,7 @@ impl Placement {
                 live: fleet.live.len() as u32,
             };
             let forecast = self.forecasts.get(movie).expect("fed above");
-            let action = self.policy.decide(&obs, forecast, &rules);
+            let action = self.policy.decide(&obs, forecast);
             let mut note = Note {
                 movie,
                 demand: sessions.saturating_add(waiting),
@@ -324,7 +324,7 @@ impl Placement {
                 }
                 PlacementAction::Retire => {
                     let view = held.get(&movie).map(|table| table.view());
-                    let spare = view.filter(|view| view.len() as u32 > rules.min_replicas);
+                    let spare = view.filter(|view| view.len() as u32 > MIN_REPLICAS);
                     if spare.and_then(|view| view.members.last()) != Some(&me) {
                         continue;
                     }

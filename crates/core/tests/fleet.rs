@@ -4,7 +4,7 @@
 
 use std::time::Duration;
 
-use ftvod_core::config::{ReplicationConfig, VodConfig};
+use ftvod_core::config::{ReplicationConfig, VodConfig, MIN_REPLICAS};
 use ftvod_core::protocol::{ClientId, VcrCmd};
 use ftvod_core::scenario::ScenarioBuilder;
 use ftvod_core::server::VodServer;
@@ -85,15 +85,16 @@ fn parked_clients_are_admitted_as_sessions_end_without_leaks() {
     }
 }
 
-/// The replica lifecycle end to end: a single-copy movie goes hot (12
-/// sessions against a threshold of 8), the manager brings up a second
-/// replica; once the viewers drain away the surplus replica is retired.
-/// Both decisions surface in the per-server stats and the trace report.
+/// The replica lifecycle end to end: a single-copy movie goes hot (20
+/// viewers against a threshold of 8 per replica), the manager brings up a
+/// second and a third replica; once the viewers drain away the replica
+/// above the floor of two is retired. Both decisions surface in the
+/// per-server stats and the trace report.
 #[test]
 fn hot_movie_gains_a_replica_and_cold_movie_loses_it() {
     let mut profile = FleetProfile::small_fleet();
-    profile.servers = 2;
-    profile.clients = 12;
+    profile.servers = 3;
+    profile.clients = 20;
     profile.catalog_size = 1;
     profile.initial_replicas = 1;
     profile.sessions_per_server = Some(16);
@@ -110,7 +111,7 @@ fn hot_movie_gains_a_replica_and_cold_movie_loses_it() {
     sim.run_until(end);
 
     let report = FleetReport::from_sim(&plan, &sim, end);
-    assert_eq!(report.served, 12, "every session must be served");
+    assert_eq!(report.served, 20, "every session must be served");
     let (mut bringups, mut retires) = (0u64, 0u64);
     for node in profile.server_nodes() {
         let stats = sim.server_stats(node).unwrap();
@@ -126,7 +127,7 @@ fn hot_movie_gains_a_replica_and_cold_movie_loses_it() {
     let run = sim.report().expect("recording was enabled");
     assert_eq!(run.replica_bringups, bringups);
     assert_eq!(run.replica_retires, retires);
-    // After the retire, the movie is back to a single holder.
+    // After the retire, the movie is back on the floor's two holders.
     let holders: usize = profile
         .server_nodes()
         .iter()
@@ -136,7 +137,10 @@ fn hot_movie_gains_a_replica_and_cold_movie_loses_it() {
                 .unwrap_or(false)
         })
         .count();
-    assert_eq!(holders, 1, "cold movie must end on exactly one replica");
+    assert_eq!(
+        holders, MIN_REPLICAS as usize,
+        "cold movie must end on exactly the floor's replicas"
+    );
 }
 
 /// The headline claim: under a skewed workload whose hot movie exceeds any

@@ -158,7 +158,6 @@ proptest! {
         seed in 0u64..1_000_000,
         stream in proptest::collection::vec((0u32..120, 1u32..=8), 1..80),
     ) {
-        let cfg = ReplicationConfig::paper_default();
         let mut forecast = MovieForecast::seeded(seed, MovieId(1));
         for (demand, replicas) in stream {
             forecast.observe(demand, replicas);
@@ -172,7 +171,7 @@ proptest! {
             let mut verdict = PlacementAction::Hold;
             for _ in 0..=COOLDOWN_TICKS {
                 policy.begin_tick();
-                verdict = policy.decide(&obs, &forecast, &cfg);
+                verdict = policy.decide(&obs, &forecast);
             }
             let expected = match replicas < MAX_REPLICAS {
                 true => PlacementAction::BringUp(BringUpTrigger::Forecast),

@@ -4,6 +4,12 @@
 //! what `ftvod-cli chaos --seed N --seeds 1` runs — and asserts that
 //! exactly today's invariant fails. The ROADMAP item-1 part named in its
 //! doc should flip it: that change asserts `PASS` here in the same diff.
+//!
+//! Seeds 28, 70, 932 and 1012 were witnesses until the replica floor of
+//! two (item 1c) and pass since; they stay as `PASS` pins. Only 28 was a
+//! witness of the floor's own class; the others stopped failing because
+//! the floor changes which replicas a campaign has, so 321 (1a) and 1026
+//! (1b) witness those classes now.
 
 use ftvod::vod::campaign::{self, CHAOS_CLIENTS, CHAOS_FAULTS, CHAOS_SYNC};
 use ftvod::vod::oracle::summary_token;
@@ -17,41 +23,60 @@ fn verdict(seed: u64) -> String {
     token
 }
 
-/// **Known deviation** (ROADMAP item 1c, a floor under the last copy):
-/// n3 retires movie 2 down to one copy, its sole holder n2 crashes with
-/// c4's only record, and c4 is not re-served within the bound.
+/// Item 1c's witness, flipped by the replica floor of two: n3 used to
+/// retire movie 2 down to one copy, whose sole holder n2 then crashed with
+/// c4's only record. Under the floor the movie keeps two copies, and the
+/// campaign passes.
 #[test]
-fn known_deviation_seed_28_last_copy_crashes_and_c4_is_not_re_served() {
-    assert_eq!(verdict(28), "FAIL[re-served-after-fault]");
+fn seed_28_keeps_two_copies_and_c4_is_re_served() {
+    assert_eq!(verdict(28), "PASS");
+}
+
+/// Once item 1a's witness (c14's seek lost in n1's crash); passes under
+/// the replica floor, which changes the campaign's replicas, not the
+/// lost-command path.
+#[test]
+fn seed_70_passes_under_the_replica_floor() {
+    assert_eq!(verdict(70), "PASS");
 }
 
 /// **Known deviation** (ROADMAP item 1a, the client is the authority on
-/// its session state): c14's seek is lost in n1's crash, and n4 resumes at
-/// the record's stale frame, behind the client's feed point.
+/// its session state): c16 seeks to frame 2587 at 26.11 s, n1 crashes at
+/// 26.32 s before a sync carried the seek, and n3 resumes at the record's
+/// frame 580, behind the client's feed point: every frame it sends is
+/// discarded late. It fails the same way without the replica floor.
 #[test]
-fn known_deviation_seed_70_lost_seek_leaves_c14_unserved() {
-    assert_eq!(verdict(70), "FAIL[re-served-after-fault]");
+fn known_deviation_seed_321_lost_seek_leaves_c16_unserved() {
+    assert_eq!(verdict(321), "FAIL[re-served-after-fault]");
 }
 
-/// **Known deviation** (ROADMAP item 1b, the session group arbitrates
-/// exclusive service): n3 and n4 each rescue movie 1 and both admit c24's
-/// re-OPEN.
+/// Once item 1b's witness (n3 and n4 each rescued movie 1 and both
+/// admitted c24's re-OPEN); passes under the replica floor.
 #[test]
-fn known_deviation_seed_932_two_rescuers_both_serve_c24() {
-    assert_eq!(verdict(932), "FAIL[exclusive-service]");
+fn seed_932_passes_under_the_replica_floor() {
+    assert_eq!(verdict(932), "PASS");
 }
 
-/// **Known deviation** (ROADMAP item 1e, undiagnosed): c15 skips 528
-/// frames at 33.35 s, against a bound of 45. The one witness of the
+/// **Known deviation** (ROADMAP item 1e, undiagnosed): c15 skips 423
+/// frames at 33.35 s, against a bound of 45 (528 without the replica
+/// floor, the count this test was named with). The one witness of the
 /// bounded-gaps class.
 #[test]
 fn known_deviation_seed_777_c15_skips_528_frames_past_the_gap_bound() {
     assert_eq!(verdict(777), "FAIL[bounded-gaps]");
 }
 
-/// **Known deviation** (ROADMAP item 1b): after a partial merge n4 keeps
-/// streaming to c2 beside n2, and nobody tells it to stop.
+/// Once item 1b's witness (a partial merge left n4 streaming to c2 beside
+/// n2); passes under the replica floor.
 #[test]
-fn known_deviation_seed_1012_partial_merge_serves_c2_twice() {
-    assert_eq!(verdict(1012), "FAIL[exclusive-service]");
+fn seed_1012_passes_under_the_replica_floor() {
+    assert_eq!(verdict(1012), "PASS");
+}
+
+/// **Known deviation** (ROADMAP item 1b, the session group arbitrates
+/// exclusive service): c1 is served by n2 and n4 at once for 40.2 s from
+/// 34.80 s, and nothing makes one of them stop.
+#[test]
+fn known_deviation_seed_1026_c1_is_served_by_n2_and_n4() {
+    assert_eq!(verdict(1026), "FAIL[exclusive-service]");
 }
