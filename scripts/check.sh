@@ -22,11 +22,13 @@ cargo check --offline --manifest-path benchmark/Cargo.toml --all-targets
 echo "==> cargo doc (no deps)"
 cargo doc --workspace --no-deps --quiet
 
-# The sampler (scripts/profile.sh) and the A/B driver (scripts/ab.sh) are
-# not part of the gate; keep them parsing and the shim compiling.
-echo "==> profile.sh and ab.sh parse, the shim compiles"
+# The sampler (scripts/profile.sh), the A/B driver (scripts/ab.sh) and the
+# chaos-rate driver (scripts/chaos_rate.sh) are not part of the gate; keep
+# them parsing and the shim compiling.
+echo "==> profile.sh, ab.sh and chaos_rate.sh parse, the shim compiles"
 sh -n scripts/profile.sh
 sh -n scripts/ab.sh
+sh -n scripts/chaos_rate.sh
 if command -v gcc >/dev/null; then
     mkdir -p target/profile
     gcc -O2 -Wall -shared -fPIC -o target/profile/sigprof_shim.so scripts/sigprof_shim.c
