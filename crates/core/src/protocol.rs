@@ -119,6 +119,15 @@ pub struct ClientRecord {
     pub paused: bool,
 }
 
+/// A record is its own live record: callers of
+/// [`TakeoverTable::step`](crate::server::TakeoverTable::step) that keep
+/// plain records as their sessions pass them as they are.
+impl AsRef<ClientRecord> for ClientRecord {
+    fn as_ref(&self) -> &ClientRecord {
+        self
+    }
+}
+
 impl ClientRecord {
     /// Nominal wire size of one record (the paper: "a few dozens of
     /// bytes").

@@ -19,13 +19,6 @@ use simnet::NodeId;
 use crate::config::{FailoverMode, VodConfig, SHED_HEADROOM};
 use crate::protocol::{ClientId, ClientRecord};
 
-/// Computes the owner for every client.
-///
-/// Returns an empty map when `servers` is empty (nobody can serve).
-pub fn assign_clients(clients: &[ClientId], servers: &[NodeId]) -> BTreeMap<ClientId, NodeId> {
-    assign_clients_with_capacity(clients, servers, None).0
-}
-
 /// Capacity-aware assignment (admission control): servers accept at most
 /// `capacity` clients each; clients that do not fit anywhere are returned
 /// in the second element (in id order) and stay unserved until capacity
@@ -235,14 +228,14 @@ mod tests {
 
     #[test]
     fn single_client_goes_to_highest_id() {
-        let a = assign_clients(&[c(1)], &[n(1), n(2)]);
+        let a = assign_clients_with_capacity(&[c(1)], &[n(1), n(2)], None).0;
         assert_eq!(a[&c(1)], n(2));
     }
 
     #[test]
     fn fresh_server_attracts_the_client() {
         // The paper's load-balance scenario: client on n2, n3 brought up.
-        let a = assign_clients(&[c(1)], &[n(2), n(3)]);
+        let a = assign_clients_with_capacity(&[c(1)], &[n(2), n(3)], None).0;
         assert_eq!(a[&c(1)], n(3));
     }
 
@@ -250,7 +243,7 @@ mod tests {
     fn distribution_is_even() {
         let clients: Vec<ClientId> = (0..10).map(c).collect();
         let servers = [n(1), n(2), n(3)];
-        let a = assign_clients(&clients, &servers);
+        let a = assign_clients_with_capacity(&clients, &servers, None).0;
         let mut counts: BTreeMap<NodeId, usize> = BTreeMap::new();
         for owner in a.values() {
             *counts.entry(*owner).or_default() += 1;
@@ -262,20 +255,22 @@ mod tests {
 
     #[test]
     fn deterministic_regardless_of_input_order() {
-        let a = assign_clients(&[c(3), c(1), c(2)], &[n(5), n(2)]);
-        let b = assign_clients(&[c(1), c(2), c(3)], &[n(2), n(5)]);
+        let a = assign_clients_with_capacity(&[c(3), c(1), c(2)], &[n(5), n(2)], None).0;
+        let b = assign_clients_with_capacity(&[c(1), c(2), c(3)], &[n(2), n(5)], None).0;
         assert_eq!(a, b);
     }
 
     #[test]
     fn duplicate_clients_counted_once() {
-        let a = assign_clients(&[c(1), c(1)], &[n(1)]);
+        let a = assign_clients_with_capacity(&[c(1), c(1)], &[n(1)], None).0;
         assert_eq!(a.len(), 1);
     }
 
     #[test]
     fn no_servers_no_assignment() {
-        assert!(assign_clients(&[c(1)], &[]).is_empty());
+        assert!(assign_clients_with_capacity(&[c(1)], &[], None)
+            .0
+            .is_empty());
         let (map, unassigned) = assign_clients_with_capacity(&[c(1)], &[], Some(4));
         assert!(map.is_empty());
         assert_eq!(unassigned, vec![c(1)]);
@@ -297,7 +292,7 @@ mod tests {
     #[test]
     fn unlimited_capacity_matches_plain_assignment() {
         let clients: Vec<ClientId> = (1..=7).map(c).collect();
-        let plain = assign_clients(&clients, &[n(1), n(2)]);
+        let plain = assign_clients_with_capacity(&clients, &[n(1), n(2)], None).0;
         let (capped, unassigned) = assign_clients_with_capacity(&clients, &[n(1), n(2)], None);
         assert_eq!(plain, capped);
         assert!(unassigned.is_empty());
@@ -306,7 +301,7 @@ mod tests {
     #[test]
     fn everyone_assigned() {
         let clients: Vec<ClientId> = (0..17).map(c).collect();
-        let a = assign_clients(&clients, &[n(4), n(9)]);
+        let a = assign_clients_with_capacity(&clients, &[n(4), n(9)], None).0;
         assert_eq!(a.len(), 17);
     }
 
@@ -374,6 +369,9 @@ mod tests {
         let servers = [(n(1), None), (n(2), None)];
         let (map, unassigned) = assign_clients_geo(&geo, &servers, None, true, 0);
         assert!(unassigned.is_empty());
-        assert_eq!(map, assign_clients(&clients, &[n(1), n(2)]));
+        assert_eq!(
+            map,
+            assign_clients_with_capacity(&clients, &[n(1), n(2)], None).0
+        );
     }
 }

@@ -509,8 +509,10 @@ mod tests {
     use super::*;
     use crate::config::ReplicationConfig;
     use crate::protocol::session_group;
+    use crate::server::takeover::{Cx, Input};
     use gcs::ViewId;
-    use media::FrameNo;
+    use media::{FrameNo, GopPattern};
+    use simnet::VecMap;
 
     const TICK: Duration = Duration::from_millis(500);
 
@@ -537,10 +539,9 @@ mod tests {
         }
     }
 
-    /// Movie 1's table on its coordinator n1, one record per owner.
+    /// Movie 1's table on its coordinator n1, one record per owner: the
+    /// view installed, then n1's report.
     fn table(members: &[u32], owners: &[NodeId]) -> TakeoverTable {
-        let mut table = TakeoverTable::default();
-        table.install_view(NodeId(1), view(members));
         let records = owners.iter().zip(0..).map(|(&owner, c)| ClientRecord {
             client: ClientId(c),
             client_node: NodeId(100 + c),
@@ -554,7 +555,32 @@ mod tests {
             updated_at: SimTime::ZERO,
             paused: false,
         });
-        table.merge_report(NodeId(1), 1, records);
+        let (cfg, gop, sessions) = (
+            cfg(),
+            GopPattern::mpeg1(),
+            VecMap::<ClientId, ClientRecord>::new(),
+        );
+        let cx = Cx {
+            me: NodeId(1),
+            now: SimTime::ZERO,
+            cfg: &cfg,
+            movie: MovieId(1),
+            gop: &gop,
+            fps: 30,
+            sessions: &sessions,
+        };
+        let (from, epoch, records) = (NodeId(1), 1, records.collect());
+        let mut table = TakeoverTable::default();
+        for input in [
+            Input::View(view(members)),
+            Input::Report {
+                from,
+                epoch,
+                records,
+            },
+        ] {
+            table.step(&cx, input, &mut Vec::new());
+        }
         table
     }
 

@@ -103,10 +103,17 @@ pub struct ServerSession {
     closed: bool,
 }
 
+/// The session's live record, as the takeover table reads it.
+impl AsRef<ClientRecord> for ServerSession {
+    fn as_ref(&self) -> &ClientRecord {
+        &self.record
+    }
+}
+
 impl ServerSession {
     /// The session streaming `movie` as `how` settled it
-    /// ([`takeover::TakeoverTable::resume`]); appends the actions that open
-    /// the stream to `out`.
+    /// ([`takeover::Action::Start`]); appends the actions that open the
+    /// stream to `out`.
     pub fn start(cfg: &VodConfig, movie: Arc<Movie>, how: Resume, out: &mut Vec<Action>) -> Self {
         let (record, degraded) = (how.record, how.degraded);
         if !record.paused {

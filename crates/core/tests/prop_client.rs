@@ -28,7 +28,7 @@ use ftvod_core::config::VodConfig;
 use ftvod_core::protocol::{
     session_group, ClientId, ControlPayload, FlowRequest, VcrCmd, VideoPacket,
 };
-use ftvod_core::server::assign_clients;
+use ftvod_core::server::assign_clients_with_capacity;
 use gcs::{GcsEvent, View, ViewId};
 use media::{FrameMeta, FrameNo, FrameType, HardwareDecoder, Movie, MovieId, MovieSpec};
 use simnet::{NodeId, SimTime};
@@ -199,13 +199,13 @@ proptest! {
     ) {
         let clients: Vec<ClientId> = clients.into_iter().map(ClientId).collect();
         let servers: Vec<NodeId> = servers.into_iter().map(NodeId).collect();
-        let a = assign_clients(&clients, &servers);
+        let a = assign_clients_with_capacity(&clients, &servers, None).0;
         prop_assert_eq!(a.len(), clients.len(), "every client assigned");
         let mut shuffled_clients = clients.clone();
         shuffled_clients.reverse();
         let mut shuffled_servers = servers.clone();
         shuffled_servers.reverse();
-        let b = assign_clients(&shuffled_clients, &shuffled_servers);
+        let b = assign_clients_with_capacity(&shuffled_clients, &shuffled_servers, None).0;
         prop_assert_eq!(&a, &b, "input order must not matter");
         let mut counts = std::collections::BTreeMap::new();
         for owner in a.values() {

@@ -10,15 +10,17 @@ use proptest::prelude::*;
 
 use ftvod_core::config::{COOLDOWN_TICKS, HOT_SESSIONS_PER_REPLICA, MAX_REPLICAS};
 use ftvod_core::forecast::FORECAST_STREAM;
+use ftvod_core::protocol::{ClientId, ClientRecord};
 use ftvod_core::server::replicas::Holdings;
+use ftvod_core::server::takeover::{Cx, Input};
 use ftvod_core::server::{Placement, TakeoverTable};
 use ftvod_core::{
     BringUpTrigger, DemandEntry, ForecastBank, MovieForecast, MovieObservation, PlacementAction,
     PlacementPolicy, PolicyKind, PopState, ReplicationConfig, VodConfig,
 };
 use gcs::{View, ViewId};
-use media::MovieId;
-use simnet::{NodeId, SimTime};
+use media::{GopPattern, MovieId};
+use simnet::{NodeId, SimTime, VecMap};
 
 /// One synthetic sync tick of fleet-wide demand for a small catalog.
 #[derive(Clone, Debug)]
@@ -40,6 +42,24 @@ fn view(members: impl Iterator<Item = u32>) -> View {
     View::new(id, members.map(NodeId).collect())
 }
 
+/// A table that installed `view` on n1, through [`TakeoverTable::step`].
+fn installed(view: View) -> TakeoverTable {
+    let (cfg, gop) = (VodConfig::paper_default(), GopPattern::mpeg1());
+    let sessions = VecMap::<ClientId, ClientRecord>::new();
+    let cx = Cx {
+        me: NodeId(1),
+        now: SimTime::ZERO,
+        cfg: &cfg,
+        movie: MovieId(1),
+        gop: &gop,
+        fps: 30,
+        sessions: &sessions,
+    };
+    let mut table = TakeoverTable::default();
+    table.step(&cx, Input::View(view), &mut Vec::new());
+    table
+}
+
 /// Replays `ticks` through the replica manager's real tick
 /// ([`Placement::tick`]) on every one of `live` servers — movie `m` of a
 /// tick is held by servers `1..=replicas`, the first of which carries its
@@ -56,11 +76,7 @@ fn replay(kind: PolicyKind, ticks: &[Tick], live: u32) -> Vec<String> {
         let movies = || (1u32..).zip(&tick.demand);
         let catalog: BTreeMap<MovieId, ()> = movies().map(|(m, _)| (MovieId(m), ())).collect();
         let tables: Vec<TakeoverTable> = movies()
-            .map(|(_, &(_, _, replicas))| {
-                let mut table = TakeoverTable::default();
-                table.install_view(NodeId(1), view(1..=replicas.min(live)));
-                table
-            })
+            .map(|(_, &(_, _, replicas))| installed(view(1..=replicas.min(live))))
             .collect();
         for (me, value) in (1u32..).zip(&mut fleet) {
             for server in 1..=live {

@@ -32,11 +32,12 @@ use ftvod_core::config::{
 use ftvod_core::forecast::{BringUpTrigger, PolicyKind};
 use ftvod_core::protocol::{session_group, ClientId, ClientRecord, ControlPayload, DemandEntry};
 use ftvod_core::server::replicas::{Decision, Holdings, PrefixVerdict};
+use ftvod_core::server::takeover::{Cx, Input};
 use ftvod_core::server::{Placement, TakeoverTable, UNSERVED};
 use gcs::{View, ViewId};
-use media::{FrameNo, MovieId};
+use media::{FrameNo, GopPattern, MovieId};
 use proptest::prelude::*;
-use simnet::{NodeId, SimTime};
+use simnet::{NodeId, SimTime, VecMap};
 
 /// The sync interval the ticks below are spaced by.
 const TICK: Duration = Duration::from_millis(500);
@@ -72,12 +73,33 @@ fn record(movie: u32, client: u32, owner: NodeId) -> ClientRecord {
 
 /// The table every holder of `movie` keeps: `members` in its view, and one
 /// client (`100 × movie + i`) per entry of `owners`.
+/// Seeded through [`TakeoverTable::step`] on the view's first member: the
+/// view, then that member's report.
 fn table(movie: u32, members: impl IntoIterator<Item = u32>, owners: &[NodeId]) -> TakeoverTable {
-    let (mut table, view) = (TakeoverTable::default(), view(members));
+    let view = view(members);
     let first = view.members.first().copied().unwrap_or_default();
-    table.install_view(first, view);
+    let (cfg, gop) = (VodConfig::paper_default(), GopPattern::mpeg1());
+    let sessions = VecMap::<ClientId, ClientRecord>::new();
+    let cx = Cx {
+        me: first,
+        now: SimTime::ZERO,
+        cfg: &cfg,
+        movie: MovieId(movie),
+        gop: &gop,
+        fps: 30,
+        sessions: &sessions,
+    };
     let clients = owners.iter().zip(100 * movie..);
-    table.merge_report(first, 1, clients.map(|(&owner, c)| record(movie, c, owner)));
+    let records = clients.map(|(&owner, c)| record(movie, c, owner)).collect();
+    let report = Input::Report {
+        from: first,
+        epoch: 1,
+        records,
+    };
+    let mut table = TakeoverTable::default();
+    for input in [Input::View(view), report] {
+        table.step(&cx, input, &mut Vec::new());
+    }
     table
 }
 

@@ -13,10 +13,15 @@
 //! the residual-reform fix is disabled: the expelled side ignores the
 //! survivors' announces forever, so no schedule merges the views.
 
-use ftvod_core::protocol::ClientId;
-use ftvod_core::server::assign_clients;
+use std::collections::VecDeque;
+
+use ftvod_core::config::VodConfig;
+use ftvod_core::protocol::{session_group, ClientId, ClientRecord};
+use ftvod_core::server::takeover::{Action, Cx, Input};
+use ftvod_core::server::TakeoverTable;
 use gcs::proto::{GroupStatus, ProtoEvent};
-use simnet::NodeId;
+use media::{FrameNo, GopPattern, MovieId};
+use simnet::{NodeId, SimTime, VecMap};
 
 use crate::world::{id_of, idx, Scenario, World};
 
@@ -56,7 +61,7 @@ pub fn closure_violation(start: &World, scn: &Scenario) -> Option<(String, Strin
         fire_timers(&mut w, round, rounds);
         deliver_all(&mut w);
         if converged(&w, &participants, &leavers) {
-            return coverage_violation(&w, scn, &participants);
+            return coverage_violation(&w, scn, &VodConfig::paper_default(), &participants);
         }
     }
     let views: Vec<String> = w
@@ -217,39 +222,143 @@ fn converged(w: &World, participants: &[NodeId], leavers: &[NodeId]) -> bool {
     true
 }
 
-/// On the converged view, the deterministic takeover redistribution must
-/// give every client exactly one owner among the surviving members.
+/// On the converged view, every participant's takeover table — the one
+/// the server runs — goes through the state exchange: clients
+/// `1..=scn.clients` start with the same synced record everywhere, owned
+/// round-robin over the initial view and run by their owner, and every
+/// publication reaches every participant, the sender included, until
+/// none is left. Then every table must name the same owner for each
+/// client, that owner must be a participant, and it alone must run the
+/// client's session.
 fn coverage_violation(
     w: &World,
     scn: &Scenario,
+    cfg: &VodConfig,
     participants: &[NodeId],
 ) -> Option<(String, String)> {
-    if participants.is_empty() || scn.clients == 0 {
-        return None;
+    let view = &w.nodes[idx(*participants.first()?)].group.view;
+    let synced = |c| ClientRecord {
+        client: ClientId(c),
+        client_node: NodeId(100 + c),
+        session_group: session_group(ClientId(c)),
+        movie: MovieId(1),
+        next_frame: FrameNo(0),
+        rate_fps: 30,
+        max_fps: 30,
+        owner: NodeId((c - 1) % scn.members.max(1) + 1),
+        assigned_epoch: 1,
+        updated_at: SimTime::ZERO,
+        paused: false,
+    };
+    let records: Vec<ClientRecord> = (1..=scn.clients).map(synced).collect();
+    // Per participant: its table and the sessions it runs, by client.
+    let mut replicas: Vec<(TakeoverTable, VecMap<ClientId, ClientRecord>)> = (participants.iter())
+        .map(|&p| {
+            let owned = records.iter().filter(|r| r.owner == p);
+            (
+                TakeoverTable::default(),
+                owned.map(|r| (r.client, *r)).collect(),
+            )
+        })
+        .collect();
+    // The old view's last sync, then each participant's converged view.
+    let mut inbox: VecDeque<(usize, Input)> = VecDeque::new();
+    for (i, &p) in participants.iter().enumerate() {
+        inbox.push_back((i, report(p, 1, records.clone())));
+        inbox.push_back((i, Input::View(w.nodes[idx(p)].group.view.clone())));
     }
-    let clients: Vec<ClientId> = (1..=scn.clients).map(ClientId).collect();
-    // Every survivor computes the assignment from its own view; they all
-    // converged on the same members, so check once from the actual view
-    // of the minimum participant (not the target list) to exercise the
-    // real input path.
-    let view = &w.nodes[idx(participants[0])].group.view;
-    let assignment = assign_clients(&clients, &view.members);
-    for &c in &clients {
-        match assignment.get(&c) {
-            None => {
-                return Some((
-                    "takeover-coverage".into(),
-                    format!("{c} left unassigned by redistribution over {view}"),
-                ));
+    let (gop, mut out) = (GopPattern::mpeg1(), Vec::new());
+    while let Some((i, input)) = inbox.pop_front() {
+        let (table, sessions) = &mut replicas[i];
+        let cx = Cx {
+            me: participants[i],
+            now: SimTime::ZERO,
+            cfg,
+            movie: MovieId(1),
+            gop: &gop,
+            fps: 30,
+            sessions,
+        };
+        table.step(&cx, input, &mut out);
+        let epoch = table.view().id.epoch;
+        for action in out.drain(..) {
+            match action {
+                Action::Publish(records) | Action::Sync(records) => {
+                    let heard = (0..participants.len())
+                        .map(|to| (to, report(participants[i], epoch, records.clone())));
+                    inbox.extend(heard);
+                }
+                Action::Stop(client) => drop(sessions.remove(&client)),
+                Action::Start(how) => drop(sessions.insert(how.record.client, how.record)),
+                _ => {}
             }
-            Some(owner) if !participants.contains(owner) => {
-                return Some((
-                    "takeover-coverage".into(),
-                    format!("{c} assigned to non-survivor {owner} over {view}"),
-                ));
-            }
-            Some(_) => {}
+        }
+    }
+    for client in records.iter().map(|r| r.client) {
+        // (participant, the owner its table names, whether it runs the client)
+        let seen: Vec<(NodeId, Option<NodeId>, bool)> = (participants.iter().zip(&replicas))
+            .map(|(&p, (t, s))| (p, t.get(client).map(|r| r.owner), s.contains_key(&client)))
+            .collect();
+        let owner = seen[0].1.filter(|o| participants.contains(o));
+        let wrong =
+            |&(p, o, runs): &(NodeId, Option<NodeId>, bool)| o != owner || runs != (o == Some(p));
+        if owner.is_none() || seen.iter().any(wrong) {
+            let detail = format!("{client} after the exchange over {view}: {seen:?}");
+            return Some(("takeover-coverage".into(), detail));
         }
     }
     None
+}
+
+/// `from`'s publication, as the report its group delivers.
+fn report(from: NodeId, epoch: u64, records: Vec<ClientRecord>) -> Input {
+    Input::Report {
+        from,
+        epoch,
+        records,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use ftvod_core::config::TakeoverPolicy;
+
+    use super::*;
+    use crate::Step;
+
+    /// The crash of n3, which owned client 3, and the fair rounds that
+    /// follow until n1 and n2 share one view.
+    fn after_n3_crashed(scn: &Scenario) -> World {
+        let mut w = World::initial(scn).apply(&Step::Crash(NodeId(3)));
+        let (survivors, rounds) = ([NodeId(1), NodeId(2)], 8 + 4 * w.nodes.len());
+        for round in 0..rounds {
+            ground_truth_suspicion(&mut w);
+            deliver_all(&mut w);
+            fire_timers(&mut w, round, rounds);
+            deliver_all(&mut w);
+            if converged(&w, &survivors, &[]) {
+                return w;
+            }
+        }
+        panic!("n1 and n2 never merged");
+    }
+
+    /// A negative control: a takeover table that reassigns nothing leaves
+    /// the crashed owner's clients to it, and the check reports that. The
+    /// paper's policy covers them.
+    #[test]
+    fn a_policy_that_reassigns_nothing_fails_takeover_coverage() {
+        let scn = Scenario::formed(3);
+        let w = after_n3_crashed(&scn);
+        let survivors = [NodeId(1), NodeId(2)];
+        let paper = VodConfig::paper_default();
+        assert_eq!(coverage_violation(&w, &scn, &paper, &survivors), None);
+        assert_eq!(closure_violation(&w, &scn), None);
+
+        let none = paper.with_takeover(TakeoverPolicy::None);
+        let (invariant, detail) =
+            coverage_violation(&w, &scn, &none, &survivors).expect("uncovered clients");
+        assert_eq!(invariant, "takeover-coverage");
+        assert!(detail.starts_with("c3 "), "{detail}");
+    }
 }
