@@ -21,9 +21,10 @@
 //!
 //! Liveness, via a deterministic *fair closure* from every state (see
 //! [`closure`]): once faults stop, all engaged survivors must converge
-//! on one common view (**eventual-merge**) and the deterministic client
-//! redistribution over that view must give every client exactly one
-//! surviving owner (**takeover-coverage**).
+//! on one common view (**eventual-merge**), and the survivors' takeover
+//! tables — the server's own `TakeoverTable::step`, driven through the
+//! state exchange on that view — must agree on one surviving owner per
+//! client, which alone runs it (**takeover-coverage**).
 //!
 //! ## Small-scope rationale
 //!
