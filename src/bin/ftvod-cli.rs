@@ -371,6 +371,7 @@ fn parse_chaos(args: &[String]) -> Result<ChaosOptions, String> {
     if opts.seeds == 0 {
         return Err("--seeds must be at least 1".to_owned());
     }
+    seed_range(opts.seed, opts.seeds)?;
     if opts.clients == 0 {
         return Err("--clients must be at least 1".to_owned());
     }
@@ -378,6 +379,18 @@ fn parse_chaos(args: &[String]) -> Result<ChaosOptions, String> {
         return Err("--sync-ms must be positive".to_owned());
     }
     Ok(opts)
+}
+
+/// Checks that a sweep of `seeds` (at least one) from `seed` ends within
+/// `u64`: its last seed is `seed + seeds - 1`.
+fn seed_range(seed: u64, seeds: u32) -> Result<(), String> {
+    if seed.checked_add(u64::from(seeds) - 1).is_none() {
+        return Err(format!(
+            "--seed {seed} with --seeds {seeds} runs past the last seed, {}",
+            u64::MAX
+        ));
+    }
+    Ok(())
 }
 
 /// The sweep behind `chaos`, `flash` and `multidc`: runs `seeds`
@@ -394,7 +407,7 @@ fn sweep(
     mut run_seed: impl FnMut(u64) -> Outcome,
 ) -> Result<(), String> {
     let mut failing: Vec<u64> = Vec::new();
-    for seed in first_seed..first_seed + u64::from(seeds) {
+    for seed in first_seed..=first_seed + u64::from(seeds - 1) {
         let outcome = run_seed(seed);
         if !outcome.oracle.pass() {
             print!("{}", outcome.oracle);
@@ -520,6 +533,10 @@ fn parse_sweep(args: &[String]) -> Result<SweepOptions, String> {
     }
     if opts.seeds == 0 {
         return Err("--seeds must be at least 1".to_owned());
+    }
+    // `--compare` runs `--seed` alone.
+    if !opts.compare {
+        seed_range(opts.seed, opts.seeds)?;
     }
     Ok(opts)
 }
@@ -677,6 +694,9 @@ fn parse_check(args: &[String]) -> Result<CheckOptions, String> {
                 opts.nodes
             ));
         }
+    }
+    if opts.clients == 0 {
+        return Err("--clients must be at least 1".to_owned());
     }
     if opts.depth == 0 {
         return Err("--depth must be at least 1".to_owned());
@@ -1428,6 +1448,10 @@ mod tests {
         assert!(parse_sweep(&strings(&["--seeds", "0"])).is_err());
         assert!(parse_sweep(&strings(&["--seeds"])).is_err());
         assert!(parse_sweep(&strings(&["--seed", "x"])).is_err());
+        let max = u64::MAX.to_string();
+        assert!(parse_sweep(&strings(&["--seed", &max, "--seeds", "2"])).is_err());
+        assert!(parse_sweep(&strings(&["--seed", &max, "--seeds", "1"])).is_ok());
+        assert!(parse_sweep(&strings(&["--seed", &max, "--compare"])).is_ok());
     }
 
     #[test]
@@ -1473,6 +1497,10 @@ mod tests {
         assert!(parse_chaos(&strings(&["--clients", "0"])).is_err());
         assert!(parse_chaos(&strings(&["--sync-ms", "0"])).is_err());
         assert!(parse_chaos(&strings(&["--seeds"])).is_err());
+        let max = u64::MAX.to_string();
+        let err = parse_chaos(&strings(&["--seed", &max, "--seeds", "2"])).unwrap_err();
+        assert!(err.contains("--seed ") && err.contains("--seeds "), "{err}");
+        assert!(parse_chaos(&strings(&["--seed", &max, "--seeds", "1"])).is_ok());
     }
 
     /// Textbook values: 0 of 10 and 5 of 10.
@@ -1507,6 +1535,10 @@ mod tests {
         assert!(parse_sweep(&strings(&["--seeds", "0"])).is_err());
         assert!(parse_sweep(&strings(&["--seeds"])).is_err());
         assert!(parse_sweep(&strings(&["--seed", "x"])).is_err());
+        let max = u64::MAX.to_string();
+        assert!(parse_sweep(&strings(&["--seed", &max, "--seeds", "2"])).is_err());
+        assert!(parse_sweep(&strings(&["--seed", &max, "--seeds", "1"])).is_ok());
+        assert!(parse_sweep(&strings(&["--seed", &max, "--compare"])).is_ok());
     }
 
     #[test]
@@ -1557,6 +1589,7 @@ mod tests {
         assert!(parse_check(&strings(&["--leaver", "0"])).is_err());
         assert!(parse_check(&strings(&["--depth", "0"])).is_err());
         assert!(parse_check(&strings(&["--max-states", "0"])).is_err());
+        assert!(parse_check(&strings(&["--clients", "0"])).is_err());
         assert!(parse_check(&strings(&["--depth"])).is_err());
     }
 
