@@ -131,44 +131,6 @@ pub struct Cx<'a, S> {
     pub sessions: &'a VecMap<ClientId, S>,
 }
 
-/// What installing a movie-group view asks for.
-#[derive(Clone, PartialEq, Eq, Debug)]
-enum Installed {
-    /// This server is not in the view (e.g. it left gracefully): nothing
-    /// to coordinate.
-    Excluded,
-    /// This server is the only member: redistribute at once.
-    Alone,
-    /// A state exchange started: multicast this report — everything the
-    /// server knows — under the view's epoch and arm the exchange
-    /// deadline (paper §5.2: "the servers first exchange information
-    /// about clients, and then use it to deduce which clients each of
-    /// them will serve").
-    Exchange(Vec<ClientRecord>),
-}
-
-/// What a merged report asks for.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Merged {
-    /// The report completed the pending exchange: redistribute.
-    Redistribute,
-    /// No exchange is pending: reconcile the sessions with the records.
-    Reconcile,
-    /// An exchange is still waiting for members: owners may be about to
-    /// change, so no session starts or stops yet.
-    Pending,
-}
-
-/// The sessions a server must stop and start to match the records;
-/// stops come first.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-struct SessionDiff {
-    /// Clients whose record names another owner.
-    stop: Vec<ClientId>,
-    /// Records this server owns without a session.
-    start: Vec<ClientRecord>,
-}
-
 /// How a session starts on its new owner ([`Action::Start`]).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Resume {
@@ -241,64 +203,153 @@ impl TakeoverTable {
         out: &mut Vec<Action>,
     ) {
         match input {
-            Input::View(view) => match self.install_view(cx.me, view) {
-                Installed::Excluded => {}
-                Installed::Alone => self.take_over(cx, out),
-                Installed::Exchange(records) => {
-                    let (server, movie) = (cx.me, cx.movie);
-                    let (epoch, members) = (self.view.id.epoch, self.view.len());
-                    out.push(Action::Trace(VodEvent::StateExchangeStarted {
-                        server,
-                        movie,
-                        epoch,
-                        members,
-                    }));
-                    out.push(Action::ArmDeadline);
-                    out.push(Action::Publish(records));
-                }
-            },
+            Input::View(view) => self.install(cx, view, out),
             Input::Report {
                 from,
                 epoch,
                 records,
-            } => match self.merge_report(from, epoch, records) {
-                Merged::Redistribute => self.take_over(cx, out),
-                Merged::Reconcile => self.reconcile(cx, out),
-                Merged::Pending => {}
-            },
-            Input::Open(candidate) => {
-                if let Some(record) = self.admit(cx.cfg, cx.me, candidate, cx.now) {
-                    if record.owner == UNSERVED {
-                        out.push(Action::Parked);
-                    }
-                    out.push(Action::Publish(vec![record]));
+            } => self.merge(cx, from, epoch, records, out),
+            Input::Open(candidate) => self.admit(cx, candidate, out),
+            // Forget the record and remember the removal against reports
+            // still in flight, also when no record of it arrived here yet:
+            // a removal and a stale report then leave the same table in
+            // either order.
+            Input::Remove(client) => {
+                self.records.remove(&client);
+                self.tombstones.insert(client, cx.now);
+            }
+            // Still pending at its deadline, the exchange redistributes
+            // over whatever reports arrived.
+            Input::Deadline => {
+                if self.exchange.take().is_some() {
+                    self.take_over(cx, out);
                 }
             }
-            Input::Remove(client) => self.remove(client, cx.now),
-            Input::Deadline if self.exchange_expired() => self.take_over(cx, out),
-            Input::Deadline => {}
             Input::Sync { round } => {
                 if round.is_some() {
-                    self.expire_tombstones(cx.now);
+                    // Drop the tombstones no in-flight report can still
+                    // contradict.
+                    self.tombstones
+                        .retain(|_, &mut at| cx.now.saturating_since(at) < TOMBSTONE_TTL);
                 }
                 let live = |client| cx.sessions.get(&client).map(|s| *s.as_ref());
-                if let Some(records) = self.report(cx.me, cx.now, round, live) {
-                    out.push(Action::Sync(records));
+                self.report(cx, round, live, out);
+            }
+        }
+    }
+
+    /// Installs `view`, counting the members it lost towards
+    /// [`TakeoverPolicy::SingleBackup`]'s failure budget. A view without
+    /// `me` (e.g. it left gracefully) coordinates nothing; alone in it,
+    /// `me` redistributes at once. Otherwise a state exchange starts: `me`
+    /// reports everything it knows under the view's epoch and arms the
+    /// exchange deadline (paper §5.2: "the servers first exchange
+    /// information about clients, and then use it to deduce which clients
+    /// each of them will serve").
+    fn install<S: AsRef<ClientRecord>>(
+        &mut self,
+        cx: &Cx<'_, S>,
+        view: View,
+        out: &mut Vec<Action>,
+    ) {
+        let lost = self.view.members.iter().filter(|m| !view.contains(**m));
+        self.failures_seen = self.failures_seen.saturating_add(lost.count() as u32);
+        self.view = view;
+        self.exchange = None;
+        if !self.view.contains(cx.me) {
+            return;
+        }
+        if self.view.len() == 1 {
+            return self.take_over(cx, out);
+        }
+        let (epoch, members) = (self.view.id.epoch, self.view.len());
+        self.exchange = Some(Exchange {
+            epoch,
+            reported: BTreeSet::new(),
+        });
+        out.push(Action::Trace(VodEvent::StateExchangeStarted {
+            server: cx.me,
+            movie: cx.movie,
+            epoch,
+            members,
+        }));
+        out.push(Action::ArmDeadline);
+        out.push(Action::Publish(self.records().copied().collect()));
+    }
+
+    /// Merges `from`'s report, sent under `view_epoch`: per client the
+    /// record that is greater by assignment epoch, then timestamp, then
+    /// owner and offset wins, and a record no fresher than the client's
+    /// tombstone is dropped. With no exchange pending, the sessions are
+    /// reconciled with the records. A report under the pending exchange's
+    /// epoch counts towards its completion, and the last one redistributes;
+    /// until then owners may be about to change, so no session starts or
+    /// stops.
+    fn merge<S: AsRef<ClientRecord>>(
+        &mut self,
+        cx: &Cx<'_, S>,
+        from: NodeId,
+        view_epoch: u64,
+        records: Vec<ClientRecord>,
+        out: &mut Vec<Action>,
+    ) {
+        for record in records {
+            if let Some(&removed_at) = self.tombstones.get(&record.client) {
+                if record.updated_at <= removed_at {
+                    continue; // stale report of an ended session
                 }
+                self.tombstones.remove(&record.client);
+            }
+            let known = self.get(record.client);
+            if known.is_none_or(|known| record_key(known) < record_key(&record)) {
+                self.records.insert(record.client, record);
+            }
+        }
+        let Some(exchange) = self.exchange.as_mut() else {
+            return self.reconcile(cx, out);
+        };
+        if view_epoch == exchange.epoch {
+            exchange.reported.insert(from);
+            let members = &self.view.members;
+            if members.iter().all(|m| exchange.reported.contains(m)) {
+                self.exchange = None;
+                self.take_over(cx, out);
             }
         }
     }
 
     /// Redistribution after a completed or expired exchange, or alone in
     /// the view: reassign, reconcile, and publish what changed hands.
+    ///
+    /// The reassignment is deterministic (see [`redistribute_clients`]):
+    /// every record gets an owner from the view, or [`UNSERVED`], stamped
+    /// with the view's epoch so that the assignment dominates periodic
+    /// reports from before the change. A baseline [`VodConfig::takeover`]
+    /// reassigns nothing (orphans stay orphaned).
     fn take_over<S: AsRef<ClientRecord>>(&mut self, cx: &Cx<'_, S>, out: &mut Vec<Action>) {
         out.push(Action::Redistributing);
-        let reassigned = self.redistribute(cx.cfg);
+        let reassign = match cx.cfg.takeover {
+            TakeoverPolicy::Full => true,
+            TakeoverPolicy::SingleBackup => self.failures_seen <= 1,
+            TakeoverPolicy::None => false,
+        };
+        let epoch = self.view.id.epoch;
+        if reassign {
+            let (assignment, unassigned) =
+                redistribute_clients(cx.cfg, &self.view.members, &self.records);
+            let parked = unassigned.into_iter().map(|client| (client, UNSERVED));
+            for (client, owner) in assignment.into_iter().chain(parked) {
+                if let Some(record) = self.records.get_mut(&client) {
+                    record.owner = owner;
+                    record.assigned_epoch = epoch;
+                }
+            }
+        }
         let first = out.len();
         self.reconcile(cx, out);
-        let Some(epoch) = reassigned else {
+        if !reassign {
             return;
-        };
+        }
         let started: VecMap<ClientId, ClientRecord> = (out[first..].iter())
             .filter_map(|action| match action {
                 Action::Start(how) => Some((how.record.client, how.record)),
@@ -318,232 +369,102 @@ impl TakeoverTable {
         // see fresh state (and the old server, if alive, stops quickly).
         let running = |client| cx.sessions.get(&client).map(S::as_ref);
         let live = |client| started.get(&client).or(running(client)).copied();
-        if let Some(records) = self.report(cx.me, cx.now, None, live) {
-            out.push(Action::Sync(records));
-        }
+        self.report(cx, None, live, out);
     }
 
-    /// Stops the sessions whose client the records give to another
-    /// replica, starts one for every record `me` owns without a session.
+    /// Stops the sessions of this table's movie whose record names another
+    /// replica, then starts one for every record `me` owns without any
+    /// session.
     fn reconcile<S: AsRef<ClientRecord>>(&self, cx: &Cx<'_, S>, out: &mut Vec<Action>) {
-        let here = |s: &S| s.as_ref().movie == cx.movie;
-        let diff = self.session_diff(cx.me, cx.sessions, here);
-        out.extend(diff.stop.into_iter().map(Action::Stop));
-        for record in diff.start {
-            let how = self.resume(cx.cfg, cx.me, cx.gop, cx.fps, record, cx.now);
-            out.push(Action::Start(how));
-        }
-    }
-
-    /// Installs `view`, counting the members it lost towards
-    /// [`TakeoverPolicy::SingleBackup`]'s failure budget.
-    fn install_view(&mut self, me: NodeId, view: View) -> Installed {
-        let lost = self.view.members.iter().filter(|m| !view.contains(**m));
-        self.failures_seen = self.failures_seen.saturating_add(lost.count() as u32);
-        self.view = view;
-        self.exchange = None;
-        if !self.view.contains(me) {
-            return Installed::Excluded;
-        }
-        if self.view.len() == 1 {
-            return Installed::Alone;
-        }
-        self.exchange = Some(Exchange {
-            epoch: self.view.id.epoch,
-            reported: BTreeSet::new(),
-        });
-        Installed::Exchange(self.records().copied().collect())
-    }
-
-    /// Merges `from`'s report, sent under `view_epoch`: per client the
-    /// record that is greater by assignment epoch, then timestamp, then
-    /// owner and offset wins, and a record no fresher than the client's
-    /// tombstone is dropped. A report under the pending exchange's epoch
-    /// counts towards its completion.
-    fn merge_report(
-        &mut self,
-        from: NodeId,
-        view_epoch: u64,
-        records: impl IntoIterator<Item = ClientRecord>,
-    ) -> Merged {
-        for record in records {
-            if let Some(&removed_at) = self.tombstones.get(&record.client) {
-                if record.updated_at <= removed_at {
-                    continue; // stale report of an ended session
-                }
-                self.tombstones.remove(&record.client);
-            }
-            let known = self.get(record.client);
-            if known.is_none_or(|known| record_key(known) < record_key(&record)) {
-                self.records.insert(record.client, record);
+        let moved = |client| self.get(client).is_some_and(|r| r.owner != cx.me);
+        for (&client, session) in cx.sessions.iter() {
+            if session.as_ref().movie == cx.movie && moved(client) {
+                out.push(Action::Stop(client));
             }
         }
-        let Some(exchange) = self.exchange.as_mut() else {
-            return Merged::Reconcile;
-        };
-        if view_epoch == exchange.epoch {
-            exchange.reported.insert(from);
-            let members = &self.view.members;
-            if members.iter().all(|m| exchange.reported.contains(m)) {
-                self.exchange = None;
-                return Merged::Redistribute;
+        for record in self.records() {
+            if record.owner == cx.me && !cx.sessions.contains_key(&record.client) {
+                out.push(Action::Start(self.resume(cx, *record)));
             }
         }
-        Merged::Pending
-    }
-
-    /// Forgets `client`'s record (its session ended at `now`) and
-    /// remembers the removal against reports still in flight, also when
-    /// no record of it arrived here yet: a removal and a stale report then
-    /// leave the same table in either order.
-    fn remove(&mut self, client: ClientId, now: SimTime) {
-        self.records.remove(&client);
-        self.tombstones.insert(client, now);
-    }
-
-    /// Drops the tombstones no in-flight report can still contradict.
-    fn expire_tombstones(&mut self, now: SimTime) {
-        self.tombstones
-            .retain(|_, &mut at| now.saturating_since(at) < TOMBSTONE_TTL);
-    }
-
-    /// The exchange deadline passed. Returns whether an exchange was
-    /// still pending — then the server redistributes over whatever
-    /// reports arrived.
-    fn exchange_expired(&mut self) -> bool {
-        self.exchange.take().is_some()
     }
 
     /// Connection establishment, decided by the view's coordinator alone:
     /// the least-loaded member takes `candidate`'s client (see
-    /// [`admit_client`]). Returns the record to publish to the group:
-    /// a served client's own record again (a duplicate OPEN — the
-    /// republication repairs a lost assignment), the candidate stamped
-    /// with its owner and this view's epoch, or — on the first refusal
-    /// only — the candidate parked as [`UNSERVED`] on every replica.
-    /// `None` when `me` does not coordinate or a parked client still has
-    /// no room.
+    /// [`admit_client`]). Publishes to the group a served client's own
+    /// record again (a duplicate OPEN — the republication repairs a lost
+    /// assignment), the candidate stamped with its owner and this view's
+    /// epoch, or — on the first refusal only, as [`Action::Parked`] — the
+    /// candidate parked as [`UNSERVED`] on every replica. Nothing when `me`
+    /// does not coordinate or a parked client still has no room.
     ///
     /// The candidate is the client's OPEN as a record ([`candidate`]), or
     /// the parked record itself when the coordinator retries on behalf of
     /// a client that stopped re-OPENing; its `owner` is ignored.
-    fn admit(
-        &mut self,
-        cfg: &VodConfig,
-        me: NodeId,
-        candidate: ClientRecord,
-        now: SimTime,
-    ) -> Option<ClientRecord> {
-        if self.view.coordinator_candidate() != Some(me) {
-            return None;
+    fn admit<S>(&mut self, cx: &Cx<'_, S>, candidate: ClientRecord, out: &mut Vec<Action>) {
+        if self.view.coordinator_candidate() != Some(cx.me) {
+            return;
         }
         let known = self.get(candidate.client).copied();
         let parked = known.is_some_and(|r| r.owner == UNSERVED);
-        if !parked && known.is_some() {
-            return known;
+        if let Some(known) = known.filter(|_| !parked) {
+            return out.push(Action::Publish(vec![known]));
         }
         let members = &self.view.members;
         let (client, node) = (candidate.client, candidate.client_node);
-        let owner = admit_client(cfg, members, &self.records, client, node).unwrap_or(UNSERVED);
+        let owner = admit_client(cx.cfg, members, &self.records, client, node).unwrap_or(UNSERVED);
         if parked && owner == UNSERVED {
-            return None;
+            return;
         }
         let record = ClientRecord {
             owner,
             assigned_epoch: self.view.id.epoch,
-            updated_at: now,
+            updated_at: cx.now,
             ..candidate
         };
         self.records.insert(client, record);
-        Some(record)
+        if owner == UNSERVED {
+            out.push(Action::Parked);
+        }
+        out.push(Action::Publish(vec![record]));
     }
 
-    /// Deterministic redistribution after a completed state exchange
-    /// (see [`redistribute_clients`]): every record gets an owner from
-    /// the view, or [`UNSERVED`], stamped with the view's epoch so that
-    /// the assignment dominates periodic reports from before the change.
-    /// Returns that epoch, or `None` when [`VodConfig::takeover`] is a
-    /// baseline that reassigns nothing (orphans stay orphaned).
-    fn redistribute(&mut self, cfg: &VodConfig) -> Option<u64> {
-        match cfg.takeover {
-            TakeoverPolicy::Full => {}
-            TakeoverPolicy::SingleBackup if self.failures_seen <= 1 => {}
-            _ => return None,
-        }
-        let (assignment, unassigned) = redistribute_clients(cfg, &self.view.members, &self.records);
-        let epoch = self.view.id.epoch;
-        let parked = unassigned.into_iter().map(|client| (client, UNSERVED));
-        for (client, owner) in assignment.into_iter().chain(parked) {
-            if let Some(record) = self.records.get_mut(&client) {
-                record.owner = owner;
-                record.assigned_epoch = epoch;
-            }
-        }
-        Some(epoch)
-    }
-
-    /// Compares the records with the `sessions` the server `me` runs
-    /// (`here` tells whether a session streams this table's movie):
-    /// sessions whose record names another owner stop, records `me` owns
-    /// without any session start.
-    fn session_diff<S>(
-        &self,
-        me: NodeId,
-        sessions: &VecMap<ClientId, S>,
-        here: impl Fn(&S) -> bool,
-    ) -> SessionDiff {
-        let moved = |client| self.get(client).is_some_and(|r| r.owner != me);
-        SessionDiff {
-            stop: sessions
-                .iter()
-                .filter(|(&client, session)| here(session) && moved(client))
-                .map(|(&client, _)| client)
-                .collect(),
-            start: self
-                .records()
-                .filter(|r| r.owner == me && !sessions.contains_key(&r.client))
-                .copied()
-                .collect(),
-        }
-    }
-
-    /// The records `me` multicasts at `now`, or `None` while it is outside
-    /// the view: its own, refreshed from the running session (`live`) and
-    /// restamped, and the others' on every fourth periodic `round` and on
-    /// every immediate publication (`round` = `None`) — which must go out
-    /// even when `me` owns nothing: it is how a new owner learns about an
-    /// assignment decided here.
-    fn report(
+    /// Multicasts, as an [`Action::Sync`], the records `me` reports while
+    /// it is in the view: its own, refreshed from the running session
+    /// (`live`) and restamped, and the others' on every fourth periodic
+    /// `round` and on every immediate publication (`round` = `None`) —
+    /// which must go out even when `me` owns nothing: it is how a new owner
+    /// learns about an assignment decided here.
+    fn report<S>(
         &mut self,
-        me: NodeId,
-        now: SimTime,
+        cx: &Cx<'_, S>,
         round: Option<u64>,
         live: impl Fn(ClientId) -> Option<ClientRecord>,
-    ) -> Option<Vec<ClientRecord>> {
-        if !self.view.contains(me) {
-            return None;
+        out: &mut Vec<Action>,
+    ) {
+        if !self.view.contains(cx.me) {
+            return;
         }
         let foreign = round.is_none_or(|r| r.is_multiple_of(FOREIGN_EVERY));
         let mut report = Vec::new();
         for record in self.records.values_mut() {
-            if record.owner == me {
+            if record.owner == cx.me {
                 if let Some(session) = live(record.client) {
                     record.next_frame = session.next_frame;
                     record.rate_fps = session.rate_fps;
                     record.max_fps = session.max_fps;
                     record.paused = session.paused;
                 }
-                record.updated_at = now;
+                record.updated_at = cx.now;
             } else if !foreign {
                 continue;
             }
             report.push(*record);
         }
-        Some(report)
+        out.push(Action::Sync(report));
     }
 
-    /// How the server `me` takes over `record`'s client at `now`, for a
-    /// movie of `gop` structure at `fps`.
+    /// How `me` takes over `record`'s client.
     ///
     /// The resume offset is the last synchronized one — conservatively,
     /// preferring duplicate frames over gaps (paper §6.1.1) — unless
@@ -554,15 +475,8 @@ impl TakeoverTable {
     /// is left untouched: the cap is a property of this rescue session,
     /// and full quality returns with the next redistribution onto a home
     /// server.
-    fn resume(
-        &self,
-        cfg: &VodConfig,
-        me: NodeId,
-        gop: &GopPattern,
-        fps: u32,
-        mut record: ClientRecord,
-        now: SimTime,
-    ) -> Resume {
+    fn resume<S>(&self, cx: &Cx<'_, S>, mut record: ClientRecord) -> Resume {
+        let (cfg, me) = (cx.cfg, cx.me);
         // Only while no home-site server is left in the movie view may
         // the stream be degraded — a healthy home DC serves at full
         // quality, and the oracle checks exactly that.
@@ -574,12 +488,12 @@ impl TakeoverTable {
         });
         record.owner = me;
         if cfg.resume == ResumePolicy::SkipAhead && !record.paused {
-            let staleness = now.saturating_since(record.updated_at).as_secs_f64();
+            let staleness = cx.now.saturating_since(record.updated_at).as_secs_f64();
             let estimated = (staleness * f64::from(record.rate_fps)).ceil() as u64;
             record.next_frame = FrameNo(record.next_frame.0.saturating_add(estimated));
         }
         let max_fps = rescue_fps.map_or(record.max_fps, |fps| record.max_fps.min(fps));
-        let (filter, cap) = quality(gop, fps, max_fps);
+        let (filter, cap) = quality(cx.gop, cx.fps, max_fps);
         record.rate_fps = record.rate_fps.min(cap);
         Resume {
             record,
@@ -663,16 +577,67 @@ mod tests {
         }
     }
 
+    fn report(from: NodeId, epoch: u64, records: Vec<ClientRecord>) -> Input {
+        Input::Report {
+            from,
+            epoch,
+            records,
+        }
+    }
+
+    /// Steps `table` as the server `me` running `sessions`, at `now`, for
+    /// movie 1 (MPEG-1 at 30 fps); returns the actions.
+    fn step_running(
+        cfg: &VodConfig,
+        table: &mut TakeoverTable,
+        me: NodeId,
+        now: SimTime,
+        sessions: &VecMap<ClientId, ClientRecord>,
+        input: Input,
+    ) -> Vec<Action> {
+        let gop = GopPattern::mpeg1();
+        let cx = Cx {
+            me,
+            now,
+            cfg,
+            movie: MovieId(1),
+            gop: &gop,
+            fps: 30,
+            sessions,
+        };
+        let mut out = Vec::new();
+        table.step(&cx, input, &mut out);
+        out
+    }
+
+    /// [`step_running`] with no session running.
+    fn step(
+        cfg: &VodConfig,
+        table: &mut TakeoverTable,
+        me: NodeId,
+        now: SimTime,
+        input: Input,
+    ) -> Vec<Action> {
+        step_running(cfg, table, me, now, &VecMap::new(), input)
+    }
+
+    /// The epoch of the `Redistributed` trace among `actions`, if any.
+    fn redistributed(actions: &[Action]) -> Option<u64> {
+        actions.iter().find_map(|action| match action {
+            Action::Trace(VodEvent::Redistributed { epoch, .. }) => Some(*epoch),
+            _ => None,
+        })
+    }
+
     /// A table whose view `members` at `epoch` is installed and, when it
     /// has several members, whose exchange every member completed.
     fn settled(cfg: &VodConfig, epoch: u64, members: &[u32]) -> TakeoverTable {
-        let mut table = TakeoverTable::default();
-        table.install_view(ME, view(epoch, members));
+        let (mut table, now) = (TakeoverTable::default(), SimTime::ZERO);
+        step(cfg, &mut table, ME, now, Input::View(view(epoch, members)));
         for &m in members {
-            table.merge_report(NodeId(m), epoch, []);
+            step(cfg, &mut table, ME, now, report(NodeId(m), epoch, vec![]));
         }
         assert!(table.exchange.is_none());
-        table.redistribute(cfg);
         table
     }
 
@@ -696,19 +661,30 @@ mod tests {
 
     #[test]
     fn a_view_install_excludes_redistributes_alone_or_starts_an_exchange() {
+        let (cfg, now) = (VodConfig::paper_default(), SimTime::ZERO);
         let mut table = TakeoverTable::default();
-        assert_eq!(table.install_view(ME, view(1, &[1])), Installed::Alone);
-        table.merge_report(ME, 1, [record(7, 1, 10, ME, 0)]);
-        let report = vec![record(7, 1, 10, ME, 0)];
+        let alone = step(&cfg, &mut table, ME, now, Input::View(view(1, &[1])));
+        assert_eq!(alone.first(), Some(&Action::Redistributing));
+        let known = vec![record(7, 1, 10, ME, 0)];
+        step(&cfg, &mut table, ME, now, report(ME, 1, known.clone()));
+        let exchange = step(&cfg, &mut table, ME, now, Input::View(view(2, &[1, 2, 3])));
+        let started = VodEvent::StateExchangeStarted {
+            server: ME,
+            movie: MovieId(1),
+            epoch: 2,
+            members: 3,
+        };
         assert_eq!(
-            table.install_view(ME, view(2, &[1, 2, 3])),
-            Installed::Exchange(report)
+            exchange,
+            [
+                Action::Trace(started),
+                Action::ArmDeadline,
+                Action::Publish(known)
+            ]
         );
         assert!(table.exchange.is_some());
-        assert_eq!(
-            table.install_view(ME, view(3, &[2, 3])),
-            Installed::Excluded
-        );
+        let excluded = step(&cfg, &mut table, ME, now, Input::View(view(3, &[2, 3])));
+        assert!(excluded.is_empty());
         assert!(
             table.exchange.is_none(),
             "an excluded server coordinates nothing"
@@ -719,105 +695,129 @@ mod tests {
 
     #[test]
     fn an_exchange_ends_with_the_last_members_report_or_the_deadline() {
+        let (cfg, now) = (VodConfig::paper_default(), SimTime::ZERO);
         let mut table = TakeoverTable::default();
-        table.install_view(ME, view(4, &[1, 2, 3]));
-        assert_eq!(table.merge_report(ME, 4, []), Merged::Pending);
-        assert_eq!(
-            table.merge_report(PEER, 3, []),
-            Merged::Pending,
-            "stale epoch"
-        );
-        assert_eq!(
-            table.merge_report(NodeId(9), 4, []),
-            Merged::Pending,
-            "non-member"
-        );
-        assert_eq!(table.merge_report(PEER, 4, []), Merged::Pending);
-        assert_eq!(table.merge_report(NodeId(3), 4, []), Merged::Redistribute);
-        assert_eq!(table.merge_report(NodeId(3), 4, []), Merged::Reconcile);
-        assert!(!table.exchange_expired(), "nothing left for the deadline");
+        let hear = |table: &mut TakeoverTable, input| step(&cfg, table, ME, now, input);
+        hear(&mut table, Input::View(view(4, &[1, 2, 3])));
+        assert!(hear(&mut table, report(ME, 4, vec![])).is_empty());
+        let stale = hear(&mut table, report(PEER, 3, vec![]));
+        assert!(stale.is_empty(), "stale epoch");
+        let stranger = hear(&mut table, report(NodeId(9), 4, vec![]));
+        assert!(stranger.is_empty(), "non-member");
+        assert!(hear(&mut table, report(PEER, 4, vec![])).is_empty());
+        assert!(table.exchange.is_some());
+        let last = hear(&mut table, report(NodeId(3), 4, vec![]));
+        assert_eq!(last.first(), Some(&Action::Redistributing));
+        assert!(table.exchange.is_none());
+        let after = hear(&mut table, report(NodeId(3), 4, vec![]));
+        assert!(!after.contains(&Action::Redistributing));
+        let deadline = hear(&mut table, Input::Deadline);
+        assert!(deadline.is_empty(), "nothing left for the deadline");
 
-        table.install_view(ME, view(5, &[1, 2]));
-        assert_eq!(table.merge_report(ME, 5, []), Merged::Pending);
-        assert!(table.exchange_expired());
-        assert_eq!(table.merge_report(PEER, 5, []), Merged::Reconcile);
+        hear(&mut table, Input::View(view(5, &[1, 2])));
+        assert!(hear(&mut table, report(ME, 5, vec![])).is_empty());
+        let expired = hear(&mut table, Input::Deadline);
+        assert_eq!(expired.first(), Some(&Action::Redistributing));
+        let late = hear(&mut table, report(PEER, 5, vec![]));
+        assert!(!late.contains(&Action::Redistributing));
     }
 
     #[test]
     fn redistribution_stamps_the_views_epoch_unless_the_policy_is_a_baseline() {
-        let cfg = VodConfig::paper_default();
+        let (cfg, now) = (VodConfig::paper_default(), SimTime::ZERO);
         let mut table = settled(&cfg, 1, &[1, 2]);
-        table.merge_report(
-            PEER,
-            1,
-            [record(7, 1, 10, PEER, 50), record(8, 1, 10, PEER, 60)],
-        );
-        table.install_view(ME, view(2, &[1]));
-        assert_eq!(table.redistribute(&cfg), Some(2));
+        let records = vec![record(7, 1, 10, PEER, 50), record(8, 1, 10, PEER, 60)];
+        step(&cfg, &mut table, ME, now, report(PEER, 1, records));
+        let alone = step(&cfg, &mut table, ME, now, Input::View(view(2, &[1])));
+        assert_eq!(redistributed(&alone), Some(2));
         for r in table.records() {
             assert_eq!((r.owner, r.assigned_epoch), (ME, 2));
         }
         // The stamp is what lets the assignment survive a report the old
         // owner sent before it learned of the change.
-        table.merge_report(PEER, 1, [record(7, 1, 9_999, PEER, 90)]);
+        let stale = vec![record(7, 1, 9_999, PEER, 90)];
+        step(&cfg, &mut table, ME, now, report(PEER, 1, stale));
         assert_eq!(table.get(ClientId(7)).map(|r| r.owner), Some(ME));
 
+        let mut take_over = |cfg: &VodConfig, epoch, members: &[u32]| {
+            let actions = step(cfg, &mut table, ME, now, Input::View(view(epoch, members)));
+            redistributed(&actions)
+        };
         let none = cfg.clone().with_takeover(TakeoverPolicy::None);
-        assert_eq!(table.redistribute(&none), None);
+        assert_eq!(take_over(&none, 2, &[1]), None);
         let single = cfg.with_takeover(TakeoverPolicy::SingleBackup);
         assert_eq!(
-            table.redistribute(&single),
+            take_over(&single, 2, &[1]),
             Some(2),
             "first failure is covered"
         );
-        table.install_view(ME, view(3, &[1, 2]));
-        table.install_view(ME, view(4, &[1]));
-        assert_eq!(table.redistribute(&single), None, "the second is not");
+        take_over(&single, 3, &[1, 2]);
+        assert_eq!(take_over(&single, 4, &[1]), None, "the second is not");
     }
 
     #[test]
     fn one_admission_path_serves_first_duplicate_retried_and_readmitted_opens() {
         let cfg = VodConfig::paper_default().with_session_cap(1);
         let now = SimTime::from_secs(3);
+        // The record an OPEN publishes; `Parked` comes with a refusal.
+        let admit = |table: &mut TakeoverTable, me, candidate, now| match step(
+            &cfg,
+            table,
+            me,
+            now,
+            Input::Open(candidate),
+        )
+        .as_slice()
+        {
+            [] => None,
+            [Action::Publish(records)] => {
+                assert_ne!(records[0].owner, UNSERVED);
+                Some(records[0])
+            }
+            [Action::Parked, Action::Publish(records)] => {
+                assert_eq!(records[0].owner, UNSERVED);
+                Some(records[0])
+            }
+            other => panic!("{other:?}"),
+        };
         let mut table = settled(&cfg, 6, &[1, 2]);
         let mut follower = table.clone();
-        follower.install_view(PEER, view(6, &[1, 2]));
         assert_eq!(
-            follower.admit(&cfg, PEER, candidate(&open(7, 0)), now),
+            admit(&mut follower, PEER, candidate(&open(7, 0)), now),
             None
         );
 
         // First OPENs: least-loaded member, ties to the highest id.
-        let first = table.admit(&cfg, ME, candidate(&open(7, 40)), now);
+        let first = admit(&mut table, ME, candidate(&open(7, 40)), now);
         let expected = ClientRecord {
             rate_fps: DEFAULT_RATE_FPS,
             updated_at: now,
             ..record(7, 6, 0, PEER, 40)
         };
         assert_eq!(first, Some(expected));
-        let second = table.admit(&cfg, ME, candidate(&open(8, 0)), now);
+        let second = admit(&mut table, ME, candidate(&open(8, 0)), now);
         assert_eq!(second.map(|r| r.owner), Some(ME));
 
         // A duplicate OPEN republishes the record untouched, whatever the
         // retry says and whenever it comes.
         let later = SimTime::from_secs(9);
-        let again = table.admit(&cfg, ME, candidate(&open(7, 999)), later);
+        let again = admit(&mut table, ME, candidate(&open(7, 999)), later);
         assert_eq!(again, Some(expected));
 
         // Both members full: the first refusal parks the client on every
         // replica, the retries of a parked client publish nothing.
-        let refused = table.admit(&cfg, ME, candidate(&open(9, 5)), now);
+        let refused = admit(&mut table, ME, candidate(&open(9, 5)), now);
         assert_eq!(refused.map(|r| r.owner), Some(UNSERVED));
-        assert_eq!(table.admit(&cfg, ME, candidate(&open(9, 5)), later), None);
+        assert_eq!(admit(&mut table, ME, candidate(&open(9, 5)), later), None);
         let parked = *table.get(ClientId(9)).expect("parked");
-        assert_eq!(table.admit(&cfg, ME, parked, later), None);
+        assert_eq!(admit(&mut table, ME, parked, later), None);
 
         // Room frees up. The client's own retry starts over from its OPEN;
         // the coordinator's retry on its behalf keeps the parked record.
-        table.remove(ClientId(7), later);
+        step(&cfg, &mut table, ME, later, Input::Remove(ClientId(7)));
         let mut by_open = table.clone();
-        let retried = by_open.admit(&cfg, ME, candidate(&open(9, 77)), later);
-        let readmitted = table.admit(&cfg, ME, parked, later);
+        let retried = admit(&mut by_open, ME, candidate(&open(9, 77)), later);
+        let readmitted = admit(&mut table, ME, parked, later);
         let placed = ClientRecord {
             owner: PEER,
             updated_at: later,
@@ -835,13 +835,16 @@ mod tests {
     }
 
     #[test]
-    fn a_report_restamps_own_records_and_carries_the_others_every_fourth_round() {
+    fn a_sync_restamps_own_records_and_carries_the_others_every_fourth_round() {
         let cfg = VodConfig::paper_default();
         let mut table = settled(&cfg, 1, &[1, 2]);
-        table.merge_report(
+        let records = vec![record(7, 1, 10, ME, 50), record(8, 1, 10, PEER, 60)];
+        step(
+            &cfg,
+            &mut table,
             PEER,
-            1,
-            [record(7, 1, 10, ME, 50), record(8, 1, 10, PEER, 60)],
+            SimTime::ZERO,
+            report(PEER, 1, records),
         );
         let now = SimTime::from_secs(2);
         let session = ClientRecord {
@@ -854,7 +857,12 @@ mod tests {
             client_node: NodeId(5),
             ..record(7, 1, 10, ME, 50)
         };
-        let live = |c: ClientId| (c == ClientId(7)).then_some(session);
+        let sessions: VecMap<ClientId, ClientRecord> =
+            [(ClientId(7), session)].into_iter().collect();
+        let mut sync = |me, round| {
+            let input = Input::Sync { round };
+            step_running(&cfg, &mut table, me, now, &sessions, input)
+        };
         let own = ClientRecord {
             assigned_epoch: 1,
             client_node: NodeId(107),
@@ -862,52 +870,56 @@ mod tests {
             ..session
         };
         let foreign = record(8, 1, 10, PEER, 60);
-        assert_eq!(table.report(ME, now, Some(1), live), Some(vec![own]));
-        assert_eq!(
-            table.report(ME, now, Some(4), live),
-            Some(vec![own, foreign])
-        );
-        assert_eq!(table.report(ME, now, None, live), Some(vec![own, foreign]));
-        assert_eq!(
-            table.report(PEER, now, Some(3), live).map(|r| r.len()),
-            Some(1)
-        );
-        assert_eq!(
-            table.report(NodeId(3), now, None, live),
-            None,
-            "not a member"
-        );
+        assert_eq!(sync(ME, Some(1)), [Action::Sync(vec![own])]);
+        assert_eq!(sync(ME, Some(4)), [Action::Sync(vec![own, foreign])]);
+        assert_eq!(sync(ME, None), [Action::Sync(vec![own, foreign])]);
+        match sync(PEER, Some(3)).as_slice() {
+            [Action::Sync(records)] => assert_eq!(records.len(), 1),
+            other => panic!("{other:?}"),
+        }
+        assert!(sync(NodeId(3), None).is_empty(), "not a member");
     }
 
     #[test]
     fn a_tombstone_drops_reports_no_fresher_than_the_removal_until_it_expires() {
+        let cfg = VodConfig::paper_default();
         let mut table = TakeoverTable::default();
-        table.install_view(ME, view(1, &[1]));
-        table.merge_report(ME, 1, [record(7, 1, 1_000, ME, 50)]);
+        let hear = |table: &mut TakeoverTable, now, input| step(&cfg, table, ME, now, input);
+        hear(&mut table, SimTime::ZERO, Input::View(view(1, &[1])));
+        let at = |r: ClientRecord| report(PEER, 1, vec![r]);
+        hear(&mut table, SimTime::ZERO, at(record(7, 1, 1_000, ME, 50)));
         let removed_at = SimTime::from_millis(2_000);
-        table.remove(ClientId(7), removed_at);
-        table.merge_report(PEER, 1, [record(7, 1, 1_500, PEER, 60)]);
-        table.merge_report(PEER, 1, [record(7, 1, 2_000, PEER, 60)]);
+        hear(&mut table, removed_at, Input::Remove(ClientId(7)));
+        hear(&mut table, removed_at, at(record(7, 1, 1_500, PEER, 60)));
+        hear(&mut table, removed_at, at(record(7, 1, 2_000, PEER, 60)));
         assert_eq!(
             table.get(ClientId(7)),
             None,
             "as old as the removal is stale"
         );
-        table.merge_report(PEER, 1, [record(7, 1, 2_001, PEER, 61)]);
+        hear(&mut table, removed_at, at(record(7, 1, 2_001, PEER, 61)));
         assert_eq!(table.get(ClientId(7)).map(|r| r.owner), Some(PEER));
         assert!(table.tombstones.is_empty(), "a fresher record clears it");
 
-        table.remove(ClientId(7), removed_at);
-        table.expire_tombstones(removed_at + TOMBSTONE_TTL - Duration::from_micros(1));
+        hear(&mut table, removed_at, Input::Remove(ClientId(7)));
+        let round = Input::Sync { round: Some(1) };
+        let before = removed_at + TOMBSTONE_TTL - Duration::from_micros(1);
+        hear(&mut table, before, round.clone());
         assert_eq!(table.tombstones.len(), 1);
-        table.expire_tombstones(removed_at + TOMBSTONE_TTL);
+        hear(
+            &mut table,
+            removed_at + TOMBSTONE_TTL,
+            Input::Sync { round: None },
+        );
+        assert_eq!(table.tombstones.len(), 1, "only a periodic round expires");
+        hear(&mut table, removed_at + TOMBSTONE_TTL, round);
         assert!(table.tombstones.is_empty());
     }
 
     #[test]
-    fn the_session_diff_stops_what_moved_and_starts_what_is_owned_without_a_session() {
-        let mut table = TakeoverTable::default();
-        let records = [
+    fn a_report_stops_what_moved_and_starts_what_is_owned_without_a_session() {
+        let cfg = VodConfig::paper_default();
+        let records = vec![
             record(1, 1, 10, ME, 0),   // owned, running: nothing to do
             record(2, 1, 10, ME, 0),   // owned, no session: start
             record(3, 1, 10, PEER, 0), // moved away: stop
@@ -915,16 +927,24 @@ mod tests {
             record(5, 1, 10, ME, 0),   // owned, but a session of another movie holds the client
             record(7, 1, 10, PEER, 0), // another replica's, and no business of ours
         ];
-        table.merge_report(PEER, 1, records);
-        // client -> whether its session streams this table's movie
-        let sessions: VecMap<ClientId, bool> =
-            [(1, true), (3, true), (6, true), (4, false), (5, false)]
-                .into_iter()
-                .map(|(client, here)| (ClientId(client), here))
-                .collect();
-        let diff = table.session_diff(ME, &sessions, |&here| here);
-        assert_eq!(diff.stop, vec![ClientId(3)]);
-        assert_eq!(diff.start, vec![record(2, 1, 10, ME, 0)]);
+        // client -> the movie its session streams
+        let sessions: VecMap<ClientId, ClientRecord> = [(1, 1), (3, 1), (6, 1), (4, 2), (5, 2)]
+            .into_iter()
+            .map(|(client, movie)| {
+                let session = record(client, 1, 10, ME, 0);
+                let movie = MovieId(movie);
+                (ClientId(client), ClientRecord { movie, ..session })
+            })
+            .collect();
+        let mut table = TakeoverTable::default();
+        let input = report(PEER, 1, records);
+        let actions = step_running(&cfg, &mut table, ME, SimTime::ZERO, &sessions, input);
+        match actions.as_slice() {
+            [Action::Stop(ClientId(3)), Action::Start(how)] => {
+                assert_eq!(how.record, record(2, 1, 10, ME, 0))
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
@@ -934,12 +954,18 @@ mod tests {
         map.add_site("west", &[NodeId(3)]);
         map.home_clients(east, &[NodeId(107)]);
         let cfg = VodConfig::paper_default().with_multidc(MultiDcConfig::new(map));
-        let gop = GopPattern::mpeg1();
         let now = SimTime::from_secs(1);
+        // The session a report that gives `me` the client starts, once
+        // the view `members` settled.
         let resume = |me: u32, members: &[u32]| {
-            let mut table = TakeoverTable::default();
-            table.install_view(NodeId(me), view(1, members));
-            table.resume(&cfg, NodeId(me), &gop, 30, record(7, 1, 10, PEER, 50), now)
+            let (mut table, me) = (TakeoverTable::default(), NodeId(me));
+            step(&cfg, &mut table, me, now, Input::View(view(1, members)));
+            step(&cfg, &mut table, me, now, Input::Deadline);
+            let given = vec![record(7, 1, 10, me, 50)];
+            match step(&cfg, &mut table, me, now, report(PEER, 0, given)).as_slice() {
+                [Action::Start(how)] => how.clone(),
+                other => panic!("{other:?}"),
+            }
         };
         let rescue = resume(3, &[3]);
         assert!(rescue.degraded);
@@ -949,261 +975,6 @@ mod tests {
             let full = resume(me, members);
             assert!(!full.degraded, "{me} in {members:?}");
             assert_eq!(full.record.rate_fps, 30);
-        }
-    }
-
-    /// Totality and safe outputs of the private decisions, over one walk:
-    /// no sequence of views (with and without this server, the empty
-    /// one), reports from members and strangers at stale and future
-    /// epochs, removals of unknown clients, duplicate and parked OPENs,
-    /// deadlines with no exchange pending, redistributions, session diffs
-    /// and reports panics the table, with epochs, times and frame numbers
-    /// within a step of `u64::MAX`; and what comes out can be acted on.
-    mod walk {
-        use proptest::prelude::*;
-
-        use super::super::*;
-        use crate::config::{MultiDcConfig, SiteMap, SHED_HEADROOM};
-        use crate::protocol::session_group;
-        use gcs::ViewId;
-        use media::MovieId;
-
-        /// This server. Nodes 1–5 may be members of a view; 6 never is.
-        const ME: NodeId = NodeId(2);
-
-        /// Mostly small, sometimes within a step of `u64::MAX`.
-        fn edge(x: u64) -> u64 {
-            match x % 4 {
-                0 => u64::MAX - (x >> 2) % 3,
-                _ => (x >> 2) % 8,
-            }
-        }
-
-        fn view_of(epoch: u64, member_bits: u64) -> View {
-            let members: Vec<NodeId> = (1..=5)
-                .filter(|n| member_bits >> n & 1 == 1)
-                .map(NodeId)
-                .collect();
-            let coordinator = members.first().copied().unwrap_or_default();
-            View::new(ViewId { epoch, coordinator }, members)
-        }
-
-        fn node(x: u64) -> NodeId {
-            match x % 7 {
-                0 => UNSERVED,
-                n => NodeId(n as u32),
-            }
-        }
-
-        /// A record of one of six clients, every other field drawn from `x`.
-        fn record(x: u64) -> ClientRecord {
-            let client = ClientId((x % 6) as u32);
-            ClientRecord {
-                client,
-                client_node: NodeId(100 + client.0),
-                session_group: session_group(client),
-                movie: MovieId(1),
-                owner: node(x >> 3),
-                assigned_epoch: edge(x >> 6),
-                updated_at: SimTime::from_micros(edge(x >> 12)),
-                next_frame: FrameNo(edge(x >> 18)),
-                rate_fps: [0, 1, 30, u32::MAX][(x >> 24) as usize % 4],
-                max_fps: [0, 15, 30, u32::MAX][(x >> 26) as usize % 4],
-                paused: x >> 28 & 1 == 1,
-            }
-        }
-
-        fn open(x: u64) -> OpenRequest {
-            let r = record(x);
-            OpenRequest {
-                client: r.client,
-                client_node: r.client_node,
-                session_group: r.session_group,
-                movie: r.movie,
-                start_at: r.next_frame,
-                max_fps: r.max_fps,
-            }
-        }
-
-        /// The configurations whose branches the table has: admission cap, both
-        /// takeover baselines, skip-ahead resume, geo-affine placement with
-        /// degraded rescue.
-        fn config(pick: u8) -> VodConfig {
-            let cfg = VodConfig::paper_default();
-            match pick % 6 {
-                0 => cfg,
-                1 => cfg.with_session_cap(1),
-                2 => cfg.with_takeover(TakeoverPolicy::None),
-                3 => cfg.with_takeover(TakeoverPolicy::SingleBackup),
-                4 => cfg.with_resume(ResumePolicy::SkipAhead),
-                _ => {
-                    let mut map = SiteMap::new();
-                    let east = map.add_site("east", &[NodeId(1), NodeId(2)]);
-                    let west = map.add_site("west", &[NodeId(3), NodeId(4)]);
-                    map.home_clients(east, &[NodeId(100), NodeId(101)]);
-                    map.home_clients(west, &[NodeId(102), NodeId(103)]);
-                    cfg.with_session_cap(2)
-                        .with_multidc(MultiDcConfig::new(map))
-                }
-            }
-        }
-
-        /// Applies one input, drawn from `(kind, a, b)`, to `table` the way the
-        /// server would, and checks what comes back. `pending` mirrors, from the
-        /// outside, whether a state exchange is under way.
-        fn step(
-            cfg: &VodConfig,
-            table: &mut TakeoverTable,
-            pending: &mut bool,
-            (kind, a, b): (u8, u64, u64),
-        ) -> Result<(), TestCaseError> {
-            let now = SimTime::from_micros(edge(b));
-            match kind % 10 {
-                0 => {
-                    let (known, view) = (table.records().copied().collect(), view_of(edge(b), a));
-                    let installed = table.install_view(ME, view.clone());
-                    let expected = match view.members.as_slice() {
-                        members if !members.contains(&ME) => Installed::Excluded,
-                        [_] => Installed::Alone,
-                        _ => Installed::Exchange(known),
-                    };
-                    prop_assert_eq!(&installed, &expected);
-                    *pending = matches!(installed, Installed::Exchange(_));
-                }
-                1 | 2 => {
-                    let records = [a, a >> 29, b].map(record);
-                    let merged = table.merge_report(node(a >> 5), edge(b >> 7), records);
-                    // Owners may be about to change: no session starts or stops
-                    // on a report until the exchange is over.
-                    prop_assert_eq!(merged == Merged::Reconcile, !*pending);
-                    *pending = merged == Merged::Pending;
-                }
-                3 => {
-                    let client = ClientId((a % 7) as u32);
-                    table.remove(client, now);
-                    prop_assert_eq!(table.get(client), None);
-                }
-                4 | 5 => {
-                    // An OPEN, or the coordinator's retry for a parked client.
-                    let parked = table.records().find(|r| r.owner == UNSERVED).copied();
-                    let asked = match parked {
-                        Some(parked) if kind % 10 == 5 => parked,
-                        _ => candidate(&open(a)),
-                    };
-                    let before = table.get(asked.client).copied();
-                    if let Some(published) = table.admit(cfg, ME, asked, now) {
-                        let view = table.view();
-                        prop_assert_eq!(view.coordinator_candidate(), Some(ME));
-                        prop_assert_eq!(table.get(asked.client), Some(&published));
-                        match before {
-                            // A served client's duplicate OPEN: republished as is.
-                            Some(known) if known.owner != UNSERVED => {
-                                prop_assert_eq!(published, known)
-                            }
-                            // A parked client is heard of again only once placed.
-                            Some(_) => prop_assert!(view.contains(published.owner)),
-                            None => {
-                                prop_assert!(
-                                    published.owner == UNSERVED || view.contains(published.owner)
-                                )
-                            }
-                        }
-                        if before.is_none_or(|known| known.owner == UNSERVED) {
-                            let stamp = (published.assigned_epoch, published.updated_at);
-                            prop_assert_eq!(stamp, (view.id.epoch, now));
-                        }
-                    }
-                }
-                6 => {
-                    prop_assert_eq!(table.exchange_expired(), *pending);
-                    *pending = false;
-                }
-                7 => {
-                    let reassigned = table.redistribute(cfg);
-                    if cfg.takeover == TakeoverPolicy::Full {
-                        prop_assert_eq!(reassigned, Some(table.view().id.epoch));
-                    }
-                    if let Some(epoch) = reassigned {
-                        let view = table.view();
-                        for r in table.records() {
-                            prop_assert!(r.owner == UNSERVED || view.contains(r.owner), "{r:?}");
-                            prop_assert_eq!(r.assigned_epoch, epoch);
-                        }
-                        if let Some(cap) = cfg.max_sessions_per_server {
-                            let shed = if cfg.multidc.is_some() {
-                                SHED_HEADROOM
-                            } else {
-                                0
-                            };
-                            for &m in &view.members {
-                                prop_assert!(table.owned_by(m) <= (cap + shed) as usize);
-                            }
-                        }
-                    }
-                }
-                8 => {
-                    // client -> whether its session streams this table's movie
-                    let sessions: VecMap<ClientId, bool> = (0..6)
-                        .filter(|c| a >> c & 1 == 1)
-                        .map(|c| (ClientId(c), b >> c & 1 == 1))
-                        .collect();
-                    let diff = table.session_diff(ME, &sessions, |&here| here);
-                    for r in &diff.start {
-                        prop_assert_eq!(r.owner, ME);
-                        prop_assert_eq!(table.get(r.client), Some(r));
-                        prop_assert!(!sessions.contains_key(&r.client));
-                        prop_assert!(!diff.stop.contains(&r.client));
-                    }
-                    for client in &diff.stop {
-                        prop_assert_eq!(sessions.get(client), Some(&true));
-                        prop_assert!(table.get(*client).is_some_and(|r| r.owner != ME));
-                    }
-                }
-                _ => {
-                    table.expire_tombstones(now);
-                    let round = (a & 1 == 1).then_some(edge(a >> 1));
-                    let live =
-                        |c: ClientId| (b >> c.0 & 1 == 1).then(|| record(b ^ u64::from(c.0)));
-                    let report = table.report(ME, now, round, live);
-                    prop_assert_eq!(report.is_some(), table.view().contains(ME));
-                    let foreign = round.is_none_or(|r| r % 4 == 0);
-                    for r in report.iter().flatten() {
-                        prop_assert_eq!(table.get(r.client), Some(r));
-                        let allowed = if r.owner == ME {
-                            r.updated_at == now
-                        } else {
-                            foreign
-                        };
-                        prop_assert!(allowed, "{r:?} in round {round:?}");
-                    }
-                    let gop = GopPattern::mpeg1();
-                    let fps = [1, 24, 30, 60][(a >> 8) as usize % 4];
-                    for r in table.records() {
-                        let resumed = table.resume(cfg, ME, &gop, fps, *r, now);
-                        prop_assert_eq!(resumed.record.owner, ME);
-                        prop_assert!(resumed.record.next_frame >= r.next_frame);
-                        prop_assert!(resumed.record.rate_fps <= r.rate_fps);
-                    }
-                }
-            }
-            Ok(())
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(256))]
-
-            /// Totality and safe outputs, over one walk.
-            #[test]
-            fn any_sequence_of_inputs_is_survived_and_answered_safely(
-                pick in any::<u8>(),
-                inputs in prop::collection::vec((any::<u8>(), any::<u64>(), any::<u64>()), 1..80),
-            ) {
-                let cfg = config(pick);
-                let (mut table, mut pending) = (TakeoverTable::default(), false);
-                for input in inputs {
-                    step(&cfg, &mut table, &mut pending, input)?;
-                }
-            }
         }
     }
 }

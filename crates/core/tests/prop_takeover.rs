@@ -1,19 +1,23 @@
 //! The takeover table (`server/takeover.rs`) on its own: no simulation, no
 //! GCS, no clock — views, reports, removals, OPENs, deadlines and sync
 //! rounds go in through its one entry point, `TakeoverTable::step`, and
-//! the actions that come out are checked. (The walk over its private
-//! decisions, one by one, sits beside them in `takeover.rs`.)
+//! the actions that come out are checked.
 //!
 //! * **Totality and safe actions** — no sequence of forged inputs panics
 //!   it: views with and without this server (the empty one too), reports
 //!   from members and strangers at stale and future epochs, removals of
 //!   unknown clients, duplicate and parked OPENs, deadlines with no
 //!   exchange pending, with epochs, times and frame numbers within a step
-//!   of `u64::MAX`. What comes out can be acted on: a session starts only
-//!   for a record this server owns and runs nothing for yet, stops only
-//!   where it runs, nothing is published from outside the view, and a
+//!   of `u64::MAX`, on a server that also streams a second movie. What
+//!   comes out can be acted on: a session starts only for a record this
+//!   server owns and runs nothing for yet, stops only where it runs this
+//!   movie, nothing is published from outside the view, and a
 //!   redistribution names only members of the view (or nobody), stamped
-//!   with its epoch.
+//!   with its epoch. Each input gets what the table's state asks for: no
+//!   session moves while an exchange is pending, a view starts an
+//!   exchange or redistributes as its members say, an OPEN is decided by
+//!   the coordinator alone, a sync restamps this server's records, a
+//!   resume never goes back, and a removal forgets the record.
 //! * **Convergence** — replicas that step one view and hear every
 //!   publication, their own included, in any order, end with equal
 //!   records, and every client runs on its owner alone or is unserved
@@ -42,6 +46,12 @@ use simnet::{NodeId, SimTime, VecMap};
 
 /// This server. Nodes 1–5 may be members of a view; 6 never is.
 const ME: NodeId = NodeId(2);
+
+/// The tables' movie.
+const MOVIE: MovieId = MovieId(1);
+
+/// Another movie this server streams, which no table step may touch.
+const OTHER: MovieId = MovieId(2);
 
 /// Mostly small, sometimes within a step of `u64::MAX`.
 fn edge(x: u64) -> u64 {
@@ -126,35 +136,39 @@ fn full(pick: u8) -> VodConfig {
     config([0, 1, 4, 5][pick as usize % 4])
 }
 
-/// One replica as the server runs it: its table, and the sessions its
-/// `Start` and `Stop` actions leave running.
+/// One replica as the server runs it: its table, the sessions its
+/// `Start` and `Stop` actions leave running, and the frame rate of its
+/// MPEG-1 movie.
 #[derive(Clone, Debug)]
 struct Replica {
     me: NodeId,
     table: TakeoverTable,
     sessions: VecMap<ClientId, ClientRecord>,
+    fps: u32,
 }
 
 impl Replica {
+    /// A replica of a 60 fps movie.
     fn new(me: NodeId) -> Self {
         Replica {
             me,
             table: TakeoverTable::default(),
             sessions: VecMap::new(),
+            fps: 60,
         }
     }
 
-    /// Steps the table at `now` (a 60 fps MPEG-1 movie) and applies the
-    /// starts and stops; returns every action.
+    /// Steps the table at `now` and applies the starts and stops; returns
+    /// every action.
     fn step(&mut self, cfg: &VodConfig, now: SimTime, input: Input) -> Vec<Action> {
         let gop = GopPattern::mpeg1();
         let cx = Cx {
             me: self.me,
             now,
             cfg,
-            movie: MovieId(1),
+            movie: MOVIE,
             gop: &gop,
-            fps: 60,
+            fps: self.fps,
             sessions: &self.sessions,
         };
         let mut out = Vec::new();
@@ -234,18 +248,43 @@ fn forged(replica: &Replica, (kind, a, b): (u8, u64, u64)) -> Input {
     }
 }
 
-/// Steps one forged input and checks that what comes out can be acted on.
+/// Sessions of [`OTHER`] for the clients among 0–5 whose bit is set.
+fn other_movie(bits: u8) -> VecMap<ClientId, ClientRecord> {
+    (0..6u64)
+        .filter(|c| bits >> c & 1 == 1)
+        .map(|c| {
+            let session = ClientRecord {
+                movie: OTHER,
+                owner: ME,
+                ..record(c)
+            };
+            (session.client, session)
+        })
+        .collect()
+}
+
+/// The sessions of `movie` among `sessions`.
+fn of_movie(sessions: &VecMap<ClientId, ClientRecord>, movie: MovieId) -> Vec<ClientRecord> {
+    let of = sessions.values().filter(|s| s.movie == movie);
+    of.copied().collect()
+}
+
+/// Steps one forged input and checks that what comes out can be acted on
+/// and is what the table's state asks for. `pending` mirrors, from the
+/// outside, whether a state exchange is under way.
 fn walk_step(
     cfg: &VodConfig,
     replica: &mut Replica,
+    pending: &mut bool,
     (kind, a, b): (u8, u64, u64),
 ) -> Result<(), TestCaseError> {
     let now = SimTime::from_micros(edge(b));
-    let running = replica.sessions.clone();
+    let (running, before) = (replica.sessions.clone(), replica.table.clone());
     let input = forged(replica, (kind, a, b));
-    let actions = replica.step(cfg, now, input);
+    let actions = replica.step(cfg, now, input.clone());
     let table = &replica.table;
     let (view, epoch) = (table.view(), table.view().id.epoch);
+    let redistributing = actions.iter().position(|a| *a == Action::Redistributing);
     for action in &actions {
         match action {
             Action::Start(how) => {
@@ -253,15 +292,39 @@ fn walk_step(
                 prop_assert_eq!(how.record.owner, ME);
                 prop_assert_eq!(table.get(client).map(|r| r.owner), Some(ME));
                 prop_assert!(!running.contains_key(&client), "{client} started twice");
+                // The record the start was made from: the table's before
+                // the step or one the step's report carried, stamped alike.
+                let reported = match &input {
+                    Input::Report { records, .. } => records.as_slice(),
+                    _ => &[],
+                };
+                let mut known = before.get(client).into_iter().chain(reported);
+                let resumed = |r: &&ClientRecord| {
+                    let kept = (r.client, r.updated_at, r.max_fps, r.paused);
+                    kept == (
+                        client,
+                        how.record.updated_at,
+                        how.record.max_fps,
+                        how.record.paused,
+                    ) && how.record.next_frame >= r.next_frame
+                        && how.record.rate_fps <= r.rate_fps
+                };
+                prop_assert!(known.any(|r| resumed(&r)), "{how:?} behind {input:?}");
             }
             Action::Stop(client) => {
-                prop_assert!(running.contains_key(client), "{client} stopped unrun");
+                let movie = running.get(client).map(|s| s.movie);
+                prop_assert_eq!(movie, Some(MOVIE), "{} stopped unrun", client);
                 prop_assert!(table.get(*client).is_some_and(|r| r.owner != ME));
             }
             Action::Publish(_) | Action::Sync(_) => prop_assert!(view.contains(ME), "{view}"),
             Action::ArmDeadline => prop_assert!(view.contains(ME) && view.len() > 1),
-            Action::Trace(VodEvent::Redistributed { epoch: stamped, .. }) => {
+            Action::Trace(VodEvent::Redistributed {
+                epoch: stamped,
+                owned,
+                ..
+            }) => {
                 prop_assert_eq!(*stamped, epoch);
+                prop_assert_eq!(*owned, of_movie(&replica.sessions, MOVIE).len());
                 for r in table.records() {
                     prop_assert!(r.owner == UNSERVED || view.contains(r.owner), "{r:?}");
                     prop_assert_eq!(r.assigned_epoch, epoch);
@@ -280,6 +343,114 @@ fn walk_step(
             Action::Parked | Action::Redistributing | Action::Trace(_) => {}
         }
     }
+    // Owners may be about to change: no session starts or stops while an
+    // exchange is pending, unless the step ends it.
+    let moved = |a: &Action| matches!(a, Action::Start(_) | Action::Stop(_));
+    if *pending && actions.iter().any(moved) {
+        prop_assert!(redistributing.is_some(), "{actions:?}");
+    }
+    prop_assert_eq!(
+        of_movie(&running, OTHER),
+        of_movie(&replica.sessions, OTHER)
+    );
+    if let (TakeoverPolicy::Full, Some(at)) = (cfg.takeover, redistributing) {
+        let traced = actions[at..].iter().any(
+            |a| matches!(a, Action::Trace(VodEvent::Redistributed { epoch: e, .. }) if *e == epoch),
+        );
+        prop_assert!(traced, "{actions:?}");
+    }
+    match input {
+        Input::View(_) if !view.contains(ME) => prop_assert!(actions.is_empty()),
+        Input::View(_) if view.members == [ME] => {
+            prop_assert_eq!(actions.first(), Some(&Action::Redistributing))
+        }
+        Input::View(_) => {
+            let started = VodEvent::StateExchangeStarted {
+                server: ME,
+                movie: MOVIE,
+                epoch,
+                members: view.len(),
+            };
+            let known = before.records().copied().collect();
+            let expected = [
+                Action::Trace(started),
+                Action::ArmDeadline,
+                Action::Publish(known),
+            ];
+            prop_assert_eq!(actions.as_slice(), expected.as_slice());
+        }
+        Input::Report { .. } if *pending && redistributing.is_none() => {
+            prop_assert!(actions.is_empty(), "{actions:?}")
+        }
+        Input::Report { .. } | Input::Deadline => {
+            prop_assert_eq!(redistributing.is_some(), *pending)
+        }
+        Input::Remove(client) => prop_assert_eq!(table.get(client), None),
+        Input::Open(asked) => {
+            let known = before.get(asked.client).copied();
+            let coordinator = view.coordinator_candidate() == Some(ME);
+            let published = match actions.as_slice() {
+                [] => {
+                    // Only a parked client that still finds no room, or
+                    // any OPEN away from the coordinator, publishes nothing.
+                    let parked = known.is_some_and(|r| r.owner == UNSERVED);
+                    prop_assert!(!coordinator || parked);
+                    return Ok(());
+                }
+                [Action::Publish(records)] => records.as_slice(),
+                [Action::Parked, Action::Publish(records)] => {
+                    prop_assert_eq!(
+                        records.iter().map(|r| r.owner).collect::<Vec<_>>(),
+                        [UNSERVED]
+                    );
+                    records.as_slice()
+                }
+                other => return Err(TestCaseError::fail(format!("{other:?}"))),
+            };
+            prop_assert!(coordinator);
+            let [published] = published else {
+                return Err(TestCaseError::fail(format!("{published:?}")));
+            };
+            prop_assert_eq!(table.get(asked.client), Some(published));
+            match known {
+                // A served client's duplicate OPEN: republished as is.
+                Some(known) if known.owner != UNSERVED => prop_assert_eq!(*published, known),
+                // A new or parked client: stamped with the view and the step.
+                known => {
+                    let stamp = (published.assigned_epoch, published.updated_at);
+                    prop_assert_eq!(stamp, (epoch, now));
+                    let placed = view.contains(published.owner);
+                    // A parked client is heard of again only once placed.
+                    prop_assert!(placed || known.is_none() && published.owner == UNSERVED);
+                }
+            }
+        }
+        Input::Sync { round } => {
+            let synced = match actions.as_slice() {
+                [] => None,
+                [Action::Sync(records)] => Some(records),
+                other => return Err(TestCaseError::fail(format!("{other:?}"))),
+            };
+            prop_assert_eq!(synced.is_some(), view.contains(ME));
+            let foreign = round.is_none_or(|r| r % 4 == 0);
+            for r in synced.into_iter().flatten() {
+                prop_assert_eq!(table.get(r.client), Some(r));
+                if r.owner == ME {
+                    prop_assert_eq!(r.updated_at, now);
+                } else {
+                    prop_assert!(foreign, "{r:?} in round {round:?}");
+                }
+            }
+            if let Some(records) = synced {
+                let own = records.iter().filter(|r| r.owner == ME).count();
+                prop_assert_eq!(own, table.owned_by(ME));
+            }
+        }
+    }
+    *pending = match input {
+        Input::View(_) => view.contains(ME) && view.len() > 1,
+        _ => *pending && redistributing.is_none(),
+    };
     Ok(())
 }
 
@@ -366,15 +537,20 @@ fn converges(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Totality and safe actions, over one walk of forged inputs.
+    /// Totality and safe actions, over one walk of forged inputs on a
+    /// server that also streams [`OTHER`] to the clients the low six bits
+    /// of `others` name, for a movie of the frame rate its top two pick.
     #[test]
     fn any_sequence_of_forged_steps_is_survived_and_answered_safely(
         pick in any::<u8>(),
+        others in any::<u8>(),
         inputs in prop::collection::vec((any::<u8>(), any::<u64>(), any::<u64>()), 1..80),
     ) {
-        let (cfg, mut replica) = (config(pick), Replica::new(ME));
+        let (cfg, mut replica, mut pending) = (config(pick), Replica::new(ME), false);
+        replica.sessions = other_movie(others);
+        replica.fps = [1, 24, 30, 60][usize::from(others >> 6)];
         for input in inputs {
-            walk_step(&cfg, &mut replica, input)?;
+            walk_step(&cfg, &mut replica, &mut pending, input)?;
         }
     }
 

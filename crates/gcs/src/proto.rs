@@ -92,85 +92,6 @@ impl FlushRound {
     }
 }
 
-/// What [`Membership::on_flush_ack`] did with an incoming flush-ack.
-#[derive(Clone, PartialEq, Eq, Debug)]
-enum FlushProgress {
-    /// Not coordinating, wrong round, or not a candidate: dropped.
-    Ignored,
-    /// Recorded; more acks outstanding.
-    Acked,
-    /// All candidates acked: the round is taken out of the state, and
-    /// `View::new(vid, candidates)` is to be installed everywhere.
-    Complete {
-        /// The completed proposal id.
-        vid: ViewId,
-        /// The membership to install.
-        candidates: Vec<NodeId>,
-    },
-}
-
-/// Pure verdict on an incoming `Install` (computed before any mutation).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum InstallDecision {
-    /// No local state for the group: membership requires consent, a node
-    /// that never promised must not be pulled in by a replayed install.
-    Refused,
-    /// The install does not dominate the current view: ignored.
-    Stale,
-    /// The new view excludes this node (graceful leave or expulsion):
-    /// the view is surfaced, then the local state dissolves.
-    Excluded,
-    /// The new view includes this node: apply it.
-    Adopt,
-}
-
-/// What [`Membership::on_announce`] concluded.
-#[derive(Clone, PartialEq, Eq, Debug)]
-enum AnnounceOutcome {
-    /// Nothing to do (own view, stale, or irrelevant status).
-    Ignored,
-    /// A newer incarnation of the group expelled this node; it is the
-    /// minimum of the residual side and must re-form it with a view
-    /// change so the merge election can later reunite both incarnations.
-    Reform {
-        /// Epoch for the re-forming view change.
-        epoch: u64,
-        /// The residual membership (old view minus the expelling view).
-        candidates: Vec<NodeId>,
-    },
-    /// The announce revealed a foreign component; it was recorded for the
-    /// next merge election. The live node restarts the entry's expiry
-    /// clock.
-    Foreign,
-    /// The announced view is *newer and lists this node*, yet this node
-    /// never installed it: the `Install` was lost, and without repair the
-    /// group diverges permanently (the coordinator believes the view is
-    /// in force; this node still delivers in the old one — a divergence
-    /// the model checker found via a single dropped Install). The node
-    /// sends a `JoinReq` to the announcer; the stateless-member machinery
-    /// then re-installs the membership under a fresh epoch. (The live
-    /// node's install re-send burst covers a single lost datagram; this
-    /// covers every retransmission lost, or a partition outlasting it.)
-    Resync,
-    /// Heard while joining: the announcer becomes a join contact and the
-    /// singleton-formation clock restarts (the group clearly exists).
-    JoinContact,
-}
-
-/// How [`Membership::request_leave`] starts a graceful departure.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum LeaveStart {
-    /// Not in the group: nothing to leave.
-    Ignored,
-    /// Sole member: the group dissolves immediately.
-    Dissolve,
-    /// Leave recorded; send a `LeaveReq` to this member.
-    Send(NodeId),
-    /// Leave recorded, but no live peer is reachable; retries and the
-    /// local force-quit are the fallback.
-    NoTarget,
-}
-
 /// Per-group membership state: every field that decides who is in the
 /// view. The live [`GcsNode`](crate::GcsNode) keeps one per group (its
 /// message-plane state — sequence numbers, buffers, flushed pools — lives
@@ -232,39 +153,32 @@ impl Membership {
     }
 
     /// Creates the group with `node` as its only member, effective
-    /// immediately. Returns the installed singleton view, or `None` if
-    /// the node already has state for the group.
-    fn create(&mut self, node: NodeId) -> Option<View> {
+    /// immediately, and surfaces the singleton view — unless the node
+    /// already has state for the group.
+    fn create(&mut self, node: NodeId, out: &mut Vec<ProtoAction>) {
         if self.status != GroupStatus::Idle {
-            return None;
+            return;
         }
+        let Some(epoch) = self.max_epoch_seen.checked_add(1) else {
+            return;
+        };
+        self.max_epoch_seen = epoch;
         let vid = ViewId {
-            epoch: self.max_epoch_seen.checked_add(1)?,
+            epoch,
             coordinator: node,
         };
-        self.max_epoch_seen = vid.epoch;
         self.view = View::new(vid, vec![node]);
         self.had_view = true;
         self.status = GroupStatus::Member;
-        Some(self.view.clone())
+        out.push(ProtoAction::Install {
+            view: self.view.clone(),
+        });
     }
 
-    /// A joiner timed out waiting to be adopted: form a singleton view
-    /// and rely on announces/merge to coalesce. Returns the view, or
-    /// `None` when not applicable (not joining, or a promise is pending —
-    /// a coordinator is already adopting us).
-    fn singleton_form(&mut self, node: NodeId) -> Option<View> {
-        if self.status != GroupStatus::Joining || self.promised.is_some() {
-            return None;
-        }
-        self.status = GroupStatus::Idle;
-        self.create(node)
-    }
-
-    /// Handles a `JoinReq` from `joiner`. When accepted, returns the
-    /// member to relay the request to (the coordinator candidate, skipped
-    /// when it is `node` itself or currently suspected — a request
-    /// relayed to a dead coordinator is a request lost).
+    /// Handles a `JoinReq` from `joiner`. When accepted, relays it to the
+    /// coordinator candidate, skipped when it is this node itself or
+    /// currently suspected (a request relayed to a dead coordinator is a
+    /// request lost).
     ///
     /// Requests are accepted while *flushing* too: `pending_joiners`
     /// survives the promise, so a coordinator that goes quiet mid-flush
@@ -279,14 +193,10 @@ impl Membership {
     /// joiner forces an epoch bump that re-installs the view onto the
     /// fresh incarnation, and stateless members are skipped as relay
     /// targets (they cannot act on the request).
-    fn on_join_req(
-        &mut self,
-        node: NodeId,
-        suspected: &BTreeSet<NodeId>,
-        joiner: NodeId,
-    ) -> Option<NodeId> {
-        if joiner == node || !matches!(self.status, GroupStatus::Member | GroupStatus::Flushing) {
-            return None;
+    fn on_join_req(&mut self, env: &Env<'_>, joiner: NodeId, out: &mut Vec<ProtoAction>) {
+        if joiner == env.node || !matches!(self.status, GroupStatus::Member | GroupStatus::Flushing)
+        {
+            return;
         }
         // The request also supersedes any pending leave by the same node:
         // that leave came from a prior incarnation (a node that wants out
@@ -295,26 +205,18 @@ impl Membership {
         // orphaned in `Joining` forever by exactly this.
         self.pending_leavers.remove(&joiner);
         self.pending_joiners.insert(joiner);
-        self.view
+        let relay = self
+            .view
             .members
             .iter()
             .copied()
-            .find(|&m| !suspected.contains(&m) && !self.pending_joiners.contains(&m))
-            .filter(|&coord| coord != node)
-    }
-
-    /// Handles a `LeaveReq` from `leaver`. Accepted while member *or*
-    /// flushing (same survivability argument as joins). Returns whether
-    /// the request was recorded.
-    fn on_leave_req(&mut self, leaver: NodeId) -> bool {
-        if matches!(self.status, GroupStatus::Member | GroupStatus::Flushing) {
-            // Latest request wins (mirror of `on_join_req`): a leave from
-            // a node we only knew as a pending joiner withdraws the join.
-            self.pending_joiners.remove(&leaver);
-            self.pending_leavers.insert(leaver);
-            true
-        } else {
-            false
+            .find(|&m| !env.suspected.contains(&m) && !self.pending_joiners.contains(&m))
+            .filter(|&coord| coord != env.node);
+        if let Some(to) = relay {
+            out.push(ProtoAction::Send {
+                to,
+                msg: ProtoMsg::JoinReq { joiner },
+            });
         }
     }
 
@@ -351,93 +253,92 @@ impl Membership {
     }
 
     /// Coordinator side: records `from`'s flush-ack for round `vid`.
-    /// On [`FlushProgress::Complete`] the round is consumed and the new
-    /// view is installed.
-    fn on_flush_ack(&mut self, from: NodeId, vid: ViewId) -> FlushProgress {
-        let Some(fl) = self.flush.as_mut() else {
-            return FlushProgress::Ignored;
-        };
+    /// Returns the view to install everywhere once every candidate acked;
+    /// the round is then taken out of the state. An ack while not
+    /// coordinating, for another round or from a non-candidate is dropped.
+    fn on_flush_ack(&mut self, from: NodeId, vid: ViewId) -> Option<View> {
+        let fl = self.flush.as_mut()?;
         if fl.vid != vid || !fl.candidates.contains(&from) {
-            return FlushProgress::Ignored;
+            return None;
         }
         fl.acked.insert(from);
-        if fl.complete() {
-            let fl = self.flush.take().expect("checked above");
-            return FlushProgress::Complete {
-                vid: fl.vid,
-                candidates: fl.candidates,
-            };
+        if !fl.complete() {
+            return None;
         }
-        FlushProgress::Acked
+        let fl = self.flush.take()?;
+        Some(View::new(fl.vid, fl.candidates))
     }
 
-    /// Pure verdict on an incoming install of `view` (no mutation): what
-    /// the machine will do with it.
-    pub fn install_decision(&self, node: NodeId, view: &View) -> InstallDecision {
-        if self.status == GroupStatus::Idle {
-            return InstallDecision::Refused;
-        }
-        if self.had_view && view.id.epoch <= self.view.id.epoch {
-            return InstallDecision::Stale;
+    /// Acts on an install of `view`. Without state for the group, the node
+    /// refuses it: membership requires consent, and a node that never
+    /// promised must not be pulled in by a replayed install. A view that
+    /// does not dominate the current one is stale and ignored. A view
+    /// excluding the node (graceful leave or expulsion) is surfaced, then
+    /// the state dissolves. Any other is adopted: it settles the books it
+    /// covers and clears suspicion of its members, so a freshly installed
+    /// view is not immediately re-torn (the live node adds the
+    /// message-plane work: cut delivery, buffer resets).
+    fn install(&mut self, env: &mut Env<'_>, view: View, out: &mut Vec<ProtoAction>) {
+        let node = env.node;
+        if self.status == GroupStatus::Idle || self.had_view && view.id.epoch <= self.view.id.epoch
+        {
+            return;
         }
         if !view.contains(node) {
-            return InstallDecision::Excluded;
+            out.push(ProtoAction::Install { view });
+            return self.dissolve(out);
         }
-        InstallDecision::Adopt
-    }
-
-    /// Acts on an install of `view` as [`Membership::install_decision`]
-    /// judges it. An excluding view is surfaced, then the state dissolves.
-    /// An adopted one settles the books it covers and clears suspicion of
-    /// its members, so a freshly installed view is not immediately re-torn
-    /// (the live node adds the message-plane work: cut delivery, buffer
-    /// resets).
-    fn install(&mut self, env: &mut Env<'_>, view: View) -> Vec<ProtoAction> {
-        let node = env.node;
-        match self.install_decision(node, &view) {
-            InstallDecision::Refused | InstallDecision::Stale => Vec::new(),
-            InstallDecision::Excluded => {
-                let mut actions = vec![ProtoAction::Install { view }];
-                actions.extend(self.dissolve());
-                actions
-            }
-            InstallDecision::Adopt => {
-                self.max_epoch_seen = self.max_epoch_seen.max(view.id.epoch);
-                self.pending_joiners.retain(|j| !view.contains(*j));
-                self.pending_leavers
-                    .retain(|l| view.contains(*l) && *l != node);
-                self.promised = None;
-                if let Some(fl) = &self.flush {
-                    if fl.vid.epoch <= view.id.epoch {
-                        self.flush = None;
-                    }
-                }
-                self.foreign.retain(|n, _| !view.contains(*n));
-                self.view = view.clone();
-                self.had_view = true;
-                self.status = GroupStatus::Member;
-                for m in &view.members {
-                    env.suspected.remove(m);
-                }
-                vec![ProtoAction::Install { view }]
+        self.max_epoch_seen = self.max_epoch_seen.max(view.id.epoch);
+        self.pending_joiners.retain(|j| !view.contains(*j));
+        self.pending_leavers
+            .retain(|l| view.contains(*l) && *l != node);
+        self.promised = None;
+        if let Some(fl) = &self.flush {
+            if fl.vid.epoch <= view.id.epoch {
+                self.flush = None;
             }
         }
+        self.foreign.retain(|n, _| !view.contains(*n));
+        self.view = view.clone();
+        self.had_view = true;
+        self.status = GroupStatus::Member;
+        for m in &view.members {
+            env.suspected.remove(m);
+        }
+        out.push(ProtoAction::Install { view });
     }
 
-    /// Handles a coordinator `Announce` of (`vid`, `members`). Mutates
-    /// the foreign/contact books; the step acts on the returned outcome.
-    /// `suspected` scopes the expulsion re-form: the residual
-    /// side is led by its minimum *unsuspected* member (the checker
+    /// Handles a coordinator `Announce` of (`vid`, `members`) from `from`.
+    ///
+    /// A member that hears a *newer* view listing it, yet never installed
+    /// it, lost the `Install`: without repair the group diverges
+    /// permanently (the coordinator believes the view is in force; this
+    /// node still delivers in the old one — a divergence the model checker
+    /// found via a single dropped Install). It sends a `JoinReq` back to
+    /// the announcer; the stateless-member machinery then re-installs the
+    /// membership under a fresh epoch. (The live node's install re-send
+    /// burst covers a single lost datagram; this covers every
+    /// retransmission lost, or a partition outlasting it.)
+    ///
+    /// A member expelled by a newer incarnation of the group, if it is the
+    /// minimum of the residual side, re-forms that side with a view change
+    /// so the merge election can later reunite both incarnations. The
+    /// residual is led by its minimum *unsuspected* member (the checker
     /// found that waiting on a dead residual leader deadlocks the merge).
+    ///
+    /// Otherwise a member records a foreign component for the next merge
+    /// election (the live node restarts the entry's expiry clock), and a
+    /// joiner takes the announcer as a join contact (the live node
+    /// restarts its singleton-formation clock: the group clearly exists).
     fn on_announce(
         &mut self,
-        cfg: &ProtoConfig,
-        node: NodeId,
-        suspected: &BTreeSet<NodeId>,
+        env: &mut Env<'_>,
         from: NodeId,
         vid: ViewId,
         members: Vec<NodeId>,
-    ) -> AnnounceOutcome {
+        out: &mut Vec<ProtoAction>,
+    ) {
+        let node = env.node;
         match self.status {
             GroupStatus::Member => {
                 self.max_epoch_seen = self.max_epoch_seen.max(vid.epoch);
@@ -446,7 +347,10 @@ impl Membership {
                     // the Install was lost in transit. Ask the announcer
                     // to re-admit us (a JoinReq from a listed member
                     // forces a re-install under a fresh epoch).
-                    return AnnounceOutcome::Resync;
+                    return out.push(ProtoAction::Send {
+                        to: from,
+                        msg: ProtoMsg::JoinReq { joiner: node },
+                    });
                 }
                 if vid.epoch >= self.view.id.epoch
                     && vid != self.view.id
@@ -476,27 +380,23 @@ impl Membership {
                         .members
                         .iter()
                         .copied()
-                        .filter(|m| !members.contains(m) && !suspected.contains(m))
+                        .filter(|m| !members.contains(m) && !env.suspected.contains(m))
                         .collect();
-                    if cfg.reform_on_expulsion
+                    if env.cfg.reform_on_expulsion
                         && self.flush.is_none()
                         && residual.first() == Some(&node)
                     {
                         // No epoch left above a forged `u64::MAX`: ignore.
                         if let Some(epoch) = self.max_epoch_seen.checked_add(1) {
-                            return AnnounceOutcome::Reform {
-                                epoch,
-                                candidates: residual,
-                            };
+                            self.begin_view_change(env, epoch, residual, out);
                         }
                     }
-                    return AnnounceOutcome::Ignored;
+                    return;
                 }
                 if self.view.contains(from) || members.contains(&node) && vid == self.view.id {
-                    return AnnounceOutcome::Ignored;
+                    return;
                 }
                 self.foreign.insert(from, ForeignView { vid, members });
-                AnnounceOutcome::Foreign
             }
             GroupStatus::Joining => {
                 // A live member announced itself: aim future join
@@ -505,9 +405,8 @@ impl Membership {
                 // issued.
                 self.max_epoch_seen = self.max_epoch_seen.max(vid.epoch);
                 self.join_contacts.insert(from);
-                AnnounceOutcome::JoinContact
             }
-            _ => AnnounceOutcome::Ignored,
+            _ => {}
         }
     }
 
@@ -613,7 +512,8 @@ impl Membership {
         env: &mut Env<'_>,
         epoch: u64,
         candidates: Vec<NodeId>,
-    ) -> Vec<ProtoAction> {
+        out: &mut Vec<ProtoAction>,
+    ) {
         let node = env.node;
         let vid = ViewId {
             epoch,
@@ -625,8 +525,8 @@ impl Membership {
         if self.status == GroupStatus::Member {
             self.status = GroupStatus::Flushing;
         }
-        let mut actions = vec![ProtoAction::Propose { vid }];
-        actions.extend(
+        out.push(ProtoAction::Propose { vid });
+        out.extend(
             candidates
                 .iter()
                 .filter(|&&c| c != node)
@@ -645,43 +545,9 @@ impl Membership {
             acked: BTreeSet::from([node]),
         });
         if singleton {
-            if let FlushProgress::Complete { vid, candidates } = self.on_flush_ack(node, vid) {
-                actions.extend(self.install(env, View::new(vid, candidates)));
+            if let Some(view) = self.on_flush_ack(node, vid) {
+                self.install(env, view, out);
             }
-        }
-        actions
-    }
-
-    /// Member-side flush abandonment: the coordinator that held our
-    /// promise went quiet; resume normal delivery. A *member's* promise
-    /// is kept — a newer proposal will dominate it, a replay of the dead
-    /// one must not. A *joiner's* promise is dropped instead: nothing
-    /// ever dominates it (no surviving coordinator knows the joiner
-    /// exists), so keeping it blocks `singleton_form` forever — the
-    /// checker found a joiner orphaned in `Joining` by exactly this when
-    /// its adopting coordinator crashed mid-flush.
-    fn abandon_flush(&mut self) {
-        match self.status {
-            GroupStatus::Flushing => self.status = GroupStatus::Member,
-            GroupStatus::Joining => self.promised = None,
-            _ => {}
-        }
-    }
-
-    /// Starts a graceful leave. The node keeps operating until a view
-    /// excluding it is installed (or a timeout force-quits locally).
-    fn request_leave(&mut self, node: NodeId, suspected: &BTreeSet<NodeId>) -> LeaveStart {
-        if self.status == GroupStatus::Idle {
-            return LeaveStart::Ignored;
-        }
-        if self.view.members == [node] {
-            return LeaveStart::Dissolve;
-        }
-        self.leaving = true;
-        self.pending_leavers.insert(node);
-        match self.leave_target(node, suspected) {
-            Some(target) => LeaveStart::Send(target),
-            None => LeaveStart::NoTarget,
         }
     }
 
@@ -712,46 +578,48 @@ impl Membership {
     /// driver may fire anything at any time.
     pub(crate) fn step(&mut self, env: &mut Env<'_>, event: ProtoEvent) -> Vec<ProtoAction> {
         let node = env.node;
+        let mut out = Vec::new();
         match event {
             ProtoEvent::Deliver { from, msg } => {
                 // Any packet refreshes the failure detector.
                 env.suspected.remove(&from);
-                self.on_msg(env, from, msg)
+                self.on_msg(env, from, msg, &mut out);
             }
             ProtoEvent::Suspect(peer) => {
                 if peer != node {
                     env.suspected.insert(peer);
                 }
-                Vec::new()
             }
             ProtoEvent::Unsuspect(peer) => {
                 env.suspected.remove(&peer);
-                Vec::new()
             }
-            ProtoEvent::Create => match self.create(node) {
-                Some(view) => vec![ProtoAction::Install { view }],
-                None => Vec::new(),
-            },
+            ProtoEvent::Create => self.create(node, &mut out),
             ProtoEvent::RequestJoin { contacts } => {
-                if self.status != GroupStatus::Idle {
-                    return Vec::new();
+                if self.status == GroupStatus::Idle {
+                    self.status = GroupStatus::Joining;
+                    self.join_contacts.extend(contacts);
+                    self.join_sends(env, &mut out);
                 }
-                self.status = GroupStatus::Joining;
-                self.join_contacts.extend(contacts);
-                self.join_sends(env)
             }
-            ProtoEvent::RequestLeave => match self.request_leave(node, env.suspected) {
-                LeaveStart::Ignored | LeaveStart::NoTarget => Vec::new(),
-                LeaveStart::Dissolve => self.dissolve(),
-                LeaveStart::Send(target) => vec![ProtoAction::Send {
-                    to: target,
-                    msg: ProtoMsg::LeaveReq { leaver: node },
-                }],
-            },
-            ProtoEvent::DoElection => match self.election(node, env.suspected) {
-                Some((epoch, candidates)) => self.begin_view_change(env, epoch, candidates),
-                None => Vec::new(),
-            },
+            // A graceful leave: the node keeps operating until a view
+            // excluding it is installed (or a timeout force-quits locally);
+            // a sole member dissolves the group at once. With no live peer
+            // to aim the request at, retries and the local force-quit are
+            // the fallback.
+            ProtoEvent::RequestLeave if self.status != GroupStatus::Idle => {
+                if self.view.members == [node] {
+                    self.dissolve(&mut out);
+                } else {
+                    self.leaving = true;
+                    self.pending_leavers.insert(node);
+                    self.leave_req(env, &mut out);
+                }
+            }
+            ProtoEvent::DoElection => {
+                if let Some((epoch, candidates)) = self.election(node, env.suspected) {
+                    self.begin_view_change(env, epoch, candidates, &mut out);
+                }
+            }
             ProtoEvent::FlushTimeout { silent } => {
                 if let Some(fl) = self.flush.take() {
                     for c in &fl.candidates {
@@ -760,131 +628,139 @@ impl Membership {
                         }
                     }
                 }
-                Vec::new()
             }
-            ProtoEvent::AbandonFlush => {
-                self.abandon_flush();
-                Vec::new()
-            }
-            ProtoEvent::SingletonForm => match self.singleton_form(node) {
-                Some(view) => vec![ProtoAction::Install { view }],
-                None => Vec::new(),
+            // Member-side flush abandonment: the coordinator that held our
+            // promise went quiet; resume normal delivery. A *member's*
+            // promise is kept — a newer proposal will dominate it, a replay
+            // of the dead one must not. A *joiner's* promise is dropped
+            // instead: nothing ever dominates it (no surviving coordinator
+            // knows the joiner exists), so keeping it blocks the singleton
+            // formation forever — the checker found a joiner orphaned in
+            // `Joining` by exactly this when its adopting coordinator
+            // crashed mid-flush.
+            ProtoEvent::AbandonFlush => match self.status {
+                GroupStatus::Flushing => self.status = GroupStatus::Member,
+                GroupStatus::Joining => self.promised = None,
+                _ => {}
             },
-            ProtoEvent::JoinRetry if self.status == GroupStatus::Joining => self.join_sends(env),
+            // A joiner timed out waiting to be adopted: form a singleton
+            // view and rely on announces/merge to coalesce — unless a
+            // promise is pending (a coordinator is already adopting us).
+            ProtoEvent::SingletonForm
+                if self.status == GroupStatus::Joining && self.promised.is_none() =>
+            {
+                self.status = GroupStatus::Idle;
+                self.create(node, &mut out);
+            }
+            ProtoEvent::JoinRetry if self.status == GroupStatus::Joining => {
+                self.join_sends(env, &mut out)
+            }
             ProtoEvent::LeaveRetry
                 if self.leaving
                     && matches!(self.status, GroupStatus::Member | GroupStatus::Flushing) =>
             {
-                match self.leave_target(node, env.suspected) {
-                    Some(target) => vec![ProtoAction::Send {
-                        to: target,
-                        msg: ProtoMsg::LeaveReq { leaver: node },
-                    }],
-                    None => Vec::new(),
-                }
+                self.leave_req(env, &mut out)
             }
-            ProtoEvent::ForceLeave if self.leaving => self.dissolve(),
-            ProtoEvent::JoinRetry | ProtoEvent::LeaveRetry | ProtoEvent::ForceLeave => Vec::new(),
+            ProtoEvent::ForceLeave if self.leaving => self.dissolve(&mut out),
+            ProtoEvent::RequestLeave
+            | ProtoEvent::SingletonForm
+            | ProtoEvent::JoinRetry
+            | ProtoEvent::LeaveRetry
+            | ProtoEvent::ForceLeave => {}
             // Announces go to *every* peer, members included: a member
             // serves them as lost-Install detection (see
-            // [`AnnounceOutcome::Resync`]), a non-member as merge bait.
-            ProtoEvent::DoAnnounce => match self.announce_payload(node) {
-                Some((vid, members)) => env
-                    .bootstrap
-                    .iter()
-                    .copied()
-                    .filter(|n| *n != node)
-                    .map(|to| ProtoAction::Send {
-                        to,
-                        msg: ProtoMsg::Announce {
-                            vid,
-                            members: members.clone(),
-                        },
-                    })
-                    .collect(),
-                None => Vec::new(),
-            },
+            // [`Membership::on_announce`]), a non-member as merge bait.
+            ProtoEvent::DoAnnounce => {
+                if let Some((vid, members)) = self.announce_payload(node) {
+                    out.extend(
+                        env.bootstrap
+                            .iter()
+                            .copied()
+                            .filter(|n| *n != node)
+                            .map(|to| ProtoAction::Send {
+                                to,
+                                msg: ProtoMsg::Announce {
+                                    vid,
+                                    members: members.clone(),
+                                },
+                            }),
+                    );
+                }
+            }
             ProtoEvent::ExpireForeign(peer) => {
                 self.foreign.remove(&peer);
-                Vec::new()
             }
         }
+        out
     }
 
-    fn on_msg(&mut self, env: &mut Env<'_>, from: NodeId, msg: ProtoMsg) -> Vec<ProtoAction> {
+    fn on_msg(
+        &mut self,
+        env: &mut Env<'_>,
+        from: NodeId,
+        msg: ProtoMsg,
+        out: &mut Vec<ProtoAction>,
+    ) {
         let node = env.node;
         match msg {
-            ProtoMsg::JoinReq { joiner } => match self.on_join_req(node, env.suspected, joiner) {
-                Some(coord) => vec![ProtoAction::Send {
-                    to: coord,
-                    msg: ProtoMsg::JoinReq { joiner },
-                }],
-                None => Vec::new(),
-            },
+            ProtoMsg::JoinReq { joiner } => self.on_join_req(env, joiner, out),
+            // Accepted while member *or* flushing (same survivability
+            // argument as joins). Latest request wins (mirror of
+            // `on_join_req`): a leave from a node we only knew as a
+            // pending joiner withdraws the join.
             ProtoMsg::LeaveReq { leaver } => {
-                self.on_leave_req(leaver);
-                Vec::new()
+                if matches!(self.status, GroupStatus::Member | GroupStatus::Flushing) {
+                    self.pending_joiners.remove(&leaver);
+                    self.pending_leavers.insert(leaver);
+                }
             }
             ProtoMsg::Prepare { vid, candidates } => {
                 if self.on_prepare(node, vid, &candidates) {
-                    vec![ProtoAction::Send {
+                    out.push(ProtoAction::Send {
                         to: vid.coordinator,
                         msg: ProtoMsg::FlushAck { vid },
-                    }]
-                } else {
-                    Vec::new()
+                    });
                 }
             }
-            ProtoMsg::FlushAck { vid } => match self.on_flush_ack(from, vid) {
-                FlushProgress::Complete { vid, candidates } => {
-                    let view = View::new(vid, candidates);
-                    let mut actions: Vec<ProtoAction> = view
-                        .members
-                        .iter()
-                        .copied()
-                        .filter(|&m| m != node)
-                        .map(|to| ProtoAction::Send {
-                            to,
-                            msg: ProtoMsg::Install { view: view.clone() },
-                        })
-                        .collect();
-                    actions.extend(self.install(env, view));
-                    actions
-                }
-                _ => Vec::new(),
-            },
-            ProtoMsg::Install { view } => self.install(env, view),
-            ProtoMsg::Announce { vid, members } => {
-                match self.on_announce(&env.cfg, node, env.suspected, from, vid, members) {
-                    AnnounceOutcome::Reform { epoch, candidates } => {
-                        self.begin_view_change(env, epoch, candidates)
-                    }
-                    AnnounceOutcome::Resync => vec![ProtoAction::Send {
-                        to: from,
-                        msg: ProtoMsg::JoinReq { joiner: node },
-                    }],
-                    _ => Vec::new(),
+            ProtoMsg::FlushAck { vid } => {
+                if let Some(view) = self.on_flush_ack(from, vid) {
+                    let others = view.members.iter().filter(|&&m| m != node);
+                    out.extend(others.map(|&to| ProtoAction::Send {
+                        to,
+                        msg: ProtoMsg::Install { view: view.clone() },
+                    }));
+                    self.install(env, view, out);
                 }
             }
+            ProtoMsg::Install { view } => self.install(env, view, out),
+            ProtoMsg::Announce { vid, members } => self.on_announce(env, from, vid, members, out),
         }
     }
 
-    fn join_sends(&self, env: &Env<'_>) -> Vec<ProtoAction> {
+    fn join_sends(&self, env: &Env<'_>, out: &mut Vec<ProtoAction>) {
         let mut targets: BTreeSet<NodeId> = env.bootstrap.iter().copied().collect();
         targets.extend(self.join_contacts.iter().copied());
         targets.remove(&env.node);
-        targets
-            .into_iter()
-            .map(|to| ProtoAction::Send {
-                to,
-                msg: ProtoMsg::JoinReq { joiner: env.node },
-            })
-            .collect()
+        out.extend(targets.into_iter().map(|to| ProtoAction::Send {
+            to,
+            msg: ProtoMsg::JoinReq { joiner: env.node },
+        }));
     }
 
-    fn dissolve(&mut self) -> Vec<ProtoAction> {
+    /// A `LeaveReq` to the [`Membership::leave_target`], if there is one.
+    fn leave_req(&self, env: &Env<'_>, out: &mut Vec<ProtoAction>) {
+        let leaver = env.node;
+        if let Some(to) = self.leave_target(leaver, env.suspected) {
+            out.push(ProtoAction::Send {
+                to,
+                msg: ProtoMsg::LeaveReq { leaver },
+            });
+        }
+    }
+
+    fn dissolve(&mut self, out: &mut Vec<ProtoAction>) {
         *self = Membership::new();
-        vec![ProtoAction::Dissolve]
+        out.push(ProtoAction::Dissolve);
     }
 }
 
@@ -1153,10 +1029,6 @@ mod tests {
         // lists it — membership by replayed datagram is not consent.
         let mut n = ProtoNode::new(ProtoConfig::default(), NodeId(2), nodes(&[1, 2]));
         let view = View::new(vid(5, 1), nodes(&[1, 2]));
-        assert_eq!(
-            n.group.install_decision(NodeId(2), &view),
-            InstallDecision::Refused
-        );
         assert!(n
             .step(ProtoEvent::Deliver {
                 from: NodeId(1),

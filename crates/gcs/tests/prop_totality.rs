@@ -506,6 +506,21 @@ fn drive(
     Ok((trace, machine))
 }
 
+/// Drives the script twice through [`drive`], as `node` or as the highest
+/// id, and checks that both runs agree.
+fn total_and_deterministic(script: Vec<Step>, at_the_top: bool) -> Result<(), TestCaseError> {
+    let node = NodeId(if at_the_top { u32::MAX } else { 2 });
+    let mut events: Vec<ProtoEvent> = Vec::with_capacity(script.len());
+    for d in script {
+        let event = proto_event(d, events.last());
+        events.push(event);
+    }
+    let once = drive(node, &events)?;
+    let twice = drive(node, &events)?;
+    prop_assert_eq!(once, twice);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -514,14 +529,21 @@ proptest! {
         script in prop::collection::vec(step(), 1..120),
         at_the_top in any::<bool>(),
     ) {
-        let node = NodeId(if at_the_top { u32::MAX } else { 2 });
-        let mut events: Vec<ProtoEvent> = Vec::with_capacity(script.len());
-        for d in script {
-            let event = proto_event(d, events.last());
-            events.push(event);
-        }
-        let once = drive(node, &events)?;
-        let twice = drive(node, &events)?;
-        prop_assert_eq!(once, twice);
+        total_and_deterministic(script, at_the_top)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    /// The same property at 20 000 cases (about a second in a release
+    /// build).
+    #[test]
+    #[ignore = "release-build sweep; run with --ignored"]
+    fn proto_node_step_is_total_at_twenty_thousand_cases(
+        script in prop::collection::vec(step(), 1..120),
+        at_the_top in any::<bool>(),
+    ) {
+        total_and_deterministic(script, at_the_top)?;
     }
 }
