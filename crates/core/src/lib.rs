@@ -25,9 +25,9 @@
 //! * [`workload`] — the fleet workload engine: Zipf popularity, Poisson
 //!   arrivals, VCR mixes and churn, all from one seed;
 //! * [`forecast`] — per-movie popularity state machines (Markov
-//!   cold/warming/hot/cooling with seeded transition estimation) and
-//!   [`forecast::PlacementPolicy`], one struct deciding by the reactive
-//!   or predictive replica-placement rule;
+//!   cold/warming/hot/cooling with seeded transition estimation) that
+//!   [`server::Placement`] feeds and reads when it decides by the
+//!   reactive or predictive replica-placement rule ([`PolicyKind`]);
 //! * [`chaos`] — seeded fault campaigns: crash/restart cycles, pairwise
 //!   partitions with heals and correlated loss bursts, all from one seed;
 //! * [`campaign`] — the one definition of the chaos, flash-crowd and
@@ -68,10 +68,7 @@ pub use config::{
     FailoverMode, MultiDcConfig, PrefixCacheConfig, ReplicationConfig, ResumePolicy, SiteMap,
     TakeoverPolicy, VodConfig,
 };
-pub use forecast::{
-    BringUpTrigger, ForecastBank, MovieForecast, MovieObservation, PlacementAction,
-    PlacementPolicy, PolicyKind, PopState,
-};
+pub use forecast::{BringUpTrigger, MovieForecast, PolicyKind, PopState};
 pub use metrics::Histogram;
 pub use oracle::{OracleConfig, OracleReport, Verdict};
 pub use profile::{ProfileHandle, ProfileReport, SpanStats, Subsystem};

@@ -266,7 +266,9 @@ impl ScenarioBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if a client references an unknown movie.
+    /// Panics if a client references an unknown movie, or if a node hosts
+    /// a server and a client or two clients (the later process would
+    /// silently replace the earlier one).
     pub fn build(&self) -> VodSim {
         let mut sim: Simulation<VodWire> = Simulation::new(self.seed);
         sim.set_default_profile(self.profile.clone());
@@ -350,7 +352,12 @@ impl ScenarioBuilder {
             sim.set_topology(topology);
         }
         let mut client_nodes = BTreeMap::new();
+        let mut hosts = BTreeSet::new();
         for setup in &self.clients {
+            let node = setup.node;
+            let server = self.server_universe.contains(&node);
+            assert!(!server, "node {node} hosts both a server and a client");
+            assert!(hosts.insert(node), "node {node} hosts two clients");
             let (movie, _) = self
                 .movies
                 .get(&setup.movie)
@@ -629,5 +636,41 @@ pub mod presets {
             .server(nodes::S2)
             .client(CLIENT_ID, nodes::CLIENT, MOVIE, CLIENT_START);
         builder
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use media::MovieSpec;
+
+    /// One short movie on n1 and n2, both up at time zero.
+    fn two_servers() -> ScenarioBuilder {
+        let spec = MovieSpec::paper_default().with_duration(std::time::Duration::from_secs(5));
+        let mut builder = ScenarioBuilder::new(1);
+        let (n1, n2) = (NodeId(1), NodeId(2));
+        builder
+            .movie(Movie::generate(MovieId(1), &spec), &[n1, n2])
+            .server(n1)
+            .server(n2);
+        builder
+    }
+
+    #[test]
+    #[should_panic(expected = "node n2 hosts both a server and a client")]
+    fn a_client_on_a_servers_node_is_rejected() {
+        let mut builder = two_servers();
+        builder.client(ClientId(1), NodeId(2), MovieId(1), SimTime::from_secs(1));
+        builder.build();
+    }
+
+    #[test]
+    #[should_panic(expected = "node n3 hosts two clients")]
+    fn two_clients_on_one_node_are_rejected() {
+        let mut builder = two_servers();
+        for client in [ClientId(1), ClientId(2)] {
+            builder.client(client, NodeId(3), MovieId(1), SimTime::from_secs(1));
+        }
+        builder.build();
     }
 }

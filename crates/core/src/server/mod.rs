@@ -174,11 +174,9 @@ pub struct VodServer {
     trace: TraceHandle,
     profile: ProfileHandle,
     sync_round: u64,
-    /// Latest SERVER_GROUP view, for demand aggregation and elections.
-    server_view: View,
-    /// Who holds what: the demand reports, the placement policy and its
-    /// forecasts, copies in flight, orphan OPENs and the prefix tier's
-    /// cache and routing.
+    /// Who holds what: the server-group view, the demand reports, the
+    /// placement rule and its forecasts, copies in flight, orphan OPENs
+    /// and the prefix tier's cache and routing.
     placement: Placement,
     /// Prefix transmissions this server is currently running.
     prefix_sessions: VecMap<ClientId, PrefixSession>,
@@ -230,7 +228,6 @@ impl VodServer {
             trace: TraceHandle::disabled(),
             profile: ProfileHandle::disabled(),
             sync_round: 0,
-            server_view: View::default(),
             placement,
             prefix_sessions: VecMap::new(),
             rejoin: false,
@@ -377,8 +374,7 @@ impl VodServer {
     fn on_view(&mut self, ctx: &mut Context<'_, VodWire>, group: GroupId, view: View) {
         let _span = self.profile.span(Subsystem::GcsViewChange);
         if group == SERVER_GROUP {
-            self.placement.install_server_view(&view);
-            self.server_view = view;
+            self.placement.install_server_view(view);
             return;
         }
         if let Some(movie_id) = movie_of_group(group) {
@@ -624,15 +620,7 @@ impl VodServer {
         self.multicast(ctx, SERVER_GROUP, report);
         let (node, now) = (self.node, ctx.now());
         let held = tables(&self.movies);
-        let (decisions, fleet) = self.placement.tick(
-            node,
-            now,
-            &self.cfg,
-            &self.server_view,
-            &held,
-            &self.catalog,
-        );
-        for decision in decisions {
+        for decision in self.placement.tick(node, now, &held, &self.catalog) {
             match decision {
                 Decision::BringUp(note, trigger) => self.bring_up(ctx, note, trigger),
                 Decision::Retire(note) => self.retire_replica(ctx, note),
@@ -660,7 +648,7 @@ impl VodServer {
             }
         }
         let held = tables(&self.movies);
-        for assign in self.placement.route_prefixes(node, fleet, &held) {
+        for assign in self.placement.route_prefixes(node, &held) {
             self.multicast(ctx, SERVER_GROUP, assign);
         }
     }

@@ -2,36 +2,37 @@
 //!
 //! The paper replicates each movie "on a subset of servers" and lets the
 //! movie-group view change do every handoff; *which* subset is decided
-//! here. Every server keeps one [`Placement`] — the latest demand report
-//! of each live server, the placement policy's streaks and cooldowns, the
-//! shared forecast bank, the copies in flight, the OPENs nobody could
-//! answer, and the prefix tier's cache, advertisements and routing — and
-//! every decision of the replica manager (DESIGN.md §5d) and the prefix
-//! tier (§5h) is a method on it: what to report, who brings up, retires or
-//! rescues which movie this tick, which prefixes to cache, where a waiting
-//! client is fed from meanwhile and when that source is released.
+//! here. Every server keeps one [`Placement`] — the server-group view, the
+//! latest demand report of each live server, the load the last tick ranked
+//! by, the placement rule's streaks and cooldowns, one forecast machine per
+//! movie, the copies in flight, the OPENs nobody could answer, and the
+//! prefix tier's cache, advertisements and routing — and every decision of
+//! the replica manager (DESIGN.md §5d) and the prefix tier (§5h) is a
+//! method on it: what to report, who brings up, retires or rescues which
+//! movie this tick, which prefixes to cache, where a waiting client is fed
+//! from meanwhile and when that source is released.
 //!
-//! The value has no effects and reads no clock: the caller passes the
-//! time, its own node id, the server-group view and a read-only look at
-//! what it holds ([`Holdings`]: movie → takeover table, whose view and
-//! `owned_by` counts are all that is read; the catalog's keys), and acts
-//! on plain return values — multicast a payload, join or leave a movie
+//! The value has no effects and reads no clock: the caller installs each
+//! server-group view, passes the time, its own node id and a read-only
+//! look at what it holds ([`Holdings`]: movie → takeover table, whose view
+//! and `owned_by` counts are all that is read; the catalog's keys), and
+//! acts on plain return values — multicast a payload, join or leave a movie
 //! group, arm the copy timer. [`VodServer`] is that caller; the property
 //! tests of `tests/prop_replicas.rs` are another.
 //!
 //! Every server runs the same rule over (eventually) the same reports, so
-//! every server's forecast bank and policy state stay in lockstep and at
-//! most one server acts per movie and tick. Three things the caller must
+//! every server's forecasts and placement state stay in lockstep and at
+//! most one server acts per movie and tick. Two things the caller must
 //! keep, because the goldens pin them: it files its *own* report by
 //! multicasting [`Placement::report`] and handing the self-delivered
 //! message to [`Placement::file_report`] like anyone else's (a server that
-//! is not yet a member files nothing); it carries out [`Placement::tick`]'s
-//! decisions before it asks for the prefix cache or the routing, which
-//! read what is held *then* — the tick has already struck a retired movie
-//! off this server's own report and load; and it resolves the prefix
-//! assignments one at a time ([`Placement::prefix_verdict`]), because each
-//! retried admission publishes, self-delivers and can change the record
-//! the next assignment's verdict reads.
+//! is not yet a member files nothing); and it runs the sync tick's steps in
+//! order, one at a time — it carries out [`Placement::tick`]'s decisions
+//! before it asks for the prefix cache or the routing, which read what is
+//! held *then*, and it resolves the prefix assignments one by one
+//! ([`Placement::prefix_verdict`]), because each retried admission
+//! publishes, self-delivers and can change the record the next
+//! assignment's verdict reads.
 //!
 //! [`VodServer`]: super::VodServer
 
@@ -45,11 +46,11 @@ use simnet::{NodeId, SimTime};
 
 use super::assign::least_loaded;
 use super::{TakeoverTable, UNSERVED};
-use crate::config::{VodConfig, MIN_REPLICAS};
-use crate::forecast::{
-    BringUpTrigger, ForecastBank, MovieObservation, PlacementAction, PlacementPolicy, PolicyKind,
-    PopState, FORECAST_STREAM,
+use crate::config::{
+    COLD_SESSIONS_PER_REPLICA, COOLDOWN_TICKS, HOT_SESSIONS_PER_REPLICA, HYSTERESIS_TICKS,
+    MAX_REPLICAS, MIN_REPLICAS,
 };
+use crate::forecast::{BringUpTrigger, MovieForecast, PolicyKind, PopState, FORECAST_STREAM};
 use crate::protocol::{ClientId, ClientRecord, ControlPayload, DemandEntry};
 
 /// How long an unanswered OPEN for an un-held movie counts as live
@@ -62,17 +63,6 @@ const ORPHAN_OPEN_TTL: Duration = Duration::from_secs(5);
 /// table — its movie-group view and `owned_by` counts — of every movie it
 /// is a replica of.
 pub type Holdings<'a> = BTreeMap<MovieId, &'a TakeoverTable>;
-
-/// The live servers and the sessions each carries, from one tick's
-/// reports: what both elections rank by ([`Placement::tick`] builds it,
-/// [`Placement::route_prefixes`] spends it).
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct Fleet {
-    /// Members of the server-group view.
-    pub live: BTreeSet<NodeId>,
-    /// Sessions reported per live server (none reported = idle).
-    pub load: BTreeMap<NodeId, u32>,
-}
 
 /// The trace annotation of a decision: what the rule saw when it made it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -122,16 +112,38 @@ pub enum PrefixVerdict {
     },
 }
 
+/// One movie's hysteresis: the replica set it was last judged at, its hot
+/// and cold streaks and the ticks left before it may move again.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+struct Hysteresis {
+    /// Reporters at the last judgement (`None`: never judged).
+    replicas: Option<u32>,
+    hot: u32,
+    cold: u32,
+    cooldown: u32,
+}
+
 /// One server's picture of the fleet's demand and everything the replica
 /// manager and the prefix tier decide from it.
+///
+/// | kind | bring-up | retire |
+/// |---|---|---|
+/// | `Reactive` | a full hot streak | a full cold streak |
+/// | `Predictive` | the forecast surges (no streak: the machine's own dynamics are the damping) | a full cold streak *and* a cold forecast |
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Placement {
+    kind: PolicyKind,
+    /// The latest server-group view: the live servers.
+    servers: View,
     /// Latest demand report per live server: movie -> (sessions, waiting).
     demand: BTreeMap<NodeId, BTreeMap<MovieId, (u32, u32)>>,
-    policy: PlacementPolicy,
+    /// Sessions reported per live server at the last tick (none reported
+    /// = idle): what both elections and the prefix routing rank by.
+    load: BTreeMap<NodeId, u32>,
+    hysteresis: BTreeMap<MovieId, Hysteresis>,
     /// Per-movie popularity machines, fed from the aggregated demand every
     /// tick and seeded identically on every server.
-    forecasts: ForecastBank,
+    forecasts: BTreeMap<MovieId, MovieForecast>,
     /// Replicas this server is copying onto its disk farm, with the peers
     /// to join. Advertised in the reports as sessionless holders, so the
     /// fleet does not pile further bring-ups onto the movie meanwhile.
@@ -153,9 +165,12 @@ impl Placement {
     /// A table that has heard nothing yet, deciding by `kind`.
     pub fn new(kind: PolicyKind) -> Self {
         Placement {
+            kind,
+            servers: View::default(),
             demand: BTreeMap::new(),
-            policy: PlacementPolicy::new(kind),
-            forecasts: ForecastBank::new(FORECAST_STREAM),
+            load: BTreeMap::new(),
+            hysteresis: BTreeMap::new(),
+            forecasts: BTreeMap::new(),
             pending_bringups: BTreeMap::new(),
             orphan_opens: BTreeMap::new(),
             prefix_cache: BTreeSet::new(),
@@ -164,9 +179,9 @@ impl Placement {
         }
     }
 
-    /// The shared forecast bank.
-    pub fn forecasts(&self) -> &ForecastBank {
-        &self.forecasts
+    /// The forecast machine of `movie`, if a tick has ever fed it.
+    pub fn forecast(&self, movie: MovieId) -> Option<&MovieForecast> {
+        self.forecasts.get(&movie)
     }
 
     /// Movies whose prefix this server caches.
@@ -183,12 +198,13 @@ impl Placement {
             .insert(server, prefixes.iter().copied().collect());
     }
 
-    /// Drops the reports of servers that left the server group, so they
-    /// cannot skew decisions.
-    pub fn install_server_view(&mut self, servers: &View) {
+    /// Keeps the new server-group view and drops the reports of servers
+    /// that left it, so they cannot skew decisions.
+    pub fn install_server_view(&mut self, servers: View) {
         self.demand.retain(|server, _| servers.contains(*server));
         self.prefix_sources
             .retain(|server, _| servers.contains(*server));
+        self.servers = servers;
     }
 
     /// Notes `client`'s OPEN for `movie`, which this server does not hold.
@@ -223,52 +239,49 @@ impl Placement {
         }
     }
 
-    /// One sync tick of the replica manager: age the cooldowns, aggregate
-    /// the reports of the live servers (sessions sum across holders; the
+    /// One sync tick of the replica manager, in one pass: rank the live
+    /// servers by their reported sessions, age the cooldowns, aggregate the
+    /// reports of the live servers (sessions sum across holders; the
     /// waiting backlog is shared record state, so it is the max; holders
-    /// are the reporters), feed the forecast bank, ask the policy for one
-    /// verdict per movie and run the elections. Returns what *this* server
-    /// was elected to do, in movie order with the rescues last, and the
-    /// fleet the elections ranked.
+    /// are the reporters), and per movie feed its forecast, judge it and
+    /// run the election. Returns what *this* server was elected to do, in
+    /// movie order with the rescues last.
     ///
-    /// A bring-up goes to the least-loaded live non-holder, ties to the
-    /// lowest id. A retire goes to the highest id of the movie group's
-    /// view — view-synchronous, so unlike the eventually consistent
-    /// reports it cannot crown two candidates — and only while that view
-    /// is above [`MIN_REPLICAS`]: at most one member leaves per view. A
-    /// movie with live orphan OPENs and no reporter is rescued by the
-    /// least-loaded live server. An elected server that cannot copy the
-    /// movie (not in `catalog`, or already held or on its way) declines,
-    /// which leaves streak, cooldown and orphan OPENs as they were.
-    ///
-    /// [`MIN_REPLICAS`]: crate::config::MIN_REPLICAS
+    /// A movie whose replica count changed (or that is judged for the first
+    /// time) restarts its streaks and cools down for [`COOLDOWN_TICKS`]; so
+    /// does one this server acts on. A bring-up goes to the least-loaded
+    /// live non-holder, ties to the lowest id. A retire goes to the highest
+    /// id of the movie group's view — view-synchronous, so unlike the
+    /// eventually consistent reports it cannot crown two candidates — and
+    /// only while that view is above [`MIN_REPLICAS`]: at most one member
+    /// leaves per view. A movie with live orphan OPENs and no reporter is
+    /// rescued by the least-loaded live server. An elected server that
+    /// cannot copy the movie (not in `catalog`, or already held or on its
+    /// way) declines, which leaves streak, cooldown and orphan OPENs as
+    /// they were.
     pub fn tick<M>(
         &mut self,
         me: NodeId,
         now: SimTime,
-        cfg: &VodConfig,
-        servers: &View,
         held: &Holdings<'_>,
         catalog: &BTreeMap<MovieId, M>,
-    ) -> (Vec<Decision>, Fleet) {
-        let live: BTreeSet<NodeId> = servers.members.iter().copied().collect();
+    ) -> Vec<Decision> {
         let sessions_of = |n: &NodeId| self.demand.get(n).into_iter().flatten().map(|(_, d)| d.0);
-        let load = live
-            .iter()
+        let members = self.servers.members.iter();
+        self.load = members
             .map(|n| (*n, sessions_of(n).fold(0, u32::saturating_add)))
             .collect();
-        let mut fleet = Fleet { live, load };
-        let mut decisions = Vec::new();
-        if cfg.replication.is_none() {
-            return (decisions, fleet);
+        for movie in self.hysteresis.values_mut() {
+            movie.cooldown = movie.cooldown.saturating_sub(1);
         }
-        self.policy.begin_tick();
-        if fleet.live.len() <= 1 || !fleet.live.contains(&me) {
-            return (decisions, fleet); // nowhere to replicate to, or not a member yet
+        let mut decisions = Vec::new();
+        let live = self.servers.len() as u32;
+        if live <= 1 || !self.servers.contains(me) {
+            return decisions; // nowhere to replicate to, or not a member yet
         }
         let mut agg: BTreeMap<MovieId, (u32, u32, BTreeSet<NodeId>)> = BTreeMap::new();
         for (&server, entries) in &self.demand {
-            if !fleet.live.contains(&server) {
+            if !self.servers.contains(server) {
                 continue;
             }
             for (&movie, &(sessions, waiting)) in entries {
@@ -278,63 +291,80 @@ impl Placement {
                 entry.2.insert(server);
             }
         }
-        // Feed the forecast bank before any decision: all policies see
-        // this tick's states, and the annotation reflects them even under
-        // the reactive policy.
-        for (&movie, &(sessions, waiting, ref holders)) in &agg {
-            let demand = sessions.saturating_add(waiting);
-            self.forecasts.observe(movie, demand, holders.len() as u32);
-        }
         let can_copy = |pending: &BTreeMap<MovieId, Vec<NodeId>>, movie| {
             catalog.contains_key(&movie)
                 && !held.contains_key(&movie)
                 && !pending.contains_key(&movie)
         };
-        let (policy, mut retired) = (self.policy.kind(), 0u32);
         for (&movie, &(sessions, waiting, ref holders)) in &agg {
-            let replicas = holders.len() as u32;
-            let obs = MovieObservation {
-                movie,
-                sessions,
-                waiting,
-                replicas,
-                live: fleet.live.len() as u32,
+            let (demand, replicas) = (sessions.saturating_add(waiting), holders.len() as u32);
+            // Every movie's machine is fed, also under the reactive rule:
+            // the annotations and the prefix cache read its state.
+            let forecast = self.forecasts.entry(movie);
+            let forecast =
+                forecast.or_insert_with(|| MovieForecast::seeded(FORECAST_STREAM, movie));
+            forecast.observe(demand, replicas);
+            let h = self.hysteresis.entry(movie).or_default();
+            if h.replicas.replace(replicas) != Some(replicas) {
+                // The replica set changed: hold off while the
+                // redistribution settles.
+                (h.hot, h.cold, h.cooldown) = (0, 0, COOLDOWN_TICKS);
+                continue;
+            }
+            if h.cooldown > 0 {
+                continue;
+            }
+            let can_grow = replicas < MAX_REPLICAS && replicas < live;
+            let spare = replicas > MIN_REPLICAS
+                && waiting == 0
+                && sessions <= COLD_SESSIONS_PER_REPLICA.saturating_mul(replicas - 1);
+            let (up, trigger, cold) = match self.kind {
+                PolicyKind::Reactive => (
+                    demand > HOT_SESSIONS_PER_REPLICA.saturating_mul(replicas),
+                    BringUpTrigger::ReactiveStreak,
+                    spare,
+                ),
+                PolicyKind::Predictive => (
+                    forecast.surges(replicas),
+                    BringUpTrigger::Forecast,
+                    spare && forecast.state() == PopState::Cold,
+                ),
             };
-            let forecast = self.forecasts.get(movie).expect("fed above");
-            let action = self.policy.decide(&obs, forecast);
+            let up = up && can_grow;
+            h.hot = if up { h.hot + 1 } else { 0 };
+            h.cold = if cold { h.cold + 1 } else { 0 };
             let mut note = Note {
                 movie,
-                demand: sessions.saturating_add(waiting),
+                demand,
                 replicas: replicas + 1,
-                policy,
+                policy: self.kind,
                 forecast: forecast.state(),
             };
-            match action {
-                PlacementAction::Hold => continue,
-                PlacementAction::BringUp(trigger) => {
-                    let spare = fleet.live.iter().copied().filter(|n| !holders.contains(n));
-                    if least_loaded(spare, &fleet.load) != Some(me)
-                        || !can_copy(&self.pending_bringups, movie)
-                    {
-                        continue;
-                    }
-                    let peers = holders.iter().copied().collect();
-                    self.pending_bringups.insert(movie, peers);
-                    decisions.push(Decision::BringUp(note, trigger));
+            if up && (self.kind == PolicyKind::Predictive || h.hot >= HYSTERESIS_TICKS) {
+                let candidates = self.servers.members.iter().copied();
+                let candidates = candidates.filter(|n| !holders.contains(n));
+                if least_loaded(candidates, &self.load) != Some(me)
+                    || !can_copy(&self.pending_bringups, movie)
+                {
+                    continue;
                 }
-                PlacementAction::Retire => {
-                    let view = held.get(&movie).map(|table| table.view());
-                    let spare = view.filter(|view| view.len() as u32 > MIN_REPLICAS);
-                    if spare.and_then(|view| view.members.last()) != Some(&me) {
-                        continue;
-                    }
-                    let reported = self.demand.get_mut(&me).and_then(|own| own.remove(&movie));
-                    retired = retired.saturating_add(reported.map_or(0, |(sessions, _)| sessions));
-                    (note.demand, note.replicas) = (sessions, replicas - 1);
-                    decisions.push(Decision::Retire(note));
+                let peers = holders.iter().copied().collect();
+                self.pending_bringups.insert(movie, peers);
+                (h.hot, h.cooldown) = (0, COOLDOWN_TICKS);
+                decisions.push(Decision::BringUp(note, trigger));
+            } else if cold && h.cold >= HYSTERESIS_TICKS {
+                let view = held.get(&movie).map(|table| table.view());
+                let above_floor = view.filter(|view| view.len() as u32 > MIN_REPLICAS);
+                if above_floor.and_then(|view| view.members.last()) != Some(&me) {
+                    continue;
                 }
+                if let Some(own) = self.demand.get_mut(&me) {
+                    own.remove(&movie);
+                }
+                (h.cold, h.cooldown) = (0, COOLDOWN_TICKS);
+                (note.demand, note.replicas) = (sessions, replicas - 1);
+                decisions.push(Decision::Retire(note));
             }
-            self.policy.acted(movie, action);
         }
         // Orphan rescue: a movie with waiting viewers but no live holder
         // cannot wait out the hot/cold hysteresis — nobody is left to
@@ -345,32 +375,29 @@ impl Placement {
             clients.retain(|_, at| now.saturating_since(*at) < ORPHAN_OPEN_TTL);
             !clients.is_empty() && !agg.contains_key(movie) && !held.contains_key(movie)
         });
-        if least_loaded(fleet.live.iter().copied(), &fleet.load) == Some(me) {
+        if least_loaded(self.servers.members.iter().copied(), &self.load) == Some(me) {
             let orphans = self.orphan_opens.keys().copied();
             let orphans: Vec<MovieId> = orphans
                 .filter(|&movie| can_copy(&self.pending_bringups, movie))
                 .collect();
             for movie in orphans {
-                let trigger = BringUpTrigger::OrphanRescue;
                 let waiting = self.orphan_opens.remove(&movie).map_or(0, |c| c.len());
                 let note = Note {
                     movie,
                     demand: waiting as u32,
                     replicas: 1,
-                    policy,
-                    forecast: self.forecasts.state(movie),
+                    policy: self.kind,
+                    forecast: self
+                        .forecast(movie)
+                        .map_or(PopState::Cold, MovieForecast::state),
                 };
                 self.pending_bringups.insert(movie, Vec::new());
-                decisions.push(Decision::BringUp(note, trigger));
-                self.policy.acted(movie, PlacementAction::BringUp(trigger));
+                let h = self.hysteresis.entry(movie).or_default();
+                (h.hot, h.cooldown) = (0, COOLDOWN_TICKS);
+                decisions.push(Decision::BringUp(note, BringUpTrigger::OrphanRescue));
             }
         }
-        // The retired movies' sessions are off this server's report
-        // already; take them off its load before the routing ranks by it.
-        if let Some(own) = fleet.load.get_mut(&me) {
-            *own = own.saturating_sub(retired);
-        }
-        (decisions, fleet)
+        decisions
     }
 
     /// The copy of `movie` is there: the peers to join its group through,
@@ -379,7 +406,7 @@ impl Placement {
         self.pending_bringups.remove(&movie)
     }
 
-    /// Recomputes the prefix cache from the forecast bank: the hottest
+    /// Recomputes the prefix cache from the forecasts: the hottest
     /// warming/hot movies of `catalog` this server does *not* replicate,
     /// up to `budget`, ties to the lower movie id on every server
     /// identically. Cooling movies fall out of the ranking, so eviction is
@@ -392,7 +419,7 @@ impl Placement {
     ) {
         let unheld = catalog.keys().filter(|m| !held.contains_key(m));
         let mut ranked: Vec<(Reverse<u64>, MovieId)> = unheld
-            .filter_map(|&m| Some((m, self.forecasts.get(m)?)))
+            .filter_map(|&m| Some((m, self.forecasts.get(&m)?)))
             .filter(|(_, f)| matches!(f.state(), PopState::Warming | PopState::Hot))
             .map(|(m, f)| (Reverse(f.heat()), m))
             .collect();
@@ -462,16 +489,11 @@ impl Placement {
 
     /// Routes the clients still parked in the movie groups this server
     /// coordinates to the least-loaded live server that advertises a
-    /// prefix of their movie and does not hold it; every assignment counts
-    /// as one more session on its source. Returns the assignments to
-    /// multicast.
-    pub fn route_prefixes(
-        &mut self,
-        me: NodeId,
-        fleet: Fleet,
-        held: &Holdings<'_>,
-    ) -> Vec<ControlPayload> {
-        let Fleet { live, mut load } = fleet;
+    /// prefix of their movie and does not hold it, ranked by the last
+    /// tick's load; every assignment counts as one more session on its
+    /// source. Returns the assignments to multicast.
+    pub fn route_prefixes(&mut self, me: NodeId, held: &Holdings<'_>) -> Vec<ControlPayload> {
+        let mut load = self.load.clone();
         for &(source, _) in self.prefix_assignments.values() {
             let sessions = load.entry(source).or_insert(0);
             *sessions = sessions.saturating_add(1);
@@ -487,7 +509,7 @@ impl Placement {
                     continue;
                 }
                 let sources = self.prefix_sources.iter().filter(|(n, movies)| {
-                    live.contains(n) && !view.contains(**n) && movies.contains(&movie)
+                    self.servers.contains(**n) && !view.contains(**n) && movies.contains(&movie)
                 });
                 let Some(target) = least_loaded(sources.map(|(&n, _)| n), &load) else {
                     continue;
@@ -507,7 +529,7 @@ impl Placement {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ReplicationConfig;
+    use crate::config::{ReplicationConfig, VodConfig};
     use crate::protocol::session_group;
     use crate::server::takeover::{Cx, Input};
     use gcs::ViewId;
@@ -590,7 +612,7 @@ mod tests {
         for server in 1..=3 {
             p.file_report(NodeId(server), &[entry(1, server)], &[MovieId(2)]);
         }
-        p.install_server_view(&view(&[1, 3]));
+        p.install_server_view(view(&[1, 3]));
         let left: Vec<NodeId> = p.demand.keys().copied().collect();
         assert_eq!(left, [NodeId(1), NodeId(3)]);
         assert_eq!(left, p.prefix_sources.keys().copied().collect::<Vec<_>>());
@@ -598,15 +620,16 @@ mod tests {
 
     #[test]
     fn an_orphan_open_counts_for_five_seconds() {
-        let (catalog, servers) = (BTreeMap::from([(MovieId(1), ())]), view(&[1, 2]));
+        let catalog = BTreeMap::from([(MovieId(1), ())]);
         let mut p = Placement::new(PolicyKind::Reactive);
+        p.install_server_view(view(&[1, 2]));
         // n1 is idle, so n2 — this server — never rescues; it only keeps
         // the OPEN while it is fresh.
         p.file_report(NodeId(2), &[entry(2, 1)], &[]);
         p.note_orphan_open(MovieId(1), ClientId(7), SimTime::ZERO);
         let mut tick = |at: Duration| {
             let now = SimTime::ZERO + at;
-            p.tick(NodeId(2), now, &cfg(), &servers, &Holdings::new(), &catalog);
+            p.tick(NodeId(2), now, &Holdings::new(), &catalog);
             p.orphan_opens.contains_key(&MovieId(1))
         };
         assert!(tick(ORPHAN_OPEN_TTL - TICK));
@@ -616,19 +639,12 @@ mod tests {
     #[test]
     fn the_prefix_cache_takes_the_hottest_unheld_movies_up_to_its_budget() {
         let catalog: BTreeMap<MovieId, ()> = (1..=5).map(|m| (MovieId(m), ())).collect();
-        let (cfg, servers) = (cfg(), view(&[1, 2]));
         let mut p = Placement::new(PolicyKind::Predictive);
+        p.install_server_view(view(&[1, 2]));
         // Hot: movies 1 (40), 2 (60) and 3 (20); movie 4 idles; 5 unseen.
         let demand = [entry(1, 40), entry(2, 60), entry(3, 20), entry(4, 0)];
         p.file_report(NodeId(1), &demand, &[]);
-        p.tick(
-            NodeId(2),
-            SimTime::ZERO,
-            &cfg,
-            &servers,
-            &Holdings::new(),
-            &catalog,
-        );
+        p.tick(NodeId(2), SimTime::ZERO, &Holdings::new(), &catalog);
         let cached = |p: &mut Placement, budget, held: &Holdings<'_>| {
             p.refresh_prefix_cache(budget, held, &catalog);
             p.prefix_cache().iter().map(|m| m.0).collect::<Vec<_>>()
@@ -646,8 +662,8 @@ mod tests {
     #[test]
     fn a_prefix_assignment_is_routed_resolved_and_released_once() {
         let (me, n2, n3, n4) = (NodeId(1), NodeId(2), NodeId(3), NodeId(4));
-        let servers = view(&[1, 2, 3, 4]);
         let mut p = Placement::new(PolicyKind::Predictive);
+        p.install_server_view(view(&[1, 2, 3, 4]));
         // n2 holds movie 1 too; n3 (2 sessions) and n4 (idle) advertise its
         // prefix; n5 does as well but is not live.
         p.file_report(me, &[entry(1, 3)], &[]);
@@ -657,15 +673,8 @@ mod tests {
         p.file_report(NodeId(5), &[], &[MovieId(1)]);
         let parked = table(&[1, 2], &[me, UNSERVED, UNSERVED, UNSERVED]);
         let held = Holdings::from([(MovieId(1), &parked)]);
-        let (_, fleet) = p.tick(
-            me,
-            SimTime::ZERO,
-            &cfg(),
-            &servers,
-            &held,
-            &BTreeMap::<_, ()>::new(),
-        );
-        let routed = p.route_prefixes(me, fleet.clone(), &held);
+        p.tick(me, SimTime::ZERO, &held, &BTreeMap::<_, ()>::new());
+        let routed = p.route_prefixes(me, &held);
         let targets: Vec<(u32, NodeId)> = routed
             .iter()
             .map(|assign| match assign {
@@ -676,7 +685,7 @@ mod tests {
         // Each assignment is a session on its source: n4 takes two before
         // it ties with n3, and the tie goes to the lower id.
         assert_eq!(targets, [(1, n4), (2, n4), (3, n3)]);
-        assert_eq!(p.route_prefixes(me, fleet, &held), [], "routed once");
+        assert_eq!(p.route_prefixes(me, &held), [], "routed once");
         let verdict = |p: &Placement, client, table| p.prefix_verdict(me, ClientId(client), table);
         // Still parked and still advertised: retry, else keep.
         let retry = PrefixVerdict::Retry {
@@ -717,5 +726,186 @@ mod tests {
         };
         assert_eq!(p.release_prefix(ClientId(3), UNSERVED), Some(release));
         assert_eq!(p.release_prefix(ClientId(3), UNSERVED), None);
+    }
+
+    /// Ticks a fresh table of `kind` as `me` in a server view of n1–n4
+    /// for twelve sync ticks, movie 1 reported by each of `holders` — the
+    /// first with `demand(t)`'s sessions, all with its waiting clients —
+    /// and held by `me` in a view of `holders` when it is one of them.
+    /// The replica set never moves: a copy `me` starts lands at once but
+    /// is never reported, and `me` keeps reporting a replica it retired.
+    /// Each decision with the tick (from 1) it was made on.
+    fn decided(
+        kind: PolicyKind,
+        me: u32,
+        holders: &[u32],
+        demand: impl Fn(u32) -> (u32, u32),
+    ) -> Vec<(u32, Decision)> {
+        let (catalog, views) = (BTreeMap::from([(MovieId(1), ())]), table(holders, &[]));
+        let held = match holders.contains(&me) {
+            true => Holdings::from([(MovieId(1), &views)]),
+            false => Holdings::new(),
+        };
+        let mut p = Placement::new(kind);
+        p.install_server_view(view(&[1, 2, 3, 4]));
+        let mut decided = Vec::new();
+        for t in 1..=12 {
+            let (sessions, waiting) = demand(t);
+            for (&server, sessions) in holders.iter().zip([sessions].into_iter().chain([0; 4])) {
+                let report = DemandEntry {
+                    movie: MovieId(1),
+                    sessions,
+                    waiting,
+                };
+                p.file_report(NodeId(server), &[report], &[]);
+            }
+            let now = SimTime::ZERO + TICK * t;
+            let decisions = p.tick(NodeId(me), now, &held, &catalog);
+            decided.extend(decisions.into_iter().map(|d| (t, d)));
+            p.copy_landed(MovieId(1));
+        }
+        decided
+    }
+
+    /// The ticks `decided` acted on.
+    fn ticks(decided: &[(u32, Decision)]) -> Vec<u32> {
+        decided.iter().map(|&(t, _)| t).collect()
+    }
+
+    /// The reactive rule: a movie first judged (or just moved) waits out
+    /// the cooldown and then a full hot streak — [`COOLDOWN_TICKS`] ticks
+    /// of cooldown and [`HYSTERESIS_TICKS`] hot ones, the first of them
+    /// shared — before the bring-up, and the bring-up starts the cooldown
+    /// again.
+    #[test]
+    fn a_reactive_bring_up_waits_out_the_cooldown_and_a_full_streak() {
+        let hot = decided(PolicyKind::Reactive, 2, &[1], |_| (12, 0));
+        let first = COOLDOWN_TICKS + HYSTERESIS_TICKS;
+        assert_eq!(ticks(&hot), [first, 2 * first - 1]);
+        let [(_, Decision::BringUp(note, trigger)), _] = hot[..] else {
+            panic!("{hot:?}");
+        };
+        assert_eq!(trigger, BringUpTrigger::ReactiveStreak);
+        assert_eq!((note.demand, note.replicas), (12, 2));
+    }
+
+    /// Exactly at the hot threshold (demand == hot × replicas) is not hot,
+    /// one above is, waiting clients count; exactly at the cold threshold
+    /// (sessions == cold × (replicas − 1)) is cold on a movie above the
+    /// floor of two, one above is not, and one waiting client vetoes it.
+    #[test]
+    fn the_reactive_hot_and_cold_boundaries_and_the_waiting_veto() {
+        let fired = [
+            COOLDOWN_TICKS + HYSTERESIS_TICKS,
+            2 * (COOLDOWN_TICKS + HYSTERESIS_TICKS) - 1,
+        ];
+        let up = |sessions, waiting| {
+            ticks(&decided(PolicyKind::Reactive, 2, &[1], |_| {
+                (sessions, waiting)
+            }))
+        };
+        assert_eq!(up(HOT_SESSIONS_PER_REPLICA, 0), []);
+        assert_eq!(up(HOT_SESSIONS_PER_REPLICA + 1, 0), fired);
+        assert_eq!(up(HOT_SESSIONS_PER_REPLICA - 4, 5), fired);
+        let down = |sessions, waiting| {
+            let decided = decided(PolicyKind::Reactive, 3, &[1, 2, 3], |_| (sessions, waiting));
+            let retires = decided
+                .iter()
+                .all(|(_, d)| matches!(d, Decision::Retire(_)));
+            assert!(retires, "{decided:?}");
+            ticks(&decided)
+        };
+        let cold_at = COLD_SESSIONS_PER_REPLICA * 2;
+        assert_eq!(down(cold_at, 0), fired);
+        assert_eq!(down(cold_at + 1, 0), []);
+        assert_eq!(down(cold_at, 1), []);
+    }
+
+    /// Tick 1 of a flash crowd after a quiet spell: demand jumps over the
+    /// threshold, the machine goes hot and the predictive rule brings a
+    /// replica up on that same tick, where the reactive rule is still
+    /// building its streak.
+    #[test]
+    fn the_predictive_rule_brings_up_on_the_tick_the_machine_goes_hot() {
+        let quiet = COOLDOWN_TICKS + 1;
+        let crowd = |sessions, waiting| {
+            move |t| {
+                if t > quiet {
+                    (sessions, waiting)
+                } else {
+                    (0, 0)
+                }
+            }
+        };
+        for (sessions, waiting) in [(12, 0), (4, 8)] {
+            let first = |kind| decided(kind, 2, &[1], crowd(sessions, waiting))[0];
+            let (t, Decision::BringUp(note, trigger)) = first(PolicyKind::Predictive) else {
+                panic!("a bring-up");
+            };
+            assert_eq!((t, trigger), (quiet + 1, BringUpTrigger::Forecast));
+            assert_eq!(note.forecast, PopState::Hot);
+            let (t, Decision::BringUp(_, trigger)) = first(PolicyKind::Reactive) else {
+                panic!("a bring-up");
+            };
+            assert_eq!((t, trigger), (quiet + 2, BringUpTrigger::ReactiveStreak));
+        }
+    }
+
+    /// The two retire rules: three idle replicas of a movie whose forecast
+    /// is still warming (a trickle that rose from nothing and stays) retire
+    /// on the plain cold streak under `Reactive`; `Predictive` waits for
+    /// the machine to say *cold* — the trickle stopping — and retires a
+    /// full cold streak later.
+    #[test]
+    fn the_predictive_rule_retires_only_on_a_cold_forecast() {
+        let stops = 8;
+        let trickle = |t| (u32::from(t > 1 && t < stops), 0);
+        let reactive = decided(PolicyKind::Reactive, 3, &[1, 2, 3], trickle);
+        let first = COOLDOWN_TICKS + HYSTERESIS_TICKS;
+        assert_eq!(ticks(&reactive), [first, 2 * first - 1]);
+        let predictive = decided(PolicyKind::Predictive, 3, &[1, 2, 3], trickle);
+        let [(t, Decision::Retire(note))] = predictive[..] else {
+            panic!("{predictive:?}");
+        };
+        assert_eq!(
+            (t, note.forecast),
+            (stops + HYSTERESIS_TICKS - 1, PopState::Cold)
+        );
+    }
+
+    /// The tick that retires a movie strikes it off this server's own
+    /// report at once, so a tick before the next report is filed does not
+    /// count this server as a holder any more.
+    #[test]
+    fn a_retire_strikes_the_movie_off_this_servers_own_report() {
+        let (views, catalog) = (table(&[1, 2, 3], &[]), BTreeMap::<_, ()>::new());
+        let held = Holdings::from([(MovieId(1), &views)]);
+        let mut p = Placement::new(PolicyKind::Reactive);
+        p.install_server_view(view(&[1, 2, 3]));
+        p.file_report(NodeId(1), &[entry(1, 0)], &[]);
+        p.file_report(NodeId(2), &[entry(1, 0)], &[]);
+        p.file_report(NodeId(3), &[entry(1, 2), entry(2, 3)], &[]);
+        let retired = (1..=12).find_map(|t| {
+            let decisions = p.tick(NodeId(3), SimTime::ZERO + TICK * t, &held, &catalog);
+            decisions.first().copied()
+        });
+        assert!(matches!(retired, Some(Decision::Retire(_))), "{retired:?}");
+        assert_eq!(p.demand[&NodeId(3)], BTreeMap::from([(MovieId(2), (3, 0))]));
+    }
+
+    /// A movie no tick has fed reads *cold*: the rescue of a movie nobody
+    /// reports is annotated with a cold forecast, and it has no machine.
+    #[test]
+    fn an_unobserved_movie_reads_cold() {
+        let mut p = Placement::new(PolicyKind::Predictive);
+        p.install_server_view(view(&[1, 2]));
+        p.note_orphan_open(MovieId(3), ClientId(7), SimTime::ZERO);
+        let catalog = BTreeMap::from([(MovieId(3), ())]);
+        let decisions = p.tick(NodeId(1), SimTime::ZERO, &Holdings::new(), &catalog);
+        let [Decision::BringUp(note, BringUpTrigger::OrphanRescue)] = decisions[..] else {
+            panic!("{decisions:?}");
+        };
+        assert_eq!(note.forecast, PopState::Cold);
+        assert!(p.forecast(MovieId(3)).is_none());
     }
 }

@@ -14,7 +14,7 @@
 //!   yields exactly one release.
 //! * **Lockstep and one actor** — a fleet of values fed one world: the
 //!   order reports arrive in within a tick changes nothing, every server's
-//!   forecast bank stays equal, and per movie and tick at most one server
+//!   forecasts stay equal, and per movie and tick at most one server
 //!   brings up, at most one retires, never below the floor, never during a
 //!   cooldown and never while its own copy is in flight.
 //! * **The floor** — a movie two servers hold keeps both copies, so one
@@ -204,7 +204,7 @@ fn step(
         }
         2 => {
             outside.servers = view((1..=5).filter(|n| a >> n & 1 == 1));
-            value.install_server_view(&outside.servers);
+            value.install_server_view(outside.servers.clone());
             outside
                 .advertised
                 .retain(|n, _| outside.servers.contains(*n));
@@ -269,16 +269,12 @@ fn step(
                     .advertised
                     .insert(ME, prefixes.iter().copied().collect());
             }
-            let (decisions, fleet) = value.tick(ME, now, cfg, &outside.servers, held, &catalog);
-            let members: BTreeSet<NodeId> = outside.servers.members.iter().copied().collect();
-            prop_assert_eq!(&fleet.live, &members);
-            prop_assert!(fleet.load.keys().all(|n| fleet.live.contains(n)));
-            let rules = cfg.replication;
-            prop_assert!(decisions.is_empty() || rules.is_some() && fleet.live.len() > 1);
+            let decisions = value.tick(ME, now, held, &catalog);
+            let live = &outside.servers;
+            prop_assert!(decisions.is_empty() || live.len() > 1 && live.contains(ME));
             for decision in &decisions {
                 match decision {
                     Decision::BringUp(note, trigger) => {
-                        prop_assert!(fleet.live.contains(&ME));
                         prop_assert!(catalog.contains_key(&note.movie), "{note:?}");
                         prop_assert!(!held.contains_key(&note.movie), "{note:?}");
                         let rescue = *trigger == BringUpTrigger::OrphanRescue;
@@ -300,14 +296,14 @@ fn step(
                 .iter()
                 .all(|m| catalog.contains_key(m) && !held.contains_key(m)));
             let before = value.prefix_assignments();
-            for assign in value.route_prefixes(ME, fleet.clone(), held) {
+            for assign in value.route_prefixes(ME, held) {
                 let ControlPayload::PrefixAssign { target, record } = assign else {
                     return Err(TestCaseError::fail(format!("{assign:?}")));
                 };
                 let view = held[&record.movie].view();
                 prop_assert_eq!(view.coordinator_candidate(), Some(ME));
                 prop_assert_eq!(record.owner, UNSERVED);
-                prop_assert!(fleet.live.contains(&target) && !view.contains(target));
+                prop_assert!(live.contains(target) && !view.contains(target));
                 let advertised = outside.advertised.get(&target);
                 prop_assert!(advertised.is_some_and(|movies| movies.contains(&record.movie)));
                 prop_assert!(before.iter().all(|(c, _)| *c != record.client));
@@ -316,6 +312,35 @@ fn step(
                     .contains(&(record.client, record.movie)));
             }
         }
+    }
+    Ok(())
+}
+
+/// One walk of `inputs` over a value of the placement kind `pick` picks,
+/// holding the movies it picks.
+fn walk(pick: u8, inputs: Vec<(u8, u64, u64)>) -> Result<(), TestCaseError> {
+    let rules =
+        ReplicationConfig::paper_default().with_bringup_delay(TICK * u32::from(pick >> 3 & 1));
+    let cfg =
+        replicating(kind_of(pick), rules).with_prefix_cache(PrefixCacheConfig::paper_default());
+    let parked = [ME, NodeId(3), UNSERVED, UNSERVED, ME];
+    let tables = [
+        table(1, [2, 3], &parked),
+        table(2, [1, 2], &parked[..2]),
+        table(3, [2], &parked[2..]),
+    ];
+    let held: Holdings<'_> = (1u32..)
+        .zip(&tables)
+        .filter(|(m, _)| pick >> (5 + m % 3) & 1 == 1)
+        .map(|(m, t)| (MovieId(m), t))
+        .collect();
+    let mut value = Placement::new(cfg.placement);
+    let mut outside = Outside {
+        servers: View::default(),
+        advertised: BTreeMap::new(),
+    };
+    for input in inputs {
+        step(&cfg, &mut value, &mut outside, &held, input)?;
     }
     Ok(())
 }
@@ -329,26 +354,21 @@ proptest! {
         pick in any::<u8>(),
         inputs in prop::collection::vec((any::<u8>(), any::<u64>(), any::<u64>()), 1..120),
     ) {
-        let rules = ReplicationConfig::paper_default()
-            .with_bringup_delay(TICK * u32::from(pick >> 3 & 1));
-        let mut cfg = replicating(kind_of(pick), rules)
-            .with_prefix_cache(PrefixCacheConfig::paper_default());
-        if pick >> 4 & 3 == 0 {
-            cfg.replication = None;
-        }
-        let parked = [ME, NodeId(3), UNSERVED, UNSERVED, ME];
-        let tables = [
-            table(1, [2, 3], &parked),
-            table(2, [1, 2], &parked[..2]),
-            table(3, [2], &parked[2..]),
-        ];
-        let held: Holdings<'_> = (1u32..).zip(&tables).filter(|(m, _)| pick >> (5 + m % 3) & 1 == 1)
-            .map(|(m, t)| (MovieId(m), t)).collect();
-        let mut value = Placement::new(cfg.placement);
-        let mut outside = Outside { servers: View::default(), advertised: BTreeMap::new() };
-        for input in inputs {
-            step(&cfg, &mut value, &mut outside, &held, input)?;
-        }
+        walk(pick, inputs)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    /// The walk at 20 000 cases (a release-build sweep).
+    #[test]
+    #[ignore = "release-build sweep; run with --ignored"]
+    fn any_sequence_of_inputs_is_survived_and_answered_safely_at_twenty_thousand_cases(
+        pick in any::<u8>(),
+        inputs in prop::collection::vec((any::<u8>(), any::<u64>(), any::<u64>()), 1..120),
+    ) {
+        walk(pick, inputs)?;
     }
 }
 
@@ -377,7 +397,12 @@ struct World {
 impl World {
     fn new(cfg: VodConfig, servers: u32, placement_bits: u64) -> Self {
         let kind = cfg.placement;
-        let values = (1..=servers).map(|n| (n, Placement::new(kind)));
+        let all = view(1..=servers);
+        let values = (1..=servers).map(|n| {
+            let mut value = Placement::new(kind);
+            value.install_server_view(all.clone());
+            (n, value)
+        });
         let holders = (1..=MOVIES).map(|m| {
             let bits = placement_bits >> (8 * (m - 1));
             (m, (1..=servers).filter(|n| bits >> n & 1 == 1).collect())
@@ -406,7 +431,7 @@ impl World {
         self.copies.retain(|&(_, n), _| n != server);
         let servers = self.servers();
         for value in self.values.values_mut() {
-            value.install_server_view(&servers);
+            value.install_server_view(servers.clone());
         }
     }
 
@@ -419,7 +444,7 @@ impl World {
         shuffle: u64,
     ) -> Result<Vec<(u32, Decision)>, TestCaseError> {
         let rules = self.cfg.replication.expect("a replicating fleet");
-        let (servers, now) = (self.servers(), SimTime::ZERO + TICK * t as u32);
+        let now = SimTime::ZERO + TICK * t as u32;
         let catalog = catalog(1..=MOVIES);
         // Copies that are there join their movie group.
         let landed: Vec<(u32, u32)> = self
@@ -498,20 +523,18 @@ impl World {
                 twin.file_report(from, entries, prefixes);
             }
             let held = held(server);
-            let (decisions, fleet) =
-                value.tick(NodeId(server), now, &self.cfg, &servers, &held, &catalog);
-            prop_assert_eq!(
-                &(decisions.clone(), fleet),
-                &twin.tick(NodeId(server), now, &self.cfg, &servers, &held, &catalog)
-            );
+            let decisions = value.tick(NodeId(server), now, &held, &catalog);
+            prop_assert_eq!(&decisions, &twin.tick(NodeId(server), now, &held, &catalog));
             prop_assert_eq!(&*value, &twin);
             decided.extend(decisions.into_iter().map(|d| (server, d)));
         }
-        let banks: Vec<_> = self.values.values().map(|v| v.forecasts()).collect();
-        prop_assert!(
-            banks.windows(2).all(|w| w[0] == w[1]),
-            "forecast banks diverged"
-        );
+        for movie in (1..=MOVIES).map(MovieId) {
+            let forecasts: Vec<_> = self.values.values().map(|v| v.forecast(movie)).collect();
+            prop_assert!(
+                forecasts.windows(2).all(|w| w[0] == w[1]),
+                "the forecasts of {movie} diverged"
+            );
+        }
         // One actor per movie, tick and direction, and a legal one.
         let mut acted = BTreeSet::new();
         for &(server, decision) in &decided {
@@ -549,6 +572,35 @@ impl World {
     }
 }
 
+/// One run of a fleet of `servers` under the placement kind `pick` picks:
+/// phases of twelve ticks, each phase one demand level per movie, with
+/// crashes where `chances` say so.
+fn fleet_world(
+    pick: u8,
+    servers: u32,
+    placement_bits: u64,
+    phases: &[Vec<(u32, u32)>],
+    chances: &[u64],
+) -> Result<(), TestCaseError> {
+    let rules =
+        ReplicationConfig::paper_default().with_bringup_delay(TICK * 3 * u32::from(pick >> 3 & 3));
+    let mut world = World::new(replicating(kind_of(pick), rules), servers, placement_bits);
+    // Demand holds for a phase of twelve ticks — longer than cooldown
+    // plus hysteresis — and is as often a trickle as a crowd.
+    for (phase, levels) in phases.iter().enumerate() {
+        let trickle = |&(s, w): &(u32, u32)| (if s < 40 { s } else { s % 4 }, w.saturating_sub(8));
+        let demand: Vec<(u32, u32)> = levels.iter().map(trickle).collect();
+        for (i, chance) in chances.iter().enumerate() {
+            let chance = chance.rotate_left(phase as u32);
+            if chance % 24 == 0 {
+                world.crash(1 + (chance >> 8) as u32 % servers);
+            }
+            world.tick(12 * phase + i, &demand, chance >> 16)?;
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -561,22 +613,24 @@ proptest! {
         phases in prop::collection::vec(prop::collection::vec((0u32..80, 0u32..12), 4..5), 1..6),
         chances in prop::collection::vec(any::<u64>(), 12..13),
     ) {
-        let rules = ReplicationConfig::paper_default()
-            .with_bringup_delay(TICK * 3 * u32::from(pick >> 3 & 3));
-        let mut world = World::new(replicating(kind_of(pick), rules), servers, placement_bits);
-        // Demand holds for a phase of twelve ticks — longer than cooldown
-        // plus hysteresis — and is as often a trickle as a crowd.
-        for (phase, levels) in phases.iter().enumerate() {
-            let trickle = |&(s, w): &(u32, u32)| (if s < 40 { s } else { s % 4 }, w.saturating_sub(8));
-            let demand: Vec<(u32, u32)> = levels.iter().map(trickle).collect();
-            for (i, chance) in chances.iter().enumerate() {
-                let chance = chance.rotate_left(phase as u32);
-                if chance % 24 == 0 {
-                    world.crash(1 + (chance >> 8) as u32 % servers);
-                }
-                world.tick(12 * phase + i, &demand, chance >> 16)?;
-            }
-        }
+        fleet_world(pick, servers, placement_bits, &phases, &chances)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    /// The fleet world at 20 000 cases (a release-build sweep).
+    #[test]
+    #[ignore = "release-build sweep; run with --ignored"]
+    fn a_fleet_fed_one_world_stays_in_lockstep_and_elects_one_actor_at_twenty_thousand_cases(
+        pick in any::<u8>(),
+        servers in 2u32..7,
+        placement_bits in any::<u64>(),
+        phases in prop::collection::vec(prop::collection::vec((0u32..80, 0u32..12), 4..5), 1..6),
+        chances in prop::collection::vec(any::<u64>(), 12..13),
+    ) {
+        fleet_world(pick, servers, placement_bits, &phases, &chances)?;
     }
 }
 
@@ -591,28 +645,19 @@ fn file(value: &mut Placement, reports: &[(u32, &[DemandEntry])]) {
     }
 }
 
-/// Ticks `value` as `me` until it decides something, at most `ticks` times.
+/// Installs `servers` with `value` and ticks it as `me` until it decides
+/// something, at most `ticks` times.
 fn first_decision(
     value: &mut Placement,
     me: u32,
-    cfg: &VodConfig,
-    servers: &View,
+    servers: View,
     held: &Holdings<'_>,
     ticks: u32,
 ) -> Vec<Decision> {
     let all = catalog(1..=MOVIES);
-    let mut ticks = (0..ticks).map(|t| {
-        value
-            .tick(
-                NodeId(me),
-                SimTime::ZERO + TICK * t,
-                cfg,
-                servers,
-                held,
-                &all,
-            )
-            .0
-    });
+    value.install_server_view(servers);
+    let mut ticks =
+        (0..ticks).map(|t| value.tick(NodeId(me), SimTime::ZERO + TICK * t, held, &all));
     ticks
         .find(|decisions| !decisions.is_empty())
         .unwrap_or_default()
@@ -624,7 +669,6 @@ fn first_decision(
 /// not six.
 #[test]
 fn a_bring_up_goes_to_the_least_loaded_non_holder_and_waiting_is_not_summed() {
-    let cfg = replicating(PolicyKind::Reactive, ReplicationConfig::paper_default());
     let servers = view(1..=5);
     // Movie 1 on n1 and n2: 14 sessions + 3 waiting = 17 > 8 × 2. n3
     // carries 5 sessions of movie 2; n4 and n5 are idle.
@@ -636,9 +680,9 @@ fn a_bring_up_goes_to_the_least_loaded_non_holder_and_waiting_is_not_summed() {
         (5, &[]),
     ];
     let decide = |me: u32| {
-        let mut value = Placement::new(cfg.placement);
+        let mut value = Placement::new(PolicyKind::Reactive);
         file(&mut value, hot);
-        first_decision(&mut value, me, &cfg, &servers, &Holdings::new(), 12)
+        first_decision(&mut value, me, servers.clone(), &Holdings::new(), 12)
     };
     let [Decision::BringUp(note, trigger)] = decide(4)[..] else {
         panic!("n4 is idle and the lowest id: {:?}", decide(4));
@@ -664,13 +708,12 @@ fn a_retire_goes_to_the_highest_id_of_a_view_above_the_floor() {
         (2, &[entry(1, 0, 0)]),
         (3, &[entry(1, 0, 0)]),
     ];
-    let cfg = replicating(PolicyKind::Reactive, ReplicationConfig::paper_default());
     let decide = |me: u32, members: &[u32]| {
         let views = table(1, members.iter().copied(), &[NodeId(1)]);
-        let mut value = Placement::new(cfg.placement);
+        let mut value = Placement::new(PolicyKind::Reactive);
         file(&mut value, cold);
         let held: Holdings<'_> = [(MovieId(1), &views)].into();
-        first_decision(&mut value, me, &cfg, &view(1..=4), &held, 12)
+        first_decision(&mut value, me, view(1..=4), &held, 12)
     };
     let [Decision::Retire(note)] = decide(3, &[1, 2, 3])[..] else {
         panic!("n3 closes the view: {:?}", decide(3, &[1, 2, 3]));
@@ -686,7 +729,6 @@ fn a_retire_goes_to_the_highest_id_of_a_view_above_the_floor() {
 /// two hold it, and with a floor of two nobody may go.
 #[test]
 fn a_retire_is_gated_on_the_view_not_on_the_reports() {
-    let cfg = replicating(PolicyKind::Reactive, ReplicationConfig::paper_default());
     let reports: &[(u32, &[DemandEntry])] = &[
         (1, &[entry(1, 0, 0)]),
         (2, &[entry(1, 1, 0)]),
@@ -695,25 +737,22 @@ fn a_retire_is_gated_on_the_view_not_on_the_reports() {
     let decide = |members: &[u32]| {
         let views = table(1, members.iter().copied(), &[NodeId(2)]);
         let held: Holdings<'_> = [(MovieId(1), &views)].into();
-        let mut value = Placement::new(cfg.placement);
+        let mut value = Placement::new(PolicyKind::Reactive);
         file(&mut value, reports);
-        first_decision(&mut value, 3, &cfg, &view(1..=4), &held, 12)
+        first_decision(&mut value, 3, view(1..=4), &held, 12)
     };
     assert_eq!(decide(&[2, 3]), []);
     assert!(matches!(decide(&[1, 2, 3])[..], [Decision::Retire(_)]));
 }
 
-/// A copy in flight is advertised as a sessionless holder, and the tick
-/// that retires a movie strikes it off this server's report and load.
+/// A copy in flight is advertised as a sessionless holder until it lands.
 #[test]
-fn the_report_carries_copies_in_flight_and_a_retire_leaves_the_load() {
-    let rules = ReplicationConfig::paper_default().with_bringup_delay(TICK * 4);
-    let cfg = replicating(PolicyKind::Reactive, rules);
-    let (servers, mut value) = (view(1..=2), Placement::new(PolicyKind::Reactive));
+fn the_report_carries_copies_in_flight() {
+    let mut value = Placement::new(PolicyKind::Reactive);
     // n2 is elected to rescue movie 3 and starts copying it.
     value.note_orphan_open(MovieId(3), ClientId(7), SimTime::ZERO);
     file(&mut value, &[(1, &[entry(1, 4, 0)]), (2, &[])]);
-    let rescued = first_decision(&mut value, 2, &cfg, &servers, &Holdings::new(), 1);
+    let rescued = first_decision(&mut value, 2, view(1..=2), &Holdings::new(), 1);
     assert!(matches!(
         rescued[..],
         [Decision::BringUp(_, BringUpTrigger::OrphanRescue)]
@@ -722,36 +761,6 @@ fn the_report_carries_copies_in_flight_and_a_retire_leaves_the_load() {
     assert_eq!(demand_of(&report).1, [entry(3, 0, 0)]);
     assert_eq!(value.copy_landed(MovieId(3)), Some(vec![]));
     assert_eq!(demand_of(&value.report(NodeId(2), &Holdings::new())).1, []);
-    // n3 retires movie 1, a copy above the floor (2 sessions of its 5):
-    // its load is 3 afterwards.
-    let views = table(1, [1, 2, 3], &[NodeId(3), NodeId(3)]);
-    let held: Holdings<'_> = [(MovieId(1), &views)].into();
-    let mut value = Placement::new(PolicyKind::Reactive);
-    file(
-        &mut value,
-        &[
-            (1, &[entry(1, 0, 0)]),
-            (2, &[entry(1, 0, 0)]),
-            (3, &[entry(1, 2, 0), entry(2, 3, 0)]),
-        ],
-    );
-    let (all, servers) = (catalog(1..=MOVIES), view(1..=3));
-    let mut ticks = (0..12).map(|t| {
-        value.tick(
-            NodeId(3),
-            SimTime::ZERO + TICK * t,
-            &cfg,
-            &servers,
-            &held,
-            &all,
-        )
-    });
-    let (decisions, fleet) = ticks.find(|(d, _)| !d.is_empty()).expect("a cold streak");
-    assert!(
-        matches!(decisions[..], [Decision::Retire(_)]),
-        "{decisions:?}"
-    );
-    assert_eq!(fleet.load[&NodeId(3)], 3);
 }
 
 /// **The fix of this PR.** A server elected for a movie it cannot copy —
@@ -763,20 +772,19 @@ fn the_report_carries_copies_in_flight_and_a_retire_leaves_the_load() {
 /// silenced the whole fleet for that movie.)
 #[test]
 fn a_declined_bring_up_leaves_streak_cooldown_and_orphans_alone() {
-    let cfg = replicating(PolicyKind::Reactive, ReplicationConfig::paper_default());
-    let (servers, partial, full) = (view(1..=2), catalog([2]), catalog(1..=MOVIES));
+    let (partial, full) = (catalog([2]), catalog(1..=MOVIES));
     let at = |t: u32| SimTime::ZERO + TICK * t;
-    let mut value = Placement::new(cfg.placement);
+    let mut value = Placement::new(PolicyKind::Reactive);
+    value.install_server_view(view(1..=2));
     // n2 is the only non-holder of hot movie 1, and the least loaded for
     // orphaned movie 3.
     file(&mut value, &[(1, &[entry(1, 20, 0)]), (2, &[])]);
     value.note_orphan_open(MovieId(3), ClientId(7), at(0));
     for t in 0..8 {
-        let (decisions, _) =
-            value.tick(NodeId(2), at(t), &cfg, &servers, &Holdings::new(), &partial);
+        let decisions = value.tick(NodeId(2), at(t), &Holdings::new(), &partial);
         assert_eq!(decisions, [], "tick {t}: neither movie is in n2's catalog");
     }
-    let (decisions, _) = value.tick(NodeId(2), at(8), &cfg, &servers, &Holdings::new(), &full);
+    let decisions = value.tick(NodeId(2), at(8), &Holdings::new(), &full);
     let triggers: Vec<_> = decisions
         .iter()
         .map(|d| match d {
@@ -806,17 +814,16 @@ fn a_declined_bring_up_leaves_streak_cooldown_and_orphans_alone() {
 /// it causes instead.
 #[test]
 fn known_deviation_a_stale_report_elects_two_rescuers() {
-    let cfg = replicating(PolicyKind::Reactive, ReplicationConfig::paper_default());
     let servers = view([3, 4]);
     let rescuers = |n3_as_seen_by_n4: u32| {
         let rescues = |me: u32, n3_load: u32| {
-            let mut value = Placement::new(cfg.placement);
+            let mut value = Placement::new(PolicyKind::Reactive);
             value.note_orphan_open(MovieId(1), ClientId(24), SimTime::ZERO);
             file(
                 &mut value,
                 &[(3, &[entry(2, n3_load, 0)]), (4, &[entry(3, 3, 0)])],
             );
-            !first_decision(&mut value, me, &cfg, &servers, &Holdings::new(), 1).is_empty()
+            !first_decision(&mut value, me, servers.clone(), &Holdings::new(), 1).is_empty()
         };
         (rescues(3, 2), rescues(4, n3_as_seen_by_n4))
     };
@@ -835,16 +842,15 @@ fn known_deviation_a_stale_report_elects_two_rescuers() {
 /// seed 28 the sole remaining holder crashed with c4's only record.)
 #[test]
 fn a_movie_with_live_sessions_keeps_two_copies() {
-    let cfg = replicating(PolicyKind::Reactive, ReplicationConfig::paper_default());
     let views = table(2, [2, 3], &[NodeId(2), NodeId(3)]);
     let held: Holdings<'_> = [(MovieId(2), &views)].into();
-    let mut value = Placement::new(cfg.placement);
+    let mut value = Placement::new(PolicyKind::Reactive);
     file(
         &mut value,
         &[(2, &[entry(2, 1, 0)]), (3, &[entry(2, 1, 0)])],
     );
     for me in [2, 3] {
-        let decisions = first_decision(&mut value, me, &cfg, &view(1..=4), &held, 12);
+        let decisions = first_decision(&mut value, me, view(1..=4), &held, 12);
         assert_eq!(decisions, [], "n{me} keeps its copy");
     }
 }
@@ -861,24 +867,18 @@ fn a_movie_with_live_sessions_keeps_two_copies() {
 /// tell it is not.
 #[test]
 fn known_deviation_a_lone_survivor_never_rescues() {
-    let cfg = replicating(PolicyKind::Reactive, ReplicationConfig::paper_default());
-    let mut value = Placement::new(cfg.placement);
-    let (all, alone) = (catalog(1..=MOVIES), view([1]));
+    let mut value = Placement::new(PolicyKind::Reactive);
+    let all = catalog(1..=MOVIES);
+    value.install_server_view(view([1]));
     for t in 0..20 {
         let now = SimTime::ZERO + TICK * t;
         value.note_orphan_open(MovieId(1), ClientId(5), now);
-        let (decisions, _) = value.tick(NodeId(1), now, &cfg, &alone, &Holdings::new(), &all);
+        let decisions = value.tick(NodeId(1), now, &Holdings::new(), &all);
         assert_eq!(decisions, [], "tick {t}");
     }
     // A second live server is all it takes.
-    let (decisions, _) = value.tick(
-        NodeId(1),
-        SimTime::ZERO + TICK * 20,
-        &cfg,
-        &view(1..=2),
-        &Holdings::new(),
-        &all,
-    );
+    value.install_server_view(view(1..=2));
+    let decisions = value.tick(NodeId(1), SimTime::ZERO + TICK * 20, &Holdings::new(), &all);
     assert!(matches!(
         decisions[..],
         [Decision::BringUp(_, BringUpTrigger::OrphanRescue)]

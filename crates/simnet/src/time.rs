@@ -33,13 +33,27 @@ impl SimTime {
     }
 
     /// Creates a time from whole milliseconds since simulation start.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the time does not fit in `u64` microseconds.
     pub const fn from_millis(millis: u64) -> Self {
-        SimTime(millis * 1_000)
+        match millis.checked_mul(1_000) {
+            Some(micros) => SimTime(micros),
+            None => panic!("simulation time overflows u64 microseconds"),
+        }
     }
 
     /// Creates a time from whole seconds since simulation start.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the time does not fit in `u64` microseconds.
     pub const fn from_secs(secs: u64) -> Self {
-        SimTime(secs * 1_000_000)
+        match secs.checked_mul(1_000_000) {
+            Some(micros) => SimTime(micros),
+            None => panic!("simulation time overflows u64 microseconds"),
+        }
     }
 
     /// Creates a time from fractional seconds since simulation start.
@@ -140,6 +154,20 @@ mod tests {
         assert_eq!(SimTime::from_secs(2), SimTime::from_millis(2_000));
         assert_eq!(SimTime::from_millis(3), SimTime::from_micros(3_000));
         assert_eq!(SimTime::from_secs_f64(1.5), SimTime::from_millis(1_500));
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows u64 microseconds")]
+    fn from_secs_panics_instead_of_wrapping() {
+        // 18 446 744 073 710 s is just past u64::MAX µs: it used to wrap
+        // to about 0.45 s in a release build.
+        let _ = SimTime::from_secs(18_446_744_073_710);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows u64 microseconds")]
+    fn from_millis_panics_instead_of_wrapping() {
+        let _ = SimTime::from_millis(u64::MAX / 1_000 + 1);
     }
 
     #[test]

@@ -126,6 +126,33 @@ fn unknown<T>(flag: &str) -> Result<T, String> {
     Err(format!("unknown flag {flag}"))
 }
 
+/// The longest `--seconds` a run may ask for. The event queue's key holds
+/// 2⁴⁸ µs (≈ 281.47 million s) of simulated time; the rest is slack for the
+/// timers and the movie a run schedules past its end.
+const MAX_RUN_SECONDS: u64 = 280_000_000;
+
+/// Rejects a time in seconds (`flag`'s value) the event queue cannot
+/// schedule.
+fn check_run_seconds(flag: &str, seconds: u64) -> Result<(), String> {
+    if seconds > MAX_RUN_SECONDS {
+        return Err(format!(
+            "{flag} must be at most {MAX_RUN_SECONDS} (the event queue holds 2^48 us)"
+        ));
+    }
+    Ok(())
+}
+
+/// Rejects a `--servers` whose server nodes reach the first client node:
+/// a client booted on a server's node replaces the server.
+fn check_server_nodes(servers: u32, first_client_node: u32) -> Result<(), String> {
+    if servers >= first_client_node {
+        return Err(format!(
+            "--servers must be below {first_client_node}: clients run on nodes {first_client_node} and up"
+        ));
+    }
+    Ok(())
+}
+
 #[derive(Debug, Clone, PartialEq)]
 struct CustomOptions {
     servers: u32,
@@ -174,6 +201,15 @@ fn parse_custom(args: &[String]) -> Result<CustomOptions, String> {
     }
     if opts.servers <= opts.crashes.len() as u32 + opts.shutdowns.len() as u32 {
         return Err("cannot remove every replica".to_owned());
+    }
+    // Client `c` (from 1) runs on node 100 + c.
+    check_server_nodes(opts.servers, 101)?;
+    check_run_seconds("--seconds", opts.seconds)?;
+    for &at in &opts.crashes {
+        check_run_seconds("--crash", at)?;
+    }
+    for &at in &opts.shutdowns {
+        check_run_seconds("--shutdown", at)?;
     }
     Ok(opts)
 }
@@ -268,6 +304,17 @@ fn parse_fleet(args: &[String]) -> Result<FleetOptions, String> {
     }
     if !opts.dynamic && opts.policy != PolicyKind::Reactive {
         return Err("--policy needs the dynamic replica manager (drop --static)".to_owned());
+    }
+    if !opts.dynamic && opts.prefix_cache().is_some() {
+        return Err(
+            "--prefix-secs and --prefix-movies need the dynamic replica manager (drop --static)"
+                .to_owned(),
+        );
+    }
+    // Session `i` (from 0) runs on node 1000 + i.
+    check_server_nodes(opts.servers, 1000)?;
+    if let Some(seconds) = opts.seconds {
+        check_run_seconds("--seconds", seconds)?;
     }
     Ok(opts)
 }
@@ -1423,6 +1470,34 @@ mod tests {
         assert!(parse_fleet(&strings(&["--prefix-secs", "0"])).is_err());
         assert!(parse_fleet(&strings(&["--prefix-movies", "0"])).is_err());
         assert!(parse_fleet(&strings(&["--static", "--policy", "predictive"])).is_err());
+        // The prefix tier rides the dynamic replica manager.
+        assert!(parse_fleet(&strings(&["--static", "--prefix-secs", "10"])).is_err());
+        assert!(parse_fleet(&strings(&["--static", "--prefix-movies", "2"])).is_err());
+        // Session 0 runs on node 1000.
+        assert!(parse_fleet(&strings(&["--servers", "999"])).is_ok());
+        assert!(parse_fleet(&strings(&["--servers", "1000"])).is_err());
+        // The event queue holds 2^48 us.
+        let seconds = |s: u64| parse_fleet(&strings(&["--seconds", &s.to_string()]));
+        assert!(seconds(MAX_RUN_SECONDS).is_ok());
+        assert!(seconds(MAX_RUN_SECONDS + 1).is_err());
+        assert!(seconds(18_446_744_073_710).is_err());
+    }
+
+    #[test]
+    fn custom_rejects_colliding_nodes_and_unschedulable_runs() {
+        // Client 1 runs on node 101.
+        assert!(parse_custom(&strings(&["--servers", "100"])).is_ok());
+        assert!(parse_custom(&strings(&["--servers", "101"])).is_err());
+        let seconds = |s: u64| parse_custom(&strings(&["--seconds", &s.to_string()]));
+        assert!(seconds(MAX_RUN_SECONDS).is_ok());
+        assert!(seconds(MAX_RUN_SECONDS + 1).is_err());
+        assert!(seconds(u64::MAX).is_err());
+        let at =
+            |flag: &str, s: u64| parse_custom(&strings(&["--servers", "3", flag, &s.to_string()]));
+        for flag in ["--crash", "--shutdown"] {
+            assert!(at(flag, MAX_RUN_SECONDS).is_ok());
+            assert!(at(flag, MAX_RUN_SECONDS + 1).is_err());
+        }
     }
 
     #[test]
