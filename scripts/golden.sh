@@ -98,6 +98,16 @@ done >"$out/benchmark_digests.txt"
     "$cli" report lan --json >report_lan.json
     "$cli" report wan --json >report_wan.json
     sha256sum trace_lan.jsonl trace_wan.jsonl report_lan.json report_wan.json >SHA256SUMS
+    # What the checksums hide, readably: the lines of each event kind
+    # (network events also by traffic class) and the events the report
+    # says it saw. A change in what the recorder keeps shows here.
+    for preset in lan wan; do
+        sed -e 's/.*"ev":"\([a-z_]*\)".*"class":"\([a-z-]*\)".*/\1 \2/' -e t \
+            -e 's/.*"ev":"\([a-z_]*\)".*/\1/' "trace_$preset.jsonl" | sort | uniq -c |
+            awk -v preset="$preset" '{ printf "trace %s %-30s %7d\n", preset, $2 ($3 ? " " $3 : ""), $1 }'
+        sed -n 's/.*"events_seen":\([0-9]*\).*/\1/p' "report_$preset.json" |
+            awk -v preset="$preset" '{ printf "report %s events_seen %d\n", preset, $1 }'
+    done >trace_census.txt
     rm trace_lan.jsonl trace_wan.jsonl report_lan.json report_wan.json
 )
 
