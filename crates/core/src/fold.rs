@@ -9,7 +9,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 use media::{FrameNo, MovieId};
-use simnet::{NodeId, SimTime};
+use simnet::{NodeId, SimTime, VecMap};
 
 use crate::client::Band;
 use crate::protocol::{is_movie_group, ClientId, TrafficClass, VcrCmd};
@@ -19,7 +19,7 @@ use crate::trace::{DiscardKind, EmergencyWindow, GlitchWindow, RunReport, VodEve
 /// datagram events it reads only the delivery of a video frame.
 fn read_by_fold(event: &VodEvent) -> bool {
     match event {
-        VodEvent::NetSent { .. } | VodEvent::NetDropped { .. } => false,
+        VodEvent::NetDropped { .. } => false,
         VodEvent::NetDelivered { class, .. } => *class == TrafficClass::Video,
         _ => true,
     }
@@ -75,7 +75,7 @@ pub(crate) struct SessionFold {
     /// Crashes and graceful shutdowns: `(at, node, "crash" | "shutdown")`.
     pub(crate) failures: Vec<(SimTime, NodeId, &'static str)>,
     /// Video datagram arrival times per destination node.
-    pub(crate) video_arrivals: BTreeMap<NodeId, Vec<SimTime>>,
+    pub(crate) video_arrivals: VecMap<NodeId, Vec<SimTime>>,
     /// Late-discard times per client.
     pub(crate) late_discards: BTreeMap<ClientId, Vec<SimTime>>,
     /// Prefix-serve intervals (closed by handoff or source crash).
@@ -153,7 +153,16 @@ impl SessionFold {
     /// Folds in one event, which happened at `at`, in the order the run
     /// recorded them.
     pub(crate) fn observe(&mut self, at: SimTime, event: &VodEvent) {
-        self.latest_at = self.latest_at.max(at);
+        if let VodEvent::NetDelivered {
+            sent_at,
+            to,
+            class: TrafficClass::Video,
+            ..
+        } = event
+        {
+            return self.video_delivered(at, *sent_at, to.node);
+        }
+        self.advance(at);
         if !read_by_fold(event) {
             return;
         }
@@ -184,17 +193,6 @@ impl SessionFold {
                 | VodEvent::PrefixHandoff { .. }
         );
         match event {
-            VodEvent::NetDelivered {
-                sent_at,
-                to,
-                class: TrafficClass::Video,
-                ..
-            } => {
-                self.tally
-                    .delivery_latency
-                    .record(at.saturating_since(*sent_at).as_secs_f64());
-                self.video_arrivals.entry(to.node).or_default().push(at);
-            }
             VodEvent::NodeStarted { node } | VodEvent::NodeRestarted { node } => {
                 self.live.insert(*node);
             }
@@ -440,14 +438,35 @@ impl SessionFold {
         if site_relevant && !self.sites.is_empty() {
             self.sweep_sites(at);
         }
-        // Coverage transitions. A live prefix source counts, but only
-        // until its advertised prefix runs out, so besides the events
-        // above the first event past a run-out re-judges too (as does one
-        // that steps back before the last sweep: the ring takes any
-        // order). Anywhere else a sweep would change nothing.
-        if coverage_relevant
-            || at < self.swept_at
-            || self.next_run_out.is_some_and(|runs_out| at > runs_out)
+        self.judge_coverage(at, coverage_relevant);
+    }
+
+    /// Moves the end of the trace to `at`, if later: all an event the
+    /// fold does not read does.
+    pub(crate) fn advance(&mut self, at: SimTime) {
+        self.latest_at = self.latest_at.max(at);
+    }
+
+    /// Folds in the delivery at `at` to `node` of a video frame sent at
+    /// `sent_at`: the one datagram event the fold reads.
+    pub(crate) fn video_delivered(&mut self, at: SimTime, sent_at: SimTime, node: NodeId) {
+        self.advance(at);
+        let latency_us = at.as_micros().saturating_sub(sent_at.as_micros());
+        self.tally.delivery_latency.record_us(latency_us);
+        self.video_arrivals
+            .get_or_insert_with(node, Vec::new)
+            .push(at);
+        self.judge_coverage(at, false);
+    }
+
+    /// Coverage transitions. A live prefix source counts, but only until
+    /// its advertised prefix runs out, so besides the events that change
+    /// a holder, a viewer or a source (`relevant`) the first event past a
+    /// run-out re-judges too (as does one that steps back before the last
+    /// sweep: the ring takes any order). Anywhere else a sweep would
+    /// change nothing.
+    fn judge_coverage(&mut self, at: SimTime, relevant: bool) {
+        if relevant || at < self.swept_at || self.next_run_out.is_some_and(|runs_out| at > runs_out)
         {
             self.sweep_coverage(at);
         }

@@ -2,6 +2,7 @@
 //! and CSV export — the machinery behind every figure in EXPERIMENTS.md.
 
 use std::fmt::Write as _;
+use std::time::Duration;
 
 use simnet::SimTime;
 
@@ -202,7 +203,18 @@ impl Histogram {
             return;
         }
         let seconds = seconds.max(0.0);
-        let us = (seconds * 1e6).round() as u64;
+        self.insert((seconds * 1e6).round() as u64, seconds);
+    }
+
+    /// Records a duration of `us` whole microseconds: what
+    /// [`Histogram::record`] does with `Duration::from_micros(us)` in
+    /// seconds, without the rounding back to microseconds.
+    pub(crate) fn record_us(&mut self, us: u64) {
+        self.insert(us, Duration::from_micros(us).as_secs_f64());
+    }
+
+    /// Counts a sample of `seconds`, `us` rounded to whole microseconds.
+    fn insert(&mut self, us: u64, seconds: f64) {
         let idx = hist_bucket_index(us);
         if idx >= self.buckets.len() {
             self.buckets.resize(idx + 1, 0);

@@ -707,7 +707,7 @@ mod tests {
     use crate::protocol::{TrafficClass, VcrCmd};
     use crate::trace::{SiteDef, VodEvent};
     use media::FrameNo;
-    use simnet::{Endpoint, Port};
+    use simnet::{DropReason, Endpoint, Port};
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs_f64(s)
@@ -1579,12 +1579,11 @@ mod tests {
                 rec.push(
                     at,
                     if pick(2) == 0 {
-                        let bytes = 100;
-                        VodEvent::NetSent {
+                        VodEvent::NetDropped {
                             from,
                             to,
                             class,
-                            bytes,
+                            reason: DropReason::Loss,
                         }
                     } else {
                         VodEvent::NetDelivered {
@@ -1627,7 +1626,10 @@ mod tests {
             let relevant_instants: BTreeSet<SimTime> = rec
                 .events()
                 .filter(|(_, e)| {
-                    !matches!(e, VodEvent::NetSent { .. } | VodEvent::NetDelivered { .. })
+                    !matches!(
+                        e,
+                        VodEvent::NetDropped { .. } | VodEvent::NetDelivered { .. }
+                    )
                 })
                 .map(|(at, _)| at)
                 .collect();

@@ -276,9 +276,8 @@ impl ScenarioBuilder {
             Some(capacity) => TraceHandle::recording(capacity),
             None => TraceHandle::disabled(),
         };
-        if trace.is_enabled() {
-            let handle = trace.clone();
-            sim.set_tracer(move |at, event| handle.emit(at, || VodEvent::from_net(event)));
+        if let Some(tracer) = trace.net_tracer() {
+            sim.set_tracer(tracer);
         }
         let profile = if self.profile_costs {
             ProfileHandle::enabled()

@@ -81,17 +81,6 @@ impl DiscardKind {
 #[derive(Clone, PartialEq, Debug)]
 pub enum VodEvent {
     // ---------------- network (from `simnet::TraceEvent`) ----------------
-    /// A datagram was submitted to the network.
-    NetSent {
-        /// Source endpoint.
-        from: Endpoint,
-        /// Destination endpoint.
-        to: Endpoint,
-        /// Traffic class.
-        class: TrafficClass,
-        /// Payload size in bytes.
-        bytes: usize,
-    },
     /// A datagram reached a live destination process.
     NetDelivered {
         /// When it was sent (so the delivery time minus `sent_at` is the
@@ -493,81 +482,23 @@ fn frame_type_name(ftype: FrameType) -> &'static str {
     }
 }
 
-/// The typed form of the class name the network reports for a datagram
-/// of [`VodWire`](crate::protocol::VodWire).
-fn wire_class(name: &str) -> TrafficClass {
-    TrafficClass::from_name(name).expect("a traffic class of VodWire")
+/// The class of a [`VodWire`](crate::protocol::VodWire) datagram from the
+/// name the network reports: by identity with a class's own name, else
+/// (`gcs` names its two classes with literals of its own) by content.
+///
+/// # Panics
+///
+/// Panics on a name no [`TrafficClass`] has: the network carried
+/// something other than `VodWire`.
+fn wire_class(name: &'static str) -> TrafficClass {
+    TrafficClass::ALL
+        .into_iter()
+        .find(|class| std::ptr::eq(class.name(), name))
+        .or_else(|| TrafficClass::from_name(name))
+        .expect("a traffic class of VodWire")
 }
 
 impl VodEvent {
-    /// Translates a network-layer trace event.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a datagram whose class is not a [`TrafficClass`] — the
-    /// network carried something other than
-    /// [`VodWire`](crate::protocol::VodWire).
-    pub fn from_net(event: &TraceEvent) -> Self {
-        match event {
-            TraceEvent::Sent {
-                from,
-                to,
-                class,
-                bytes,
-            } => VodEvent::NetSent {
-                from: *from,
-                to: *to,
-                class: wire_class(class),
-                bytes: *bytes,
-            },
-            TraceEvent::Delivered {
-                sent_at,
-                from,
-                to,
-                class,
-            } => VodEvent::NetDelivered {
-                sent_at: *sent_at,
-                from: *from,
-                to: *to,
-                class: wire_class(class),
-            },
-            TraceEvent::Dropped {
-                from,
-                to,
-                class,
-                reason,
-            } => VodEvent::NetDropped {
-                from: *from,
-                to: *to,
-                class: wire_class(class),
-                reason: *reason,
-            },
-            TraceEvent::NodeStarted { node } => VodEvent::NodeStarted { node: *node },
-            TraceEvent::NodeCrashed { node } => VodEvent::NodeCrashed { node: *node },
-            TraceEvent::NodeRestarted { node } => VodEvent::NodeRestarted { node: *node },
-            TraceEvent::Partitioned { a, b } => VodEvent::Partitioned {
-                a: a[..].into(),
-                b: b[..].into(),
-            },
-            TraceEvent::Healed { a, b } => VodEvent::Healed {
-                a: a[..].into(),
-                b: b[..].into(),
-            },
-            TraceEvent::LinkOverride {
-                a,
-                b,
-                degraded: true,
-            } => VodEvent::WanDegraded {
-                a: a[..].into(),
-                b: b[..].into(),
-            },
-            TraceEvent::LinkOverride { a, b, .. } => VodEvent::WanRestored {
-                a: a[..].into(),
-                b: b[..].into(),
-            },
-        }
-    }
-
     /// Translates a GCS-layer trace event observed on `node`.
     pub fn from_gcs(node: NodeId, event: &GcsTrace) -> Self {
         match event {
@@ -594,18 +525,6 @@ impl VodEvent {
     pub fn write_json(&self, at: SimTime, out: &mut String) {
         let _ = write!(out, "{{\"t_us\":{}", at.as_micros());
         match self {
-            VodEvent::NetSent {
-                from,
-                to,
-                class,
-                bytes,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"ev\":\"net_sent\",\"from\":\"{from}\",\"to\":\"{to}\",\"class\":\"{}\",\"bytes\":{bytes}",
-                    class.name()
-                );
-            }
             VodEvent::NetDelivered {
                 sent_at,
                 from,
@@ -1013,6 +932,78 @@ impl TraceRecorder {
     /// evicting the oldest if the buffer is full.
     pub fn push(&mut self, at: SimTime, event: VodEvent) {
         self.fold.observe(at, &event);
+        self.append(at, event);
+    }
+
+    /// Folds in a network event, which happened at `at`, and keeps what
+    /// explains the service: every event that is not a datagram's, a
+    /// datagram's drop, and a video frame's delivery. A send or the
+    /// delivery of a control datagram (heartbeats alone are most of the
+    /// traffic) only moves the end of the trace, where the oracle closes
+    /// what is still open: nothing reads them, and the network's
+    /// statistics count them per class.
+    pub(crate) fn push_net(&mut self, at: SimTime, event: &TraceEvent) {
+        let event = match event {
+            TraceEvent::Sent { .. } => return self.fold.advance(at),
+            &TraceEvent::Delivered {
+                sent_at,
+                from,
+                to,
+                class,
+            } => {
+                if wire_class(class) != TrafficClass::Video {
+                    return self.fold.advance(at);
+                }
+                self.fold.video_delivered(at, sent_at, to.node);
+                let class = TrafficClass::Video;
+                let event = VodEvent::NetDelivered {
+                    sent_at,
+                    from,
+                    to,
+                    class,
+                };
+                return self.append(at, event);
+            }
+            &TraceEvent::Dropped {
+                from,
+                to,
+                class,
+                reason,
+            } => VodEvent::NetDropped {
+                from,
+                to,
+                class: wire_class(class),
+                reason,
+            },
+            &TraceEvent::NodeStarted { node } => VodEvent::NodeStarted { node },
+            &TraceEvent::NodeCrashed { node } => VodEvent::NodeCrashed { node },
+            &TraceEvent::NodeRestarted { node } => VodEvent::NodeRestarted { node },
+            TraceEvent::Partitioned { a, b } => VodEvent::Partitioned {
+                a: a[..].into(),
+                b: b[..].into(),
+            },
+            TraceEvent::Healed { a, b } => VodEvent::Healed {
+                a: a[..].into(),
+                b: b[..].into(),
+            },
+            TraceEvent::LinkOverride {
+                a,
+                b,
+                degraded: true,
+            } => VodEvent::WanDegraded {
+                a: a[..].into(),
+                b: b[..].into(),
+            },
+            TraceEvent::LinkOverride { a, b, .. } => VodEvent::WanRestored {
+                a: a[..].into(),
+                b: b[..].into(),
+            },
+        };
+        self.push(at, event);
+    }
+
+    /// Appends the event, evicting the oldest if the buffer is full.
+    fn append(&mut self, at: SimTime, event: VodEvent) {
         if self.len == self.capacity {
             self.dropped += 1;
             self.len -= 1;
@@ -1118,6 +1109,13 @@ impl TraceHandle {
         if let Some(recorder) = &self.inner {
             recorder.borrow_mut().push(at, make());
         }
+    }
+
+    /// The network tracer that hands every [`TraceEvent`] to this handle's
+    /// recorder, if one is attached.
+    pub(crate) fn net_tracer(&self) -> Option<impl FnMut(SimTime, &TraceEvent) + 'static> {
+        let recorder = Rc::clone(self.inner.as_ref()?);
+        Some(move |at, event: &TraceEvent| recorder.borrow_mut().push_net(at, event))
     }
 
     /// Runs `f` against the recorder, if one is attached.
@@ -1247,8 +1245,9 @@ pub struct RunReport {
     pub suspicions: u64,
     /// Views installed across all nodes and groups.
     pub views_installed: u64,
-    /// Events the run recorded, retained or evicted: all of them are
-    /// folded into the report.
+    /// Events the ring kept, retained or evicted since. The report folds
+    /// in all of them, and the network's sends and control deliveries the
+    /// ring never keeps (they only advance the trace's end).
     pub events_seen: u64,
     /// Of those, events the ring buffer evicted.
     pub events_dropped: u64,
@@ -1688,6 +1687,8 @@ impl fmt::Display for RunReport {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
 
     fn t(us: u64) -> SimTime {
@@ -1787,18 +1788,93 @@ mod tests {
         }
     }
 
-    /// One event of the ten kinds the ring property pushes: four the
-    /// fold skips, six it reads, two of those owning heap memory.
+    /// A send the ring does not keep still ends the trace, where the
+    /// oracle closes the spans still open; the report counts only what
+    /// the ring kept.
+    #[test]
+    fn a_send_is_not_kept_but_moves_the_end_of_the_trace() {
+        let mut rec = TraceRecorder::new(8);
+        rec.push(
+            t(1_000),
+            VodEvent::SessionStarted {
+                server: NodeId(1),
+                client: ClientId(1),
+                client_node: NodeId(100),
+                movie: MovieId(1),
+                resume_frame: FrameNo(0),
+            },
+        );
+        rec.push_net(
+            t(2_500),
+            &TraceEvent::Sent {
+                from: Endpoint::new(NodeId(1), simnet::Port(2)),
+                to: Endpoint::new(NodeId(100), simnet::Port(2)),
+                class: TrafficClass::Video.name(),
+                bytes: 1_000,
+            },
+        );
+        assert_eq!(rec.len(), 1);
+        assert_eq!(rec.latest_at(), t(2_500));
+        assert_eq!(RunReport::from_recorder(&rec).events_seen, 1);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// A video delivery through the network tracer leaves the latency
+        /// histogram one fed each latency in seconds would hold: the same
+        /// buckets and count, and bit for bit the same min, max and sum.
+        /// Latencies run up to 2^40 µs, their sizes spread evenly over the
+        /// octaves.
+        #[test]
+        fn the_video_fast_path_records_the_latency_in_seconds(
+            draws in proptest::collection::vec((0u32..41, proptest::prelude::any::<u64>()), 1..200)
+        ) {
+            let mut rec = TraceRecorder::new(4);
+            let mut reference = Histogram::new();
+            let (from, to) = (
+                Endpoint::new(NodeId(1), simnet::Port(2)),
+                Endpoint::new(NodeId(100), simnet::Port(2)),
+            );
+            for (i, &(bits, raw)) in draws.iter().enumerate() {
+                let us = if bits == 0 { 0 } else { raw >> (64 - bits) };
+                let sent_at = t(i as u64);
+                rec.push_net(
+                    sent_at + Duration::from_micros(us),
+                    &TraceEvent::Delivered {
+                        sent_at,
+                        from,
+                        to,
+                        class: TrafficClass::Video.name(),
+                    },
+                );
+                reference.record(Duration::from_micros(us).as_secs_f64());
+            }
+            // `==` compares the buckets, the count, and min, max and sum
+            // by value; no sample is negative or NaN, so for the floats
+            // that is bit for bit, as the bits of min, max and mean show.
+            let fast = &rec.fold().tally.delivery_latency;
+            proptest::prop_assert_eq!(fast, &reference);
+            proptest::prop_assert_eq!(fast.count(), draws.len() as u64);
+            let bits = |h: &Histogram| {
+                [h.min(), h.max(), h.mean()].map(|v| v.expect("non-empty").to_bits())
+            };
+            proptest::prop_assert_eq!(bits(fast), bits(&reference));
+        }
+    }
+
+    /// One event of the ten kinds the ring property pushes: five the
+    /// fold skips, five it reads, two of those owning heap memory.
     fn ring_event(kind: u64, at: SimTime) -> VodEvent {
         let from = Endpoint::new(NodeId(1), simnet::Port(1));
         let to = Endpoint::new(NodeId(100), simnet::Port(2));
         let node = NodeId(kind as u32);
         match kind {
-            0 | 1 => VodEvent::NetSent {
+            0 | 1 => VodEvent::NetDropped {
                 from,
                 to,
                 class: [TrafficClass::GcsHb, TrafficClass::Video][kind as usize],
-                bytes: 64,
+                reason: DropReason::Partition,
             },
             2..=4 => VodEvent::NetDelivered {
                 sent_at: at,
@@ -1909,9 +1985,10 @@ mod tests {
         }
     }
 
-    /// Every traffic class and every variant this PR shrank renders the
-    /// bytes the 88-byte event rendered: the fixture is the output of the
-    /// parent commit (7f78600) for the same thirty events.
+    /// Every traffic class and every variant shrunk to 48 bytes renders
+    /// the bytes the 88-byte event rendered: the fixture is the output of
+    /// commit 7f78600 for the same 24 events (its six sends are no
+    /// events any more).
     #[test]
     fn shrunk_events_render_the_bytes_they_rendered_before() {
         let from = Endpoint::new(NodeId(1), simnet::Port(2));
@@ -1931,15 +2008,6 @@ mod tests {
             let at = t(1000 + i as u64);
             events.push((
                 at,
-                VodEvent::NetSent {
-                    from,
-                    to,
-                    class,
-                    bytes: 100 + i,
-                },
-            ));
-            events.push((
-                at,
                 VodEvent::NetDelivered {
                     sent_at: t(900),
                     from,
@@ -1957,7 +2025,7 @@ mod tests {
                 },
             ));
         }
-        assert_eq!(events.len(), 3 * TrafficClass::ALL.len());
+        assert_eq!(events.len(), 2 * TrafficClass::ALL.len());
         let (a, b) = (vec![NodeId(1), NodeId(2)], vec![NodeId(3)]);
         let (boxed_a, boxed_b): (Box<[NodeId]>, Box<[NodeId]>) =
             (a.clone().into(), b.clone().into());
