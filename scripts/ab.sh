@@ -65,8 +65,10 @@ run() {
             }' >>"$runs"
 }
 
-# The pairs of workload $1, every run, the verdict per metric, and one row
-# appended to summary.txt; fails if a simulated metric or the digest moved.
+# The pairs of workload $1, every run, the verdict per metric, one line on
+# the simulated service metrics and one on each side's digest, and one row
+# appended to summary.txt; fails if a service metric moved, the two sides'
+# digests differ, or a side did not repeat its digest in all its runs.
 compare() {
     name=$1
     runs=$dir/runs_$name.txt
@@ -103,16 +105,20 @@ function sorted_of(s, m, n,    i, j, t) {
     n = $2
     val[$1, "wall_s", n] = $3
     val[$1, "setup_s", n] = $4
-    same = $5 " " $6 " " $7 " " $8
+    service = $5 " " $6 " " $7
     if (NR == 1)
-        first = same
-    else if (same != first)
+        first = service
+    else if (service != first)
         moved = 1
+    if (!($1 in digest))
+        digest[$1] = $8
+    else if ($8 != digest[$1])
+        unstable[$1] = 1
     if (NR % 2 == 1)
         printf "pair %2d  %s first  ", n, $1
-    line[$1] = sprintf("%s wall_s %s setup_s %s", $1, $3, $4)
+    line[$1] = sprintf("%s wall_s %s setup_s %s digest %s", $1, $3, $4, $8)
     if (NR % 2 == 0)
-        printf "%s   %s   digest %s\n", line["parent"], line["change"], $8
+        printf "%s   %s\n", line["parent"], line["change"]
 }
 END {
     if (n == 0 || NR != 2 * n) {
@@ -148,11 +154,18 @@ END {
         row = row sprintf("  %-7s %11.6g %11.6g %+7.2f %%  %2d / %-2d  %9.4g  %-4s", m, q2[1], q2[2],
             100 * delta / q2[1], won, n, iqr, gain ? "yes" : "no")
     }
-    printf "%-14s%s  %s\n", name, row, moved ? "NOT EQUAL" : "equal" >>summary
+    same = digest["parent"] == digest["change"]
+    repeated = !unstable["parent"] && !unstable["change"]
+    printf "%-14s%s  %-9s %s\n", name, row, moved ? "NOT EQUAL" : "equal",
+        !repeated ? "UNSTABLE" : same ? "equal" : "differs" >>summary
     print ""
-    printf "ttff_p50_s, startup_ok_share, displayed_share, counters_digest: %s in all %d runs (%s)\n",
+    printf "service ttff_p50_s, startup_ok_share, displayed_share: %s in all %d runs (%s)\n",
         moved ? "NOT EQUAL" : "equal", NR, first
-    exit moved
+    printf "digest  parent %s %s, change %s %s: %s\n",
+        digest["parent"], unstable["parent"] ? "NOT in all its runs" : "in all its runs",
+        digest["change"], unstable["change"] ? "NOT in all its runs" : "in all its runs",
+        same ? "equal" : "the sides differ"
+    exit moved || !same || !repeated
 }
 ' "$runs"
 }
@@ -165,9 +178,10 @@ if [ "$workload" = all ]; then
         echo
     done
     echo "ab.sh all: per metric the parent's median, the change's, the delta, pairs the change won, the"
-    echo "parent's inter-quartile distance and the gain by the rule; last, the simulated metrics and digest"
-    printf '%-14s  %-7s %11s %11s %9s  %7s  %9s  %-4s  %-7s %11s %11s %9s  %7s  %9s  %-4s\n' workload \
-        metric parent change delta won iqr gain metric parent change delta won iqr gain
+    echo "parent's inter-quartile distance and the gain by the rule; last, whether the simulated service"
+    echo "metrics were equal in every run, and whether the digest was (UNSTABLE: a side did not repeat it)"
+    printf '%-14s  %-7s %11s %11s %9s  %7s  %9s  %-4s  %-7s %11s %11s %9s  %7s  %9s  %-4s  %-9s %s\n' workload \
+        metric parent change delta won iqr gain metric parent change delta won iqr gain service digest
     cat "$dir/summary.txt"
 else
     compare "$workload" || status=1
