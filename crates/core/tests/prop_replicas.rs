@@ -15,8 +15,11 @@
 //! * **Lockstep and one actor** — a fleet of values fed one world: the
 //!   order reports arrive in within a tick changes nothing, every server's
 //!   forecasts stay equal, and per movie and tick at most one server
-//!   brings up, at most one retires, never below the floor, never during a
-//!   cooldown and never while its own copy is in flight.
+//!   brings up, at most one retires, never below the floor, never while its
+//!   own copy is in flight, never during the cooldown after the replica set
+//!   changed or after its own last act, and under a streak rule not before
+//!   a full streak. A bring-up's reports may be late, so that only the
+//!   actor's own cooldown stops it retiring the copy it just made.
 //! * **The floor** — a movie two servers hold keeps both copies, so one
 //!   crash cannot take its last copy (ROADMAP item 1c).
 //! * **Known deviations** (ROADMAP item 1c) — today's rule where it breaks
@@ -27,7 +30,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 use ftvod_core::config::{
-    PrefixCacheConfig, ReplicationConfig, VodConfig, COOLDOWN_TICKS, MIN_REPLICAS,
+    PrefixCacheConfig, ReplicationConfig, VodConfig, COOLDOWN_TICKS, HYSTERESIS_TICKS, MIN_REPLICAS,
 };
 use ftvod_core::forecast::{BringUpTrigger, PolicyKind};
 use ftvod_core::protocol::{session_group, ClientId, ClientRecord, ControlPayload, DemandEntry};
@@ -392,6 +395,16 @@ struct World {
     /// Movie → (reporters last seen, tick they last changed): the policy's
     /// replica-set change detection, mirrored.
     seen: BTreeMap<u32, (usize, usize)>,
+    /// Server → its last report that got through: what every value has on
+    /// file for it.
+    filed: BTreeMap<u32, ControlPayload>,
+    /// Server → the last tick its reports are late to everyone.
+    late: BTreeMap<u32, usize>,
+    /// Movies whose crowd left as a copy was ordered: a trickle until the
+    /// phase ends.
+    left: BTreeSet<u32>,
+    /// (movie, server) → the tick that server last acted on that movie.
+    acted: BTreeMap<(u32, u32), usize>,
 }
 
 impl World {
@@ -413,6 +426,10 @@ impl World {
             holders: holders.collect(),
             copies: BTreeMap::new(),
             seen: BTreeMap::new(),
+            filed: BTreeMap::new(),
+            late: BTreeMap::new(),
+            left: BTreeSet::new(),
+            acted: BTreeMap::new(),
         }
     }
 
@@ -421,6 +438,7 @@ impl World {
     }
 
     /// `server` crashes: out of the server group and every movie group.
+    /// The view change flushes every late report (virtual synchrony).
     fn crash(&mut self, server: u32) {
         if self.values.len() <= 2 || self.values.remove(&server).is_none() {
             return;
@@ -429,6 +447,8 @@ impl World {
             h.remove(&server);
         });
         self.copies.retain(|&(_, n), _| n != server);
+        self.filed.remove(&server);
+        self.late.clear();
         let servers = self.servers();
         for value in self.values.values_mut() {
             value.install_server_view(servers.clone());
@@ -437,11 +457,18 @@ impl World {
 
     /// One sync tick of the whole fleet under `demand` (per movie:
     /// sessions, waiting). Returns every decision with its server.
+    ///
+    /// When `late` is even, a server elected to bring a movie up has its
+    /// reports held back from everyone for the next `1 + late / 2 % 6`
+    /// ticks, and the movie's crowd leaves. The copy
+    /// then changes no reported replica set, so only the actor's own
+    /// cooldown stands between its bring-up and its retire.
     fn tick(
         &mut self,
         t: usize,
         demand: &[(u32, u32)],
         shuffle: u64,
+        late: u64,
     ) -> Result<Vec<(u32, Decision)>, TestCaseError> {
         let rules = self.cfg.replication.expect("a replicating fleet");
         let now = SimTime::ZERO + TICK * t as u32;
@@ -467,6 +494,11 @@ impl World {
         // every server hears.
         let mut tables = BTreeMap::new();
         for (movie, &(sessions, waiting)) in (1..=MOVIES).zip(demand) {
+            let (sessions, waiting) = if self.left.contains(&movie) {
+                (sessions % 4, 0)
+            } else {
+                (sessions, waiting)
+            };
             let holders = &self.holders[&movie];
             if holders.is_empty() {
                 for value in self.values.values_mut() {
@@ -490,15 +522,22 @@ impl World {
                 .filter(|(m, _)| self.holders[*m].contains(&server));
             mine.map(|(&m, t)| (MovieId(m), t)).collect()
         };
+        // A late server's report reaches nobody: its last one stays on
+        // file.
         let reports: Vec<ControlPayload> = self
             .values
             .iter()
+            .filter(|(n, _)| self.late.get(n).is_none_or(|&until| until < t))
             .map(|(&n, v)| v.report(NodeId(n), &held(n)))
             .collect();
-        // What the policy sees change: the live reporters per movie.
+        for report in &reports {
+            self.filed.insert(demand_of(report).0 .0, report.clone());
+        }
+        // What the policy sees change: the reporters on file per movie.
         for movie in 1..=MOVIES {
-            let reporters = reports
-                .iter()
+            let reporters = self
+                .filed
+                .values()
                 .filter(|r| demand_of(r).1.iter().any(|e| e.movie == MovieId(movie)))
                 .count();
             let seen = self.seen.entry(movie).or_insert((0, t));
@@ -516,7 +555,7 @@ impl World {
                 let (from, entries, prefixes) = demand_of(report);
                 value.file_report(from, entries, prefixes);
             }
-            order.rotate_left(shuffle as usize % reports.len());
+            order.rotate_left(shuffle as usize % reports.len().max(1));
             order.reverse();
             for report in &order {
                 let (from, entries, prefixes) = demand_of(report);
@@ -535,17 +574,29 @@ impl World {
                 "the forecasts of {movie} diverged"
             );
         }
-        // One actor per movie, tick and direction, and a legal one.
-        let mut acted = BTreeSet::new();
+        // One actor per movie, tick and direction, and a legal one: not
+        // during the cooldown after the replica set changed or after the
+        // actor's own last act on the movie, and for a streak rule not
+        // before a full streak has followed it.
+        let (mut actors, mut flushed) = (BTreeSet::new(), BTreeSet::new());
         for &(server, decision) in &decided {
             let (Decision::BringUp(note, _) | Decision::Retire(note)) = decision;
             let movie = note.movie.0;
             let rescue = matches!(decision, Decision::BringUp(_, BringUpTrigger::OrphanRescue));
             let retire = matches!(decision, Decision::Retire(_));
-            prop_assert!(acted.insert((movie, retire)), "two actors: {decided:?}");
+            let streak = retire
+                || matches!(
+                    decision,
+                    Decision::BringUp(_, BringUpTrigger::ReactiveStreak)
+                );
+            prop_assert!(actors.insert((movie, retire)), "two actors: {decided:?}");
+            let own = self.acted.insert((movie, server), t);
+            let since = self.seen[&movie].1.max(own.unwrap_or(0));
+            let wait = COOLDOWN_TICKS + if streak { HYSTERESIS_TICKS - 1 } else { 0 };
             prop_assert!(
-                rescue || t - self.seen[&movie].1 >= COOLDOWN_TICKS as usize,
-                "{decision:?} by n{server} at tick {t}, replica set changed at {}",
+                rescue || t - since >= wait as usize,
+                "{decision:?} by n{server} at tick {t}, replica set changed at {}, \
+                 its last act at {own:?}",
                 self.seen[&movie].1
             );
             let holders = self.holders.get_mut(&movie).expect("a movie");
@@ -553,6 +604,7 @@ impl World {
                 prop_assert_eq!(holders.last(), Some(&server));
                 prop_assert!(holders.len() as u32 > MIN_REPLICAS);
                 holders.remove(&server);
+                flushed.insert(server);
             } else {
                 prop_assert!(!holders.contains(&server));
                 prop_assert_eq!(
@@ -566,7 +618,19 @@ impl World {
                         .is_none(),
                     "copied twice"
                 );
+                if rescue {
+                    flushed.insert(server);
+                } else if late.is_multiple_of(2) {
+                    self.late.insert(server, t + 1 + (late / 2 % 6) as usize);
+                    self.left.insert(movie);
+                }
             }
+        }
+        // A retire strikes the movie from the actor's own file at once,
+        // and a rescue takes the orphans off the rescuer's: its next report
+        // reaches the others too, or their files differ.
+        for server in flushed {
+            self.late.remove(&server);
         }
         Ok(decided)
     }
@@ -590,19 +654,20 @@ fn fleet_world(
     for (phase, levels) in phases.iter().enumerate() {
         let trickle = |&(s, w): &(u32, u32)| (if s < 40 { s } else { s % 4 }, w.saturating_sub(8));
         let demand: Vec<(u32, u32)> = levels.iter().map(trickle).collect();
+        world.left.clear();
         for (i, chance) in chances.iter().enumerate() {
             let chance = chance.rotate_left(phase as u32);
             if chance % 24 == 0 {
                 world.crash(1 + (chance >> 8) as u32 % servers);
             }
-            world.tick(12 * phase + i, &demand, chance >> 16)?;
+            world.tick(12 * phase + i, &demand, chance >> 16, chance >> 40)?;
         }
     }
     Ok(())
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(ProptestConfig::with_cases(192))]
 
     /// Lockstep and one actor, over one run of a fleet.
     #[test]
@@ -632,6 +697,32 @@ proptest! {
     ) {
         fleet_world(pick, servers, placement_bits, &phases, &chances)?;
     }
+}
+
+/// The fleet world's late step, pinned: n4 brings movie 1 up from three
+/// holders to four at tick 5, its reports are then late through tick 11,
+/// and the crowd leaves. The copy lands at once, but nobody's file shows a
+/// fourth replica, so no cooldown follows from a changed replica set: only
+/// n4's own cooldown after acting keeps it from retiring the copy on the
+/// second cold tick (7). It retires after the cooldown and a full cold
+/// streak, at tick 10.
+#[test]
+fn a_late_report_leaves_only_the_actors_own_cooldown() -> Result<(), TestCaseError> {
+    let cfg = replicating(PolicyKind::Reactive, ReplicationConfig::paper_default());
+    let mut world = World::new(cfg, 5, 0b1110);
+    // No crash (`% 24 != 0`), late for `1 + 10 / 2 % 6` ticks.
+    let chance = 10 << 40 | 1;
+    let mut acts = Vec::new();
+    for t in 0..11 {
+        for (server, decision) in
+            world.tick(t, &[(30, 0), (0, 0), (0, 0), (0, 0)], 0, chance >> 40)?
+        {
+            let kind = matches!(decision, Decision::Retire(_));
+            acts.push((t, server, kind));
+        }
+    }
+    prop_assert_eq!(acts, [(5, 4, false), (10, 4, true)]);
+    Ok(())
 }
 
 // ----------------------------------------------------------------------
