@@ -7,7 +7,10 @@
 //! [`TraceRecorder`] reached through cheap clonable [`TraceHandle`]s.
 //!
 //! The recorder keeps the latest events in a bounded ring and folds every
-//! event into one running summary as it is pushed. The [`RunReport`] and
+//! event into one running summary as it is pushed. Of the network's
+//! datagrams it keeps the video deliveries and every drop: a send or a
+//! control message's delivery only moves the end of the trace (the
+//! network's statistics count them per class). The [`RunReport`] and
 //! the safety oracle ([`OracleReport::check`](crate::oracle::OracleReport::check))
 //! read that fold, not the ring, so they cover the whole run however much
 //! of it the ring has evicted.
