@@ -12,7 +12,10 @@
 //!   delivered to the survivors as a new [`View`];
 //! * **reliable multicast** — FIFO-per-sender, gap-recovered multicast
 //!   within a view, with *view synchrony*: members that install two
-//!   consecutive views deliver the same messages in between;
+//!   consecutive views deliver the same messages in between. Its every
+//!   decision, the view cut included, is one step of a plain value, a
+//!   [`delivery::Channel`] per group, as membership's are of
+//!   [`proto::Membership`];
 //! * **failure detection** — heartbeat-based, with a configurable
 //!   suspicion timeout ([`GcsConfig::suspect_timeout`]) that dominates the
 //!   paper's ~0.5 s takeover time.
@@ -108,6 +111,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod delivery;
 mod node;
 mod packet;
 pub mod proto;

@@ -15,7 +15,10 @@
 //!   receivers buffer out-of-order packets and NAK gaps back to the origin;
 //!   senders retransmit from a send buffer; cumulative ACKs establish
 //!   stability and garbage-collect retained messages. A node delivers its
-//!   own multicasts immediately (loopback).
+//!   own multicasts immediately (loopback). Every decision of this plane,
+//!   the view cut included, is one step of the group's
+//!   [`Channel`](crate::delivery::Channel) (DESIGN.md §3e); the node
+//!   carries out its actions.
 //! * **View-synchronous membership** — the minimum live member coordinates
 //!   a two-phase view change (`Prepare` → `FlushAck` → `Install`).
 //!   Candidates stop delivering when they promise, report their delivery
@@ -34,7 +37,7 @@
 //!   [`GcsNode::forced_gaps`] — applications that exchange full state on
 //!   every view change (as the VoD servers do) are unaffected.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 use std::error::Error;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -42,6 +45,7 @@ use std::ops::Bound;
 
 use simnet::{Context, Endpoint, NodeId, Payload, Port, SimTime, Timer, VecMap};
 
+use crate::delivery::{self, Action, Channel, Cut, Cx, Input, Out};
 use crate::packet::GcsPacket;
 use crate::proto::{
     Env, ForeignView, GroupStatus, Membership, ProtoAction, ProtoConfig, ProtoEvent, ProtoMsg,
@@ -126,57 +130,6 @@ impl Hasher for IdHasher {
     }
 }
 
-struct RecvState<P> {
-    /// Next sequence number to deliver from this sender.
-    next: u64,
-    /// Out-of-order buffer.
-    buf: VecMap<u64, P>,
-}
-
-impl<P> RecvState<P> {
-    fn new(next: u64) -> Self {
-        RecvState {
-            next,
-            buf: VecMap::new(),
-        }
-    }
-}
-
-/// Message-plane freight of an in-progress view change. The membership
-/// half of the round (proposal id, candidates, acks) lives in the
-/// group's [`Membership::flush`]; the two are created and consumed
-/// together.
-struct VcData<P> {
-    delivered_max: BTreeMap<NodeId, u64>,
-    pool: BTreeMap<(NodeId, u64), P>,
-    start_tick: u64,
-    /// Tick of the most recent `Prepare` (re)transmission; lost prepares
-    /// and flush-acks are re-solicited every couple of ticks.
-    last_prepare_tick: u64,
-}
-
-impl<P> VcData<P> {
-    fn new(ticks: u64) -> Self {
-        VcData {
-            delivered_max: BTreeMap::new(),
-            pool: BTreeMap::new(),
-            start_tick: ticks,
-            last_prepare_tick: ticks,
-        }
-    }
-
-    /// Folds one flush report (our own or a candidate's) into the round.
-    fn absorb(&mut self, delivered: Vec<(NodeId, u64)>, held: Vec<(NodeId, u64, P)>) {
-        for (sender, floor) in delivered {
-            let entry = self.delivered_max.entry(sender).or_insert(0);
-            *entry = (*entry).max(floor);
-        }
-        for (sender, seq, payload) in held {
-            self.pool.insert((sender, seq), payload);
-        }
-    }
-}
-
 struct GroupState<P> {
     /// The membership plane: the pure state machine the model checker
     /// explores, changed only by [`GcsNode::step`] (see [`crate::proto`]).
@@ -186,19 +139,19 @@ struct GroupState<P> {
     last_leave_send_tick: u64,
     join_start_tick: u64,
     last_join_send_tick: u64,
-    next_seq: u64,
-    send_buf: VecMap<u64, P>,
-    recv: VecMap<NodeId, RecvState<P>>,
-    retained: VecMap<(NodeId, u64), P>,
-    ack_floors: VecMap<NodeId, VecMap<NodeId, u64>>,
-    pending_sends: VecDeque<P>,
-    /// Message-plane half of an in-progress view change; `Some` exactly
-    /// when [`Membership::flush`] is.
-    vc: Option<VcData<P>>,
+    /// The delivery plane: the plain value that makes every multicast
+    /// decision, changed only by [`GcsNode::deliver`].
+    channel: Channel<P>,
+    /// The tick the view change this node coordinates began; `Some`
+    /// exactly when [`Membership::flush`] is, and until the round's cut
+    /// is taken. The round's flushed messages are the channel's.
+    round_start: Option<u64>,
+    /// Tick of the most recent `Prepare` (re)transmission; lost prepares
+    /// and flush-acks are re-solicited every couple of ticks.
+    last_prepare_tick: u64,
     /// Freshness clocks for the foreign entries in [`Membership::foreign`]
     /// (time stays out of the pure machine).
     foreign_seen: VecMap<NodeId, u64>,
-    last_nak_tick: VecMap<NodeId, u64>,
     /// A freshly computed install, blindly retransmitted a few ticks in a
     /// row so that a single lost datagram cannot strand a member in the
     /// old view (installs are idempotent).
@@ -207,20 +160,8 @@ struct GroupState<P> {
 
 struct InstallResend<P> {
     view: View,
-    cut: Vec<(NodeId, u64)>,
-    fill: Vec<(NodeId, u64, P)>,
+    cut: Cut<P>,
     remaining: u8,
-}
-
-/// The message-plane freight of an install: per sender, the delivery
-/// horizon of the previous view, and the messages below it some member
-/// may lack.
-struct Cut<P> {
-    cut: Vec<(NodeId, u64)>,
-    fill: Vec<(NodeId, u64, P)>,
-    /// Whether the node had a view of the group before: it delivers up to
-    /// the cut, where a joiner starts at it.
-    was_member: bool,
 }
 
 /// Where the housekeeping timer stands.
@@ -283,51 +224,12 @@ impl<P> GroupState<P> {
             last_leave_send_tick: 0,
             join_start_tick: 0,
             last_join_send_tick: 0,
-            next_seq: 1,
-            send_buf: VecMap::new(),
-            recv: VecMap::new(),
-            retained: VecMap::new(),
-            ack_floors: VecMap::new(),
-            pending_sends: VecDeque::new(),
-            vc: None,
+            channel: Channel::default(),
+            round_start: None,
+            last_prepare_tick: 0,
             foreign_seen: VecMap::new(),
-            last_nak_tick: VecMap::new(),
             install_resend: None,
         }
-    }
-
-    /// Highest contiguously delivered sequence per sender (self included).
-    fn floors(&self, me: NodeId) -> Vec<(NodeId, u64)> {
-        let mut floors = Vec::with_capacity(1 + self.recv.len());
-        floors.push((me, self.next_seq - 1));
-        for (&sender, state) in &self.recv {
-            if sender != me {
-                floors.push((sender, state.next - 1));
-            }
-        }
-        floors
-    }
-
-    /// Everything this node holds that may be unstable: own sent messages
-    /// plus retained (delivered) and buffered (undelivered) foreign ones.
-    fn held(&self, me: NodeId) -> Vec<(NodeId, u64, P)>
-    where
-        P: Clone,
-    {
-        let mut held: Vec<(NodeId, u64, P)> = self
-            .send_buf
-            .iter()
-            .map(|(&seq, p)| (me, seq, p.clone()))
-            .collect();
-        for (&(sender, seq), p) in &self.retained {
-            held.push((sender, seq, p.clone()));
-        }
-        for (&sender, state) in &self.recv {
-            for (&seq, p) in &state.buf {
-                held.push((sender, seq, p.clone()));
-            }
-        }
-        held
     }
 }
 
@@ -380,8 +282,9 @@ pub struct GcsNode<P: Payload> {
     /// earliest instant an unsuspected peer's silence can exceed the
     /// timeout, from `last_heard` at its last run (those only grow).
     fd_due: SimTime,
-    /// Whether some receive buffer may hold a message (NAK work).
-    naks_due: bool,
+    /// The output of every channel step, drained after each: one buffer
+    /// for all of them.
+    out: Out<P>,
     /// Refreshed on membership input and while a flag is raised.
     busy: Busy,
 }
@@ -434,7 +337,7 @@ impl<P: Payload> GcsNode<P> {
             watched: Vec::new(),
             hb_peers: Vec::new(),
             fd_due: SimTime::ZERO,
-            naks_due: false,
+            out: Out::default(),
             busy: Busy::default(),
         }
     }
@@ -667,14 +570,12 @@ impl<P: Payload> GcsNode<P> {
         // Sending creates no group, so whether there is work is known now.
         self.catch_up(ctx.now());
         self.wake_if_busy(ctx);
-        match self.status(group) {
-            GroupStatus::Idle => Err(NotMemberError { group }),
-            GroupStatus::Joining | GroupStatus::Flushing => {
-                self.group_mut(group).pending_sends.push_back(payload);
-                Ok(Vec::new())
-            }
-            GroupStatus::Member => Ok(self.do_multicast(ctx, group, payload)),
+        if self.status(group) == GroupStatus::Idle {
+            return Err(NotMemberError { group });
         }
+        let mut events = Vec::new();
+        self.deliver(ctx, group, Input::Multicast(payload), &mut events);
+        Ok(events)
     }
 
     /// Best-effort send from a non-member to every member of `group`
@@ -686,24 +587,16 @@ impl<P: Payload> GcsNode<P> {
     {
         let msg_id = self.next_nonmember_id;
         self.next_nonmember_id += 1;
-        let origin = self.node;
-        let targets: Vec<NodeId> = self
-            .bootstrap
-            .iter()
-            .copied()
-            .filter(|&n| n != self.node)
-            .collect();
-        for target in targets {
-            self.emit(
-                ctx,
-                target,
-                GcsPacket::NonMemberSend {
-                    group,
-                    origin,
-                    msg_id,
-                    payload: payload.clone(),
-                },
-            );
+        let (origin, port) = (self.node, self.port);
+        for &target in self.bootstrap.iter().filter(|&&n| n != origin) {
+            let payload = payload.clone();
+            let pkt = GcsPacket::NonMemberSend {
+                group,
+                origin,
+                msg_id,
+                payload,
+            };
+            ctx.send(port, Endpoint::new(target, port), M::from(pkt));
         }
     }
 
@@ -747,28 +640,17 @@ impl<P: Payload> GcsNode<P> {
                 | GcsPacket::Ack { .. }
                 | GcsPacket::NonMemberSend { .. }
         );
+        let mut events = Vec::new();
         // A membership packet is one step of its group's machine, with
-        // the packet's message-plane freight kept aside.
+        // the packet's message-plane freight kept aside; a message-plane
+        // packet is one step of its group's channel.
         let (group, msg, cut) = match pkt {
-            GcsPacket::Heartbeat => return Vec::new(),
-            GcsPacket::AppMsg {
-                group,
-                origin,
-                seq,
-                payload,
-            } => return self.on_app_msg(ctx, group, origin, seq, payload),
-            GcsPacket::Nak {
-                group,
-                origin,
-                from_seq,
-                to_seq,
-            } => {
-                self.on_nak(ctx, peer, group, origin, from_seq, to_seq);
-                return Vec::new();
-            }
-            GcsPacket::Ack { group, delivered } => {
-                self.on_ack(ctx, group, peer, delivered);
-                return Vec::new();
+            GcsPacket::Heartbeat => return events,
+            GcsPacket::AppMsg { group, .. }
+            | GcsPacket::Nak { group, .. }
+            | GcsPacket::Ack { group, .. } => {
+                self.deliver(ctx, group, Input::Packet(peer, pkt), &mut events);
+                return events;
             }
             GcsPacket::NonMemberSend {
                 group,
@@ -795,20 +677,9 @@ impl<P: Payload> GcsNode<P> {
                 }
                 (group, ProtoMsg::Prepare { vid, candidates }, None)
             }
-            GcsPacket::FlushAck {
-                group,
-                vid,
-                delivered,
-                held,
-            } => {
+            GcsPacket::FlushAck { group, vid, .. } => {
                 // A candidate's report joins the round it acks.
-                if let Some(state) = self.groups.get_mut(&group) {
-                    if let (Some(fl), Some(vc)) = (&state.mem.flush, &mut state.vc) {
-                        if fl.vid == vid && fl.candidates.contains(&peer) {
-                            vc.absorb(delivered, held);
-                        }
-                    }
-                }
+                self.deliver(ctx, group, Input::Packet(peer, pkt), &mut events);
                 (group, ProtoMsg::FlushAck { vid }, None)
             }
             GcsPacket::Install {
@@ -888,11 +759,10 @@ impl<P: Payload> GcsNode<P> {
             self.tick_heartbeats(ctx);
         }
         if self.ticks.is_multiple_of(ACK_EVERY_TICKS) {
-            self.tick_acks(ctx);
+            self.tick_channels(ctx, delivery::Pass::Acks);
         }
-        if input || self.naks_due {
+        if self.tick_channels(ctx, delivery::Pass::Naks) {
             ran |= Pass::Naks.bit();
-            self.naks_due = self.tick_naks(ctx);
         }
         if busy.resends {
             ran |= Pass::Resends.bit();
@@ -925,247 +795,45 @@ impl<P: Payload> GcsNode<P> {
     }
 
     // ------------------------------------------------------------------
-    // Multicast machinery
+    // Delivery: one step of a group's channel, carried out
     // ------------------------------------------------------------------
 
-    fn do_multicast<M>(
+    /// Steps `group`'s channel with `input` and carries out its actions;
+    /// deliveries join `events`. Returns the cut a [`Input::Complete`]
+    /// computed. Without state for the group, nothing happens.
+    fn deliver<M>(
         &mut self,
         ctx: &mut Context<'_, M>,
         group: GroupId,
-        payload: P,
-    ) -> Vec<GcsEvent<P>>
+        input: Input<'_, P>,
+        events: &mut Vec<GcsEvent<P>>,
+    ) -> Option<Cut<P>>
     where
         M: Payload + From<GcsPacket<P>>,
     {
-        let node = self.node;
-        let state = self.group_mut(group);
-        let seq = state.next_seq;
-        // Saturating here and below: only a forged `u64::MAX` cut or
-        // sequence number gets a counter this far, and it must not panic.
-        state.next_seq = seq.saturating_add(1);
-        state.send_buf.insert(seq, payload.clone());
-        for &member in &self.groups[&group].mem.view.members {
-            if member == node {
-                continue;
-            }
-            self.emit(
-                ctx,
-                member,
-                GcsPacket::AppMsg {
-                    group,
-                    origin: node,
-                    seq,
-                    payload: payload.clone(),
-                },
-            );
-        }
-        vec![GcsEvent::Deliver {
+        let state = self.groups.get_mut(&group)?;
+        let cx = Cx {
+            me: self.node,
             group,
-            sender: node,
-            payload,
-        }]
-    }
-
-    fn on_app_msg<M>(
-        &mut self,
-        ctx: &mut Context<'_, M>,
-        group: GroupId,
-        origin: NodeId,
-        seq: u64,
-        payload: P,
-    ) -> Vec<GcsEvent<P>>
-    where
-        M: Payload + From<GcsPacket<P>>,
-    {
-        if origin == self.node {
-            return Vec::new();
-        }
-        let ticks = self.ticks;
-        let Some(state) = self.groups.get_mut(&group) else {
-            return Vec::new();
+            status: state.mem.status,
+            view: &state.mem.view,
+            round: state.mem.flush.as_ref(),
         };
-        let status = state.mem.status;
-        if status == GroupStatus::Idle {
-            return Vec::new();
-        }
-        let recv = state.recv.get_or_insert_with(origin, || RecvState::new(1));
-        if seq < recv.next {
-            return Vec::new(); // duplicate / already delivered
-        }
-        recv.buf.insert(seq, payload);
-        let mut events = Vec::new();
-        if status == GroupStatus::Member {
-            // Deliver contiguously; flushing/joining nodes only buffer.
-            while let Some(payload) = recv.buf.remove(&recv.next) {
-                state.retained.insert((origin, recv.next), payload.clone());
-                recv.next = recv.next.saturating_add(1);
-                events.push(GcsEvent::Deliver {
-                    group,
-                    sender: origin,
-                    payload,
-                });
-            }
-        }
-        // NAK any remaining gap, rate-limited; the tick re-NAKs it.
-        self.naks_due |= !recv.buf.is_empty();
-        let gap = recv.buf.keys().next().map(|&first| (recv.next, first));
-        if let Some((next, first)) = gap {
-            if first > next {
-                let last_nak = state.last_nak_tick.get(&origin).copied().unwrap_or(0);
-                if ticks.saturating_sub(last_nak) >= 2 || last_nak == 0 {
-                    state.last_nak_tick.insert(origin, ticks.max(1));
-                    self.emit(
-                        ctx,
-                        origin,
-                        GcsPacket::Nak {
-                            group,
-                            origin,
-                            from_seq: next,
-                            to_seq: first - 1,
-                        },
-                    );
-                }
-            }
-        }
-        events
-    }
-
-    fn on_nak<M>(
-        &mut self,
-        ctx: &mut Context<'_, M>,
-        requester: NodeId,
-        group: GroupId,
-        origin: NodeId,
-        from_seq: u64,
-        to_seq: u64,
-    ) where
-        M: Payload + From<GcsPacket<P>>,
-    {
-        // An inverted range names no message (and would panic `range`).
-        if origin != self.node || from_seq > to_seq {
-            return;
-        }
-        let Some(state) = self.groups.get(&group) else {
-            return;
-        };
-        let resend: Vec<(u64, P)> = state
-            .send_buf
-            .range(from_seq..=to_seq)
-            .map(|(&s, p)| (s, p.clone()))
-            .collect();
-        for (seq, payload) in resend {
-            self.emit(
-                ctx,
-                requester,
-                GcsPacket::AppMsg {
-                    group,
-                    origin,
-                    seq,
-                    payload,
-                },
-            );
-        }
-    }
-
-    fn on_ack<M>(
-        &mut self,
-        ctx: &mut Context<'_, M>,
-        group: GroupId,
-        member: NodeId,
-        delivered: Vec<(NodeId, u64)>,
-    ) where
-        M: Payload + From<GcsPacket<P>>,
-    {
-        let node = self.node;
-        let ticks = self.ticks;
+        state.channel.step(self.ticks, cx, input, &mut self.out);
         let port = self.port;
-        let Some(state) = self.groups.get_mut(&group) else {
-            return;
-        };
-        if state.mem.status == GroupStatus::Idle {
-            return;
-        }
-        // Tail-gap detection: if any member (in particular the sender
-        // itself, whose floor equals its send horizon) has delivered
-        // further than we have, the missing suffix will never be revealed
-        // by a successor packet — NAK it now.
-        for &(sender, floor) in &delivered {
-            if sender == node {
-                continue;
-            }
-            let recv = state.recv.get_or_insert_with(sender, || RecvState::new(1));
-            let mine = recv.next - 1;
-            if floor > mine && !recv.buf.contains_key(&recv.next) {
-                let last = state.last_nak_tick.get(&sender).copied().unwrap_or(0);
-                if ticks.saturating_sub(last) >= 2 {
-                    state.last_nak_tick.insert(sender, ticks.max(1));
-                    let nak = GcsPacket::Nak {
-                        group,
-                        origin: sender,
-                        from_seq: recv.next,
-                        to_seq: floor,
-                    };
-                    ctx.send(port, Endpoint::new(sender, port), M::from(nak));
-                }
+        for action in self.out.actions.drain(..) {
+            match action {
+                Action::Send(to, pkt) => ctx.send(port, Endpoint::new(to, port), M::from(pkt)),
+                Action::Deliver(sender, payload) => events.push(GcsEvent::Deliver {
+                    group,
+                    sender,
+                    payload,
+                }),
             }
         }
-        // Most acks repeat the previous report (liveness, no news): the
-        // map it would rebuild is the one already held.
-        let unchanged = state.ack_floors.get(&member).is_some_and(|known| {
-            known.len() == delivered.len()
-                && known.iter().all(|(&s, &f)| delivered.contains(&(s, f)))
-        });
-        if !unchanged {
-            // In place: a changed report nearly always names the senders
-            // the last one did, so no entry moves.
-            let known = state.ack_floors.get_or_insert_with(member, VecMap::new);
-            known.retain(|sender, _| delivered.iter().any(|(s, _)| s == sender));
-            for (sender, floor) in delivered {
-                known.insert(sender, floor);
-            }
-        }
-        // Stability only ever releases buffered messages; with none held
-        // there is nothing a floor could release.
-        if state.send_buf.is_empty() && state.retained.is_empty() {
-            return;
-        }
-        // Stability: a message is stable once every current member has
-        // delivered it; only then may retained copies be dropped.
-        let members = &state.mem.view.members;
-        if members.is_empty() {
-            return;
-        }
-        let (recv, ack_floors, own_floor) = (&state.recv, &state.ack_floors, state.next_seq - 1);
-        // The highest sequence number of `sender` — this node, or one it
-        // has a receive state for, which everything in `retained` came
-        // through — that every member has delivered; 0 when none has.
-        let stable = |sender: NodeId| {
-            let floor_at = |m: NodeId| match (m == node, sender == node) {
-                (true, true) => own_floor,
-                (true, false) => recv.get(&sender).map_or(0, |r| r.next - 1),
-                (false, _) => ack_floors
-                    .get(&m)
-                    .and_then(|f| f.get(&sender).copied())
-                    .unwrap_or(0),
-            };
-            match members.iter().map(|&m| floor_at(m)).min() {
-                Some(floor) if floor < u64::MAX => floor,
-                _ => 0,
-            }
-        };
-        let own = stable(node);
-        if own > 0 {
-            state.send_buf.retain(|&seq, _| seq > own);
-        }
-        // `retained` is sorted by sender: one floor per run of keys.
-        let mut run: Option<(NodeId, u64)> = None;
-        state.retained.retain(|&(sender, seq), _| {
-            let floor = match run {
-                Some((of, floor)) if of == sender => floor,
-                _ => run.insert((sender, stable(sender))).1,
-            };
-            seq > floor
-        });
+        let forced = std::mem::take(&mut self.out.forced);
+        self.forced_gaps = self.forced_gaps.saturating_add(forced);
+        self.out.cut.take()
     }
 
     // ------------------------------------------------------------------
@@ -1189,13 +857,13 @@ impl<P: Payload> GcsNode<P> {
     }
 
     /// Carries out the actions of one step of `group`'s machine, adding
-    /// the message plane's freight: a `FlushAck` takes this node's floors
-    /// and held messages, and an `Install` the cut and fill of `cut` (an
-    /// `Install` packet's) or of the round this node coordinates. A
-    /// proposal opens the round's message-plane half with this node's own
-    /// flush. Returns the upcalls; those of a round proposed and completed
-    /// in one step (a singleton, proposed on a tick or an announce) wait in
-    /// the deferred queue.
+    /// the message plane's freight from the group's channel: a `FlushAck`
+    /// is the channel's flush report, and an `Install` takes the cut and
+    /// fill of `cut` (an `Install` packet's) or of the round this node
+    /// coordinates. A proposal opens the channel's round with this node's
+    /// own flush. Returns the upcalls; those of a round proposed and
+    /// completed in one step (a singleton, proposed on a tick or an
+    /// announce) wait in the deferred queue.
     fn carry_out<M>(
         &mut self,
         ctx: &mut Context<'_, M>,
@@ -1222,23 +890,20 @@ impl<P: Payload> GcsNode<P> {
                             candidates,
                         },
                         ProtoMsg::FlushAck { vid } => {
-                            let state = self.group_mut(group);
-                            state.promised_tick = ticks;
-                            GcsPacket::FlushAck {
-                                group,
-                                vid,
-                                delivered: state.floors(node),
-                                held: state.held(node),
-                            }
+                            self.group_mut(group).promised_tick = ticks;
+                            self.deliver(ctx, group, Input::Flush { to, vid }, &mut events);
+                            continue;
                         }
                         ProtoMsg::Install { view } => {
-                            let cut = cut.get_or_insert_with(|| self.complete_round(group, &view));
-                            GcsPacket::Install {
-                                group,
-                                view,
-                                cut: cut.cut.clone(),
-                                fill: cut.fill.clone(),
+                            // The first install sent completes the round;
+                            // the others carry the same cut.
+                            if cut.is_none() {
+                                cut = self.complete_round(ctx, group, &view);
                             }
+                            let Some(cut) = &cut else {
+                                continue;
+                            };
+                            cut.install(group, view)
                         }
                         ProtoMsg::Announce { vid, members } => GcsPacket::Announce {
                             group,
@@ -1253,9 +918,8 @@ impl<P: Payload> GcsNode<P> {
                     let state = self.group_mut(group);
                     state.foreign_seen.clear();
                     state.promised_tick = ticks;
-                    let mut vc = VcData::new(ticks);
-                    vc.absorb(state.floors(node), state.held(node));
-                    state.vc = Some(vc);
+                    (state.round_start, state.last_prepare_tick) = (Some(ticks), ticks);
+                    self.deliver(ctx, group, Input::Propose, &mut events);
                 }
                 // Excluded (graceful leave or false suspicion): the view is
                 // surfaced, neither traced nor counted, and `Dissolve`
@@ -1268,15 +932,14 @@ impl<P: Payload> GcsNode<P> {
                     // round this node coordinates, or else it is a view
                     // the node formed alone (`Create`, `SingletonForm`):
                     // nothing to deliver, surfaced bare.
-                    match cut.take() {
-                        Some(cut) => events.extend(self.install(ctx, group, view, cut)),
-                        None if self.groups[&group].vc.is_some() => {
-                            let cut = self.complete_round(group, &view);
-                            events.extend(self.install(ctx, group, view, cut));
-                        }
+                    match cut
+                        .take()
+                        .or_else(|| self.complete_round(ctx, group, &view))
+                    {
+                        Some(cut) => self.install(ctx, group, view, cut, &mut events),
                         None => events.push(self.surface(group, view)),
                     }
-                    events.extend(self.send_pending(ctx, group));
+                    self.deliver(ctx, group, Input::Resume, &mut events);
                 }
                 ProtoAction::Dissolve => {
                     self.groups.remove(&group);
@@ -1289,147 +952,61 @@ impl<P: Payload> GcsNode<P> {
         events
     }
 
-    /// The cut and fill of the round this node coordinated, now complete
-    /// as `view`: per sender, the highest floor a candidate reported,
-    /// extended through the pooled messages (anything contiguously
-    /// available to the coordinator can be delivered by all), and the
-    /// pooled messages up to it. They are blindly re-sent for a few ticks,
-    /// so that a single lost datagram cannot strand a member in the old
-    /// view.
-    fn complete_round(&mut self, group: GroupId, view: &View) -> Cut<P> {
-        let state = self.group_mut(group);
-        let vc = state
-            .vc
-            .take()
-            .expect("a completed round has message-plane data");
-        let mut cut: BTreeMap<NodeId, u64> = view.members.iter().map(|&m| (m, 0)).collect();
-        for (&sender, &floor) in &vc.delivered_max {
-            cut.insert(sender, floor);
-        }
-        for (sender, horizon) in cut.iter_mut() {
-            while let Some(next) = horizon.checked_add(1) {
-                if !vc.pool.contains_key(&(*sender, next)) {
-                    break;
-                }
-                *horizon = next;
-            }
-        }
-        let fill: Vec<(NodeId, u64, P)> = vc
-            .pool
-            .into_iter()
-            .filter(|((sender, seq), _)| *seq <= cut.get(sender).copied().unwrap_or(0))
-            .map(|((sender, seq), p)| (sender, seq, p))
-            .collect();
-        let cut: Vec<(NodeId, u64)> = cut.into_iter().collect();
-        state.install_resend = Some(InstallResend {
+    /// Completes the round this node coordinates, if one is open, as
+    /// `view`: the channel computes the cut and fill, which are blindly
+    /// re-sent for a few ticks so that a single lost datagram cannot
+    /// strand a member in the old view.
+    fn complete_round<M>(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+        group: GroupId,
+        view: &View,
+    ) -> Option<Cut<P>>
+    where
+        M: Payload + From<GcsPacket<P>>,
+    {
+        self.groups.get_mut(&group)?.round_start.take()?;
+        let cut = self.deliver(ctx, group, Input::Complete(view), &mut Vec::new())?;
+        self.group_mut(group).install_resend = Some(InstallResend {
             view: view.clone(),
             cut: cut.clone(),
-            fill: fill.clone(),
             remaining: 3,
         });
-        Cut {
-            cut,
-            fill,
-            was_member: true,
-        }
+        Some(cut)
     }
 
-    /// The message-plane half of adopting `view`, which the group's
-    /// machine has just installed: merge the fill, deliver up to the cut
-    /// (a joiner starts at it instead), keep receive state for the members
-    /// only, and refresh their liveness.
+    /// Adopts `view`, which the group's machine has just installed: the
+    /// channel takes its cut, the round's clocks stop unless a round of
+    /// this node's outlives it, and the members' liveness is refreshed.
     fn install<M>(
         &mut self,
         ctx: &mut Context<'_, M>,
         group: GroupId,
         view: View,
         cut: Cut<P>,
-    ) -> Vec<GcsEvent<P>>
-    where
+        events: &mut Vec<GcsEvent<P>>,
+    ) where
         M: Payload + From<GcsPacket<P>>,
     {
-        let node = self.node;
-        let mut events = Vec::new();
-        let mut forced = 0u64;
+        self.deliver(ctx, group, Input::Adopt(cut), events);
         let state = self.group_mut(group);
-        let Cut {
-            cut,
-            fill,
-            was_member,
-        } = cut;
-        // Merge the fill into receive buffers.
-        for (sender, seq, payload) in fill {
-            if sender == node {
-                continue;
-            }
-            let recv = state.recv.get_or_insert_with(sender, || RecvState::new(1));
-            if seq >= recv.next {
-                recv.buf.get_or_insert_with(seq, || payload);
-            }
-        }
-        let cut: BTreeMap<NodeId, u64> = cut.into_iter().collect();
-        for (&sender, &horizon) in &cut {
-            if sender == node {
-                // Our own messages up to the cut are stable. That is all
-                // of them when we flushed for this view (we stop sending
-                // once we promise); an install we never flushed for may
-                // cut below what we have sent since, and that tail stays
-                // ours to retransmit, its numbers taken.
-                state.next_seq = state.next_seq.max(horizon.saturating_add(1));
-                state.send_buf.retain(|&seq, _| seq > horizon);
-                continue;
-            }
-            let recv = state.recv.get_or_insert_with(sender, || RecvState::new(1));
-            if was_member {
-                // Deliver up to the cut (the fill guarantees the messages
-                // exist except across lossy merges).
-                while recv.next <= horizon {
-                    match recv.buf.remove(&recv.next) {
-                        Some(payload) => {
-                            recv.next = recv.next.saturating_add(1);
-                            events.push(GcsEvent::Deliver {
-                                group,
-                                sender,
-                                payload,
-                            });
-                        }
-                        None => {
-                            forced = forced.saturating_add(horizon - recv.next + 1);
-                            recv.next = horizon.saturating_add(1);
-                            break;
-                        }
-                    }
-                }
-            } else {
-                // Joiners start fresh at the cut.
-                recv.buf.retain(|&seq, _| seq > horizon);
-                recv.next = recv.next.max(horizon.saturating_add(1));
-            }
-        }
-        // Keep receive state only for members of the new view.
-        state.recv.retain(|sender, _| view.contains(*sender));
-        state.retained.clear();
-        state.ack_floors.clear();
-        state.last_nak_tick.clear();
         if state.mem.flush.is_none() {
-            state.vc = None;
+            state.round_start = None;
         }
         state
             .foreign_seen
             .retain(|n, _| state.mem.foreign.contains_key(n));
-        self.forced_gaps = self.forced_gaps.saturating_add(forced);
         // A stale timestamp may linger from an earlier non-member contact
         // (e.g. a connection-establishment broadcast long before this node
         // shared any group with the peer): without the refresh a freshly
         // installed view could be torn at once.
         let now = ctx.now();
         for &m in &view.members {
-            if m != node {
+            if m != self.node {
                 self.last_heard.insert(m, now);
             }
         }
         events.push(self.surface(group, view));
-        events
     }
 
     /// Counts and traces a view this node installed; returns the upcall.
@@ -1440,19 +1017,6 @@ impl<P: Payload> GcsNode<P> {
             view: view.clone(),
         });
         GcsEvent::View { group, view }
-    }
-
-    /// Multicasts what was queued while the group had no view to send in.
-    fn send_pending<M>(&mut self, ctx: &mut Context<'_, M>, group: GroupId) -> Vec<GcsEvent<P>>
-    where
-        M: Payload + From<GcsPacket<P>>,
-    {
-        let pending = std::mem::take(&mut self.group_mut(group).pending_sends);
-        let mut events = Vec::new();
-        for payload in pending {
-            events.extend(self.do_multicast(ctx, group, payload));
-        }
-        events
     }
 
     /// An announce is one step of the group's machine; what it concluded
@@ -1503,20 +1067,19 @@ impl<P: Payload> GcsNode<P> {
         msg_id: u64,
         payload: P,
     ) -> Vec<GcsEvent<P>> {
-        if self.status(group) != GroupStatus::Member {
-            return Vec::new();
-        }
-        let ticks = self.ticks;
-        if self
-            .nonmember_seen
-            .insert((origin, msg_id), ticks)
-            .is_some()
+        let member = self.status(group) == GroupStatus::Member;
+        if !member
+            || self
+                .nonmember_seen
+                .insert((origin, msg_id), self.ticks)
+                .is_some()
         {
             return Vec::new();
         }
+        let sender = origin;
         vec![GcsEvent::Deliver {
             group,
-            sender: origin,
+            sender,
             payload,
         }]
     }
@@ -1599,7 +1162,7 @@ impl<P: Payload> GcsNode<P> {
         let mut busy = Busy::default();
         for state in self.groups.values() {
             let status = state.mem.status;
-            busy.resends |= state.vc.is_some() || state.install_resend.is_some();
+            busy.resends |= state.round_start.is_some() || state.install_resend.is_some();
             busy.joins |= status == GroupStatus::Joining || state.mem.leaving;
             busy.foreign |= !state.foreign_seen.is_empty();
             busy.flushing |= status == GroupStatus::Flushing || state.mem.flush.is_some();
@@ -1616,69 +1179,24 @@ impl<P: Payload> GcsNode<P> {
         }
     }
 
-    fn tick_acks<M>(&mut self, ctx: &mut Context<'_, M>)
+    /// Runs a periodic pass of every group's channel: the acks, or the
+    /// NAKs of each channel that may hold a message. Returns whether a
+    /// channel was stepped.
+    fn tick_channels<M>(&mut self, ctx: &mut Context<'_, M>, pass: delivery::Pass) -> bool
     where
         M: Payload + From<GcsPacket<P>>,
     {
-        let node = self.node;
-        for (&group, state) in &self.groups {
-            if state.mem.status != GroupStatus::Member || state.mem.view.len() <= 1 {
+        let mut stepped = false;
+        let mut resume = Bound::Unbounded;
+        while let Some((&group, state)) = self.groups.range((resume, Bound::Unbounded)).next() {
+            resume = Bound::Excluded(group);
+            if pass == delivery::Pass::Naks && !state.channel.naks_due() {
                 continue;
             }
-            let mut floors = state.floors(node);
-            let members = state.mem.view.members.iter();
-            let mut peers = members.filter(|&&m| m != node).peekable();
-            while let Some(&member) = peers.next() {
-                // The last ack takes the vector; a session group has one.
-                let delivered = if peers.peek().is_some() {
-                    floors.clone()
-                } else {
-                    std::mem::take(&mut floors)
-                };
-                self.emit(ctx, member, GcsPacket::Ack { group, delivered });
-            }
+            stepped = true;
+            self.deliver(ctx, group, Input::Tick(pass), &mut Vec::new());
         }
-    }
-
-    /// Re-issue NAKs for gaps that persist (the original NAK or its
-    /// retransmission may itself have been lost). Returns whether a receive
-    /// buffer of any group still holds a message.
-    fn tick_naks<M>(&mut self, ctx: &mut Context<'_, M>) -> bool
-    where
-        M: Payload + From<GcsPacket<P>>,
-    {
-        let ticks = self.ticks;
-        let mut held = false;
-        let mut naks: Vec<(GroupId, NodeId, u64, u64)> = Vec::new();
-        for (&group, state) in &mut self.groups {
-            let member = state.mem.status == GroupStatus::Member;
-            for (&sender, recv) in &state.recv {
-                let Some(&first) = recv.buf.keys().next() else {
-                    continue;
-                };
-                held = true;
-                if member && first > recv.next {
-                    let last = state.last_nak_tick.get(&sender).copied().unwrap_or(0);
-                    if ticks.saturating_sub(last) >= 2 {
-                        naks.push((group, sender, recv.next, first - 1));
-                        state.last_nak_tick.insert(sender, ticks.max(1));
-                    }
-                }
-            }
-        }
-        for (group, origin, from_seq, to_seq) in naks {
-            self.emit(
-                ctx,
-                origin,
-                GcsPacket::Nak {
-                    group,
-                    origin,
-                    from_seq,
-                    to_seq,
-                },
-            );
-        }
-        held
+        stepped
     }
 
     /// Retransmits in-flight `Prepare`s (to candidates that have not
@@ -1689,83 +1207,39 @@ impl<P: Payload> GcsNode<P> {
     where
         M: Payload + From<GcsPacket<P>>,
     {
-        let node = self.node;
-        let ticks = self.ticks;
-        // Only a group coordinating a flush or holding a fresh install has
-        // anything to retransmit; a pass emits packets and touches its own
-        // group only, so picking the groups up front changes nothing.
-        let groups: Vec<GroupId> = self
-            .groups
-            .iter()
-            .filter(|(_, s)| s.vc.is_some() || s.install_resend.is_some())
-            .map(|(&g, _)| g)
-            .collect();
-        for group in groups {
+        let (node, ticks, port) = (self.node, self.ticks, self.port);
+        let mut emit =
+            |to, pkt: GcsPacket<P>| ctx.send(port, Endpoint::new(to, port), M::from(pkt));
+        for (&group, state) in self.groups.iter_mut() {
             // Re-send pending Prepares.
-            let prepare: Option<(ViewId, Vec<NodeId>, Vec<NodeId>)> = {
-                let state = self.group_mut(group);
-                match (&state.mem.flush, state.vc.as_mut()) {
-                    (Some(fl), Some(vc)) if ticks.saturating_sub(vc.last_prepare_tick) >= 2 => {
-                        vc.last_prepare_tick = ticks;
-                        let missing: Vec<NodeId> = fl
-                            .candidates
-                            .iter()
-                            .copied()
-                            .filter(|c| !fl.acked.contains(c) && *c != node)
-                            .collect();
-                        Some((fl.vid, fl.candidates.clone(), missing))
+            if let (Some(fl), Some(_)) = (&state.mem.flush, state.round_start) {
+                if ticks.saturating_sub(state.last_prepare_tick) >= 2 {
+                    state.last_prepare_tick = ticks;
+                    let missing = fl.candidates.iter().filter(|c| !fl.acked.contains(c));
+                    for &candidate in missing.filter(|&&c| c != node) {
+                        let (vid, candidates) = (fl.vid, fl.candidates.clone());
+                        emit(
+                            candidate,
+                            GcsPacket::Prepare {
+                                group,
+                                vid,
+                                candidates,
+                            },
+                        );
                     }
-                    _ => None,
-                }
-            };
-            if let Some((vid, candidates, missing)) = prepare {
-                for candidate in missing {
-                    self.emit(
-                        ctx,
-                        candidate,
-                        GcsPacket::Prepare {
-                            group,
-                            vid,
-                            candidates: candidates.clone(),
-                        },
-                    );
                 }
             }
             // Re-send recent installs.
-            type InstallParts<P> = (View, Vec<(NodeId, u64)>, Vec<(NodeId, u64, P)>);
-            let install: Option<InstallParts<P>> = {
-                let state = self.group_mut(group);
-                match state.install_resend.as_mut() {
-                    Some(resend) if resend.remaining > 0 => {
-                        resend.remaining -= 1;
-                        Some((resend.view.clone(), resend.cut.clone(), resend.fill.clone()))
+            match &mut state.install_resend {
+                Some(resend) if resend.remaining > 0 => {
+                    resend.remaining -= 1;
+                    let InstallResend { view, cut, .. } = resend;
+                    for &member in view.members.iter().filter(|&&m| m != node) {
+                        emit(member, cut.install(group, view.clone()));
                     }
-                    Some(_) => {
-                        state.install_resend = None;
-                        None
-                    }
-                    None => None,
                 }
-            };
-            if let Some((view, cut, fill)) = install {
-                let peers: Vec<NodeId> = view
-                    .members
-                    .iter()
-                    .copied()
-                    .filter(|&m| m != node)
-                    .collect();
-                for member in peers {
-                    self.emit(
-                        ctx,
-                        member,
-                        GcsPacket::Install {
-                            group,
-                            view: view.clone(),
-                            cut: cut.clone(),
-                            fill: fill.clone(),
-                        },
-                    );
-                }
+                Some(_) => state.install_resend = None,
+                None => {}
             }
         }
     }
@@ -1776,21 +1250,7 @@ impl<P: Payload> GcsNode<P> {
     {
         let ticks = self.ticks;
         let mut events = Vec::new();
-        // All three passes below act only on groups being joined or left.
-        if !self
-            .groups
-            .values()
-            .any(|s| s.mem.status == GroupStatus::Joining || s.mem.leaving)
-        {
-            return events;
-        }
-        let joining: Vec<GroupId> = self
-            .groups
-            .iter()
-            .filter(|(_, s)| s.mem.status == GroupStatus::Joining)
-            .map(|(&g, _)| g)
-            .collect();
-        for group in joining {
+        for group in self.groups_where(|s| s.mem.status == GroupStatus::Joining) {
             let state = self.group_mut(group);
             let event = if ticks.saturating_sub(state.join_start_tick) >= SINGLETON_FORM_TICKS
                 && state.mem.promised.is_none()
@@ -1812,15 +1272,9 @@ impl<P: Payload> GcsNode<P> {
         // node sat in `Flushing` across the modulo instants) never re-sent
         // and stalled until the force-quit. Track the last send explicitly
         // and retry while flushing too.
-        let leave_retries: Vec<GroupId> = self
-            .groups
-            .iter()
-            .filter(|(_, s)| {
-                s.mem.leaving && ticks.saturating_sub(s.last_leave_send_tick) >= JOIN_RETRY_TICKS
-            })
-            .map(|(&g, _)| g)
-            .collect();
-        for group in leave_retries {
+        let retry =
+            |s: &GroupState<P>| ticks.saturating_sub(s.last_leave_send_tick) >= JOIN_RETRY_TICKS;
+        for group in self.groups_where(|s| s.mem.leaving && retry(s)) {
             let actions = self.step(group, ProtoEvent::LeaveRetry);
             if !actions.is_empty() {
                 self.group_mut(group).last_leave_send_tick = ticks;
@@ -1828,15 +1282,9 @@ impl<P: Payload> GcsNode<P> {
             self.carry_out(ctx, group, actions, None);
         }
         // Forced leave for nodes whose LeaveReq went unanswered.
-        let stale_leavers: Vec<GroupId> = self
-            .groups
-            .iter()
-            .filter(|(_, s)| {
-                s.mem.leaving && ticks.saturating_sub(s.leave_tick) > 2 * FLUSH_TIMEOUT_TICKS
-            })
-            .map(|(&g, _)| g)
-            .collect();
-        for group in stale_leavers {
+        let stale =
+            |s: &GroupState<P>| ticks.saturating_sub(s.leave_tick) > 2 * FLUSH_TIMEOUT_TICKS;
+        for group in self.groups_where(|s| s.mem.leaving && stale(s)) {
             let actions = self.step(group, ProtoEvent::ForceLeave);
             self.carry_out(ctx, group, actions, None);
         }
@@ -1859,8 +1307,8 @@ impl<P: Payload> GcsNode<P> {
         };
         let retry = |state: &GroupState<P>| {
             state.mem.flush.is_some()
-                && matches!(&state.vc,
-                    Some(vc) if ticks.saturating_sub(vc.start_tick) > FLUSH_TIMEOUT_TICKS)
+                && matches!(state.round_start,
+                    Some(start) if ticks.saturating_sub(start) > FLUSH_TIMEOUT_TICKS)
         };
         // Groups are visited in id order and each is judged on the state
         // its predecessors left behind (a flush timeout in one group
@@ -1887,8 +1335,9 @@ impl<P: Payload> GcsNode<P> {
             // and no surviving coordinator will ever resolve it.
             if abandoned(&self.groups[&group]) {
                 self.step(group, ProtoEvent::AbandonFlush);
-                let events = self.send_pending(ctx, group);
-                self.deferred_events.extend(events);
+                let mut events = Vec::new();
+                self.deliver(ctx, group, Input::Resume, &mut events);
+                self.deferred_events.append(&mut events);
             }
             // Coordinator-side timeout: drop unresponsive candidates, retry.
             if retry(&self.groups[&group]) {
@@ -1913,7 +1362,7 @@ impl<P: Payload> GcsNode<P> {
         let Some(state) = self.groups.get_mut(&group) else {
             return;
         };
-        state.vc = None;
+        state.round_start = None;
         let Some(round) = &state.mem.flush else {
             return;
         };
@@ -1979,6 +1428,15 @@ impl<P: Payload> GcsNode<P> {
     // Helpers
     // ------------------------------------------------------------------
 
+    /// The groups whose state `keep` holds for, in id order.
+    fn groups_where(&self, keep: impl Fn(&GroupState<P>) -> bool) -> Vec<GroupId> {
+        self.groups
+            .iter()
+            .filter(|(_, s)| keep(s))
+            .map(|(&g, _)| g)
+            .collect()
+    }
+
     fn group_mut(&mut self, group: GroupId) -> &mut GroupState<P> {
         self.had_group = true;
         self.groups.get_or_insert_with(group, GroupState::new)
@@ -1991,9 +1449,6 @@ impl<P: Payload> GcsNode<P> {
         ctx.send(self.port, Endpoint::new(dst, self.port), M::from(pkt));
     }
 }
-
-#[cfg(test)]
-mod ack_differential;
 
 #[cfg(test)]
 mod tick_differential;
@@ -2040,12 +1495,5 @@ mod tests {
         assert_eq!(err.to_string(), "not a member of group g9");
         let boxed: Box<dyn std::error::Error> = Box::new(err);
         assert!(boxed.source().is_none());
-    }
-
-    #[test]
-    fn group_state_floors_include_self() {
-        // Fresh state: own floor is zero (next_seq starts at 1).
-        let floors = GroupState::<u8>::new().floors(NodeId(5));
-        assert_eq!(floors, vec![(NodeId(5), 0)]);
     }
 }

@@ -2,12 +2,14 @@
 //! against the body it replaced, which ran every pass on every tick.
 //!
 //! The gated tick skips a pass on a tick where it would find nothing to
-//! do, judged from membership input, the failure detector's deadline, a
-//! flag for buffered messages and one walk over the groups. That is only
-//! sound if the skipped passes really were no-ops, so the old body stays
-//! here as the oracle, with the three passes whose bodies changed (the
-//! failure detector and the heartbeats sorted a fresh peer list on every
-//! call; the NAK pass reported nothing). One seeded script — churn,
+//! do, judged from membership input, the failure detector's deadline,
+//! each channel's flag for buffered messages and one walk over the
+//! groups. That is only sound if the skipped passes really were no-ops,
+//! so the old body stays here as the oracle, with the three passes whose
+//! bodies changed (the failure detector and the heartbeats sorted a fresh
+//! peer list on every call; the NAK pass stepped every group's channel,
+//! where the gated tick steps only those that may hold a message). One
+//! seeded script — churn,
 //! crashes and restarts, partitions, loss, concurrent singletons, traffic
 //! and non-member sends — drives two simulations: in one every node ticks
 //! the old way, in the other the new way (half the seeds announce at a
@@ -19,6 +21,7 @@
 //! pass was skipped on some ticks and acted on others.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -82,7 +85,7 @@ impl GcsNode<Num> {
             self.tick_heartbeats_parent(ctx);
         }
         if self.ticks.is_multiple_of(ACK_EVERY_TICKS) {
-            self.tick_acks(ctx);
+            self.tick_channels(ctx, delivery::Pass::Acks);
         }
         did |= self.acted(Pass::Naks, kinds, |gcs| gcs.tick_naks_parent(ctx));
         did |= self.acted(Pass::Resends, kinds, |gcs| gcs.tick_resends(ctx));
@@ -135,24 +138,16 @@ impl GcsNode<Num> {
                     s.last_leave_send_tick,
                     s.join_start_tick,
                     s.last_join_send_tick,
-                    s.next_seq,
                 ];
-                let vc =
-                    s.vc.as_ref()
-                        .map(|vc| (vc.start_tick, vc.last_prepare_tick));
-                let resend = s.install_resend.as_ref().map(|r| r.remaining);
-                let queued = s.pending_sends.len();
-                let naks = s.last_nak_tick.clone();
-                let foreign = s.foreign_seen.clone();
+                let vc = (s.round_start, s.last_prepare_tick);
                 (
                     group,
                     s.mem.clone(),
                     clocks,
                     vc,
-                    resend,
-                    queued,
-                    naks,
-                    foreign,
+                    s.install_resend.as_ref().map(|r| r.remaining),
+                    s.channel.clone(),
+                    s.foreign_seen.clone(),
                 )
             })
             .collect();
@@ -213,36 +208,12 @@ impl GcsNode<Num> {
         }
     }
 
+    /// The parent's NAK pass, on every tick, now a step of every group's
+    /// channel.
     fn tick_naks_parent(&mut self, ctx: &mut Context<'_, Wire>) {
-        let ticks = self.ticks;
-        let mut naks: Vec<(GroupId, NodeId, u64, u64)> = Vec::new();
-        for (&group, state) in &mut self.groups {
-            if state.mem.status != GroupStatus::Member {
-                continue;
-            }
-            for (&sender, recv) in &state.recv {
-                if let Some(&first) = recv.buf.keys().next() {
-                    if first > recv.next {
-                        let last = state.last_nak_tick.get(&sender).copied().unwrap_or(0);
-                        if ticks.saturating_sub(last) >= 2 {
-                            naks.push((group, sender, recv.next, first - 1));
-                            state.last_nak_tick.insert(sender, ticks.max(1));
-                        }
-                    }
-                }
-            }
-        }
-        for (group, origin, from_seq, to_seq) in naks {
-            self.emit(
-                ctx,
-                origin,
-                GcsPacket::Nak {
-                    group,
-                    origin,
-                    from_seq,
-                    to_seq,
-                },
-            );
+        for group in self.groups.keys().copied().collect::<Vec<_>>() {
+            let naks = Input::Tick(delivery::Pass::Naks);
+            self.deliver(ctx, group, naks, &mut Vec::new());
         }
     }
 }

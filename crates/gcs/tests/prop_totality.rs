@@ -15,14 +15,19 @@
 //! are left out because they *legitimately* remove the target — an
 //! `Install` whose view omits it and a `LeaveReq` in its name — so that
 //! "still a member" is the right thing to ask at the end.
+//!
+//! The membership machine ([`ProtoNode::step`]) and the delivery channel
+//! ([`Channel::step`]) are also driven directly, each with forged inputs
+//! of every kind it takes.
 
 mod common;
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 use common::*;
-use gcs::proto::{ProtoAction, ProtoConfig, ProtoEvent, ProtoMsg, ProtoNode};
+use gcs::delivery::{Action, Channel, Cut, Cx, Input, Out, Pass};
+use gcs::proto::{FlushRound, ProtoAction, ProtoConfig, ProtoEvent, ProtoMsg, ProtoNode};
 use gcs::{GcsPacket, GroupId, GroupStatus, View, ViewId};
 use proptest::prelude::*;
 use simnet::{Endpoint, LinkProfile, NodeId, SimTime, Simulation};
@@ -545,5 +550,216 @@ proptest! {
         at_the_top in any::<bool>(),
     ) {
         total_and_deterministic(script, at_the_top)?;
+    }
+}
+
+/// Raw material of one [`Channel::step`]: `(kind, who, other)` index
+/// [`WHO`], `(a, b)` index [`SEQS`], and `(mask, status, shape)`;
+/// [`channel_input`] picks what it needs.
+type Forge = ((u8, usize, usize), (usize, usize), (u8, u8, u8));
+
+/// Sequence numbers, floors and ticks: small ones, and the top of the
+/// space.
+const SEQS: [u64; 8] = [0, 1, 2, 3, 5, 9, u64::MAX - 1, u64::MAX];
+
+/// The channel's node, the other members of its usual view, a stranger and
+/// the top of the id space.
+const WHO: [u32; 5] = [2, 1, 3, 4, u32::MAX];
+
+const ME: NodeId = NodeId(2);
+
+/// A forged payload names its sender and sequence number, so a delivery
+/// says what it delivered.
+type Msg = (NodeId, u64);
+
+fn forge_step() -> impl Strategy<Value = Forge> {
+    let ids = || 0usize..WHO.len();
+    let seqs = || 0usize..SEQS.len();
+    (
+        (0u8..16, ids(), ids()),
+        (seqs(), seqs()),
+        (0u8..=255, 0u8..8, 0u8..4),
+    )
+}
+
+/// The views a step may read: the usual one, this node alone, one without
+/// it, and none at all.
+fn views() -> [View; 4] {
+    let members: [&[u32]; 4] = [&[1, 2, 3], &[2], &[1, 3], &[]];
+    members.map(|ids| View::new(ViewId::default(), ids.iter().copied().map(NodeId).collect()))
+}
+
+/// The input `d` names. Floors and held messages are taken from the ids
+/// whose bit is set in `mask`, at `a` and `b` in turn; the top bit sends
+/// a packet to a group nobody created.
+fn channel_input(d: Forge, view: &View, sent: u64) -> Input<'_, Msg> {
+    let ((kind, who, other), (a, b), (mask, ..)) = d;
+    let (who, other, a, b) = (NodeId(WHO[who]), NodeId(WHO[other]), SEQS[a], SEQS[b]);
+    let group = if mask & 0x80 != 0 { STRANGE } else { G };
+    let chosen = WHO
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| mask & (1 << i) != 0)
+        .map(|(i, &id)| (NodeId(id), if i % 2 == 0 { a } else { b }));
+    let delivered: Vec<(NodeId, u64)> = chosen.clone().collect();
+    let held: Vec<(NodeId, u64, Msg)> = chosen.map(|(n, seq)| (n, seq, (n, seq))).collect();
+    let vid = ViewId {
+        epoch: a,
+        coordinator: who,
+    };
+    let packet = |pkt| Input::Packet(who, pkt);
+    match kind {
+        0 | 1 => packet(GcsPacket::AppMsg {
+            group,
+            origin: other,
+            seq: a,
+            payload: (other, a),
+        }),
+        // Floors above anything sent, for strangers and the channel itself.
+        2 => packet(GcsPacket::Ack { group, delivered }),
+        // Inverted ranges and `0..=u64::MAX` included.
+        3 => packet(GcsPacket::Nak {
+            group,
+            origin: if mask & 0x40 != 0 { other } else { ME },
+            from_seq: a,
+            to_seq: b,
+        }),
+        4 => Input::Multicast((ME, sent + 1)),
+        5 => Input::Tick(Pass::Acks),
+        6 => Input::Tick(Pass::Naks),
+        7 => Input::Propose,
+        8 => Input::Flush { to: who, vid },
+        // A candidate's flush report, for whatever round.
+        9 => packet(GcsPacket::FlushAck {
+            group,
+            vid,
+            delivered,
+            held,
+        }),
+        10 => Input::Complete(view),
+        11 => Input::Adopt(Cut {
+            cut: delivered,
+            fill: held,
+            was_member: mask & 0x40 != 0,
+        }),
+        12 => Input::Resume,
+        _ => Input::Tick(Pass::Naks),
+    }
+}
+
+/// Feeds `script` to a fresh channel of [`ME`], under drawn statuses,
+/// rounds and ticks (the last ones near `u64::MAX`); the view changes
+/// with each adopted cut, as an install changes it. Checks that
+/// no sender's messages are delivered out of order between two adopted
+/// cuts (for a sender outside the view, since the cut that dropped it),
+/// that without a forced gap they come one after another, that this
+/// node delivers its own multicasts in the order it made them, and that
+/// the channel grows no faster than what it was fed.
+fn drive_channel(script: &[Forge]) -> Result<(), TestCaseError> {
+    let views = views();
+    let mut ch: Channel<Msg> = Channel::default();
+    let mut out = Out::default();
+    let (mut tick, mut sent, mut fed) = (0u64, 0u64, 0usize);
+    // Per sender, the last sequence delivered since the last adopted cut,
+    // and whether that adoption forced a gap closed.
+    let mut last: BTreeMap<NodeId, u64> = BTreeMap::new();
+    let mut forced = false;
+    let mut own = 0;
+    let mut installed = 0;
+    for (i, &d) in script.iter().enumerate() {
+        let ((kind, ..), (_, b), (mask, status, shape)) = d;
+        tick = match kind {
+            13 | 14 => tick.saturating_add(status.into()),
+            15 if status == 0 => u64::MAX - 3,
+            _ => tick,
+        };
+        let drawn = &views[usize::from(shape)];
+        if kind == 11 {
+            installed = usize::from(shape);
+        }
+        let view = &views[installed];
+        let round = FlushRound {
+            vid: ViewId {
+                epoch: SEQS[b],
+                coordinator: ME,
+            },
+            candidates: drawn.members.clone(),
+            acked: BTreeSet::from([ME]),
+        };
+        let status = match status {
+            0..=3 => GroupStatus::Member,
+            4 | 5 => GroupStatus::Flushing,
+            6 => GroupStatus::Joining,
+            _ => GroupStatus::Idle,
+        };
+        let cx = Cx {
+            me: ME,
+            group: G,
+            status,
+            view,
+            round: (mask & 0x20 != 0).then_some(&round),
+        };
+        let input = channel_input(d, drawn, sent);
+        fed += 1 + 2 * mask.count_ones() as usize;
+        let adopt = matches!(input, Input::Adopt(_));
+        if adopt {
+            last.clear();
+            forced = false;
+        }
+        // An idle node's multicast is refused (the endpoint says so).
+        sent += u64::from(matches!(input, Input::Multicast(_)) && status != GroupStatus::Idle);
+        ch.step(tick, cx, input, &mut out);
+        forced |= out.forced > 0;
+        (out.forced, out.cut) = (0, None);
+        for action in &out.actions {
+            let Action::Deliver(sender, (of, seq)) = *action else {
+                continue;
+            };
+            prop_assert_eq!(of, sender, "step {}: {:?}", i, d);
+            if sender == ME {
+                prop_assert_eq!(seq, own + 1, "step {}: own multicasts", i);
+                own = seq;
+            } else if let Some(&before) = last.get(&sender) {
+                let next = before.saturating_add(1);
+                prop_assert!(
+                    seq == next || (forced && seq > before),
+                    "step {i} ({d:?}): {sender:?}'s {seq} after {before}"
+                );
+            }
+            last.insert(sender, seq);
+        }
+        // The cut dropped the receive state of every sender outside the
+        // view: a later message of one starts its sequence over (a known
+        // deviation, pinned in `gcs::delivery`'s unit tests).
+        if adopt {
+            last.retain(|sender, _| view.contains(*sender));
+        }
+        let size = format!("{ch:?}").len();
+        prop_assert!(size <= 2_000 + 400 * fed, "step {i}: {size} bytes printed");
+        out.actions.clear();
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn channel_step_is_total(script in prop::collection::vec(forge_step(), 1..160)) {
+        drive_channel(&script)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    /// The same property at 20 000 cases (a few seconds in a release
+    /// build).
+    #[test]
+    #[ignore = "release-build sweep; run with --ignored"]
+    fn channel_step_is_total_at_twenty_thousand_cases(
+        script in prop::collection::vec(forge_step(), 1..160),
+    ) {
+        drive_channel(&script)?;
     }
 }

@@ -196,7 +196,7 @@ mod tests {
     use super::*;
 
     /// `node.rs` keeps a test-only module in `node/helper.rs`, the shape of
-    /// `gcs/src/node/ack_differential.rs`: the helper counts as test code,
+    /// `gcs/src/node/tick_differential.rs`: the helper counts as test code,
     /// `node.rs` up to its `#[cfg(test)]` as ordinary code.
     #[test]
     fn a_file_behind_cfg_test_mod_counts_as_tests() {
