@@ -80,6 +80,8 @@ pub enum Input<'a, P> {
     /// The round this node coordinates completed as this view: its cut
     /// and fill come back in [`Out::cut`].
     Complete(&'a View),
+    /// The round this node coordinates timed out: its flushed messages go.
+    Abandon,
     /// Adopt the installed view's cut: merge the fill, deliver up to the
     /// cut (a joiner starts at it), keep receive state for the members of
     /// [`Cx::view`] only and forget the old view's books.
@@ -135,14 +137,15 @@ impl<P: Clone> Cut<P> {
     }
 }
 
-/// The output of a step. One value serves every step: the driver drains
-/// it after each.
+/// The output of a step. One value can serve every step: the driver
+/// drains the actions after each.
 #[derive(Debug)]
 pub struct Out<P> {
     /// The actions, in emission order.
     pub actions: Vec<Action<P>>,
     /// Messages skipped to close gaps no member could fill (possible only
-    /// across partition merges).
+    /// across partition merges). Steps add to it: a driver that never
+    /// resets it reads the total.
     pub forced: u64,
     /// The cut and fill an [`Input::Complete`] computed.
     pub cut: Option<Cut<P>>,
@@ -307,6 +310,7 @@ impl<P: Clone> Channel<P> {
                 out.actions.push(Action::Send(to, report));
             }
             Input::Complete(view) => out.cut = self.complete(view),
+            Input::Abandon => self.round = None,
             Input::Adopt(cut) => self.adopt(cx, cut, out),
             Input::Resume => self.resume(cx, out),
         }

@@ -258,7 +258,6 @@ pub struct GcsNode<P: Payload> {
     groups: VecMap<GroupId, GroupState<P>>,
     next_nonmember_id: u64,
     nonmember_seen: VecMap<(NodeId, u64), u64>,
-    forced_gaps: u64,
     views_installed: u64,
     /// Events produced in contexts that cannot return them directly
     /// (e.g. flush abandonment inside a tick); drained into the next batch.
@@ -282,8 +281,9 @@ pub struct GcsNode<P: Payload> {
     /// earliest instant an unsuspected peer's silence can exceed the
     /// timeout, from `last_heard` at its last run (those only grow).
     fd_due: SimTime,
-    /// The output of every channel step, drained after each: one buffer
-    /// for all of them.
+    /// The output of every channel step, its actions drained after each:
+    /// one buffer for all of them. Its forced-gap count is never reset, so
+    /// it is [`GcsNode::forced_gaps`].
     out: Out<P>,
     /// Refreshed on membership input and while a flag is raised.
     busy: Busy,
@@ -328,7 +328,6 @@ impl<P: Payload> GcsNode<P> {
             groups: VecMap::new(),
             next_nonmember_id: 1,
             nonmember_seen: VecMap::new(),
-            forced_gaps: 0,
             views_installed: 0,
             deferred_events: Vec::new(),
             tracer: None,
@@ -408,7 +407,7 @@ impl<P: Payload> GcsNode<P> {
     /// Number of messages skipped to close unrecoverable gaps (possible
     /// only across partition merges; see the module docs).
     pub fn forced_gaps(&self) -> u64 {
-        self.forced_gaps
+        self.out.forced
     }
 
     /// Number of views this node has installed across all groups.
@@ -831,8 +830,6 @@ impl<P: Payload> GcsNode<P> {
                 }),
             }
         }
-        let forced = std::mem::take(&mut self.out.forced);
-        self.forced_gaps = self.forced_gaps.saturating_add(forced);
         self.out.cut.take()
     }
 
@@ -1341,6 +1338,7 @@ impl<P: Payload> GcsNode<P> {
             }
             // Coordinator-side timeout: drop unresponsive candidates, retry.
             if retry(&self.groups[&group]) {
+                self.deliver(ctx, group, Input::Abandon, &mut Vec::new());
                 self.time_out_flush(ctx.now(), group);
             }
             // The membership election (stale foreign entries were expired

@@ -643,6 +643,7 @@ fn channel_input(d: Forge, view: &View, sent: u64) -> Input<'_, Msg> {
             was_member: mask & 0x40 != 0,
         }),
         12 => Input::Resume,
+        13 => Input::Abandon,
         _ => Input::Tick(Pass::Naks),
     }
 }
@@ -669,7 +670,7 @@ fn drive_channel(script: &[Forge]) -> Result<(), TestCaseError> {
     for (i, &d) in script.iter().enumerate() {
         let ((kind, ..), (_, b), (mask, status, shape)) = d;
         tick = match kind {
-            13 | 14 => tick.saturating_add(status.into()),
+            14 => tick.saturating_add(status.into()),
             15 if status == 0 => u64::MAX - 3,
             _ => tick,
         };
