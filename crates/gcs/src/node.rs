@@ -281,6 +281,9 @@ pub struct GcsNode<P: Payload> {
     /// earliest instant an unsuspected peer's silence can exceed the
     /// timeout, from `last_heard` at its last run (those only grow).
     fd_due: SimTime,
+    /// Whether some group's channel may hold a message (NAK work): raised
+    /// by every step that leaves one so, exact after each NAK pass.
+    naks_due: bool,
     /// The output of every channel step, its actions drained after each:
     /// one buffer for all of them. Its forced-gap count is never reset, so
     /// it is [`GcsNode::forced_gaps`].
@@ -336,6 +339,7 @@ impl<P: Payload> GcsNode<P> {
             watched: Vec::new(),
             hb_peers: Vec::new(),
             fd_due: SimTime::ZERO,
+            naks_due: false,
             out: Out::default(),
             busy: Busy::default(),
         }
@@ -760,8 +764,9 @@ impl<P: Payload> GcsNode<P> {
         if self.ticks.is_multiple_of(ACK_EVERY_TICKS) {
             self.tick_channels(ctx, delivery::Pass::Acks);
         }
-        if self.tick_channels(ctx, delivery::Pass::Naks) {
+        if std::mem::take(&mut self.naks_due) {
             ran |= Pass::Naks.bit();
+            self.tick_channels(ctx, delivery::Pass::Naks);
         }
         if busy.resends {
             ran |= Pass::Resends.bit();
@@ -819,6 +824,7 @@ impl<P: Payload> GcsNode<P> {
             round: state.mem.flush.as_ref(),
         };
         state.channel.step(self.ticks, cx, input, &mut self.out);
+        self.naks_due |= state.channel.naks_due();
         let port = self.port;
         for action in self.out.actions.drain(..) {
             match action {
@@ -1177,23 +1183,20 @@ impl<P: Payload> GcsNode<P> {
     }
 
     /// Runs a periodic pass of every group's channel: the acks, or the
-    /// NAKs of each channel that may hold a message. Returns whether a
-    /// channel was stepped.
-    fn tick_channels<M>(&mut self, ctx: &mut Context<'_, M>, pass: delivery::Pass) -> bool
+    /// NAKs of each channel that may hold a message (each step raises
+    /// [`GcsNode::naks_due`] again while its channel still may).
+    fn tick_channels<M>(&mut self, ctx: &mut Context<'_, M>, pass: delivery::Pass)
     where
         M: Payload + From<GcsPacket<P>>,
     {
-        let mut stepped = false;
         let mut resume = Bound::Unbounded;
         while let Some((&group, state)) = self.groups.range((resume, Bound::Unbounded)).next() {
             resume = Bound::Excluded(group);
             if pass == delivery::Pass::Naks && !state.channel.naks_due() {
                 continue;
             }
-            stepped = true;
             self.deliver(ctx, group, Input::Tick(pass), &mut Vec::new());
         }
-        stepped
     }
 
     /// Retransmits in-flight `Prepare`s (to candidates that have not
