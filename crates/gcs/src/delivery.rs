@@ -173,8 +173,10 @@ impl<P> RecvState<P> {
     /// `sender`'s receive state, made on its first mention (a message, a
     /// floor in an ack, a fill or a cut): delivery starts at sequence 1.
     fn of(recv: &mut VecMap<NodeId, Self>, sender: NodeId) -> &mut Self {
-        let (next, buf) = (1, VecMap::new());
-        recv.get_or_insert_with(sender, || RecvState { next, buf })
+        recv.get_or_insert_with(sender, || RecvState {
+            next: 1,
+            buf: VecMap::new(),
+        })
     }
 }
 
