@@ -325,6 +325,11 @@ impl Payload for ControlPayload {
     }
 }
 
+static VIDEO_CLASS: &str = "video";
+static VOD_CTL_CLASS: &str = "vod-ctl";
+static VOD_SYNC_CLASS: &str = "vod-sync";
+static VOD_FLOW_CLASS: &str = "vod-flow";
+
 /// The traffic classes a [`VodWire`] datagram can report as its
 /// [`Payload::class`], typed: a trace event records its class in one byte
 /// and renders it by [`TrafficClass::name`].
@@ -356,15 +361,17 @@ impl TrafficClass {
     ];
 
     /// The name [`Payload::class`] reports, the network statistics are
-    /// keyed by and the JSONL export prints.
-    pub const fn name(self) -> &'static str {
+    /// keyed by and the JSONL export prints. Each is one `static` (`gcs`'s
+    /// two are `gcs`'s own), so a name the network hands back is found by
+    /// its address.
+    pub fn name(self) -> &'static str {
         match self {
-            TrafficClass::GcsHb => "gcs-hb",
-            TrafficClass::Video => "video",
-            TrafficClass::GcsCtl => "gcs-ctl",
-            TrafficClass::VodCtl => "vod-ctl",
-            TrafficClass::VodSync => "vod-sync",
-            TrafficClass::VodFlow => "vod-flow",
+            TrafficClass::GcsHb => gcs::HB_CLASS,
+            TrafficClass::Video => VIDEO_CLASS,
+            TrafficClass::GcsCtl => gcs::CTL_CLASS,
+            TrafficClass::VodCtl => VOD_CTL_CLASS,
+            TrafficClass::VodSync => VOD_SYNC_CLASS,
+            TrafficClass::VodFlow => VOD_FLOW_CLASS,
         }
     }
 
@@ -607,7 +614,8 @@ mod tests {
         .into();
         assert_eq!(flow.class(), "vod-flow");
         // What the trace's one-byte class rests on: every name a wire
-        // message reports is a `TrafficClass`, `gcs`'s two included.
+        // message reports is a `TrafficClass`, `gcs`'s two included, and
+        // the very string its `name` returns (found by address).
         let join: VodWire = GcsPacket::JoinReq {
             group: SERVER_GROUP,
             joiner: NodeId(1),
@@ -616,7 +624,7 @@ mod tests {
         assert_eq!(join.class(), "gcs-ctl");
         for wire in [&video, &hb, &flow, &join] {
             let class = TrafficClass::from_name(wire.class()).expect("typed");
-            assert_eq!(class.name(), wire.class());
+            assert!(std::ptr::eq(class.name(), wire.class()), "{class:?}");
         }
         for class in TrafficClass::ALL {
             assert_eq!(TrafficClass::from_name(class.name()), Some(class));

@@ -44,7 +44,7 @@ use crate::config::VodConfig;
 use crate::profile::{ProfileHandle, ProfileReport};
 use crate::protocol::{ClientId, VcrCmd, VodWire};
 use crate::server::{Replica, ServerStats, VodServer};
-use crate::trace::{RunReport, SiteDef, TraceHandle, VodEvent};
+use crate::trace::{RunReport, SiteDef, TraceHandle, TraceRecorder, VodEvent};
 
 #[derive(Clone, Debug)]
 struct ClientSetup {
@@ -277,7 +277,7 @@ impl ScenarioBuilder {
             None => TraceHandle::disabled(),
         };
         if let Some(tracer) = trace.net_tracer() {
-            sim.set_tracer(tracer);
+            sim.set_tracer(TraceRecorder::keeps_delivery_of, tracer);
         }
         let profile = if self.profile_costs {
             ProfileHandle::enabled()
@@ -458,6 +458,9 @@ impl VodSim {
             }
         }
         advance(&mut self.sim, until);
+        // The sends and the deliveries the recorder does not keep end the
+        // trace by the network's clock.
+        self.trace.advance(self.sim.last_datagram_at());
     }
 
     /// Current simulated time.

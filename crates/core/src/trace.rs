@@ -486,8 +486,9 @@ fn frame_type_name(ftype: FrameType) -> &'static str {
 }
 
 /// The class of a [`VodWire`](crate::protocol::VodWire) datagram from the
-/// name the network reports: by identity with a class's own name, else
-/// (`gcs` names its two classes with literals of its own) by content.
+/// name the network reports: by identity with a class's own name (every
+/// name a `VodWire` reports is one of [`TrafficClass::name`]'s statics),
+/// else, for a name built elsewhere, by content.
 ///
 /// # Panics
 ///
@@ -938,27 +939,48 @@ impl TraceRecorder {
         self.append(at, event);
     }
 
+    /// Whether the recorder keeps the delivery of a datagram of `class`: a
+    /// video frame's, the one datagram event the fold reads. The delivery
+    /// of a control datagram (heartbeats alone are most of the traffic),
+    /// like any send, only moves the end of the trace, where the oracle
+    /// closes what is still open: nothing reads them, and the network's
+    /// statistics count them per class.
+    fn keeps_delivery(class: TrafficClass) -> bool {
+        class == TrafficClass::Video
+    }
+
+    /// [`TraceRecorder::keeps_delivery`] by the name the network reports:
+    /// what the network's tracer asks once per class, so that it hands
+    /// over no delivery the recorder would not keep.
+    pub(crate) fn keeps_delivery_of(class: &str) -> bool {
+        TrafficClass::from_name(class).is_some_and(Self::keeps_delivery)
+    }
+
+    /// Moves the end of the trace to `at`, if later, keeping nothing: the
+    /// network's clock of its last send or delivery
+    /// ([`simnet::Simulation::last_datagram_at`]) ends the trace as those
+    /// events would have had they been pushed.
+    pub(crate) fn advance(&mut self, at: SimTime) {
+        self.fold.advance(at);
+    }
+
     /// Folds in a network event, which happened at `at`, and keeps what
     /// explains the service: every event that is not a datagram's, a
-    /// datagram's drop, and a video frame's delivery. A send or the
-    /// delivery of a control datagram (heartbeats alone are most of the
-    /// traffic) only moves the end of the trace, where the oracle closes
-    /// what is still open: nothing reads them, and the network's
-    /// statistics count them per class.
+    /// datagram's drop, and a delivery [`TraceRecorder::keeps_delivery`]
+    /// keeps. Any other delivery only moves the end of the trace.
     pub(crate) fn push_net(&mut self, at: SimTime, event: &TraceEvent) {
         let event = match event {
-            TraceEvent::Sent { .. } => return self.fold.advance(at),
             &TraceEvent::Delivered {
                 sent_at,
                 from,
                 to,
                 class,
             } => {
-                if wire_class(class) != TrafficClass::Video {
+                let class = wire_class(class);
+                if !Self::keeps_delivery(class) {
                     return self.fold.advance(at);
                 }
                 self.fold.video_delivered(at, sent_at, to.node);
-                let class = TrafficClass::Video;
                 let event = VodEvent::NetDelivered {
                     sent_at,
                     from,
@@ -1115,10 +1137,19 @@ impl TraceHandle {
     }
 
     /// The network tracer that hands every [`TraceEvent`] to this handle's
-    /// recorder, if one is attached.
+    /// recorder, if one is attached; it wants the deliveries
+    /// [`TraceRecorder::keeps_delivery_of`] names.
     pub(crate) fn net_tracer(&self) -> Option<impl FnMut(SimTime, &TraceEvent) + 'static> {
         let recorder = Rc::clone(self.inner.as_ref()?);
         Some(move |at, event: &TraceEvent| recorder.borrow_mut().push_net(at, event))
+    }
+
+    /// Moves the end of the recorded trace to `at`, if later
+    /// ([`TraceRecorder::advance`]).
+    pub(crate) fn advance(&self, at: SimTime) {
+        if let Some(recorder) = &self.inner {
+            recorder.borrow_mut().advance(at);
+        }
     }
 
     /// Runs `f` against the recorder, if one is attached.
@@ -1791,11 +1822,17 @@ mod tests {
         }
     }
 
-    /// A send the ring does not keep still ends the trace, where the
-    /// oracle closes the spans still open; the report counts only what
-    /// the ring kept.
+    /// The network's tracer asks for video deliveries only. What it does
+    /// not hand over (every send and control delivery) ends the trace
+    /// through the network's clock, where the oracle closes the spans still
+    /// open; the report counts only what the ring kept.
     #[test]
-    fn a_send_is_not_kept_but_moves_the_end_of_the_trace() {
+    fn the_network_clock_ends_the_trace_and_nothing_is_kept() {
+        let asked: Vec<TrafficClass> = TrafficClass::ALL
+            .into_iter()
+            .filter(|class| TraceRecorder::keeps_delivery_of(class.name()))
+            .collect();
+        assert_eq!(asked, [TrafficClass::Video]);
         let mut rec = TraceRecorder::new(8);
         rec.push(
             t(1_000),
@@ -1807,17 +1844,23 @@ mod tests {
                 resume_frame: FrameNo(0),
             },
         );
+        rec.advance(t(2_500));
+        assert_eq!(rec.len(), 1);
+        assert_eq!(rec.latest_at(), t(2_500));
+        rec.advance(t(2_000));
+        assert_eq!(rec.latest_at(), t(2_500), "the end never moves back");
+        // A control delivery handed over anyway is not kept either.
         rec.push_net(
-            t(2_500),
-            &TraceEvent::Sent {
+            t(3_000),
+            &TraceEvent::Delivered {
+                sent_at: t(2_900),
                 from: Endpoint::new(NodeId(1), simnet::Port(2)),
                 to: Endpoint::new(NodeId(100), simnet::Port(2)),
-                class: TrafficClass::Video.name(),
-                bytes: 1_000,
+                class: TrafficClass::GcsHb.name(),
             },
         );
         assert_eq!(rec.len(), 1);
-        assert_eq!(rec.latest_at(), t(2_500));
+        assert_eq!(rec.latest_at(), t(3_000));
         assert_eq!(RunReport::from_recorder(&rec).events_seen, 1);
     }
 

@@ -6,6 +6,7 @@
 use std::time::Duration;
 
 use ftvod_core::metrics::Histogram;
+use ftvod_core::oracle::{summary_token, OracleConfig, OracleReport};
 use ftvod_core::protocol::{ClientId, VcrCmd};
 use ftvod_core::scenario::{presets, ScenarioBuilder};
 use ftvod_core::trace::DEFAULT_EVENT_CAPACITY;
@@ -176,6 +177,56 @@ fn every_vcr_command_keeps_the_trace_byte_identical() {
     assert_eq!(issued, 7, "every scripted command is traced");
     assert_eq!((jsonl.len(), jsonl.lines().count()), (110_049, 1_169));
     assert_eq!(fnv1a(jsonl.as_bytes()), 0xe174_f8f3_0491_8804);
+}
+
+/// The trace's end comes from the network's clock of its last send or
+/// delivery, which the recorder is not handed. Here the owner crashes and
+/// the run stops before the takeover, at a tick: the last kept event (a
+/// heartbeat dropped at the dead node) is 100 ms before the last datagram
+/// sent, and the oracle's verdict on the repair names where the trace
+/// ends. Every value below is the one the recorder computed when it was
+/// handed every send and every control delivery.
+#[test]
+fn sends_after_the_last_kept_event_end_the_trace() {
+    let movie = Movie::generate(
+        MovieId(1),
+        &MovieSpec::paper_default().with_duration(Duration::from_secs(60)),
+    );
+    let mut builder = ScenarioBuilder::new(26);
+    builder
+        .network(LinkProfile::lan())
+        .movie(movie, &SERVERS[..2])
+        .server(SERVERS[0])
+        .server(SERVERS[1])
+        .client(ClientId(1), NodeId(100), MovieId(1), SimTime::from_secs(2))
+        .crash_at(SimTime::from_secs(30), SERVERS[1])
+        .record_events(DEFAULT_EVENT_CAPACITY);
+    let mut sim = builder.build();
+    sim.run_until(SimTime::from_millis(30_300));
+    let (latest, last_kept, oracle) = sim
+        .trace()
+        .with_recorder(|rec| {
+            let last_kept = rec.events().last().map(|(at, _)| at);
+            let oracle = OracleReport::check(rec, &OracleConfig::paper_default());
+            (rec.latest_at(), last_kept, oracle)
+        })
+        .expect("recording enabled");
+    assert_eq!(last_kept, Some(SimTime::from_micros(30_200_433)));
+    assert_eq!(latest, SimTime::from_micros(30_300_000));
+    let report = sim.report().expect("recording enabled");
+    assert_eq!(report.events_seen, 1_045);
+    let verdicts = oracle
+        .verdicts()
+        .map(|(name, verdict)| format!("{name}={verdict:?}"));
+    let repair = "re-served-after-fault=Inconclusive(\"trace ends 9700000us before \
+                  c1's repair deadline (n2 crash at 30000000us)\")";
+    assert_eq!(verdicts[3], repair);
+    assert_eq!(summary_token(&oracle), "PASS");
+    let json = report.to_json();
+    assert_eq!(
+        (json.len(), fnv1a(json.as_bytes())),
+        (821, 0x39db_21e8_b576_7928)
+    );
 }
 
 proptest! {

@@ -180,6 +180,26 @@ impl<P> RecvState<P> {
     }
 }
 
+/// A member's last ack: its floors as the ack listed them, and what the
+/// ack passes made of them.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+struct Report {
+    floors: Vec<(NodeId, u64)>,
+    /// [`Channel::version`] when the passes last ran on this report.
+    seen: u64,
+    /// Whether the tail-gap loop then found a gap.
+    gap: bool,
+}
+
+impl Report {
+    /// The floor reported for `sender` (the last one, were it named
+    /// twice), 0 when it is not named.
+    fn floor(&self, sender: NodeId) -> u64 {
+        let named = self.floors.iter().rev().find(|(s, _)| *s == sender);
+        named.map_or(0, |&(_, floor)| floor)
+    }
+}
+
 /// The flushed freight of the round this node coordinates.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 struct Round<P> {
@@ -208,7 +228,13 @@ pub struct Channel<P> {
     send_buf: VecMap<u64, P>,
     recv: VecMap<NodeId, RecvState<P>>,
     retained: VecMap<(NodeId, u64), P>,
-    ack_floors: VecMap<NodeId, VecMap<NodeId, u64>>,
+    /// Each other member's last ack since the last adopted cut.
+    reports: VecMap<NodeId, Report>,
+    /// Counts the changes to what the ack passes read besides the reports:
+    /// the receive states and buffers, the send buffer and the view.
+    version: u64,
+    /// The view the ack passes last read.
+    view: View,
     last_nak_tick: VecMap<NodeId, u64>,
     pending: VecDeque<P>,
     round: Option<Round<P>>,
@@ -225,7 +251,9 @@ impl<P> Default for Channel<P> {
             send_buf: VecMap::new(),
             recv: VecMap::new(),
             retained: VecMap::new(),
-            ack_floors: VecMap::new(),
+            reports: VecMap::new(),
+            version: 0,
+            view: View::default(),
             last_nak_tick: VecMap::new(),
             pending: VecDeque::new(),
             round: None,
@@ -347,6 +375,7 @@ impl<P: Clone> Channel<P> {
     }
 
     fn multicast(&mut self, cx: Cx<'_>, payload: P, out: &mut Out<P>) {
+        self.version += 1;
         let seq = self.next_seq;
         // Saturating here and below: only a forged `u64::MAX` cut or
         // sequence number gets a counter this far, and it must not panic.
@@ -382,6 +411,7 @@ impl<P: Clone> Channel<P> {
         if seq < recv.next {
             return; // duplicate / already delivered
         }
+        self.version += 1;
         recv.buf.insert(seq, payload);
         // Flushing and joining nodes only buffer.
         if cx.status == GroupStatus::Member {
@@ -410,10 +440,19 @@ impl<P: Clone> Channel<P> {
         if cx.status == GroupStatus::Idle {
             return;
         }
+        if self.view != *cx.view {
+            self.view.clone_from(cx.view);
+            self.version += 1;
+        }
+        // Most acks repeat the previous report (liveness, no news).
+        if self.repeats(member, &delivered) {
+            return;
+        }
         // Tail-gap detection: if any member (in particular the sender
         // itself, whose floor equals its send horizon) has delivered
         // further than we have, the missing suffix will never be revealed
         // by a successor packet — NAK it now.
+        let mut gap = false;
         for &(sender, floor) in &delivered {
             if sender == node {
                 continue;
@@ -421,6 +460,7 @@ impl<P: Clone> Channel<P> {
             let recv = RecvState::of(&mut self.recv, sender);
             let next = recv.next;
             if floor >= next && !recv.buf.contains_key(&next) {
+                gap = true;
                 nak(
                     &mut self.last_nak_tick,
                     tick,
@@ -432,21 +472,8 @@ impl<P: Clone> Channel<P> {
                 );
             }
         }
-        // Most acks repeat the previous report (liveness, no news): the
-        // map it would rebuild is the one already held.
-        let unchanged = self.ack_floors.get(&member).is_some_and(|known| {
-            known.len() == delivered.len()
-                && known.iter().all(|(&s, &f)| delivered.contains(&(s, f)))
-        });
-        if !unchanged {
-            // In place: a changed report nearly always names the senders
-            // the last one did, so no entry moves.
-            let known = self.ack_floors.get_or_insert_with(member, VecMap::new);
-            known.retain(|sender, _| delivered.iter().any(|(s, _)| s == sender));
-            for (sender, floor) in delivered {
-                known.insert(sender, floor);
-            }
-        }
+        let (floors, seen) = (delivered, self.version);
+        self.reports.insert(member, Report { floors, seen, gap });
         // Stability only ever releases buffered messages; with none held
         // there is nothing a floor could release.
         if self.send_buf.is_empty() && self.retained.is_empty() {
@@ -458,7 +485,7 @@ impl<P: Clone> Channel<P> {
         if members.is_empty() {
             return;
         }
-        let (recv, ack_floors, own_floor) = (&self.recv, &self.ack_floors, self.next_seq - 1);
+        let (recv, reports, own_floor) = (&self.recv, &self.reports, self.next_seq - 1);
         // The highest sequence number of `sender` — this node, or one it
         // has a receive state for, which everything in `retained` came
         // through — that every member has delivered; 0 when none has.
@@ -466,10 +493,7 @@ impl<P: Clone> Channel<P> {
             let floor_at = |m: NodeId| match (m == node, sender == node) {
                 (true, true) => own_floor,
                 (true, false) => recv.get(&sender).map_or(0, |r| r.next - 1),
-                (false, _) => ack_floors
-                    .get(&m)
-                    .and_then(|f| f.get(&sender).copied())
-                    .unwrap_or(0),
+                (false, _) => reports.get(&m).map_or(0, |report| report.floor(sender)),
             };
             match members.iter().map(|&m| floor_at(m)).min() {
                 Some(floor) if floor < u64::MAX => floor,
@@ -489,6 +513,18 @@ impl<P: Clone> Channel<P> {
             };
             seq > floor
         });
+    }
+
+    /// Whether `delivered`, `member`'s ack, repeats the report the ack
+    /// passes last ran on and found no gap in, with nothing else they read
+    /// changed since (the view is compared on the way in). Then the
+    /// tail-gap loop would find no gap again, and the stability pass,
+    /// which released all the reports allowed when it last ran, would
+    /// release nothing.
+    fn repeats(&self, member: NodeId, delivered: &[(NodeId, u64)]) -> bool {
+        self.reports.get(&member).is_some_and(|report| {
+            report.seen == self.version && !report.gap && report.floors == delivered
+        })
     }
 
     fn tick_acks(&self, cx: Cx<'_>, out: &mut Out<P>) {
@@ -598,7 +634,7 @@ impl<P: Clone> Channel<P> {
         self.recv.retain(|sender, _| cx.view.contains(*sender));
         self.naks_due |= self.recv.values().any(|state| !state.buf.is_empty());
         self.retained.clear();
-        self.ack_floors.clear();
+        self.reports.clear();
         self.last_nak_tick.clear();
         if cx.round.is_none() {
             self.round = None;

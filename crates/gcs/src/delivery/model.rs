@@ -14,10 +14,18 @@
 //!
 //! Once the network is reliable again, every member has delivered every
 //! member's multicasts and holds nothing.
+//!
+//! Beside each channel runs a shadow fed the same inputs that never takes
+//! the fast path of a repeated ack: after every step both did the same and
+//! hold the same. A second property does the same under forged inputs the
+//! model's world never makes (floors above anything sent, cuts adopted
+//! again in the same view, views changed without a cut). Both count the
+//! acks whose passes were skipped, and each asserts it met some.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 
 use super::*;
 
@@ -29,6 +37,9 @@ const G: GroupId = GroupId(5);
 /// One member: its channel and what the model knows of it.
 struct Member {
     ch: Channel<Msg>,
+    /// The same channel, stepped with the same inputs, never skipping the
+    /// passes of a repeated ack.
+    shadow: Channel<Msg>,
     status: GroupStatus,
     /// Per sender, how many of its messages the member delivered; its
     /// own, how many it multicast (it delivers them at once).
@@ -47,6 +58,8 @@ struct World {
     /// Datagrams in flight: `(from, to, packet)`.
     net: Vec<(NodeId, NodeId, GcsPacket<Msg>)>,
     tick: u64,
+    /// Acks that skipped both passes.
+    skips: u64,
 }
 
 impl World {
@@ -54,6 +67,7 @@ impl World {
         let ids: Vec<NodeId> = (1..=size).map(NodeId).collect();
         let member = || Member {
             ch: Channel::default(),
+            shadow: Channel::default(),
             status: GroupStatus::Member,
             delivered: BTreeMap::new(),
             reports: BTreeMap::new(),
@@ -64,6 +78,7 @@ impl World {
             members: ids.iter().map(|&id| (id, member())).collect(),
             net: Vec::new(),
             tick: 2,
+            skips: 0,
         }
     }
 
@@ -90,8 +105,8 @@ impl World {
             view: &self.view,
             round,
         };
-        let mut out = Out::default();
-        member.ch.step(self.tick, cx, input, &mut out);
+        let (out, skipped) = step_twice(&mut member.ch, &mut member.shadow, self.tick, cx, input)?;
+        self.skips += u64::from(skipped);
         prop_assert_eq!(out.forced, 0, "{:?} forced a gap closed", id);
         for action in out.actions {
             match action {
@@ -275,14 +290,187 @@ impl World {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+/// Steps `ch` and `shadow` with `input`, the shadow on the full path
+/// whatever the input; checks that both did and hold the same, and says
+/// whether `ch` skipped the passes of a repeated ack.
+fn step_twice(
+    ch: &mut Channel<Msg>,
+    shadow: &mut Channel<Msg>,
+    tick: u64,
+    cx: Cx<'_>,
+    input: Input<'_, Msg>,
+) -> Result<(Out<Msg>, bool), TestCaseError> {
+    let skipped = match &input {
+        Input::Packet(from, GcsPacket::Ack { delivered, .. }) => {
+            cx.status != GroupStatus::Idle && ch.view == *cx.view && ch.repeats(*from, delivered)
+        }
+        _ => false,
+    };
+    let (mut out, mut full) = (Out::default(), Out::default());
+    ch.step(tick, cx, input.clone(), &mut out);
+    // A version the shadow's reports were not stamped with: none repeats.
+    shadow.version += 1;
+    shadow.step(tick, cx, input, &mut full);
+    prop_assert_eq!(&out.actions, &full.actions, "skipped: {}", skipped);
+    prop_assert_eq!((out.forced, &out.cut), (full.forced, &full.cut));
+    prop_assert_eq!(books(ch), books(shadow), "skipped: {}", skipped);
+    Ok((out, skipped))
+}
 
-    #[test]
-    fn channels_deliver_fifo_view_synchronously_and_hold_only_the_unstable(
-        size in 2u32..5,
-        script in prop::collection::vec((0u8..40, 0usize..4, 0usize..1024), 1..240),
-    ) {
-        World::new(size).run(&script)?;
+/// What a channel and its shadow must agree on: all of it but the fast
+/// path's own bookkeeping (the version and what the reports were stamped
+/// with).
+fn books(ch: &Channel<Msg>) -> Channel<Msg> {
+    let mut books = ch.clone();
+    books.version = 0;
+    for report in books.reports.values_mut() {
+        report.seen = 0;
     }
+    books
+}
+
+/// Runs `run` on `cases` inputs drawn from `strategy` as `proptest!` draws
+/// them for a property named `name`, and returns the sum of the counts it
+/// returns: a property whose every case passes and that must not be
+/// vacuous over all of them.
+fn counted<S: Strategy>(
+    name: &str,
+    cases: u32,
+    strategy: S,
+    mut run: impl FnMut(S::Value) -> Result<u64, TestCaseError>,
+) -> u64 {
+    let mut total = 0;
+    for case in 0..cases {
+        let input = strategy.generate(&mut TestRng::for_case(name, case));
+        match run(input) {
+            Ok(count) => total += count,
+            Err(e) => panic!("property '{name}' failed at case {case}/{cases}: {e}"),
+        }
+    }
+    total
+}
+
+#[test]
+fn channels_deliver_fifo_view_synchronously_and_hold_only_the_unstable() {
+    let script = prop::collection::vec((0u8..40, 0usize..4, 0usize..1024), 1..240);
+    let skips = counted("model", 256, (2u32..5, script), |(size, script)| {
+        let mut world = World::new(size);
+        world.run(&script)?;
+        Ok(world.skips)
+    });
+    assert!(skips > 0, "no repeated ack skipped the passes");
+}
+
+/// The channel of [`ME`] and its shadow, fed forged steps `(kind, who, a,
+/// mask)`: acks (the peer's last one again, or new floors, any of them
+/// above what was sent), messages past gaps, multicasts, both passes,
+/// cuts adopted in a new view or again in the same one, views changed
+/// without a cut, and the status flipping between member and flushing
+/// (which only buffers). Returns the acks that skipped the passes.
+fn forged(script: &[(u8, u8, u8, u8)]) -> Result<u64, TestCaseError> {
+    const ME: NodeId = NodeId(1);
+    let ids = [ME, NodeId(2), NodeId(3), NodeId(4)];
+    let (mut ch, mut shadow) = (Channel::default(), Channel::default());
+    let mut view = View::new(ViewId::default(), ids.to_vec());
+    let mut status = GroupStatus::Member;
+    let mut last: BTreeMap<NodeId, Vec<(NodeId, u64)>> = BTreeMap::new();
+    let (mut tick, mut sent, mut skips) = (2, 0, 0);
+    for &(kind, who, a, mask) in script {
+        let peer = ids[1 + usize::from(who) % 3];
+        let chosen = ids.iter().enumerate().filter(|(k, _)| mask & (1 << k) != 0);
+        let floors: Vec<(NodeId, u64)> = chosen
+            .map(|(k, &id)| (id, u64::from(a.wrapping_add(k as u8) % 8)))
+            .collect();
+        let new_view = |epoch: u8| {
+            let members = ids
+                .iter()
+                .enumerate()
+                .filter(|(k, _)| *k == 0 || mask & (16 << k) != 0);
+            let vid = ViewId {
+                epoch: u64::from(epoch),
+                coordinator: ME,
+            };
+            View::new(vid, members.map(|(_, &id)| id).collect())
+        };
+        let input = match kind {
+            0..=3 => {
+                let again = last.get(&peer).filter(|_| kind < 3).cloned();
+                let delivered = again.unwrap_or(floors);
+                last.insert(peer, delivered.clone());
+                Input::Packet(
+                    peer,
+                    GcsPacket::Ack {
+                        group: G,
+                        delivered,
+                    },
+                )
+            }
+            4 => {
+                let seq = 1 + u64::from(a % 6);
+                let (group, origin, payload) = (G, peer, (peer, seq));
+                Input::Packet(
+                    peer,
+                    GcsPacket::AppMsg {
+                        group,
+                        origin,
+                        seq,
+                        payload,
+                    },
+                )
+            }
+            5 => {
+                sent += 1;
+                Input::Multicast((ME, sent))
+            }
+            6 => {
+                tick += 1;
+                Input::Tick(if mask & 1 == 0 {
+                    Pass::Acks
+                } else {
+                    Pass::Naks
+                })
+            }
+            7 => {
+                if a % 2 == 0 {
+                    view = new_view(a);
+                }
+                let fill = floors.iter().map(|&(s, q)| (s, q, (s, q))).collect();
+                let was_member = mask & 0x80 != 0;
+                let cut = floors;
+                Input::Adopt(Cut {
+                    cut,
+                    fill,
+                    was_member,
+                })
+            }
+            8 => {
+                view = new_view(a);
+                continue;
+            }
+            _ => {
+                status = match status {
+                    GroupStatus::Member => GroupStatus::Flushing,
+                    _ => GroupStatus::Member,
+                };
+                continue;
+            }
+        };
+        let cx = Cx {
+            me: ME,
+            group: G,
+            status,
+            view: &view,
+            round: None,
+        };
+        let (_, skipped) = step_twice(&mut ch, &mut shadow, tick, cx, input)?;
+        skips += u64::from(skipped);
+    }
+    Ok(skips)
+}
+
+#[test]
+fn a_repeated_ack_skips_only_passes_that_would_do_nothing() {
+    let script = prop::collection::vec((0u8..10, 0u8..3, 0u8..8, 0u8..=255), 1..200);
+    let skips = counted("forged", 512, script, |script| forged(&script));
+    assert!(skips > 0, "no repeated ack skipped the passes");
 }

@@ -118,7 +118,7 @@ pub mod proto;
 mod types;
 
 pub use node::{GcsNode, GcsTrace, NotMemberError};
-pub use packet::{GcsPacket, HEADER_BYTES};
+pub use packet::{GcsPacket, CTL_CLASS, HB_CLASS, HEADER_BYTES};
 pub use proto::GroupStatus;
 pub use types::{
     GcsConfig, GcsEvent, GroupId, View, ViewId, ACK_EVERY_TICKS, FLUSH_TIMEOUT_TICKS,

@@ -215,6 +215,52 @@ impl Pass {
     }
 }
 
+impl<P: Clone> GroupState<P> {
+    /// Steps the channel with `input`, its context read from the
+    /// membership; the actions are left in `out`.
+    fn step_channel(
+        &mut self,
+        me: NodeId,
+        group: GroupId,
+        tick: u64,
+        input: Input<'_, P>,
+        out: &mut Out<P>,
+    ) {
+        let mem = &self.mem;
+        let cx = Cx {
+            me,
+            group,
+            status: mem.status,
+            view: &mem.view,
+            round: mem.flush.as_ref(),
+        };
+        self.channel.step(tick, cx, input, out);
+    }
+}
+
+/// Carries out the actions a step of `group`'s channel left in `out`, in
+/// emission order; deliveries join `events`.
+fn carry_out_channel<P, M>(
+    ctx: &mut Context<'_, M>,
+    port: Port,
+    group: GroupId,
+    out: &mut Out<P>,
+    events: &mut Vec<GcsEvent<P>>,
+) where
+    M: Payload + From<GcsPacket<P>>,
+{
+    for action in out.actions.drain(..) {
+        match action {
+            Action::Send(to, pkt) => ctx.send(port, Endpoint::new(to, port), M::from(pkt)),
+            Action::Deliver(sender, payload) => events.push(GcsEvent::Deliver {
+                group,
+                sender,
+                payload,
+            }),
+        }
+    }
+}
+
 impl<P> GroupState<P> {
     fn new() -> Self {
         GroupState {
@@ -816,26 +862,9 @@ impl<P: Payload> GcsNode<P> {
         M: Payload + From<GcsPacket<P>>,
     {
         let state = self.groups.get_mut(&group)?;
-        let cx = Cx {
-            me: self.node,
-            group,
-            status: state.mem.status,
-            view: &state.mem.view,
-            round: state.mem.flush.as_ref(),
-        };
-        state.channel.step(self.ticks, cx, input, &mut self.out);
+        state.step_channel(self.node, group, self.ticks, input, &mut self.out);
         self.naks_due |= state.channel.naks_due();
-        let port = self.port;
-        for action in self.out.actions.drain(..) {
-            match action {
-                Action::Send(to, pkt) => ctx.send(port, Endpoint::new(to, port), M::from(pkt)),
-                Action::Deliver(sender, payload) => events.push(GcsEvent::Deliver {
-                    group,
-                    sender,
-                    payload,
-                }),
-            }
-        }
+        carry_out_channel(ctx, self.port, group, &mut self.out, events);
         self.out.cut.take()
     }
 
@@ -1189,13 +1218,22 @@ impl<P: Payload> GcsNode<P> {
     where
         M: Payload + From<GcsPacket<P>>,
     {
-        let mut resume = Bound::Unbounded;
-        while let Some((&group, state)) = self.groups.range((resume, Bound::Unbounded)).next() {
-            resume = Bound::Excluded(group);
-            if pass == delivery::Pass::Naks && !state.channel.naks_due() {
+        let (node, ticks, port) = (self.node, self.ticks, self.port);
+        for (&group, state) in self.groups.iter_mut() {
+            let idle = match pass {
+                // Only a member of a view with others acks.
+                delivery::Pass::Acks => {
+                    state.mem.status != GroupStatus::Member || state.mem.view.len() <= 1
+                }
+                delivery::Pass::Naks => !state.channel.naks_due(),
+            };
+            if idle {
                 continue;
             }
-            self.deliver(ctx, group, Input::Tick(pass), &mut Vec::new());
+            state.step_channel(node, group, ticks, Input::Tick(pass), &mut self.out);
+            self.naks_due |= state.channel.naks_due();
+            // A pass only sends.
+            carry_out_channel(ctx, port, group, &mut self.out, &mut Vec::new());
         }
     }
 

@@ -379,9 +379,12 @@ fn run(seed: u64, every_pass: bool) -> (Vec<Log>, Vec<String>) {
     let mut sim: Simulation<Wire> = Simulation::new(seed);
     sim.set_default_profile(LinkProfile::lan());
     let sink = Rc::clone(&wire);
-    sim.set_tracer(move |at: SimTime, event: &TraceEvent| {
-        sink.borrow_mut().push(format!("{at:?} {event:?}"));
-    });
+    sim.set_tracer(
+        |_| true,
+        move |at: SimTime, event: &TraceEvent| {
+            sink.borrow_mut().push(format!("{at:?} {event:?}"));
+        },
+    );
     for (&id, log) in ids.iter().zip(&logs) {
         sim.add_node(id, Node::new(id, every_pass, config.clone(), log));
     }

@@ -12,6 +12,15 @@ use crate::types::{GroupId, View, ViewId};
 /// Nominal UDP/IP header overhead added to every packet's size estimate.
 pub const HEADER_BYTES: usize = 28;
 
+/// The [`Payload::class`] of GCS liveness: heartbeats, acks and announces.
+/// A `static`, so that every packet names its class by one address and an
+/// embedding that names the class by this same value finds it by identity.
+pub static HB_CLASS: &str = "gcs-hb";
+
+/// The [`Payload::class`] of GCS membership and retransmission control (a
+/// `static` like [`HB_CLASS`]).
+pub static CTL_CLASS: &str = "gcs-ctl";
+
 /// A packet of the group communication protocol, generic over the
 /// application payload `P`.
 #[derive(Clone, Debug, PartialEq)]
@@ -160,11 +169,11 @@ impl<P: Payload> Payload for GcsPacket<P> {
 
     fn class(&self) -> &'static str {
         match self {
-            GcsPacket::Heartbeat | GcsPacket::Ack { .. } | GcsPacket::Announce { .. } => "gcs-hb",
+            GcsPacket::Heartbeat | GcsPacket::Ack { .. } | GcsPacket::Announce { .. } => HB_CLASS,
             GcsPacket::AppMsg { payload, .. } | GcsPacket::NonMemberSend { payload, .. } => {
                 payload.class()
             }
-            _ => "gcs-ctl",
+            _ => CTL_CLASS,
         }
     }
 }

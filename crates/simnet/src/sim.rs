@@ -43,20 +43,14 @@ impl DropReason {
 /// A structured observability event, delivered with the simulated time it
 /// happened at to the tracer installed with [`Simulation::set_tracer`].
 /// Tracing is entirely passive: it cannot affect the run.
+///
+/// A send is not an event: [`NetStats`] counts sends per class, and
+/// [`Simulation::last_datagram_at`] is the time of the last send or
+/// delivery, traced or not.
 #[derive(Clone, Debug)]
 pub enum TraceEvent {
-    /// A datagram was submitted to the network.
-    Sent {
-        /// Source endpoint.
-        from: Endpoint,
-        /// Destination endpoint.
-        to: Endpoint,
-        /// Traffic class of the payload.
-        class: &'static str,
-        /// Payload size in bytes.
-        bytes: usize,
-    },
-    /// A datagram reached a live destination process.
+    /// A datagram of a class the tracer asked for reached a live
+    /// destination process.
     Delivered {
         /// Simulated time at which the datagram was submitted to the
         /// network (so the delivery time minus `sent_at` is the end-to-end
@@ -240,6 +234,10 @@ struct EventQueue {
     heap: BinaryHeap<Reverse<u128>>,
     calendar: Calendar,
     lanes: [VecDeque<u128>; LANES],
+    /// Each lane's front, [`NO_KEY`] for an empty lane: inline, so that
+    /// finding the least head after a pop reads one array instead of the
+    /// fronts of eight deques.
+    heads: [u128; LANES],
     /// The delay in microseconds each lane is bound to; [`UNBOUND`] from
     /// `bound` on.
     delays: [u64; LANES],
@@ -276,6 +274,7 @@ impl EventQueue {
             heap: BinaryHeap::new(),
             calendar: Calendar::new(),
             lanes: Default::default(),
+            heads: [NO_KEY; LANES],
             delays: [UNBOUND; LANES],
             bound: 0,
             unmatched: UNBOUND,
@@ -371,8 +370,11 @@ impl EventQueue {
         };
         let keys = &mut self.lanes[lane];
         debug_assert!(keys.back().is_none_or(|&tail| tail < key));
-        if keys.is_empty() && key < self.least {
-            (self.least, self.least_lane) = (key, lane);
+        if keys.is_empty() {
+            self.heads[lane] = key;
+            if key < self.least {
+                (self.least, self.least_lane) = (key, lane);
+            }
         }
         keys.push_back(key);
     }
@@ -383,14 +385,16 @@ impl EventQueue {
         let key = if self.calendar.least < self.least.min(heap) {
             self.calendar.pop()
         } else if self.least < heap {
-            let key = self.lanes[self.least_lane].pop_front();
+            let keys = &mut self.lanes[self.least_lane];
+            let key = keys.pop_front().expect("the cached head is queued");
+            self.heads[self.least_lane] = keys.front().copied().unwrap_or(NO_KEY);
             (self.least, self.least_lane) = (NO_KEY, 0);
-            for (lane, keys) in self.lanes.iter().enumerate() {
-                if let Some(&head) = keys.front().filter(|&&head| head < self.least) {
+            for (lane, &head) in self.heads.iter().enumerate() {
+                if head < self.least {
                     (self.least, self.least_lane) = (head, lane);
                 }
             }
-            key.expect("the cached head is queued")
+            key
         } else {
             self.heap.pop()?.0
         };
@@ -598,6 +602,8 @@ pub struct Simulation<M: Payload> {
     stats: NetStats,
     effects: Vec<Effect>,
     tracer: Option<Tracer>,
+    /// When a datagram was last sent or delivered.
+    last_datagram_at: SimTime,
     /// Hot-path cost accounting; `None` (the default) means every
     /// profiling update in the engine is skipped entirely.
     profile: Option<SimProfile>,
@@ -626,6 +632,7 @@ impl<M: Payload> Simulation<M> {
             stats: NetStats::new(),
             effects: Vec::new(),
             tracer: None,
+            last_datagram_at: SimTime::ZERO,
             profile: None,
         }
     }
@@ -645,11 +652,24 @@ impl<M: Payload> Simulation<M> {
     }
 
     /// Installs a tracer receiving the current time and a [`TraceEvent`]
-    /// for every send, delivery, drop, boot and crash. Pass a closure
-    /// appending to a log, printing, or counting — tracing is passive and
-    /// does not perturb the run.
-    pub fn set_tracer(&mut self, tracer: impl FnMut(SimTime, &TraceEvent) + 'static) {
+    /// for every drop, boot, crash and fault, and for every delivery of a
+    /// class `delivered` names ([`Payload::class`]; asked once per class).
+    /// Pass a closure appending to a log, printing, or counting — tracing
+    /// is passive and does not perturb the run.
+    pub fn set_tracer(
+        &mut self,
+        delivered: fn(&str) -> bool,
+        tracer: impl FnMut(SimTime, &TraceEvent) + 'static,
+    ) {
+        self.stats.trace_deliveries(delivered);
         self.tracer = Some(Box::new(tracer));
+    }
+
+    /// The time of the last datagram sent or delivered (time zero before
+    /// the first): where a trace that keeps no send and only some
+    /// deliveries would have ended had it kept them all.
+    pub fn last_datagram_at(&self) -> SimTime {
+        self.last_datagram_at
     }
 
     /// Hands the tracer the current time and the event `make` builds;
@@ -989,9 +1009,12 @@ impl<M: Payload> Simulation<M> {
                 sent_at,
             }) => {
                 self.count(|p| p.deliver_events += 1);
+                self.last_datagram_at = at;
                 let class = msg.class();
-                if !self.is_alive(to.node) {
-                    self.stats.class_mut(class).dropped_dead += 1;
+                let alive = self.is_alive(to.node);
+                let (counters, traced) = self.stats.row(class);
+                if !alive {
+                    counters.dropped_dead += 1;
                     self.trace(|| TraceEvent::Dropped {
                         from,
                         to,
@@ -1000,13 +1023,15 @@ impl<M: Payload> Simulation<M> {
                     });
                     return;
                 }
-                self.stats.class_mut(class).delivered_msgs += 1;
-                self.trace(|| TraceEvent::Delivered {
-                    sent_at,
-                    from,
-                    to,
-                    class,
-                });
+                counters.delivered_msgs += 1;
+                if traced {
+                    self.trace(|| TraceEvent::Delivered {
+                        sent_at,
+                        from,
+                        to,
+                        class,
+                    });
+                }
                 self.run_handler(to.node, |process, ctx| {
                     process.on_datagram(ctx, from, to, msg);
                 });
@@ -1166,12 +1191,7 @@ impl<M: Payload> Simulation<M> {
             counters.sent_bytes += size as u64;
         }
         let at = self.now;
-        self.trace(|| TraceEvent::Sent {
-            from,
-            to,
-            class,
-            bytes: size,
-        });
+        self.last_datagram_at = at;
         let link = (from.node, to.node);
         if !self.blocked.is_empty() && self.blocked.contains_key(&link) {
             self.stats.class_mut(class).dropped_partition += 1;
@@ -1699,6 +1719,16 @@ mod tests {
         (key != NO_KEY).then_some((source, key, tied))
     }
 
+    /// Whether every inline lane head is its lane's front.
+    fn heads_are_fronts(queue: &EventQueue) -> bool {
+        let front = |keys: &VecDeque<u128>| keys.front().copied().unwrap_or(NO_KEY);
+        queue
+            .heads
+            .iter()
+            .copied()
+            .eq(queue.lanes.iter().map(front))
+    }
+
     /// What the next `step` will pop: its source, the id of the timer it
     /// is if it is one, whether it is a datagram, and whether another
     /// source's head shares its instant.
@@ -1781,6 +1811,7 @@ mod tests {
                 });
                 let expected = model.handle(node, Seen::Invoked);
                 assert_eq!(invoked.is_some(), expected, "seed {seed}, step {steps}");
+                assert!(heads_are_fronts(&sim.queue), "seed {seed}, step {steps}");
             }
             assert_eq!(
                 sim.next_event_at(),
@@ -1800,6 +1831,7 @@ mod tests {
             }
             let (stepped, expected) = (sim.step(), model.step());
             assert_eq!(stepped, expected, "seed {seed}, step {steps}");
+            assert!(heads_are_fronts(&sim.queue), "seed {seed}, step {steps}");
             assert_eq!(
                 log.borrow().last(),
                 model.log.last(),
@@ -1967,6 +1999,7 @@ mod tests {
                     popped_from[source as usize] += 1;
                 }
                 prop_assert_eq!(queue.len(), pending.len());
+                prop_assert!(heads_are_fronts(queue));
                 Ok(())
             };
             let mut cell = 0;
@@ -1980,6 +2013,7 @@ mod tests {
                     }
                     cell += 1;
                     prop_assert_eq!(queue.len(), pending.len());
+                    prop_assert!(heads_are_fronts(&queue));
                 }
                 for _ in 0..pops {
                     pop(&mut queue, &mut pending, &mut now)?;
@@ -2052,6 +2086,7 @@ mod tests {
                 }
             }
             assert_eq!(queue.len(), pending.len(), "op {ops}");
+            assert!(heads_are_fronts(&queue), "op {ops}");
         }
         assert!(popped_from.iter().all(|&n| n > 10_000), "{popped_from:?}");
         assert!(

@@ -33,9 +33,15 @@ pub struct ClassStats {
 /// lookup is a scan comparing string *addresses*; contents are compared
 /// only when no address matches (a new class, a non-`'static` query, or
 /// the same name reaching us from two literals).
+///
+/// Each row also caches whether the installed tracer asked to see the
+/// class's deliveries ([`Simulation::set_tracer`](crate::Simulation::set_tracer)):
+/// the lookup every datagram already makes answers that too.
 #[derive(Clone, Debug, Default)]
 pub struct NetStats {
-    classes: Vec<(&'static str, ClassStats)>,
+    classes: Vec<(&'static str, ClassStats, bool)>,
+    /// The tracer's answer for a class, asked once per row.
+    traced: Option<fn(&str) -> bool>,
 }
 
 impl NetStats {
@@ -45,42 +51,60 @@ impl NetStats {
     }
 
     pub(crate) fn class_mut(&mut self, class: &'static str) -> &mut ClassStats {
-        let same_literal = |(name, _): &(&'static str, ClassStats)| {
+        self.row(class).0
+    }
+
+    /// The counters of `class`, and whether the tracer sees its
+    /// deliveries.
+    pub(crate) fn row(&mut self, class: &'static str) -> (&mut ClassStats, bool) {
+        let same_literal = |(name, ..): &(&'static str, ClassStats, bool)| {
             std::ptr::eq(name.as_ptr(), class.as_ptr()) && name.len() == class.len()
         };
         let index = match self.classes.iter().position(same_literal) {
             Some(index) => index,
-            None => match self.classes.binary_search_by(|(name, _)| name.cmp(&class)) {
+            None => match self.classes.binary_search_by(|(name, ..)| name.cmp(&class)) {
                 Ok(index) => index,
                 Err(index) => {
-                    self.classes.insert(index, (class, ClassStats::default()));
+                    let traced = self.traced.is_some_and(|wants| wants(class));
+                    self.classes
+                        .insert(index, (class, ClassStats::default(), traced));
                     index
                 }
             },
         };
-        &mut self.classes[index].1
+        let (_, counters, traced) = &mut self.classes[index];
+        (counters, *traced)
+    }
+
+    /// Asks `wants` which classes' deliveries the tracer sees, now for
+    /// the classes already counted and later for each new one.
+    pub(crate) fn trace_deliveries(&mut self, wants: fn(&str) -> bool) {
+        self.traced = Some(wants);
+        for (name, _, traced) in &mut self.classes {
+            *traced = wants(name);
+        }
     }
 
     /// Counters for `class`, or zeroed counters if the class never sent.
     pub fn class(&self, class: &str) -> ClassStats {
         self.classes
-            .binary_search_by(|(name, _)| (*name).cmp(class))
+            .binary_search_by(|(name, ..)| (*name).cmp(class))
             .map_or_else(|_| ClassStats::default(), |index| self.classes[index].1)
     }
 
     /// Iterates over `(class, counters)` pairs in class-name order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, &ClassStats)> {
-        self.classes.iter().map(|(k, v)| (*k, v))
+        self.classes.iter().map(|(k, v, _)| (*k, v))
     }
 
     /// Total bytes submitted across all classes.
     pub fn total_sent_bytes(&self) -> u64 {
-        self.classes.iter().map(|(_, c)| c.sent_bytes).sum()
+        self.classes.iter().map(|(_, c, _)| c.sent_bytes).sum()
     }
 
     /// Total datagrams submitted across all classes.
     pub fn total_sent_msgs(&self) -> u64 {
-        self.classes.iter().map(|(_, c)| c.sent_msgs).sum()
+        self.classes.iter().map(|(_, c, _)| c.sent_msgs).sum()
     }
 
     /// Renders all counters as CSV, one row per class, with the drop count
@@ -192,6 +216,18 @@ mod tests {
             .map(|row| row.split(',').next().unwrap())
             .collect();
         assert_eq!(names, ["gcs", "sync", "video"]);
+    }
+
+    #[test]
+    fn the_tracer_is_asked_about_each_class_once_whenever_it_came() {
+        let mut stats = NetStats::new();
+        stats.class_mut("video").sent_msgs = 1;
+        assert!(!stats.row("video").1, "no tracer, nothing traced");
+        stats.trace_deliveries(|class| class == "video" || class == "sync");
+        assert!(stats.row("video").1, "a class counted before it came");
+        assert!(stats.row("sync").1, "a class counted after it came");
+        assert!(!stats.row("gcs").1);
+        assert_eq!(stats.class("video").sent_msgs, 1);
     }
 
     #[test]

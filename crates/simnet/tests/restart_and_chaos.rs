@@ -91,11 +91,14 @@ fn restart_is_traced_distinctly_from_first_boot() {
     let log: Rc<RefCell<Vec<(&'static str, NodeId)>>> = Rc::default();
     let sink = Rc::clone(&log);
     let mut sim = stream_sim(LinkProfile::ideal(), 30, 1000);
-    sim.set_tracer(move |_, event| match event {
-        TraceEvent::NodeStarted { node, .. } => sink.borrow_mut().push(("started", *node)),
-        TraceEvent::NodeRestarted { node, .. } => sink.borrow_mut().push(("restarted", *node)),
-        _ => {}
-    });
+    sim.set_tracer(
+        |_| false,
+        move |_, event| match event {
+            TraceEvent::NodeStarted { node, .. } => sink.borrow_mut().push(("started", *node)),
+            TraceEvent::NodeRestarted { node, .. } => sink.borrow_mut().push(("restarted", *node)),
+            _ => {}
+        },
+    );
     sim.crash_at(SimTime::from_secs(1), NodeId(2));
     sim.restart_at(SimTime::from_secs(3), NodeId(2), Sink::default());
     sim.run_until(SimTime::from_secs(6));

@@ -496,44 +496,87 @@ fn per_link_override_beats_default() {
     assert_eq!(sim.stats().class("blob").dropped_loss, 10);
 }
 
+/// The tracer sees every boot, crash and drop, and the deliveries of the
+/// classes it asked for; a send is no event. Every traced class conserves
+/// against the network's counters, and a tracer that asks for no class
+/// sees the same run without its deliveries.
 #[test]
 fn tracer_observes_the_whole_lifecycle() {
     use simnet::{DropReason, TraceEvent};
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    let log: Rc<RefCell<Vec<String>>> = Rc::default();
-    let sink = Rc::clone(&log);
-    let mut sim = stream_sim(LinkProfile::ideal().with_loss(0.5), 20, 50);
-    sim.set_tracer(move |_, event| {
-        let tag = match event {
-            TraceEvent::Sent { .. } => "sent",
-            TraceEvent::Delivered { .. } => "delivered",
-            TraceEvent::Dropped {
-                reason: DropReason::Loss,
-                ..
-            } => "lost",
-            TraceEvent::Dropped { .. } => "dropped",
-            TraceEvent::NodeStarted { .. } => "started",
-            TraceEvent::NodeCrashed { .. } => "crashed",
-            TraceEvent::NodeRestarted { .. } => "restarted",
-            TraceEvent::Partitioned { .. } => "partitioned",
-            TraceEvent::Healed { .. } => "healed",
-            TraceEvent::LinkOverride { .. } => "link-override",
-        };
-        sink.borrow_mut().push(tag.to_owned());
-    });
+    let run = |delivered: fn(&str) -> bool| {
+        let log: Rc<RefCell<Vec<String>>> = Rc::default();
+        let sink = Rc::clone(&log);
+        let mut sim = stream_sim(LinkProfile::ideal().with_loss(0.5), 20, 50);
+        sim.set_tracer(delivered, move |_, event| {
+            let tag = match event {
+                TraceEvent::Delivered { .. } => "delivered",
+                TraceEvent::Dropped {
+                    reason: DropReason::Loss,
+                    ..
+                } => "lost",
+                TraceEvent::Dropped { .. } => "dropped",
+                TraceEvent::NodeStarted { .. } => "started",
+                TraceEvent::NodeCrashed { .. } => "crashed",
+                TraceEvent::NodeRestarted { .. } => "restarted",
+                TraceEvent::Partitioned { .. } => "partitioned",
+                TraceEvent::Healed { .. } => "healed",
+                TraceEvent::LinkOverride { .. } => "link-override",
+            };
+            sink.borrow_mut().push(tag.to_owned());
+        });
+        sim.crash_at(SimTime::from_secs(2), NodeId(2));
+        sim.run_until(SimTime::from_secs(3));
+        let log = log.borrow().clone();
+        (log, sim.stats().class("blob"))
+    };
+    let (log, stats) = run(|class| class == "blob");
+    let count = |log: &[String], tag: &str| log.iter().filter(|t| *t == tag).count() as u64;
+    assert_eq!(count(&log, "started"), 2, "both nodes boot");
+    assert_eq!(count(&log, "crashed"), 1);
+    assert!(count(&log, "lost") > 5, "loss model traced");
+    assert!(count(&log, "delivered") > 5);
+    // Conservation mirrors the stats counters: every send was delivered
+    // or lost, and the tracer saw each delivery and each loss.
+    assert_eq!(stats.sent_msgs, 50, "every send counted");
+    assert_eq!(count(&log, "delivered"), stats.delivered_msgs);
+    assert_eq!(count(&log, "lost"), stats.dropped_loss);
+    assert_eq!(stats.delivered_msgs + stats.dropped_loss, stats.sent_msgs);
+    // Asking for no class drops the deliveries from the trace and nothing
+    // else from the run.
+    let (quiet, same) = run(|_| false);
+    let kept: Vec<&String> = log.iter().filter(|t| *t != "delivered").collect();
+    assert_eq!(quiet.iter().collect::<Vec<_>>(), kept);
+    assert_eq!(same, stats);
+}
+
+/// The end clock is the time of the last datagram sent or delivered,
+/// traced or not: not that of a timer that sends nothing, nor the time a
+/// run stops at.
+#[test]
+fn the_datagram_clock_follows_sends_and_deliveries_not_timers() {
+    let profile = LinkProfile::ideal().with_base_delay(Duration::from_millis(3));
+    let mut sim = stream_sim(profile, 4, 5);
+    assert_eq!(sim.last_datagram_at(), SimTime::ZERO);
+    // Sent at 10, 20 and 30 ms; the first two delivered at 13 and 23 ms.
+    sim.run_until(SimTime::from_millis(30));
+    assert_eq!(sim.last_datagram_at(), SimTime::from_millis(30));
+    sim.run_until(SimTime::from_millis(31));
+    assert_eq!(sim.last_datagram_at(), SimTime::from_millis(30));
+    // The last send, at 50 ms, is delivered at 53 ms; the streamer's last
+    // timer fires at 60 ms and sends nothing.
+    sim.run_until(SimTime::from_secs(1));
+    assert_eq!(sim.last_datagram_at(), SimTime::from_millis(53));
+    assert_eq!(sim.now(), SimTime::from_secs(1));
+    // A datagram that finds its destination crashed moves it too.
     sim.crash_at(SimTime::from_secs(2), NodeId(2));
-    sim.run_until(SimTime::from_secs(3));
-    let log = log.borrow();
-    let count = |tag: &str| log.iter().filter(|t| *t == tag).count();
-    assert_eq!(count("started"), 2, "both nodes boot");
-    assert_eq!(count("crashed"), 1);
-    assert!(count("sent") >= 50, "every send traced");
-    assert!(count("lost") > 5, "loss model traced");
-    assert!(count("delivered") > 5);
-    // Conservation mirrors the stats counters.
-    let stats = sim.stats().class("blob");
-    assert_eq!(count("sent") as u64, stats.sent_msgs);
-    assert_eq!(count("delivered") as u64, stats.delivered_msgs);
+    sim.invoke(NodeId(1), |s: &mut Streamer, ctx| {
+        s.count += 1;
+        ctx.set_timer_after(Duration::from_secs(2), TICK);
+    });
+    sim.run_until(SimTime::from_secs(4));
+    assert_eq!(sim.last_datagram_at(), SimTime::from_millis(3_003));
+    assert_eq!(sim.stats().class("blob").dropped_dead, 1);
 }

@@ -3,7 +3,11 @@
 # against the one built from the working tree, run in alternating pairs and
 # judged by the rule of /opt/skills/guides/choosing-metrics §8 — the change
 # wins at least nine tenths of the pairs and the medians differ by more
-# than the distance between the parent's quartiles.
+# than the distance between the parent's quartiles. `wall_s` (each unit's
+# time divided by the machine's slowdown around it), `wall_raw_s` (the
+# same times undivided) and `setup_s` are each judged by that rule, and
+# each side's median `slowdown` is printed: a gain that shows in `wall_s`
+# alone may be the yardstick's, not the program's.
 #
 #   sh scripts/ab.sh <parent-rev> <workload>|all [--pairs N] [--seed S] [--seconds S]
 #
@@ -52,16 +56,20 @@ CARGO_TARGET_DIR=$dir/change-target cargo build --release --quiet --offline \
     --manifest-path benchmark/Cargo.toml
 
 # One run of workload $name: "<side> <pair> <wall_s> <setup_s> <ttff_p50_s>
-# <startup_ok_share> <displayed_share> <counters_digest>" appended to $runs.
+# <startup_ok_share> <displayed_share> <counters_digest> <wall_raw_s>
+# <slowdown>" appended to $runs.
 run() {
     "$dir/$1-target/release/ftvod-benchmark" --workload "$name" --seed "$seed" \
         ${seconds:+--seconds "$seconds"} |
         awk -v side="$1" -v pair="$2" '
             $1 == "counters_digest" { digest = $2 }
-            $1 ~ /^(wall_s|setup_s|ttff_p50_s|startup_ok_share|displayed_share)$/ { v[$1] = $2 }
+            $1 ~ /^(wall_s|wall_raw_s|setup_s|slowdown|ttff_p50_s|startup_ok_share|displayed_share)$/ {
+                v[$1] = $2
+            }
             END {
                 print side, pair, v["wall_s"], v["setup_s"], v["ttff_p50_s"],
-                    v["startup_ok_share"], v["displayed_share"], digest
+                    v["startup_ok_share"], v["displayed_share"], digest, v["wall_raw_s"],
+                    v["slowdown"]
             }' >>"$runs"
 }
 
@@ -105,6 +113,8 @@ function sorted_of(s, m, n,    i, j, t) {
     n = $2
     val[$1, "wall_s", n] = $3
     val[$1, "setup_s", n] = $4
+    val[$1, "wall_raw_s", n] = $9
+    val[$1, "slowdown", n] = $10
     service = $5 " " $6 " " $7
     if (NR == 1)
         first = service
@@ -116,7 +126,7 @@ function sorted_of(s, m, n,    i, j, t) {
         unstable[$1] = 1
     if (NR % 2 == 1)
         printf "pair %2d  %s first  ", n, $1
-    line[$1] = sprintf("%s wall_s %s setup_s %s digest %s", $1, $3, $4, $8)
+    line[$1] = sprintf("%s wall_s %s wall_raw_s %s setup_s %s digest %s", $1, $3, $9, $4, $8)
     if (NR % 2 == 0)
         printf "%s   %s\n", line["parent"], line["change"]
 }
@@ -125,9 +135,9 @@ END {
         print "ab.sh: a run printed no metrics" > "/dev/stderr"
         exit 1
     }
-    split("wall_s setup_s", metrics, " ")
+    split("wall_s wall_raw_s setup_s", metrics, " ")
     split("parent change", sides, " ")
-    for (k = 1; k <= 2; k++) {
+    for (k = 1; k <= 3; k++) {
         m = metrics[k]
         print ""
         for (s = 1; s <= 2; s++) {
@@ -151,6 +161,13 @@ END {
             "", m, won, n, lost, 100 * delta / q2[1]
         printf "%-7s %-8s |median delta| %.6g %s parent inter-quartile distance %.6g; gain by the rule: %s\n",
             "", m, size, beyond ? "above" : "within", iqr, gain ? "yes" : "no"
+        if (m == "wall_raw_s") {
+            for (s = 1; s <= 2; s++) {
+                sorted_of(sides[s], "slowdown", n)
+                slow[s] = quantile(sorted, n, 0.5)
+            }
+            printf "%-7s %-8s median parent %.4g, change %.4g (what wall_s divides by)\n", "", "slowdown", slow[1], slow[2]
+        }
         row = row sprintf("  %-7s %11.6g %11.6g %+7.2f %%  %2d / %-2d  %9.4g  %-4s", m, q2[1], q2[2],
             100 * delta / q2[1], won, n, iqr, gain ? "yes" : "no")
     }
@@ -180,8 +197,10 @@ if [ "$workload" = all ]; then
     echo "ab.sh all: per metric the parent's median, the change's, the delta, pairs the change won, the"
     echo "parent's inter-quartile distance and the gain by the rule; last, whether the simulated service"
     echo "metrics were equal in every run, and whether the digest was (UNSTABLE: a side did not repeat it)"
-    printf '%-14s  %-7s %11s %11s %9s  %7s  %9s  %-4s  %-7s %11s %11s %9s  %7s  %9s  %-4s  %-9s %s\n' workload \
-        metric parent change delta won iqr gain metric parent change delta won iqr gain service digest
+    cols='%-7s %11s %11s %9s  %7s  %9s  %-4s  '
+    printf "%-14s  $cols$cols$cols%-9s %s\n" workload \
+        metric parent change delta won iqr gain metric parent change delta won iqr gain \
+        metric parent change delta won iqr gain service digest
     cat "$dir/summary.txt"
 else
     compare "$workload" || status=1
